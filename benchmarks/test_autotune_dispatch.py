@@ -48,8 +48,7 @@ WORKLOAD = [
 PASSES = 3
 #: Autotuner timing passes per (bucket, backend).
 TUNE_PASSES = 3
-#: Backends whose *analytic* estimate exceeds this are not worth timing
-#: (skips the bit-serial einsum backend on the large crossover shapes).
+#: Backends whose *analytic* estimate exceeds this are not worth timing.
 TUNE_BUDGET_S = 0.05
 
 

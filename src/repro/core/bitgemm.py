@@ -10,7 +10,7 @@ Algorithm 1):
     C = \\sum_{i<s} \\sum_{j<t} \\mathrm{BMM}(A_i, B_j) \\ll (i + j)
 
 Each 1-bit GEMM is an AND + popcount over the packed K dimension
-(paper Eq. 7).  Two interchangeable engines compute it:
+(paper Eq. 7).  Three interchangeable engines compute it:
 
 * ``"packed"`` — word-at-a-time ``popcount(a & b)`` on the uint32 storage,
   exactly what the emulated Tensor Core executes.  Memory-blocked.
@@ -25,12 +25,6 @@ Each 1-bit GEMM is an AND + popcount over the packed K dimension
   dot product; much faster when the operand is tile-sparse — e.g. the
   block-diagonal adjacency of a coalesced serving batch, where roughly
   ``1/members`` of the tiles survive.
-* ``"einsum"`` — bit-serial: unpack both operands to 0/1 planes and form
-  every pairwise plane product in a single int64 ``np.einsum``
-  contraction.  Exact for the low bitwidths it is registered for, and
-  free of the per-plane-pair dispatch loop, which is where it can win on
-  small products; mostly it widens the autotuner's search space
-  (:mod:`repro.plan.autotune`).
 
 All engines are tested against each other and against an int64 reference.
 
@@ -65,6 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (plan layers above core)
     from ..plan.registry import BackendRegistry
 
 __all__ = [
+    "BLAS_EXACT_K",
     "ENGINE_NAMES",
     "Engine",
     "EngineSelector",
@@ -87,7 +82,11 @@ Engine = Union[str, EngineSelector]
 
 #: Names of the built-in backends (the default registry may hold more;
 #: see :func:`repro.plan.register_backend`).
-ENGINE_NAMES = ("packed", "blas", "sparse", "einsum")
+ENGINE_NAMES = ("packed", "blas", "sparse")
+
+#: Reduction length below which a 0/1 dot product accumulates exactly in
+#: float32 — the precondition of every ``blas`` plane product.
+BLAS_EXACT_K = 1 << 24
 
 #: Row-block size of the packed engine; caps the broadcast temporary at
 #: roughly ``block * N * k_words * 4`` bytes.
@@ -290,7 +289,7 @@ def bmm_plane_blas(a_plane: np.ndarray, b_plane: np.ndarray) -> np.ndarray:
     b = np.asarray(b_plane)
     if a.shape[-1] != b.shape[-1]:
         raise ShapeError(f"K axes differ: {a.shape[-1]} vs {b.shape[-1]}")
-    if a.shape[-1] >= (1 << 24):
+    if a.shape[-1] >= BLAS_EXACT_K:
         raise ShapeError("K too large for exact float32 accumulation")
     return (a.astype(np.float32) @ b.astype(np.float32).T).astype(np.int64)
 

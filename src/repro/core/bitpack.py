@@ -293,7 +293,7 @@ def tile_nonzero_mask(plane_words: np.ndarray) -> np.ndarray:
     ballot combines the 8 lane predicates — a zero ballot marks a tile the
     kernel can jump.  Lives in ``core`` because both the ``sparse`` host
     engine (:func:`repro.core.bitgemm.bmm_plane_packed_sparse`) and the TC
-    emulator's jump logic (:mod:`repro.tc.zerotile`) consume it.
+    emulator's jump logic (:mod:`repro.tc.kernel`) consume it.
 
     Parameters
     ----------

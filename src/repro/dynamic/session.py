@@ -21,10 +21,12 @@ engine's content-keyed artifact caches coherent across mutations:
   compiled kernel is caught and counted (``stale_kernel_hits``; the
   benchmark asserts zero) even if a caller bypasses the bookkeeping.
 
-Serving replays :func:`~repro.gnn.quantized.execute_forward_plan` with
-the snapshot passed explicitly, so logits are bit-identical to a fresh
-pack-from-scratch forward of the mutated structure (the differential
-harness pins this at every mutation rate).
+Serving hands the live ``(batch, snapshot, plan)`` to the engine's single
+round path (:meth:`~repro.serving.engine.InferenceEngine.run_round`), so
+a dynamic serve carries the same step recovery, timing feedback, kernel
+counters and modeled device time as a static round, and its logits are
+bit-identical to a fresh pack-from-scratch forward of the mutated
+structure (the differential harness pins this at every mutation rate).
 """
 
 from __future__ import annotations
@@ -34,17 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codegen import gemm_kernel_key, prepare_plan_kernels
+from ..codegen import gemm_kernel_key
 from ..codegen.backend import census_digest
 from ..errors import ConfigError
-from ..gnn.quantized import (
-    PackedAdjacency,
-    QuantizedForwardResult,
-    execute_forward_plan,
-)
+from ..gnn.quantized import PackedAdjacency, QuantizedForwardResult
 from ..graph.csr import CSRGraph
-from ..plan.ir import ExecutionPlan, compile_forward_plan
-from ..serving.engine import InferenceEngine, ServingConfig, StalePlan
+from ..plan.ir import ExecutionPlan
+from ..serving.engine import InferenceEngine, ServingConfig
 from .mutable import MutableGraph, MutationDelta
 from .patch import PatchDecision, PatchPolicy
 
@@ -157,22 +155,14 @@ class DynamicSession:
     # ------------------------------------------------------------------ #
     # Mutation intake
     # ------------------------------------------------------------------ #
-    def mutate(
-        self,
-        mutations,
-        *,
-        invalidate: bool = True,
-    ) -> MutationDelta:
+    def mutate(self, mutations) -> MutationDelta:
         """Apply a mutation batch and bring the caches up to date.
 
         Delta-updates the packed planes and census, publishes a frozen
-        snapshot under the new structure digest, then patches the cached
-        plan (policy permitting) or recompiles it.  With ``invalidate``
-        (the default) every superseded dynamic cache entry — adjacency,
-        plan, and the codegen kernels of the pre-mutation census — is
-        discarded immediately; pass ``invalidate=False`` to leave them
-        resident (they can no longer be *hit*, their keys embed a dead
-        digest) and inspect them via :meth:`stale_plans`.
+        snapshot under the new structure digest, patches the cached plan
+        (policy permitting) or recompiles it, then discards every
+        superseded dynamic cache entry — adjacency, plan, and the codegen
+        kernels of the pre-mutation census (:meth:`invalidate_mutated`).
         """
         cache = self.engine.plan_artifacts
         old_plan_key = self.plan_key()
@@ -212,30 +202,18 @@ class DynamicSession:
                     adjacency.nonzero_fraction, nodes=self.mutable.num_nodes
                 )
         else:
-            plan = self._compile(adjacency)
-            cache.put(self.plan_key(), plan)
-            self.stats.plans_recompiled += 1
-        if invalidate:
-            self.invalidate_mutated()
+            self._recompile(adjacency)
+        self.invalidate_mutated()
         return delta
 
-    def _compile(self, adjacency: PackedAdjacency) -> ExecutionPlan:
-        """Full recompile against the current census (resets drift state)."""
-        engine = self.engine
-        dispatcher = engine.dispatcher
-        if dispatcher is not None:
-            dispatcher.observe_tile_fraction(
-                adjacency.nonzero_fraction, nodes=self.mutable.num_nodes
-            )
-        plan = compile_forward_plan(
-            engine.model,
-            num_nodes=self.mutable.num_nodes,
-            feature_bits=engine.config.feature_bits,
-            weight_bits=engine.config.effective_weight_bits,
-            engine=engine.engine_selector,
-            weight_key=engine.weight_key,
-            adjacency_key=self.adjacency_key(),
+    def _recompile(self, adjacency: PackedAdjacency) -> ExecutionPlan:
+        """Compile and cache the live plan against the current census
+        (resets the drift state the patch policy judges against)."""
+        plan = self.engine.compile_plan(
+            self.mutable.num_nodes, adjacency, self.adjacency_key()
         )
+        self.engine.plan_artifacts.put(self.plan_key(), plan)
+        self.stats.plans_recompiled += 1
         self._dirty_since_compile.clear()
         self._fraction_at_compile = adjacency.nonzero_fraction
         self._mask_at_compile = adjacency.plan.masks[0]
@@ -294,40 +272,6 @@ class DynamicSession:
         self.stats.kernels_invalidated += counts["kernel"]
         return counts
 
-    def stale_plans(self) -> list[StalePlan]:
-        """Dynamic plans compiled against a pre-mutation census.
-
-        Scans the engine's plan segment (read-only, via ``peek``) for
-        plans whose aggregate steps reference a dynamic adjacency key
-        other than the current structure digest — i.e. plans that froze
-        a census the mutations have since rewritten.  With the default
-        ``mutate(..., invalidate=True)`` flow this is empty; it reports
-        leftovers when invalidation was deferred.
-        """
-        expected = self.adjacency_key()
-        stale: list[StalePlan] = []
-        segment = self.engine.plan_cache
-        for key in segment.keys():
-            plan = segment.peek(key)
-            if plan is None or not isinstance(plan, ExecutionPlan):
-                continue
-            for a_key in plan.adjacency_keys():
-                if self._is_dynamic_key(a_key) and a_key != expected:
-                    stale.append(
-                        StalePlan(
-                            key=key,
-                            divergences=(
-                                (
-                                    "census",
-                                    str(a_key[2])[:12],
-                                    str(expected[2])[:12],
-                                ),
-                            ),
-                        )
-                    )
-                    break
-        return stale
-
     # ------------------------------------------------------------------ #
     # Serving
     # ------------------------------------------------------------------ #
@@ -338,72 +282,30 @@ class DynamicSession:
         (seeding frozen snapshots / compiling on miss), verifies the pair
         actually describes the live structure (a mismatch is a
         ``stale_kernel_hits`` event and forces a rebuild — it cannot
-        serve), and replays the plan.  Logits are bit-identical to a
-        fresh pack-from-scratch forward of the same structure.
+        serve), and runs the engine's round on it.  Logits are
+        bit-identical to a fresh pack-from-scratch forward of the same
+        structure.
         """
-        engine = self.engine
-        cache = engine.plan_artifacts
-        weights = engine.packed_weights()
+        cache = self.engine.plan_artifacts
         start = time.perf_counter()
         adjacency = cache.get_or_build(self.adjacency_key(), self.mutable.snapshot)
+        adjacency_at = time.perf_counter()
         plan = cache.segment("plan").get(self.plan_key())
         if plan is None:
-            plan = self._compile(adjacency)
-            cache.put(self.plan_key(), plan)
-            self.stats.plans_recompiled += 1
-        adjacency, plan = self._check_live(adjacency, plan, cache)
-        lower_s, compile_s = prepare_plan_kernels(plan, adjacency)
-        forward = execute_forward_plan(
-            plan,
-            engine.model,
-            self._feature_batch,
-            packed_weights=weights,
-            packed_adjacency=adjacency,
-            artifacts=cache,
-            calibration=engine.calibration,
-            kernel_config=engine.config.kernel,
-            apply_softmax=engine.config.apply_softmax,
+            plan = self._recompile(adjacency)
+        adjacency, plan = self._check_live(adjacency, plan)
+        resolve_seconds = (adjacency_at - start, time.perf_counter() - adjacency_at)
+        forward = self.engine.run_round(
+            self._feature_batch, adjacency, plan, resolve_seconds=resolve_seconds
         )
-        elapsed = time.perf_counter() - start
         self.stats.serves += 1
-        self.stats.serve_seconds += elapsed
-        # Feed the engine's own accounting so PAG coverage stays coherent:
-        # dynamic serves are worker wall-clock like any other round.
-        stats = engine.stats
-        stats.wall_s += elapsed
-        stats.recent_round_seconds.append(elapsed)
-        stats.batches += 1
-        stats.nodes += self.mutable.num_nodes
-        stats.phase_seconds["plan_lower"] = (
-            stats.phase_seconds.get("plan_lower", 0.0) + lower_s
-        )
-        stats.phase_seconds["kernel_compile"] = (
-            stats.phase_seconds.get("kernel_compile", 0.0) + compile_s
-        )
-        for timing in forward.phases:
-            stats.phase_seconds[timing.phase] = (
-                stats.phase_seconds.get(timing.phase, 0.0) + timing.seconds
-            )
-        dispatcher = engine.dispatcher
-        if dispatcher is not None and engine.config.record_timings:
-            fraction = adjacency.nonzero_fraction
-            for timing in forward.timings:
-                dispatcher.record_timing(
-                    timing.spec,
-                    timing.backend,
-                    timing.seconds,
-                    tile_fraction=(
-                        fraction if timing.spec.role == "aggregate" else None
-                    ),
-                )
-            stats.autotune_samples += len(forward.timings)
+        self.stats.serve_seconds += time.perf_counter() - start
         return forward
 
     def _check_live(
         self,
         adjacency: PackedAdjacency,
         plan: ExecutionPlan,
-        cache,
     ) -> tuple[PackedAdjacency, ExecutionPlan]:
         """The serve-time stale guard (see :attr:`DynamicStats.stale_kernel_hits`).
 
@@ -423,11 +325,8 @@ class DynamicSession:
             return adjacency, plan
         self.stats.stale_kernel_hits += 1
         adjacency = self.mutable.snapshot()
-        cache.put(expected_key, adjacency)
-        plan = self._compile(adjacency)
-        cache.put(self.plan_key(), plan)
-        self.stats.plans_recompiled += 1
-        return adjacency, plan
+        self.engine.plan_artifacts.put(expected_key, adjacency)
+        return adjacency, self._recompile(adjacency)
 
     # ------------------------------------------------------------------ #
     # Telemetry

@@ -13,9 +13,9 @@ description of the work:
   capability metadata and a cost pricer, registered by name in a
   :class:`BackendRegistry`.  The ``engine=`` string/callable API of
   :mod:`repro.core` is a compatibility shim over this registry.
-* :mod:`repro.plan.backends` — the four built-in host backends
-  (``packed``, ``blas``, ``sparse``, ``einsum``) expressed as registry
-  entries.
+* :mod:`repro.plan.backends` — the three built-in host backends
+  (``packed``, ``blas``, ``sparse``) expressed as registry entries
+  (``codegen`` joins them in the default registry).
 * :mod:`repro.plan.rates` — :class:`HostRates`, the frozen calibration
   record every pricer consumes (per-machine recalibration is a value,
   not a subclass).
@@ -36,8 +36,7 @@ description of the work:
 * :mod:`repro.plan.cache` — :class:`PlanCache`, one content-keyed LRU
   for every plan artifact kind (packed weights, packed adjacencies,
   compiled plans) with per-kind segments and shared telemetry; also the
-  home of the generic :class:`LRUCache`/:class:`CacheStats` primitives
-  (moved from ``repro.serving.cache``).
+  home of the generic :class:`LRUCache`/:class:`CacheStats` primitives.
 * :mod:`repro.plan.executor` — replay of compiled single-GEMM steps on
   fresh operands (the layer/session forward executor lives in
   :func:`repro.gnn.quantized.execute_forward_plan`, next to the affine

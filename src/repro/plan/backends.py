@@ -1,4 +1,4 @@
-"""The built-in host backends (``packed``, ``blas``, ``sparse``, ``einsum``).
+"""The built-in host backends (``packed``, ``blas``, ``sparse``).
 
 The plane-product loops that used to be inline branches of
 :func:`repro.core.bitgemm.bitgemm_planes` are expressed here as registry
@@ -17,26 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.bitgemm import _sparse_plane_products, bmm_plane_packed
+from ..core.bitgemm import BLAS_EXACT_K, _sparse_plane_products, bmm_plane_packed
 from ..core.bitpack import PackedBits, tile_nonzero_mask
 from ..errors import ShapeError
 from .registry import Backend, BackendCaps, BackendPrice, PriceContext
 
-__all__ = ["builtin_backends", "extension_backends"]
-
-
-def _scipy_sparse():
-    """The ``scipy.sparse`` module, or ``None`` when scipy is absent.
-
-    The CSR backend is import-guarded: without scipy it is simply not
-    registered, so the registry (and every digest/exchange built on it)
-    degrades cleanly instead of raising at dispatch time.
-    """
-    try:
-        from scipy import sparse
-    except Exception:  # pragma: no cover - scipy present in the pinned env
-        return None
-    return sparse
+__all__ = ["builtin_backends"]
 
 
 # --------------------------------------------------------------------- #
@@ -62,8 +48,9 @@ def _run_blas(
     b_packed: PackedBits,
     tile_masks: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Unpack the planes to float32 and multiply with BLAS (exact for the
-    0/1 dot products below 2^24 that packing guarantees)."""
+    """Unpack the planes to float32 and multiply with BLAS — exact for 0/1
+    dot products of length ``K < BLAS_EXACT_K``, which plan compilation
+    enforces (``compile_gemm_step`` rejects, the pricer vetoes)."""
     m, n = a_packed.logical_vectors, b_packed.logical_vectors
     out = np.empty((a_packed.bits, b_packed.bits, m, n), dtype=np.int64)
     a_planes = a_packed.to_planes().astype(np.float32)  # (ba, M, K)
@@ -103,89 +90,6 @@ def _run_sparse(
     return out
 
 
-#: Left-operand bitwidth ceiling of the ``einsum`` backend: the unpacked
-#: int64 plane stack costs ``bits * M * K * 8`` bytes, so the backend is
-#: only registered as eligible for the low bitwidths the paper sweeps.
-EINSUM_MAX_BITS = 8
-
-
-def _run_einsum(
-    a_packed: PackedBits,
-    b_packed: PackedBits,
-    tile_masks: Sequence[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Bit-serial einsum: every pairwise plane product in one contraction.
-
-    Unpacks both operands to 0/1 planes and contracts
-    ``(ba, M, K) x (bb, K, N) -> (ba, bb, M, N)`` with a single int64
-    ``np.einsum`` call — exact at any supported bitwidth (binary dot
-    products accumulate in int64) and free of the per-plane-pair Python
-    loop the dense engines pay, which is where it can win on small
-    low-bitwidth products.
-    """
-    a_planes = a_packed.to_planes().astype(np.int64)  # (ba, M, K)
-    b_planes = b_packed.to_planes().astype(np.int64)  # (bb, K, N)
-    return np.einsum("imk,jkn->ijmn", a_planes, b_planes, optimize=True)
-
-
-#: Tile-census fraction below which the CSR backend considers itself a
-#: candidate: compressed-row storage only pays when the adjacency is far
-#: sparser than the tile-skip engines' sweet spot (row compression keeps
-#: per-*element* work, tile skipping per-*tile* work).
-CSR_MAX_FRACTION = 0.05
-#: Modeled CSR multiply throughput (nnz-driven multiply-adds per second)
-#: and per-plane-pair conversion overhead.
-CSR_NNZ_PER_S = 2.0e8
-CSR_PAIR_OVERHEAD_S = 400e-6
-
-
-def _run_csr(
-    a_packed: PackedBits,
-    b_packed: PackedBits,
-    tile_masks: Sequence[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Compressed-sparse-row aggregation for extreme-sparsity operands.
-
-    Unpacks the single A plane into a scipy CSR matrix and multiplies it
-    against each unpacked B plane — exact int64 arithmetic throughout, so
-    bit-identical to the dense engines.  Only reachable when scipy is
-    installed (the backend is not registered otherwise).
-    """
-    sparse = _scipy_sparse()
-    if sparse is None:  # pragma: no cover - registration is import-guarded
-        raise ShapeError("csr backend requires scipy, which is not installed")
-    m, n = a_packed.logical_vectors, b_packed.logical_vectors
-    out = np.empty((a_packed.bits, b_packed.bits, m, n), dtype=np.int64)
-    a_planes = a_packed.to_planes().astype(np.int64)  # (ba, M, K)
-    b_planes = b_packed.to_planes().astype(np.int64)  # (bb, K, N)
-    for i in range(a_packed.bits):
-        csr = sparse.csr_matrix(a_planes[i])
-        for j in range(b_packed.bits):
-            product = csr @ b_planes[j]
-            out[i, j] = np.asarray(product, dtype=np.int64).reshape(m, n)
-    return out
-
-
-#: Bitwidth ceiling of the modeled Tensor-Core int8 backend: mirrors the
-#: cuBLAS baseline's int8 operand contract from the paper's comparison.
-TENSORCORE8_MAX_BITS = 8
-
-
-def _run_tensorcore8(
-    a_packed: PackedBits,
-    b_packed: PackedBits,
-    tile_masks: Sequence[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Host stand-in for the modeled int8 Tensor-Core path.
-
-    Numerically this is the exact ``blas`` plane-pair product (the model
-    backend must stay bit-identical so differential sweeps cover it); its
-    *price* is what differs — the cuBLAS-like device time model — which
-    is how the tuner prices the paper's hardware comparison point.
-    """
-    return _run_blas(a_packed, b_packed, tile_masks)
-
-
 # --------------------------------------------------------------------- #
 # Pricers (host seconds from HostRates; see serving.dispatch for context)
 # --------------------------------------------------------------------- #
@@ -206,7 +110,9 @@ def _price_blas(ctx: PriceContext) -> BackendPrice:
         + ctx.flops / r.blas_flops
         + plane_bytes / r.unpack_bytes_per_s
     )
-    vetoed = (
+    # Two resource vetoes: the unpacked-plane memory budget, and the
+    # float32 exactness bound _run_blas relies on but never checks.
+    vetoed = spec.k >= BLAS_EXACT_K or (
         ctx.blas_bytes_budget is not None and plane_bytes > ctx.blas_bytes_budget
     )
     return BackendPrice(seconds=seconds, bytes=plane_bytes, vetoed=vetoed)
@@ -230,58 +136,10 @@ def _price_sparse(ctx: PriceContext) -> BackendPrice:
     return BackendPrice(seconds=seconds, tile_fraction=fraction)
 
 
-def _price_einsum(ctx: PriceContext) -> BackendPrice:
-    r, spec = ctx.rates, ctx.spec
-    # int64 plane stacks: 8 bytes per unpacked element (twice blas's
-    # float32 footprint), charged against the same unpack throughput and
-    # the same memory budget — a measured-fast einsum must not smuggle an
-    # allocation past the veto that would have stopped blas at half the
-    # size.
-    plane_bytes = 8 * (
-        spec.bits_a * spec.m * spec.k + spec.bits_b * spec.k * spec.n
-    )
-    seconds = (
-        r.einsum_call_overhead_s
-        + ctx.flops / r.einsum_flops
-        + plane_bytes / r.unpack_bytes_per_s
-    )
-    vetoed = (
-        ctx.blas_bytes_budget is not None and plane_bytes > ctx.blas_bytes_budget
-    )
-    return BackendPrice(seconds=seconds, bytes=plane_bytes, vetoed=vetoed)
-
-
-def _price_csr(ctx: PriceContext) -> BackendPrice:
-    # Same observability gate as ``sparse`` — only a censused 1-bit left
-    # operand — plus the extreme-sparsity cut: CSR is priced out entirely
-    # unless the observed tile fraction is below CSR_MAX_FRACTION.
-    fraction = ctx.tile_fraction
-    if ctx.spec.bits_a != 1 or fraction is None or fraction > CSR_MAX_FRACTION:
-        return BackendPrice(seconds=math.inf)
-    spec = ctx.spec
-    nnz = max(fraction * spec.m * spec.k, 1.0)
-    seconds = ctx.pairs * CSR_PAIR_OVERHEAD_S + nnz * spec.bits_b / CSR_NNZ_PER_S
-    return BackendPrice(seconds=seconds, tile_fraction=fraction)
-
-
-def _price_tensorcore8(ctx: PriceContext) -> BackendPrice:
-    # Always vetoed: the price is the *modeled device* seconds of the
-    # paper's cuBLAS int8 comparison point, not a host cost — the tuner
-    # and dashboards read it, but the dispatcher must never route a host
-    # execution on it.
-    from ..baselines.cublas_like import cublas_int8_gemm_time
-
-    spec = ctx.spec
-    if min(spec.m, spec.k, spec.n) < 1:
-        return BackendPrice(seconds=math.inf, vetoed=True)
-    breakdown = cublas_int8_gemm_time(spec.m, spec.k, spec.n)
-    return BackendPrice(seconds=breakdown.total_s, vetoed=True)
-
-
-def builtin_backends() -> tuple[Backend, Backend, Backend, Backend]:
-    """Fresh instances of the four built-in backends, registration order
-    ``packed``, ``blas``, ``sparse``, ``einsum`` (ties in pricing resolve
-    to the first)."""
+def builtin_backends() -> tuple[Backend, Backend, Backend]:
+    """Fresh instances of the three built-in backends, registration order
+    ``packed``, ``blas``, ``sparse`` (ties in pricing resolve to the
+    first)."""
     return (
         Backend(
             name="packed",
@@ -308,57 +166,4 @@ def builtin_backends() -> tuple[Backend, Backend, Backend, Backend]:
             ),
             pricer=_price_sparse,
         ),
-        Backend(
-            name="einsum",
-            run_planes=_run_einsum,
-            caps=BackendCaps(
-                max_bits_a=EINSUM_MAX_BITS,
-                max_bits_b=EINSUM_MAX_BITS,
-                summary="bit-serial int64 einsum over unpacked planes "
-                "(low bitwidths)",
-            ),
-            pricer=_price_einsum,
-        ),
     )
-
-
-def extension_backends() -> tuple[Backend, ...]:
-    """Fresh instances of the extension backends, registration order
-    ``codegen``, ``csr`` (scipy only), ``tensorcore8``.
-
-    These register after :func:`builtin_backends` in the default
-    registry, so on analytic price ties every built-in engine still wins
-    — extensions are routed only when their price (or a tuned
-    measurement) strictly beats the incumbents.
-    """
-    from ..codegen import codegen_backend
-
-    backends: list[Backend] = [codegen_backend()]
-    if _scipy_sparse() is not None:
-        backends.append(
-            Backend(
-                name="csr",
-                run_planes=_run_csr,
-                caps=BackendCaps(
-                    max_bits_a=1,
-                    consumes_tile_masks=False,
-                    summary="scipy CSR aggregation for extreme-sparsity "
-                    "1-bit operands",
-                ),
-                pricer=_price_csr,
-            )
-        )
-    backends.append(
-        Backend(
-            name="tensorcore8",
-            run_planes=_run_tensorcore8,
-            caps=BackendCaps(
-                max_bits_a=TENSORCORE8_MAX_BITS,
-                max_bits_b=TENSORCORE8_MAX_BITS,
-                summary="modeled cuBLAS int8 Tensor-Core comparison point "
-                "(priced, never host-routed)",
-            ),
-            pricer=_price_tensorcore8,
-        )
-    )
-    return tuple(backends)

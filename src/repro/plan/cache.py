@@ -1,9 +1,7 @@
 """Content-keyed caching of plan artifacts.
 
 Home of the generic cache primitives (:class:`CacheStats`,
-:class:`LRUCache` — moved here from ``repro.serving.cache`` in the
-plan/execute split; the serving module re-exports them for
-compatibility) and of :class:`PlanCache`, the *one* cache a serving
+:class:`LRUCache`) and of :class:`PlanCache`, the *one* cache a serving
 session holds.
 
 Before this layer existed, serving juggled three separate LRUs — packed

@@ -18,11 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.bitgemm import reduce_plane_products
+from ..core.bitgemm import bitgemm
 from ..core.bitpack import PackedBits, pack_matrix
 from ..errors import ShapeError
 from .ir import GemmSpec, GemmStep, compile_gemm_step
-from .registry import BackendRegistry, default_registry
+from .registry import BackendRegistry
 
 __all__ = ["compile_gemm_plan", "execute_gemm_plan", "execute_gemm_plan_codes"]
 
@@ -62,11 +62,6 @@ def _check_operands(step: GemmStep, a_packed: PackedBits, b_packed: PackedBits) 
             f"plan expects layouts ({step.pack_a.layout!r}, {step.pack_b.layout!r}), "
             f"got ({a_packed.layout!r}, {b_packed.layout!r})"
         )
-    if a_packed.logical_k != b_packed.logical_k:
-        raise ShapeError(
-            f"reduction dims differ: A has K={a_packed.logical_k}, "
-            f"B has K={b_packed.logical_k}"
-        )
 
 
 def execute_gemm_plan(
@@ -85,13 +80,13 @@ def execute_gemm_plan(
     never a silent wrong answer.
     """
     _check_operands(step, a_packed, b_packed)
-    # None check, not truthiness: an empty registry is falsy, and falling
-    # back to the default set would execute a backend the caller removed.
-    backend = (default_registry() if registry is None else registry).get(
-        step.backend
+    return bitgemm(
+        a_packed,
+        b_packed,
+        engine=step.backend,
+        tile_masks=tile_masks,
+        registry=registry,
     )
-    partial = backend.run_planes(a_packed, b_packed, tile_masks)
-    return reduce_plane_products(partial)
 
 
 def execute_gemm_plan_codes(

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
+from ..core.bitgemm import BLAS_EXACT_K
 from ..core.bitpack import TC_K, TC_M, pad_to
 from ..errors import BitwidthError, ConfigError, ShapeError
 from .cache import PlanKey
@@ -263,6 +264,11 @@ def compile_gemm_step(
             f"a census step requires a 1-bit left operand, got {spec.bits_a}-bit"
         )
     backend = resolve_engine_name(engine, spec, registry)
+    if backend == "blas" and spec.k >= BLAS_EXACT_K:
+        raise ShapeError(
+            f"K={spec.k} is too large for the blas backend's exact float32 "
+            f"accumulation (K < {BLAS_EXACT_K}); compile for another backend"
+        )
     return GemmStep(
         spec=spec,
         backend=backend,
@@ -286,7 +292,7 @@ def forward_gemm_specs(
 
     The single source of truth for the shapes, bitwidths and ordering of a
     forward pass's GEMMs: the plan compiler builds execution steps from it
-    and :func:`repro.runtime.executor.modeled_batch_report` derives its
+    and :func:`repro.runtime.executor.modeled_plan_report` derives its
     modeled counters from it, so modeled and measured accounting can never
     drift apart.
 

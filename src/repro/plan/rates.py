@@ -38,14 +38,6 @@ class HostRates:
         Per tile-row-group overhead of the sparse engine (census lookup,
         operand gather, row scatter).  A block-diagonal batch has roughly
         one group per member ~= ``1/fraction`` groups.
-    einsum_flops:
-        Sustained int64 contraction FLOP/s of the bit-serial ``einsum``
-        backend (one ``np.einsum`` over all unpacked planes — no BLAS, so
-        more than an order of magnitude below ``blas_flops``; the tuned
-        dispatch table is what discovers where it actually wins).
-    einsum_call_overhead_s:
-        Fixed unpack + einsum dispatch overhead per product (one call
-        covers every plane pair, unlike the per-pair dense loops).
     """
 
     packed_flops: float = 3.2e10
@@ -54,18 +46,15 @@ class HostRates:
     blas_pair_overhead_s: float = 25e-6
     unpack_bytes_per_s: float = 2.5e9
     sparse_group_overhead_s: float = 150e-6
-    einsum_flops: float = 2.0e9
-    einsum_call_overhead_s: float = 120e-6
 
     def __post_init__(self) -> None:
-        for name in ("packed_flops", "blas_flops", "unpack_bytes_per_s", "einsum_flops"):
+        for name in ("packed_flops", "blas_flops", "unpack_bytes_per_s"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name in (
             "packed_pair_overhead_s",
             "blas_pair_overhead_s",
             "sparse_group_overhead_s",
-            "einsum_call_overhead_s",
         ):
             if getattr(self, name) < 0:
                 raise ConfigError(

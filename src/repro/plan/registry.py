@@ -121,8 +121,8 @@ class PriceContext:
     #: Measured non-zero tile fraction of the left operand, when a census
     #: has been observed for exactly this product's shape.
     tile_fraction: float | None = None
-    #: Byte budget for unpacked plane temporaries (the blas/einsum memory
-    #: veto); ``None`` disables the veto.
+    #: Byte budget for unpacked plane temporaries (the blas memory veto);
+    #: ``None`` disables the veto.
     blas_bytes_budget: int | None = None
     #: Measured timing table consulted *before* the analytic pricer
     #: (see :mod:`repro.plan.autotune`); ``None`` keeps pricing analytic.
@@ -275,21 +275,21 @@ _default_registry: BackendRegistry | None = None
 
 
 def default_registry() -> BackendRegistry:
-    """The process-wide registry: built-in backends plus extensions.
+    """The process-wide registry: ``packed``, ``blas``, ``sparse``, ``codegen``.
 
-    Extensions (``codegen``, ``csr`` when scipy is installed,
-    ``tensorcore8``) register after the built-ins, so registration-order
-    tie-breaking always prefers the classic engines and every identity
-    built on the registry — :func:`registry_digest`, plan exchange,
-    stale-plan invalidation — covers the full set with no special cases.
+    ``codegen`` registers after the built-ins, so on analytic price ties
+    the classic engines win — it is routed only when its price (or a
+    tuned measurement) strictly beats the incumbents — and every identity
+    built on the registry (:func:`registry_digest`, plan exchange,
+    stale-plan invalidation) covers the full set with no special cases.
     """
     global _default_registry
     if _default_registry is None:
-        from .backends import builtin_backends, extension_backends
+        from ..codegen import codegen_backend
+        from .backends import builtin_backends
 
         registry = BackendRegistry(builtin_backends())
-        for backend in extension_backends():
-            registry.register(backend)
+        registry.register(codegen_backend())
         _default_registry = registry
     return _default_registry
 

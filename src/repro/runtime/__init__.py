@@ -4,7 +4,6 @@ batch profiling, and the end-to-end QGTC epoch executor (paper §4.1/4.5/4.6).""
 from .executor import (
     QGTC_FRAMEWORK_OVERHEAD_S,
     QGTCRunConfig,
-    modeled_batch_report,
     modeled_plan_report,
     qgtc_epoch_report,
     step_time_attribution,
@@ -24,7 +23,6 @@ __all__ = [
     "TransferMode",
     "batch_payload",
     "batch_transfer_time",
-    "modeled_batch_report",
     "modeled_plan_report",
     "profile_batch",
     "profile_batches",

@@ -25,14 +25,11 @@ serving session describes modeled and measured work from one artifact
 with no re-censusing.  :func:`qgtc_epoch_report` merges per-batch reports
 over an epoch from pre-measured
 :class:`~repro.runtime.profilebatch.BatchProfile` statistics (the cheap
-``O(E)`` census path for paper-scale figure sweeps), and
-:func:`modeled_batch_report` remains as a deprecated shim over the same
-closed forms for callers still holding a ``BatchProfile``.
+``O(E)`` census path for paper-scale figure sweeps).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -49,7 +46,6 @@ from .report import EpochReport
 __all__ = [
     "QGTC_FRAMEWORK_OVERHEAD_S",
     "QGTCRunConfig",
-    "modeled_batch_report",
     "modeled_plan_report",
     "qgtc_epoch_report",
     "step_time_attribution",
@@ -187,45 +183,6 @@ def modeled_plan_report(
         mt=mt,
         kt=kt,
         nnz_tiles=tile_plan.summary().nonzero_tiles,
-        device=device,
-        dataset=dataset,
-        cost=cost,
-    )
-
-
-def modeled_batch_report(
-    profile: BatchProfile,
-    model: GNNModel,
-    config: QGTCRunConfig,
-    device: DeviceSpec = RTX3090,
-    *,
-    dataset: str = "",
-    cost: TCCostModel | None = None,
-) -> EpochReport:
-    """Deprecated shim: model one batch from a :class:`BatchProfile`.
-
-    The profile argument duplicates what the plan layer already knows —
-    an executed batch's adjacency artifact carries its measured census —
-    so new code calls :func:`modeled_plan_report` with the
-    :class:`~repro.tc.kernel.TileSkipPlan` instead (epoch sweeps over
-    pre-profiled datasets go through :func:`qgtc_epoch_report`, which
-    consumes profiles directly).  This wrapper maps the profile onto the
-    same closed forms and will be removed once external callers migrate.
-    """
-    warnings.warn(
-        "modeled_batch_report(profile, ...) is deprecated; use "
-        "modeled_plan_report(model, config, num_nodes=..., tile_plan=...) "
-        "with the batch adjacency's TileSkipPlan",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _modeled_report(
-        model,
-        config,
-        num_nodes=profile.num_nodes,
-        mt=profile.mt,
-        kt=profile.kt,
-        nnz_tiles=profile.nnz_tiles,
         device=device,
         dataset=dataset,
         cost=cost,

@@ -46,14 +46,7 @@ and the gateway adds bounded seeded-backoff retries on top.  See
 ``docs/RELIABILITY.md``.
 """
 
-from .cache import (
-    AdjacencyCacheKey,
-    CacheStats,
-    ForwardPlanCacheKey,
-    LRUCache,
-    PlanCache,
-    WeightCacheKey,
-)
+from ..plan.cache import CacheStats, LRUCache, PlanCache
 from .dispatch import CostModelDispatcher, DispatchDecision
 from .gateway import (
     LANES,
@@ -83,12 +76,10 @@ from .pool import (
 from .supervision import BackendHealth, StepRecovery, fallback_chain
 
 __all__ = [
-    "AdjacencyCacheKey",
     "BackendHealth",
     "CacheStats",
     "CostModelDispatcher",
     "DispatchDecision",
-    "ForwardPlanCacheKey",
     "GatewayConfig",
     "GatewayResult",
     "GatewayStats",
@@ -109,7 +100,6 @@ __all__ = [
     "SessionStats",
     "StalePlan",
     "StepRecovery",
-    "WeightCacheKey",
     "WorkerStats",
     "fallback_chain",
     "route_shard",

@@ -131,10 +131,6 @@ class CostModelDispatcher:
     #: operand gather, row scatter).  A block-diagonal batch has roughly
     #: one group per member ~= ``1/fraction`` groups.
     SPARSE_GROUP_OVERHEAD_S = 150e-6
-    #: Sustained int64 contraction FLOP/s of the bit-serial einsum backend.
-    EINSUM_FLOPS = 2.0e9
-    #: Fixed unpack + dispatch overhead per einsum product.
-    EINSUM_CALL_OVERHEAD_S = 120e-6
 
     def __init__(
         self,
@@ -165,8 +161,6 @@ class CostModelDispatcher:
             blas_pair_overhead_s=self.BLAS_PAIR_OVERHEAD_S,
             unpack_bytes_per_s=self.UNPACK_BYTES_PER_S,
             sparse_group_overhead_s=self.SPARSE_GROUP_OVERHEAD_S,
-            einsum_flops=self.EINSUM_FLOPS,
-            einsum_call_overhead_s=self.EINSUM_CALL_OVERHEAD_S,
         )
         # None check, not truthiness: an empty caller registry is falsy
         # (BackendRegistry defines __len__) and must not be silently

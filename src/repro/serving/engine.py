@@ -75,6 +75,7 @@ from ..gnn.quantized import (
     ActivationCalibration,
     PackedAdjacency,
     PackedLayerWeight,
+    QuantizedForwardResult,
     execute_forward_plan,
     pack_batch_adjacency,
     pack_layer_weight,
@@ -569,9 +570,9 @@ class InferenceEngine:
     def engine_selector(self):
         """What ``compile_forward_plan`` dispatches through: the
         cost-model dispatcher when enabled, else the configured engine
-        name.  Exposed so companion sessions (e.g. a dynamic-graph
-        :class:`~repro.dynamic.session.DynamicSession`) compile through
-        the same frozen dispatch decisions as the engine itself."""
+        name.  Exposed so a caller compiling a plan by hand (the
+        dynamic-mutation benchmark's full-recompile baseline) freezes
+        the same dispatch decisions as :meth:`compile_plan`."""
         return self._engine
 
     def save_dispatch_table(self, path: str | Path | None = None) -> Path:
@@ -612,9 +613,9 @@ class InferenceEngine:
     def weight_key(self, layer: int, bits: int | None = None) -> PlanKey:
         """Public form of the per-layer packed-weight content key.
 
-        Matches what :meth:`packed_weights` caches under, so a companion
-        session compiling its own plans (e.g. the dynamic-graph path)
-        resolves the very same weight artifacts."""
+        Matches what :meth:`packed_weights` caches under, so a plan
+        compiled outside :meth:`compile_plan` resolves the very same
+        weight artifacts."""
         return self._weight_key(layer, bits)
 
     def packed_weights(self) -> list[PackedLayerWeight]:
@@ -710,16 +711,26 @@ class InferenceEngine:
                 if shared is not None:
                     self.stats.plans_adopted += 1
                     return shared
-            plan = self._compile_plan(batch, adjacency)
+            plan = self.compile_plan(
+                batch.num_nodes, adjacency, self._adjacency_key(batch)
+            )
             if self._plan_exchange is not None:
                 self._plan_exchange.publish(key, plan)
             return plan
 
         return self._cache.get_or_build(key, build)
 
-    def _compile_plan(
-        self, batch: SubgraphBatch, adjacency: PackedAdjacency
+    def compile_plan(
+        self, num_nodes: int, adjacency: PackedAdjacency, adjacency_key: PlanKey
     ) -> ExecutionPlan:
+        """Compile a forward plan over ``adjacency`` (uncached).
+
+        The one compile path of a session: :meth:`plan_for` calls it
+        under a batch's content key, a
+        :class:`~repro.dynamic.session.DynamicSession` under its chained
+        structure digest — same fault site, same census observation, same
+        frozen dispatch either way.
+        """
         if self.fault_plan is not None:
             # Injected compile failure: aborts this request with a
             # retryable error before any plan state is cached, so the
@@ -729,16 +740,16 @@ class InferenceEngine:
             # Hand the dispatcher this batch's measured census so the plan's
             # frozen dispatch decisions are priced from observation.
             self._engine.observe_tile_fraction(
-                adjacency.nonzero_fraction, nodes=batch.num_nodes
+                adjacency.nonzero_fraction, nodes=num_nodes
             )
         return compile_forward_plan(
             self.model,
-            num_nodes=batch.num_nodes,
+            num_nodes=num_nodes,
             feature_bits=self.config.feature_bits,
             weight_bits=self.config.effective_weight_bits,
             engine=self._engine,
             weight_key=self._weight_key,
-            adjacency_key=self._adjacency_key(batch),
+            adjacency_key=adjacency_key,
         )
 
     # ------------------------------------------------------------------ #
@@ -935,14 +946,48 @@ class InferenceEngine:
         """Run one coalesced round — compile or replay its plan — and split
         results back per request."""
         batch = SubgraphBatch(members=tuple(r.subgraph for r in requests))
-        # One-time session costs (weight quantize + pack) stay outside the
-        # measured window: ``wall_s`` is seconds spent inside batch execution.
-        weights = self.packed_weights()
         start = time.perf_counter()
         adjacency = self.packed_adjacency_for(batch)
         adjacency_at = time.perf_counter()
         plan = self.plan_for(batch, adjacency=adjacency)
-        plan_at = time.perf_counter()
+        resolve_seconds = (adjacency_at - start, time.perf_counter() - adjacency_at)
+        forward = self.run_round(
+            batch, adjacency, plan, resolve_seconds=resolve_seconds
+        )
+        batch_id = self._next_batch_id
+        self._next_batch_id += 1
+        return [
+            InferenceResult(
+                request_id=request.request_id,
+                batch_id=batch_id,
+                logits=forward.logits[rows],
+            )
+            for request, rows in zip(requests, batch.member_slices())
+        ]
+
+    def run_round(
+        self,
+        batch: SubgraphBatch,
+        adjacency: PackedAdjacency,
+        plan: ExecutionPlan,
+        *,
+        resolve_seconds: tuple[float, float] = (0.0, 0.0),
+    ) -> QuantizedForwardResult:
+        """Execute one already-resolved round and do *all* its accounting.
+
+        The session's single forward-round path: :meth:`_execute` resolves
+        ``adjacency`` and ``plan`` under the batch's content keys, a
+        :class:`~repro.dynamic.session.DynamicSession` under its chained
+        structure digest, and both land here — so step recovery, timing
+        feedback, kernel counters and modeled device time cannot differ
+        between them.  ``resolve_seconds`` is what the caller spent
+        resolving the two artifacts (``pack_adjacency``, ``plan_compile``);
+        it joins this round's measured window.
+        """
+        # One-time session costs (weight quantize + pack) stay outside the
+        # measured window: ``wall_s`` is seconds spent inside batch execution.
+        weights = self.packed_weights()
+        start = time.perf_counter()
         # Codegen kernels compile ahead of the GEMM windows so the
         # lower/compile seconds land in their own PAG phases instead of
         # inflating the first gemm window; a warmed plan's prepare is a
@@ -961,34 +1006,27 @@ class InferenceEngine:
             recovery=self._recovery,
         )
         self.stats.step_retries += len(forward.recoveries)
-        elapsed = time.perf_counter() - start
+        pack_s, plan_s = resolve_seconds
+        elapsed = time.perf_counter() - start + pack_s + plan_s
         self.stats.wall_s += elapsed
         self.stats.recent_round_seconds.append(elapsed)
         for backend, seconds in step_time_attribution(forward.timings).items():
             self.stats.backend_seconds[backend] = (
                 self.stats.backend_seconds.get(backend, 0.0) + seconds
             )
-        # Phase attribution of the measured window: the two engine-level
-        # sub-windows (artifact resolution, plan lookup/compile) plus the
-        # executor's per-phase timings, so (nearly) every wall_s second
-        # has a named owner in the perf report.
+        # Phase attribution of the measured window: the two artifact
+        # sub-windows (adjacency resolution, plan lookup/compile), kernel
+        # preparation, and the executor's per-phase timings, so (nearly)
+        # every wall_s second has a named owner in the perf report.
         phase_seconds = self.stats.phase_seconds
-        phase_seconds["pack_adjacency"] = (
-            phase_seconds.get("pack_adjacency", 0.0) + (adjacency_at - start)
-        )
-        phase_seconds["plan_compile"] = (
-            phase_seconds.get("plan_compile", 0.0) + (plan_at - adjacency_at)
-        )
-        phase_seconds["plan_lower"] = (
-            phase_seconds.get("plan_lower", 0.0) + lower_s
-        )
-        phase_seconds["kernel_compile"] = (
-            phase_seconds.get("kernel_compile", 0.0) + compile_s
-        )
-        for timing in forward.phases:
-            phase_seconds[timing.phase] = (
-                phase_seconds.get(timing.phase, 0.0) + timing.seconds
-            )
+        for phase, seconds in (
+            ("pack_adjacency", pack_s),
+            ("plan_compile", plan_s),
+            ("plan_lower", lower_s),
+            ("kernel_compile", compile_s),
+            *((timing.phase, timing.seconds) for timing in forward.phases),
+        ):
+            phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
         if self.config.record_timings and isinstance(self._engine, CostModelDispatcher):
             # Every executed step — compiled or replayed — is a free
             # autotuning sample: feed its measured wall-clock back into the
@@ -1006,9 +1044,7 @@ class InferenceEngine:
                 )
             self.stats.autotune_samples += len(forward.timings)
 
-        batch_id = self._next_batch_id
-        self._next_batch_id += 1
-        self.stats.requests += len(requests)
+        self.stats.requests += len(batch.members)
         self.stats.batches += 1
         self.stats.nodes += batch.num_nodes
         totals = forward.total_counters
@@ -1030,11 +1066,4 @@ class InferenceEngine:
                     cost=self._cost,
                 )
             )
-        return [
-            InferenceResult(
-                request_id=request.request_id,
-                batch_id=batch_id,
-                logits=forward.logits[rows],
-            )
-            for request, rows in zip(requests, batch.member_slices())
-        ]
+        return forward

@@ -11,17 +11,6 @@ import pytest
 _HAS_TIMEOUT_PLUGIN = importlib.util.find_spec("pytest_timeout") is not None
 
 
-def pytest_configure(config: pytest.Config) -> None:
-    if not _HAS_TIMEOUT_PLUGIN:
-        config.addinivalue_line(
-            "markers",
-            "timeout(seconds): abort the test after this many seconds "
-            "(served by pytest-timeout when installed, else by the "
-            "SIGALRM fallback below — a deadlock guard for the "
-            "concurrency tests)",
-        )
-
-
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item: pytest.Item):
     """SIGALRM-based stand-in for pytest-timeout.

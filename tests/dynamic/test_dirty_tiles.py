@@ -176,8 +176,3 @@ class TestRecensusTiles:
                 np.zeros((2, 1), dtype=bool),
                 [(0, 0)],
             )
-
-    def test_importable_from_zerotile_shim(self):
-        from repro.tc.zerotile import recensus_tiles as shim
-
-        assert shim is recensus_tiles

@@ -4,10 +4,9 @@ Three layers of the invariant, each pinned separately:
 
 * **keying** — the chained structure digest moves with every effective
   mutation, so pre-mutation adjacency/plan/kernel keys cannot be *hit*;
-* **eviction** — ``mutate(..., invalidate=True)`` (the default) discards
-  the superseded entries, including codegen ``kernel``-segment entries
-  compiled against the pre-mutation census, and ``stale_plans()`` flags
-  any leftovers when invalidation is deferred;
+* **eviction** — ``mutate()`` discards the superseded entries, including
+  codegen ``kernel``-segment entries compiled against the pre-mutation
+  census;
 * **equivalence** — a *patched* plan (key-retargeted, no recompilation)
   serves logits bit-identical to a freshly compiled plan.
 """
@@ -155,24 +154,6 @@ class TestEviction:
         session.serve()
         assert cache.segment("kernel").peek(new_key) is not None
         assert session.stats.stale_kernel_hits == 0
-
-    def test_deferred_invalidation_flagged_then_cleared(self):
-        session = make_session()
-        session.serve()
-        stale_key = session.plan_key()
-        session.mutate(
-            [fresh_edge(session, np.random.default_rng(3))], invalidate=False
-        )
-        stale = session.stale_plans()
-        assert [s.key for s in stale] == [stale_key]
-        (divergence,) = stale[0].divergences
-        site, frozen, live = divergence
-        assert site == "census"
-        assert frozen != live
-        assert live == str(session.mutable.structure_digest)[:12]
-        counts = session.invalidate_mutated()
-        assert counts["plan"] >= 1 and counts["adjacency"] >= 1
-        assert session.stale_plans() == []
 
     def test_invalidate_is_idempotent(self):
         session = make_session()

@@ -4,6 +4,7 @@ registry identity, tuned-vs-analytic pricing, and the offline tuner."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
@@ -14,6 +15,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.plan import (
     Backend,
+    BackendCaps,
     BackendRegistry,
     DispatchTable,
     GemmSpec,
@@ -181,24 +183,16 @@ class TestTunedPricing:
         assert price.source == "model"
 
     def test_memory_veto_outranks_measurement(self):
-        # blas/einsum measured blazing fast, but the byte budget still
-        # excludes them: measurement must not smuggle an allocation past
-        # the veto.
+        # blas measured blazing fast, but the byte budget still excludes
+        # it: measurement must not smuggle an allocation past the veto.
         spec = _spec(m=512, k=512, n=64, bits_a=8, bits_b=8)
         table = DispatchTable(min_samples=1)
         registry = BackendRegistry(builtin_backends())
-        for name in ("blas", "einsum"):
-            table.record_spec(spec, name, 1e-9)
-            price = registry.get(name).price(self._ctx(spec, table, budget=1024))
-            assert price.vetoed, name
-            assert price.source == "model"
-            assert price.effective_s == math.inf
-        # einsum's int64 planes are twice blas's float32 footprint.
-        ctx = self._ctx(spec)
-        assert (
-            registry.get("einsum").price(ctx).bytes
-            == 2 * registry.get("blas").price(ctx).bytes
-        )
+        table.record_spec(spec, "blas", 1e-9)
+        price = registry.get("blas").price(self._ctx(spec, table, budget=1024))
+        assert price.vetoed
+        assert price.source == "model"
+        assert price.effective_s == math.inf
 
     def test_pricerless_backend_becomes_routable_once_tuned(self):
         spec = _spec()
@@ -355,8 +349,8 @@ class TestPersistence:
     def test_identity_helpers_are_stable(self):
         assert host_fingerprint() == host_fingerprint()
         # The default digest covers the full default registry — built-ins
-        # plus extensions — so a table tuned before the codegen/csr/
-        # tensorcore8 registrations can never be replayed against them.
+        # plus codegen — so a table tuned against a different backend set
+        # can never be replayed against this one.
         assert registry_digest() == ",".join(default_registry().names())
 
 
@@ -394,11 +388,17 @@ class TestAutotuner:
         assert table.sample_count() == 0
 
     def test_caps_filter_ineligible_backends(self):
-        # einsum caps stop at 8 bits; a 16-bit product must not measure it.
+        # A backend whose caps stop at 8 bits must not be measured on a
+        # 16-bit product.
         registry = BackendRegistry(builtin_backends())
+        registry.register(
+            dataclasses.replace(
+                registry.get("packed"), name="narrow", caps=BackendCaps(max_bits_a=8)
+            )
+        )
         spec = _spec(m=16, k=128, n=8, bits_a=16, bits_b=2)
         table = autotune([spec], registry=registry, passes=1)
-        assert "einsum" not in table.backends(bucket_for(spec))
+        assert set(table.backends(bucket_for(spec))) == {"packed", "blas", "sparse"}
 
     def test_synthesized_fraction_matches_request(self):
         from repro.core.bitpack import tile_nonzero_mask

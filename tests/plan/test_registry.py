@@ -8,7 +8,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.bitgemm import bitgemm, bitgemm_codes, matmul_int_reference
+from repro.core.bitgemm import (
+    BLAS_EXACT_K,
+    bitgemm,
+    bitgemm_codes,
+    matmul_int_reference,
+)
 from repro.core.bitpack import pack_matrix
 from repro.errors import ConfigError, ShapeError
 from repro.plan import (
@@ -24,6 +29,8 @@ from repro.plan import (
     register_backend,
     resolve_engine_name,
 )
+from repro.plan.ir import compile_gemm_step
+from repro.serving.dispatch import CostModelDispatcher
 
 
 def _reference_backend(name: str = "reference") -> Backend:
@@ -47,21 +54,10 @@ def _reference_backend(name: str = "reference") -> Backend:
 
 
 class TestRegistry:
-    def test_default_registry_holds_builtins_then_extensions(self):
-        names = default_registry().names()
+    def test_default_registry_holds_builtins_then_codegen(self):
         # Built-ins first (registration order breaks price ties in their
-        # favor), then the extension backends; ``csr`` appears exactly
-        # when scipy is importable.
-        assert names[:4] == ("packed", "blas", "sparse", "einsum")
-        expected = ["codegen"]
-        try:
-            import scipy.sparse  # noqa: F401
-        except ImportError:
-            pass
-        else:
-            expected.append("csr")
-        expected.append("tensorcore8")
-        assert names[4:] == tuple(expected)
+        # favor), then the codegen extension.
+        assert default_registry().names() == ("packed", "blas", "sparse", "codegen")
 
     def test_get_unknown_raises_with_known_names(self):
         registry = BackendRegistry(builtin_backends())
@@ -85,8 +81,8 @@ class TestRegistry:
 
     def test_iteration_and_len(self):
         registry = BackendRegistry(builtin_backends())
-        assert len(registry) == 4
-        assert [b.name for b in registry] == ["packed", "blas", "sparse", "einsum"]
+        assert len(registry) == 3
+        assert [b.name for b in registry] == ["packed", "blas", "sparse"]
 
     def test_backend_name_must_be_string(self):
         with pytest.raises(ConfigError):
@@ -129,7 +125,7 @@ class TestPricing:
         registry = BackendRegistry(builtin_backends())
         registry.register(_reference_backend())
         prices = registry.price_all(self._ctx(GemmSpec(64, 64, 64, 2, 2)))
-        assert set(prices) == {"packed", "blas", "sparse", "einsum"}
+        assert set(prices) == {"packed", "blas", "sparse"}
 
     def test_vetoed_price_is_effectively_infinite(self):
         price = BackendPrice(seconds=1.0, bytes=10, vetoed=True)
@@ -153,6 +149,29 @@ class TestResolveEngineName:
         assert resolve_engine_name(lambda *a: "packed", spec) == "packed"
         with pytest.raises(ShapeError):
             resolve_engine_name(lambda *a: "gpu", spec)
+
+
+class TestBlasExactnessBound:
+    """float32 accumulates a 0/1 dot product exactly only for K < 2**24;
+    the bound is enforced where plans are compiled, from the spec alone
+    (no operand is ever allocated here)."""
+
+    def test_forced_blas_is_rejected_at_compile(self):
+        spec = GemmSpec(m=8, k=BLAS_EXACT_K, n=8, bits_a=1, bits_b=1)
+        with pytest.raises(ShapeError, match="exact float32"):
+            compile_gemm_step(spec, engine="blas")
+        assert compile_gemm_step(spec, engine="packed").backend == "packed"
+        below = GemmSpec(m=8, k=BLAS_EXACT_K - 1, n=8, bits_a=1, bits_b=1)
+        assert compile_gemm_step(below, engine="blas").backend == "blas"
+
+    def test_cost_model_dispatch_vetoes_blas(self):
+        # 1x1 outputs keep the unpacked planes (128 MiB) inside the byte
+        # budget, so the veto seen here is the exactness bound alone.
+        decision = CostModelDispatcher().decide(1, BLAS_EXACT_K, 1, 1, 1)
+        assert decision.prices["blas"].vetoed
+        assert decision.engine != "blas"
+        below = CostModelDispatcher().decide(1, BLAS_EXACT_K - 1, 1, 1, 1)
+        assert not below.prices["blas"].vetoed
 
 
 class TestCustomBackendEndToEnd:

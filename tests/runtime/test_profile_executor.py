@@ -13,7 +13,6 @@ from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
 from repro.runtime.executor import (
     QGTCRunConfig,
-    modeled_batch_report,
     modeled_plan_report,
     qgtc_epoch_report,
 )
@@ -72,7 +71,7 @@ class TestModeledPlanReport:
     """Batch-profile-free modeling: the census comes from the adjacency
     artifact's TileSkipPlan, not a separate BatchProfile pass."""
 
-    def test_matches_deprecated_profile_shim(self, setup):
+    def test_matches_profile_epoch_path(self, setup):
         _, subs = setup
         gin = make_batched_gin(16, 4)
         for batch in batch_subgraphs(subs, 4):
@@ -85,10 +84,9 @@ class TestModeledPlanReport:
                 tile_plan=tile_plan,
             )
             assert tile_plan.summary().nonzero_tiles == tile_plan.nonzero_tiles
-            with pytest.warns(DeprecationWarning):
-                from_profile = modeled_batch_report(
-                    profile_batch(batch), gin, QGTCRunConfig(feature_bits=4)
-                )
+            from_profile = qgtc_epoch_report(
+                [profile_batch(batch)], gin, QGTCRunConfig(feature_bits=4)
+            )
             # Same census, same closed forms: identical modeled report.
             assert from_plan.total_s(include_transfer=True) == (
                 from_profile.total_s(include_transfer=True)

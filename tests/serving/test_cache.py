@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.serving.cache import CacheStats, LRUCache
+from repro.plan.cache import CacheStats, LRUCache
 
 
 class TestCacheStats:

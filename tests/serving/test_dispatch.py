@@ -14,11 +14,10 @@ from repro.serving.dispatch import CostModelDispatcher
 
 class TestCostModelDispatcher:
     def test_returns_valid_engine(self):
-        # Tiny products may route to the bit-serial einsum backend (one
-        # call, no per-pair overhead); everything else lands dense.
+        # Without an observed census every product lands dense.
         dispatch = CostModelDispatcher()
         for shape in [(8, 8, 8), (64, 128, 64), (1024, 1024, 64)]:
-            assert dispatch(*shape, 1, 8) in ("packed", "blas", "einsum")
+            assert dispatch(*shape, 1, 8) in ("packed", "blas")
 
     def test_decision_is_consistent_with_call(self):
         dispatch = CostModelDispatcher()
@@ -158,14 +157,9 @@ class TestHostRates:
 
     def test_prices_expose_every_backend(self):
         decision = CostModelDispatcher().decide(256, 128, 64, 2, 4)
-        # Every priceable registered backend appears — built-ins plus the
-        # codegen/tensorcore8 extensions (csr prices itself out of 2-bit
-        # products entirely, and sparse is inf without a census, but both
-        # still report).
-        assert {"packed", "blas", "sparse", "einsum", "codegen"} <= set(
-            decision.prices
-        )
-        assert decision.prices["tensorcore8"].vetoed  # modeled, never routed
+        # Every registered backend appears (sparse is inf without a
+        # census, but still reports).
+        assert tuple(decision.prices) == ("packed", "blas", "sparse", "codegen")
         assert decision.prices["packed"].seconds == decision.packed_s
         assert decision.prices["blas"].bytes == decision.blas_bytes
         assert decision.prices["blas"].vetoed == decision.memory_vetoed

@@ -118,7 +118,7 @@ class TestResults:
     def test_engine_choice_does_not_change_results(self, gin_model, subgraphs):
         shared = InferenceEngine(gin_model, ServingConfig(feature_bits=8))
         baseline = shared.infer(subgraphs[:4])
-        for engine_name in ("packed", "blas", "auto", "sparse", "einsum"):
+        for engine_name in ("packed", "blas", "auto", "sparse", "codegen"):
             other = InferenceEngine(
                 gin_model,
                 ServingConfig(feature_bits=8, engine=engine_name),

@@ -84,7 +84,7 @@ class TestEmptyRegistryHonored:
         )
         a = pack_matrix(np.ones((4, 4), dtype=np.int64), 1, layout="col")
         b = pack_matrix(np.ones((4, 4), dtype=np.int64), 1, layout="row")
-        with pytest.raises(ConfigError, match="unknown backend"):
+        with pytest.raises(ShapeError, match="registered: \\(\\)"):
             execute_gemm_plan(step, a, b, registry=empty_registry)
 
     def test_bitgemm_facade_rejects_instead_of_falling_back(

@@ -247,7 +247,7 @@ class TestDispatcherVeto:
         clock = FakeClock()
         health = BackendHealth(quarantine_after=1, clock=clock)
         dispatch = CostModelDispatcher(health=health)
-        for name in ("packed", "blas", "einsum", "sparse", "codegen"):
+        for name in ("packed", "blas", "sparse", "codegen"):
             health.record_failure(name)
         # Dispatch must still produce an engine rather than failing.
         assert dispatch.decide(256, 256, 64, 1, 8).engine
@@ -265,7 +265,10 @@ class TestEngineRecovery:
 
     def test_injected_kernel_faults_recover_bit_identically(self, workload):
         model, subgraphs = workload
-        config = ServingConfig(feature_bits=2, batch_size=2)
+        # No timing feedback: dispatch is then a function of the seed, so
+        # which backend each probe index lands on cannot depend on
+        # wall-clock (the analytic model routes every step here to blas).
+        config = ServingConfig(feature_bits=2, batch_size=2, record_timings=False)
         calibration = ActivationCalibration()
         reference = InferenceEngine(model, config, calibration=calibration)
         expected = [reference.infer_one(sg).logits for sg in subgraphs]
@@ -286,8 +289,8 @@ class TestEngineRecovery:
             fault_plan=plan,
         )
         got = [engine.infer_one(sg).logits for sg in subgraphs]
-        assert plan.fires("kernel") >= 1, "no fault fired; test proves nothing"
-        assert engine.stats.step_retries >= 1
+        assert plan.fires("kernel") == 3
+        assert engine.stats.step_retries == 3
         for want, have in zip(expected, got):
             assert np.array_equal(want, have)
 

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.bitpack import pack_matrix
+from repro.core.bitpack import pack_matrix, tile_nonzero_mask
 from repro.errors import ShapeError
 from repro.tc.counters import KernelCounters
-from repro.tc.zerotile import TileSummary, tile_nonzero_mask, zero_tile_summary
+from repro.tc.kernel import TileSummary, zero_tile_summary
 
 
 class TestTileMask:
