@@ -9,10 +9,10 @@ the live graph and times two ways of bringing the serving state current:
   patch-or-recompile, and stale-entry invalidation, all inside the
   window;
 * **full re-pack** — what a static engine does on any structure change:
-  :func:`pack_batch_adjacency` from scratch plus
-  :func:`compile_forward_plan` (batch densification included — that IS
-  the cost being avoided; stream generation and oracle checks stay
-  outside both windows).
+  rebuild the CSR from the edge set (``to_batch()``, the larger part),
+  :func:`pack_batch_adjacency` from scratch — O(E + n^2/32) straight
+  from that CSR, nothing densified — plus :func:`compile_forward_plan`
+  (stream generation and oracle checks stay outside both windows).
 
 Acceptance: incremental >= 3x the full-repack median at rates <= 0.1%
 edges/round, served logits bit-identical to a fresh-pack forward at

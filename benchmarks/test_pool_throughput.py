@@ -4,7 +4,7 @@ The systems point of the ``ServingPool``: a single
 :class:`~repro.serving.InferenceEngine` is bounded by its plan cache —
 on a *mixed-session* workload whose distinct batch structures outnumber
 the ``adjacency``/``plan`` segment capacity, LRU cycling makes every
-round a miss (densify + pack + ballot + compile, every time).  Sharding
+round a miss (pack + ballot + compile, every time).  Sharding
 the same stream by structure digest across 4 workers partitions the
 working set: each shard's slice fits its shard-local cache, so steady
 state is pure plan replay — while packed weights stay shared (one copy,
@@ -13,33 +13,29 @@ one pack) and the shards keep each other's dispatch tables warm.
 Both paths are measured host wall-clock of this process serving the
 identical request stream with one shared frozen calibration, so the
 per-request logits are bit-identical by construction — which the
-benchmark asserts entry for entry before it asserts any speedup.
+benchmark asserts entry for entry.
 
-The margin moved when the codegen backend landed: the fused
-pack+census kernel (``BENCH_codegen``) roughly halved the per-miss
-artifact cost — the exact cost this benchmark makes the thrashing
-single session pay on every request — so on the original 25.6k-node
-mix the pool's ~3x advantage collapsed to ~1.2-1.4x.  The cache
-architecture still wins; the miss penalty it amortizes just got
-cheaper for everyone.  The workload below is therefore sized up
-(38.4k nodes) so the O(n^2) densify+pack miss path dominates the
-single session again even with the fused kernel — the regime the
-pool exists for.
+What this benchmark no longer asserts: a wall-clock floor.  The 1.3x
+floor was defended twice by growing the graph (25.6k -> 38.4k nodes)
+until the O(n^2) densify+pack miss dominated the thrashing single
+session.  That premise is gone: the adjacency is packed straight from
+CSR in O(E + n^2/32), so the miss penalty the pool amortised is small
+next to execution and four thread workers contend for the interpreter
+lock instead.  The ratio is still emitted (``speedup``) with the premise
+stated in the record, but it gates nothing; pool throughput is tracked
+end to end, against the fp32 yardstick, by the ``gateway_open`` workload
+of ``benchmarks/e2e``.
 
-Acceptance: 4-worker pool throughput >= 1.3x the single engine on
-the mixed-session workload (typically ~1.7-2.1x; the floor leaves
-room for single-core CI scheduler noise), with bit-identical
-per-request logits and the structural claims asserted directly: the
-single session genuinely thrashes (misses > hits) while every shard
-replays from its local cache (hits > misses).
+Asserted, all structural: bit-identical per-request logits, the single
+session genuinely thrashes (misses > hits), every shard replays from its
+local cache (hits > misses), and the PAG attributes >= 95% of the pool's
+execution wall-clock.
 """
 
 from __future__ import annotations
 
-import os
 import statistics
 import time
-import warnings
 
 import numpy as np
 
@@ -52,9 +48,9 @@ from repro.perf import build_pag
 from repro.serving import InferenceEngine, PoolConfig, ServingConfig, ServingPool
 
 #: 1-bit keeps per-request *execution* cheap (one plane pair per GEMM)
-#: while the per-distinct-batch artifact cost — O(n^2) densify + pack +
-#: census + compile — is bitwidth-independent, which is exactly the cost
-#: the shard-local caches amortize and a thrashing session pays per round.
+#: while the per-distinct-batch artifact cost — pack + census + compile —
+#: is bitwidth-independent, which is exactly the cost the shard-local
+#: caches amortize and a thrashing session pays per round.
 FEATURE_BITS = 1
 WORKERS = 4
 #: Distinct request structures in the mix (concurrent "sessions").
@@ -67,9 +63,8 @@ CYCLES = 3
 CACHE_CAPACITY = 8
 #: Passes per measured path; best-of-N damps scheduler noise.
 PASSES = 5
-#: Graph size: large enough that the O(n^2) per-miss densify+pack cost
-#: dominates the thrashing single session even after the fused
-#: pack+census codegen kernel halved it (see the module docstring).
+#: Graph size: 16 structures of ~2.4k nodes, so a miss (pack + compile)
+#: stays visible next to the 1-bit execution it precedes.
 NODES = 38400
 EDGES = 225000
 
@@ -218,6 +213,12 @@ def test_pool_throughput(benchmark, once, report, bench_json):
             "plans_published": r["plans_published"],
             "table_merges": r["table_merges"],
             "pag_coverage": r["pag_coverage"],
+            "premise": (
+                "The miss penalty the pool amortised was the O(n^2) "
+                "densify+pack; the adjacency now packs from CSR in "
+                "O(E + n^2/32), so speedup is recorded, not gated. Pool "
+                "throughput is tracked by the e2e gateway_open workload."
+            ),
         },
     )
 
@@ -228,21 +229,6 @@ def test_pool_throughput(benchmark, once, report, bench_json):
     # ...while the shards replayed from their local caches.
     for label, _req, _bat, hits, misses in r["per_worker"]:
         assert hits > misses, f"{label} did not reach steady-state replay"
-    # Acceptance: the pool sustains >= 1.3x the single-session
-    # throughput.  The bar was 2x on a smaller mix before the codegen
-    # backend's fused pack+census kernel halved the per-miss artifact
-    # cost the single session pays per request; the workload is now
-    # sized so the miss path dominates again (module docstring).  A
-    # wall-clock floor only means something on a host with a core per
-    # worker; with fewer the ratio is recorded above and warned about,
-    # and the structural claims carry the test.
-    if (os.cpu_count() or 1) >= WORKERS:
-        assert r["speedup"] >= 1.3, f"pool speedup only {r['speedup']:.2f}x"
-    elif r["speedup"] < 1.3:
-        warnings.warn(
-            f"pool speedup {r['speedup']:.2f}x is under the 1.3x floor, not "
-            f"asserted: {os.cpu_count()} cores for {WORKERS} workers"
-        )
     # The perf report's phase attribution accounts for >= 95% of the
     # pool's measured execution wall-clock.
     assert r["pag_coverage"] >= 0.95, (

@@ -5,9 +5,9 @@ Instead of dispatching every GEMM to a fully generic engine, a compiled
 :class:`~repro.plan.ir.ExecutionPlan` is lowered through a small
 schedulable loop IR (:mod:`repro.codegen.loopir`) into kernels
 specialized to that plan's bitwidths, padded shapes, and measured tile
-census — bit-plane loops unrolled to constants, pack+census fused into
-one pass, the :class:`~repro.tc.kernel.TileSkipPlan` baked in as
-precomputed nonzero-tile index lists.  Emission
+census — bit-plane loops unrolled to constants, the
+:class:`~repro.tc.kernel.TileSkipPlan` baked in as precomputed
+nonzero-tile index lists.  Emission
 (:mod:`repro.codegen.emit`) is textual Python/numpy source compiled with
 ``compile()``/``exec`` — zero new hard dependencies, optional numba JIT
 when importable — and compiled kernels live in the content-keyed
@@ -22,7 +22,6 @@ from .backend import (
     CompiledKernel,
     census_digest,
     codegen_backend,
-    fused_pack_adjacency,
     gemm_kernel,
     gemm_kernel_key,
     kernel_cache_segment,
@@ -31,11 +30,8 @@ from .backend import (
 from .emit import compile_program, maybe_jit, popcount64
 from .loopir import EMIT_VERSION, Block, Line, Loop, Program, substitute, unroll
 from .lower import (
-    LayerLowering,
     census_pattern_count,
     lower_gemm,
-    lower_layer_plan,
-    lower_pack_census,
     unroll_bit_planes,
 )
 
@@ -43,7 +39,6 @@ __all__ = [
     "EMIT_VERSION",
     "Block",
     "CompiledKernel",
-    "LayerLowering",
     "Line",
     "Loop",
     "Program",
@@ -51,13 +46,10 @@ __all__ = [
     "census_pattern_count",
     "codegen_backend",
     "compile_program",
-    "fused_pack_adjacency",
     "gemm_kernel",
     "gemm_kernel_key",
     "kernel_cache_segment",
     "lower_gemm",
-    "lower_layer_plan",
-    "lower_pack_census",
     "maybe_jit",
     "popcount64",
     "prepare_plan_kernels",

@@ -14,9 +14,7 @@ Glue between the LoopIR pipeline and the rest of the system:
   lower-or-hit, then call the compiled kernel;
 * :func:`prepare_plan_kernels`, the serving engine's pre-execution hook
   that compiles a plan's aggregation kernels ahead of the GEMM window
-  and reports ``plan_lower`` / ``kernel_compile`` seconds for the PAG;
-* :func:`fused_pack_adjacency`, the fused pack+census entry point used
-  by :func:`repro.gnn.quantized.pack_batch_adjacency`.
+  and reports ``plan_lower`` / ``kernel_compile`` seconds for the PAG.
 """
 
 from __future__ import annotations
@@ -34,10 +32,9 @@ from ..core.bitops import WORD_BITS
 from ..errors import ShapeError
 from ..plan.cache import ThreadSafeLRUCache, artifact_digest
 from ..plan.registry import Backend, BackendCaps, BackendPrice, PriceContext
-from ..tc.kernel import TileSkipPlan
 from .emit import compile_program
 from .loopir import EMIT_VERSION, Program
-from .lower import lower_gemm, lower_pack_census
+from .lower import lower_gemm
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..plan.ir import ExecutionPlan
@@ -46,7 +43,6 @@ __all__ = [
     "CompiledKernel",
     "census_digest",
     "codegen_backend",
-    "fused_pack_adjacency",
     "gemm_kernel",
     "gemm_kernel_key",
     "kernel_cache_segment",
@@ -283,7 +279,7 @@ def codegen_backend() -> Backend:
         caps=BackendCaps(
             consumes_tile_masks=True,
             summary="LoopIR-lowered kernels compiled per plan "
-            "(fused census, unrolled planes, baked skip loops)",
+            "(unrolled planes, baked census skip loops)",
         ),
         pricer=_price_codegen,
     )
@@ -343,37 +339,3 @@ def prepare_plan_kernels(plan: "ExecutionPlan", adjacency) -> tuple[float, float
         lower_s = sum(k.lower_s for k in kernels)
         compile_s = sum(k.compile_s for k in kernels)
     return lower_s, compile_s
-
-
-# --------------------------------------------------------------------- #
-# Fused pack + census entry point
-# --------------------------------------------------------------------- #
-def fused_pack_adjacency(
-    adjacency: np.ndarray,
-) -> tuple[PackedBits, TileSkipPlan, np.ndarray]:
-    """Pack a 0/1 adjacency, ballot its tiles and sum degrees in one pass.
-
-    The compiled form of ``pack_matrix(adj, 1, "col")`` +
-    ``plan_tile_skip`` + the degree reduction, bit-identical to the
-    unfused pipeline (same ``packbits``/word-view/tile-OR operations,
-    same padding rule) but executed as one emitted function per
-    adjacency shape, cached in the kernel segment.
-    """
-    arr = np.asarray(adjacency)
-    if arr.ndim != 2:
-        raise ShapeError(f"adjacency must be 2-D, got shape {arr.shape}")
-    m, k = arr.shape
-    key = ("kernel", "pack_census", m, k, EMIT_VERSION)
-    kernel = _KERNEL_SEGMENT.get_or_build(
-        key, lambda: _build_kernel(lambda: lower_pack_census(m, k))
-    )
-    words, mask, degrees = kernel.fn(arr)
-    packed = PackedBits(
-        words=words,
-        bits=1,
-        layout="col",
-        logical_vectors=m,
-        logical_k=k,
-        pad_vectors=TC_M,
-    )
-    return packed, TileSkipPlan(masks=(mask,)), degrees

@@ -1,12 +1,7 @@
 """Lower plan steps into specialized LoopIR programs.
 
-Three schedule transforms, applied while lowering:
+Two schedule transforms, applied while lowering:
 
-* **fuse pack+census** (:func:`lower_pack_census`): the adjacency's
-  bit-pack and its 8x128 zero-tile ballot — two separate walks over the
-  operand today — become one emitted pass that derives both the packed
-  words and the tile mask from a single padded intermediate (and takes
-  the degree row-sums from the same dense array while it is hot).
 * **unroll bit-plane loops** (:func:`unroll_bit_planes`): plane loops
   with the plan's concrete bitwidth trip counts are unrolled to literal
   plane indices, so the emitted dense kernel is a straight line of
@@ -29,25 +24,17 @@ transpose per call instead of per-group gathers.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..core.bitpack import TC_K, TC_M, pad_to
-from ..core.bitops import WORD_BITS
+from ..core.bitpack import pad_to
 from ..errors import ShapeError
-from ..plan.ir import GemmStep, LayerPlan
 from .loopir import Block, Line, Loop, Program, Stmt, unroll
 
 __all__ = [
     "GROUP_UNROLL_LIMIT",
     "PAIR_UNROLL_LIMIT",
-    "LayerLowering",
     "census_pattern_count",
     "lower_gemm",
-    "lower_layer_plan",
-    "lower_pack_census",
     "unroll_bit_planes",
 ]
 
@@ -256,7 +243,7 @@ def census_pattern_count(tile_mask: np.ndarray) -> int:
     if mask.ndim != 2:
         raise ShapeError(f"census mask must be 2-D, got shape {mask.shape}")
     patterns = np.unique(mask, axis=0)
-    return int(sum(1 for pattern in patterns if pattern.any()))
+    return int(patterns.any(axis=1).sum())
 
 
 def _lower_gemm_skip(
@@ -379,136 +366,3 @@ def _group_stmts(
             )
             stmts.append(_strided_loop("r0", 0, int(rows.size), rb, inner))
     return Block(label, tuple(stmts)), fully_sliced
-
-
-# --------------------------------------------------------------------- #
-# Fused pack + census
-# --------------------------------------------------------------------- #
-def lower_pack_census(m: int, k: int, name: str = "pack_census") -> Program:
-    """One emitted pass: bit-pack a 0/1 matrix, ballot its 8x128 tiles,
-    and take degree row-sums — the fused form of ``pack_matrix`` +
-    ``tile_nonzero_mask`` + the adjacency degree reduction.
-
-    The emitted function maps ``fn(adj) -> (words, mask, degrees)`` and
-    is bit-identical to the unfused pipeline by construction: it performs
-    the same ``packbits``/word-view/tile-reduce operations with the
-    plan's padding constants baked in, but in a single walk over one
-    padded intermediate (no separate ``bit_decompose`` plane
-    materialization, no second traversal of the packed words to census
-    them from cold memory).
-    """
-    if m < 0 or k < 0:
-        raise ShapeError(f"matrix dims must be non-negative, got {(m, k)}")
-    pv = pad_to(max(m, 1), TC_M)
-    pk = pad_to(max(k, 1), TC_K)
-    kw = pk // WORD_BITS
-    body: list[Stmt] = [Line("plane = (adj.astype(np.uint8) & np.uint8(1))[None]")]
-    schedule = ["fuse-pack-census", "unroll-bit-planes:1"]
-    if pv != m or pk != k:
-        body.append(
-            Line(f"plane = np.pad(plane, ((0, 0), (0, {pv - m}), (0, {pk - k})))")
-        )
-    else:
-        schedule.append("skip-pad")
-    body.extend(
-        [
-            Line("packed = np.packbits(plane, axis=-1, bitorder='little')"),
-            Line(
-                "words = np.ascontiguousarray(packed).view(np.uint32)"
-                f".reshape(1, {pv}, {kw})"
-            ),
-            # Census the words while they are still cache-resident: the
-            # per-thread uint4 OR then the 8-row warp ballot of §4.3.
-            Line(f"tiles = words[0].reshape({pv // 8}, 8, {kw // 4}, 4)"),
-            Line(
-                "mask = np.bitwise_or.reduce("
-                "np.bitwise_or.reduce(tiles, axis=-1), axis=1) != 0"
-            ),
-            Line("degrees = adj.sum(axis=1, dtype=np.float64)[:, None]"),
-            Line("return words, mask, degrees"),
-        ]
-    )
-    return Program(
-        name=name,
-        args=("adj",),
-        body=tuple(body),
-        schedule=tuple(schedule),
-    )
-
-
-# --------------------------------------------------------------------- #
-# Whole-layer lowering
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class LayerLowering:
-    """The IR programs of one layer's quantize -> pack -> census -> gemm
-    pipeline, plus their combined content digest."""
-
-    layer_index: int
-    programs: tuple[Program, ...]
-
-    @property
-    def digest(self) -> str:
-        """Combined content key over every program of the layer."""
-        h = hashlib.blake2b(digest_size=16)
-        for program in self.programs:
-            h.update(program.digest().encode())
-        return h.hexdigest()
-
-    def schedules(self) -> dict[str, tuple[str, ...]]:
-        """Applied schedule transforms, keyed by program name."""
-        return {p.name: p.schedule for p in self.programs}
-
-
-def _step_padded_a(step: GemmStep) -> tuple[int, int]:
-    """``(padded_vectors, k_words)`` of a step's packed left operand."""
-    spec = step.spec
-    return (
-        pad_to(max(spec.m, 1), TC_M),
-        pad_to(max(spec.k, 1), TC_K) // WORD_BITS,
-    )
-
-
-def lower_layer_plan(
-    layer: LayerPlan,
-    *,
-    tile_mask: np.ndarray | None = None,
-    aggregate_first: bool = True,
-) -> LayerLowering:
-    """Lower one :class:`~repro.plan.ir.LayerPlan` into IR programs.
-
-    Produces, in execution order: the fused pack+census program for the
-    aggregation adjacency (when the layer's aggregate step carries a
-    census node), then one GEMM program per step — skip-specialized for
-    the aggregation when its measured ``tile_mask`` is supplied, dense
-    unrolled otherwise.  Quantize sites have no emitted program (they are
-    calibration table lookups, not loops), but their bitwidths are baked
-    into the pack/gemm programs lowered here.
-    """
-    programs: list[Program] = []
-    agg = layer.aggregate
-    if agg.census is not None:
-        programs.append(
-            lower_pack_census(
-                agg.spec.m, agg.spec.k, name=f"l{layer.index}_pack_census"
-            )
-        )
-    ordered = [("aggregate", layer.aggregate), ("update", layer.update)]
-    if not aggregate_first:
-        ordered.reverse()
-    for tag, step in ordered:
-        pv, kw = _step_padded_a(step)
-        mask = tile_mask if (step is agg and step.spec.bits_a == 1) else None
-        programs.append(
-            lower_gemm(
-                m=step.spec.m,
-                n=step.spec.n,
-                bits_a=step.spec.bits_a,
-                bits_b=step.spec.bits_b,
-                a_padded_vectors=pv,
-                a_k_words=kw,
-                tile_mask=mask,
-                name=f"l{layer.index}_{tag}_gemm",
-            )
-        )
-    return LayerLowering(layer_index=layer.index, programs=tuple(programs))

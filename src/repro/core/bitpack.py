@@ -40,7 +40,9 @@ __all__ = [
     "TC_K",
     "pad_to",
     "PackedBits",
+    "bit_address",
     "pack_bit_planes",
+    "pack_edges",
     "pack_matrix",
     "recensus_tiles",
     "tile_nonzero_mask",
@@ -261,6 +263,73 @@ def pack_matrix(
         raise ShapeError(f"pack_matrix expects a 2-D matrix, got shape {arr.shape}")
     planes = bit_decompose(arr, bits)
     return pack_bit_planes(planes, layout, pad_vectors=pad_vectors)
+
+
+def bit_address(index):
+    """``(word, mask)`` of element ``index`` along a packed K axis.
+
+    Bit ``j`` of word ``w`` is element ``32*w + j`` (module docstring), so
+    element ``index`` lives in word ``index // 32`` under the single-bit
+    ``uint32`` mask ``1 << (index % 32)``.  Accepts one integer or an
+    integer array; :func:`pack_edges` and the dynamic-graph bit flips both
+    address words through here, so the layout is known to this module only.
+    """
+    shift = np.asarray(index % WORD_BITS, dtype=np.uint32)
+    return index // WORD_BITS, np.uint32(1) << shift
+
+
+def pack_edges(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    num_vectors: int,
+    num_k: int,
+    *,
+    pad_vectors: int = TC_M,
+) -> PackedBits:
+    """Pack a 0/1 matrix given as coordinates, without densifying it.
+
+    Equal to ``pack_matrix(dense, 1, "col", pad_vectors=...)`` for the
+    ``num_vectors x num_k`` matrix ``dense`` holding a one at every
+    ``(rows[i], cols[i])``, but in ``O(E + packed size)`` time and memory:
+    the words are zeroed once and each coordinate ORs its bit in.
+    Duplicate coordinates are idempotent; a coordinate outside the logical
+    shape raises :class:`~repro.errors.ShapeError`.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if rows.ndim != 1 or rows.shape != cols.shape:
+        raise ShapeError(
+            f"coordinates must be two equal-length 1-D arrays, got "
+            f"{rows.shape} and {cols.shape}"
+        )
+    if num_vectors < 0 or num_k < 0:
+        raise ShapeError(f"matrix dims must be non-negative, got {(num_vectors, num_k)}")
+    if pad_vectors not in (TC_M, TC_K):
+        raise PackingError(f"pad_vectors must be 8 or 128, got {pad_vectors}")
+    if rows.size and (
+        rows.min() < 0 or rows.max() >= num_vectors or cols.min() < 0 or cols.max() >= num_k
+    ):
+        raise ShapeError(
+            f"coordinate outside the {num_vectors} x {num_k} logical matrix"
+        )
+    words = np.zeros(
+        (
+            1,
+            pad_to(max(num_vectors, 1), pad_vectors),
+            pad_to(max(num_k, 1), TC_K) // WORD_BITS,
+        ),
+        dtype=np.uint32,
+    )
+    word, mask = bit_address(cols)
+    np.bitwise_or.at(words[0], (rows, word), mask)
+    return PackedBits(
+        words=words,
+        bits=1,
+        layout="col",
+        logical_vectors=num_vectors,
+        logical_k=num_k,
+        pad_vectors=pad_vectors,
+    )
 
 
 def unpack_bit_planes(packed: PackedBits) -> np.ndarray:

@@ -8,7 +8,8 @@ copy of the packed 1-bit aggregation operand ``A + I`` (the exact operand
 :func:`repro.gnn.quantized.pack_batch_adjacency` builds) and applies edge
 insert/delete streams as in-place word updates, re-balloting *only* the
 dirty tiles via :func:`repro.core.bitpack.recensus_tiles`.  A full
-re-pack is O(n^2); a mutation batch is O(edits).
+re-pack is O(E + n^2/32) after an O(E) CSR rebuild; a mutation batch is
+O(edits).
 
 Identity is a **chained structure digest**: every effective mutation
 extends ``digest_{t+1} = H(digest_t || op || u || v)``, so the digest
@@ -32,7 +33,14 @@ from typing import Iterable
 
 import numpy as np
 
-from ..core.bitpack import TC_K, TC_M, PackedBits, pad_to, recensus_tiles
+from ..core.bitpack import (
+    TC_K,
+    TC_M,
+    PackedBits,
+    bit_address,
+    pad_to,
+    recensus_tiles,
+)
 from ..core.bitops import WORD_BITS
 from ..errors import ShapeError
 from ..gnn.quantized import PackedAdjacency, pack_batch_adjacency
@@ -278,8 +286,7 @@ class MutableGraph:
                 degrees[b, 0] -= 1.0
                 self.stats.edges_deleted += 1
             for row, col in ((a, b), (b, a)):
-                word = col // WORD_BITS
-                bit = np.uint32(1) << np.uint32(col % WORD_BITS)
+                word, bit = bit_address(col)
                 if set_bit:
                     words[row, word] |= bit
                 else:
@@ -314,8 +321,8 @@ class MutableGraph:
         Every array is a read-only *copy* of the live state: later
         mutations never reach a published snapshot, and an attempt to
         write through one raises.  This is the incremental replacement
-        for :func:`~repro.gnn.quantized.pack_batch_adjacency` — O(copy)
-        instead of O(n^2) densify+pack — and bit-identical to it.
+        for :func:`~repro.gnn.quantized.pack_batch_adjacency` — one copy
+        instead of a CSR rebuild plus re-pack — and bit-identical to it.
         """
         words = self._words.copy()
         mask = self._mask.copy()

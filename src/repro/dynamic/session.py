@@ -9,8 +9,8 @@ engine's content-keyed artifact caches coherent across mutations:
   ``("plan", "dynamic", digest)`` for the compiled plan — so a mutation
   changes every key and a stale entry can never be *hit* again;
 * on mutation the packed operand is **delta-published** (a frozen
-  snapshot of the incrementally-updated planes, no O(n^2) re-pack) and
-  the cached plan is **patched**
+  snapshot of the incrementally-updated planes, no CSR rebuild and
+  re-pack) and the cached plan is **patched**
   (:meth:`~repro.plan.ir.ExecutionPlan.retarget_adjacency`) when the
   :class:`~repro.dynamic.patch.PatchPolicy` allows, recompiled when the
   census drifted past its thresholds;
@@ -70,7 +70,7 @@ class DynamicStats:
     adjacency_invalidated: int = 0
     #: Codegen kernels (keyed by the pre-mutation census digest) discarded.
     kernels_invalidated: int = 0
-    #: Mutation batches absorbed without an O(n^2) re-pack.
+    #: Mutation batches absorbed without a CSR rebuild + re-pack.
     repacks_avoided: int = 0
     #: Times a served plan/operand pair failed the live-structure check.
     #: The invariant this class exists to enforce is that this stays 0.

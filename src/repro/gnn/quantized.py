@@ -34,7 +34,7 @@ them:
   forward and the equivalent per-request forwards produce *bit-identical*
   logits (the block-diagonal adjacency keeps members independent, so the
   only coupling is through calibration — which freezing removes).
-* :class:`PackedAdjacency` — a batch's adjacency densified, 1-bit packed,
+* :class:`PackedAdjacency` — a batch's adjacency 1-bit packed,
   tile-censused (:class:`~repro.tc.kernel.TileSkipPlan`) and degree-summed
   once.  :func:`pack_batch_adjacency` builds one; ``packed_adjacency=``
   feeds it in so a serving session that sees the same batch twice packs and
@@ -68,6 +68,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.bitgemm import Engine
+from ..core.bitops import popcount
 from ..core.bitpack import PackedBits, pack_matrix
 from ..core.quantization import QuantParams, calibrate, quantize
 from ..errors import BitwidthError, ConfigError, ShapeError
@@ -266,20 +267,21 @@ class PackedAdjacency:
 
 
 def pack_batch_adjacency(batch: SubgraphBatch) -> PackedAdjacency:
-    """Densify, bit-pack and tile-census one batch's adjacency (with self
-    loops) — the per-batch analogue of :func:`pack_layer_weight`.
+    """Bit-pack and tile-census one batch's adjacency (with self loops) —
+    the per-batch analogue of :func:`pack_layer_weight`.
 
-    Packing, census, and degree reduction run as one fused compiled pass
-    (:func:`repro.codegen.fused_pack_adjacency`) instead of three
-    separate walks over the densified matrix; the result is bit-identical
-    to the unfused ``pack_matrix`` + ``plan_tile_skip`` + row-sum
-    pipeline, which the codegen differential tests assert.
+    The planes come straight from the members' CSR
+    (:meth:`SubgraphBatch.packed_adjacency`), the census from the packed
+    words, and the degrees from their row popcounts — the distinct set
+    bits of each row, which is what a dense row sum would count — so
+    nothing ``n x n`` wider than a bit is ever allocated.
     """
-    from ..codegen import fused_pack_adjacency
-
-    adjacency = batch.dense_adjacency(self_loops=True).astype(np.int64)
-    packed, plan, degrees = fused_pack_adjacency(adjacency)
-    return PackedAdjacency(packed=packed, plan=plan, degrees=degrees)
+    packed = batch.packed_adjacency()
+    rows = packed.plane(0)[: packed.logical_vectors]
+    degrees = popcount(rows).sum(axis=1, dtype=np.float64)[:, None]
+    return PackedAdjacency(
+        packed=packed, plan=plan_tile_skip(packed), degrees=degrees
+    )
 
 
 class ActivationCalibration:

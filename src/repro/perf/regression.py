@@ -50,7 +50,6 @@ CURATED_METRICS: dict[str, tuple[str, ...]] = {
     "serving": ("speedup.median",),
     "sparse": ("speedup.median",),
     "autotune": ("speedup.median",),
-    "pool": ("speedup.median",),
     "latency": ("overload_p99_cut", "overload_throughput_ratio"),
     "codegen": ("speedup.median",),
     "chaos": ("throughput_ratio",),

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.bitpack import TC_K, TC_M, pad_to, tile_nonzero_mask
+from ..core.bitpack import TC_K, TC_M, pad_to
 from ..errors import ShapeError
 from ..graph.batching import Subgraph, SubgraphBatch, batch_subgraphs
 
@@ -58,37 +58,23 @@ class BatchProfile:
         return self.nnz_adj / (self.num_nodes * self.num_nodes)
 
 
-def profile_batch(batch: SubgraphBatch, *, densify: bool = False) -> BatchProfile:
+def profile_batch(batch: SubgraphBatch) -> BatchProfile:
     """Census one batch's adjacency tiles.
 
-    The default path computes tile coordinates straight from the CSR edge
-    list — ``O(E)`` and allocation-free — so paper-scale graphs profile in
-    seconds.  ``densify=True`` goes through the actual packed adjacency and
-    the ballot-based census instead; tests assert both agree.
+    Tile coordinates come straight from the CSR edge list — ``O(E)``, no
+    packed planes — so paper-scale graphs profile in seconds; the tests
+    assert the count equals the ballot over the packed adjacency.
     """
     n = batch.num_nodes
-    if densify:
-        packed = batch.packed_adjacency(self_loops=True)
-        nnz_tiles = int(tile_nonzero_mask(packed.plane(0)).sum())
-    else:
-        tile_keys = []
-        kt = pad_to(n, TC_K) // TC_K
-        for sub, off in zip(batch.members, batch.node_offsets):
-            g = sub.graph
-            rows = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr)) + off
-            cols = g.indices + off
-            # Self-loop diagonal of this member.
-            diag = np.arange(off, off + g.num_nodes)
-            r = np.concatenate([rows, diag])
-            c = np.concatenate([cols, diag])
-            tile_keys.append((r // TC_M) * kt + (c // TC_K))
-        nnz_tiles = int(np.unique(np.concatenate(tile_keys)).size)
+    kt = pad_to(n, TC_K) // TC_K
+    rows, cols = batch.edge_coordinates(self_loops=True)
+    nnz_tiles = int(np.unique((rows // TC_M) * kt + cols // TC_K).size)
     return BatchProfile(
         num_nodes=n,
         num_edges=batch.num_edges,
         nnz_adj=2 * batch.num_edges + n,  # symmetric edges + self loops
         mt=pad_to(n, TC_M) // TC_M,
-        kt=pad_to(n, TC_K) // TC_K,
+        kt=kt,
         nnz_tiles=nnz_tiles,
     )
 

@@ -131,8 +131,8 @@ class ServingConfig:
     weight_bits: int | None = None
     #: Maximum subgraphs coalesced into one execution round.
     batch_size: int = 8
-    #: Node budget of one round — caps the densified adjacency at
-    #: ``max_batch_nodes**2`` entries.
+    #: Node budget of one round — caps the packed adjacency at
+    #: ``max_batch_nodes**2`` bits.
     max_batch_nodes: int = 4096
     #: Capacity (entries) of the plan cache's packed-weight segment.
     weight_cache_capacity: int = 32
@@ -669,7 +669,7 @@ class InferenceEngine:
     def packed_adjacency_for(self, batch: SubgraphBatch) -> PackedAdjacency:
         """The batch's packed adjacency + tile-skip plan, via the plan cache.
 
-        First execution of a batch densifies, packs and ballots (miss);
+        First execution of a batch packs and ballots (miss);
         replaying the same round is pure cache traffic, so the zero-tile
         census the ``sparse`` engine consumes is taken once per distinct
         batch rather than once per request.

@@ -3,7 +3,7 @@
 A single :class:`~repro.serving.engine.InferenceEngine` session tops out
 where its working set does: once the distinct coalesced batches of a
 mixed-session workload outgrow the ``adjacency``/``plan`` segments of one
-plan cache, every round re-densifies, re-packs, re-ballots and
+plan cache, every round re-packs, re-ballots and
 re-compiles — the cold path wearing a session costume.  Because
 ``InferenceEngine._execute`` is a pure function of (plan, batch,
 artifacts), the fix is structural rather than heroic: shard the request

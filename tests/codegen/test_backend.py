@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from repro.codegen import (
-    fused_pack_adjacency,
     gemm_kernel,
     kernel_cache_segment,
     prepare_plan_kernels,
 )
 from repro.core.bitgemm import matmul_int_reference, reduce_plane_products
 from repro.core.bitpack import pack_matrix, tile_nonzero_mask
-from repro.errors import ConfigError, ShapeError
+from repro.errors import ConfigError
 from repro.gnn import make_batched_gin
 from repro.graph import induced_subgraphs
 from repro.graph.generators import planted_partition_graph
@@ -103,24 +102,6 @@ class TestKernelCache:
             a_k_words=packed.k_words, tile_mask=mask,
         )
         assert kernel.nbytes >= len(kernel.program.source())
-
-
-class TestFusedPackAdjacency:
-    def test_rejects_non_2d(self):
-        with pytest.raises(ShapeError):
-            fused_pack_adjacency(np.zeros(8, dtype=np.int64))
-
-    def test_caches_per_shape(self, rng):
-        adj = (rng.random((56, 56)) < 0.1).astype(np.int64)
-        fused_pack_adjacency(adj)
-        before_ins, _ = _segment_snapshot()
-        packed, plan, degrees = fused_pack_adjacency(adj)
-        after_ins, _ = _segment_snapshot()
-        assert after_ins == before_ins  # kernel reused across calls
-        assert packed.logical_vectors == 56
-        assert plan.masks[0].shape == (
-            packed.padded_vectors // 8, packed.k_words // 4
-        )
 
 
 class TestPlanCacheValidation:

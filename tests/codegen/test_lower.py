@@ -1,21 +1,14 @@
-"""Lowering tests: schedule transforms, fused pack bit-identity, layer plans."""
+"""Lowering tests: schedule transforms and the census grouping statistic."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.codegen import (
-    compile_program,
-    lower_gemm,
-    lower_layer_plan,
-    lower_pack_census,
-)
+from repro.codegen import census_pattern_count, compile_program, lower_gemm
 from repro.codegen.lower import GROUP_UNROLL_LIMIT, PAIR_UNROLL_LIMIT
 from repro.core.bitpack import pack_matrix, tile_nonzero_mask
 from repro.errors import ShapeError
-from repro.gnn import make_batched_gin
-from repro.plan import compile_forward_plan
 
 
 def _mask_for(adj: np.ndarray):
@@ -121,66 +114,20 @@ class TestGemmSchedules:
                        a_padded_vectors=8, a_k_words=3)
 
 
-class TestFusedPackCensus:
-    @pytest.mark.parametrize("shape", [(13, 150), (8, 128), (1, 1), (129, 129)])
-    def test_bit_identical_to_unfused_pipeline(self, shape, rng):
-        m, k = shape
-        adj = (rng.random((m, k)) < 0.15).astype(np.int64)
-        fn = compile_program(lower_pack_census(m, k))
-        words, mask, degrees = fn(adj)
-        ref = pack_matrix(adj, 1, layout="col")
-        np.testing.assert_array_equal(words, ref.words)
-        np.testing.assert_array_equal(mask, tile_nonzero_mask(ref.plane(0)))
-        np.testing.assert_array_equal(
-            degrees, adj.sum(axis=1, dtype=np.float64)[:, None]
-        )
+class TestCensusPatternCount:
+    @staticmethod
+    def _looped(mask: np.ndarray) -> int:
+        """The definition: distinct census rows with at least one live tile."""
+        return sum(1 for pattern in np.unique(mask, axis=0) if pattern.any())
 
-    def test_aligned_shape_skips_padding(self):
-        program = lower_pack_census(8, 128)
-        assert "skip-pad" in program.schedule
-        assert "np.pad" not in program.source()
-
-    def test_unaligned_shape_pads(self):
-        program = lower_pack_census(13, 150)
-        assert "skip-pad" not in program.schedule
-        assert "np.pad" in program.source()
-
-    def test_rejects_negative_dims(self):
-        with pytest.raises(ShapeError):
-            lower_pack_census(-1, 8)
-
-
-class TestLayerLowering:
-    @pytest.fixture()
-    def plan(self):
-        model = make_batched_gin(12, 4, hidden_dim=16)
-        return compile_forward_plan(model, num_nodes=24, feature_bits=4)
-
-    def test_layer_plan_lowers_in_execution_order(self, plan, rng):
-        adj = (rng.random((24, 24)) < 0.2).astype(np.int64)
-        _, mask = _mask_for(adj)
-        lowering = lower_layer_plan(plan.layers[0], tile_mask=mask)
-        names = [p.name for p in lowering.programs]
-        assert names == ["l0_pack_census", "l0_aggregate_gemm", "l0_update_gemm"]
-        schedules = lowering.schedules()
-        assert "fuse-pack-census" in schedules["l0_pack_census"]
-        assert any(
-            s.startswith("specialize-skip-loop") or s.endswith("fallback-dense")
-            for s in schedules["l0_aggregate_gemm"]
-        )
-
-    def test_update_first_order_reverses_gemms(self, plan):
-        lowering = lower_layer_plan(plan.layers[0], aggregate_first=False)
-        gemm_names = [p.name for p in lowering.programs if p.name.endswith("_gemm")]
-        assert gemm_names == ["l0_update_gemm", "l0_aggregate_gemm"]
-
-    def test_digest_tracks_census_mutation(self, plan, rng):
-        adj = (rng.random((24, 24)) < 0.2).astype(np.int64)
-        _, mask = _mask_for(adj)
-        base = lower_layer_plan(plan.layers[0], tile_mask=mask)
-        same = lower_layer_plan(plan.layers[0], tile_mask=mask.copy())
-        assert base.digest == same.digest
-        mutated = mask.copy()
-        mutated[0, 0] = not mutated[0, 0]
-        changed = lower_layer_plan(plan.layers[0], tile_mask=mutated)
-        assert base.digest != changed.digest
+    def test_matches_looped_definition(self, rng):
+        random_mask = rng.random((60, 9)) < 0.2
+        duplicated = np.zeros((6, 4), dtype=bool)
+        duplicated[1] = duplicated[4] = [True, False, True, False]
+        duplicated[2, 3] = True
+        for mask, expected in [
+            (random_mask, self._looped(random_mask)),
+            (np.zeros((5, 3), dtype=bool), 0),
+            (duplicated, 2),  # the repeated live row counts once
+        ]:
+            assert census_pattern_count(mask) == self._looped(mask) == expected

@@ -7,6 +7,12 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Tier-1 must draw the same examples on every host: no example database,
+# no wall-clock deadline that a slow runner could trip.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 _HAS_TIMEOUT_PLUGIN = importlib.util.find_spec("pytest_timeout") is not None
 

@@ -2,7 +2,8 @@
 
 The dynamic-graph extension of the PR-2 int64-oracle harness: after
 *every* mutation in seeded random streams, the incrementally-maintained
-state must equal a fresh pack-from-scratch of the mutated edge set on
+state must equal a fresh pack-from-scratch of the mutated edge set (and,
+once per stream, the dense ``pack_matrix`` reference) on
 
 * the packed bit-plane words,
 * the zero-tile census,
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.bitgemm import bitgemm_codes, matmul_int_reference
+from repro.core.bitpack import pack_matrix, tile_nonzero_mask
 from repro.dynamic import DynamicSession, MutableGraph
 from repro.gnn.models import make_cluster_gcn
 from repro.gnn.quantized import pack_batch_adjacency, quantized_forward
@@ -43,6 +45,27 @@ def random_stream(rng, n, length, insert_p=0.55):
         )
         for _ in range(length)
     ]
+
+
+def assert_matches_dense_reference(mg: MutableGraph, context: str = ""):
+    """Incremental state == the dense pipeline, which shares no code with
+    ``pack_edges`` (``pack_batch_adjacency`` and the bit flips both do)."""
+    dense = mg.to_batch().dense_adjacency(self_loops=True)
+    packed = pack_matrix(dense.astype(np.int64), 1, "col")
+    snap = mg.snapshot()
+    np.testing.assert_array_equal(
+        snap.packed.words, packed.words, err_msg=f"words {context}"
+    )
+    np.testing.assert_array_equal(
+        snap.plan.masks[0],
+        tile_nonzero_mask(packed.plane(0)),
+        err_msg=f"census {context}",
+    )
+    np.testing.assert_array_equal(
+        snap.degrees,
+        dense.sum(axis=1, dtype=np.float64)[:, None],
+        err_msg=f"degrees {context}",
+    )
 
 
 def assert_matches_fresh_pack(mg: MutableGraph, context: str = ""):
@@ -70,6 +93,7 @@ class TestPackedStateDifferential:
         for step, mutation in enumerate(random_stream(rng, n, 40)):
             mg.apply([mutation])
             assert_matches_fresh_pack(mg, f"n={n} seed={seed} step={step}")
+        assert_matches_dense_reference(mg, f"n={n} seed={seed} stream end")
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_batched_streams_match_fresh_pack(self, seed):
@@ -79,6 +103,7 @@ class TestPackedStateDifferential:
         for batch in range(6):
             mg.apply(random_stream(rng, n, 25))
             assert_matches_fresh_pack(mg, f"seed={seed} batch={batch}")
+        assert_matches_dense_reference(mg, f"seed={seed} stream end")
 
     def test_drain_to_empty_and_refill(self):
         """Delete every edge, then rebuild — the all-zero-off-diagonal
@@ -91,8 +116,10 @@ class TestPackedStateDifferential:
             mg.delete_edge(u, v)
         assert mg.num_edges == 0
         assert_matches_fresh_pack(mg, "drained")
+        assert_matches_dense_reference(mg, "drained")
         mg.apply([("insert", u, (u + 7) % n) for u in range(n)])
         assert_matches_fresh_pack(mg, "refilled")
+        assert_matches_dense_reference(mg, "refilled")
 
 
 class TestAggregationProductDifferential:

@@ -30,18 +30,18 @@ class TestCompare:
     def test_identical_runs_pass(self, dirs):
         out, base = dirs
         payload = {"speedup": {"best": 3.0, "median": 2.8}}
-        write_bench(out, "pool", payload)
-        write_bench(base, "pool", payload)
+        write_bench(out, "serving", payload)
+        write_bench(base, "serving", payload)
         result = compare_benchmarks(out, base)
         assert result.ok
         assert any(f.get("status") == "ok" for f in result.findings)
 
     def test_injected_2x_slowdown_flagged(self, dirs):
         out, base = dirs
-        write_bench(base, "pool", {"speedup": {"median": 2.8}})
-        # The pool got 2x slower: its speedup over the single engine
+        write_bench(base, "serving", {"speedup": {"median": 2.8}})
+        # The session got 2x slower: its speedup over the cold path
         # halved, ratio 0.5 < the 0.6 floor.
-        write_bench(out, "pool", {"speedup": {"median": 1.4}})
+        write_bench(out, "serving", {"speedup": {"median": 1.4}})
         result = compare_benchmarks(out, base)
         assert not result.ok
         regressed = [f for f in result.findings if f.get("status") == "REGRESSED"]
@@ -82,7 +82,7 @@ class TestCompare:
     def test_missing_fresh_run_is_skipped_not_failed(self, dirs):
         out, base = dirs
         out.mkdir()
-        write_bench(base, "pool", {"speedup": {"median": 2.8}})
+        write_bench(base, "serving", {"speedup": {"median": 2.8}})
         result = compare_benchmarks(out, base)
         assert result.ok
         assert "skipped" in result.findings[0]["status"]
@@ -111,11 +111,11 @@ class TestCompare:
 class TestRefresh:
     def test_refresh_copies_fresh_over_baselines(self, dirs):
         out, base = dirs
-        write_bench(out, "pool", {"speedup": {"median": 9.0}})
-        write_bench(base, "pool", {"speedup": {"median": 2.0}})
+        write_bench(out, "serving", {"speedup": {"median": 9.0}})
+        write_bench(base, "serving", {"speedup": {"median": 2.0}})
         written = refresh_baselines(out, base)
-        assert [p.name for p in written] == ["BENCH_pool.json"]
-        refreshed = json.loads((base / "BENCH_pool.json").read_text())
+        assert [p.name for p in written] == ["BENCH_serving.json"]
+        refreshed = json.loads((base / "BENCH_serving.json").read_text())
         assert refreshed["speedup"]["median"] == 9.0
 
 
@@ -123,8 +123,8 @@ class TestCli:
     def test_exit_zero_on_clean_compare(self, dirs, capsys):
         out, base = dirs
         payload = {"speedup": {"median": 2.8}}
-        write_bench(out, "pool", payload)
-        write_bench(base, "pool", payload)
+        write_bench(out, "serving", payload)
+        write_bench(base, "serving", payload)
         code = perf_main(
             ["regression", "--bench-dir", str(out), "--baselines", str(base)]
         )
@@ -133,8 +133,8 @@ class TestCli:
 
     def test_exit_nonzero_on_regression(self, dirs, capsys):
         out, base = dirs
-        write_bench(base, "pool", {"speedup": {"median": 2.8}})
-        write_bench(out, "pool", {"speedup": {"median": 1.4}})
+        write_bench(base, "serving", {"speedup": {"median": 2.8}})
+        write_bench(out, "serving", {"speedup": {"median": 1.4}})
         code = perf_main(
             ["regression", "--bench-dir", str(out), "--baselines", str(base)]
         )
@@ -143,7 +143,7 @@ class TestCli:
 
     def test_refresh_flag_writes_baselines(self, dirs):
         out, base = dirs
-        write_bench(out, "pool", {"speedup": {"median": 2.8}})
+        write_bench(out, "serving", {"speedup": {"median": 2.8}})
         code = perf_main(
             [
                 "regression",
@@ -153,7 +153,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        assert (base / "BENCH_pool.json").exists()
+        assert (base / "BENCH_serving.json").exists()
 
 
 class TestTrackedBaselines:
