@@ -25,7 +25,6 @@ import time
 
 import numpy as np
 
-from repro.core.bitgemm import reduce_plane_products
 from repro.core.bitpack import tile_nonzero_mask
 from repro.plan import GemmSpec, autotune, bucket_for, default_registry
 from repro.plan.autotune import synthesize_operands
@@ -76,14 +75,9 @@ def _execute(items, picks) -> float:
     """
     registry = default_registry()
     start = time.perf_counter()
-    for (spec, _fraction, a_packed, b_packed, masks), name in zip(items, picks):
+    for (spec, _fraction, a, b, masks), name in zip(items, picks):
         backend = registry.get(name)
-        reduce_plane_products(
-            backend.run_planes(
-                a_packed, b_packed,
-                masks if backend.caps.consumes_tile_masks else None,
-            )
-        )
+        backend.run(a, b, masks if backend.caps.consumes_tile_masks else None)
     return time.perf_counter() - start
 
 
@@ -92,9 +86,9 @@ def run_autotune_dispatch() -> dict:
     items = []
     for m, k, n, bits_a, bits_b, fraction in WORKLOAD:
         spec = GemmSpec(m=m, k=k, n=n, bits_a=bits_a, bits_b=bits_b)
-        a_packed, b_packed = synthesize_operands(spec, fraction, rng)
-        masks = [tile_nonzero_mask(a_packed.plane(i)) for i in range(a_packed.bits)]
-        items.append((spec, fraction, a_packed, b_packed, masks))
+        a, b = synthesize_operands(spec, fraction, rng)
+        masks = [tile_nonzero_mask(a.packed.plane(i)) for i in range(a.bits)]
+        items.append((spec, fraction, a, b, masks))
 
     analytic = CostModelDispatcher()
     table = autotune(

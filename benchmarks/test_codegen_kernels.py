@@ -11,7 +11,10 @@ across plan replays.
 
 A mid-sparsity workload (census too dense for tile skipping to shine)
 is reported alongside, and the autotuner is asserted to route the
-block-diagonal aggregation bucket to ``codegen`` on measurements alone.
+block-diagonal aggregation bucket to ``codegen`` on measurements alone —
+among the three word engines compared here.  (``blas``, one GEMM on the
+integer codes, is outside this comparison of AND+popcount schedules; the
+repo benchmark's in-situ census is where it meets them.)
 
 Acceptance: bit-identical products everywhere, and codegen >= 1.3x the
 sparse engine's warm-replay median on the block-diagonal batch.
@@ -28,7 +31,13 @@ from repro.core.bitpack import pack_matrix, tile_nonzero_mask
 from repro.graph import induced_subgraphs, load_dataset
 from repro.graph.batching import SubgraphBatch
 from repro.partition import partition_graph
-from repro.plan import GemmSpec, autotune, bucket_for, default_registry
+from repro.plan import (
+    BackendRegistry,
+    GemmSpec,
+    autotune,
+    bucket_for,
+    default_registry,
+)
 from repro.serving.dispatch import CostModelDispatcher
 from repro.tc.kernel import BitGemmKernel, plan_tile_skip
 
@@ -95,8 +104,11 @@ def run_codegen_kernels() -> dict:
     # Routing: a tuned table (measurements only — codegen's analytic
     # price is deliberately conservative) sends the block-diagonal
     # aggregation bucket to the compiled kernels.
-    table = autotune([(TUNE_SPEC, TUNE_FRACTION)], passes=PASSES, seed=0)
-    dispatcher = CostModelDispatcher(table=table)
+    word_engines = BackendRegistry([default_registry().get(e) for e in ENGINES])
+    table = autotune(
+        [(TUNE_SPEC, TUNE_FRACTION)], registry=word_engines, passes=PASSES, seed=0
+    )
+    dispatcher = CostModelDispatcher(table=table, registry=word_engines)
     dispatcher.observe_tile_fraction(TUNE_FRACTION, nodes=TUNE_SPEC.m)
     decision = dispatcher.decide(
         TUNE_SPEC.m, TUNE_SPEC.k, TUNE_SPEC.n,

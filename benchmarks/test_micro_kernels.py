@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.bitgemm import bitgemm, bmm_plane_blas, bmm_plane_packed
+from repro.core.bitgemm import bitgemm, bmm_plane_packed, codes_gemm
 from repro.core.bitops import popcount
-from repro.core.bitpack import pack_matrix, tile_nonzero_mask, unpack_matrix
+from repro.core.bitpack import Operand, pack_matrix, tile_nonzero_mask, unpack_matrix
 from repro.tc.kernel import BitGemmKernel, KernelConfig
 
 RNG = np.random.default_rng(2022)
@@ -73,7 +73,9 @@ def test_bench_plane_kernels_agree(benchmark):
         return bmm_plane_packed(a.plane(0), b.plane(0))
 
     packed = benchmark(run)
-    blas = bmm_plane_blas(a.to_planes()[0], b.to_planes()[0].T)
+    # Plane 0 of the features is their low bit: the same 1-bit product as
+    # one GEMM on codes (the adjacency entering as CSR from its words).
+    blas = codes_gemm(Operand(packed=a), Operand(FEATS & 1, 1, "row"))
     np.testing.assert_array_equal(
         packed[: ADJ.shape[0], : FEATS.shape[1]], blas
     )

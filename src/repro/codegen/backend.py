@@ -10,8 +10,8 @@ Glue between the LoopIR pipeline and the rest of the system:
   kernel hits/compiles appear in the same telemetry surface as packed
   weights and compiled plans, and a second replay of the same plan
   performs zero compiles;
-* :func:`_run_codegen`, the registered ``run_planes`` implementation:
-  lower-or-hit, then call the compiled kernel;
+* :func:`_run_codegen`, the registered ``run`` implementation:
+  lower-or-hit, call the compiled kernel, shift-add what it returns;
 * :func:`prepare_plan_kernels`, the serving engine's pre-execution hook
   that compiles a plan's aggregation kernels ahead of the GEMM window
   and reports ``plan_lower`` / ``kernel_compile`` seconds for the PAG.
@@ -27,7 +27,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..core.bitpack import TC_K, TC_M, PackedBits, pad_to, tile_nonzero_mask
+from ..core.bitgemm import reduce_plane_products
+from ..core.bitpack import TC_K, TC_M, Operand, pad_to, tile_nonzero_mask
 from ..core.bitops import WORD_BITS
 from ..errors import ShapeError
 from ..plan.cache import ThreadSafeLRUCache, artifact_digest
@@ -201,42 +202,44 @@ def gemm_kernel(
 # The registered backend
 # --------------------------------------------------------------------- #
 def _run_codegen(
-    a_packed: PackedBits,
-    b_packed: PackedBits,
-    tile_masks: Sequence[np.ndarray] | None = None,
+    a: Operand, b: Operand, tile_masks: Sequence[np.ndarray] | None = None
 ) -> np.ndarray:
-    """Plane products through a plan-specialized compiled kernel.
+    """The product through a plan-specialized compiled kernel.
 
     1-bit left operands are executed through the skip-specialized kernel
     of their census (supplied ``tile_masks`` or balloted here, exactly
     like the ``sparse`` engine); wider operands take the dense unrolled
     kernel, which is correct regardless of any census (it computes every
-    tile, and zero tiles contribute nothing).
+    tile, and zero tiles contribute nothing).  The emitted kernel returns
+    Algorithm 1's plane products; they are shift-added here.
     """
+    a_packed, b_packed = a.packed, b.packed
     mask = None
-    if a_packed.bits == 1:
+    if a.bits == 1:
         mask = (
             np.asarray(tile_masks[0])
             if tile_masks is not None
             else tile_nonzero_mask(a_packed.plane(0))
         )
-        grid = (a_packed.padded_vectors // 8, a_packed.k_words // 4)
+        grid = (a.padded_vectors // 8, a.k_words // 4)
         if mask.shape != grid:
             raise ShapeError(
                 f"tile mask shape {mask.shape} does not match the "
                 f"{grid} tile grid of the plane"
             )
     kernel = gemm_kernel(
-        m=a_packed.logical_vectors,
-        n=b_packed.logical_vectors,
-        bits_a=a_packed.bits,
-        bits_b=b_packed.bits,
-        a_padded_vectors=a_packed.padded_vectors,
-        a_k_words=a_packed.k_words,
+        m=a.logical_vectors,
+        n=b.logical_vectors,
+        bits_a=a.bits,
+        bits_b=b.bits,
+        a_padded_vectors=a.padded_vectors,
+        a_k_words=a.k_words,
         tile_mask=mask,
     )
-    return kernel.fn(
-        np.ascontiguousarray(a_packed.words), np.ascontiguousarray(b_packed.words)
+    return reduce_plane_products(
+        kernel.fn(
+            np.ascontiguousarray(a_packed.words), np.ascontiguousarray(b_packed.words)
+        )
     )
 
 
@@ -275,7 +278,7 @@ def codegen_backend() -> Backend:
     """A fresh instance of the ``codegen`` registry entry."""
     return Backend(
         name="codegen",
-        run_planes=_run_codegen,
+        run=_run_codegen,
         caps=BackendCaps(
             consumes_tile_masks=True,
             summary="LoopIR-lowered kernels compiled per plan "

@@ -110,9 +110,9 @@ def lower_gemm(
 ) -> Program:
     """Lower one plane-product GEMM into a specialized program.
 
-    The emitted function has the backend ``run_planes`` calling
-    convention restricted to raw words: ``fn(a_words, b_words)`` with
-    ``a_words`` of shape ``(bits_a, a_padded_vectors, a_k_words)`` and
+    The emitted function takes the operands' raw words —
+    ``fn(a_words, b_words)`` with ``a_words`` of shape
+    ``(bits_a, a_padded_vectors, a_k_words)`` and
     ``b_words`` of shape ``(bits_b, padded_n, a_k_words)`` (both
     C-contiguous uint32), returning the int64 plane products
     ``(bits_a, bits_b, m, n)`` on the logical shapes.

@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import BitwidthError, ShapeError
 from .quantization import MAX_BITS
 
-__all__ = ["bit_decompose", "bit_compose", "required_bits"]
+__all__ = ["bit_decompose", "bit_compose", "check_codes", "required_bits"]
 
 
 def required_bits(codes: np.ndarray) -> int:
@@ -36,20 +36,10 @@ def required_bits(codes: np.ndarray) -> int:
     return max(1, int(top).bit_length())
 
 
-def bit_decompose(codes: np.ndarray, bits: int) -> np.ndarray:
-    """Split integer codes into ``bits`` binary planes, LSB first.
-
-    Parameters
-    ----------
-    codes:
-        Non-negative integer array; every element must fit in ``bits`` bits.
-    bits:
-        Number of planes to produce.
-
-    Returns
-    -------
-    ``uint8`` array of shape ``(bits, *codes.shape)`` with values in {0, 1}.
-    """
+def check_codes(codes: np.ndarray, bits: int) -> np.ndarray:
+    """``codes`` as ``int64``, checked to be non-negative integers that fit
+    in ``bits`` bits — the precondition of plane splitting and of the exact
+    GEMM's dtype bound (:func:`~repro.core.bitgemm.exact_gemm_dtype`)."""
     if not 1 <= bits <= MAX_BITS:
         raise BitwidthError(f"bits must be in [1, {MAX_BITS}], got {bits}")
     arr = np.asarray(codes)
@@ -70,6 +60,24 @@ def bit_decompose(codes: np.ndarray, bits: int) -> np.ndarray:
             raise BitwidthError(
                 f"value {hi} does not fit in {bits} bits (max {(1 << bits) - 1})"
             )
+    return arr
+
+
+def bit_decompose(codes: np.ndarray, bits: int) -> np.ndarray:
+    """Split integer codes into ``bits`` binary planes, LSB first.
+
+    Parameters
+    ----------
+    codes:
+        Non-negative integer array; every element must fit in ``bits`` bits.
+    bits:
+        Number of planes to produce.
+
+    Returns
+    -------
+    ``uint8`` array of shape ``(bits, *codes.shape)`` with values in {0, 1}.
+    """
+    arr = check_codes(codes, bits)
     shifts = np.arange(bits, dtype=np.int64).reshape((bits,) + (1,) * arr.ndim)
     planes = (arr[None, ...] >> shifts) & 1
     return planes.astype(np.uint8)

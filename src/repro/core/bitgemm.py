@@ -10,13 +10,18 @@ Algorithm 1):
     C = \\sum_{i<s} \\sum_{j<t} \\mathrm{BMM}(A_i, B_j) \\ll (i + j)
 
 Each 1-bit GEMM is an AND + popcount over the packed K dimension
-(paper Eq. 7).  Three interchangeable engines compute it:
+(paper Eq. 7).  That decomposition is what a Tensor Core needs; a host
+engine may equally multiply the integer codes directly, so a GEMM operand
+is an :class:`~repro.core.bitpack.Operand` — codes and/or packed words,
+each derived from the other on first use — and every engine returns the
+reduced ``(M, N)`` int64 product:
 
 * ``"packed"`` — word-at-a-time ``popcount(a & b)`` on the uint32 storage,
-  exactly what the emulated Tensor Core executes.  Memory-blocked.
-* ``"blas"`` — unpack the planes to float32 and use BLAS ``matmul``.  Exact
-  for any K below 2^24 (a 0/1 dot product is an integer that float32
-  represents exactly) and much faster for large matrices.
+  exactly what the emulated Tensor Core executes, shift-accumulated pair
+  by pair.  Memory-blocked.
+* ``"blas"`` — :func:`codes_gemm`: *one* GEMM on the integer codes, in the
+  narrowest dtype that is provably exact (:func:`exact_gemm_dtype`), with
+  a words-only 1-bit left operand (the adjacency) entering as CSR.
 * ``"sparse"`` — the host realization of the paper's §4.3 zero-tile
   jumping: census the ``8 x 128`` tiles of the left operand once, then
   compute only the non-zero ones (gather the surviving k-tiles of each
@@ -27,6 +32,9 @@ Each 1-bit GEMM is an AND + popcount over the packed K dimension
   ``1/members`` of the tiles survive.
 
 All engines are tested against each other and against an int64 reference.
+:func:`bitgemm_planes` / :func:`reduce_plane_products` keep Algorithm 1's
+intermediate — the ``bits_a x bits_b`` stack of 1-bit products — as a view
+built on the packed kernel.
 
 Engines are *registered objects*: each lives in the
 :class:`~repro.plan.registry.BackendRegistry` as a
@@ -50,16 +58,15 @@ from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 import numpy as np
 
-from ..errors import BitwidthError, PackingError, ShapeError
+from ..errors import BitwidthError, ShapeError
 from .bitdecomp import bit_decompose
 from .bitops import and_popcount, popcount
-from .bitpack import PackedBits, pack_matrix, tile_nonzero_mask
+from .bitpack import Operand, PackedBits, as_operand, check_pair, tile_nonzero_mask
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (plan layers above core)
     from ..plan.registry import BackendRegistry
 
 __all__ = [
-    "BLAS_EXACT_K",
     "ENGINE_NAMES",
     "Engine",
     "EngineSelector",
@@ -67,10 +74,11 @@ __all__ = [
     "vector_dot_decomposed",
     "bmm_plane_packed",
     "bmm_plane_packed_sparse",
-    "bmm_plane_blas",
     "bitgemm_planes",
     "bitgemm",
     "bitgemm_codes",
+    "codes_gemm",
+    "exact_gemm_dtype",
     "matmul_int_reference",
     "reduce_plane_products",
 ]
@@ -83,10 +91,6 @@ Engine = Union[str, EngineSelector]
 #: Names of the built-in backends (the default registry may hold more;
 #: see :func:`repro.plan.register_backend`).
 ENGINE_NAMES = ("packed", "blas", "sparse")
-
-#: Reduction length below which a 0/1 dot product accumulates exactly in
-#: float32 — the precondition of every ``blas`` plane product.
-BLAS_EXACT_K = 1 << 24
 
 #: Row-block size of the packed engine; caps the broadcast temporary at
 #: roughly ``block * N * k_words * 4`` bytes.
@@ -278,26 +282,39 @@ def _sparse_plane_products(
     return out
 
 
-def bmm_plane_blas(a_plane: np.ndarray, b_plane: np.ndarray) -> np.ndarray:
-    """1-bit GEMM on *unpacked* planes via float32 BLAS.
+def exact_gemm_dtype(k: int, bits_a: int, bits_b: int) -> np.dtype:
+    """Narrowest dtype in which a ``bits_a x bits_b``-bit product of
+    reduction length ``k`` accumulates exactly.
 
-    ``a_plane`` is ``(M, K)`` binary, ``b_plane`` is ``(N, K)`` binary
-    (B's columns as rows).  A 0/1 dot product of length < 2^24 is exactly
-    representable in float32, so the result is exact.
+    No output element exceeds ``k * (2**bits_a - 1) * (2**bits_b - 1)``,
+    and every partial sum of non-negative integers is bounded by the final
+    one — so below ``2**24`` float32 (below ``2**53`` float64) represents
+    each intermediate exactly under any summation order or FMA.  Past that,
+    int64 (wrapping exactly as the oracle's int64 does).
     """
-    a = np.asarray(a_plane)
-    b = np.asarray(b_plane)
-    if a.shape[-1] != b.shape[-1]:
-        raise ShapeError(f"K axes differ: {a.shape[-1]} vs {b.shape[-1]}")
-    if a.shape[-1] >= BLAS_EXACT_K:
-        raise ShapeError("K too large for exact float32 accumulation")
-    return (a.astype(np.float32) @ b.astype(np.float32).T).astype(np.int64)
+    bound = k * ((1 << bits_a) - 1) * ((1 << bits_b) - 1)
+    if bound < 1 << 24:
+        return np.dtype(np.float32)
+    if bound < 1 << 53:
+        return np.dtype(np.float64)
+    return np.dtype(np.int64)
+
+
+def codes_gemm(
+    a: Operand, b: Operand, tile_masks: Sequence[np.ndarray] | None = None
+) -> np.ndarray:
+    """The exact int64 product as one GEMM on the integer codes, each
+    operand in :func:`exact_gemm_dtype`'s dtype (a packed adjacency as CSR
+    — see :meth:`~repro.core.bitpack.Operand.matrix`).  The ``blas``
+    backend's ``run``; it has no use for tile masks."""
+    dtype = exact_gemm_dtype(a.logical_k, a.bits, b.bits)
+    return (a.matrix(dtype) @ b.matrix(dtype)).astype(np.int64, copy=False)
 
 
 def _resolve_backend(
     engine: Engine,
-    a_packed: PackedBits,
-    b_packed: PackedBits,
+    a: Operand,
+    b: Operand,
     registry: "BackendRegistry | None" = None,
 ):
     """Compatibility shim: resolve an ``engine=`` argument to a registered
@@ -311,55 +328,32 @@ def _resolve_backend(
     if registry is None:
         registry = default_registry()
     spec = GemmSpec(
-        m=a_packed.logical_vectors,
-        k=a_packed.logical_k,
-        n=b_packed.logical_vectors,
-        bits_a=a_packed.bits,
-        bits_b=b_packed.bits,
+        m=a.logical_vectors,
+        k=a.logical_k,
+        n=b.logical_vectors,
+        bits_a=a.bits,
+        bits_b=b.bits,
     )
     return registry.get(resolve_engine_name(engine, spec, registry))
 
 
-def bitgemm_planes(
-    a_packed: PackedBits,
-    b_packed: PackedBits,
-    *,
-    engine: Engine = "auto",
-    tile_masks: Sequence[np.ndarray] | None = None,
-    registry: "BackendRegistry | None" = None,
-) -> np.ndarray:
+def bitgemm_planes(a_packed: PackedBits, b_packed: PackedBits) -> np.ndarray:
     """All pairwise 1-bit plane products of two packed matrices.
 
     Returns an int64 array of shape ``(bits_a, bits_b, M, N)`` where entry
-    ``[i, j]`` is ``BMM(A_i, B_j)`` on the *logical* (unpadded) shapes.
-    Exposed separately from :func:`bitgemm` because Algorithm 1 stores these
-    partial bit-matrices before the shift-add reduction, and the kernel
-    emulator reuses this decomposition for its cross-bit/cross-tile
-    schedules.
-
-    Dispatches to a registered backend (:mod:`repro.plan.backends` holds
-    the built-ins) resolved from ``engine``.  ``tile_masks`` optionally
-    supplies one precomputed non-zero-tile census per A plane (e.g. from a
-    serving session's tile-mask cache); consumed by backends whose caps
-    declare ``consumes_tile_masks`` (the ``sparse`` engine), ignored by
-    the others.
+    ``[i, j]`` is ``BMM(A_i, B_j)`` on the *logical* (unpadded) shapes —
+    the partial bit-matrices Algorithm 1 stores before its shift-add
+    reduction (:func:`reduce_plane_products`).  The executable view of the
+    paper's decomposition, computed by the packed AND+popcount kernel; no
+    serving backend materializes it (each returns the reduced product).
     """
-    if a_packed.layout != "col":
-        raise PackingError("left operand must use column-wise compression")
-    if b_packed.layout != "row":
-        raise PackingError("right operand must use row-wise compression")
-    if a_packed.logical_k != b_packed.logical_k:
-        raise ShapeError(
-            f"reduction dims differ: A has K={a_packed.logical_k}, "
-            f"B has K={b_packed.logical_k}"
-        )
-    if tile_masks is not None and len(tile_masks) != a_packed.bits:
-        raise ShapeError(
-            f"tile_masks must have {a_packed.bits} entries (one per A plane), "
-            f"got {len(tile_masks)}"
-        )
-    backend = _resolve_backend(engine, a_packed, b_packed, registry)
-    return backend.run_planes(a_packed, b_packed, tile_masks)
+    check_pair(a_packed, b_packed)
+    m, n = a_packed.logical_vectors, b_packed.logical_vectors
+    out = np.empty((a_packed.bits, b_packed.bits, m, n), dtype=np.int64)
+    for i in range(a_packed.bits):
+        for j in range(b_packed.bits):
+            out[i, j] = bmm_plane_packed(a_packed.plane(i), b_packed.plane(j))[:m, :n]
+    return out
 
 
 def reduce_plane_products(partial: np.ndarray) -> np.ndarray:
@@ -372,23 +366,32 @@ def reduce_plane_products(partial: np.ndarray) -> np.ndarray:
 
 
 def bitgemm(
-    a_packed: PackedBits,
-    b_packed: PackedBits,
+    a: "Operand | PackedBits",
+    b: "Operand | PackedBits",
     *,
     engine: Engine = "auto",
     tile_masks: Sequence[np.ndarray] | None = None,
     registry: "BackendRegistry | None" = None,
 ) -> np.ndarray:
-    """Any-bitwidth GEMM: shift-add all plane products (Algorithm 1).
+    """Any-bitwidth GEMM on a registered backend.
 
     Returns the exact int64 product of the underlying integer matrices,
-    shape ``(M, N)``.  ``tile_masks`` forwards precomputed per-plane tile
-    censuses to the ``sparse`` engine (see :func:`bitgemm_planes`).
+    shape ``(M, N)``.  Operands are :class:`~repro.core.bitpack.Operand`\\ s
+    (a bare :class:`PackedBits` is wrapped); the backend resolved from
+    ``engine`` reads whichever form it consumes.  ``tile_masks`` optionally
+    supplies one precomputed non-zero-tile census per A plane (e.g. from a
+    serving session's tile-mask cache); consumed by backends whose caps
+    declare ``consumes_tile_masks`` (``sparse``, ``codegen``), ignored by
+    the others.
     """
-    partial = bitgemm_planes(
-        a_packed, b_packed, engine=engine, tile_masks=tile_masks, registry=registry
-    )
-    return reduce_plane_products(partial)
+    a, b = as_operand(a), as_operand(b)
+    check_pair(a, b)
+    if tile_masks is not None and len(tile_masks) != a.bits:
+        raise ShapeError(
+            f"tile_masks must have {a.bits} entries (one per A plane), "
+            f"got {len(tile_masks)}"
+        )
+    return _resolve_backend(engine, a, b, registry).run(a, b, tile_masks)
 
 
 def bitgemm_codes(
@@ -400,7 +403,10 @@ def bitgemm_codes(
     engine: Engine = "auto",
     registry: "BackendRegistry | None" = None,
 ) -> np.ndarray:
-    """Convenience wrapper: decompose, pack, multiply in one call."""
-    a_packed = pack_matrix(a_codes, bits_a, layout="col")
-    b_packed = pack_matrix(b_codes, bits_b, layout="row")
-    return bitgemm(a_packed, b_packed, engine=engine, registry=registry)
+    """Convenience wrapper: multiply two integer-code matrices in one call."""
+    return bitgemm(
+        Operand(a_codes, bits_a, "col"),
+        Operand(b_codes, bits_b, "row"),
+        engine=engine,
+        registry=registry,
+    )

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 from typing import Iterable, Literal
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import PackingError, ShapeError
-from .bitdecomp import bit_compose, bit_decompose
+from .bitdecomp import bit_compose, bit_decompose, check_codes
 from .bitops import WORD_BITS
 
 __all__ = [
@@ -39,8 +40,11 @@ __all__ = [
     "TC_N",
     "TC_K",
     "pad_to",
+    "Operand",
     "PackedBits",
+    "as_operand",
     "bit_address",
+    "check_pair",
     "pack_bit_planes",
     "pack_edges",
     "pack_matrix",
@@ -173,10 +177,6 @@ class PackedBits:
     # ------------------------------------------------------------------ #
     # Round-trip
     # ------------------------------------------------------------------ #
-    def to_planes(self) -> np.ndarray:
-        """Unpack to binary planes of the *logical* matrix."""
-        return unpack_bit_planes(self)
-
     def to_codes(self) -> np.ndarray:
         """Unpack and recompose to the original integer codes."""
         return unpack_matrix(self)
@@ -352,6 +352,136 @@ def unpack_bit_planes(packed: PackedBits) -> np.ndarray:
 def unpack_matrix(packed: PackedBits) -> np.ndarray:
     """Unpack and shift-add back to the original integer codes (int64)."""
     return bit_compose(unpack_bit_planes(packed))
+
+
+class Operand:
+    """One GEMM operand, held as integer codes and/or packed words.
+
+    The paper's bit decomposition exists because a Tensor Core multiplies
+    1-bit planes; a host engine may as well multiply the integer codes.
+    An operand is built from whichever form its producer has —
+    ``Operand(codes, bits, layout)`` for freshly quantized activations,
+    ``Operand(packed=...)`` for a cached :class:`PackedBits` — and derives
+    the other on first use, memoised, so only a backend that reads words
+    pays for packing and only one that reads codes for unpacking.  (A
+    first-use race recomputes an identical value; nothing needs a lock.)
+
+    Codes are range-checked against ``bits`` on entry — the exact GEMM's
+    dtype bound depends on it — and the padded geometry follows from the
+    logical dims by the :func:`pack_bit_planes` rule, so kernel counters
+    never force a pack.
+    """
+
+    def __init__(
+        self,
+        codes: np.ndarray | None = None,
+        bits: int | None = None,
+        layout: Layout = "col",
+        *,
+        packed: PackedBits | None = None,
+        pad_vectors: int = TC_M,
+    ) -> None:
+        if (codes is None) == (packed is None):
+            raise PackingError("build an operand from codes or from packed words")
+        self._views: dict = {}
+        self._codes: np.ndarray | None = None
+        self._packed = packed
+        if packed is None:
+            arr = np.asarray(codes)
+            if arr.ndim != 2:
+                raise ShapeError(f"an operand is a 2-D matrix, got shape {arr.shape}")
+            self._codes = check_codes(arr, bits)
+            vectors, k = arr.shape if layout == "col" else arr.shape[::-1]
+        else:
+            bits, layout, pad_vectors = packed.bits, packed.layout, packed.pad_vectors
+            vectors, k = packed.logical_vectors, packed.logical_k
+        self.bits, self.layout, self.pad_vectors = bits, layout, pad_vectors
+        self.logical_vectors, self.logical_k = vectors, k
+
+    @property
+    def padded_vectors(self) -> int:
+        """Vector count after PAD8/PAD128 padding."""
+        return pad_to(max(self.logical_vectors, 1), self.pad_vectors)
+
+    @property
+    def k_words(self) -> int:
+        """Number of 32-bit words along the packed K axis."""
+        return pad_to(max(self.logical_k, 1), TC_K) // WORD_BITS
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The ``int64`` codes on the logical shape (unpacked on first use)."""
+        if self._codes is None:
+            self._codes = unpack_matrix(self._packed)
+        return self._codes
+
+    def pack(self) -> "Operand":
+        """Derive the packed words now — inside the caller's timing window
+        rather than the first consumer's — and return ``self``."""
+        if self._packed is None:
+            self._packed = pack_matrix(
+                self._codes, self.bits, self.layout, pad_vectors=self.pad_vectors
+            )
+        return self
+
+    @property
+    def packed(self) -> PackedBits:
+        """The bit-packed words (decomposed and packed on first use)."""
+        return self.pack()._packed
+
+    def matrix(self, dtype):
+        """The operand as a ``dtype`` factor of a GEMM on codes, memoised
+        per dtype — a cached operand converts once, not per replay.
+
+        Dense codes, except that a 1-bit column-compressed operand which
+        exists only as words (a packed adjacency) becomes a ``scipy`` CSR
+        matrix of ones, built from the words in ``O(words + set bits)`` and
+        never anything ``n x n`` wider than a bit.
+        """
+        key = np.dtype(dtype)
+        view = self._views.get(key)
+        if view is None:
+            if self.bits == 1 and self.layout == "col" and self._codes is None:
+                view = self._csr_from_words(key)
+            else:
+                view = self.codes.astype(key, copy=False)
+            self._views[key] = view
+        return view
+
+    def _csr_from_words(self, dtype: np.dtype) -> sp.csr_matrix:
+        vectors, k_words = self.logical_vectors, self.k_words
+        words = self._packed.words[0, :vectors].reshape(-1)
+        # Row-major order keeps rows, then columns, ascending.  (The
+        # boolean views are what makes ``nonzero`` fast.)
+        live = np.flatnonzero(words != 0)
+        bits = np.unpackbits(words[live].view(np.uint8), bitorder="little")
+        hit = np.flatnonzero(bits.view(bool))
+        word = live[hit // WORD_BITS]
+        indices = (word % k_words) * WORD_BITS + hit % WORD_BITS
+        indptr = np.zeros(vectors + 1, dtype=np.intp)
+        np.cumsum(np.bincount(word // k_words, minlength=vectors), out=indptr[1:])
+        return sp.csr_matrix(
+            (np.ones(indices.size, dtype=dtype), indices, indptr),
+            shape=(vectors, self.logical_k),
+        )
+
+
+def as_operand(value: "Operand | PackedBits") -> Operand:
+    """``value`` as an :class:`Operand` (a :class:`PackedBits` is wrapped)."""
+    return value if isinstance(value, Operand) else Operand(packed=value)
+
+
+def check_pair(a: "Operand | PackedBits", b: "Operand | PackedBits") -> None:
+    """Validate that ``a @ b`` is a well-formed bit-GEMM operand pair:
+    column-compressed left, row-compressed right, equal reduction length."""
+    if a.layout != "col":
+        raise PackingError("left operand must use column-wise compression")
+    if b.layout != "row":
+        raise PackingError("right operand must use row-wise compression")
+    if a.logical_k != b.logical_k:
+        raise ShapeError(
+            f"reduction dims differ: A has K={a.logical_k}, B has K={b.logical_k}"
+        )
 
 
 def tile_nonzero_mask(plane_words: np.ndarray) -> np.ndarray:

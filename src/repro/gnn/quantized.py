@@ -1,9 +1,10 @@
 """Functional quantized GNN forward pass on the emulated Tensor Core.
 
 Runs a :class:`~repro.gnn.models.GNNModel` over a subgraph batch with every
-matrix product executed as a packed bit-GEMM through
-:class:`~repro.tc.kernel.BitGemmKernel` — the same arithmetic the CUDA
-kernels perform — while carrying affine dequantization corrections so the
+matrix product launched through :class:`~repro.tc.kernel.BitGemmKernel` —
+the exact integer product the CUDA kernels compute, on whichever host
+backend the plan chose, with the modeled Tensor-Core counters derived
+beside it — while carrying affine dequantization corrections so the
 result is a genuine approximation of the fp32 reference (error shrinks as
 bitwidth grows; the test-suite asserts this convergence).
 
@@ -62,18 +63,20 @@ artifacts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..core.bitgemm import Engine
 from ..core.bitops import popcount
-from ..core.bitpack import PackedBits, pack_matrix
+from ..core.bitpack import Operand, PackedBits, pack_matrix
 from ..core.quantization import QuantParams, calibrate, quantize
 from ..errors import BitwidthError, ConfigError, ShapeError
 from ..graph.batching import SubgraphBatch
 from ..plan.ir import ExecutionPlan, GemmSpec, GemmStep, QuantizeStep, compile_forward_plan
+from ..plan.registry import default_registry, resolve_engine_name
 from ..tc.counters import KernelCounters
 from ..tc.kernel import BitGemmKernel, KernelConfig, TileSkipPlan, plan_tile_skip
 from .activations import relu, softmax
@@ -132,10 +135,11 @@ class StepTiming:
     """Measured wall-clock of one executed plan step's bit-GEMM.
 
     The timing window covers exactly the backend-dependent work (the
-    kernel dispatch on already-packed operands), which makes each executed
-    step a valid autotuning sample: the serving engine feeds these into
-    the dispatcher's :class:`~repro.plan.autotune.DispatchTable`, so every
-    warm replay sharpens future dispatch decisions for free.
+    kernel dispatch, on operands already packed where the backend reads
+    words), which makes each executed step a valid autotuning sample: the
+    serving engine feeds these into the dispatcher's
+    :class:`~repro.plan.autotune.DispatchTable`, so every warm replay
+    sharpens future dispatch decisions for free.
     """
 
     spec: GemmSpec
@@ -200,6 +204,12 @@ class PackedLayerWeight:
     params: QuantParams
     col_sums: np.ndarray
 
+    @cached_property
+    def operand(self) -> Operand:
+        """The update GEMM's right operand, memoised with the forms it has
+        derived: the weights unpack once per session, not per replay."""
+        return Operand(packed=self.packed)
+
     @property
     def bits(self) -> int:
         return self.params.bits
@@ -246,6 +256,12 @@ class PackedAdjacency:
     packed: PackedBits
     plan: TileSkipPlan
     degrees: np.ndarray
+
+    @cached_property
+    def operand(self) -> Operand:
+        """The aggregation GEMM's left operand, memoised with the forms it
+        has derived (its CSR view) for as long as the artifact is cached."""
+        return Operand(packed=self.packed)
 
     @property
     def num_nodes(self) -> int:
@@ -330,114 +346,6 @@ def quantize_model_weights(
     if not 1 <= bits <= 32:
         raise BitwidthError(f"weight bits must be in [1, 32], got {bits}")
     return [quantize(w, bits=bits) for w in model.weights]
-
-
-def _dispatch_gemm(
-    kernel: BitGemmKernel,
-    a,
-    b,
-    *,
-    engine: Engine,
-    plan,
-    registry,
-    recovery,
-    spec: GemmSpec | None,
-    role: str,
-):
-    # One plan step's GEMM dispatch, optionally wrapped in per-step
-    # fallback recovery.  Returns (result, executed backend, recovery
-    # triples, seconds of the winning attempt).  The winning-attempt
-    # window keeps autotune samples unbiased by failed attempts.
-    if recovery is None or not isinstance(engine, str):
-        start = time.perf_counter()
-        res = kernel.run(a, b, engine=engine, plan=plan, registry=registry)
-        return res, engine, (), time.perf_counter() - start
-
-    win: dict[str, float] = {}
-
-    def attempt(name: str):
-        start = time.perf_counter()
-        out = kernel.run(a, b, engine=name, plan=plan, registry=registry)
-        win["s"] = time.perf_counter() - start
-        return out
-
-    bits_a = spec.bits_a if spec is not None else 1
-    res, executed, failed = recovery.run(
-        attempt, engine, bits_a=bits_a, detail=role
-    )
-    triples = tuple((role, name, executed) for name in failed)
-    return res, executed, triples, win["s"]
-
-
-def _affine_product(
-    q_left: np.ndarray,
-    p_left: QuantParams,
-    weight: PackedLayerWeight,
-    kernel: BitGemmKernel,
-    counters: list[KernelCounters],
-    engine: Engine,
-    registry=None,
-    timings: list[StepTiming] | None = None,
-    spec: GemmSpec | None = None,
-    phases: list[PhaseTiming] | None = None,
-    layer: int = -1,
-    recovery=None,
-    recoveries: list[tuple[str, str, str]] | None = None,
-) -> np.ndarray:
-    """Full affine-corrected product of a quantized matrix and a packed weight."""
-    k = q_left.shape[1]
-    if weight.packed.logical_k != k:
-        raise ShapeError(
-            f"inner dims differ: {q_left.shape} x {weight.packed.logical_shape}"
-        )
-    start = time.perf_counter()
-    packed_l = pack_matrix(q_left, p_left.bits, layout="col")
-    packed_at = time.perf_counter()
-    # Ballot a 1-bit left operand *outside* the timing window (mirroring
-    # kernel.run's internal census) so the StepTiming sample covers the
-    # same census-amortized work the offline autotuner measures — mixing
-    # census-inclusive and census-exclusive samples in one table cell
-    # would bias its median against whichever backend actually executed.
-    plan = (
-        plan_tile_skip(packed_l)
-        if packed_l.bits == 1 and kernel.config.zero_tile_jumping
-        else None
-    )
-    census_at = time.perf_counter()
-    res, executed, recovered, win_s = _dispatch_gemm(
-        kernel, packed_l, weight.packed, engine=engine, plan=plan,
-        registry=registry, recovery=recovery, spec=spec,
-        role=f"update/L{layer}",
-    )
-    gemm_s = time.perf_counter() - census_at
-    if timings is not None and spec is not None and isinstance(executed, str):
-        # Fault-free steps reuse the phase window exactly (backend and
-        # phase attribution must agree); recovered steps report only the
-        # winning attempt so failures never bias the autotune sample.
-        timings.append(StepTiming(spec, executed, win_s if recovered else gemm_s))
-    if recoveries is not None and recovered:
-        recoveries.extend(recovered)
-    counters.append(res.counters)
-    epilogue_at = time.perf_counter()
-    s_l, c_l = p_left.scale, _mid_offset(p_left)
-    s_r, c_r = weight.params.scale, _mid_offset(weight.params)
-    row_sums = q_left.sum(axis=1, dtype=np.float64)[:, None]
-    out = (
-        s_l * s_r * res.output
-        + s_l * c_r * row_sums
-        + c_l * s_r * weight.col_sums
-        + k * c_l * c_r
-    ).astype(np.float64)
-    if phases is not None:
-        phases.append(PhaseTiming("pack", "update", layer, packed_at - start))
-        phases.append(PhaseTiming("census", "update", layer, census_at - packed_at))
-        phases.append(PhaseTiming("gemm", "update", layer, gemm_s))
-        phases.append(
-            PhaseTiming(
-                "epilogue", "update", layer, time.perf_counter() - epilogue_at
-            )
-        )
-    return out
 
 
 def execute_forward_plan(
@@ -527,9 +435,16 @@ def execute_forward_plan(
             f"expected {model.num_layers} packed weights, got {len(packed_weights)}"
         )
 
-    packed_adj = packed_adjacency.packed
+    adj_operand = packed_adjacency.operand
     adj_plan = packed_adjacency.plan
     degrees = packed_adjacency.degrees
+    backends = default_registry() if registry is None else registry
+
+    def reads_words(step: GemmStep) -> bool:
+        # Resolved, not just looked up: a plan replayed against a registry
+        # that lacks its backend fails as every ``engine=`` name does.
+        name = resolve_engine_name(step.backend, step.spec, backends)
+        return backends.get(name).caps.consumes_words
 
     start = time.perf_counter()
     h = batch.features().astype(np.float64)
@@ -549,56 +464,102 @@ def execute_forward_plan(
             return quantize(x_real, bits=step.bits)
         return calibration.quantize(step.site, x_real, step.bits)
 
+    def product(
+        step: GemmStep,
+        layer: int,
+        left: Operand,
+        right: Operand,
+        skip_plan: TileSkipPlan | None = None,
+    ) -> np.ndarray:
+        """One step's pack, census and gemm phases around its kernel launch
+        on ``left @ right``.  Activations (a cached side already holds its
+        words) are bit-packed ahead of the GEMM window only when the step's
+        backend reads words, or when they are a 1-bit left operand under
+        zero-tile jumping — that ballot feeds the modeled skip counters
+        whichever backend runs."""
+        role, label = step.spec.role, f"{step.spec.role}/L{layer}"
+        start = time.perf_counter()
+        ballot = (
+            skip_plan is None and left.bits == 1 and kernel.config.zero_tile_jumping
+        )
+        words = reads_words(step)
+        if words or ballot:
+            left.pack()
+        if words:
+            right.pack()
+        packed_at = time.perf_counter()
+        # Ballot a 1-bit left operand *outside* the timing window (mirroring
+        # kernel.run's internal census) so the StepTiming sample covers the
+        # same census-amortized work the offline autotuner measures — mixing
+        # census-inclusive and census-exclusive samples in one table cell
+        # would bias its median against whichever backend actually executed.
+        if ballot:
+            skip_plan = plan_tile_skip(left.packed)
+        census_at = time.perf_counter()
+        win: dict[str, float] = {}
+
+        def attempt(name: str):
+            began = time.perf_counter()
+            out = kernel.run(left, right, engine=name, plan=skip_plan, registry=registry)
+            win["s"] = time.perf_counter() - began
+            return out
+
+        if recovery is None:
+            res, executed, failed = attempt(step.backend), step.backend, ()
+        else:
+            res, executed, failed = recovery.run(
+                attempt, step.backend, bits_a=step.spec.bits_a, detail=label
+            )
+        gemm_s = time.perf_counter() - census_at
+        # Fault-free steps reuse the phase window exactly (backend and
+        # phase attribution must agree); recovered steps report only the
+        # winning attempt so failures never bias the autotune sample.
+        timings.append(StepTiming(step.spec, executed, win["s"] if failed else gemm_s))
+        recoveries.extend((label, name, executed) for name in failed)
+        counters.append(res.counters)
+        phases.append(PhaseTiming("pack", role, layer, packed_at - start))
+        phases.append(PhaseTiming("census", role, layer, census_at - packed_at))
+        phases.append(PhaseTiming("gemm", role, layer, gemm_s))
+        return res.output
+
     def aggregate(x_real: np.ndarray, step: GemmStep, layer: int) -> np.ndarray:
         """``Â @ x`` with the adjacency exact (1-bit) and x quantized."""
         start = time.perf_counter()
         qx, px = quantize_at(step.quantize_b, x_real)
-        quantized_at = time.perf_counter()
-        packed_x = pack_matrix(qx, step.quantize_b.bits, layout="row")
-        packed_at = time.perf_counter()
-        res, executed, recovered, win_s = _dispatch_gemm(
-            kernel, packed_adj, packed_x, engine=step.backend, plan=adj_plan,
-            registry=registry, recovery=recovery, spec=step.spec,
-            role=f"aggregate/L{layer}",
+        right = Operand(qx, px.bits, "row")
+        phases.append(
+            PhaseTiming("quantize", "aggregate", layer, time.perf_counter() - start)
         )
-        gemm_s = time.perf_counter() - packed_at
-        timings.append(
-            StepTiming(step.spec, executed, win_s if recovered else gemm_s)
-        )
-        recoveries.extend(recovered)
-        counters.append(res.counters)
+        out = product(step, layer, adj_operand, right, adj_plan)
         # Â is exact binary: real = s_x * (Â q_x) + c_x * degree.
-        epilogue_at = time.perf_counter()
-        out = px.scale * res.output + _mid_offset(px) * degrees
+        start = time.perf_counter()
+        out = px.scale * out + _mid_offset(px) * degrees
         phases.append(
-            PhaseTiming("quantize", "aggregate", layer, quantized_at - start)
-        )
-        phases.append(
-            PhaseTiming("pack", "aggregate", layer, packed_at - quantized_at)
-        )
-        phases.append(PhaseTiming("gemm", "aggregate", layer, gemm_s))
-        phases.append(
-            PhaseTiming(
-                "epilogue", "aggregate", layer, time.perf_counter() - epilogue_at
-            )
+            PhaseTiming("epilogue", "aggregate", layer, time.perf_counter() - start)
         )
         return out
 
     def update(x_real: np.ndarray, step: GemmStep, layer: int) -> np.ndarray:
-        """``x @ W + b`` with both operands quantized."""
+        """``x @ W + b`` with both operands quantized, affine-corrected."""
+        weight = packed_weights[layer]
         start = time.perf_counter()
         qx, px = quantize_at(step.quantize_a, x_real)
+        left = Operand(qx, px.bits, "col")
         phases.append(
             PhaseTiming("quantize", "update", layer, time.perf_counter() - start)
         )
-        out = _affine_product(
-            qx, px, packed_weights[layer], kernel, counters, step.backend,
-            registry=registry, timings=timings, spec=step.spec,
-            phases=phases, layer=layer, recovery=recovery,
-            recoveries=recoveries,
-        )
+        out = product(step, layer, left, weight.operand)
         start = time.perf_counter()
-        out = out + model.biases[layer]
+        s_l, c_l = px.scale, _mid_offset(px)
+        s_r, c_r = weight.params.scale, _mid_offset(weight.params)
+        row_sums = qx.sum(axis=1, dtype=np.float64)[:, None]
+        out = (
+            s_l * s_r * out
+            + s_l * c_r * row_sums
+            + c_l * s_r * weight.col_sums
+            + left.logical_k * c_l * c_r
+            + model.biases[layer]
+        )
         phases.append(
             PhaseTiming("epilogue", "update", layer, time.perf_counter() - start)
         )

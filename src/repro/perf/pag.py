@@ -49,6 +49,7 @@ PHASE_ORDER = (
     "gemm",
     "epilogue",
     "activation",
+    "round_glue",
 )
 
 

@@ -62,7 +62,7 @@ from .cache import (
     ThreadSafeLRUCache,
     artifact_nbytes,
 )
-from .executor import compile_gemm_plan, execute_gemm_plan, execute_gemm_plan_codes
+from .executor import compile_gemm_plan, execute_gemm_plan
 from .ir import (
     CensusStep,
     ExecutionPlan,
@@ -120,7 +120,6 @@ __all__ = [
     "compile_gemm_plan",
     "default_registry",
     "execute_gemm_plan",
-    "execute_gemm_plan_codes",
     "forward_gemm_specs",
     "fraction_band",
     "host_fingerprint",

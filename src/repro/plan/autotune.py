@@ -633,7 +633,7 @@ def synthesize_operands(
     tile_fraction: float | None,
     rng: np.random.Generator,
 ):
-    """Random packed operands matching a bucket's shape and sparsity.
+    """Random operands matching a bucket's shape and sparsity.
 
     The left operand of a 1-bit product with a target fraction is built
     tile-structured: the requested share of its 8x128 tile grid is
@@ -641,11 +641,18 @@ def synthesize_operands(
     all-zero — the same structure a coalesced block-diagonal adjacency
     presents to the census, so the sparse backend is measured on the work
     it would actually do.
+
+    The :class:`~repro.core.bitpack.Operand`\\ s hold the forms serving
+    hands a backend, so offline samples time the window serving feeds
+    back: activations and weights carry codes *and* words (packed ahead
+    of the GEMM window when the backend reads words), a censused 1-bit
+    left operand — an adjacency — exists only as words.
     """
-    from ..core.bitpack import pack_matrix
+    from ..core.bitpack import Operand
 
     m, k, n = spec.m, spec.k, spec.n
-    if spec.bits_a == 1 and tile_fraction is not None:
+    censused = spec.bits_a == 1 and tile_fraction is not None
+    if censused:
         mt, kt = pad_to(max(m, 1), TC_M) // TC_M, pad_to(max(k, 1), TC_K) // TC_K
         live = rng.random((mt, kt)) < tile_fraction
         a = (rng.random((m, k)) < 0.3).astype(np.int64)
@@ -653,17 +660,19 @@ def synthesize_operands(
     else:
         a = rng.integers(0, 1 << spec.bits_a, size=(m, k), dtype=np.int64)
     b = rng.integers(0, 1 << spec.bits_b, size=(k, n), dtype=np.int64)
+    left, right = Operand(a, spec.bits_a, "col"), Operand(b, spec.bits_b, "row")
+    # Words are derived here, outside any timing window.
     return (
-        pack_matrix(a, spec.bits_a, layout="col"),
-        pack_matrix(b, spec.bits_b, layout="row"),
+        Operand(packed=left.packed) if censused else left.pack(),
+        right.pack(),
     )
 
 
 def _measure_backend(
     backend: "Backend",
     kernel,
-    a_packed,
-    b_packed,
+    a,
+    b,
     plan,
     registry: BackendRegistry,
     passes: int,
@@ -671,8 +680,8 @@ def _measure_backend(
     """Wall-clock samples of one backend on fixed operands.
 
     The timed call is literally the one online serving feedback times — a
-    full ``BitGemmKernel.run`` (operand checks, counter derivation, plane
-    products, shift-add reduction) with the left operand's census
+    full ``BitGemmKernel.run`` (operand checks, counter derivation, the
+    backend's product) with the left operand's census
     supplied as a precomputed ``plan`` outside the window, the way a
     session executes against its cached ballot.  Offline and online
     samples land in the same table cells, so any difference in what the
@@ -681,19 +690,18 @@ def _measure_backend(
 
     One untimed warm-up pass precedes the samples: backends with one-time
     setup cost (the ``codegen`` engine compiles its specialized kernel on
-    first contact with a shape/census) amortize it across replays in
-    serving, so folding it into the first sample would bias the bucket's
+    first contact with a shape/census; ``blas`` derives an operand's float
+    or CSR view on first use) amortize it across replays in serving, so
+    folding it into the first sample would bias the bucket's
     median against exactly the steady state the table is predicting.
     """
     import time
 
-    kernel.run(a_packed, b_packed, engine=backend.name, plan=plan,
-               registry=registry)
+    kernel.run(a, b, engine=backend.name, plan=plan, registry=registry)
     samples = []
     for _ in range(passes):
         start = time.perf_counter()
-        kernel.run(a_packed, b_packed, engine=backend.name, plan=plan,
-                   registry=registry)
+        kernel.run(a, b, engine=backend.name, plan=plan, registry=registry)
         samples.append(time.perf_counter() - start)
     return samples
 
@@ -754,15 +762,13 @@ def autotune(
             m=bucket.m, k=bucket.k, n=bucket.n,
             bits_a=bucket.bits_a, bits_b=bucket.bits_b, role=spec.role,
         )
-        a_packed, b_packed = synthesize_operands(padded, fraction, rng)
+        a, b = synthesize_operands(padded, fraction, rng)
         # Census once, outside every timing window (the serving path
         # amortizes the ballot at adjacency/operand-packing time).  Only
         # 1-bit left operands carry a ballot, mirroring the kernel.
         plan = (
-            TileSkipPlan(
-                masks=(tile_nonzero_mask(a_packed.plane(0)),)
-            )
-            if a_packed.bits == 1
+            TileSkipPlan(masks=(tile_nonzero_mask(a.packed.plane(0)),))
+            if a.bits == 1
             else None
         )
         flops = 2.0 * padded.m * padded.k * padded.n * padded.pairs
@@ -775,7 +781,7 @@ def autotune(
                 if estimate.effective_s > max_seconds_per_backend:
                     continue
             for sample in _measure_backend(
-                backend, kernel, a_packed, b_packed, plan, registry, passes
+                backend, kernel, a, b, plan, registry, passes
             ):
                 table.record(bucket, backend.name, sample)
     return table

@@ -1,11 +1,12 @@
 """The built-in host backends (``packed``, ``blas``, ``sparse``).
 
-The plane-product loops that used to be inline branches of
-:func:`repro.core.bitgemm.bitgemm_planes` are expressed here as registry
-entries: each :class:`~repro.plan.registry.Backend` couples the
-implementation (built on the low-level kernels that remain in
-:mod:`repro.core.bitgemm`) with its capability metadata and the cost
-pricer the serving dispatcher consults.  Pricers consume the calibrated
+Each :class:`~repro.plan.registry.Backend` couples an implementation
+(built on the low-level kernels in :mod:`repro.core.bitgemm`) with its
+capability metadata and the cost pricer the serving dispatcher consults.
+Every ``run`` takes two :class:`~repro.core.bitpack.Operand`\\ s and
+returns the reduced ``(M, N)`` int64 product: the word engines
+shift-accumulate their 1-bit plane products pair by pair, ``blas``
+multiplies the integer codes once.  Pricers consume the calibrated
 :class:`~repro.plan.rates.HostRates`, so per-machine recalibration is a
 value, not a subclass.
 """
@@ -17,8 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.bitgemm import BLAS_EXACT_K, _sparse_plane_products, bmm_plane_packed
-from ..core.bitpack import PackedBits, tile_nonzero_mask
+from ..core.bitgemm import (
+    _sparse_plane_products,
+    bmm_plane_packed,
+    codes_gemm,
+    exact_gemm_dtype,
+)
+from ..core.bitpack import Operand, tile_nonzero_mask
 from ..errors import ShapeError
 from .registry import Backend, BackendCaps, BackendPrice, PriceContext
 
@@ -26,53 +32,33 @@ __all__ = ["builtin_backends"]
 
 
 # --------------------------------------------------------------------- #
-# Plane-product implementations
+# Implementations
 # --------------------------------------------------------------------- #
 def _run_packed(
-    a_packed: PackedBits,
-    b_packed: PackedBits,
-    tile_masks: Sequence[np.ndarray] | None = None,
+    a: Operand, b: Operand, tile_masks: Sequence[np.ndarray] | None = None
 ) -> np.ndarray:
     """Word-at-a-time AND+popcount on the packed words (ignores masks)."""
-    m, n = a_packed.logical_vectors, b_packed.logical_vectors
-    out = np.empty((a_packed.bits, b_packed.bits, m, n), dtype=np.int64)
-    for i in range(a_packed.bits):
-        for j in range(b_packed.bits):
+    a_packed, b_packed = a.packed, b.packed
+    m, n = a.logical_vectors, b.logical_vectors
+    out = np.zeros((m, n), dtype=np.int64)
+    for i in range(a.bits):
+        for j in range(b.bits):
             full = bmm_plane_packed(a_packed.plane(i), b_packed.plane(j))
-            out[i, j] = full[:m, :n]
-    return out
-
-
-def _run_blas(
-    a_packed: PackedBits,
-    b_packed: PackedBits,
-    tile_masks: Sequence[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Unpack the planes to float32 and multiply with BLAS — exact for 0/1
-    dot products of length ``K < BLAS_EXACT_K``, which plan compilation
-    enforces (``compile_gemm_step`` rejects, the pricer vetoes)."""
-    m, n = a_packed.logical_vectors, b_packed.logical_vectors
-    out = np.empty((a_packed.bits, b_packed.bits, m, n), dtype=np.int64)
-    a_planes = a_packed.to_planes().astype(np.float32)  # (ba, M, K)
-    b_planes = b_packed.to_planes().astype(np.float32)  # (bb, K, N)
-    for i in range(a_packed.bits):
-        for j in range(b_packed.bits):
-            out[i, j] = (a_planes[i] @ b_planes[j]).astype(np.int64)
+            out += full[:m, :n] << (i + j)
     return out
 
 
 def _run_sparse(
-    a_packed: PackedBits,
-    b_packed: PackedBits,
-    tile_masks: Sequence[np.ndarray] | None = None,
+    a: Operand, b: Operand, tile_masks: Sequence[np.ndarray] | None = None
 ) -> np.ndarray:
     """Zero-tile-skipping AND+popcount over only the non-zero 8x128 tiles
     of each A plane; bit-identical to ``packed`` (skipped tiles contribute
     nothing to any dot product)."""
-    m, n = a_packed.logical_vectors, b_packed.logical_vectors
-    out = np.empty((a_packed.bits, b_packed.bits, m, n), dtype=np.int64)
-    grid = (a_packed.padded_vectors // 8, a_packed.k_words // 4)
-    for i in range(a_packed.bits):
+    a_packed, b_packed = a.packed, b.packed
+    m, n = a.logical_vectors, b.logical_vectors
+    out = np.zeros((m, n), dtype=np.int64)
+    grid = (a.padded_vectors // 8, a.k_words // 4)
+    for i in range(a.bits):
         # One census per A plane, consumed by every B plane in a single
         # gathered pass (the host analogue of the §4.4 cross-tile schedule).
         mask = (
@@ -86,7 +72,8 @@ def _run_sparse(
                 f"{grid} tile grid of the plane"
             )
         full = _sparse_plane_products(a_packed.plane(i), b_packed.words, mask)
-        out[i] = full[:, :m, :n]
+        for j in range(b.bits):
+            out += full[j, :m, :n] << (i + j)
     return out
 
 
@@ -101,21 +88,19 @@ def _price_packed(ctx: PriceContext) -> BackendPrice:
 
 
 def _price_blas(ctx: PriceContext) -> BackendPrice:
+    # What codes_gemm runs: one call, 2*M*K*N multiply-adds over a float
+    # working set of both operands and the product.  (An upper bound for
+    # the adjacency, which enters as CSR and touches only its non-zeros.)
     r, spec = ctx.rates, ctx.spec
-    plane_bytes = 4 * (
-        spec.bits_a * spec.m * spec.k + spec.bits_b * spec.k * spec.n
-    )
+    itemsize = exact_gemm_dtype(spec.k, spec.bits_a, spec.bits_b).itemsize
+    working_set = itemsize * (spec.m * spec.k + spec.k * spec.n + spec.m * spec.n)
     seconds = (
-        ctx.pairs * r.blas_pair_overhead_s
-        + ctx.flops / r.blas_flops
-        + plane_bytes / r.unpack_bytes_per_s
+        r.blas_call_overhead_s + 2.0 * spec.m * spec.k * spec.n / r.blas_flops
     )
-    # Two resource vetoes: the unpacked-plane memory budget, and the
-    # float32 exactness bound _run_blas relies on but never checks.
-    vetoed = spec.k >= BLAS_EXACT_K or (
-        ctx.blas_bytes_budget is not None and plane_bytes > ctx.blas_bytes_budget
+    vetoed = (
+        ctx.blas_bytes_budget is not None and working_set > ctx.blas_bytes_budget
     )
-    return BackendPrice(seconds=seconds, bytes=plane_bytes, vetoed=vetoed)
+    return BackendPrice(seconds=seconds, bytes=working_set, vetoed=vetoed)
 
 
 def _price_sparse(ctx: PriceContext) -> BackendPrice:
@@ -143,7 +128,7 @@ def builtin_backends() -> tuple[Backend, Backend, Backend]:
     return (
         Backend(
             name="packed",
-            run_planes=_run_packed,
+            run=_run_packed,
             caps=BackendCaps(
                 summary="word-at-a-time popcount(a & b) on the uint32 storage"
             ),
@@ -151,15 +136,17 @@ def builtin_backends() -> tuple[Backend, Backend, Backend]:
         ),
         Backend(
             name="blas",
-            run_planes=_run_blas,
+            run=codes_gemm,
             caps=BackendCaps(
-                summary="unpack planes to float32, exact BLAS matmul"
+                consumes_words=False,
+                summary="one exact GEMM on the integer codes "
+                "(float32/float64/int64 by bound; CSR adjacency)",
             ),
             pricer=_price_blas,
         ),
         Backend(
             name="sparse",
-            run_planes=_run_sparse,
+            run=_run_sparse,
             caps=BackendCaps(
                 consumes_tile_masks=True,
                 summary="zero-tile-skipping popcount over non-zero 8x128 tiles",

@@ -3,9 +3,9 @@
 The smallest plan/execute loop: :func:`compile_gemm_plan` freezes one
 product's backend choice (and operand layout/bitwidth expectations) into
 a :class:`~repro.plan.ir.GemmStep`; :func:`execute_gemm_plan` replays it
-on new operands of the planned shape, validating that the plan actually
-describes them — a mutated shape raises instead of silently executing a
-stale decision.  The differential suite uses this to assert that replayed
+on new :class:`~repro.core.bitpack.Operand`\\ s of the planned shape,
+validating that the plan actually describes them — a mutated shape raises
+instead of silently executing a stale decision.  The differential suite uses this to assert that replayed
 plans are bit-identical to eager execution for every registered backend.
 
 The forward-pass executor (whole layers, affine corrections, calibration)
@@ -19,12 +19,12 @@ from typing import Sequence
 import numpy as np
 
 from ..core.bitgemm import bitgemm
-from ..core.bitpack import PackedBits, pack_matrix
+from ..core.bitpack import Operand, PackedBits, as_operand, check_pair
 from ..errors import ShapeError
 from .ir import GemmSpec, GemmStep, compile_gemm_step
 from .registry import BackendRegistry
 
-__all__ = ["compile_gemm_plan", "execute_gemm_plan", "execute_gemm_plan_codes"]
+__all__ = ["compile_gemm_plan", "execute_gemm_plan"]
 
 
 def compile_gemm_plan(
@@ -43,61 +43,35 @@ def compile_gemm_plan(
     return compile_gemm_step(spec, engine=engine, registry=registry)
 
 
-def _check_operands(step: GemmStep, a_packed: PackedBits, b_packed: PackedBits) -> None:
+def execute_gemm_plan(
+    step: GemmStep,
+    a: "Operand | PackedBits",
+    b: "Operand | PackedBits",
+    *,
+    tile_masks: Sequence[np.ndarray] | None = None,
+    registry: BackendRegistry | None = None,
+) -> np.ndarray:
+    """Replay a compiled step on operands of the planned shape.
+
+    Returns the exact int64 product, shape ``(M, N)``.  Raises
+    :class:`~repro.errors.ShapeError` when the operands do not match the
+    plan's shape/bitwidth expectations — a stale plan is an error, never
+    a silent wrong answer.
+    """
+    a, b = as_operand(a), as_operand(b)
+    check_pair(a, b)
     spec = step.spec
-    got = (a_packed.logical_vectors, a_packed.logical_k, b_packed.logical_vectors)
+    got = (a.logical_vectors, a.logical_k, b.logical_vectors)
     if got != (spec.m, spec.k, spec.n):
         raise ShapeError(
             f"plan compiled for a {spec.m}x{spec.k}x{spec.n} product does not "
             f"describe {got[0]}x{got[1]}x{got[2]} operands; compile a fresh plan"
         )
-    if (a_packed.bits, b_packed.bits) != (spec.bits_a, spec.bits_b):
+    if (a.bits, b.bits) != (spec.bits_a, spec.bits_b):
         raise ShapeError(
             f"plan compiled for {spec.bits_a}x{spec.bits_b}-bit operands does "
-            f"not describe {a_packed.bits}x{b_packed.bits}-bit operands; "
-            "compile a fresh plan"
+            f"not describe {a.bits}x{b.bits}-bit operands; compile a fresh plan"
         )
-    if a_packed.layout != step.pack_a.layout or b_packed.layout != step.pack_b.layout:
-        raise ShapeError(
-            f"plan expects layouts ({step.pack_a.layout!r}, {step.pack_b.layout!r}), "
-            f"got ({a_packed.layout!r}, {b_packed.layout!r})"
-        )
-
-
-def execute_gemm_plan(
-    step: GemmStep,
-    a_packed: PackedBits,
-    b_packed: PackedBits,
-    *,
-    tile_masks: Sequence[np.ndarray] | None = None,
-    registry: BackendRegistry | None = None,
-) -> np.ndarray:
-    """Replay a compiled step on packed operands of the planned shape.
-
-    Returns the exact int64 product, shape ``(M, N)``.  Raises
-    :class:`~repro.errors.ShapeError` when the operands do not match the
-    plan's shape/bitwidth/layout expectations — a stale plan is an error,
-    never a silent wrong answer.
-    """
-    _check_operands(step, a_packed, b_packed)
     return bitgemm(
-        a_packed,
-        b_packed,
-        engine=step.backend,
-        tile_masks=tile_masks,
-        registry=registry,
+        a, b, engine=step.backend, tile_masks=tile_masks, registry=registry
     )
-
-
-def execute_gemm_plan_codes(
-    step: GemmStep,
-    a_codes: np.ndarray,
-    b_codes: np.ndarray,
-    *,
-    registry: BackendRegistry | None = None,
-) -> np.ndarray:
-    """Convenience replay from integer codes: pack per the plan, execute."""
-    spec = step.spec
-    a_packed = pack_matrix(a_codes, spec.bits_a, layout=step.pack_a.layout)
-    b_packed = pack_matrix(b_codes, spec.bits_b, layout=step.pack_b.layout)
-    return execute_gemm_plan(step, a_packed, b_packed, registry=registry)

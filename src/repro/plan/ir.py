@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from ..core.bitgemm import BLAS_EXACT_K
 from ..core.bitpack import TC_K, TC_M, pad_to
 from ..errors import BitwidthError, ConfigError, ShapeError
 from .cache import PlanKey
@@ -264,11 +263,6 @@ def compile_gemm_step(
             f"a census step requires a 1-bit left operand, got {spec.bits_a}-bit"
         )
     backend = resolve_engine_name(engine, spec, registry)
-    if backend == "blas" and spec.k >= BLAS_EXACT_K:
-        raise ShapeError(
-            f"K={spec.k} is too large for the blas backend's exact float32 "
-            f"accumulation (K < {BLAS_EXACT_K}); compile for another backend"
-        )
     return GemmStep(
         spec=spec,
         backend=backend,

@@ -27,13 +27,12 @@ class HostRates:
     packed_flops:
         Sustained effective bit-FLOP/s of the packed AND+popcount engine.
     blas_flops:
-        Sustained float32 BLAS FLOP/s on plane products.
+        Sustained BLAS FLOP/s of the one-GEMM-on-codes engine.
     packed_pair_overhead_s:
         Per plane-pair dispatch overhead (row-block loop, temporaries).
-    blas_pair_overhead_s:
-        Per plane-pair BLAS call + epilogue overhead.
-    unpack_bytes_per_s:
-        Plane unpack throughput (``np.unpackbits`` + float32 cast).
+    blas_call_overhead_s:
+        Fixed cost of the blas engine's single call (operand views,
+        dispatch, the int64 cast of the product).
     sparse_group_overhead_s:
         Per tile-row-group overhead of the sparse engine (census lookup,
         operand gather, row scatter).  A block-diagonal batch has roughly
@@ -43,17 +42,16 @@ class HostRates:
     packed_flops: float = 3.2e10
     blas_flops: float = 5.5e10
     packed_pair_overhead_s: float = 60e-6
-    blas_pair_overhead_s: float = 25e-6
-    unpack_bytes_per_s: float = 2.5e9
+    blas_call_overhead_s: float = 25e-6
     sparse_group_overhead_s: float = 150e-6
 
     def __post_init__(self) -> None:
-        for name in ("packed_flops", "blas_flops", "unpack_bytes_per_s"):
+        for name in ("packed_flops", "blas_flops"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name in (
             "packed_pair_overhead_s",
-            "blas_pair_overhead_s",
+            "blas_call_overhead_s",
             "sparse_group_overhead_s",
         ):
             if getattr(self, name) < 0:

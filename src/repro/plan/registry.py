@@ -3,8 +3,8 @@
 :mod:`repro.core.bitgemm` historically hard-coded its three engines behind
 string literals.  Here an engine is a :class:`Backend` — a named object
 carrying capability metadata (:class:`BackendCaps`: bitwidth eligibility,
-operand-layout requirements), the plane-product implementation, and an
-optional cost pricer — registered by name in a :class:`BackendRegistry`.
+the operand form it reads), the GEMM implementation, and an optional cost
+pricer — registered by name in a :class:`BackendRegistry`.
 
 The existing ``engine=`` string/callable API everywhere in the repo is a
 compatibility shim over this registry: literal names are looked up,
@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import ConfigError, ShapeError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..core.bitpack import PackedBits
+    from ..core.bitpack import Operand
     from .autotune import DispatchTable
     from .ir import GemmSpec
     from .rates import HostRates
@@ -37,7 +37,7 @@ __all__ = [
     "BackendCaps",
     "BackendPrice",
     "BackendRegistry",
-    "PlaneRunner",
+    "GemmRunner",
     "PriceContext",
     "Pricer",
     "default_registry",
@@ -65,13 +65,13 @@ class BackendCaps:
     #: Inclusive right-operand bitwidth range the backend accepts.
     min_bits_b: int = 1
     max_bits_b: int = 32
-    #: Required operand layouts (every built-in backend consumes the
-    #: paper's column-compressed A / row-compressed B convention).
-    layout_a: str = "col"
-    layout_b: str = "row"
     #: Whether the backend can consume a precomputed per-plane tile census
     #: of the left operand (the serving tile-mask cache feeds these).
     consumes_tile_masks: bool = False
+    #: Whether ``run`` reads the operands' packed words: the forward
+    #: executor bit-packs activations ahead of the GEMM window only for
+    #: backends that do (``blas``, which multiplies codes, does not).
+    consumes_words: bool = True
     #: One-line human description for docs and introspection.
     summary: str = ""
 
@@ -90,8 +90,8 @@ class BackendPrice:
     #: Estimated host seconds (``inf`` when the backend cannot price the
     #: product, e.g. the sparse engine without an observed census).
     seconds: float
-    #: Working-set bytes the estimate charges (the blas engine's unpacked
-    #: float32 plane temporaries; 0 when not applicable).
+    #: Working-set bytes the estimate charges (the blas engine's float
+    #: operands and product; 0 when not applicable).
     bytes: int = 0
     #: True when the backend is excluded by a resource budget rather than
     #: by time (the blas memory veto).
@@ -121,8 +121,8 @@ class PriceContext:
     #: Measured non-zero tile fraction of the left operand, when a census
     #: has been observed for exactly this product's shape.
     tile_fraction: float | None = None
-    #: Byte budget for unpacked plane temporaries (the blas memory veto);
-    #: ``None`` disables the veto.
+    #: Byte budget for the blas engine's float working set (its memory
+    #: veto); ``None`` disables the veto.
     blas_bytes_budget: int | None = None
     #: Measured timing table consulted *before* the analytic pricer
     #: (see :mod:`repro.plan.autotune`); ``None`` keeps pricing analytic.
@@ -134,10 +134,10 @@ class PriceContext:
         return self.spec.bits_a * self.spec.bits_b
 
 
-#: Plane-product implementation: ``(a_packed, b_packed, tile_masks) ->``
-#: int64 array of shape ``(bits_a, bits_b, M, N)`` on the logical shapes.
-PlaneRunner = Callable[
-    ["PackedBits", "PackedBits", "Sequence[np.ndarray] | None"], np.ndarray
+#: GEMM implementation: ``(a, b, tile_masks) ->`` the exact int64 product
+#: of the two operands' codes, shape ``(M, N)`` on the logical shapes.
+GemmRunner = Callable[
+    ["Operand", "Operand", "Sequence[np.ndarray] | None"], np.ndarray
 ]
 #: Cost pricer: modeled host seconds (and veto state) for one product.
 Pricer = Callable[[PriceContext], BackendPrice]
@@ -152,9 +152,9 @@ class Backend:
     name:
         Registry key; also the string the ``engine=`` compatibility shim
         and :data:`~repro.core.bitgemm.EngineSelector` callables use.
-    run_planes:
-        The implementation: all pairwise 1-bit plane products of two
-        packed operands (see :data:`PlaneRunner`).
+    run:
+        The implementation: the reduced ``(M, N)`` int64 product of two
+        :class:`~repro.core.bitpack.Operand`\\ s (see :data:`GemmRunner`).
     caps:
         Capability metadata consulted before pricing/execution.
     pricer:
@@ -163,7 +163,7 @@ class Backend:
     """
 
     name: str
-    run_planes: PlaneRunner
+    run: GemmRunner
     caps: BackendCaps = field(default_factory=BackendCaps)
     pricer: Pricer | None = None
 

@@ -11,15 +11,15 @@ which prices each product by handing every eligible registered backend a
 plus the calibrated :class:`~repro.plan.rates.HostRates` — and picking
 the cheapest answer:
 
-* both dense engines pay a per-plane-pair call overhead plus padded
-  bit-FLOPs divided by a sustained rate (the packed popcount path is
-  several times slower per FLOP than BLAS, measured on the shipped
-  workloads);
-* the BLAS engine additionally pays to unpack the planes — and is vetoed
-  outright when its float32 plane temporaries
-  (``bits_a*M*K + bits_b*K*N`` floats) would exceed ``blas_bytes_budget``,
-  the regime where the packed engine's 32x denser operands win by not
-  thrashing memory;
+* the packed engine pays a per-plane-pair call overhead plus padded
+  bit-FLOPs (over all ``bits_a * bits_b`` pairs) divided by a sustained
+  popcount rate;
+* the BLAS engine runs one GEMM on the integer codes whatever the
+  bitwidths — one call overhead plus ``2*M*K*N`` FLOPs at the BLAS rate —
+  and is vetoed outright when its float working set
+  (``M*K + K*N + M*N`` elements of the exact dtype) would exceed
+  ``blas_bytes_budget``, the regime where the packed engine's 32x denser
+  operands win by not thrashing memory;
 * the sparse engine pays the packed rate on only the *measured* non-zero
   tile fraction of the left operand, plus a per-tile-row-group gather
   overhead.  The fraction is an observation, not a guess: the serving
@@ -119,14 +119,12 @@ class CostModelDispatcher:
     # subclass recalibrations keep working.  New code passes ``rates=``.
     #: Sustained effective bit-FLOP/s of the packed AND+popcount engine.
     PACKED_FLOPS = 3.2e10
-    #: Sustained float32 BLAS FLOP/s on plane products.
+    #: Sustained BLAS FLOP/s of the one-GEMM-on-codes engine.
     BLAS_FLOPS = 5.5e10
     #: Per plane-pair dispatch overhead (row-block loop, temporaries).
     PACKED_PAIR_OVERHEAD_S = 60e-6
-    #: Per plane-pair BLAS call + epilogue overhead.
-    BLAS_PAIR_OVERHEAD_S = 25e-6
-    #: Plane unpack throughput (``np.unpackbits`` + float32 cast).
-    UNPACK_BYTES_PER_S = 2.5e9
+    #: Fixed cost of the blas engine's single call.
+    BLAS_CALL_OVERHEAD_S = 25e-6
     #: Per tile-row-group overhead of the sparse engine (census lookup,
     #: operand gather, row scatter).  A block-diagonal batch has roughly
     #: one group per member ~= ``1/fraction`` groups.
@@ -158,8 +156,7 @@ class CostModelDispatcher:
             packed_flops=self.PACKED_FLOPS,
             blas_flops=self.BLAS_FLOPS,
             packed_pair_overhead_s=self.PACKED_PAIR_OVERHEAD_S,
-            blas_pair_overhead_s=self.BLAS_PAIR_OVERHEAD_S,
-            unpack_bytes_per_s=self.UNPACK_BYTES_PER_S,
+            blas_call_overhead_s=self.BLAS_CALL_OVERHEAD_S,
             sparse_group_overhead_s=self.SPARSE_GROUP_OVERHEAD_S,
         )
         # None check, not truthiness: an empty caller registry is falsy

@@ -1005,9 +1005,10 @@ class InferenceEngine:
             apply_softmax=self.config.apply_softmax,
             recovery=self._recovery,
         )
+        executed_s = time.perf_counter() - start
         self.stats.step_retries += len(forward.recoveries)
         pack_s, plan_s = resolve_seconds
-        elapsed = time.perf_counter() - start + pack_s + plan_s
+        elapsed = executed_s + pack_s + plan_s
         self.stats.wall_s += elapsed
         self.stats.recent_round_seconds.append(elapsed)
         for backend, seconds in step_time_attribution(forward.timings).items():
@@ -1016,15 +1017,22 @@ class InferenceEngine:
             )
         # Phase attribution of the measured window: the two artifact
         # sub-windows (adjacency resolution, plan lookup/compile), kernel
-        # preparation, and the executor's per-phase timings, so (nearly)
-        # every wall_s second has a named owner in the perf report.
+        # preparation, the executor's per-phase timings, and — as its own
+        # ``round_glue`` phase — whatever of the prepare + execute window
+        # none of those own (argument checks, operand construction, result
+        # assembly), so every wall_s second has a named owner.
+        owned = [
+            ("plan_lower", lower_s),
+            ("kernel_compile", compile_s),
+            *((timing.phase, timing.seconds) for timing in forward.phases),
+        ]
+        glue_s = max(executed_s - sum(seconds for _, seconds in owned), 0.0)
         phase_seconds = self.stats.phase_seconds
         for phase, seconds in (
             ("pack_adjacency", pack_s),
             ("plan_compile", plan_s),
-            ("plan_lower", lower_s),
-            ("kernel_compile", compile_s),
-            *((timing.phase, timing.seconds) for timing in forward.phases),
+            *owned,
+            ("round_glue", glue_s),
         ):
             phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
         if self.config.record_timings and isinstance(self._engine, CostModelDispatcher):

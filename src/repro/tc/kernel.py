@@ -15,9 +15,10 @@ Two execution paths produce **identical** results and counters:
   bmma is performed one tile at a time.  O(python) per tile, so tests use
   small shapes.
 * :meth:`BitGemmKernel.run` — the fast path.  The functional result comes
-  from the vectorized packed/BLAS engine (zero tiles contribute nothing, so
+  from a registered host backend (zero tiles contribute nothing, so
   skipping them never changes the product), and the counters are derived in
-  closed form from the *measured* per-plane zero-tile masks.  The test
+  closed form from the operands' padded geometry and the *measured*
+  per-plane zero-tile masks — never from what the host engine ran.  The test
   suite asserts tile-loop and fast-path equality on both outputs.
 """
 
@@ -29,8 +30,8 @@ from typing import Literal
 import numpy as np
 
 from ..core.bitgemm import Engine, bitgemm
-from ..core.bitpack import PackedBits, tile_nonzero_mask
-from ..errors import PackingError, ShapeError
+from ..core.bitpack import Operand, PackedBits, as_operand, check_pair, tile_nonzero_mask
+from ..errors import ShapeError
 from .counters import KernelCounters
 from .fragments import make_fragment
 from .wmma import TILE_ACCUM_BYTES, TILE_OPERAND_BYTES, bmma_sync, load_matrix_sync, store_matrix_sync
@@ -164,7 +165,7 @@ class TileSkipPlan:
             total_tiles=self.total_tiles, nonzero_tiles=self.nonzero_tiles
         )
 
-    def matches(self, operand: PackedBits) -> bool:
+    def matches(self, operand: "Operand | PackedBits") -> bool:
         """Whether this plan describes ``operand``'s plane/tile geometry."""
         return self.bits == operand.bits and self.tile_grid == (
             operand.padded_vectors // 8,
@@ -301,17 +302,6 @@ def derive_tile_counters(
     return c
 
 
-def _check_operands(a: PackedBits, b: PackedBits) -> None:
-    if a.layout != "col":
-        raise PackingError("left operand must be column-wise compressed")
-    if b.layout != "row":
-        raise PackingError("right operand must be row-wise compressed")
-    if a.logical_k != b.logical_k:
-        raise ShapeError(
-            f"reduction dims differ: K_A={a.logical_k} vs K_B={b.logical_k}"
-        )
-
-
 class BitGemmKernel:
     """Emulated QGTC GEMM kernel; see module docstring."""
 
@@ -323,8 +313,8 @@ class BitGemmKernel:
     # ------------------------------------------------------------------ #
     def run(
         self,
-        a: PackedBits,
-        b: PackedBits,
+        a: "Operand | PackedBits",
+        b: "Operand | PackedBits",
         *,
         engine: Engine = "auto",
         plan: TileSkipPlan | None = None,
@@ -340,8 +330,13 @@ class BitGemmKernel:
         exactly once per operand instead of once per launch.  ``registry``
         resolves ``engine`` against a non-default
         :class:`~repro.plan.registry.BackendRegistry`.
+
+        Operands are :class:`~repro.core.bitpack.Operand`\\ s (a bare
+        :class:`PackedBits` is wrapped); only the ballot of a 1-bit left
+        operand reads packed words here.
         """
-        _check_operands(a, b)
+        a, b = as_operand(a), as_operand(b)
+        check_pair(a, b)
         if plan is not None and not plan.matches(a):
             raise ShapeError(
                 f"tile-skip plan for grid {plan.tile_grid} x {plan.bits} planes "
@@ -349,7 +344,7 @@ class BitGemmKernel:
                 f"({a.padded_vectors // 8}, {a.k_words // 4}) x {a.bits}"
             )
         if plan is None and (self.config.zero_tile_jumping and a.bits == 1):
-            plan = plan_tile_skip(a)
+            plan = plan_tile_skip(a.packed)
         counters = self._derive_counters(a, b, plan)
         output = bitgemm(
             a,
@@ -361,7 +356,7 @@ class BitGemmKernel:
         return KernelResult(output=output, counters=counters)
 
     def _derive_counters(
-        self, a: PackedBits, b: PackedBits, plan: TileSkipPlan | None = None
+        self, a: Operand, b: Operand, plan: TileSkipPlan | None
     ) -> KernelCounters:
         mt = a.padded_vectors // 8
         kt = a.k_words // 4
@@ -369,8 +364,6 @@ class BitGemmKernel:
         jumping = self.config.zero_tile_jumping and a.bits == 1
         total_mk = mt * kt
         if jumping:
-            if plan is None:
-                plan = plan_tile_skip(a)
             processed_per_plane = plan.processed_per_plane()
         else:
             processed_per_plane = [total_mk] * a.bits
@@ -397,7 +390,7 @@ class BitGemmKernel:
         O(interpreted-python) per tile.  Used by tests and by anyone who
         wants to trace exactly what the CUDA kernel would do.
         """
-        _check_operands(a, b)
+        check_pair(a, b)
         mt = a.padded_vectors // 8
         kt = a.k_words // 4
         nt = b.padded_vectors // 8

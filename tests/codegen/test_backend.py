@@ -18,6 +18,7 @@ from repro.graph import induced_subgraphs
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
 from repro.plan import (
+    BackendRegistry,
     GemmSpec,
     PlanCache,
     autotune,
@@ -184,11 +185,15 @@ class TestAutotuneRouting:
     def test_autotune_routes_a_bucket_to_codegen(self):
         # The acceptance-mode check: on measurements alone (conservative
         # analytic price never prefers codegen), at least one censused
-        # aggregation bucket must route to the compiled kernels.
-        rng = np.random.default_rng(0)
+        # aggregation bucket must route to the compiled kernels — among
+        # the word engines they specialize.  (``blas``, one GEMM on the
+        # codes, takes this bucket outright when it is registered.)
+        registry = BackendRegistry(
+            [b for b in default_registry() if b.caps.consumes_words]
+        )
         spec = GemmSpec(m=512, k=512, n=32, bits_a=1, bits_b=2)
         fraction = 0.25
-        table = autotune([(spec, fraction)], passes=3, seed=0)
+        table = autotune([(spec, fraction)], registry=registry, passes=3, seed=0)
         bucket = bucket_for(spec, fraction)
         medians = {
             name: table.median(bucket, name)
@@ -196,7 +201,7 @@ class TestAutotuneRouting:
             if table.median(bucket, name) is not None
         }
         assert "codegen" in medians
-        dispatcher = CostModelDispatcher(table=table)
+        dispatcher = CostModelDispatcher(table=table, registry=registry)
         dispatcher.observe_tile_fraction(fraction, nodes=spec.m)
         decision = dispatcher.decide(
             spec.m, spec.k, spec.n, spec.bits_a, spec.bits_b
@@ -210,7 +215,7 @@ class TestAutotuneRouting:
         # Without measurements the dispatcher must keep its historical
         # choices: codegen prices strictly above the engine it
         # specializes, so cold-table routing is unchanged.
-        dispatcher = CostModelDispatcher()
+        dispatcher = CostModelDispatcher(blas_bytes_budget=1 << 20)
         dispatcher.observe_tile_fraction(0.1, nodes=2048)
         decision = dispatcher.decide(2048, 2048, 64, 1, 8)
         assert decision.engine == "sparse"

@@ -11,13 +11,13 @@ from repro.core.bitgemm import (
     bitgemm,
     bitgemm_codes,
     bitgemm_planes,
-    bmm_plane_blas,
     bmm_plane_packed,
+    codes_gemm,
     matmul_int_reference,
     scalar_mul_decomposed,
     vector_dot_decomposed,
 )
-from repro.core.bitpack import pack_matrix
+from repro.core.bitpack import Operand, pack_matrix
 from repro.errors import BitwidthError, PackingError, ShapeError
 
 
@@ -58,26 +58,25 @@ class TestVectorDecomposed:
 
 
 class TestPlaneKernels:
-    def test_packed_equals_blas(self, rng):
+    def test_packed_equals_codes_gemm(self, rng):
         a = rng.integers(0, 2, (17, 260)).astype(np.uint8)
         b = rng.integers(0, 2, (260, 9)).astype(np.uint8)
         pa = pack_matrix(a, 1, layout="col")
         pb = pack_matrix(b, 1, layout="row")
         packed = bmm_plane_packed(pa.plane(0), pb.plane(0))
-        blas = bmm_plane_blas(pa.to_planes()[0], pb.to_planes()[0].T)
-        np.testing.assert_array_equal(packed[:17, :9], blas)
-        np.testing.assert_array_equal(blas, (a.astype(np.int64) @ b.astype(np.int64)))
+        # From words (the 1-bit left operand enters as CSR) and from codes.
+        for left in (Operand(packed=pa), Operand(a, 1, "col")):
+            blas = codes_gemm(left, Operand(packed=pb))
+            np.testing.assert_array_equal(packed[:17, :9], blas)
+            np.testing.assert_array_equal(
+                blas, (a.astype(np.int64) @ b.astype(np.int64))
+            )
 
     def test_packed_rejects_bad_shapes(self):
         with pytest.raises(ShapeError):
             bmm_plane_packed(np.zeros((2, 3), np.uint32), np.zeros((2, 4), np.uint32))
         with pytest.raises(ShapeError):
             bmm_plane_packed(np.zeros(3, np.uint32), np.zeros(3, np.uint32))
-
-    def test_blas_rejects_huge_k(self):
-        a = np.zeros((1, 1 << 24), np.uint8)
-        with pytest.raises(ShapeError):
-            bmm_plane_blas(a, a)
 
     def test_row_blocking_boundary(self, rng):
         # Exercise the blocked path across a block boundary.

@@ -28,13 +28,12 @@ from repro.core.bitgemm import (
     bmm_plane_packed_sparse,
     matmul_int_reference,
 )
-from repro.core.bitpack import pack_matrix, tile_nonzero_mask
+from repro.core.bitpack import Operand, pack_matrix, tile_nonzero_mask
 from repro.errors import ShapeError
 from repro.plan import (
     compile_gemm_plan,
     default_registry,
     execute_gemm_plan,
-    execute_gemm_plan_codes,
 )
 
 #: Shape corners of the sweep: (M, K, N).
@@ -279,6 +278,14 @@ class TestPlanCompileReplay:
         b = _codes(rng, (self.K, self.N), self.BITS_B)
         return a, b
 
+    def _replay(self, step, a, b):
+        """Replay ``step`` on integer codes, in the plan's layouts."""
+        return execute_gemm_plan(
+            step,
+            Operand(a, self.BITS_A, step.pack_a.layout),
+            Operand(b, self.BITS_B, step.pack_b.layout),
+        )
+
     def test_replay_matches_eager_for_all_registered_backends(self):
         for backend in default_registry():
             step = compile_gemm_plan(
@@ -289,7 +296,7 @@ class TestPlanCompileReplay:
             # Replay the one compiled plan on several fresh same-shape inputs.
             for seed in range(3):
                 a, b = self._operands(seed)
-                replayed = execute_gemm_plan_codes(step, a, b)
+                replayed = self._replay(step, a, b)
                 eager = bitgemm_codes(
                     a, b, self.BITS_A, self.BITS_B, engine=backend.name
                 )
@@ -316,10 +323,10 @@ class TestPlanCompileReplay:
         a, b = self._operands(0)
         # Mutated M: one extra row must refuse to replay, not mis-execute.
         with pytest.raises(ShapeError, match="fresh plan"):
-            execute_gemm_plan_codes(step, np.vstack([a, a[:1]]), b)
+            self._replay(step, np.vstack([a, a[:1]]), b)
         # Mutated N likewise.
         with pytest.raises(ShapeError, match="fresh plan"):
-            execute_gemm_plan_codes(step, a, b[:, :-1])
+            self._replay(step, a, b[:, :-1])
 
     def test_mutated_bitwidth_invalidates_plan(self):
         step = compile_gemm_plan(

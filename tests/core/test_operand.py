@@ -1,0 +1,224 @@
+"""The codes-first GEMM contract: :class:`~repro.core.bitpack.Operand`,
+``Backend.run`` on every registered backend, the exact-dtype boundaries of
+the one-GEMM ``blas`` engine, and the CSR view of a packed adjacency."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.bitgemm import (
+    bitgemm,
+    codes_gemm,
+    exact_gemm_dtype,
+    matmul_int_reference,
+)
+from repro.core.bitpack import Operand, pack_edges, pack_matrix
+from repro.errors import BitwidthError, PackingError, ShapeError
+from repro.gnn.quantized import pack_batch_adjacency
+from repro.graph.batching import batch_subgraphs, induced_subgraphs
+from repro.graph.generators import planted_partition_graph
+from repro.partition import metis_like_partition
+from repro.plan import default_registry
+
+#: Shapes off every padding boundary: ``M % 8 != 0``, ``K % 128 != 0``,
+#: ``K = 1``, a tile-aligned one, and operands with an empty axis.
+SHAPES = [
+    (13, 150, 5),
+    (9, 1, 3),
+    (8, 128, 8),
+    (1, 129, 17),
+    (0, 40, 6),
+    (7, 40, 0),
+    (5, 0, 4),
+]
+
+
+def _codes(rng: np.random.Generator, shape, bits: int) -> np.ndarray:
+    return rng.integers(0, 1 << bits, size=shape, dtype=np.int64)
+
+
+class TestEveryBackendOnBothForms:
+    @settings(max_examples=60)
+    @given(
+        bits_a=st.integers(1, 8),
+        bits_b=st.integers(1, 8),
+        shape=st.sampled_from(SHAPES),
+        seed=st.integers(0, 2**16),
+    )
+    def test_run_equals_int64_oracle(self, bits_a, bits_b, shape, seed):
+        m, k, n = shape
+        rng = np.random.default_rng(seed)
+        a, b = _codes(rng, (m, k), bits_a), _codes(rng, (k, n), bits_b)
+        want = matmul_int_reference(a, b)
+        for backend in default_registry():
+            from_codes = backend.run(
+                Operand(a, bits_a, "col"), Operand(b, bits_b, "row"), None
+            )
+            from_words = backend.run(
+                Operand(packed=pack_matrix(a, bits_a, layout="col")),
+                Operand(packed=pack_matrix(b, bits_b, layout="row")),
+                None,
+            )
+            for got in (from_codes, from_words):
+                assert got.dtype == np.int64 and got.shape == (m, n)
+                np.testing.assert_array_equal(got, want, err_msg=backend.name)
+
+    @settings(max_examples=60)
+    @given(
+        bits=st.integers(1, 8),
+        shape=st.sampled_from(SHAPES),
+        layout=st.sampled_from(["col", "row"]),
+        pad=st.sampled_from([8, 128]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_round_trip_and_geometry_match_pack_matrix(
+        self, bits, shape, layout, pad, seed
+    ):
+        rows, cols = shape[0], shape[1]
+        codes = _codes(np.random.default_rng(seed), (rows, cols), bits)
+        packed = pack_matrix(codes, bits, layout=layout, pad_vectors=pad)
+        operand = Operand(codes, bits, layout, pad_vectors=pad)
+        # Geometry comes from the logical dims alone — before any pack.
+        assert operand._packed is None
+        assert operand.padded_vectors == packed.padded_vectors
+        assert operand.k_words == packed.k_words
+        assert (operand.logical_vectors, operand.logical_k) == (
+            packed.logical_vectors,
+            packed.logical_k,
+        )
+        np.testing.assert_array_equal(operand.packed.words, packed.words)
+        assert operand.packed is operand.packed  # memoised
+        # ... and words -> codes.
+        back = Operand(packed=packed)
+        assert back._codes is None
+        np.testing.assert_array_equal(back.codes, codes)
+        assert back.codes is back.codes  # memoised
+        assert (back.padded_vectors, back.k_words) == (
+            packed.padded_vectors,
+            packed.k_words,
+        )
+
+    def test_needs_exactly_one_form(self):
+        codes = np.zeros((2, 2), np.int64)
+        with pytest.raises(PackingError):
+            Operand()
+        with pytest.raises(PackingError):
+            Operand(codes, 1, packed=pack_matrix(codes, 1))
+        with pytest.raises(ShapeError):
+            Operand(np.zeros(3, np.int64), 1)
+
+
+class TestExactnessBoundaries:
+    """Worst-case (all-max) codes on either side of each dtype bound."""
+
+    @staticmethod
+    def _all_max(m, k, n, bits_a, bits_b):
+        a = np.full((m, k), (1 << bits_a) - 1, dtype=np.int64)
+        b = np.full((k, n), (1 << bits_b) - 1, dtype=np.int64)
+        return a, b
+
+    @pytest.mark.parametrize(
+        "k, dtype", [(258, np.float32), (259, np.float64)]
+    )
+    def test_float32_bound_8x8_bit(self, k, dtype):
+        # 258 * 255**2 = 16_776_450 < 2**24 <= 259 * 255**2.
+        assert exact_gemm_dtype(k, 8, 8) == dtype
+        a, b = self._all_max(3, k, 2, 8, 8)
+        got = codes_gemm(Operand(a, 8, "col"), Operand(b, 8, "row"))
+        np.testing.assert_array_equal(got, matmul_int_reference(a, b))
+        np.testing.assert_array_equal(
+            bitgemm(Operand(a, 8, "col"), Operand(b, 8, "row"), engine="blas"),
+            bitgemm(Operand(a, 8, "col"), Operand(b, 8, "row"), engine="packed"),
+        )
+
+    @pytest.mark.parametrize("k, dtype", [(1, np.float64), (2, np.int64)])
+    def test_float64_bound_26x27_bit(self, k, dtype):
+        # (2**26 - 1) * (2**27 - 1) < 2**53 <= twice that.
+        assert exact_gemm_dtype(k, 26, 27) == dtype
+        a, b = self._all_max(2, k, 2, 26, 27)
+        got = codes_gemm(Operand(a, 26, "col"), Operand(b, 27, "row"))
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, matmul_int_reference(a, b))
+
+    def test_one_bit_adjacency_bound_counts_k(self):
+        # 1-bit x 8-bit: exact in float32 up to K = 65_793 (K * 255 < 2**24).
+        assert exact_gemm_dtype(65_793, 1, 8) == np.float32
+        assert exact_gemm_dtype(65_794, 1, 8) == np.float64
+
+    def test_out_of_range_and_negative_codes_raise(self):
+        with pytest.raises(BitwidthError, match="does not fit"):
+            Operand(np.array([[0, 256]]), 8, "col")
+        with pytest.raises(BitwidthError, match="non-negative"):
+            Operand(np.array([[0, -1]]), 8, "col")
+        with pytest.raises(BitwidthError):
+            Operand(np.array([[0.5]]), 8, "col")
+
+
+class TestCsrFromWords:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_dense_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        # 77 columns: two full words and a last partial one.
+        adj = (rng.random((45, 77)) < 0.08).astype(np.int64)
+        adj[3] = 0  # empty rows, first, middle and last
+        adj[0] = 0
+        adj[-1] = 0
+        adj[7, 32:64] = 1  # a full 32-bit word
+        adj[9, 64:] = 1  # the whole partial word
+        operand = Operand(packed=pack_matrix(adj, 1, layout="col"))
+        csr = operand.matrix(np.float32)
+        assert sp.issparse(csr) and csr.format == "csr"
+        assert csr.shape == adj.shape and csr.dtype == np.float32
+        assert csr.has_sorted_indices
+        np.testing.assert_array_equal(csr.toarray(), adj)
+        assert operand.matrix(np.float32) is csr  # memoised
+        np.testing.assert_array_equal(operand.matrix(np.int64).toarray(), adj)
+        x = rng.integers(0, 256, size=(77, 6), dtype=np.int64)
+        np.testing.assert_array_equal(
+            codes_gemm(operand, Operand(x, 8, "row")), adj @ x
+        )
+        assert operand._codes is None  # never densified
+
+    def test_only_a_words_only_one_bit_left_operand_is_sparse(self):
+        codes = np.ones((4, 4), np.int64)
+        for other in (
+            Operand(codes, 1, "col"),  # has codes: dense
+            Operand(packed=pack_matrix(codes, 2, layout="col")),
+            Operand(packed=pack_matrix(codes, 1, layout="row")),
+        ):
+            dense = other.matrix(np.float32)
+            assert isinstance(dense, np.ndarray) and dense.dtype == np.float32
+            np.testing.assert_array_equal(dense, codes)
+
+    def test_matches_pack_edges_coordinates(self, rng):
+        rows = rng.integers(0, 300, size=900)
+        cols = rng.integers(0, 300, size=900)
+        csr = Operand(packed=pack_edges(rows, cols, 300, 300)).matrix(np.float64)
+        want = np.zeros((300, 300))
+        want[rows, cols] = 1
+        np.testing.assert_array_equal(csr.toarray(), want)
+
+    def test_adjacency_operand_stays_near_packed_size(self):
+        g = planted_partition_graph(
+            2048, 12000, num_communities=16, feature_dim=8, num_classes=4,
+            rng=np.random.default_rng(5),
+        )
+        subs = induced_subgraphs(g, metis_like_partition(g, 16))
+        batch = next(batch_subgraphs(subs, 16))
+        assert batch.num_nodes == 2048
+        adjacency = pack_batch_adjacency(batch)
+        operand = adjacency.operand
+        assert adjacency.operand is operand  # memoised on the artifact
+        x = np.random.default_rng(0).integers(0, 256, size=(2048, 16))
+        np.testing.assert_array_equal(
+            codes_gemm(operand, Operand(x, 8, "row")),
+            bitgemm(adjacency.packed, Operand(x, 8, "row"), engine="packed"),
+        )
+        csr = operand.matrix(exact_gemm_dtype(2048, 1, 8))
+        extra = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+        assert extra <= 4 * adjacency.packed.nbytes
+        assert operand._codes is None

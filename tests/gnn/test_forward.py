@@ -137,3 +137,52 @@ class TestQuantizedForward:
         for (codes, params), w in zip(cached, gcn.weights):
             assert codes.shape == w.shape
             assert params.bits == 4
+
+
+class TestActivationsPackOnlyForWordBackends:
+    """Structural, hardware-independent: which forwards bit-pack their
+    activations, counted at ``Operand.pack``'s call into ``pack_matrix``
+    (weights and the adjacency are packed through other bindings)."""
+
+    @staticmethod
+    def _count_packs(monkeypatch):
+        from repro.core import bitpack
+
+        calls = []
+        real = bitpack.pack_matrix
+
+        def counting(codes, bits, layout="col", **kwargs):
+            calls.append((bits, layout))
+            return real(codes, bits, layout, **kwargs)
+
+        monkeypatch.setattr(bitpack, "pack_matrix", counting)
+        return calls
+
+    def test_8bit_blas_packs_nothing_packed_packs_every_gemm(
+        self, batch, gcn, monkeypatch
+    ):
+        calls = self._count_packs(monkeypatch)
+        on_blas = quantized_forward(gcn, batch, feature_bits=8, engine="blas")
+        assert calls == []
+        on_packed = quantized_forward(gcn, batch, feature_bits=8, engine="packed")
+        assert len(calls) == len(on_packed.timings) == 2 * gcn.num_layers
+        np.testing.assert_array_equal(on_blas.logits, on_packed.logits)
+
+    def test_1bit_counters_identical_on_every_backend(self, batch, gcn, monkeypatch):
+        from repro.plan import default_registry
+
+        calls = self._count_packs(monkeypatch)
+        results = {}
+        for name in default_registry().names():
+            del calls[:]
+            results[name] = quantized_forward(
+                gcn, batch, feature_bits=1, engine=name
+            )
+            # The 1-bit update operand is balloted for the modeled skip
+            # counters whichever backend runs, so it is always packed.
+            assert ("col" in {layout for _, layout in calls}), name
+        reference = results["packed"]
+        assert reference.total_counters.tiles_skipped > 0
+        for name, result in results.items():
+            assert result.total_counters == reference.total_counters, name
+            np.testing.assert_array_equal(result.logits, reference.logits)

@@ -55,6 +55,23 @@ class TestEnginePag:
             pag.attributed_s, sum(n.seconds for n in phases), rel_tol=1e-9
         )
 
+    def test_round_glue_is_its_own_phase_node(self, served_engine):
+        # What the round's measured window spends outside every attributed
+        # phase (argument checks, operand construction, result assembly)
+        # is a phase of its own, so coverage holds by construction however
+        # cheap the GEMM gets.
+        pag = build_pag(served_engine)
+        phases = {n.name: n for n in pag.nodes("phase")}
+        assert "round_glue" in phases
+        assert phases["round_glue"].seconds > 0.0
+        assert phases["round_glue"].seconds == pytest.approx(
+            served_engine.stats.phase_seconds["round_glue"]
+        )
+        assert math.isclose(
+            pag.attributed_s, sum(n.seconds for n in phases.values()), rel_tol=1e-9
+        )
+        assert pag.coverage() == pytest.approx(1.0, abs=1e-6)
+
     def test_backend_split_agrees_with_gemm_phase(self, served_engine):
         pag = build_pag(served_engine)
         (gemm,) = [n for n in pag.nodes("phase") if n.name == "gemm"]

@@ -197,7 +197,7 @@ class TestTunedPricing:
     def test_pricerless_backend_becomes_routable_once_tuned(self):
         spec = _spec()
         oracle = Backend(
-            name="oracle", run_planes=lambda a, b, m=None: None
+            name="oracle", run=lambda a, b, m=None: None
         )
         registry = BackendRegistry(builtin_backends())
         registry.register(oracle)
@@ -405,8 +405,8 @@ class TestAutotuner:
 
         rng = np.random.default_rng(3)
         spec = _spec(m=256, k=1024, n=8, bits_a=1, bits_b=1)
-        a_packed, _ = synthesize_operands(spec, 0.25, rng)
-        measured = tile_nonzero_mask(a_packed.plane(0)).mean()
+        a, _ = synthesize_operands(spec, 0.25, rng)
+        measured = tile_nonzero_mask(a.packed.plane(0)).mean()
         assert 0.1 < measured <= 0.3  # near the request (tiles may be empty)
 
     def test_rejects_invalid_passes(self):

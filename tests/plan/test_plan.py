@@ -123,7 +123,9 @@ class TestCompileForwardPlan:
         assert next(gin_plan.gemm_steps()).spec.role == "update"
 
     def test_dispatcher_decisions_frozen_into_plan(self, gcn):
-        dispatcher = CostModelDispatcher()
+        # A budget the adjacency's float working set exceeds, so the
+        # aggregation is priced among the word engines only.
+        dispatcher = CostModelDispatcher(blas_bytes_budget=1 << 20)
         dispatcher.observe_tile_fraction(1 / 16, nodes=2048)
         plan = compile_forward_plan(
             gcn, num_nodes=2048, feature_bits=8, engine=dispatcher
@@ -141,21 +143,11 @@ class TestCompileForwardPlan:
         # replay through execute_forward_plan with that same registry.
         from repro.plan import Backend, BackendRegistry, builtin_backends
 
-        def oracle(a_packed, b_packed, tile_masks=None):
-            a_planes = a_packed.to_planes().astype(np.int64)
-            b_planes = b_packed.to_planes().astype(np.int64)
-            out = np.empty(
-                (a_packed.bits, b_packed.bits, a_packed.logical_vectors,
-                 b_packed.logical_vectors),
-                dtype=np.int64,
-            )
-            for i in range(a_packed.bits):
-                for j in range(b_packed.bits):
-                    out[i, j] = a_planes[i] @ b_planes[j]
-            return out
+        def oracle(a, b, tile_masks=None):
+            return a.codes @ b.codes
 
         registry = BackendRegistry(builtin_backends())
-        registry.register(Backend(name="oracle", run_planes=oracle))
+        registry.register(Backend(name="oracle", run=oracle))
         plan = compile_forward_plan(
             gcn, num_nodes=batch.num_nodes, feature_bits=4,
             engine="oracle", registry=registry,

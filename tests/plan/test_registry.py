@@ -8,12 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.bitgemm import (
-    BLAS_EXACT_K,
-    bitgemm,
-    bitgemm_codes,
-    matmul_int_reference,
-)
+from repro.core.bitgemm import bitgemm, bitgemm_codes, matmul_int_reference
 from repro.core.bitpack import pack_matrix
 from repro.errors import ConfigError, ShapeError
 from repro.plan import (
@@ -34,23 +29,12 @@ from repro.serving.dispatch import CostModelDispatcher
 
 
 def _reference_backend(name: str = "reference") -> Backend:
-    """A custom backend: unpack the planes and multiply in int64."""
+    """A custom backend: multiply the operands' codes in int64."""
 
-    def run_planes(a_packed, b_packed, tile_masks=None):
-        a_planes = a_packed.to_planes().astype(np.int64)
-        b_planes = b_packed.to_planes().astype(np.int64)
-        out = np.empty(
-            (a_packed.bits, b_packed.bits, a_packed.logical_vectors,
-             b_packed.logical_vectors),
-            dtype=np.int64,
-        )
-        for i in range(a_packed.bits):
-            for j in range(b_packed.bits):
-                out[i, j] = a_planes[i] @ b_planes[j]
-        return out
+    def run(a, b, tile_masks=None):
+        return a.codes @ b.codes
 
-    return Backend(name=name, run_planes=run_planes,
-                   caps=BackendCaps(summary="int64 oracle"))
+    return Backend(name=name, run=run, caps=BackendCaps(summary="int64 oracle"))
 
 
 class TestRegistry:
@@ -86,7 +70,7 @@ class TestRegistry:
 
     def test_backend_name_must_be_string(self):
         with pytest.raises(ConfigError):
-            Backend(name="", run_planes=lambda a, b, m=None: None)
+            Backend(name="", run=lambda a, b, m=None: None)
 
 
 class TestCaps:
@@ -101,7 +85,7 @@ class TestCaps:
                 _reference_backend("wide"),
                 Backend(
                     name="narrow",
-                    run_planes=lambda a, b, m=None: None,
+                    run=lambda a, b, m=None: None,
                     caps=BackendCaps(max_bits_a=1),
                 ),
             ]
@@ -151,27 +135,26 @@ class TestResolveEngineName:
             resolve_engine_name(lambda *a: "gpu", spec)
 
 
-class TestBlasExactnessBound:
-    """float32 accumulates a 0/1 dot product exactly only for K < 2**24;
-    the bound is enforced where plans are compiled, from the spec alone
-    (no operand is ever allocated here)."""
+class TestBlasIsTotal:
+    """``blas`` picks an exact dtype from the spec's bound, so no reduction
+    length is rejected at compile time or vetoed for exactness (the
+    boundary cases live in ``tests/core/test_operand.py``); the memory
+    budget is its only veto."""
 
-    def test_forced_blas_is_rejected_at_compile(self):
-        spec = GemmSpec(m=8, k=BLAS_EXACT_K, n=8, bits_a=1, bits_b=1)
-        with pytest.raises(ShapeError, match="exact float32"):
-            compile_gemm_step(spec, engine="blas")
-        assert compile_gemm_step(spec, engine="packed").backend == "packed"
-        below = GemmSpec(m=8, k=BLAS_EXACT_K - 1, n=8, bits_a=1, bits_b=1)
-        assert compile_gemm_step(below, engine="blas").backend == "blas"
+    def test_any_k_compiles_and_only_memory_vetoes(self):
+        spec = GemmSpec(m=8, k=1 << 24, n=8, bits_a=1, bits_b=1)
+        assert compile_gemm_step(spec, engine="blas").backend == "blas"
+        decision = CostModelDispatcher().decide(1, 1 << 24, 1, 1, 1)
+        assert not decision.prices["blas"].vetoed
+        tight = CostModelDispatcher(blas_bytes_budget=1 << 20)
+        assert tight.decide(1, 1 << 24, 1, 1, 1).prices["blas"].vetoed
 
-    def test_cost_model_dispatch_vetoes_blas(self):
-        # 1x1 outputs keep the unpacked planes (128 MiB) inside the byte
-        # budget, so the veto seen here is the exactness bound alone.
-        decision = CostModelDispatcher().decide(1, BLAS_EXACT_K, 1, 1, 1)
-        assert decision.prices["blas"].vetoed
-        assert decision.engine != "blas"
-        below = CostModelDispatcher().decide(1, BLAS_EXACT_K - 1, 1, 1, 1)
-        assert not below.prices["blas"].vetoed
+    def test_price_is_one_call_independent_of_bitwidths(self):
+        dispatcher = CostModelDispatcher()
+        one = dispatcher.decide(256, 256, 64, 1, 1).prices["blas"]
+        eight = dispatcher.decide(256, 256, 64, 8, 8).prices["blas"]
+        assert one.seconds == eight.seconds
+        assert one.bytes == eight.bytes == 4 * (256 * 256 + 256 * 64 + 256 * 64)
 
 
 class TestCustomBackendEndToEnd:
