@@ -21,7 +21,7 @@ reduced ``(M, N)`` int64 product:
   by pair.  Memory-blocked.
 * ``"blas"`` — :func:`codes_gemm`: *one* GEMM on the integer codes, in the
   narrowest dtype that is provably exact (:func:`exact_gemm_dtype`), with
-  a words-only 1-bit left operand (the adjacency) entering as CSR.
+  a codes-less 1-bit left operand (the adjacency) entering as CSR.
 * ``"sparse"`` — the host realization of the paper's §4.3 zero-tile
   jumping: census the ``8 x 128`` tiles of the left operand once, then
   compute only the non-zero ones (gather the surviving k-tiles of each

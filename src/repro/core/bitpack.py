@@ -365,6 +365,10 @@ class Operand:
     the other on first use, memoised, so only a backend that reads words
     pays for packing and only one that reads codes for unpacking.  (A
     first-use race recomputes an identical value; nothing needs a lock.)
+    A 1-bit column-compressed operand packed from coordinates
+    (:func:`pack_edges`) may carry them too, as ``csr=`` — a canonical
+    ``scipy`` CSR of ones over the same set bits — and is then never
+    decoded back out of its words.
 
     Codes are range-checked against ``bits`` on entry — the exact GEMM's
     dtype bound depends on it — and the padded geometry follows from the
@@ -380,12 +384,14 @@ class Operand:
         *,
         packed: PackedBits | None = None,
         pad_vectors: int = TC_M,
+        csr: sp.csr_matrix | None = None,
     ) -> None:
         if (codes is None) == (packed is None):
             raise PackingError("build an operand from codes or from packed words")
         self._views: dict = {}
         self._codes: np.ndarray | None = None
         self._packed = packed
+        self._csr = csr
         if packed is None:
             arr = np.asarray(codes)
             if arr.ndim != 2:
@@ -397,6 +403,13 @@ class Operand:
             vectors, k = packed.logical_vectors, packed.logical_k
         self.bits, self.layout, self.pad_vectors = bits, layout, pad_vectors
         self.logical_vectors, self.logical_k = vectors, k
+        #: Whether a GEMM on codes multiplies this operand as a CSR of ones.
+        self._sparse = bits == 1 and layout == "col"
+        if csr is not None and not (self._sparse and csr.shape == (vectors, k)):
+            raise PackingError(
+                f"coordinates {csr.shape} do not describe a {bits}-bit {layout!r} "
+                f"{vectors} x {k} operand"
+            )
 
     @property
     def padded_vectors(self) -> int:
@@ -433,20 +446,40 @@ class Operand:
         """The operand as a ``dtype`` factor of a GEMM on codes, memoised
         per dtype — a cached operand converts once, not per replay.
 
-        Dense codes, except that a 1-bit column-compressed operand which
-        exists only as words (a packed adjacency) becomes a ``scipy`` CSR
-        matrix of ones, built from the words in ``O(words + set bits)`` and
-        never anything ``n x n`` wider than a bit.
+        Dense codes, except that a 1-bit column-compressed operand without
+        codes (a packed adjacency) is a ``scipy`` CSR matrix of ones — the
+        coordinates it was built with, else decoded from the words in
+        ``O(words + set bits)`` — never anything ``n x n`` wider than a bit.
         """
         key = np.dtype(dtype)
         view = self._views.get(key)
         if view is None:
-            if self.bits == 1 and self.layout == "col" and self._codes is None:
-                view = self._csr_from_words(key)
-            else:
-                view = self.codes.astype(key, copy=False)
-            self._views[key] = view
+            if self._sparse and self._csr is None and self._codes is None:
+                self._csr = self._csr_from_words(key)
+            source = self.codes if self._csr is None else self._csr
+            view = self._views[key] = source.astype(key, copy=False)
         return view
+
+    def tile_masks(self) -> tuple[np.ndarray, ...]:
+        """The §4.3 zero-tile ballot of every plane (see
+        :func:`tile_nonzero_mask`), taken from the cheapest form held:
+        coordinates in ``O(E)``, else words, else — 1-bit column-compressed
+        — the codes summed over ``8 x 128`` blocks; only multi-bit codes pack.
+        """
+        if self._csr is None and (self._packed is not None or not self._sparse):
+            return tuple(tile_nonzero_mask(plane) for plane in self.packed.words)
+        kt = self.k_words * WORD_BITS // TC_K
+        mask = np.zeros((self.padded_vectors // TC_M, kt), dtype=bool)
+        rows = np.arange(self.logical_vectors)
+        if self._csr is not None:
+            tile = np.repeat(rows // TC_M * kt, np.diff(self._csr.indptr))
+            mask.reshape(-1)[tile + self._csr.indices // TC_K] = True
+        else:
+            k_tiles = np.arange(0, self.logical_k, TC_K)
+            sums = np.add.reduceat(self._codes, k_tiles, axis=1)
+            sums = np.add.reduceat(sums, rows[::TC_M], axis=0)
+            mask[: sums.shape[0], : sums.shape[1]] = sums != 0
+        return (mask,)
 
     def _csr_from_words(self, dtype: np.dtype) -> sp.csr_matrix:
         vectors, k_words = self.logical_vectors, self.k_words

@@ -68,10 +68,10 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..core.bitgemm import Engine
-from ..core.bitops import popcount
-from ..core.bitpack import Operand, PackedBits, pack_matrix
+from ..core.bitpack import Operand, PackedBits, pack_edges, pack_matrix
 from ..core.quantization import QuantParams, calibrate, quantize
 from ..errors import BitwidthError, ConfigError, ShapeError
 from ..graph.batching import SubgraphBatch
@@ -251,17 +251,22 @@ class PackedAdjacency:
     degrees:
         ``(n, 1)`` float64 row sums (with self loops) — the rank-1 affine
         epilogue of the aggregation product.
+    csr:
+        The same set bits as a canonical CSR of ones — what a GEMM on
+        codes multiplies by — when the producer held coordinates; ``None``
+        (a dynamic-graph snapshot) leaves the operand to decode its words.
     """
 
     packed: PackedBits
     plan: TileSkipPlan
     degrees: np.ndarray
+    csr: sp.csr_matrix | None = None
 
     @cached_property
     def operand(self) -> Operand:
         """The aggregation GEMM's left operand, memoised with the forms it
-        has derived (its CSR view) for as long as the artifact is cached."""
-        return Operand(packed=self.packed)
+        has derived (its CSR views) for as long as the artifact is cached."""
+        return Operand(packed=self.packed, csr=self.csr)
 
     @property
     def num_nodes(self) -> int:
@@ -274,11 +279,11 @@ class PackedAdjacency:
 
     @property
     def nbytes(self) -> int:
-        """Packed storage a serving cache budgets for this entry."""
-        return (
-            self.packed.nbytes
-            + self.degrees.nbytes
-            + sum(mask.nbytes for mask in self.plan.masks)
+        """Packed + CSR storage a serving cache budgets for this entry."""
+        csr = self.csr
+        sparse = () if csr is None else (csr.data, csr.indices, csr.indptr)
+        return sum(
+            a.nbytes for a in (self.packed, self.degrees, *self.plan.masks, *sparse)
         )
 
 
@@ -286,17 +291,24 @@ def pack_batch_adjacency(batch: SubgraphBatch) -> PackedAdjacency:
     """Bit-pack and tile-census one batch's adjacency (with self loops) —
     the per-batch analogue of :func:`pack_layer_weight`.
 
-    The planes come straight from the members' CSR
-    (:meth:`SubgraphBatch.packed_adjacency`), the census from the packed
-    words, and the degrees from their row popcounts — the distinct set
-    bits of each row, which is what a dense row sum would count — so
-    nothing ``n x n`` wider than a bit is ever allocated.
+    One pass over the members' coordinates
+    (:meth:`SubgraphBatch.edge_coordinates`): the planes are scattered
+    from them, a canonical CSR collapses their duplicates (a stored self
+    loop plus the appended diagonal is one set bit), and the census and
+    the degrees — the distinct set bits of each row, which is what a dense
+    row sum would count — are read off that CSR, so nothing ``n x n`` wider
+    than a bit is allocated and no word is read back.
     """
-    packed = batch.packed_adjacency()
-    rows = packed.plane(0)[: packed.logical_vectors]
-    degrees = popcount(rows).sum(axis=1, dtype=np.float64)[:, None]
+    n = batch.num_nodes
+    rows, cols = batch.edge_coordinates()
+    packed = pack_edges(rows, cols, n, n)
+    csr = sp.csr_matrix((np.ones(rows.size, np.float32), (rows, cols)), shape=(n, n))
+    csr.data[:] = 1  # the coo -> csr conversion summed the duplicates
     return PackedAdjacency(
-        packed=packed, plan=plan_tile_skip(packed), degrees=degrees
+        packed=packed,
+        plan=plan_tile_skip(Operand(packed=packed, csr=csr)),
+        degrees=np.diff(csr.indptr).astype(np.float64)[:, None],
+        csr=csr,
     )
 
 
@@ -440,12 +452,6 @@ def execute_forward_plan(
     degrees = packed_adjacency.degrees
     backends = default_registry() if registry is None else registry
 
-    def reads_words(step: GemmStep) -> bool:
-        # Resolved, not just looked up: a plan replayed against a registry
-        # that lacks its backend fails as every ``engine=`` name does.
-        name = resolve_engine_name(step.backend, step.spec, backends)
-        return backends.get(name).caps.consumes_words
-
     start = time.perf_counter()
     h = batch.features().astype(np.float64)
     phases.append(
@@ -474,18 +480,16 @@ def execute_forward_plan(
         """One step's pack, census and gemm phases around its kernel launch
         on ``left @ right``.  Activations (a cached side already holds its
         words) are bit-packed ahead of the GEMM window only when the step's
-        backend reads words, or when they are a 1-bit left operand under
-        zero-tile jumping — that ballot feeds the modeled skip counters
-        whichever backend runs."""
+        backend reads words; a 1-bit left operand under zero-tile jumping
+        is balloted from the form it holds — that census feeds the modeled
+        skip counters whichever backend runs."""
         role, label = step.spec.role, f"{step.spec.role}/L{layer}"
         start = time.perf_counter()
-        ballot = (
-            skip_plan is None and left.bits == 1 and kernel.config.zero_tile_jumping
-        )
-        words = reads_words(step)
-        if words or ballot:
+        # Resolved, not just looked up: a plan replayed against a registry
+        # that lacks its backend fails as every ``engine=`` name does.
+        backend = resolve_engine_name(step.backend, step.spec, backends)
+        if backends.get(backend).caps.consumes_words:
             left.pack()
-        if words:
             right.pack()
         packed_at = time.perf_counter()
         # Ballot a 1-bit left operand *outside* the timing window (mirroring
@@ -493,8 +497,8 @@ def execute_forward_plan(
         # same census-amortized work the offline autotuner measures — mixing
         # census-inclusive and census-exclusive samples in one table cell
         # would bias its median against whichever backend actually executed.
-        if ballot:
-            skip_plan = plan_tile_skip(left.packed)
+        if skip_plan is None and left.bits == 1 and kernel.config.zero_tile_jumping:
+            skip_plan = plan_tile_skip(left)
         census_at = time.perf_counter()
         win: dict[str, float] = {}
 

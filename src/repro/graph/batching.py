@@ -12,6 +12,7 @@ all-zero TC tiles that zero-tile jumping skips (paper §6.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -121,15 +122,16 @@ class SubgraphBatch:
         if not self.members:
             raise PartitionError("a batch needs at least one subgraph")
 
-    @property
+    # The member tuple is frozen, so its sums are computed once per batch.
+    @cached_property
     def num_nodes(self) -> int:
         return sum(s.num_nodes for s in self.members)
 
-    @property
+    @cached_property
     def num_edges(self) -> int:
         return sum(s.num_edges for s in self.members)
 
-    @property
+    @cached_property
     def node_offsets(self) -> np.ndarray:
         """Start row of each member in the block-diagonal layout."""
         sizes = np.array([s.num_nodes for s in self.members], dtype=np.int64)

@@ -660,12 +660,6 @@ class InferenceEngine:
             (sub.num_nodes, sub.num_edges, digest(sub)) for sub in batch.members
         )
 
-    def _adjacency_key(self, batch: SubgraphBatch) -> PlanKey:
-        return ("adjacency",) + self._members_digest(batch)
-
-    def _plan_key(self, batch: SubgraphBatch) -> PlanKey:
-        return ("plan",) + self._members_digest(batch)
-
     def packed_adjacency_for(self, batch: SubgraphBatch) -> PackedAdjacency:
         """The batch's packed adjacency + tile-skip plan, via the plan cache.
 
@@ -674,8 +668,11 @@ class InferenceEngine:
         census the ``sparse`` engine consumes is taken once per distinct
         batch rather than once per request.
         """
+        return self._adjacency(batch, self._members_digest(batch))
+
+    def _adjacency(self, batch: SubgraphBatch, digest: tuple) -> PackedAdjacency:
         return self._cache.get_or_build(
-            self._adjacency_key(batch), lambda: pack_batch_adjacency(batch)
+            ("adjacency",) + digest, lambda: pack_batch_adjacency(batch)
         )
 
     def plan_for(
@@ -693,7 +690,7 @@ class InferenceEngine:
         plans whose signature does not match the batch.
 
         ``adjacency`` passes the batch's already-resolved packed adjacency
-        (as :meth:`_execute` does) to avoid a second cache lookup.
+        to avoid a second cache lookup.
 
         In a pool, a local miss first consults the cross-worker plan
         exchange: a plan another shard already compiled for this exact
@@ -701,9 +698,16 @@ class InferenceEngine:
         is safe), and a locally compiled plan is broadcast for the
         sibling shards — compiled-plan metadata spreads on first compile.
         """
+        digest = self._members_digest(batch)
         if adjacency is None:
-            adjacency = self.packed_adjacency_for(batch)
-        key = self._plan_key(batch)
+            adjacency = self._adjacency(batch, digest)
+        return self._plan(batch, digest, adjacency)
+
+    def _plan(
+        self, batch: SubgraphBatch, digest: tuple, adjacency: PackedAdjacency
+    ) -> ExecutionPlan:
+        # ``digest`` is taken once per round; both cache keys derive from it.
+        key = ("plan",) + digest
 
         def build() -> ExecutionPlan:
             if self._plan_exchange is not None:
@@ -712,7 +716,7 @@ class InferenceEngine:
                     self.stats.plans_adopted += 1
                     return shared
             plan = self.compile_plan(
-                batch.num_nodes, adjacency, self._adjacency_key(batch)
+                batch.num_nodes, adjacency, ("adjacency",) + digest
             )
             if self._plan_exchange is not None:
                 self._plan_exchange.publish(key, plan)
@@ -947,9 +951,10 @@ class InferenceEngine:
         results back per request."""
         batch = SubgraphBatch(members=tuple(r.subgraph for r in requests))
         start = time.perf_counter()
-        adjacency = self.packed_adjacency_for(batch)
+        digest = self._members_digest(batch)
+        adjacency = self._adjacency(batch, digest)
         adjacency_at = time.perf_counter()
-        plan = self.plan_for(batch, adjacency=adjacency)
+        plan = self._plan(batch, digest, adjacency)
         resolve_seconds = (adjacency_at - start, time.perf_counter() - adjacency_at)
         forward = self.run_round(
             batch, adjacency, plan, resolve_seconds=resolve_seconds

@@ -173,13 +173,10 @@ class TileSkipPlan:
         )
 
 
-def plan_tile_skip(operand: PackedBits) -> TileSkipPlan:
-    """Census every plane of a packed left operand into a reusable plan."""
-    return TileSkipPlan(
-        masks=tuple(
-            tile_nonzero_mask(operand.plane(i)) for i in range(operand.bits)
-        )
-    )
+def plan_tile_skip(operand: "Operand | PackedBits") -> TileSkipPlan:
+    """Census every plane of a left operand into a reusable plan — from
+    whichever form it holds (:meth:`~repro.core.bitpack.Operand.tile_masks`)."""
+    return TileSkipPlan(masks=as_operand(operand).tile_masks())
 
 
 @dataclass(frozen=True)
@@ -332,8 +329,7 @@ class BitGemmKernel:
         :class:`~repro.plan.registry.BackendRegistry`.
 
         Operands are :class:`~repro.core.bitpack.Operand`\\ s (a bare
-        :class:`PackedBits` is wrapped); only the ballot of a 1-bit left
-        operand reads packed words here.
+        :class:`PackedBits` is wrapped); nothing here forces a pack.
         """
         a, b = as_operand(a), as_operand(b)
         check_pair(a, b)
@@ -344,7 +340,7 @@ class BitGemmKernel:
                 f"({a.padded_vectors // 8}, {a.k_words // 4}) x {a.bits}"
             )
         if plan is None and (self.config.zero_tile_jumping and a.bits == 1):
-            plan = plan_tile_skip(a.packed)
+            plan = plan_tile_skip(a)
         counters = self._derive_counters(a, b, plan)
         output = bitgemm(
             a,

@@ -16,13 +16,14 @@ from repro.core.bitgemm import (
     exact_gemm_dtype,
     matmul_int_reference,
 )
-from repro.core.bitpack import Operand, pack_edges, pack_matrix
+from repro.core.bitpack import Operand, pack_edges, pack_matrix, tile_nonzero_mask
 from repro.errors import BitwidthError, PackingError, ShapeError
 from repro.gnn.quantized import pack_batch_adjacency
 from repro.graph.batching import batch_subgraphs, induced_subgraphs
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
 from repro.plan import default_registry
+from repro.tc.kernel import plan_tile_skip
 
 #: Shapes off every padding boundary: ``M % 8 != 0``, ``K % 128 != 0``,
 #: ``K = 1``, a tile-aligned one, and operands with an empty axis.
@@ -222,3 +223,82 @@ class TestCsrFromWords:
         extra = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
         assert extra <= 4 * adjacency.packed.nbytes
         assert operand._codes is None
+
+
+#: ``(M, K)`` of a left operand off every padding boundary, empty axes included.
+CENSUS_SHAPES = [(13, 150), (9, 1), (8, 128), (1, 129), (0, 40), (5, 0), (20, 300)]
+
+
+class TestSelfCensus:
+    """§4.3 ballot from coordinates == from codes == from words == a dense
+    ``8 x 128`` block reference — three producers, one result."""
+
+    @settings(max_examples=80)
+    @given(
+        shape=st.sampled_from(CENSUS_SHAPES),
+        pad=st.sampled_from([8, 128]),
+        density=st.sampled_from([0.0, 0.02, 0.3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_three_forms_agree_with_the_dense_blocks(self, shape, pad, density, seed):
+        m, k = shape
+        rng = np.random.default_rng(seed)
+        codes = (rng.random((m, k)) < density).astype(np.int64)
+        codes[rng.random(m) < 0.4] = 0  # all-zero rows
+        words = pack_matrix(codes, 1, "col", pad_vectors=pad)
+        blocks = np.zeros((words.padded_vectors, words.padded_k), dtype=bool)
+        blocks[:m, :k] = codes != 0
+        want = blocks.reshape(
+            words.padded_vectors // 8, 8, words.padded_k // 128, 128
+        ).any(axis=(1, 3))
+        np.testing.assert_array_equal(tile_nonzero_mask(words.plane(0)), want)
+
+        rows, cols = np.nonzero(codes)
+        rows, cols = np.tile(rows, 2), np.tile(cols, 2)  # duplicates are idempotent
+        from_edges = pack_edges(rows, cols, m, k, pad_vectors=pad)
+        np.testing.assert_array_equal(from_edges.words, words.words)
+        for operand in (
+            Operand(packed=from_edges, csr=sp.csr_matrix(codes.astype(np.float32))),
+            Operand(codes, 1, "col", pad_vectors=pad),
+            Operand(packed=words),
+        ):
+            (mask,) = operand.tile_masks()
+            assert mask.dtype == want.dtype
+            np.testing.assert_array_equal(mask, want)
+            assert plan_tile_skip(operand).matches(operand)
+            np.testing.assert_array_equal(plan_tile_skip(operand).masks[0], want)
+
+    def test_codes_census_packs_nothing(self, rng):
+        operand = Operand(rng.integers(0, 2, size=(21, 140)), 1, "col")
+        operand.tile_masks()
+        assert operand._packed is None
+
+    def test_multi_bit_codes_ballot_every_plane_of_their_words(self, rng):
+        codes = rng.integers(0, 8, size=(19, 260)) * (rng.random((19, 260)) < 0.01)
+        masks = Operand(codes, 3, "col").tile_masks()
+        words = pack_matrix(codes, 3, "col")
+        assert len(masks) == 3
+        for plane, mask in zip(words.words, masks):
+            np.testing.assert_array_equal(mask, tile_nonzero_mask(plane))
+
+    def test_coordinates_must_describe_the_operand(self):
+        packed = pack_edges(np.array([0]), np.array([1]), 4, 6)
+        with pytest.raises(PackingError, match="coordinates"):
+            Operand(packed=packed, csr=sp.csr_matrix((4, 5), dtype=np.float32))
+        with pytest.raises(PackingError, match="coordinates"):
+            Operand(
+                packed=pack_matrix(np.ones((4, 6), np.int64), 2, "col"),
+                csr=sp.csr_matrix((4, 6), dtype=np.float32),
+            )
+
+    def test_coordinates_are_the_gemm_factor_and_are_never_decoded(self, monkeypatch):
+        dense = (np.random.default_rng(3).random((30, 70)) < 0.1).astype(np.int64)
+        csr = sp.csr_matrix(dense.astype(np.float32))
+        operand = Operand(packed=pack_matrix(dense, 1, "col"), csr=csr)
+        monkeypatch.setattr(
+            Operand, "_csr_from_words", lambda *a: pytest.fail("decoded the words")
+        )
+        assert operand.matrix(np.float32) is csr
+        as_f64 = operand.matrix(np.float64)
+        assert as_f64.dtype == np.float64 and operand.matrix(np.float64) is as_f64
+        np.testing.assert_array_equal(as_f64.toarray(), dense)

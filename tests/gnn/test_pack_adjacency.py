@@ -7,12 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.bitpack import pack_matrix, tile_nonzero_mask
-from repro.gnn.quantized import pack_batch_adjacency
+from repro.core.bitgemm import codes_gemm
+from repro.core.bitpack import Operand, pack_matrix, tile_nonzero_mask
+from repro.gnn.quantized import PackedAdjacency, pack_batch_adjacency
 from repro.graph.batching import Subgraph, SubgraphBatch, induced_subgraphs
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
+from repro.tc.kernel import plan_tile_skip
 
 
 def partitioned(num_nodes, num_edges, parts, seed):
@@ -55,6 +57,63 @@ def test_equals_dense_reference_triple(members):
         np.testing.assert_array_equal(value, ref)
     assert got.packed.logical_shape == ref_packed.logical_shape
     assert got.packed.pad_vectors == ref_packed.pad_vectors
+
+
+def noisy(num_nodes, seed):
+    """A member whose CSR stores self loops, repeated coordinates and
+    unsorted rows — nothing ``CSRGraph.from_edges`` would produce."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 7, size=num_nodes)
+    indices = rng.integers(0, num_nodes, size=counts.sum())
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    loops = rng.random(num_nodes) < 0.5
+    indices[indptr[:-1][loops & (counts > 0)]] = np.flatnonzero(loops & (counts > 0))
+    graph = CSRGraph(indptr=indptr, indices=indices)
+    return Subgraph(graph=graph, original_nodes=np.arange(num_nodes))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_pass_equals_dense_with_self_loops_and_duplicates(seed):
+    """Words, census, degrees and the CSR the GEMM multiplies by all come
+    from one pass over the coordinates and all equal the dense reference."""
+    sizes = np.random.default_rng(seed).integers(1, 150, size=3)
+    batch = SubgraphBatch(
+        members=tuple(noisy(int(n), seed * 10 + i) for i, n in enumerate(sizes))
+    )
+    rows, cols = batch.edge_coordinates()
+    assert np.unique(rows * batch.num_nodes + cols).size < rows.size  # duplicates
+    dense = batch.dense_adjacency()
+    ref_packed = pack_matrix(dense.astype(np.int64), 1, "col")
+
+    got = pack_batch_adjacency(batch)
+    np.testing.assert_array_equal(got.packed.words, ref_packed.words)
+    (mask,), (ref_mask,) = got.plan.masks, plan_tile_skip(ref_packed).masks
+    np.testing.assert_array_equal(mask, ref_mask)
+    np.testing.assert_array_equal(
+        got.degrees, dense.sum(axis=1, dtype=np.float64)[:, None]
+    )
+    csr = got.operand.matrix(np.float32)
+    assert csr is got.csr and csr.has_canonical_format
+    np.testing.assert_array_equal(csr.toarray(), dense)
+    x = np.random.default_rng(seed).integers(0, 16, size=(batch.num_nodes, 5))
+    np.testing.assert_array_equal(
+        codes_gemm(got.operand, Operand(x, 4, "row")), dense.astype(np.int64) @ x
+    )
+
+
+def test_nbytes_counts_the_csr_the_artifact_carries():
+    batch = SubgraphBatch(members=tuple(partitioned(300, 1500, 3, seed=8)))
+    got = pack_batch_adjacency(batch)
+    csr_bytes = got.csr.data.nbytes + got.csr.indices.nbytes + got.csr.indptr.nbytes
+    assert csr_bytes > 0
+    assert got.nbytes == (
+        got.packed.nbytes + got.degrees.nbytes + got.plan.masks[0].nbytes + csr_bytes
+    )
+    wordsonly = PackedAdjacency(packed=got.packed, plan=got.plan, degrees=got.degrees)
+    assert wordsonly.nbytes == got.nbytes - csr_bytes
+    np.testing.assert_array_equal(  # a words-only artifact decodes its own CSR
+        wordsonly.operand.matrix(np.float32).toarray(), got.csr.toarray()
+    )
 
 
 def test_stored_self_loop_counts_once():
