@@ -14,7 +14,8 @@ Each 1-bit GEMM is an AND + popcount over the packed K dimension
 engine may equally multiply the integer codes directly, so a GEMM operand
 is an :class:`~repro.core.bitpack.Operand` — codes and/or packed words,
 each derived from the other on first use — and every engine returns the
-reduced ``(M, N)`` int64 product:
+reduced, exact ``(M, N)`` product, as int64 or as the float dtype
+:func:`exact_gemm_dtype` proves exact (:func:`bitgemm` hands back int64):
 
 * ``"packed"`` — word-at-a-time ``popcount(a & b)`` on the uint32 storage,
   exactly what the emulated Tensor Core executes, shift-accumulated pair
@@ -303,12 +304,12 @@ def exact_gemm_dtype(k: int, bits_a: int, bits_b: int) -> np.dtype:
 def codes_gemm(
     a: Operand, b: Operand, tile_masks: Sequence[np.ndarray] | None = None
 ) -> np.ndarray:
-    """The exact int64 product as one GEMM on the integer codes, each
-    operand in :func:`exact_gemm_dtype`'s dtype (a packed adjacency as CSR
-    — see :meth:`~repro.core.bitpack.Operand.matrix`).  The ``blas``
-    backend's ``run``; it has no use for tile masks."""
+    """The exact product as one GEMM on the integer codes, each operand —
+    and the result — in :func:`exact_gemm_dtype`'s dtype (a packed
+    adjacency as CSR — see :meth:`~repro.core.bitpack.Operand.matrix`).
+    The ``blas`` backend's ``run``; it has no use for tile masks."""
     dtype = exact_gemm_dtype(a.logical_k, a.bits, b.bits)
-    return (a.matrix(dtype) @ b.matrix(dtype)).astype(np.int64, copy=False)
+    return a.matrix(dtype) @ b.matrix(dtype)
 
 
 def _resolve_backend(
@@ -320,20 +321,20 @@ def _resolve_backend(
     """Compatibility shim: resolve an ``engine=`` argument to a registered
     :class:`~repro.plan.registry.Backend` (imported lazily — the plan layer
     sits above core)."""
-    from ..plan.ir import GemmSpec
     from ..plan.registry import default_registry, resolve_engine_name
 
     # None check, not truthiness: an empty caller registry (falsy — it
     # defines __len__) must not silently become the default backend set.
     if registry is None:
         registry = default_registry()
-    spec = GemmSpec(
-        m=a.logical_vectors,
-        k=a.logical_k,
-        n=b.logical_vectors,
-        bits_a=a.bits,
-        bits_b=b.bits,
-    )
+    spec = None  # a literal name is validated against the registry alone
+    if callable(engine) or engine == "auto":
+        from ..plan.ir import GemmSpec
+
+        spec = GemmSpec(
+            m=a.logical_vectors, k=a.logical_k, n=b.logical_vectors,
+            bits_a=a.bits, bits_b=b.bits,
+        )
     return registry.get(resolve_engine_name(engine, spec, registry))
 
 
@@ -391,7 +392,8 @@ def bitgemm(
             f"tile_masks must have {a.bits} entries (one per A plane), "
             f"got {len(tile_masks)}"
         )
-    return _resolve_backend(engine, a, b, registry).run(a, b, tile_masks)
+    product = _resolve_backend(engine, a, b, registry).run(a, b, tile_masks)
+    return product.astype(np.int64, copy=False)
 
 
 def bitgemm_codes(

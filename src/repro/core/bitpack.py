@@ -371,9 +371,12 @@ class Operand:
     decoded back out of its words.
 
     Codes are range-checked against ``bits`` on entry — the exact GEMM's
-    dtype bound depends on it — and the padded geometry follows from the
-    logical dims by the :func:`pack_bit_planes` rule, so kernel counters
-    never force a pack.
+    dtype bound depends on it — unless their producer proved the range
+    (``proven=True``, :func:`~repro.core.quantization.quantize_into`); such
+    codes travel in any dtype that holds them exactly, the GEMM's own, and
+    become ``int64`` only when something packs or reads :attr:`codes`.  The
+    padded geometry follows from the logical dims by the
+    :func:`pack_bit_planes` rule, so kernel counters never force a pack.
     """
 
     def __init__(
@@ -385,6 +388,7 @@ class Operand:
         packed: PackedBits | None = None,
         pad_vectors: int = TC_M,
         csr: sp.csr_matrix | None = None,
+        proven: bool = False,
     ) -> None:
         if (codes is None) == (packed is None):
             raise PackingError("build an operand from codes or from packed words")
@@ -396,7 +400,7 @@ class Operand:
             arr = np.asarray(codes)
             if arr.ndim != 2:
                 raise ShapeError(f"an operand is a 2-D matrix, got shape {arr.shape}")
-            self._codes = check_codes(arr, bits)
+            self._codes = arr if proven else check_codes(arr, bits)
             vectors, k = arr.shape if layout == "col" else arr.shape[::-1]
         else:
             bits, layout, pad_vectors = packed.bits, packed.layout, packed.pad_vectors
@@ -426,6 +430,8 @@ class Operand:
         """The ``int64`` codes on the logical shape (unpacked on first use)."""
         if self._codes is None:
             self._codes = unpack_matrix(self._packed)
+        elif self._codes.dtype != np.int64:  # proven codes in a GEMM dtype
+            self._codes = self._codes.astype(np.int64)
         return self._codes
 
     def pack(self) -> "Operand":
@@ -433,7 +439,7 @@ class Operand:
         rather than the first consumer's — and return ``self``."""
         if self._packed is None:
             self._packed = pack_matrix(
-                self._codes, self.bits, self.layout, pad_vectors=self.pad_vectors
+                self.codes, self.bits, self.layout, pad_vectors=self.pad_vectors
             )
         return self
 
@@ -456,7 +462,9 @@ class Operand:
         if view is None:
             if self._sparse and self._csr is None and self._codes is None:
                 self._csr = self._csr_from_words(key)
-            source = self.codes if self._csr is None else self._csr
+            source = self._csr if self._csr is not None else self._codes
+            if source is None:  # words only; held codes convert exactly as they are
+                source = self.codes
             view = self._views[key] = source.astype(key, copy=False)
         return view
 

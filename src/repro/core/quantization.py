@@ -31,6 +31,7 @@ __all__ = [
     "QuantConfig",
     "QuantParams",
     "quantize",
+    "quantize_into",
     "dequantize",
     "quantization_error",
     "calibrate",
@@ -185,10 +186,24 @@ def quantize(
         if bits is None:
             raise ConfigError("quantize() needs either `params` or `bits`")
         params = calibrate(values, bits, clip_quantile=clip_quantile)
-    arr = np.asarray(values, dtype=np.float64)
-    codes = np.floor((arr - params.alpha_min) / params.scale)
+    return quantize_into(values, params, np.int64), params
+
+
+def quantize_into(values: np.ndarray, params: QuantParams, dtype) -> np.ndarray:
+    """:func:`quantize`'s codes under given ``params``: Eq. 2 in one float64
+    buffer, cast once to ``dtype`` (which must hold ``2**bits - 1`` exactly)
+    and range-proven — the clip puts everything but NaN inside
+    ``[0, 2**bits - 1]``, so one NaN-propagating reduction is the whole
+    check and an :class:`~repro.core.bitpack.Operand` may take the codes as
+    ``proven=True``.
+    """
+    codes = np.subtract(values, params.alpha_min, dtype=np.float64)
+    np.divide(codes, params.scale, out=codes)
+    np.floor(codes, out=codes)
     np.clip(codes, 0, params.levels - 1, out=codes)
-    return codes.astype(np.int64), params
+    if np.isnan(codes.min(initial=0.0)):
+        raise BitwidthError("cannot quantize NaN: codes must be non-negative integers")
+    return codes.astype(dtype)
 
 
 def dequantize(codes: np.ndarray, params: QuantParams) -> np.ndarray:

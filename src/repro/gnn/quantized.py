@@ -18,7 +18,10 @@ tensors,
          + K c_a c_b
 
 where ``r_a`` is the row-sum vector of ``q_a`` and ``g_b`` the column-sum
-of ``q_b`` — rank-1 epilogue terms the fused kernel absorbs (paper §4.5).
+of ``q_b`` — rank-1 epilogue terms the fused kernel absorbs (paper §4.5),
+and so does the host: a step quantizes straight into its GEMM's dtype,
+takes the product in it and adds the terms in place, one float64 buffer
+from activation to activation, no full-precision round trip in between.
 Only the ``q_a q_b`` term touches the Tensor Core.
 
 Serving hooks
@@ -70,16 +73,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.sparse as sp
 
-from ..core.bitgemm import Engine
+from ..core.bitgemm import Engine, exact_gemm_dtype
 from ..core.bitpack import Operand, PackedBits, pack_edges, pack_matrix
-from ..core.quantization import QuantParams, calibrate, quantize
+from ..core.quantization import QuantParams, calibrate, quantize, quantize_into
 from ..errors import BitwidthError, ConfigError, ShapeError
 from ..graph.batching import SubgraphBatch
 from ..plan.ir import ExecutionPlan, GemmSpec, GemmStep, QuantizeStep, compile_forward_plan
 from ..plan.registry import default_registry, resolve_engine_name
 from ..tc.counters import KernelCounters
 from ..tc.kernel import BitGemmKernel, KernelConfig, TileSkipPlan, plan_tile_skip
-from .activations import relu, softmax
+from .activations import softmax
 from .models import GNNModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -334,17 +337,19 @@ class ActivationCalibration:
         """Read-only view of the calibrated ``(site, bits) -> params`` map."""
         return dict(self._sites)
 
+    def params_for(self, site: str, values: np.ndarray, bits: int) -> QuantParams:
+        """This site's parameters, calibrated from ``values`` on first touch."""
+        key = (site, bits)
+        params = self._sites.get(key)
+        if params is None:
+            params = self._sites[key] = calibrate(values, bits)
+        return params
+
     def quantize(
         self, site: str, values: np.ndarray, bits: int
     ) -> tuple[np.ndarray, QuantParams]:
         """Quantize ``values`` with this site's frozen parameters."""
-        key = (site, bits)
-        params = self._sites.get(key)
-        if params is None:
-            params = calibrate(values, bits)
-            self._sites[key] = params
-        codes, _ = quantize(values, params)
-        return codes, params
+        return quantize(values, self.params_for(site, values, bits))
 
 
 def quantize_model_weights(
@@ -453,7 +458,7 @@ def execute_forward_plan(
     backends = default_registry() if registry is None else registry
 
     start = time.perf_counter()
-    h = batch.features().astype(np.float64)
+    h = batch.features(np.float64)
     phases.append(
         PhaseTiming("materialize", "forward", -1, time.perf_counter() - start)
     )
@@ -464,11 +469,16 @@ def execute_forward_plan(
         )
 
     def quantize_at(
-        step: QuantizeStep, x_real: np.ndarray
+        step: QuantizeStep, x_real: np.ndarray, spec: GemmSpec
     ) -> tuple[np.ndarray, QuantParams]:
+        """``x_real``'s codes in the dtype ``spec``'s GEMM is exact in, their
+        range proven on the way (nothing reads them again to check it)."""
         if calibration is None:
-            return quantize(x_real, bits=step.bits)
-        return calibration.quantize(step.site, x_real, step.bits)
+            params = calibrate(x_real, step.bits)
+        else:
+            params = calibration.params_for(step.site, x_real, step.bits)
+        dtype = exact_gemm_dtype(spec.k, spec.bits_a, spec.bits_b)
+        return quantize_into(x_real, params, dtype), params
 
     def product(
         step: GemmStep,
@@ -504,7 +514,9 @@ def execute_forward_plan(
 
         def attempt(name: str):
             began = time.perf_counter()
-            out = kernel.run(left, right, engine=name, plan=skip_plan, registry=registry)
+            out = kernel.run(
+                left, right, engine=name, plan=skip_plan, registry=registry, memo=step.derived
+            )
             win["s"] = time.perf_counter() - began
             return out
 
@@ -529,15 +541,17 @@ def execute_forward_plan(
     def aggregate(x_real: np.ndarray, step: GemmStep, layer: int) -> np.ndarray:
         """``Â @ x`` with the adjacency exact (1-bit) and x quantized."""
         start = time.perf_counter()
-        qx, px = quantize_at(step.quantize_b, x_real)
-        right = Operand(qx, px.bits, "row")
+        qx, px = quantize_at(step.quantize_b, x_real, step.spec)
+        right = Operand(qx, px.bits, "row", proven=True)
         phases.append(
             PhaseTiming("quantize", "aggregate", layer, time.perf_counter() - start)
         )
         out = product(step, layer, adj_operand, right, adj_plan)
-        # Â is exact binary: real = s_x * (Â q_x) + c_x * degree.
+        # Â is exact binary: real = s_x * (Â q_x) + c_x * degree.  (``dtype=``
+        # matters: NumPy 2 keeps a Python float times a float32 in float32.)
         start = time.perf_counter()
-        out = px.scale * out + _mid_offset(px) * degrees
+        out = np.multiply(out, px.scale, dtype=np.float64)
+        out += _mid_offset(px) * degrees
         phases.append(
             PhaseTiming("epilogue", "aggregate", layer, time.perf_counter() - start)
         )
@@ -547,23 +561,24 @@ def execute_forward_plan(
         """``x @ W + b`` with both operands quantized, affine-corrected."""
         weight = packed_weights[layer]
         start = time.perf_counter()
-        qx, px = quantize_at(step.quantize_a, x_real)
-        left = Operand(qx, px.bits, "col")
+        qx, px = quantize_at(step.quantize_a, x_real, step.spec)
+        left = Operand(qx, px.bits, "col", proven=True)
         phases.append(
             PhaseTiming("quantize", "update", layer, time.perf_counter() - start)
         )
         out = product(step, layer, left, weight.operand)
+        # The terms join in place, one at a time and left to right: float
+        # addition is not associative, and pre-combining any two of them
+        # would change the last bit of a logit.
         start = time.perf_counter()
         s_l, c_l = px.scale, _mid_offset(px)
         s_r, c_r = weight.params.scale, _mid_offset(weight.params)
         row_sums = qx.sum(axis=1, dtype=np.float64)[:, None]
-        out = (
-            s_l * s_r * out
-            + s_l * c_r * row_sums
-            + c_l * s_r * weight.col_sums
-            + left.logical_k * c_l * c_r
-            + model.biases[layer]
-        )
+        out = np.multiply(out, s_l * s_r, dtype=np.float64)
+        out += s_l * c_r * row_sums
+        out += c_l * s_r * weight.col_sums
+        out += left.logical_k * c_l * c_r
+        out += model.biases[layer]
         phases.append(
             PhaseTiming("epilogue", "update", layer, time.perf_counter() - start)
         )
@@ -584,7 +599,7 @@ def execute_forward_plan(
             )
         if not layer.is_output:
             start = time.perf_counter()
-            h = relu(h)
+            np.maximum(h, 0.0, out=h)
             phases.append(
                 PhaseTiming(
                     "activation", "forward", layer.index,

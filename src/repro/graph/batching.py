@@ -186,14 +186,15 @@ class SubgraphBatch:
         rows, cols = self.edge_coordinates(self_loops=self_loops)
         return pack_edges(rows, cols, n, n, pad_vectors=pad_vectors)
 
-    def features(self) -> np.ndarray:
-        """Row-stacked member features, aligned with the adjacency rows."""
+    def features(self, dtype=None) -> np.ndarray:
+        """Row-stacked member features, aligned with the adjacency rows —
+        concatenated straight into ``dtype`` when one is given."""
         feats = []
         for sub in self.members:
             if sub.graph.features is None:
                 raise ShapeError("batch member has no features")
             feats.append(sub.graph.features)
-        return np.concatenate(feats, axis=0)
+        return np.concatenate(feats, axis=0, dtype=dtype)
 
     def labels(self) -> np.ndarray:
         """Row-stacked member labels."""

@@ -4,9 +4,10 @@ Each :class:`~repro.plan.registry.Backend` couples an implementation
 (built on the low-level kernels in :mod:`repro.core.bitgemm`) with its
 capability metadata and the cost pricer the serving dispatcher consults.
 Every ``run`` takes two :class:`~repro.core.bitpack.Operand`\\ s and
-returns the reduced ``(M, N)`` int64 product: the word engines
-shift-accumulate their 1-bit plane products pair by pair, ``blas``
-multiplies the integer codes once.  Pricers consume the calibrated
+returns the reduced, exact ``(M, N)`` product: the word engines
+shift-accumulate their 1-bit plane products pair by pair into int64,
+``blas`` multiplies the integer codes once and returns the product in the
+dtype that GEMM ran in.  Pricers consume the calibrated
 :class:`~repro.plan.rates.HostRates`, so per-machine recalibration is a
 value, not a subclass.
 """

@@ -26,6 +26,7 @@ by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from ..core.bitpack import TC_K, TC_M, pad_to
@@ -140,6 +141,12 @@ class GemmStep:
     quantize_a: QuantizeStep | None = None
     quantize_b: QuantizeStep | None = None
     census: CensusStep | None = None
+
+    @cached_property
+    def derived(self) -> dict:
+        """Memo of the kernel counters of this step's census-free launches;
+        not a field, so outside the plan's ``repr``, hash and equality."""
+        return {}
 
 
 @dataclass(frozen=True)

@@ -134,8 +134,9 @@ class PriceContext:
         return self.spec.bits_a * self.spec.bits_b
 
 
-#: GEMM implementation: ``(a, b, tile_masks) ->`` the exact int64 product
-#: of the two operands' codes, shape ``(M, N)`` on the logical shapes.
+#: GEMM implementation: ``(a, b, tile_masks) ->`` the exact product of the
+#: two operands' codes, shape ``(M, N)`` on the logical shapes — int64, or
+#: the float dtype ``exact_gemm_dtype`` proves exact for the product.
 GemmRunner = Callable[
     ["Operand", "Operand", "Sequence[np.ndarray] | None"], np.ndarray
 ]
@@ -153,7 +154,7 @@ class Backend:
         Registry key; also the string the ``engine=`` compatibility shim
         and :data:`~repro.core.bitgemm.EngineSelector` callables use.
     run:
-        The implementation: the reduced ``(M, N)`` int64 product of two
+        The implementation: the reduced, exact ``(M, N)`` product of two
         :class:`~repro.core.bitpack.Operand`\\ s (see :data:`GemmRunner`).
     caps:
         Capability metadata consulted before pricing/execution.

@@ -168,6 +168,11 @@ def modeled_plan_report(
     from literally the same masks.  Only 1-bit plans describe an
     adjacency; anything else is a caller error, not a modeling choice.
     Pass a pre-built ``cost`` model when calling in a loop.
+
+    A pure function of its arguments, so derived once per census and
+    memoised on it (:attr:`TileSkipPlan.derived`, dropped with the
+    artifact): a replay looks the report up.  The result is that shared
+    object — merge it into an accumulator, never into it.
     """
     if tile_plan.bits != 1:
         raise ConfigError(
@@ -175,18 +180,16 @@ def modeled_plan_report(
             f"{tile_plan.bits}; this report models the 1-bit aggregation "
             "operand"
         )
-    mt, kt = tile_plan.tile_grid
-    return _modeled_report(
-        model,
-        config,
-        num_nodes=num_nodes,
-        mt=mt,
-        kt=kt,
-        nnz_tiles=tile_plan.summary().nonzero_tiles,
-        device=device,
-        dataset=dataset,
-        cost=cost,
-    )
+    dims = tuple(w.shape for w in model.weights)
+    key = ("report", model.kind, dims, config, num_nodes, device, dataset, cost)
+    report = tile_plan.derived.get(key)
+    if report is None:
+        mt, kt = tile_plan.tile_grid
+        report = tile_plan.derived[key] = _modeled_report(
+            model, config, num_nodes=num_nodes, mt=mt, kt=kt,
+            nnz_tiles=tile_plan.nonzero_tiles, device=device, dataset=dataset, cost=cost,
+        )
+    return report
 
 
 def _modeled_report(

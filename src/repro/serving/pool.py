@@ -274,13 +274,14 @@ class _SharedCalibration(ActivationCalibration):
         """Read-only view of the base calibration's frozen sites."""
         return self._base.sites
 
-    def quantize(self, site: str, values: np.ndarray, bits: int):
-        """Quantize with the site's frozen parameters, freezing under a
-        lock on first touch so exactly one worker calibrates each site."""
-        if (site, bits) in self._base._sites:
-            return self._base.quantize(site, values, bits)
+    def params_for(self, site: str, values: np.ndarray, bits: int):
+        """The site's frozen parameters, freezing under a lock on first
+        touch so exactly one worker calibrates each site."""
+        params = self._base._sites.get((site, bits))
+        if params is not None:
+            return params
         with self._lock:
-            return self._base.quantize(site, values, bits)
+            return self._base.params_for(site, values, bits)
 
 
 class PoolResult:

@@ -25,11 +25,12 @@ Two execution paths produce **identical** results and counters:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
 
-from ..core.bitgemm import Engine, bitgemm
+from ..core.bitgemm import Engine, _resolve_backend
 from ..core.bitpack import Operand, PackedBits, as_operand, check_pair, tile_nonzero_mask
 from ..errors import ShapeError
 from .counters import KernelCounters
@@ -123,6 +124,12 @@ class TileSkipPlan:
             frozen.append(mask)
         object.__setattr__(self, "masks", tuple(frozen))
 
+    @cached_property
+    def derived(self) -> dict:
+        """Memo of pure functions of this census (kernel counters, modeled
+        reports): a replay looks them up, eviction drops them with it."""
+        return {}
+
     @property
     def bits(self) -> int:
         return len(self.masks)
@@ -137,7 +144,7 @@ class TileSkipPlan:
         """Tiles across all planes — what a non-jumping kernel processes."""
         return self.masks[0].size * self.bits
 
-    @property
+    @cached_property
     def nonzero_tiles(self) -> int:
         """Tiles that survive the ballot and must be computed."""
         return sum(int(mask.sum()) for mask in self.masks)
@@ -207,9 +214,11 @@ class KernelConfig:
 class KernelResult:
     """Output of one emulated kernel launch."""
 
-    #: Exact int64 product on the logical (unpadded) shape ``(M, N)``.
+    #: Exact product on the logical (unpadded) shape ``(M, N)``: int64, or
+    #: the float dtype the backend's GEMM on codes ran in.
     output: np.ndarray
-    #: Measured event counts for the launch.
+    #: Measured event counts for the launch (may be a memoised, shared
+    #: object: merge them into a fresh one, never in place).
     counters: KernelCounters
 
 
@@ -316,6 +325,7 @@ class BitGemmKernel:
         engine: Engine = "auto",
         plan: TileSkipPlan | None = None,
         registry=None,
+        memo: dict | None = None,
     ) -> KernelResult:
         """Execute the kernel: vectorized math + closed-form counters.
 
@@ -326,7 +336,8 @@ class BitGemmKernel:
         counters and the ``sparse`` host engine, so a cached plan is balloted
         exactly once per operand instead of once per launch.  ``registry``
         resolves ``engine`` against a non-default
-        :class:`~repro.plan.registry.BackendRegistry`.
+        :class:`~repro.plan.registry.BackendRegistry`.  ``memo``, a dict on
+        the plan step of a census-less launch, keeps its counters for replays.
 
         Operands are :class:`~repro.core.bitpack.Operand`\\ s (a bare
         :class:`PackedBits` is wrapped); nothing here forces a pack.
@@ -341,13 +352,18 @@ class BitGemmKernel:
             )
         if plan is None and (self.config.zero_tile_jumping and a.bits == 1):
             plan = plan_tile_skip(a)
-        counters = self._derive_counters(a, b, plan)
-        output = bitgemm(
-            a,
-            b,
-            engine=engine,
-            tile_masks=plan.masks if plan is not None else None,
-            registry=registry,
+        # Pure in (geometry, census, config): memoised on the census, else in ``memo``.
+        if plan is not None:
+            memo = plan.derived
+        elif memo is None:
+            memo = {}
+        shape = (a.logical_vectors, a.logical_k, b.logical_vectors)
+        key = (self.config, shape, a.bits, b.bits, a.pad_vectors, b.pad_vectors)
+        counters = memo.get(key)
+        if counters is None:
+            counters = memo[key] = self._derive_counters(a, b, plan)
+        output = _resolve_backend(engine, a, b, registry).run(
+            a, b, plan.masks if plan is not None else None
         )
         return KernelResult(output=output, counters=counters)
 
@@ -358,20 +374,10 @@ class BitGemmKernel:
         kt = a.k_words // 4
         nt = b.padded_vectors // 8
         jumping = self.config.zero_tile_jumping and a.bits == 1
-        total_mk = mt * kt
-        if jumping:
-            processed_per_plane = plan.processed_per_plane()
-        else:
-            processed_per_plane = [total_mk] * a.bits
+        processed = plan.processed_per_plane() if jumping else [mt * kt] * a.bits
         counters = derive_tile_counters(
-            mt=mt,
-            kt=kt,
-            nt=nt,
-            bits_a=a.bits,
-            bits_b=b.bits,
-            processed_per_plane=processed_per_plane,
-            jumping=jumping,
-            config=self.config,
+            mt=mt, kt=kt, nt=nt, bits_a=a.bits, bits_b=b.bits,
+            processed_per_plane=processed, jumping=jumping, config=self.config,
         )
         counters.tags["shape"] = (a.logical_vectors, a.logical_k, b.logical_vectors)
         return counters

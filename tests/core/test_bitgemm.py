@@ -122,8 +122,30 @@ class TestBitGemm:
 
     def test_unknown_engine(self, small_codes):
         a, b = small_codes
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="unknown engine 'cuda'; registered: "):
             bitgemm_codes(a, b, 3, 2, engine="cuda")
+
+    def test_only_selectors_and_auto_build_a_gemm_spec(self, small_codes, monkeypatch):
+        # A literal name is checked against the registry and looked up; the
+        # (m, k, n, bits) spec exists for whoever chooses by shape.
+        from repro.plan.ir import GemmSpec
+
+        built = []
+        real = GemmSpec.__post_init__
+        monkeypatch.setattr(
+            GemmSpec, "__post_init__", lambda self: (built.append(self), real(self))[1]
+        )
+        a, b = small_codes
+        want = matmul_int_reference(a, b)
+        for engine in ("packed", "blas", "sparse", "codegen"):
+            np.testing.assert_array_equal(bitgemm_codes(a, b, 3, 2, engine=engine), want)
+        assert built == []
+        np.testing.assert_array_equal(bitgemm_codes(a, b, 3, 2, engine="auto"), want)
+        chosen = bitgemm_codes(a, b, 3, 2, engine=lambda m, k, n, ba, bb: "packed")
+        np.testing.assert_array_equal(chosen, want)
+        assert [(s.m, s.k, s.n, s.bits_a, s.bits_b) for s in built] == [
+            (40, 150, 24, 3, 2)
+        ] * 2
 
     def test_plane_products_shift_structure(self, rng):
         # bitgemm_planes[i, j] must equal the plane-product GEMM; summing

@@ -64,8 +64,11 @@ class TestEveryBackendOnBothForms:
                 Operand(packed=pack_matrix(b, bits_b, layout="row")),
                 None,
             )
+            # ``run`` hands back int64 or the float dtype proven exact
+            # for the product (what ``blas`` ran in); ``bitgemm`` int64.
+            exact = (np.int64, exact_gemm_dtype(k, bits_a, bits_b))
             for got in (from_codes, from_words):
-                assert got.dtype == np.int64 and got.shape == (m, n)
+                assert got.dtype in exact and got.shape == (m, n)
                 np.testing.assert_array_equal(got, want, err_msg=backend.name)
 
     @settings(max_examples=60)
@@ -142,8 +145,11 @@ class TestExactnessBoundaries:
         assert exact_gemm_dtype(k, 26, 27) == dtype
         a, b = self._all_max(2, k, 2, 26, 27)
         got = codes_gemm(Operand(a, 26, "col"), Operand(b, 27, "row"))
-        assert got.dtype == np.int64
+        assert got.dtype == dtype  # the product stays in the GEMM's dtype
         np.testing.assert_array_equal(got, matmul_int_reference(a, b))
+        public = bitgemm(Operand(a, 26, "col"), Operand(b, 27, "row"), engine="blas")
+        assert public.dtype == np.int64
+        np.testing.assert_array_equal(public, matmul_int_reference(a, b))
 
     def test_one_bit_adjacency_bound_counts_k(self):
         # 1-bit x 8-bit: exact in float32 up to K = 65_793 (K * 255 < 2**24).
@@ -157,6 +163,35 @@ class TestExactnessBoundaries:
             Operand(np.array([[0, -1]]), 8, "col")
         with pytest.raises(BitwidthError):
             Operand(np.array([[0.5]]), 8, "col")
+
+
+class TestProvenCodes:
+    """Codes whose producer proved the range enter in the GEMM's dtype and
+    turn ``int64`` only for a consumer that needs them so."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    @pytest.mark.parametrize("bits, layout", [(1, "col"), (1, "row"), (6, "col"), (6, "row")])
+    def test_every_form_derives_from_float_codes(self, dtype, bits, layout):
+        rng = np.random.default_rng(bits)
+        codes = _codes(rng, (13, 150), bits)
+        held = codes.astype(dtype)
+        operand = Operand(held, bits, layout, proven=True)
+        assert operand.matrix(dtype) is held  # multiplied as it arrived
+        checked = Operand(codes, bits, layout)
+        for other in (np.float32, np.float64):
+            np.testing.assert_array_equal(operand.matrix(other), checked.matrix(other))
+        for got, want in zip(operand.tile_masks(), checked.tile_masks()):
+            np.testing.assert_array_equal(got, want)
+        assert operand.codes.dtype == np.int64
+        np.testing.assert_array_equal(operand.codes, codes)
+        np.testing.assert_array_equal(operand.packed.words, checked.packed.words)
+
+    def test_the_public_constructor_still_checks(self):
+        bad = np.array([[0.0, 300.0]], dtype=np.float32)
+        with pytest.raises(BitwidthError, match="does not fit"):
+            Operand(bad, 8, "col")
+        with pytest.raises(ShapeError):
+            Operand(np.zeros(3, dtype=np.float32), 8, "col", proven=True)
 
 
 class TestCsrFromWords:

@@ -15,7 +15,9 @@ from repro.core.quantization import (
     dequantize,
     quantization_error,
     quantize,
+    quantize_into,
 )
+from repro.core.bitgemm import exact_gemm_dtype
 from repro.errors import BitwidthError, ConfigError
 
 
@@ -135,3 +137,88 @@ class TestRoundTrip:
         recon = dequantize(codes, params)
         # Mid-bucket reconstruction: error strictly below one bucket width.
         assert np.max(np.abs(vals - recon)) < params.scale
+
+
+def eq2_reference(values: np.ndarray, params: QuantParams) -> np.ndarray:
+    """Eq. 2 written the allocating way ``quantize`` ran it before the
+    one-buffer rewrite: the independent oracle for the codes."""
+    arr = np.asarray(values, dtype=np.float64)
+    codes = np.floor((arr - params.alpha_min) / params.scale)
+    np.clip(codes, 0, params.levels - 1, out=codes)
+    return codes.astype(np.int64)
+
+
+class TestQuantizeInto:
+    """The fused quantizer emits ``quantize``'s codes, code for code, in
+    whatever dtype the consuming GEMM is exact in."""
+
+    @staticmethod
+    def _values(bits, alpha_min, scale, dtype, seed, rows):
+        """Interior points, exact bucket edges, alpha_max, values below
+        alpha_min, both infinities and an empty row's worth of nothing."""
+        rng = np.random.default_rng(seed)
+        levels = 1 << bits
+        alpha_max = alpha_min + scale * levels
+        edges = alpha_min + scale * rng.integers(0, levels, size=6)
+        special = [alpha_min, alpha_max, alpha_min - 3 * scale, alpha_max + scale,
+                   np.inf, -np.inf, np.nextafter(alpha_max, -np.inf)]
+        body = rng.uniform(alpha_min - scale, alpha_max + scale, size=rows * 5)
+        flat = np.concatenate([edges, special, body])[: rows * 5]
+        return flat.reshape(rows, 5).astype(dtype)
+
+    @settings(max_examples=120)
+    @given(
+        bits=st.sampled_from([1, 2, 4, 8, 16, 32]),
+        alpha_min=st.floats(-50.0, 50.0),
+        scale=st.floats(1e-6, 10.0),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        k=st.sampled_from([1, 64, 258, 259, 70_000]),
+        other_bits=st.sampled_from([1, 8, 27, 32]),
+        seed=st.integers(0, 2**16),
+        rows=st.sampled_from([0, 1, 4, 9]),
+    )
+    def test_codes_equal_quantize_in_every_gemm_dtype(
+        self, bits, alpha_min, scale, dtype, k, other_bits, seed, rows
+    ):
+        params = QuantParams(bits=bits, alpha_min=alpha_min, scale=scale)
+        values = self._values(bits, alpha_min, scale, dtype, seed, rows)
+        want = eq2_reference(values, params)
+        codes, _ = quantize(values, params)
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, want)
+        # The dtype of a GEMM these codes enter: float32, float64 or int64
+        # as k and the other operand's bitwidth cross 2**24 and 2**53.
+        target = exact_gemm_dtype(k, bits, other_bits)
+        fused = quantize_into(values, params, target)
+        assert fused.dtype == target and fused.shape == values.shape
+        np.testing.assert_array_equal(fused.astype(np.int64), want)
+        assert fused.size == 0 or (0 <= fused.min() and fused.max() < 1 << bits)
+
+    @pytest.mark.parametrize(
+        "gemm, dtype",
+        [((258, 8, 8), np.float32), ((259, 8, 8), np.float64),
+         ((1, 26, 27), np.float64), ((2, 26, 27), np.int64)],
+    )
+    def test_emitted_dtype_at_the_exactness_boundaries(self, gemm, dtype, rng):
+        k, bits_a, bits_b = gemm
+        assert exact_gemm_dtype(*gemm) == dtype
+        values = rng.normal(size=(6, k))
+        top = (1 << bits_a) - 1
+        codes, params = quantize(values, bits=bits_a)
+        fused = quantize_into(values, params, exact_gemm_dtype(*gemm))
+        assert fused.dtype == dtype and int(fused.max()) == top == int(codes.max())
+        np.testing.assert_array_equal(fused.astype(np.int64), codes)
+
+    def test_constant_tensor_and_infinities_clip(self):
+        params = calibrate(np.full((3, 2), 1.5), 4)
+        np.testing.assert_array_equal(
+            quantize_into(np.full((3, 2), 1.5), params, np.float32), np.zeros((3, 2))
+        )
+        edge = quantize_into(np.array([[-np.inf, np.inf]]), params, np.float32)
+        np.testing.assert_array_equal(edge, [[0, 15]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_nan_raises_instead_of_becoming_a_code(self, dtype):
+        params = QuantParams(bits=8, alpha_min=-1.0, scale=0.01)
+        with pytest.raises(BitwidthError, match="NaN"):
+            quantize_into(np.array([[0.0, np.nan, 0.5]]), params, dtype)

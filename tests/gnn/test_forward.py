@@ -188,3 +188,107 @@ class TestActivationsPackOnlyForWordBackends:
         for name, result in results.items():
             assert result.total_counters == reference.total_counters, name
             np.testing.assert_array_equal(result.logits, reference.logits)
+
+
+class TestOneBufferStepPipeline:
+    """Activations travel as range-proven codes in the GEMM's own dtype."""
+
+    @staticmethod
+    def _operand_spy(monkeypatch):
+        """Every activation operand the executor builds: (layout, dtype, proven)."""
+        from repro.gnn import quantized as module
+
+        seen = []
+
+        class Spy(module.Operand):
+            def __init__(self, codes=None, bits=None, layout="col", **kwargs):
+                if codes is not None:
+                    seen.append((layout, np.asarray(codes).dtype, kwargs.get("proven")))
+                super().__init__(codes, bits, layout, **kwargs)
+
+        monkeypatch.setattr(module, "Operand", Spy)
+        return seen
+
+    @pytest.mark.parametrize("engine", ["blas", "packed"])
+    def test_codes_arrive_in_each_steps_exact_gemm_dtype(
+        self, batch, gin, engine, monkeypatch
+    ):
+        from repro.core.bitgemm import exact_gemm_dtype
+
+        seen = self._operand_spy(monkeypatch)
+        for bits, want in ((8, np.float32), (16, np.float64), (32, np.int64)):
+            del seen[:]
+            out = quantized_forward(gin, batch, feature_bits=bits, engine=engine)
+            specs = [t.spec for t in out.timings]
+            assert [dtype for _, dtype, _ in seen] == [
+                exact_gemm_dtype(s.k, s.bits_a, s.bits_b) for s in specs
+            ]
+            assert all(proven for _, _, proven in seen)
+            # GIN is update-first: the first operand is layer 0's left one.
+            assert seen[0][:2] == ("col", np.dtype(want))
+
+    def test_nan_activation_still_raises_bitwidth_error(self, batch, gcn):
+        import dataclasses
+
+        from repro.gnn.quantized import ActivationCalibration
+        from repro.graph.batching import SubgraphBatch
+
+        calibration = ActivationCalibration()
+        clean = quantized_forward(gcn, batch, feature_bits=4, calibration=calibration)
+
+        def poisoned(value):
+            first = batch.members[0]
+            features = first.graph.features.copy()
+            features[1, 2] = value
+            graph = dataclasses.replace(first.graph, features=features)
+            member = dataclasses.replace(first, graph=graph)
+            return SubgraphBatch(members=(member,) + tuple(batch.members[1:]))
+
+        with pytest.raises(BitwidthError):
+            quantized_forward(
+                gcn, poisoned(np.nan), feature_bits=4, calibration=calibration
+            )
+        # An infinity clips into the top (bottom) bucket, as it always has.
+        for value in (np.inf, -np.inf):
+            out = quantized_forward(
+                gcn, poisoned(value), feature_bits=4, calibration=calibration
+            )
+            assert np.isfinite(out.logits).all()
+            assert out.logits.shape == clean.logits.shape
+
+    @pytest.mark.parametrize("bits", [1, 8])
+    def test_batched_equals_per_request_under_shared_calibration(
+        self, batch, gin, bits
+    ):
+        from repro.gnn.quantized import ActivationCalibration
+        from repro.graph.batching import SubgraphBatch
+
+        calibration = ActivationCalibration()
+        together = quantized_forward(
+            gin, batch, feature_bits=bits, calibration=calibration
+        )
+        for member, rows in zip(batch.members, batch.member_slices()):
+            alone = quantized_forward(
+                gin, SubgraphBatch(members=(member,)), feature_bits=bits,
+                calibration=calibration,
+            )
+            np.testing.assert_array_equal(alone.logits, together.logits[rows])
+
+    @pytest.mark.parametrize("bits", [1, 4])
+    def test_word_backends_pack_each_activation_exactly_once(
+        self, batch, gcn, bits, monkeypatch
+    ):
+        from repro.plan import default_registry
+
+        calls = TestActivationsPackOnlyForWordBackends._count_packs(monkeypatch)
+        results = {}
+        for name in default_registry().names():
+            del calls[:]
+            results[name] = quantized_forward(
+                gcn, batch, feature_bits=bits, engine=name
+            )
+            want = 0 if name == "blas" else len(results[name].timings)
+            assert len(calls) == want, (name, calls)
+        for name, result in results.items():
+            assert result.total_counters == results["packed"].total_counters, name
+            np.testing.assert_array_equal(result.logits, results["packed"].logits)

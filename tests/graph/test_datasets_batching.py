@@ -154,6 +154,15 @@ class TestBatching:
             batch.members[1].graph.features,
         )
 
+    def test_features_concatenate_straight_into_a_dtype(self, subgraphs):
+        batch = next(batch_subgraphs(subgraphs, 3))
+        plain = batch.features()
+        assert plain.dtype == batch.members[0].graph.features.dtype
+        wide = batch.features(np.float64)
+        assert wide.dtype == np.float64
+        # fp32 -> fp64 is exact: the same values as concatenate-then-cast.
+        np.testing.assert_array_equal(wide, plain.astype(np.float64))
+
     def test_member_slices(self, subgraphs):
         batch = next(batch_subgraphs(subgraphs, 3))
         slices = batch.member_slices()

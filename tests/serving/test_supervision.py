@@ -305,3 +305,58 @@ class TestEngineRecovery:
         # The fault fired once; a replay compiles cleanly.
         result = engine.infer_one(subgraphs[0])
         assert result.logits.shape[1] == 3
+
+
+class TestRecoverySeesTheSameOperands:
+    """A step that fails on ``blas`` after consuming its operands recovers
+    on ``packed`` from the very same :class:`Operand` objects — whose
+    activation side arrived as range-proven float32 codes, not int64."""
+
+    def test_blas_failure_recovers_on_packed_from_float32_codes(self, rng):
+        from repro.core.bitgemm import codes_gemm
+        from repro.gnn.quantized import execute_forward_plan, quantized_forward
+        from repro.graph.batching import SubgraphBatch
+        from repro.plan import Backend, BackendRegistry, compile_forward_plan
+        from repro.plan.registry import default_registry
+
+        g = planted_partition_graph(
+            128, 800, num_communities=4, feature_dim=8, num_classes=3, rng=rng
+        )
+        batch = SubgraphBatch(
+            members=tuple(induced_subgraphs(g, metis_like_partition(g, 4))[:2])
+        )
+        model = make_batched_gin(8, 3, hidden_dim=8, seed=3)
+        seen = []
+
+        def flaky(a, b, tile_masks=None):
+            out = codes_gemm(a, b, tile_masks)  # reads (and memoises) the codes
+            activation = b if a.bits == 1 else a
+            seen.append(activation.matrix(out.dtype).dtype)
+            if len(seen) in (1, 4):  # an update step and an aggregate step
+                raise RuntimeError("blas worker lost")
+            return out
+
+        real = default_registry()
+        registry = BackendRegistry(
+            [
+                Backend(name="blas", run=flaky, caps=real.get("blas").caps)
+                if backend.name == "blas"
+                else backend
+                for backend in real
+            ]
+        )
+        want = quantized_forward(model, batch, feature_bits=8, engine="blas")
+        plan = compile_forward_plan(
+            model, num_nodes=batch.num_nodes, feature_bits=8, engine="blas",
+            registry=registry,
+        )
+        got = execute_forward_plan(
+            plan, model, batch, registry=registry, recovery=StepRecovery()
+        )
+        assert seen and all(dtype == np.float32 for dtype in seen)
+        assert [(failed, ran) for _, failed, ran in got.recoveries] == [
+            ("blas", "packed")
+        ] * 2
+        assert [t.backend for t in got.timings].count("packed") == 2
+        np.testing.assert_array_equal(got.logits, want.logits)
+        assert got.counters == want.counters

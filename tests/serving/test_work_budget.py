@@ -1,27 +1,50 @@
-"""Deterministic work budget of a ``blas``-routed 1-bit serving round.
+"""Deterministic work budget of a ``blas``-routed serving round.
 
 Call counts, not seconds — it cannot flake on a slow host.  A warm round
 does no bit-level work at all (no activation words, no adjacency scatter,
 no decode, no word-wide ballot) and hashes each member once; a structure
-miss scatters the adjacency exactly once and reads no word back.
+miss scatters the adjacency exactly once and reads no word back.  Nor
+does a warm round re-derive what is a pure function of the artifacts it
+has just hit in the cache — kernel counters, the modeled report, GEMM
+specs — or read its activation codes a second time to range-check them;
+and those derivations die with the artifact they hang on.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import sys
+import weakref
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core import bitpack
-from repro.gnn import make_cluster_gcn
+from repro.core import bitdecomp, bitpack
+from repro.gnn import make_batched_gin, make_cluster_gcn, quantized_forward
+from repro.gnn.quantized import ActivationCalibration, pack_batch_adjacency
 from repro.graph import induced_subgraphs
+from repro.graph.batching import SubgraphBatch
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
+from repro.plan.ir import GemmSpec
+from repro.runtime import executor as runtime_executor
+from repro.runtime.executor import QGTCRunConfig, modeled_plan_report
 from repro.serving import InferenceEngine, ServingConfig
 from repro.serving import engine as engine_module
+from repro.tc import kernel as tc_kernel
+
+
+def _counting(counts, name, real):
+    """``real`` wrapped to count its calls under ``counts[name]``."""
+
+    def spy(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    return spy
 
 
 @pytest.fixture
@@ -31,13 +54,7 @@ def spies(monkeypatch):
     counts = dict.fromkeys(
         ["pack_matrix", "pack_edges", "tile_nonzero_mask", "_csr_from_words", "blake2b"], 0
     )
-
-    def counting(name, real):
-        def spy(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
-
-        return spy
+    counting = partial(_counting, counts)
 
     for name in ("pack_matrix", "pack_edges", "tile_nonzero_mask"):
         real = getattr(bitpack, name)
@@ -98,3 +115,139 @@ def test_one_bit_blas_round_work_budget(spies):
     # A second structure is a miss again: one scatter, nothing read back.
     assert round_counts(second)[0] == {**miss, "blake2b": len(second)}
     assert engine.stats.tiles_skipped > 0  # the ballot still feeds the counters
+
+
+# --------------------------------------------------------------------- #
+# Replay-invariant derivations: once per artifact, dead with the artifact
+# --------------------------------------------------------------------- #
+@pytest.fixture
+def derivations(monkeypatch):
+    """Call counters on what a replay must look up rather than recompute:
+    the executor's per-step counter derivation (``tc.kernel``'s binding —
+    the modeled report's own calls go through ``runtime.executor``'s), the
+    modeled report, ``GemmSpec`` construction and the codes range check."""
+    counts = dict.fromkeys(
+        ["derive_tile_counters", "_modeled_report", "GemmSpec", "check_codes"], 0
+    )
+    counting = partial(_counting, counts)
+
+    monkeypatch.setattr(
+        tc_kernel, "derive_tile_counters",
+        counting("derive_tile_counters", tc_kernel.derive_tile_counters),
+    )
+    monkeypatch.setattr(
+        runtime_executor, "_modeled_report",
+        counting("_modeled_report", runtime_executor._modeled_report),
+    )
+    monkeypatch.setattr(
+        GemmSpec, "__post_init__", counting("GemmSpec", GemmSpec.__post_init__)
+    )
+    for module in (bitpack, bitdecomp):
+        monkeypatch.setattr(
+            module, "check_codes", counting("check_codes", bitdecomp.check_codes)
+        )
+    return counts
+
+
+@pytest.fixture
+def structures():
+    g = planted_partition_graph(
+        480, 2700, num_communities=12, feature_dim=12, num_classes=3,
+        rng=np.random.default_rng(7),
+    )
+    subgraphs = induced_subgraphs(g, metis_like_partition(g, 12))
+    return [subgraphs[i : i + 4] for i in range(0, 12, 4)]
+
+
+def test_warm_round_derives_nothing_a_miss_derives_once(derivations, structures):
+    model = make_batched_gin(12, 3, hidden_dim=16, seed=4)
+    engine = InferenceEngine(
+        model, ServingConfig(feature_bits=8, engine="blas", batch_size=4)
+    ).warm_up()
+
+    def round_counts(members):
+        for name in derivations:
+            derivations[name] = 0
+        engine.infer(members)
+        return dict(derivations)
+
+    for members in structures[:2]:
+        miss = round_counts(members)
+        # Once per GEMM step — two aggregations of one width over one
+        # census are one launch geometry, hence one derivation.
+        plan = engine.plan_for(SubgraphBatch(members=tuple(members)))
+        steps = list(plan.gemm_steps())
+        assert len(steps) == 2 * model.num_layers
+        assert miss["derive_tile_counters"] == len({step.spec for step in steps})
+        assert miss["_modeled_report"] == 1  # once per round
+        assert miss["GemmSpec"] > 0  # the plan compiles, the report models
+        assert miss["check_codes"] == 0  # activations are proven, not re-read
+    for members in structures[:2] * 2:
+        assert round_counts(members) == dict.fromkeys(derivations, 0)
+
+
+def test_replayed_counters_equal_fresh_derivations_times_replays(structures):
+    model = make_batched_gin(12, 3, hidden_dim=16, seed=4)
+    config = ServingConfig(feature_bits=8, engine="blas", batch_size=4)
+    calibration = ActivationCalibration()
+    engine = InferenceEngine(model, config, calibration=calibration).warm_up()
+    members = structures[0]
+    engine.infer(members)
+    before = (engine.stats.mma_ops, engine.stats.tiles_total, engine.stats.tiles_skipped)
+    device_before = engine.device_report.total_s(), engine.device_report.mma_ops
+    replays = 5
+    for _ in range(replays):
+        engine.infer(members)
+
+    # One fresh forward with nothing pre-bound: its own adjacency, its own
+    # plan, a report modeled from scratch.
+    batch = SubgraphBatch(members=tuple(members))
+    adjacency = pack_batch_adjacency(batch)
+    fresh = quantized_forward(
+        model, batch, feature_bits=8, calibration=calibration,
+        packed_adjacency=adjacency, engine="blas",
+    ).total_counters
+    report = modeled_plan_report(
+        model,
+        QGTCRunConfig(feature_bits=8, weight_bits=8, kernel=config.kernel),
+        num_nodes=batch.num_nodes,
+        tile_plan=adjacency.plan,
+        device=config.device,
+    )
+    assert fresh.tiles_skipped > 0
+    after = (engine.stats.mma_ops, engine.stats.tiles_total, engine.stats.tiles_skipped)
+    assert tuple(a - b for a, b in zip(after, before)) == tuple(
+        replays * each
+        for each in (fresh.mma_ops, fresh.tiles_total, fresh.tiles_skipped)
+    )
+    assert engine.device_report.mma_ops - device_before[1] == replays * report.mma_ops
+    assert engine.device_report.total_s() - device_before[0] == pytest.approx(
+        replays * report.total_s(), rel=1e-12
+    )
+
+
+def test_evicted_adjacency_is_collectable_with_its_derivations(structures):
+    """Nothing memoised for a replay may pin the artifact it describes: a
+    side table keyed by the adjacency would keep every evicted one alive."""
+    model = make_cluster_gcn(12, 3)
+    engine = InferenceEngine(
+        model,
+        ServingConfig(
+            feature_bits=4, engine="blas", batch_size=4,
+            adjacency_cache_capacity=2, plan_cache_capacity=2,
+        ),
+    ).warm_up()
+    first = SubgraphBatch(members=tuple(structures[0]))
+    engine.infer(structures[0])
+    engine.infer(structures[0])  # a warm replay: every memo is populated
+    adjacency = engine.packed_adjacency_for(first)
+    plan = engine.plan_for(first, adjacency=adjacency)
+    assert adjacency.plan.derived and all(
+        step.derived for step in plan.gemm_steps() if step.spec.role == "update"
+    )
+    refs = [weakref.ref(adjacency), weakref.ref(adjacency.plan), weakref.ref(plan)]
+    del adjacency, plan
+    for members in structures[1:]:  # two more structures: LRU evicts the first
+        engine.infer(members)
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
