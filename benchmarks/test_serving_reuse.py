@@ -10,7 +10,8 @@ weight planes held in the LRU cache, requests coalesced into batched-GIN
 rounds, every bit-GEMM dispatched by the cost model.
 
 Both paths are measured host wall-clock of this process (not modeled
-device time).  Acceptance: warm throughput >= 3x cold.
+device time); the recorded ``speedup.median`` is gated by
+``repro.perf.regression`` (the CI regression-gate step), not here.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ FEATURE_BITS = 8
 NUM_PARTS = 48
 BATCH_SIZE = 8
 #: Passes per measured path; best-of-N damps scheduler noise on shared
-#: CI runners (the measured margin is ~7x against a 3x acceptance bar).
+#: CI runners.
 PASSES = 3
 
 
@@ -140,6 +141,3 @@ def test_serving_reuse(benchmark, once, report, bench_json):
     # Plans compiled once per distinct round, then replayed from cache.
     assert r["plan_cache"].hits > 0
     assert r["plan_cache"].evictions == 0
-    # Acceptance: warm plan replay beats the cold path by >= 3x (the same
-    # bar the pre-plan warm-cache path cleared).
-    assert r["speedup"] >= 3.0, f"warm speedup only {r['speedup']:.2f}x"

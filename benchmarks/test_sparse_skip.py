@@ -11,9 +11,9 @@ on the measured workload).
 
 Both paths are measured host wall-clock of this process on the identical
 aggregation GEMM (1-bit batched adjacency x 8-bit packed features).
-Acceptance: sparse >= 2x faster than packed on the 16-member batch
-(measured margin ~5-8x; the expected nonzero-tile fraction is ~1/16 plus
-intra-member sparsity).
+The recorded ``speedup.median`` (sparse over packed on the 16-member
+batch; the expected nonzero-tile fraction is ~1/16 plus intra-member
+sparsity) is gated by ``repro.perf.regression``, not here.
 """
 
 from __future__ import annotations
@@ -118,5 +118,3 @@ def test_sparse_skip(benchmark, once, report, bench_json):
     # fraction sits near 1/members (intra-member zeros push it lower,
     # tile-grid rounding at member boundaries slightly higher).
     assert r["nonzero_fraction"] < 2.5 / r["members"]
-    # Acceptance: the sparse engine beats dense packed execution >= 2x.
-    assert r["speedup"] >= 2.0, f"sparse speedup only {r['speedup']:.2f}x"

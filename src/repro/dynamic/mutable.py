@@ -47,6 +47,7 @@ from ..gnn.quantized import PackedAdjacency, pack_batch_adjacency
 from ..graph.batching import Subgraph, SubgraphBatch
 from ..graph.csr import CSRGraph
 from ..tc.kernel import TileSkipPlan
+from ..telemetry import Counters
 
 __all__ = [
     "MutableGraph",
@@ -88,8 +89,10 @@ class MutationDelta:
 
 
 @dataclass
-class MutationStats:
+class MutationStats(Counters):
     """Lifetime mutation counters of one :class:`MutableGraph`."""
+
+    DERIVED = ("mutations_applied",)
 
     batches: int = 0
     edges_inserted: int = 0
@@ -102,18 +105,6 @@ class MutationStats:
     def mutations_applied(self) -> int:
         """Effective structural changes across all batches."""
         return self.edges_inserted + self.edges_deleted
-
-    def as_metrics(self) -> dict[str, float]:
-        """Flat numeric view for PAG / benchmark emission."""
-        return {
-            "batches": float(self.batches),
-            "edges_inserted": float(self.edges_inserted),
-            "edges_deleted": float(self.edges_deleted),
-            "noop_mutations": float(self.noop_mutations),
-            "mutations_applied": float(self.mutations_applied),
-            "tiles_recensused": float(self.tiles_recensused),
-            "full_repacks": float(self.full_repacks),
-        }
 
 
 class MutableGraph:

@@ -43,6 +43,7 @@ from ..gnn.quantized import PackedAdjacency, QuantizedForwardResult
 from ..graph.csr import CSRGraph
 from ..plan.ir import ExecutionPlan
 from ..serving.engine import InferenceEngine, ServingConfig
+from ..telemetry import Counters
 from .mutable import MutableGraph, MutationDelta
 from .patch import PatchDecision, PatchPolicy
 
@@ -52,7 +53,7 @@ _DYNAMIC_TAG = "dynamic"
 
 
 @dataclass
-class DynamicStats:
+class DynamicStats(Counters):
     """Running totals of one dynamic serving session."""
 
     #: Mutation batches that changed the structure (digest advanced).
@@ -77,20 +78,6 @@ class DynamicStats:
     stale_kernel_hits: int = 0
     #: Seconds inside :meth:`DynamicSession.serve` measured windows.
     serve_seconds: float = 0.0
-
-    def as_metrics(self) -> dict[str, float]:
-        """Flat numeric view for the PAG's dynamic node."""
-        return {
-            "mutation_batches": float(self.mutation_batches),
-            "serves": float(self.serves),
-            "plans_patched": float(self.plans_patched),
-            "plans_recompiled": float(self.plans_recompiled),
-            "plans_invalidated": float(self.plans_invalidated),
-            "adjacency_invalidated": float(self.adjacency_invalidated),
-            "kernels_invalidated": float(self.kernels_invalidated),
-            "repacks_avoided": float(self.repacks_avoided),
-            "stale_kernel_hits": float(self.stale_kernel_hits),
-        }
 
 
 class DynamicSession:
@@ -337,5 +324,5 @@ class DynamicSession:
         for name, value in self.mutable.stats.as_metrics().items():
             metrics[f"graph.{name}"] = value
         metrics["nonzero_fraction"] = self.mutable.nonzero_fraction
-        metrics["num_edges"] = float(self.mutable.num_edges)
-        return metrics
+        metrics["num_edges"] = self.mutable.num_edges
+        return {name: float(value) for name, value in metrics.items()}

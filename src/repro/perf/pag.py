@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..plan.cache import CacheStats
 from ..serving.engine import InferenceEngine, SessionStats
 from ..serving.gateway import GatewayStats
 from ..serving.pool import PoolStats, ServingPool
@@ -193,64 +192,34 @@ def _phase_nodes(
     return attributed
 
 
-def _segment_node(name: str, stats: CacheStats, capacity: int | None) -> PagNode:
-    """A cache segment's counters as one pure-metric node."""
-    metrics = {
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "evictions": stats.evictions,
-        "insertions": stats.insertions,
-        "invalidations": stats.invalidations,
-        "poisoned": stats.poisoned,
-        "hit_rate": stats.hit_rate,
-    }
-    if capacity is not None:
-        metrics["capacity"] = capacity
-    return PagNode(kind="segment", name=name, metrics=metrics)
-
-
 def _worker_node(
+    stats: SessionStats,
     label: str,
-    *,
-    requests: int,
-    batches: int,
-    wall_s: float,
-    phase_seconds: dict,
-    backend_seconds: dict,
-    segments: list[PagNode],
+    capacities: dict[str, int | None],
     extra: dict | None = None,
 ) -> tuple[PagNode, float]:
-    """One shard/session node with phase and segment children."""
-    metrics = {"requests": requests, "batches": batches}
-    if extra:
-        metrics.update(extra)
-    node = PagNode(kind="worker", name=label, seconds=wall_s, metrics=metrics)
-    attributed = _phase_nodes(node, phase_seconds, backend_seconds)
-    for segment in segments:
-        node.add(segment)
+    """One shard/session node — the record's own metrics — with phase
+    children and one pure-metric ``segment`` child per ``capacities``
+    kind; returns the node and the seconds its phases attribute."""
+    metrics = {**stats.as_metrics(), **(extra or {})}
+    node = PagNode(kind="worker", name=label, seconds=stats.wall_s, metrics=metrics)
+    attributed = _phase_nodes(node, stats.phase_seconds, stats.backend_seconds)
+    for kind, capacity in capacities.items():
+        segment = getattr(stats, f"{kind}_cache").as_metrics()
+        if capacity is not None:
+            segment["capacity"] = capacity
+        node.add(PagNode(kind="segment", name=kind, metrics=segment))
     return node, attributed
 
 
 def _from_engine(engine: InferenceEngine) -> Pag:
     stats: SessionStats = engine.stats
-    segments = [
-        _segment_node("weight", stats.weight_cache, engine.weight_cache.capacity),
-        _segment_node(
-            "adjacency", stats.adjacency_cache, engine.adjacency_cache.capacity
-        ),
-        _segment_node("plan", stats.plan_cache, engine.plan_cache.capacity),
-    ]
     worker, attributed = _worker_node(
+        stats,
         engine.label or "session",
-        requests=stats.requests,
-        batches=stats.batches,
-        wall_s=stats.wall_s,
-        phase_seconds=stats.phase_seconds,
-        backend_seconds=stats.backend_seconds,
-        segments=segments,
-        extra={
-            "plans_invalidated": stats.plans_invalidated,
-            "step_retries": stats.step_retries,
+        {
+            kind: engine.plan_artifacts.segment(kind).capacity
+            for kind in ("weight", "adjacency", "plan")
         },
     )
     root = PagNode(
@@ -263,115 +232,34 @@ def _from_engine(engine: InferenceEngine) -> Pag:
     return Pag(root=root, wall_s=stats.wall_s, attributed_s=attributed)
 
 
-def _from_pool_stats(
-    stats: PoolStats,
-    *,
-    queue_depths: tuple | None = None,
-    capacities: dict | None = None,
-) -> Pag:
+def _from_pool_stats(stats: PoolStats, pool: ServingPool | None = None) -> Pag:
+    """One worker node per shard snapshot; a live ``pool`` adds what a
+    snapshot cannot carry — queue depths and segment capacities."""
     root = PagNode(
-        kind="root",
-        name="pool",
-        seconds=stats.wall_s,
-        metrics={
-            "workers": stats.workers,
-            "requests": stats.requests,
-            "batches": stats.batches,
-            "table_merges": stats.table_merges,
-            "plans_published": stats.plans_published,
-            "plans_adopted": stats.plans_adopted,
-            "step_retries": stats.step_retries,
-            "quarantines": stats.quarantines,
-            "respawns": stats.respawns,
-            "requeued": stats.requeued,
-            "poisoned_discards": stats.poisoned_discards,
-        },
+        kind="root", name="pool", seconds=stats.wall_s, metrics=stats.as_metrics()
     )
+    depths, config = (pool.queue_depths(), pool.config) if pool is not None else ((), None)
+    capacities = {
+        kind: getattr(config, f"{kind}_cache_capacity", None)
+        for kind in ("plan", "adjacency")
+    }
     attributed = 0.0
     for i, worker in enumerate(stats.per_worker):
-        extra = {
-            "autotune_samples": worker.autotune_samples,
-            "plans_adopted": worker.plans_adopted,
-            "step_retries": worker.step_retries,
-        }
-        if queue_depths is not None and i < len(queue_depths):
-            extra["queue_depth"] = queue_depths[i]
-        segments = [
-            _segment_node(
-                "plan",
-                worker.plan_cache,
-                (capacities or {}).get("plan"),
-            ),
-            _segment_node(
-                "adjacency",
-                worker.adjacency_cache,
-                (capacities or {}).get("adjacency"),
-            ),
-        ]
-        node, seconds = _worker_node(
-            worker.label,
-            requests=worker.requests,
-            batches=worker.batches,
-            wall_s=worker.wall_s,
-            phase_seconds=worker.phase_seconds,
-            backend_seconds=worker.backend_seconds,
-            segments=segments,
-            extra=extra,
-        )
+        extra = {"queue_depth": depths[i]} if i < len(depths) else None
+        node, seconds = _worker_node(worker, worker.label, capacities, extra)
         root.add(node)
         attributed += seconds
     return Pag(root=root, wall_s=stats.wall_s, attributed_s=attributed)
 
 
-def _from_pool(pool: ServingPool) -> Pag:
-    capacities = {
-        "plan": pool.config.plan_cache_capacity,
-        "adjacency": pool.config.adjacency_cache_capacity,
-    }
-    depths = pool.queue_depths() if pool.pool_config.mode == "thread" else None
-    return _from_pool_stats(
-        pool.stats(), queue_depths=depths, capacities=capacities
-    )
-
-
 def _attach_gateway(pag: Pag, gateway: GatewayStats) -> Pag:
     node = pag.root.add(
-        PagNode(
-            kind="gateway",
-            name="gateway",
-            metrics={
-                "submitted": gateway.submitted,
-                "completed": gateway.completed,
-                "rejected": gateway.rejected,
-                "rerouted": gateway.rerouted,
-                "hedges_launched": gateway.hedges_launched,
-                "hedges_won": gateway.hedges_won,
-                "in_flight": gateway.in_flight,
-                "retries": gateway.retries,
-                "failures": gateway.failures,
-                "rejection_rate": gateway.rejection_rate,
-            },
-        )
+        PagNode(kind="gateway", name="gateway", metrics=gateway.as_metrics())
     )
     for name, lane in gateway.per_lane.items():
         # Idle lanes carry nan quantiles by contract (not a perfect 0.0);
         # the payload writer turns them into JSON null.
-        node.add(
-            PagNode(
-                kind="lane",
-                name=name,
-                metrics={
-                    "submitted": lane.submitted,
-                    "completed": lane.completed,
-                    "rejected": lane.rejected,
-                    "retries": lane.retries,
-                    "failures": lane.failures,
-                    "latency_p50_s": lane.latency_p50_s,
-                    "latency_p99_s": lane.latency_p99_s,
-                    "has_latency": lane.has_latency,
-                },
-            )
-        )
+        node.add(PagNode(kind="lane", name=name, metrics=lane.as_metrics()))
     return pag
 
 
@@ -422,7 +310,7 @@ def build_pag(source, pool_stats: PoolStats | None = None) -> Pag:
     if isinstance(source, InferenceEngine):
         return _from_engine(source)
     if isinstance(source, ServingPool):
-        return _from_pool(source)
+        return _from_pool_stats(source.stats(), source)
     if isinstance(source, PoolStats):
         return _from_pool_stats(source)
     if isinstance(source, GatewayStats):

@@ -52,6 +52,7 @@ import numpy as np
 
 from ..core.bitpack import TC_K, TC_M, pad_to, tile_nonzero_mask
 from ..errors import ConfigError
+from ..telemetry import emit_event
 from .ir import GemmSpec
 from .rates import DEFAULT_HOST_RATES, HostRates
 from .registry import BackendPrice, BackendRegistry, PriceContext, default_registry
@@ -544,6 +545,7 @@ class DispatchTable:
                 RuntimeWarning,
                 stacklevel=3,
             )
+            emit_event(__name__, "dispatch_table_degraded", path=path, reason=reason)
             table = cls(host=expect_host, registry_id=expect_registry)
             table.mismatch = reason
             table.degraded_loads = 1

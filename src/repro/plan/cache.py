@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Generic, Hashable, Mapping, TypeVar
 
 from ..errors import ConfigError
+from ..telemetry import Counters, emit_event
 
 __all__ = [
     "CacheStats",
@@ -55,8 +56,10 @@ PlanKey = tuple
 
 
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Running hit/miss/eviction counters of one cache."""
+
+    DERIVED = ("lookups", "hit_rate")
 
     hits: int = 0
     misses: int = 0
@@ -81,27 +84,6 @@ class CacheStats:
         if not self.lookups:
             return 0.0
         return self.hits / self.lookups
-
-    def snapshot(self) -> "CacheStats":
-        """An independent copy (reports should not alias live counters)."""
-        return CacheStats(
-            self.hits,
-            self.misses,
-            self.evictions,
-            self.insertions,
-            self.invalidations,
-            self.poisoned,
-        )
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Accumulate another counter set into this one; returns ``self``."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        self.insertions += other.insertions
-        self.invalidations += other.invalidations
-        self.poisoned += other.poisoned
-        return self
 
 
 class LRUCache(Generic[K, V]):
@@ -194,6 +176,7 @@ class LRUCache(Generic[K, V]):
         self._bytes -= self._size_of(value) if self._size_of else 0
         self.stats.poisoned += 1
         self.stats.misses += 1
+        emit_event(__name__, "poisoned_entry_discarded", key=artifact_digest(key))
 
     def corrupt(self, key: K) -> bool:
         """Flip the recorded digest of one entry (tests / chaos drills).

@@ -71,7 +71,6 @@ from .pool import (
     PoolResult,
     PoolStats,
     ServingPool,
-    WorkerStats,
 )
 from .supervision import BackendHealth, StepRecovery, fallback_chain
 
@@ -100,7 +99,6 @@ __all__ = [
     "SessionStats",
     "StalePlan",
     "StepRecovery",
-    "WorkerStats",
     "fallback_chain",
     "route_shard",
 ]

@@ -87,7 +87,7 @@ from ..graph.batching import (
     round_full,
 )
 from ..plan.autotune import DispatchTable, host_fingerprint, registry_digest
-from ..plan.cache import CacheStats, LRUCache, PlanCache, PlanKey
+from ..plan.cache import CacheStats, LRUCache, PlanCache, PlanKey, artifact_digest
 from ..plan.ir import ExecutionPlan, compile_forward_plan
 from ..plan.registry import default_registry
 from ..runtime.executor import (
@@ -99,6 +99,7 @@ from ..runtime.report import EpochReport
 from ..tc.costmodel import TCCostModel
 from ..tc.hardware import RTX3090, DeviceSpec
 from ..tc.kernel import KernelConfig
+from ..telemetry import Counters, emit_event
 from .dispatch import CostModelDispatcher
 from .supervision import StepRecovery
 
@@ -110,6 +111,11 @@ __all__ = [
     "StalePlan",
     "InferenceEngine",
 ]
+
+
+#: Environment variables an operator pins BLAS threading with (reported,
+#: never read for behaviour, by the ``engine_start`` event).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -265,9 +271,20 @@ class StalePlan:
 
 
 @dataclass
-class SessionStats:
-    """Running totals of one serving session."""
+class SessionStats(Counters):
+    """Running totals of one serving session — the live record an engine
+    updates, and (as a :meth:`snapshot`) a pool's per-shard report."""
 
+    DERIVED = (
+        "requests_per_s",
+        "mean_batch_occupancy",
+        "measured_skip_fraction",
+        "round_seconds_p50",
+        "round_seconds_p99",
+    )
+
+    #: The session's name in pool telemetry (``w0`` …; empty standalone).
+    label: str = ""
     requests: int = 0
     batches: int = 0
     nodes: int = 0
@@ -459,6 +476,7 @@ class InferenceEngine:
         self._next_request_id = 0
         self._next_batch_id = 0
         self.stats = SessionStats(
+            label=label,
             weight_cache=self._cache.segment("weight").stats,
             adjacency_cache=self._cache.segment("adjacency").stats,
             plan_cache=self._cache.segment("plan").stats,
@@ -473,6 +491,12 @@ class InferenceEngine:
         self.device_report = EpochReport(
             system=f"serving:{self._run_config.label}",
             dataset=self.label or "session",
+        )
+        # An unpinned OpenBLAS on a small VM stalls ~8 ms per worker wake-up.
+        threads = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+        emit_event(
+            __name__, "engine_start", shard=label,
+            blas_pinned="1" in threads.values(), **threads,
         )
 
     @staticmethod
@@ -850,6 +874,11 @@ class InferenceEngine:
                 self.stats.plans_invalidated += 1
             if self._plan_exchange is not None:
                 self._plan_exchange.discard(entry.key)
+        if stale:
+            emit_event(
+                __name__, "stale_plans_invalidated", shard=self.label,
+                plans={artifact_digest(e.key): e.divergences for e in stale},
+            )
         return stale
 
     # ------------------------------------------------------------------ #

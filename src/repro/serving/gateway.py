@@ -73,6 +73,7 @@ import numpy as np
 
 from ..errors import ConfigError, PoolSaturated, is_retryable
 from ..graph.batching import Subgraph
+from ..telemetry import Counters
 from .pool import PoolResult, ServingPool
 
 __all__ = [
@@ -242,50 +243,25 @@ class GatewayResult:
     hedge_won: bool = False
 
 
-@dataclass(frozen=True)
-class LaneStats:
-    """Snapshot of one priority lane's counters and latency quantiles."""
+@dataclass
+class LaneStats(Counters):
+    """One priority lane's counters and latency ring — the live record
+    the gateway updates, and (as a :meth:`snapshot`) what it reports."""
 
-    submitted: int
-    completed: int
+    DERIVED = ("rejection_rate", "latency_p50_s", "latency_p99_s", "has_latency")
+
+    submitted: int = 0
+    completed: int = 0
     #: Fast-failed with :class:`~repro.errors.PoolSaturated` (admission
     #: timeout or a full shard queue).
-    rejected: int
-    #: Latency quantiles over the lane's recent completions (seconds;
-    #: ``nan`` before any completion — an idle lane has no latency
-    #: distribution, and 0.0 would read as a perfect one).
-    latency_p50_s: float
-    latency_p99_s: float
+    rejected: int = 0
     #: Dispatch attempts re-issued after a retryable failure.
     retries: int = 0
     #: Requests that ultimately failed (retries exhausted, or the error
     #: was not retryable) — excludes shed (``rejected``) requests.
     failures: int = 0
-
-    @property
-    def has_latency(self) -> bool:
-        """Whether the lane has completed anything (quantiles are real)."""
-        return not math.isnan(self.latency_p50_s)
-
-
-@dataclass(frozen=True)
-class GatewayStats:
-    """Aggregated snapshot of a gateway's admission and routing counters."""
-
-    submitted: int
-    completed: int
-    rejected: int
-    #: Requests the depth router moved off their home shard.
-    rerouted: int
-    hedges_launched: int
-    hedges_won: int
-    #: Requests currently past the admission gate.
-    in_flight: int
-    #: Dispatch attempts re-issued after a retryable failure, gateway-wide.
-    retries: int = 0
-    #: Requests that ultimately failed (excludes shed requests).
-    failures: int = 0
-    per_lane: dict[str, LaneStats] = field(default_factory=dict)
+    #: Recent completion latencies in seconds (bounded ring).
+    latencies: deque = field(default_factory=lambda: deque(maxlen=4096))
 
     @property
     def rejection_rate(self) -> float:
@@ -294,27 +270,46 @@ class GatewayStats:
             return 0.0
         return self.rejected / self.submitted
 
-
-@dataclass
-class _LaneState:
-    submitted: int = 0
-    completed: int = 0
-    rejected: int = 0
-    retries: int = 0
-    failures: int = 0
-    #: Admission waiters, FIFO within the lane.
-    waiters: deque = field(default_factory=deque)
-    #: Recent completion latencies (bounded ring).
-    latencies: deque = field(default_factory=lambda: deque(maxlen=4096))
-
     def latency_quantile(self, q: float) -> float:
-        # An empty ring has no distribution: nan, not 0.0 — an idle lane
-        # must not report a perfect p50/p99 to SLO dashboards or the perf
-        # passes (nan also fails any `< threshold` comparison, so a
-        # misconfigured alert trips rather than silently passing).
+        """A quantile of the recent completion latencies.
+
+        An empty ring has no distribution: ``nan``, not 0.0 — an idle
+        lane must not report a perfect p50/p99 to SLO dashboards or the
+        perf passes (``nan`` also fails any ``< threshold`` comparison,
+        so a misconfigured alert trips rather than silently passing)."""
         if not self.latencies:
             return float("nan")
         return float(np.quantile(np.fromiter(self.latencies, dtype=float), q))
+
+    @property
+    def latency_p50_s(self) -> float:
+        """Median recent completion latency (``nan`` while idle)."""
+        return self.latency_quantile(0.5)
+
+    @property
+    def latency_p99_s(self) -> float:
+        """99th-percentile recent completion latency (``nan`` while idle)."""
+        return self.latency_quantile(0.99)
+
+    @property
+    def has_latency(self) -> bool:
+        """Whether the lane has completed anything (quantiles are real)."""
+        return bool(self.latencies)
+
+
+@dataclass
+class GatewayStats(LaneStats):
+    """A gateway's admission and routing counters: every
+    :class:`LaneStats` field is the lanes merged, beside the
+    gateway-level counters declared here."""
+
+    #: Requests the depth router moved off their home shard.
+    rerouted: int = 0
+    hedges_launched: int = 0
+    hedges_won: int = 0
+    #: Requests currently past the admission gate.
+    in_flight: int = 0
+    per_lane: dict[str, LaneStats] = field(default_factory=dict)
 
 
 def _swallow(fut: asyncio.Future) -> None:
@@ -353,7 +348,9 @@ class ServingGateway:
         self.pool = pool
         self.config = config or GatewayConfig()
         self._in_flight = 0
-        self._lanes = {lane: _LaneState() for lane in LANES}
+        self._lanes = {lane: LaneStats() for lane in LANES}
+        #: Admission waiters, FIFO within each lane.
+        self._waiters: dict[str, deque] = {lane: deque() for lane in LANES}
         self._rerouted = 0
         self._hedges_launched = 0
         self._hedges_won = 0
@@ -381,7 +378,7 @@ class ServingGateway:
     async def _acquire(self, lane: str) -> None:
         """Take one admission slot, waiting at most ``queue_timeout_s``;
         raises :class:`~repro.errors.PoolSaturated` on timeout."""
-        waiters = self._lanes[lane].waiters
+        waiters = self._waiters[lane]
         if not waiters and self._in_flight < self._capacity(lane):
             self._in_flight += 1
             return
@@ -413,7 +410,7 @@ class ServingGateway:
         while True:
             granted = False
             for lane in LANES:
-                waiters = self._lanes[lane].waiters
+                waiters = self._waiters[lane]
                 while waiters and waiters[0].done():
                     waiters.popleft()  # timed out / cancelled meanwhile
                 if waiters and self._in_flight < self._capacity(lane):
@@ -637,27 +634,13 @@ class ServingGateway:
     # ------------------------------------------------------------------ #
     def stats(self) -> GatewayStats:
         """Snapshot of admission, routing and hedging counters."""
-        per_lane = {
-            lane: LaneStats(
-                submitted=state.submitted,
-                completed=state.completed,
-                rejected=state.rejected,
-                latency_p50_s=state.latency_quantile(0.5),
-                latency_p99_s=state.latency_quantile(0.99),
-                retries=state.retries,
-                failures=state.failures,
-            )
-            for lane, state in self._lanes.items()
-        }
-        return GatewayStats(
-            submitted=sum(s.submitted for s in per_lane.values()),
-            completed=sum(s.completed for s in per_lane.values()),
-            rejected=sum(s.rejected for s in per_lane.values()),
+        total = GatewayStats(
             rerouted=self._rerouted,
             hedges_launched=self._hedges_launched,
             hedges_won=self._hedges_won,
             in_flight=self._in_flight,
-            retries=sum(s.retries for s in per_lane.values()),
-            failures=sum(s.failures for s in per_lane.values()),
-            per_lane=per_lane,
+            per_lane={lane: state.snapshot() for lane, state in self._lanes.items()},
         )
+        for lane in total.per_lane.values():
+            total.merge(lane)
+        return total

@@ -89,9 +89,10 @@ from ..gnn.models import GNNModel
 from ..gnn.quantized import ActivationCalibration
 from ..graph.batching import Subgraph, round_deadline, round_full
 from ..plan.autotune import DispatchTable, merge_saved_dispatch_tables
-from ..plan.cache import CacheStats, ThreadSafeLRUCache, artifact_nbytes
+from ..plan.cache import ThreadSafeLRUCache, artifact_nbytes
 from ..runtime.report import EpochReport
-from .engine import InferenceEngine, ServingConfig
+from ..telemetry import emit_event
+from .engine import InferenceEngine, ServingConfig, SessionStats
 from .supervision import BackendHealth
 
 __all__ = [
@@ -100,7 +101,6 @@ __all__ = [
     "PoolResult",
     "PoolStats",
     "ServingPool",
-    "WorkerStats",
 ]
 
 
@@ -372,49 +372,21 @@ class PoolResult:
             fn(self)
 
 
-@dataclass(frozen=True)
-class WorkerStats:
-    """Snapshot of one shard worker's session counters."""
+@dataclass
+class PoolStats(SessionStats):
+    """A pool's serving counters: every :class:`SessionStats` field is
+    the sum over the shards' snapshots (``wall_s`` is therefore
+    attributed work — shards overlap in wall time — not elapsed time),
+    beside the pool-level counters declared here."""
 
-    label: str
-    requests: int
-    batches: int
-    wall_s: float
-    autotune_samples: int
-    plans_adopted: int
-    #: Measured wall-clock attributed per executed backend.
-    backend_seconds: dict[str, float]
-    #: Measured wall-clock attributed per execution phase (what the
-    #: perf report's per-worker phase nodes are built from).
-    phase_seconds: dict[str, float]
-    plan_cache: CacheStats
-    adjacency_cache: CacheStats
-    #: GEMM steps this shard retried on a fallback backend
-    #: (:class:`~repro.serving.supervision.StepRecovery`).
-    step_retries: int = 0
+    DERIVED = SessionStats.DERIVED + ("poisoned_discards",)
 
-
-@dataclass(frozen=True)
-class PoolStats:
-    """Aggregated snapshot of a pool's serving counters."""
-
-    workers: int
-    requests: int
-    batches: int
-    #: Sum of per-shard measured execution seconds (shards overlap in
-    #: wall time, so this is attributed work, not elapsed time).
-    wall_s: float
+    workers: int = 0
     #: Cross-shard dispatch-table merges performed so far.
-    table_merges: int
-    #: Plans broadcast through / adopted from the plan exchange.
-    plans_published: int
-    plans_adopted: int
-    #: Pool-wide measured seconds per executed backend.
-    backend_seconds: dict[str, float]
-    #: Pool-wide measured seconds per execution phase.
-    phase_seconds: dict[str, float]
-    #: GEMM steps retried on a fallback backend, pool-wide.
-    step_retries: int = 0
+    table_merges: int = 0
+    #: Plans broadcast through the plan exchange (``plans_adopted``, the
+    #: other half, is summed from the shards that adopted them).
+    plans_published: int = 0
     #: Circuit-open transitions recorded by the shared
     #: :class:`~repro.serving.supervision.BackendHealth`.
     quarantines: int = 0
@@ -422,16 +394,14 @@ class PoolStats:
     respawns: int = 0
     #: In-flight requests re-queued after a worker crash.
     requeued: int = 0
-    #: Cache entries discarded by digest verification, pool-wide.
-    poisoned_discards: int = 0
-    per_worker: tuple[WorkerStats, ...] = ()
+    #: One snapshot per shard, labelled ``w0`` ….
+    per_worker: tuple[SessionStats, ...] = ()
 
     @property
-    def mean_batch_occupancy(self) -> float:
-        """Average requests coalesced per executed round, pool-wide."""
-        if not self.batches:
-            return 0.0
-        return self.requests / self.batches
+    def poisoned_discards(self) -> int:
+        """Entries the *verified* segments discarded on a digest mismatch:
+        every shard's ``plan`` segment plus the shared ``kernel`` one."""
+        return self.plan_cache.poisoned + self.kernel_cache.poisoned
 
 
 @dataclass
@@ -590,29 +560,13 @@ class _Worker:
             request.future._fill(result.logits)
         self.pool._note_batches(self.engine.stats.batches - before)
 
-    def snapshot(self) -> WorkerStats:
-        stats = self.engine.stats
-        return WorkerStats(
-            label=self.label,
-            requests=stats.requests,
-            batches=stats.batches,
-            wall_s=stats.wall_s,
-            autotune_samples=stats.autotune_samples,
-            plans_adopted=stats.plans_adopted,
-            backend_seconds=dict(stats.backend_seconds),
-            phase_seconds=dict(stats.phase_seconds),
-            plan_cache=self.engine.plan_cache.stats.snapshot(),
-            adjacency_cache=self.engine.adjacency_cache.stats.snapshot(),
-            step_retries=stats.step_retries,
-        )
 
-
-def _run_process_shard(args: tuple) -> tuple[int, list[np.ndarray], dict]:
+def _run_process_shard(args: tuple) -> tuple[int, list[np.ndarray], SessionStats]:
     """Serve one shard's requests in a worker process (escape hatch).
 
     Top-level so it pickles; builds a private engine, serves the shard's
     subgraphs, persists its measured dispatch table to the shard file and
-    returns (shard index, per-request logits, summary counters).
+    returns (shard index, per-request logits, the session's stats snapshot).
     """
     index, model, config, calibration, subgraphs, table_path = args
     engine = InferenceEngine(
@@ -621,16 +575,7 @@ def _run_process_shard(args: tuple) -> tuple[int, list[np.ndarray], dict]:
     results = engine.infer(subgraphs)
     if engine.dispatch_table is not None:
         engine.save_dispatch_table(table_path)
-    stats = engine.stats
-    summary = {
-        "requests": stats.requests,
-        "batches": stats.batches,
-        "wall_s": stats.wall_s,
-        "autotune_samples": stats.autotune_samples,
-        "backend_seconds": dict(stats.backend_seconds),
-        "phase_seconds": dict(stats.phase_seconds),
-    }
-    return index, [r.logits for r in results], summary
+    return index, [r.logits for r in results], engine.stats.snapshot()
 
 
 class ServingPool:
@@ -705,7 +650,7 @@ class ServingPool:
         self._requeued = 0
         self._crash_event = threading.Event()
         self._supervisor: threading.Thread | None = None
-        self._process_stats: list[WorkerStats] = []
+        self._process_stats: list[SessionStats] = []
         if self.pool_config.spool_dir is not None:
             self._spool_dir = Path(self.pool_config.spool_dir)
             self._spool_dir.mkdir(parents=True, exist_ok=True)
@@ -925,6 +870,10 @@ class ServingPool:
                 self._respawns += 1
                 self._requeued += len(stranded)
         replacement.start()
+        emit_event(
+            __name__, "worker_respawned", shard=dead.label,
+            requeued=len(stranded), cause=repr(dead.died),
+        )
         for request in stranded:
             request.deadline = time.monotonic() + self.pool_config.max_delay_s
             replacement.queue.put(request)
@@ -1023,24 +972,8 @@ class ServingPool:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=max(1, len(jobs))) as process_pool:
             outputs = process_pool.map(_run_process_shard, jobs)
-        by_shard: dict[int, list[np.ndarray]] = {}
-        self._process_stats = []
-        for index, logits, summary in outputs:
-            by_shard[index] = logits
-            self._process_stats.append(
-                WorkerStats(
-                    label=f"w{index}",
-                    requests=summary["requests"],
-                    batches=summary["batches"],
-                    wall_s=summary["wall_s"],
-                    autotune_samples=summary["autotune_samples"],
-                    plans_adopted=0,
-                    backend_seconds=summary["backend_seconds"],
-                    phase_seconds=summary["phase_seconds"],
-                    plan_cache=CacheStats(),
-                    adjacency_cache=CacheStats(),
-                )
-            )
+        by_shard = {index: logits for index, logits, _ in outputs}
+        self._process_stats = [stats for _, _, stats in outputs]
         results = []
         for seq, (shard, position) in enumerate(placement):
             future = PoolResult(seq, f"w{shard}")
@@ -1066,39 +999,28 @@ class ServingPool:
     def stats(self) -> PoolStats:
         """Aggregated pool counters plus per-worker snapshots."""
         per_worker = tuple(
-            worker.snapshot() for worker in self._workers
+            worker.engine.stats.snapshot() for worker in self._workers
         ) or tuple(self._process_stats)
-        backend_seconds: dict[str, float] = {}
-        phase_seconds: dict[str, float] = {}
-        for worker in per_worker:
-            for backend, seconds in worker.backend_seconds.items():
-                backend_seconds[backend] = (
-                    backend_seconds.get(backend, 0.0) + seconds
-                )
-            for phase, seconds in worker.phase_seconds.items():
-                phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
         with self._lock:
             respawns, requeued = self._respawns, self._requeued
-        return PoolStats(
+        total = PoolStats(
             workers=self.pool_config.workers,
-            requests=sum(w.requests for w in per_worker),
-            batches=sum(w.batches for w in per_worker),
-            wall_s=sum(w.wall_s for w in per_worker),
             table_merges=self._table_merges,
             plans_published=self.plan_exchange.published,
-            plans_adopted=self.plan_exchange.adopted,
-            backend_seconds=backend_seconds,
-            phase_seconds=phase_seconds,
-            step_retries=sum(w.step_retries for w in per_worker),
             quarantines=self.health.quarantines,
             respawns=respawns,
             requeued=requeued,
-            poisoned_discards=sum(
-                w.plan_cache.poisoned + w.adjacency_cache.poisoned
-                for w in per_worker
-            ),
             per_worker=per_worker,
         )
+        for shard in per_worker:
+            total.merge(shard)
+        if self._workers:
+            # Thread shards all mount the pool's one ``weight`` segment and
+            # the process's one ``kernel`` segment: count each once, not
+            # once per shard.  (Process shards own theirs; the sum stands.)
+            total.weight_cache = per_worker[0].weight_cache.snapshot()
+            total.kernel_cache = per_worker[0].kernel_cache.snapshot()
+        return total
 
     def device_report(self) -> EpochReport:
         """Merged modeled-device report across every shard's session."""

@@ -44,6 +44,7 @@ import time
 from typing import Callable
 
 from ..errors import is_retryable
+from ..telemetry import emit_event
 
 __all__ = ["BackendHealth", "StepRecovery", "fallback_chain"]
 
@@ -144,12 +145,15 @@ class BackendHealth:
                 state.open_until = self._clock() + self.probe_after_s
                 state.half_open = False
                 self.quarantines += 1
+                emit_event(__name__, "backend_quarantined", backend=name)
 
     def record_success(self, name: str) -> None:
         """Record one successful attempt on ``name``; closes the circuit."""
         with self._lock:
             self.successes += 1
             state = self._state(name)
+            if state.half_open or state.open_until is not None:
+                emit_event(__name__, "backend_closed", backend=name)
             state.consecutive_failures = 0
             state.open_until = None
             state.half_open = False
@@ -168,6 +172,7 @@ class BackendHealth:
             if self._clock() >= state.open_until:
                 state.open_until = None
                 state.half_open = True
+                emit_event(__name__, "backend_half_open", backend=name)
                 return False
             return True
 
@@ -239,6 +244,10 @@ class StepRecovery:
                 continue
             if self.health is not None:
                 self.health.record_success(name)
+            if failed:
+                emit_event(
+                    __name__, "step_recovered", backend=name, failed=failed, step=detail
+                )
             return result, name, tuple(failed)
         assert last is not None  # chain is never empty
         raise last

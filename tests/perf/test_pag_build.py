@@ -10,6 +10,7 @@ attributes against.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -112,10 +113,7 @@ class TestGatewayPag:
     def test_gateway_stats_requires_pool_stats(self, served_engine):
         from repro.serving import GatewayStats
 
-        stats = GatewayStats(
-            submitted=0, completed=0, rejected=0, rerouted=0,
-            hedges_launched=0, hedges_won=0, in_flight=0,
-        )
+        stats = GatewayStats()
         with pytest.raises(TypeError):
             build_pag(stats)
 
@@ -123,20 +121,9 @@ class TestGatewayPag:
         from repro.serving import GatewayStats, LaneStats
         from repro.serving.pool import PoolStats
 
-        pool_stats = PoolStats(
-            workers=1, requests=0, batches=0, wall_s=0.0, table_merges=0,
-            plans_published=0, plans_adopted=0, backend_seconds={},
-            phase_seconds={}, per_worker=(),
-        )
+        pool_stats = PoolStats(workers=1)
         gateway = GatewayStats(
-            submitted=3, completed=2, rejected=1, rerouted=0,
-            hedges_launched=0, hedges_won=0, in_flight=0,
-            per_lane={
-                "batch": LaneStats(
-                    submitted=0, completed=0, rejected=0,
-                    latency_p50_s=float("nan"), latency_p99_s=float("nan"),
-                )
-            },
+            submitted=3, completed=2, rejected=1, per_lane={"batch": LaneStats()}
         )
         pag = build_pag(gateway, pool_stats=pool_stats)
         (lane,) = pag.nodes("lane")
@@ -151,3 +138,131 @@ class TestGatewayPag:
             ]
             is None
         )
+
+
+def _numeric_fields(record) -> list[str]:
+    return [
+        spec.name
+        for spec in fields(record)
+        if isinstance(getattr(record, spec.name), (int, float))
+    ]
+
+
+class TestNodesCarryTheDeclaration:
+    """PAG nodes read ``as_metrics()``: every declared counter appears,
+    and every key a node carried before the records became field-driven
+    (the sets below were recorded on the parent commit) is still there
+    with the value the hand-written builder read."""
+
+    SEGMENT = {
+        "hits", "misses", "evictions", "insertions", "invalidations",
+        "poisoned", "hit_rate",
+    }
+    POOL_ROOT = {
+        "workers", "requests", "batches", "table_merges", "plans_published",
+        "plans_adopted", "step_retries", "quarantines", "respawns",
+        "requeued", "poisoned_discards",
+    }
+    POOL_WORKER = {
+        "requests", "batches", "autotune_samples", "plans_adopted",
+        "step_retries",
+    }
+    GATEWAY = {
+        "submitted", "completed", "rejected", "rerouted", "hedges_launched",
+        "hedges_won", "in_flight", "retries", "failures", "rejection_rate",
+    }
+    LANE = {
+        "submitted", "completed", "rejected", "retries", "failures",
+        "latency_p50_s", "latency_p99_s", "has_latency",
+    }
+    DYNAMIC = {
+        "mutation_batches", "serves", "plans_patched", "plans_recompiled",
+        "plans_invalidated", "adjacency_invalidated", "kernels_invalidated",
+        "repacks_avoided", "stale_kernel_hits", "graph.batches",
+        "graph.edges_inserted", "graph.edges_deleted", "graph.noop_mutations",
+        "graph.mutations_applied", "graph.tiles_recensused",
+        "graph.full_repacks", "nonzero_fraction", "num_edges",
+    }
+
+    @staticmethod
+    def assert_reads(node, keys, record):
+        assert keys <= set(node.metrics), keys - set(node.metrics)
+        for key in keys & set(dir(record)):
+            want, got = getattr(record, key), node.metrics[key]
+            assert got == want or (math.isnan(got) and math.isnan(want)), key
+
+    def test_engine_nodes(self, served_engine):
+        pag = build_pag(served_engine)
+        stats = served_engine.stats
+        assert pag.root.metrics == {
+            "requests": stats.requests, "batches": stats.batches
+        }
+        (worker,) = pag.nodes("worker")
+        self.assert_reads(
+            worker,
+            {"requests", "batches", "plans_invalidated", "step_retries"},
+            stats,
+        )
+        assert set(_numeric_fields(stats)) <= set(worker.metrics)
+        for node in pag.nodes("segment"):
+            segment = getattr(stats, f"{node.name}_cache")
+            self.assert_reads(node, self.SEGMENT, segment)
+            assert set(_numeric_fields(segment)) <= set(node.metrics)
+
+    def test_pool_and_gateway_nodes(self, model, subgraphs):
+        from repro.serving import (
+            GatewayConfig, PoolConfig, ServingGateway, ServingPool,
+        )
+
+        config = ServingConfig(feature_bits=8, batch_size=4)
+        with ServingPool(model, config, pool=PoolConfig(workers=2)) as pool:
+            pool.serve(subgraphs)
+            gateway = ServingGateway(pool, GatewayConfig(max_in_flight=8))
+            gateway.run(subgraphs)
+            stats, lanes = pool.stats(), gateway.stats()
+            live = build_pag(pool)
+        for pag in (live, build_pag(lanes, pool_stats=stats)):
+            self.assert_reads(pag.root, self.POOL_ROOT, stats)
+            workers = pag.nodes("worker")
+            assert [n.name for n in workers] == ["w0", "w1"]
+            for node, shard in zip(workers, stats.per_worker):
+                self.assert_reads(node, self.POOL_WORKER, shard)
+                # Every declared counter, including the one pool worker
+                # nodes used to lack.
+                assert set(_numeric_fields(shard)) <= set(node.metrics)
+                assert node.metrics["plans_invalidated"] == 0
+                for segment in node.children:
+                    if segment.kind == "segment":
+                        self.assert_reads(
+                            segment,
+                            self.SEGMENT,
+                            getattr(shard, f"{segment.name}_cache"),
+                        )
+        assert all("queue_depth" in n.metrics for n in live.nodes("worker"))
+        assert all("capacity" in n.metrics for n in live.nodes("segment"))
+        (node,) = pag.nodes("gateway")
+        self.assert_reads(node, self.GATEWAY, lanes)
+        for lane in pag.nodes("lane"):
+            self.assert_reads(lane, self.LANE, lanes.per_lane[lane.name])
+            assert set(_numeric_fields(lanes.per_lane[lane.name])) <= set(
+                lane.metrics
+            )
+
+    def test_dynamic_node(self, model, subgraphs):
+        from repro.dynamic import DynamicSession
+
+        session = DynamicSession(
+            model, subgraphs[0].graph, ServingConfig(feature_bits=8)
+        )
+        session.serve()
+        session.mutate([("insert", 0, 5), ("delete", 0, 5)])
+        session.serve()
+        (node,) = build_pag(session).nodes("dynamic")
+        assert self.DYNAMIC <= set(node.metrics)
+        assert node.seconds == session.stats.serve_seconds
+        assert all(isinstance(v, float) for v in node.metrics.values())
+        self.assert_reads(node, self.DYNAMIC, session.stats)
+        graph = session.mutable.stats
+        assert node.metrics["graph.mutations_applied"] == graph.mutations_applied
+        assert node.metrics["graph.batches"] == graph.batches
+        assert node.metrics["num_edges"] == session.mutable.num_edges

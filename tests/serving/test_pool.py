@@ -342,3 +342,68 @@ class TestProcessEscapeHatch:
         assert path.exists()
         assert DispatchTable.load(path).sample_count() > 0
         pool.shutdown()
+
+
+class TestPoolStatsAreShardSnapshots:
+    COUNTERS = (
+        "requests", "batches", "nodes", "mma_ops", "tiles_total", "tiles_skipped",
+    )
+
+    def test_process_mode_reports_the_shards_real_counters(
+        self, gin_model, subgraphs
+    ):
+        # A process shard ships back its whole SessionStats snapshot, so
+        # the pool summary carries real cache counters — it used to be six
+        # hand-picked keys around empty CacheStats().
+        from repro.perf import build_pag
+
+        config = ServingConfig(feature_bits=8, batch_size=4)
+        pool = ServingPool(
+            gin_model, config, pool=PoolConfig(workers=2, mode="process")
+        )
+        pool.serve(subgraphs)
+        stats = pool.stats()
+        slices: dict[str, list] = {}
+        for seq, subgraph in enumerate(subgraphs):
+            slices.setdefault(f"w{pool.shard_of(subgraph, seq)}", []).append(subgraph)
+        assert {w.label for w in stats.per_worker} == set(slices)
+        for worker in stats.per_worker:
+            engine = InferenceEngine(gin_model, config, calibration=pool.calibration)
+            engine.infer(slices[worker.label])
+            for name in self.COUNTERS:
+                assert getattr(worker, name) == getattr(engine.stats, name), name
+            assert worker.plan_cache.misses == engine.stats.plan_cache.misses > 0
+            assert worker.plan_cache.hits == engine.stats.plan_cache.hits
+        for name in self.COUNTERS + ("step_retries", "plans_invalidated"):
+            assert getattr(stats, name) == sum(
+                getattr(w, name) for w in stats.per_worker
+            ), name
+        assert stats.requests == len(subgraphs) and stats.mma_ops > 0
+        segments = [n for n in build_pag(stats).nodes("segment") if n.name == "plan"]
+        assert len(segments) == len(slices)
+        assert all(node.metrics["misses"] > 0 for node in segments)
+        pool.shutdown()
+
+    def test_poisoned_discards_counts_the_shared_kernel_segment_once(
+        self, gin_model, subgraphs, monkeypatch
+    ):
+        # The verified segments are ``plan`` (per shard) and ``kernel``
+        # (one per process, mounted by every shard): a poisoned kernel is
+        # one discard — not zero (the unverified adjacency segment used to
+        # be summed instead), not one per shard that mounts the segment.
+        from repro.codegen import kernel_cache_segment
+        from repro.plan.cache import CacheStats
+
+        segment = kernel_cache_segment()
+        # A fresh counter window for this test: the segment outlives it.
+        monkeypatch.setattr(segment, "stats", CacheStats())
+        config = ServingConfig(feature_bits=2, batch_size=2, engine="codegen")
+        with ServingPool(gin_model, config, pool=PoolConfig(workers=2)) as pool:
+            pool.serve(subgraphs)
+            assert pool.stats().poisoned_discards == 0
+            # The most recently used kernel: this pool's last round read it.
+            assert segment.corrupt(segment.keys()[-1])
+            pool.serve(subgraphs)
+            stats = pool.stats()
+        assert stats.poisoned_discards == stats.kernel_cache.poisoned == 1
+        assert all(w.kernel_cache.poisoned == 1 for w in stats.per_worker)

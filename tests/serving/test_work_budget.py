@@ -251,3 +251,95 @@ def test_evicted_adjacency_is_collectable_with_its_derivations(structures):
         engine.infer(members)
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
+
+
+# --------------------------------------------------------------------- #
+# Telemetry is derived off the round path
+# --------------------------------------------------------------------- #
+def test_warm_round_never_touches_derived_telemetry(monkeypatch, structures):
+    """A round updates counters with plain ``+=``; the field-driven
+    ``snapshot`` / ``merge`` / ``as_metrics`` (and the ``dataclasses.fields``
+    walk under them) belong to whoever *reads* the stats."""
+    import dataclasses
+
+    from repro import telemetry
+
+    counts = dict.fromkeys(["snapshot", "merge", "as_metrics", "fields"], 0)
+    for name in ("snapshot", "merge", "as_metrics"):
+        monkeypatch.setattr(
+            telemetry.Counters, name,
+            _counting(counts, name, getattr(telemetry.Counters, name)),
+        )
+    spy = _counting(counts, "fields", dataclasses.fields)
+    monkeypatch.setattr(dataclasses, "fields", spy)
+    monkeypatch.setattr(telemetry, "fields", spy)
+
+    engine = InferenceEngine(
+        make_batched_gin(12, 3, hidden_dim=16, seed=4),
+        ServingConfig(feature_bits=8, batch_size=4),
+    ).warm_up()
+    engine.infer(structures[0])
+    for name in counts:
+        counts[name] = 0
+    engine.infer(structures[0])  # warm
+    engine.infer(structures[1])  # and a structure miss, for good measure
+    assert counts == {"snapshot": 0, "merge": 0, "as_metrics": 0, "fields": 0}
+    engine.stats.snapshot().as_metrics()  # the spies do see a reader
+    assert counts["snapshot"] >= 1 and counts["as_metrics"] == 1 and counts["fields"] >= 2
+
+
+@pytest.mark.timeout(120)
+def test_stats_readers_never_disturb_serving_workers(structures):
+    """Bounded, seeded stress: one thread snapshots the pool and builds
+    PAGs in a loop while two workers serve 200 requests.  Nothing raises
+    (a snapshot never iterates a live dict or ring), and the final totals
+    are the quiescent sum — no reader lost or doubled an update."""
+    import threading
+
+    from repro.perf import build_pag
+    from repro.serving import PoolConfig, ServingPool
+
+    requests = [sub for members in structures for sub in members]
+    requests = (requests * 17)[:200]
+    errors: list[BaseException] = []
+    reads = 0
+    stop = threading.Event()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ServingPool(
+            make_batched_gin(12, 3, hidden_dim=16, seed=4),
+            ServingConfig(feature_bits=8, batch_size=4),
+            pool=PoolConfig(workers=2, max_delay_s=0.0),
+        ) as pool:
+
+            def read_loop():
+                nonlocal reads
+                try:
+                    while not stop.is_set():
+                        stats = pool.stats()
+                        assert stats.requests >= 0
+                        assert build_pag(pool).nodes("worker")
+                        reads += 1
+                except BaseException as exc:  # surfaced below, on the test thread
+                    errors.append(exc)
+
+            reader = threading.Thread(target=read_loop, daemon=True)
+            reader.start()
+            pool.serve(requests)
+            stop.set()
+            reader.join(timeout=30)
+            assert not reader.is_alive()
+            stats = pool.stats()
+            engines = pool.workers
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == [] and reads > 0
+    assert stats.requests == len(requests) == sum(e.stats.requests for e in engines)
+    assert stats.batches == sum(e.stats.batches for e in engines)
+    assert stats.mma_ops == sum(e.stats.mma_ops for e in engines)
+    assert stats.wall_s == pytest.approx(sum(e.stats.wall_s for e in engines))
+    for phase, seconds in stats.phase_seconds.items():
+        assert seconds == pytest.approx(
+            sum(e.stats.phase_seconds.get(phase, 0.0) for e in engines)
+        )
