@@ -321,8 +321,8 @@ def prepare_plan_kernels(plan: "ExecutionPlan", adjacency) -> tuple[float, float
                     n=spec.n,
                     bits_a=spec.bits_a,
                     bits_b=spec.bits_b,
-                    a_padded_vectors=adjacency.packed.padded_vectors,
-                    a_k_words=adjacency.packed.k_words,
+                    a_padded_vectors=adjacency.operand.padded_vectors,
+                    a_k_words=adjacency.operand.k_words,
                     tile_mask=adjacency.plan.masks[0],
                 )
             )

@@ -361,14 +361,14 @@ class Operand:
     1-bit planes; a host engine may as well multiply the integer codes.
     An operand is built from whichever form its producer has —
     ``Operand(codes, bits, layout)`` for freshly quantized activations,
-    ``Operand(packed=...)`` for a cached :class:`PackedBits` — and derives
-    the other on first use, memoised, so only a backend that reads words
-    pays for packing and only one that reads codes for unpacking.  (A
-    first-use race recomputes an identical value; nothing needs a lock.)
-    A 1-bit column-compressed operand packed from coordinates
-    (:func:`pack_edges`) may carry them too, as ``csr=`` — a canonical
-    ``scipy`` CSR of ones over the same set bits — and is then never
-    decoded back out of its words.
+    ``Operand(packed=...)`` for a cached :class:`PackedBits`,
+    ``Operand(csr=...)`` for a 1-bit column-compressed matrix known by its
+    coordinates (a canonical ``scipy`` CSR of ones, e.g. a batch adjacency)
+    — and derives the others on first use, memoised, so only a backend that
+    reads words pays for packing (:func:`pack_edges` for coordinates) and
+    only one that reads codes for unpacking.  (A first-use race recomputes
+    an identical value; nothing needs a lock.)  Words may carry their
+    coordinates too (``packed=..., csr=...``) and are then never decoded.
 
     Codes are range-checked against ``bits`` on entry — the exact GEMM's
     dtype bound depends on it — unless their producer proved the range
@@ -390,29 +390,36 @@ class Operand:
         csr: sp.csr_matrix | None = None,
         proven: bool = False,
     ) -> None:
-        if (codes is None) == (packed is None):
-            raise PackingError("build an operand from codes or from packed words")
+        if (codes is None) == (packed is None and csr is None):
+            raise PackingError("build an operand from codes, packed words or a CSR of ones")
         self._views: dict = {}
         self._codes: np.ndarray | None = None
         self._packed = packed
-        self._csr = csr
-        if packed is None:
+        #: The producer's coordinates (never a decoded view), or ``None``.
+        self.csr = csr
+        if packed is not None:
+            bits, layout, pad_vectors = packed.bits, packed.layout, packed.pad_vectors
+            vectors, k = packed.logical_vectors, packed.logical_k
+        elif csr is not None:
+            bits, layout, (vectors, k) = 1, "col", csr.shape
+        else:
             arr = np.asarray(codes)
             if arr.ndim != 2:
                 raise ShapeError(f"an operand is a 2-D matrix, got shape {arr.shape}")
             self._codes = arr if proven else check_codes(arr, bits)
             vectors, k = arr.shape if layout == "col" else arr.shape[::-1]
-        else:
-            bits, layout, pad_vectors = packed.bits, packed.layout, packed.pad_vectors
-            vectors, k = packed.logical_vectors, packed.logical_k
         self.bits, self.layout, self.pad_vectors = bits, layout, pad_vectors
         self.logical_vectors, self.logical_k = vectors, k
         #: Whether a GEMM on codes multiplies this operand as a CSR of ones.
         self._sparse = bits == 1 and layout == "col"
-        if csr is not None and not (self._sparse and csr.shape == (vectors, k)):
+        # Canonical: a repeated coordinate would count twice in a GEMM on the
+        # CSR and once in the words.
+        if csr is not None and not (
+            self._sparse and csr.shape == (vectors, k) and csr.has_canonical_format
+        ):
             raise PackingError(
-                f"coordinates {csr.shape} do not describe a {bits}-bit {layout!r} "
-                f"{vectors} x {k} operand"
+                f"coordinates {csr.shape} are not a canonical CSR describing a "
+                f"{bits}-bit {layout!r} {vectors} x {k} operand"
             )
 
     @property
@@ -426,10 +433,15 @@ class Operand:
         return pad_to(max(self.logical_k, 1), TC_K) // WORD_BITS
 
     @property
+    def packed_nbytes(self) -> int:
+        """Size of :attr:`packed`'s words — by the geometry, packed or not."""
+        return self.bits * self.padded_vectors * self.k_words * (WORD_BITS // 8)
+
+    @property
     def codes(self) -> np.ndarray:
         """The ``int64`` codes on the logical shape (unpacked on first use)."""
         if self._codes is None:
-            self._codes = unpack_matrix(self._packed)
+            self._codes = unpack_matrix(self.packed)
         elif self._codes.dtype != np.int64:  # proven codes in a GEMM dtype
             self._codes = self._codes.astype(np.int64)
         return self._codes
@@ -437,7 +449,10 @@ class Operand:
     def pack(self) -> "Operand":
         """Derive the packed words now — inside the caller's timing window
         rather than the first consumer's — and return ``self``."""
-        if self._packed is None:
+        if self._packed is None and self.csr is not None:
+            coo = self.csr.tocoo()
+            self._packed = pack_edges(coo.row, coo.col, *coo.shape, pad_vectors=self.pad_vectors)
+        elif self._packed is None:
             self._packed = pack_matrix(
                 self.codes, self.bits, self.layout, pad_vectors=self.pad_vectors
             )
@@ -460,11 +475,12 @@ class Operand:
         key = np.dtype(dtype)
         view = self._views.get(key)
         if view is None:
-            if self._sparse and self._csr is None and self._codes is None:
-                self._csr = self._csr_from_words(key)
-            source = self._csr if self._csr is not None else self._codes
-            if source is None:  # words only; held codes convert exactly as they are
-                source = self.codes
+            if self.csr is not None:
+                source = self.csr
+            elif self._codes is not None:  # held codes convert exactly as they are
+                source = self._codes
+            else:  # words only
+                source = self._csr_from_words(key) if self._sparse else self.codes
             view = self._views[key] = source.astype(key, copy=False)
         return view
 
@@ -474,14 +490,14 @@ class Operand:
         coordinates in ``O(E)``, else words, else — 1-bit column-compressed
         — the codes summed over ``8 x 128`` blocks; only multi-bit codes pack.
         """
-        if self._csr is None and (self._packed is not None or not self._sparse):
+        if self.csr is None and (self._packed is not None or not self._sparse):
             return tuple(tile_nonzero_mask(plane) for plane in self.packed.words)
         kt = self.k_words * WORD_BITS // TC_K
         mask = np.zeros((self.padded_vectors // TC_M, kt), dtype=bool)
         rows = np.arange(self.logical_vectors)
-        if self._csr is not None:
-            tile = np.repeat(rows // TC_M * kt, np.diff(self._csr.indptr))
-            mask.reshape(-1)[tile + self._csr.indices // TC_K] = True
+        if self.csr is not None:
+            tile = np.repeat(rows // TC_M * kt, np.diff(self.csr.indptr))
+            mask.reshape(-1)[tile + self.csr.indices // TC_K] = True
         else:
             k_tiles = np.arange(0, self.logical_k, TC_K)
             sums = np.add.reduceat(self._codes, k_tiles, axis=1)

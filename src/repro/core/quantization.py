@@ -20,7 +20,9 @@ layers carry around so the whole pipeline agrees on bounds and bitwidths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +87,32 @@ class QuantParams:
     def alpha_max(self) -> float:
         """Upper bound of the representable float range."""
         return self.alpha_min + self.scale * self.levels
+
+    @cached_property
+    def threshold(self) -> float:
+        """The float64 ``t`` such that Eq. 2's code of ``x`` is at least one
+        exactly when ``x >= t`` — derived once per parameter set.
+
+        ``x -> floor(fl(fl(x - alpha_min) / scale))`` is monotone (each
+        rounded operation is), so the codes pass from 0 to 1 at one float64,
+        found by bisecting the float64s in their order — that of their bit
+        patterns, sign aside.  At one bit that comparison *is* the quantizer
+        (:func:`quantize_into`).
+        """
+
+        def value(position: int) -> float:  # the float64s in ascending order, 0.0 at 0
+            return math.copysign(float(np.int64(abs(position)).view(np.float64)), position)
+
+        def code_is_one(position: int) -> bool:
+            return (value(position) - self.alpha_min) / self.scale >= 1.0
+
+        at = int(np.float64(np.inf).view(np.int64))  # +inf's code is not 0,
+        below = -at  # -inf's is
+        while at - below > 1:
+            middle = (below + at) // 2
+            below, at = (below, middle) if code_is_one(middle) else (middle, at)
+        assert code_is_one(at) and not code_is_one(at - 1)
+        return value(at)
 
 
 @dataclass(frozen=True)
@@ -196,14 +224,26 @@ def quantize_into(values: np.ndarray, params: QuantParams, dtype) -> np.ndarray:
     ``[0, 2**bits - 1]``, so one NaN-propagating reduction is the whole
     check and an :class:`~repro.core.bitpack.Operand` may take the codes as
     ``proven=True``.
+
+    A 1-bit code is the one comparison ``values >= params.threshold``, run
+    in float64 and written straight into ``dtype`` — code for code what the
+    divide form yields, which stays the path for two bits and more.
     """
-    codes = np.subtract(values, params.alpha_min, dtype=np.float64)
-    np.divide(codes, params.scale, out=codes)
-    np.floor(codes, out=codes)
-    np.clip(codes, 0, params.levels - 1, out=codes)
-    if np.isnan(codes.min(initial=0.0)):
+    if params.bits == 1:
+        values = np.asarray(values)
+        codes = np.greater_equal(
+            values, params.threshold, out=np.empty(values.shape, dtype), signature="dd->?"
+        )
+        lowest = values.min(initial=0.0)
+    else:
+        codes = np.subtract(values, params.alpha_min, dtype=np.float64)
+        np.divide(codes, params.scale, out=codes)
+        np.floor(codes, out=codes)
+        np.clip(codes, 0, params.levels - 1, out=codes)
+        lowest = codes.min(initial=0.0)
+    if np.isnan(lowest):  # ``min`` propagates NaN; the clip and the compare hide it
         raise BitwidthError("cannot quantize NaN: codes must be non-negative integers")
-    return codes.astype(dtype)
+    return codes.astype(dtype, copy=False)
 
 
 def dequantize(codes: np.ndarray, params: QuantParams) -> np.ndarray:

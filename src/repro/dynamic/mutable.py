@@ -36,6 +36,7 @@ import numpy as np
 from ..core.bitpack import (
     TC_K,
     TC_M,
+    Operand,
     PackedBits,
     bit_address,
     pad_to,
@@ -144,16 +145,7 @@ class MutableGraph:
         canonical = self.to_csr()
         # Seed packed planes / census / degrees through the exact serving
         # pack path, so state starts bit-identical by construction.
-        adjacency = pack_batch_adjacency(
-            SubgraphBatch(
-                members=(
-                    Subgraph(
-                        graph=canonical,
-                        original_nodes=np.arange(self.num_nodes),
-                    ),
-                )
-            )
-        )
+        adjacency = pack_batch_adjacency(self.to_batch())
         self._words = np.array(adjacency.packed.words)  # writable copy
         self._mask = np.array(adjacency.plan.masks[0])
         self._degrees = np.array(adjacency.degrees)
@@ -329,7 +321,7 @@ class MutableGraph:
             pad_vectors=TC_M,
         )
         return PackedAdjacency(
-            packed=packed, plan=TileSkipPlan(masks=(mask,)), degrees=degrees
+            operand=Operand(packed=packed), plan=TileSkipPlan(masks=(mask,)), degrees=degrees
         )
 
     def census_mask(self) -> np.ndarray:

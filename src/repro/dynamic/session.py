@@ -241,8 +241,8 @@ class DynamicSession:
                         n=spec.n,
                         bits_a=spec.bits_a,
                         bits_b=spec.bits_b,
-                        a_padded_vectors=stale.packed.padded_vectors,
-                        a_k_words=stale.packed.k_words,
+                        a_padded_vectors=stale.operand.padded_vectors,
+                        a_k_words=stale.operand.k_words,
                         tile_mask=stale.plan.masks[0],
                     )
                     if kernel_segment.discard(kernel_key):

@@ -74,7 +74,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..core.bitgemm import Engine, exact_gemm_dtype
-from ..core.bitpack import Operand, PackedBits, pack_edges, pack_matrix
+from ..core.bitpack import Operand, PackedBits, pack_matrix
 from ..core.quantization import QuantParams, calibrate, quantize, quantize_into
 from ..errors import BitwidthError, ConfigError, ShapeError
 from ..graph.batching import SubgraphBatch
@@ -244,9 +244,13 @@ class PackedAdjacency:
 
     Attributes
     ----------
-    packed:
-        1-bit column-compressed adjacency planes (self loops included) —
-        the kernel's left operand.
+    operand:
+        The 1-bit column-compressed adjacency (self loops included) — the
+        kernel's left operand, in the form its producer held: a canonical
+        CSR of ones (:func:`pack_batch_adjacency`; the §4.2 words are
+        packed when something first reads :attr:`packed`) or the words (a
+        dynamic-graph snapshot; a GEMM on codes decodes them).  Memoises
+        what it derives for as long as the artifact is cached.
     plan:
         Non-zero tile census of the packed planes (§4.3).  Feeds the
         kernel's measured skip counters and tells the ``sparse`` host
@@ -254,26 +258,25 @@ class PackedAdjacency:
     degrees:
         ``(n, 1)`` float64 row sums (with self loops) — the rank-1 affine
         epilogue of the aggregation product.
-    csr:
-        The same set bits as a canonical CSR of ones — what a GEMM on
-        codes multiplies by — when the producer held coordinates; ``None``
-        (a dynamic-graph snapshot) leaves the operand to decode its words.
     """
 
-    packed: PackedBits
+    operand: Operand
     plan: TileSkipPlan
     degrees: np.ndarray
-    csr: sp.csr_matrix | None = None
 
-    @cached_property
-    def operand(self) -> Operand:
-        """The aggregation GEMM's left operand, memoised with the forms it
-        has derived (its CSR views) for as long as the artifact is cached."""
-        return Operand(packed=self.packed, csr=self.csr)
+    @property
+    def packed(self) -> PackedBits:
+        """The bit-compressed planes (packed on first read)."""
+        return self.operand.packed
+
+    @property
+    def csr(self) -> sp.csr_matrix | None:
+        """The producer's canonical CSR of ones, if it held one."""
+        return self.operand.csr
 
     @property
     def num_nodes(self) -> int:
-        return self.packed.logical_vectors
+        return self.operand.logical_vectors
 
     @property
     def nonzero_fraction(self) -> float:
@@ -282,36 +285,32 @@ class PackedAdjacency:
 
     @property
     def nbytes(self) -> int:
-        """Packed + CSR storage a serving cache budgets for this entry."""
-        csr = self.csr
-        sparse = () if csr is None else (csr.data, csr.indices, csr.indptr)
-        return sum(
-            a.nbytes for a in (self.packed, self.degrees, *self.plan.masks, *sparse)
-        )
+        """Packed + CSR storage a serving cache budgets for this entry —
+        the words by their geometry, packed yet or not, so an entry weighs
+        the same when it is evicted as when it was inserted."""
+        csr = self.operand.csr
+        held = [self.degrees, *self.plan.masks]
+        if csr is not None:
+            held += [csr.data, csr.indices, csr.indptr]
+        return self.operand.packed_nbytes + sum(a.nbytes for a in held)
 
 
 def pack_batch_adjacency(batch: SubgraphBatch) -> PackedAdjacency:
-    """Bit-pack and tile-census one batch's adjacency (with self loops) —
-    the per-batch analogue of :func:`pack_layer_weight`.
+    """Census one batch's adjacency (with self loops) — the per-batch
+    analogue of :func:`pack_layer_weight`.
 
-    One pass over the members' coordinates
-    (:meth:`SubgraphBatch.edge_coordinates`): the planes are scattered
-    from them, a canonical CSR collapses their duplicates (a stored self
-    loop plus the appended diagonal is one set bit), and the census and
-    the degrees — the distinct set bits of each row, which is what a dense
-    row sum would count — are read off that CSR, so nothing ``n x n`` wider
-    than a bit is allocated and no word is read back.
+    The members' CSRs concatenate into one canonical CSR of ones
+    (:meth:`SubgraphBatch.adjacency_csr`; a stored self loop plus the
+    added diagonal is one set bit), and the census and the degrees — the
+    distinct set bits of each row, which is what a dense row sum would
+    count — are read off it.  The bit-compressed words wait for their
+    first reader: a round on codes never allocates the ``n x n / 32`` plane.
     """
-    n = batch.num_nodes
-    rows, cols = batch.edge_coordinates()
-    packed = pack_edges(rows, cols, n, n)
-    csr = sp.csr_matrix((np.ones(rows.size, np.float32), (rows, cols)), shape=(n, n))
-    csr.data[:] = 1  # the coo -> csr conversion summed the duplicates
+    operand = Operand(csr=batch.adjacency_csr())
     return PackedAdjacency(
-        packed=packed,
-        plan=plan_tile_skip(Operand(packed=packed, csr=csr)),
-        degrees=np.diff(csr.indptr).astype(np.float64)[:, None],
-        csr=csr,
+        operand=operand,
+        plan=plan_tile_skip(operand),
+        degrees=np.diff(operand.csr.indptr).astype(np.float64)[:, None],
     )
 
 

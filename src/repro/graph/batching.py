@@ -16,8 +16,9 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
-from ..core.bitpack import PackedBits, pack_edges
+from ..core.bitpack import Operand, PackedBits
 from ..errors import PartitionError, ShapeError
 from .csr import CSRGraph
 
@@ -157,34 +158,35 @@ class SubgraphBatch:
             np.fill_diagonal(out, 1)
         return out
 
-    def edge_coordinates(
-        self, *, self_loops: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, cols)`` of every set bit of the block-diagonal
-        adjacency, read straight off the members' CSR in ``O(E)``.
+    def adjacency_csr(self, *, self_loops: bool = True) -> sp.csr_matrix:
+        """The block-diagonal adjacency as a canonical ``float32`` CSR of
+        ones, concatenated from the members' CSRs in ``O(E)``.
 
-        ``self_loops`` appends the diagonal (GCN aggregates
-        ``N(v) ∪ {v}``); a coordinate may repeat when a member already
-        stores a self loop.
+        Members that are already canonical — what :class:`CSRGraph` builds
+        — only pay the check; unsorted rows are sorted and repeated
+        coordinates collapsed.  ``self_loops`` adds the identity (GCN
+        aggregates ``N(v) ∪ {v}``); a stored self loop stays one entry.
         """
-        rows, cols = [], []
-        for sub, off in zip(self.members, self.node_offsets):
-            g = sub.graph
-            rows.append(np.repeat(np.arange(off, off + g.num_nodes), np.diff(g.indptr)))
-            cols.append(g.indices + off)
+        graphs = [sub.graph for sub in self.members]
+        degrees = np.concatenate([[0], *(g.degrees() for g in graphs)])
+        indices = [g.indices + at for g, at in zip(graphs, self.node_offsets)]
+        indices = np.concatenate(indices)
+        n = self.num_nodes
+        csr = sp.csr_matrix(
+            (np.ones(indices.size, np.float32), indices, np.cumsum(degrees)), shape=(n, n)
+        )
+        csr.sum_duplicates()
         if self_loops:
-            diagonal = np.arange(self.num_nodes)
-            rows.append(diagonal)
-            cols.append(diagonal)
-        return np.concatenate(rows), np.concatenate(cols)
+            csr = csr + sp.identity(n, dtype=np.float32, format="csr")
+        csr.data[:] = 1  # duplicates and stored self loops were summed
+        return csr
 
     def packed_adjacency(
         self, *, self_loops: bool = True, pad_vectors: int = 8
     ) -> PackedBits:
         """1-bit column-compressed adjacency — the kernel's left operand."""
-        n = self.num_nodes
-        rows, cols = self.edge_coordinates(self_loops=self_loops)
-        return pack_edges(rows, cols, n, n, pad_vectors=pad_vectors)
+        csr = self.adjacency_csr(self_loops=self_loops)
+        return Operand(csr=csr, pad_vectors=pad_vectors).packed
 
     def features(self, dtype=None) -> np.ndarray:
         """Row-stacked member features, aligned with the adjacency rows —

@@ -51,9 +51,7 @@ class CSRGraph:
             raise ShapeError("indptr must be a 1-D array of length num_nodes + 1")
         if self.indptr[0] != 0 or np.any(np.diff(self.indptr) < 0):
             raise ShapeError("indptr must start at 0 and be non-decreasing")
-        if self.indices.ndim != 1 or (
-            self.indices.size and self.indptr[-1] != self.indices.size
-        ):
+        if self.indices.ndim != 1 or self.indptr[-1] != self.indices.size:
             raise ShapeError("indices length must equal indptr[-1]")
         n = self.num_nodes
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n):

@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from ..core.bitpack import TC_K, TC_M, pad_to
+from ..core.bitpack import Operand
 from ..errors import ShapeError
 from ..graph.batching import Subgraph, SubgraphBatch, batch_subgraphs
 
@@ -61,21 +59,19 @@ class BatchProfile:
 def profile_batch(batch: SubgraphBatch) -> BatchProfile:
     """Census one batch's adjacency tiles.
 
-    Tile coordinates come straight from the CSR edge list — ``O(E)``, no
+    The ballot is taken from the batch's CSR coordinates — ``O(E)``, no
     packed planes — so paper-scale graphs profile in seconds; the tests
     assert the count equals the ballot over the packed adjacency.
     """
     n = batch.num_nodes
-    kt = pad_to(n, TC_K) // TC_K
-    rows, cols = batch.edge_coordinates(self_loops=True)
-    nnz_tiles = int(np.unique((rows // TC_M) * kt + cols // TC_K).size)
+    (mask,) = Operand(csr=batch.adjacency_csr()).tile_masks()
     return BatchProfile(
         num_nodes=n,
         num_edges=batch.num_edges,
         nnz_adj=2 * batch.num_edges + n,  # symmetric edges + self loops
-        mt=pad_to(n, TC_M) // TC_M,
-        kt=kt,
-        nnz_tiles=nnz_tiles,
+        mt=mask.shape[0],
+        kt=mask.shape[1],
+        nnz_tiles=int(mask.sum()),
     )
 
 

@@ -292,8 +292,10 @@ class TestSelfCensus:
         rows, cols = np.tile(rows, 2), np.tile(cols, 2)  # duplicates are idempotent
         from_edges = pack_edges(rows, cols, m, k, pad_vectors=pad)
         np.testing.assert_array_equal(from_edges.words, words.words)
+        coordinates = Operand(csr=sp.csr_matrix(codes.astype(np.float32)), pad_vectors=pad)
         for operand in (
             Operand(packed=from_edges, csr=sp.csr_matrix(codes.astype(np.float32))),
+            coordinates,
             Operand(codes, 1, "col", pad_vectors=pad),
             Operand(packed=words),
         ):
@@ -302,6 +304,11 @@ class TestSelfCensus:
             np.testing.assert_array_equal(mask, want)
             assert plan_tile_skip(operand).matches(operand)
             np.testing.assert_array_equal(plan_tile_skip(operand).masks[0], want)
+        # The ballot needed no word; the first reader gets the same ones.
+        assert coordinates._packed is None
+        np.testing.assert_array_equal(coordinates.packed.words, words.words)
+        assert coordinates.packed_nbytes == words.nbytes
+        np.testing.assert_array_equal(coordinates.codes, codes)
 
     def test_codes_census_packs_nothing(self, rng):
         operand = Operand(rng.integers(0, 2, size=(21, 140)), 1, "col")
@@ -325,6 +332,31 @@ class TestSelfCensus:
                 packed=pack_matrix(np.ones((4, 6), np.int64), 2, "col"),
                 csr=sp.csr_matrix((4, 6), dtype=np.float32),
             )
+
+    def test_coordinates_must_be_canonical(self):
+        """Words OR a repeated coordinate away, a GEMM on the CSR counts it
+        twice: an operand must not be both."""
+        unsorted = sp.csr_matrix(
+            (np.ones(3, np.float32), [2, 0, 1], [0, 2, 3]), shape=(2, 3)
+        )
+        repeated = sp.csr_matrix(
+            (np.ones(3, np.float32), [1, 1, 0], [0, 2, 3]), shape=(2, 3)
+        )
+        for csr in (unsorted, repeated):
+            assert not csr.has_canonical_format
+            with pytest.raises(PackingError, match="canonical"):
+                Operand(csr=csr)
+            with pytest.raises(PackingError, match="canonical"):
+                Operand(packed=pack_matrix(np.ones((2, 3), np.int64), 1, "col"), csr=csr)
+        repeated.sum_duplicates()
+        assert Operand(csr=repeated).packed.to_codes().tolist() == [[0, 1, 0], [1, 0, 0]]
+
+    def test_an_operand_has_exactly_one_producer(self):
+        csr = sp.csr_matrix(np.eye(3, dtype=np.float32))
+        with pytest.raises(PackingError, match="build an operand"):
+            Operand()
+        with pytest.raises(PackingError, match="build an operand"):
+            Operand(np.eye(3, dtype=np.int64), 1, "col", csr=csr)
 
     def test_coordinates_are_the_gemm_factor_and_are_never_decoded(self, monkeypatch):
         dense = (np.random.default_rng(3).random((30, 70)) < 0.1).astype(np.int64)

@@ -222,3 +222,79 @@ class TestQuantizeInto:
         params = QuantParams(bits=8, alpha_min=-1.0, scale=0.01)
         with pytest.raises(BitwidthError, match="NaN"):
             quantize_into(np.array([[0.0, np.nan, 0.5]]), params, dtype)
+
+    # ----------------------------------------------------------------- #
+    # One bit: Eq. 2 is one comparison against ``QuantParams.threshold``
+    # ----------------------------------------------------------------- #
+    #: Every dtype ``exact_gemm_dtype`` can return.
+    GEMM_DTYPES = (np.float32, np.float64, np.int64)
+
+    @staticmethod
+    def _one_bit_values(params, seed):
+        """Both sides of the threshold to the last float64, the bounds, the
+        zeros and infinities, and a body straddling the bucket edge."""
+        t, top = params.threshold, params.alpha_max
+        special = [t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf),
+                   params.alpha_min, top, np.inf, -np.inf, -0.0, 0.0,
+                   np.nextafter(params.alpha_min, -np.inf), params.alpha_min - params.scale]
+        rng = np.random.default_rng(seed)
+        body = rng.uniform(-1.0, 3.0, size=20) * params.scale + params.alpha_min
+        return np.concatenate([special, body])
+
+    @settings(max_examples=200)
+    @given(
+        alpha_min=st.one_of(
+            st.floats(-50.0, 50.0),
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0**52, -(2.0**52), 1e300, -1e-300]),
+        ),
+        scale=st.one_of(st.floats(1e-6, 10.0), st.sampled_from([1.0, 2.0**-52, 1e300])),
+        ratio_log2=st.none() | st.integers(0, 52),
+        seed=st.integers(0, 2**16),
+    )
+    def test_one_bit_compare_equals_the_divide_form(self, alpha_min, scale, ratio_log2, seed):
+        if ratio_log2 is not None and alpha_min != 0.0:
+            scale = abs(alpha_min) / 2.0**ratio_log2  # |alpha_min| / s up to 2**52
+        params = QuantParams(bits=1, alpha_min=alpha_min, scale=scale)
+        t = params.threshold
+        # The defining property, on the divide form itself.
+        assert eq2_reference(np.array([t]), params)[0] == 1
+        assert eq2_reference(np.array([np.nextafter(t, -np.inf)]), params)[0] == 0
+        values = self._one_bit_values(params, seed)
+        with np.errstate(over="ignore"):  # 1e300 has no float32
+            as_f32 = values.astype(np.float32)
+        for inputs in (values, as_f32, values.reshape(-1, 1), values[:0]):
+            want = eq2_reference(inputs, params)
+            for dtype in self.GEMM_DTYPES:
+                fused = quantize_into(inputs, params, dtype)
+                assert fused.dtype == dtype and fused.shape == inputs.shape
+                np.testing.assert_array_equal(fused.astype(np.int64), want)
+
+    def test_one_bit_compare_runs_in_float64_on_float32_inputs(self):
+        """A float32 tensor against a threshold float32 cannot hold: rounding
+        ``t`` to the inputs' dtype would move the bucket edge."""
+        params = QuantParams(bits=1, alpha_min=0.0, scale=1.0 + 2.0**-40)
+        assert float(np.float32(params.threshold)) == 1.0 < params.threshold
+        values = np.array([1.0, np.nextafter(np.float32(1.0), np.float32(2.0))], np.float32)
+        for dtype in self.GEMM_DTYPES:
+            np.testing.assert_array_equal(quantize_into(values, params, dtype), [0, 1])
+        np.testing.assert_array_equal(eq2_reference(values, params), [0, 1])
+
+    def test_threshold_is_derived_once_and_is_not_part_of_the_record(self):
+        params = QuantParams(bits=1, alpha_min=-3.3, scale=0.7)
+        shown = repr(params)
+        assert "threshold" not in vars(params)
+        t = params.threshold
+        assert vars(params)["threshold"] == t == -2.5999999999999996
+        assert repr(params) == shown and params == QuantParams(1, -3.3, 0.7)
+        assert hash(params) == hash(QuantParams(1, -3.3, 0.7))
+
+    @pytest.mark.parametrize("dtype", GEMM_DTYPES)
+    def test_one_bit_nan_raises_the_same_error(self, dtype):
+        eight = QuantParams(bits=8, alpha_min=-1.0, scale=0.01)
+        one = QuantParams(bits=1, alpha_min=-1.0, scale=0.01)
+        values = np.array([[0.0, np.nan, 0.5]])
+        with pytest.raises(BitwidthError) as multi_bit:
+            quantize_into(values, eight, dtype)
+        with pytest.raises(BitwidthError) as one_bit:
+            quantize_into(values.astype(np.float32), one, dtype)
+        assert str(one_bit.value) == str(multi_bit.value)

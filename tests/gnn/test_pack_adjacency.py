@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.bitgemm import codes_gemm
 from repro.core.bitpack import Operand, pack_matrix, tile_nonzero_mask
@@ -80,9 +82,9 @@ def test_one_pass_equals_dense_with_self_loops_and_duplicates(seed):
     batch = SubgraphBatch(
         members=tuple(noisy(int(n), seed * 10 + i) for i, n in enumerate(sizes))
     )
-    rows, cols = batch.edge_coordinates()
-    assert np.unique(rows * batch.num_nodes + cols).size < rows.size  # duplicates
     dense = batch.dense_adjacency()
+    stored = sum(sub.graph.indices.size for sub in batch.members) + batch.num_nodes
+    assert int(dense.sum()) < stored  # duplicates
     ref_packed = pack_matrix(dense.astype(np.int64), 1, "col")
 
     got = pack_batch_adjacency(batch)
@@ -101,6 +103,64 @@ def test_one_pass_equals_dense_with_self_loops_and_duplicates(seed):
     )
 
 
+def canonical(num_nodes, seed):
+    """A member as ``CSRGraph.from_edges`` builds it: sorted, no repeats."""
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, num_nodes, size=(2 * num_nodes, 2))
+    graph = CSRGraph.from_edges(num_nodes, edges)
+    return Subgraph(graph=graph, original_nodes=np.arange(num_nodes))
+
+
+MEMBER_KINDS = {"canonical": canonical, "noisy": noisy, "edgeless": lambda n, seed: edgeless(n)}
+
+
+@settings(max_examples=60)
+@given(
+    members=st.lists(
+        st.tuples(st.sampled_from(sorted(MEMBER_KINDS)), st.sampled_from([1, 2, 7, 40, 131])),
+        min_size=1,
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**16),
+)
+@example(members=[("edgeless", 1)], seed=0)  # a single node: the diagonal alone
+@example(members=[("noisy", 131), ("edgeless", 7), ("canonical", 40)], seed=3)
+def test_concatenated_csr_equals_the_dense_packer(members, seed):
+    """Whatever the members store — unsorted rows, repeats, self loops,
+    nothing — the one CSR, the census and degrees read off it and the words
+    packed on first read equal the dense reference, bit for bit."""
+    batch = SubgraphBatch(
+        members=tuple(
+            MEMBER_KINDS[kind](n, seed + i) for i, (kind, n) in enumerate(members)
+        )
+    )
+    dense = batch.dense_adjacency()
+    ref = pack_matrix(dense.astype(np.int64), 1, "col")
+
+    got = pack_batch_adjacency(batch)
+    csr = got.csr
+    assert csr.has_canonical_format and csr.dtype == np.float32
+    assert csr.shape == dense.shape and got.num_nodes == batch.num_nodes
+    np.testing.assert_array_equal(csr.toarray(), dense)
+    np.testing.assert_array_equal(got.plan.masks[0], tile_nonzero_mask(ref.plane(0)))
+    assert got.degrees.dtype == np.float64
+    np.testing.assert_array_equal(
+        got.degrees, dense.sum(axis=1, dtype=np.float64)[:, None]
+    )
+    assert got.operand._packed is None  # nothing so far needed a word
+    before = got.nbytes
+    words = got.packed
+    assert got.packed is words  # packed once
+    assert words.words.dtype == ref.words.dtype
+    np.testing.assert_array_equal(words.words, ref.words)
+    assert (words.logical_shape, words.pad_vectors) == (ref.logical_shape, ref.pad_vectors)
+    assert got.nbytes == before  # an entry weighs the same packed or not
+    np.testing.assert_array_equal(
+        batch.packed_adjacency(self_loops=False).to_codes(),
+        batch.dense_adjacency(self_loops=False).astype(np.int64),
+    )
+
+
 def test_nbytes_counts_the_csr_the_artifact_carries():
     batch = SubgraphBatch(members=tuple(partitioned(300, 1500, 3, seed=8)))
     got = pack_batch_adjacency(batch)
@@ -109,7 +169,9 @@ def test_nbytes_counts_the_csr_the_artifact_carries():
     assert got.nbytes == (
         got.packed.nbytes + got.degrees.nbytes + got.plan.masks[0].nbytes + csr_bytes
     )
-    wordsonly = PackedAdjacency(packed=got.packed, plan=got.plan, degrees=got.degrees)
+    wordsonly = PackedAdjacency(
+        operand=Operand(packed=got.packed), plan=got.plan, degrees=got.degrees
+    )
     assert wordsonly.nbytes == got.nbytes - csr_bytes
     np.testing.assert_array_equal(  # a words-only artifact decodes its own CSR
         wordsonly.operand.matrix(np.float32).toarray(), got.csr.toarray()

@@ -51,6 +51,16 @@ class TestConstruction:
         with pytest.raises(ShapeError):
             CSRGraph(indptr=np.array([1, 0]), indices=np.array([], dtype=np.int64))
 
+    def test_validation_rejects_row_pointers_past_empty_indices(self):
+        """``indptr`` promising entries that ``indices`` does not hold used to
+        pass (the length check was skipped on empty ``indices``) and fail
+        deep inside the packer, which trusts ``indptr``."""
+        with pytest.raises(ShapeError, match="indices length"):
+            CSRGraph(indptr=[0, 2, 3], indices=[])
+        with pytest.raises(ShapeError, match="indices length"):
+            CSRGraph(indptr=[0, 1, 1], indices=[0, 1])
+        assert CSRGraph(indptr=[0, 0, 0], indices=[]).num_edges == 0
+
     def test_feature_shape_check(self):
         with pytest.raises(ShapeError):
             CSRGraph.from_edges(3, np.array([[0, 1]]), features=np.zeros((2, 4)))

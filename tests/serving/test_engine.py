@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ShapeError
-from repro.gnn import make_batched_gin, make_cluster_gcn, reference_forward
+from repro.core.bitpack import pack_matrix
+from repro.gnn import make_batched_gin, make_cluster_gcn, quantized_forward, reference_forward
 from repro.graph import batch_subgraphs, induced_subgraphs
 from repro.graph.batching import SubgraphBatch
 from repro.graph.generators import planted_partition_graph
@@ -216,6 +217,43 @@ class TestAdjacencyCache:
         assert stats.hits == 0
         assert stats.misses == 4
         assert stats.evictions == 3
+
+    def test_adjacency_bytes_balance_whether_or_not_words_materialise(
+        self, gin_model, subgraphs
+    ):
+        """An entry is budgeted by its geometry — its §4.2 words may be
+        packed long after ``put`` — so what an insertion adds is exactly
+        what the eviction subtracts."""
+        engine = InferenceEngine(
+            gin_model,
+            ServingConfig(
+                feature_bits=1, engine="blas", batch_size=2, adjacency_cache_capacity=2
+            ),
+        )
+        rounds = [subgraphs[0:2], subgraphs[2:4], subgraphs[4:6]]
+        batches = [SubgraphBatch(members=tuple(r)) for r in rounds]
+        engine.infer(rounds[0])
+        engine.infer(rounds[1])
+        segment = engine.adjacency_cache
+        first, second = (engine.packed_adjacency_for(b) for b in batches[:2])
+        assert first.operand._packed is None  # a ``blas`` round reads no word
+        assert segment.nbytes == first.nbytes + second.nbytes
+        # A ``packed``-engine round on the cached entry is their first reader.
+        quantized_forward(
+            gin_model, batches[0], feature_bits=1, packed_adjacency=first, engine="packed"
+        )
+        assert first.operand._packed is not None
+        assert segment.nbytes == first.nbytes + second.nbytes
+        # ``core.bitpack.packed_mb``: the dense packer's size, as ever.
+        dense = batches[0].dense_adjacency().astype(np.int64)
+        assert first.packed.nbytes == pack_matrix(dense, 1, "col").nbytes
+        engine.infer(rounds[1])  # refresh: the packed entry is now the oldest
+        engine.infer(rounds[2])
+        assert engine.stats.adjacency_cache.evictions == 1
+        third = engine.packed_adjacency_for(batches[2])
+        assert segment.nbytes == second.nbytes + third.nbytes
+        segment.clear()
+        assert segment.nbytes == 0
 
     def test_cached_plan_preserves_results(self, gin_model, subgraphs):
         engine = InferenceEngine(

@@ -3,8 +3,11 @@
 Call counts, not seconds — it cannot flake on a slow host.  A warm round
 does no bit-level work at all (no activation words, no adjacency scatter,
 no decode, no word-wide ballot) and hashes each member once; a structure
-miss scatters the adjacency exactly once and reads no word back.  Nor
-does a warm round re-derive what is a pure function of the artifacts it
+miss concatenates the members' CSRs and scatters no word at all — the
+adjacency's words are packed once per structure by their first reader (a
+``packed`` round, a recovered step), if there is one — and the 1-bit
+quantizer's threshold is derived once per calibration site.  Nor does a
+warm round re-derive what is a pure function of the artifacts it
 has just hit in the cache — kernel counters, the modeled report, GEMM
 specs — or read its activation codes a second time to range-check them;
 and those derivations die with the artifact they hang on.
@@ -16,13 +19,15 @@ import gc
 import hashlib
 import sys
 import weakref
-from functools import partial
+from functools import cached_property, partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core import bitdecomp, bitpack
+from repro.core.quantization import QuantParams
+from repro.faultinject import FaultPlan, FaultSpec
 from repro.gnn import make_batched_gin, make_cluster_gcn, quantized_forward
 from repro.gnn.quantized import ActivationCalibration, pack_batch_adjacency
 from repro.graph import induced_subgraphs
@@ -77,12 +82,16 @@ def spies(monkeypatch):
     return counts
 
 
-def test_one_bit_blas_round_work_budget(spies):
+def _eight_subgraphs():
     g = planted_partition_graph(
         320, 1800, num_communities=8, feature_dim=12, num_classes=3,
         rng=np.random.default_rng(11),
     )
-    subgraphs = induced_subgraphs(g, metis_like_partition(g, 8))
+    return induced_subgraphs(g, metis_like_partition(g, 8))
+
+
+def test_one_bit_blas_round_work_budget(spies):
+    subgraphs = _eight_subgraphs()
     first, second = subgraphs[:4], subgraphs[4:]
     engine = InferenceEngine(
         make_cluster_gcn(12, 3), ServingConfig(feature_bits=1, engine="blas", batch_size=4)
@@ -97,7 +106,7 @@ def test_one_bit_blas_round_work_budget(spies):
     miss, cold_logits = round_counts(first)
     assert miss == {
         "pack_matrix": 0,
-        "pack_edges": 1,
+        "pack_edges": 0,
         "tile_nonzero_mask": 0,
         "_csr_from_words": 0,
         "blake2b": len(first),
@@ -112,9 +121,81 @@ def test_one_bit_blas_round_work_budget(spies):
     }
     for cold, again in zip(cold_logits, warm_logits):
         np.testing.assert_array_equal(cold, again)
-    # A second structure is a miss again: one scatter, nothing read back.
+    # A second structure is a miss again: no scatter, nothing read back.
     assert round_counts(second)[0] == {**miss, "blake2b": len(second)}
     assert engine.stats.tiles_skipped > 0  # the ballot still feeds the counters
+
+
+def test_adjacency_words_are_packed_once_by_their_first_reader(spies):
+    """Whoever reads the §4.2 words first — a round routed to ``packed``, a
+    ``kernel`` fault recovered ``blas -> packed`` on a cold miss — packs them
+    once per structure (not per layer, not per replay), and the logits are
+    the ``blas`` round's."""
+    subgraphs = _eight_subgraphs()
+    structures = subgraphs[:4], subgraphs[4:]
+    model = make_cluster_gcn(12, 3)
+    assert model.num_layers > 1  # several aggregations share one adjacency
+
+    def serve(engine_name, fault_plan=None):
+        engine = InferenceEngine(
+            model,
+            ServingConfig(feature_bits=1, engine=engine_name, batch_size=4),
+            fault_plan=fault_plan,
+        ).warm_up()
+        scatters, logits = [], []
+        for members in (structures[0], structures[0], structures[1]):
+            spies["pack_edges"] = 0
+            logits.append([r.logits for r in engine.infer(members)])
+            scatters.append(spies["pack_edges"])
+        assert spies["_csr_from_words"] == 0
+        return engine, scatters, logits
+
+    def assert_same_logits(golden, logits):
+        for want, got in zip(golden, logits):
+            for a, b in zip(want, got):
+                np.testing.assert_array_equal(a, b)
+
+    _, scatters, golden = serve("blas")
+    assert scatters == [0, 0, 0]
+    _, scatters, logits = serve("packed")
+    assert scatters == [1, 0, 1]  # miss, replay, second structure
+    assert_same_logits(golden, logits)
+    # Probes 0 and 3 are the cold miss's first two aggregations on ``blas``
+    # (1 is the first one's ``packed`` retry, 2 the update between them).
+    faults = FaultPlan(seed=0, specs=[FaultSpec("kernel", at=(0, 3))])
+    engine, scatters, logits = serve("blas", faults)
+    assert [e.detail for e in faults.events] == ["aggregate/L0:blas", "aggregate/L1:blas"]
+    assert engine.stats.step_retries == 2
+    assert scatters == [1, 0, 0]
+    assert_same_logits(golden, logits)
+
+
+def test_one_bit_threshold_is_derived_once_per_calibration_site(monkeypatch):
+    """Eq. 2's 1-bit threshold is a property of the frozen parameters: a
+    miss derives it where it calibrates, and no later round derives it."""
+    counts = {"threshold": 0}
+    spy = cached_property(
+        _counting(counts, "threshold", QuantParams.__dict__["threshold"].func)
+    )
+    spy.__set_name__(QuantParams, "threshold")
+    monkeypatch.setattr(QuantParams, "threshold", spy)
+
+    subgraphs = _eight_subgraphs()
+    model = make_cluster_gcn(12, 3)
+    calibration = ActivationCalibration()
+    engine = InferenceEngine(
+        model,
+        ServingConfig(feature_bits=1, engine="blas", batch_size=4),
+        calibration=calibration,
+    ).warm_up()
+    assert counts["threshold"] == model.num_layers  # the weights, packed once
+    engine.infer(subgraphs[:4])
+    sites = len(calibration)
+    assert sites == 2 * model.num_layers
+    assert counts["threshold"] == model.num_layers + sites
+    engine.infer(subgraphs[:4])  # a replay
+    engine.infer(subgraphs[4:])  # a second structure
+    assert counts["threshold"] == model.num_layers + sites
 
 
 # --------------------------------------------------------------------- #
