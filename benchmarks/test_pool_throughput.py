@@ -160,7 +160,6 @@ def run_pool_throughput() -> dict:
         "single_plan_misses": single_plan.misses,
         "per_worker": per_worker,
         "plans_published": stats.plans_published,
-        "table_merges": stats.table_merges,
         "pag_coverage": pag_coverage,
     }
 
@@ -211,7 +210,6 @@ def test_pool_throughput(benchmark, once, report, bench_json):
             "pool_req_per_s": r["pool_req_per_s"],
             "bit_identical": r["identical"],
             "plans_published": r["plans_published"],
-            "table_merges": r["table_merges"],
             "pag_coverage": r["pag_coverage"],
             "premise": (
                 "The miss penalty the pool amortised was the O(n^2) "

@@ -9,8 +9,8 @@ compiles again.  A :class:`~repro.serving.ServingPool` shards the stream
 by structure digest across N workers: each shard's slice fits its
 shard-local cache (steady state is pure plan replay), packed weights
 live in one shared read-only segment, compiled plans broadcast through
-the cross-worker exchange, and the shards merge their measured dispatch
-tables through the JSON persistence path.
+the cross-worker exchange, and every shard records into and prices from
+the one measured dispatch table the pool mounts.
 
 Logits are bit-identical to the single engine for every request — the
 pool is a throughput decision, never an accuracy decision.
@@ -102,15 +102,14 @@ def main() -> None:
           f"(once pool-wide), {pool.workers[0].weight_cache.stats.hits} hits")
     print(f"  plan exchange: {stats.plans_published} plans broadcast, "
           f"{stats.plans_adopted} adopted by sibling shards")
-    print(f"  dispatch tables: merged {stats.table_merges}x through the "
-          f"save/load JSON path "
-          f"({pool.workers[0].dispatch_table.sample_count()} samples on w0)")
+    print(f"  dispatch table: one object mounted by every shard, "
+          f"{pool.workers[0].dispatch_table.sample_count()} samples")
     print(f"  backend attribution: " + ", ".join(
         f"{name} {seconds * 1e3:.1f} ms"
         for name, seconds in sorted(stats.backend_seconds.items())
     ))
     pool.shutdown()
-    print("\npool shut down (final table merge done)")
+    print("\npool shut down")
 
 
 if __name__ == "__main__":

@@ -278,9 +278,9 @@ class DispatchTable:
         #: :meth:`load` (telemetry surfaces the sum across loads).
         self.degraded_loads = 0
         self._entries: dict[ShapeBucket, dict[str, BucketTiming]] = {}
-        # Serializes recording/merging/serialization so a pool worker can
-        # snapshot or merge a table that another worker is feeding samples
-        # into.  Reentrant: merge() records through the same lock.
+        # Serializes recording/merging/serialization: every shard of a
+        # thread pool records into (and prices from) this one object.
+        # Reentrant: merge() records through the same lock.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
@@ -389,9 +389,10 @@ class DispatchTable:
 
     def sample_count(self) -> int:
         """Total samples currently held across all cells."""
-        return sum(
-            cell.count for cells in self._entries.values() for cell in cells.values()
-        )
+        with self._lock:  # a sibling shard may be recording
+            return sum(
+                cell.count for row in self._entries.values() for cell in row.values()
+            )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -405,11 +406,11 @@ class DispatchTable:
     def merge(self, other: "DispatchTable") -> int:
         """Adopt another shard's samples into this table; returns how many.
 
-        The cross-worker half of pool autotuning: each
-        :class:`~repro.serving.pool.ServingPool` shard owns its table, and
-        on a merge interval every shard adopts the samples its siblings
-        measured — so a bucket only shard 2's traffic exercises still
-        prices from measurement on shard 0.  Semantics:
+        The cross-process half of pool autotuning: each shard of a
+        process-mode :class:`~repro.serving.pool.ServingPool` owns its
+        table, and the parent folds the shards' saved tables into one —
+        so a bucket only shard 2's traffic exercised still prices from
+        measurement after a restart.  Semantics:
 
         * **identity-checked** — both tables must describe the same host
           fingerprint and registry digest (:class:`~repro.errors.ConfigError`
@@ -424,7 +425,7 @@ class DispatchTable:
         * **idempotent while held** — a sample already present in the
           destination ring (exact float match: wall-clock samples are
           effectively unique) is not adopted twice, so re-merging an
-          unchanged shard file every interval is a no-op.  Samples a
+          unchanged shard file is a no-op.  Samples a
           ring has already rotated *out* are not remembered, so a
           sibling can re-introduce one; the adoption cap below bounds
           how far such echoes can push out local recency;
@@ -598,8 +599,8 @@ def merge_saved_dispatch_tables(
     """Merge saved shard tables into ``table`` through the JSON load path.
 
     The persistence-mediated form of :meth:`DispatchTable.merge` — what a
-    :class:`~repro.serving.pool.ServingPool` runs on its merge interval
-    and at shutdown: every path is read with :meth:`DispatchTable.load`
+    process-mode :class:`~repro.serving.pool.ServingPool` runs after its
+    shards return: every path is read with :meth:`DispatchTable.load`
     (so identity validation is exactly the single-session rule) and
     merged.  A file recorded on a different host, against a different
     registry, with an unknown schema or simply unreadable loads as an

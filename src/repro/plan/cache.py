@@ -251,7 +251,7 @@ class ThreadSafeLRUCache(LRUCache[K, V]):
 
     The segment a :class:`~repro.serving.pool.ServingPool` shares across
     its workers (packed weights are session-invariant, so every shard
-    reads the same entries).  ``get_or_build`` holds the lock across the
+    reads the same entries; the one dispatch table likewise).  ``get_or_build`` holds the lock across the
     build, so a value is built exactly once even when several workers
     miss the same key concurrently — for packed weights that is the
     point: one pack, pool-wide.  Per-shard segments stay plain

@@ -412,8 +412,8 @@ class InferenceEngine:
         sessions (what makes differently-coalesced executions
         bit-identical).  The remaining keywords are the pool-worker hooks
         of :class:`~repro.serving.pool.ServingPool`: ``shared_segments``
-        mounts pre-built cache segments (the pool's shared read-only
-        packed-weight segment) into this session's plan cache,
+        mounts pre-built cache segments (the pool's shared packed-weight
+        and dispatch-table segments) into this session's plan cache,
         ``plan_exchange`` is a cross-worker board consulted before
         compiling and published to after (see
         :class:`~repro.serving.pool.PlanExchange`), and ``label`` names
@@ -788,7 +788,7 @@ class InferenceEngine:
 
         A compiled plan freezes each GEMM's backend at compile time; the
         dispatch table keeps learning afterwards (online timing feedback,
-        offline sweeps, cross-shard merges).  This scan re-prices every
+        offline sweeps, sibling shards' samples).  This scan re-prices every
         cached plan's GEMMs against the *current* table — reproducing the
         compile-time census coordinates from the plan's cached adjacency
         artifact — and reports the plans whose frozen choice no longer

@@ -18,7 +18,7 @@ that is identical everywhere.  A :class:`ServingPool` is that system:
   shard caches) or round-robin (balance over locality);
 * **shard-local sessions** — every worker owns a full
   :class:`~repro.serving.engine.InferenceEngine` (private adjacency /
-  plan / table segments, private telemetry) and drains a bounded request
+  plan segments, private telemetry) and drains a bounded request
   queue with **deadline-aware coalescing**: requests wait at most
   ``max_delay_s`` for batch-mates, grouped by the same
   :func:`~repro.graph.batching.round_full` member-cap/node-budget rule
@@ -30,15 +30,11 @@ that is identical everywhere.  A :class:`ServingPool` is that system:
 * **cross-worker plan warming** — compiled-plan metadata is broadcast
   through a :class:`PlanExchange` on first compile (plans are immutable
   dataclasses; a sibling shard that misses locally adopts instead of
-  recompiling), and each shard's measured
-  :class:`~repro.plan.autotune.DispatchTable` is merged with its
-  siblings' through the existing JSON persistence path
-  (:meth:`~repro.serving.engine.InferenceEngine.save_dispatch_table` /
-  :meth:`~repro.plan.autotune.DispatchTable.load` /
-  :func:`~repro.plan.autotune.merge_saved_dispatch_tables`) every
-  ``merge_interval`` executed batches and at shutdown — so a backend
-  timing measured by one worker prices dispatch on all of them, and a
-  foreign or corrupt shard file is skipped, never fatal;
+  recompiling), and the measured
+  :class:`~repro.plan.autotune.DispatchTable` is one object: every
+  shard mounts the pool's ``table`` segment the way it mounts the
+  ``weight`` one, so a backend timing recorded by one worker prices
+  dispatch on all of them from the next decision on;
 * **async front door** — intake is gateway-ready: ``submit`` validates
   deadlines, takes an explicit ``shard=`` override (the router/hedging
   hook) and offers ``block=False`` fast-fail intake
@@ -51,16 +47,18 @@ that is identical everywhere.  A :class:`ServingPool` is that system:
   for shard threads that died *outside* the per-request handler (a
   drain-loop bug, or an injected ``worker`` fault from a
   :class:`~repro.faultinject.FaultPlan`), respawns the shard with a
-  fresh engine remounting the shared weight segment / calibration /
-  plan exchange, and re-queues the dead worker's unsettled in-flight
-  requests so no submitter is stranded; with supervision disabled the
+  fresh engine remounting the shared weight and table segments,
+  calibration and plan exchange, and re-queues the dead worker's
+  unsettled in-flight requests so no submitter is stranded; disabled, the
   crash is surfaced instead — every queued and in-flight future fails
   with :class:`~repro.errors.WorkerDied`, as do later submits routed to
   the dead shard;
 * **process-pool escape hatch** — ``PoolConfig(mode="process")`` runs
   :meth:`ServingPool.serve` across fork-spawned worker processes (one
-  engine per process, warm state exchanged only through the
-  dispatch-table files) for workloads that outgrow the GIL.
+  engine per process — forked children share no memory, so their warm
+  state is exchanged through per-shard dispatch-table files folded by
+  :func:`~repro.plan.autotune.merge_saved_dispatch_tables`) for
+  workloads that outgrow the GIL.
 
 Results are bit-identical to a single engine serving the same requests
 with the same frozen :class:`~repro.gnn.quantized.ActivationCalibration`
@@ -70,10 +68,10 @@ decisions.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import queue
-import shutil
 import tempfile
 import threading
 import time
@@ -128,22 +126,19 @@ class PoolConfig:
     #: latency/occupancy dial — ``submit(deadline_s=...)`` overrides it
     #: per request.
     max_delay_s: float = 0.005
-    #: Executed batches between cross-shard dispatch-table merges;
-    #: ``None`` disables interval merging (the shutdown merge still
-    #: runs).
-    merge_interval: int | None = 32
     #: ``"structure"`` routes structurally identical subgraphs to the
     #: same shard (disjoint shard working sets — the capacity win);
     #: ``"round-robin"`` spreads requests evenly (duplicated cache
     #: entries, but the plan exchange recovers the compile cost).
     shard_policy: str = "structure"
-    #: ``"thread"`` (shared weight segment + plan exchange) or
-    #: ``"process"`` (fork-based escape hatch; :meth:`ServingPool.serve`
-    #: only, warm state exchanged through dispatch-table files).
+    #: ``"thread"`` (shared weight and table segments + plan exchange)
+    #: or ``"process"`` (fork-based escape hatch;
+    #: :meth:`ServingPool.serve` only, warm state exchanged through
+    #: dispatch-table files).
     mode: str = "thread"
-    #: Directory the per-shard dispatch-table JSON files spool through
-    #: during merges; ``None`` uses a private temporary directory that is
-    #: removed at shutdown.
+    #: Directory a process pool's per-shard dispatch-table JSON files
+    #: spool through; ``None`` uses a private temporary directory per
+    #: ``serve()``.  A thread pool never creates or writes it.
     spool_dir: str | None = None
     #: Whether the pool runs a supervisor thread (thread mode) that
     #: respawns crashed shard workers and re-queues their in-flight
@@ -155,7 +150,7 @@ class PoolConfig:
     supervise_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
-        """Validate every knob (fail construction, not the first merge)."""
+        """Validate every knob (fail construction, not the first round)."""
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.queue_capacity < 1:
@@ -165,10 +160,6 @@ class PoolConfig:
         if self.max_delay_s < 0:
             raise ConfigError(
                 f"max_delay_s must be >= 0, got {self.max_delay_s}"
-            )
-        if self.merge_interval is not None and self.merge_interval < 1:
-            raise ConfigError(
-                f"merge_interval must be >= 1 or None, got {self.merge_interval}"
             )
         if self.shard_policy not in ("structure", "round-robin"):
             raise ConfigError(
@@ -382,8 +373,6 @@ class PoolStats(SessionStats):
     DERIVED = SessionStats.DERIVED + ("poisoned_discards",)
 
     workers: int = 0
-    #: Cross-shard dispatch-table merges performed so far.
-    table_merges: int = 0
     #: Plans broadcast through the plan exchange (``plans_adopted``, the
     #: other half, is summed from the shards that adopted them).
     plans_published: int = 0
@@ -438,7 +427,10 @@ class _Worker:
             pool.model,
             pool.config,
             calibration=pool._calibration,
-            shared_segments={"weight": pool._weight_segment},
+            shared_segments={
+                "weight": pool._weight_segment,
+                "table": pool._table_segment,
+            },
             plan_exchange=pool.plan_exchange,
             label=self.label,
             health=pool.health,
@@ -549,7 +541,6 @@ class _Worker:
             delay = plan.delay("slow_shard", detail=self.label)
             if delay > 0.0:
                 time.sleep(delay)
-        before = self.engine.stats.batches
         try:
             results = self.engine.infer([r.subgraph for r in group])
         except BaseException as exc:  # surface on the submitter, keep serving
@@ -558,7 +549,6 @@ class _Worker:
             return
         for request, result in zip(group, results):
             request.future._fill(result.logits)
-        self.pool._note_batches(self.engine.stats.batches - before)
 
 
 def _run_process_shard(args: tuple) -> tuple[int, list[np.ndarray], SessionStats]:
@@ -631,33 +621,26 @@ class ServingPool:
         self._weight_segment = ThreadSafeLRUCache(
             self.config.weight_cache_capacity, size_of=artifact_nbytes
         )
+        # One measured dispatch table, pool-wide: every shard resolves
+        # its table through this segment, so the first builds (or loads)
+        # it under the segment's lock and the rest get the same object.
+        self._table_segment = ThreadSafeLRUCache(1)
         self._lock = threading.Lock()
         # Intake is atomic with respect to shutdown: submit() holds this
         # across its closed-check *and* enqueue, and shutdown() sets
         # _closed under it — so a request can never land on a queue after
         # the worker's final drain (which would strand its future).  A
         # separate lock from self._lock: a submit blocked on a full queue
-        # holds it, and workers must be able to take self._lock (batch
-        # accounting) to keep draining and unblock that submit.
+        # holds it, and stats() must not wait behind that submit.
         self._intake_lock = threading.Lock()
-        self._merge_lock = threading.Lock()
         self._next_seq = 0
         self._round_robin = 0
-        self._batches_since_merge = 0
-        self._table_merges = 0
         self._closed = False
         self._respawns = 0
         self._requeued = 0
         self._crash_event = threading.Event()
         self._supervisor: threading.Thread | None = None
         self._process_stats: list[SessionStats] = []
-        if self.pool_config.spool_dir is not None:
-            self._spool_dir = Path(self.pool_config.spool_dir)
-            self._spool_dir.mkdir(parents=True, exist_ok=True)
-            self._owns_spool = False
-        else:
-            self._spool_dir = Path(tempfile.mkdtemp(prefix="repro-pool-"))
-            self._owns_spool = True
         self._workers: list[_Worker] = []
         if self.pool_config.mode == "thread":
             self._workers = [
@@ -850,9 +833,9 @@ class ServingPool:
     def _respawn(self, index: int) -> None:
         """Replace a dead shard worker, re-queueing its in-flight requests.
 
-        The replacement remounts everything shared — weight segment,
-        calibration, plan exchange, backend health, fault plan — and
-        takes over the dead worker's queue, so requests that were queued
+        The replacement remounts everything shared — weight and table
+        segments, calibration, plan exchange, backend health, fault plan —
+        and takes over the dead worker's queue, so requests that were queued
         (or submitted) across the crash are served in place.  Unsettled
         in-flight requests are re-queued; artifacts are content-keyed and
         settles are first-wins, so re-execution is always safe.
@@ -878,61 +861,6 @@ class ServingPool:
             request.deadline = time.monotonic() + self.pool_config.max_delay_s
             replacement.queue.put(request)
 
-    # ------------------------------------------------------------------ #
-    # Cross-worker dispatch-table merging
-    # ------------------------------------------------------------------ #
-    def _note_batches(self, executed: int) -> None:
-        interval = self.pool_config.merge_interval
-        if interval is None or executed <= 0:
-            return
-        merge_now = False
-        with self._lock:
-            self._batches_since_merge += executed
-            if self._batches_since_merge >= interval:
-                self._batches_since_merge = 0
-                merge_now = True
-        if merge_now:
-            self.merge_dispatch_tables()
-
-    def merge_dispatch_tables(self) -> dict[str, dict[str, int | None]]:
-        """Exchange measured timings between every shard's dispatch table.
-
-        Each shard saves its table to a spool file and merges every
-        sibling's file back through
-        :func:`~repro.plan.autotune.merge_saved_dispatch_tables` — the
-        same save/load path a restarted single session uses, so identity
-        validation (host fingerprint + registry digest) is identical and
-        a foreign file is skipped, not fatal.  Returns, per worker label,
-        the per-file adopted-sample counts (``None`` = skipped).
-        Idempotent across intervals: already-held samples are not
-        re-adopted.
-        """
-        with self._merge_lock:
-            tables = [
-                (worker, worker.engine.dispatch_table)
-                for worker in self._workers
-                if worker.engine.dispatch_table is not None
-            ]
-            if len(tables) < 2:
-                return {}
-            paths = {
-                worker.index: worker.engine.save_dispatch_table(
-                    self._spool_dir / f"shard-{worker.index}.json"
-                )
-                for worker, _ in tables
-            }
-            outcomes = {}
-            for worker, table in tables:
-                siblings = [
-                    path for index, path in paths.items() if index != worker.index
-                ]
-                outcomes[worker.label] = merge_saved_dispatch_tables(
-                    table, siblings
-                )
-            with self._lock:
-                self._table_merges += 1
-            return outcomes
-
     def _serve_process(self, subgraphs: Sequence[Subgraph]) -> list[PoolResult]:
         import multiprocessing
 
@@ -957,21 +885,39 @@ class ServingPool:
             shard = self.shard_of(subgraph, i)
             placement.append((shard, len(shards[shard])))
             shards[shard].append(subgraph)
-        jobs = [
-            (
-                index,
-                self.model,
-                self.config,
-                self._calibration._base,
-                members,
-                str(self._spool_dir / f"shard-{index}.json"),
-            )
-            for index, members in enumerate(shards)
-            if members
-        ]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=max(1, len(jobs))) as process_pool:
-            outputs = process_pool.map(_run_process_shard, jobs)
+        # Forked children's measured tables come back as files: kept in
+        # ``spool_dir`` when given, else in a directory that lives this call.
+        spool_dir = self.pool_config.spool_dir
+        with (
+            tempfile.TemporaryDirectory(prefix="repro-pool-")
+            if spool_dir is None
+            else contextlib.nullcontext(spool_dir)
+        ) as spool:
+            Path(spool).mkdir(parents=True, exist_ok=True)
+            jobs = [
+                (
+                    index,
+                    self.model,
+                    self.config,
+                    self._calibration._base,
+                    members,
+                    str(Path(spool) / f"shard-{index}.json"),
+                )
+                for index, members in enumerate(shards)
+                if members
+            ]
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(processes=max(1, len(jobs))) as process_pool:
+                outputs = process_pool.map(_run_process_shard, jobs)
+            # Fold every shard's saved table into one master and persist
+            # it where a restarted pool (or single session) will load it.
+            if self.config.dispatch_table_path is not None and jobs:
+                master = DispatchTable(
+                    min_samples=self.config.table_min_samples,
+                    stale_after=self.config.table_stale_after,
+                )
+                merge_saved_dispatch_tables(master, [job[5] for job in jobs])
+                master.save(self.config.dispatch_table_path)
         by_shard = {index: logits for index, logits, _ in outputs}
         self._process_stats = [stats for _, _, stats in outputs]
         results = []
@@ -979,18 +925,6 @@ class ServingPool:
             future = PoolResult(seq, f"w{shard}")
             future._fill(by_shard[shard][position])
             results.append(future)
-        # Warm-state exchange, persistence-mediated: fold every shard's
-        # saved table into one master and persist it where a restarted
-        # pool (or single session) will load it.
-        if self.config.dispatch_table_path is not None and jobs:
-            master = DispatchTable(
-                min_samples=self.config.table_min_samples,
-                stale_after=self.config.table_stale_after,
-            )
-            merge_saved_dispatch_tables(
-                master, [job[5] for job in jobs]
-            )
-            master.save(self.config.dispatch_table_path)
         return results
 
     # ------------------------------------------------------------------ #
@@ -1005,7 +939,6 @@ class ServingPool:
             respawns, requeued = self._respawns, self._requeued
         total = PoolStats(
             workers=self.pool_config.workers,
-            table_merges=self._table_merges,
             plans_published=self.plan_exchange.published,
             quarantines=self.health.quarantines,
             respawns=respawns,
@@ -1045,25 +978,21 @@ class ServingPool:
         return self._calibration
 
     def save_dispatch_table(self, path: str | Path | None = None) -> Path:
-        """Merge every shard's measurements and persist the union.
-
-        ``path`` defaults to the config's ``dispatch_table_path``.  After
-        the merge every shard holds the union, so shard 0's table *is*
-        the pool's table.
-        """
+        """Persist the pool's one dispatch table (every shard records
+        into it); ``path`` defaults to the config's
+        ``dispatch_table_path``."""
         if not self._workers:
             raise ConfigError(
                 "no live workers to save from (process mode persists via "
                 "ServingConfig(dispatch_table_path=...) during serve())"
             )
-        self.merge_dispatch_tables()
         return self._workers[0].engine.save_dispatch_table(path)
 
     def shutdown(self) -> None:
-        """Drain queues, stop workers, run the final table merge.
+        """Drain queues, stop workers, persist the dispatch table.
 
-        With ``ServingConfig(dispatch_table_path=...)`` the merged table
-        is persisted there, so a restarted pool — or a plain single
+        With ``ServingConfig(dispatch_table_path=...)`` the pool's table
+        is written there, so a restarted pool — or a plain single
         session — dispatches from every shard's measurements.  Idempotent.
         """
         with self._intake_lock:
@@ -1091,14 +1020,12 @@ class ServingPool:
                 # supervision disabled *during* its own crash handling):
                 # fail the stranded futures rather than leak them.
                 self._fail_worker_queue(worker)
-        if self._workers and self._workers[0].engine.dispatch_table is not None:
-            self.merge_dispatch_tables()
-            if self.config.dispatch_table_path is not None:
-                self._workers[0].engine.save_dispatch_table(
-                    self.config.dispatch_table_path
-                )
-        if self._owns_spool:
-            shutil.rmtree(self._spool_dir, ignore_errors=True)
+        if (
+            self._workers
+            and self._workers[0].engine.dispatch_table is not None
+            and self.config.dispatch_table_path is not None
+        ):
+            self._workers[0].engine.save_dispatch_table()
 
     def __enter__(self) -> "ServingPool":
         """Context-manager entry; the pool is already serving."""

@@ -159,9 +159,9 @@ class TestNodesCarryTheDeclaration:
         "poisoned", "hit_rate",
     }
     POOL_ROOT = {
-        "workers", "requests", "batches", "table_merges", "plans_published",
-        "plans_adopted", "step_retries", "quarantines", "respawns",
-        "requeued", "poisoned_discards",
+        "workers", "requests", "batches", "plans_published", "plans_adopted",
+        "step_retries", "quarantines", "respawns", "requeued",
+        "poisoned_discards",
     }
     POOL_WORKER = {
         "requests", "batches", "autotune_samples", "plans_adopted",

@@ -4,8 +4,9 @@ Covers the PR 5 acceptance points: submission-ordered results that are
 bit-identical to a single engine under a shared calibration, structure
 sharding and deadline-aware coalescing, the shared packed-weight
 segment (one pack pool-wide), cross-worker plan broadcast through the
-exchange, dispatch-table merging through the JSON persistence path, and
-the fork-based process escape hatch.
+exchange, the one dispatch table every thread shard mounts (process
+shards exchange theirs through the JSON persistence path), and the
+fork-based process escape hatch.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.graph import CSRGraph, induced_subgraphs
 from repro.graph.batching import Subgraph
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
-from repro.plan import DispatchTable
+from repro.plan import DispatchTable, GemmSpec
 from repro.serving import (
     InferenceEngine,
     PlanExchange,
@@ -60,7 +61,6 @@ class TestPoolConfig:
             {"workers": 0},
             {"queue_capacity": 0},
             {"max_delay_s": -1.0},
-            {"merge_interval": 0},
             {"shard_policy": "random"},
             {"mode": "fiber"},
         ],
@@ -247,18 +247,42 @@ class TestPlanExchangeWarming:
 
 
 class TestDispatchTableMerging:
-    def test_interval_merge_unions_shard_tables(self, gin_model, subgraphs):
-        with make_pool(gin_model, merge_interval=1) as pool:
-            pool.serve(subgraphs)
-            stats = pool.stats()
-            assert stats.table_merges >= 1
-            outcomes = pool.merge_dispatch_tables()
-            assert set(outcomes) == {"w0", "w1"}
-            counts = {
-                engine.dispatch_table.sample_count()
-                for engine in pool.workers
-            }
-            assert len(counts) == 1  # every shard holds the union
+    def test_shards_share_one_table(self, gin_model):
+        # Thread shards mount the pool's ``table`` segment: one object, so
+        # a sample recorded on shard 0 prices the next decision on shard 1.
+        config = ServingConfig(feature_bits=8, batch_size=4, table_min_samples=1)
+        with make_pool(gin_model, config) as pool:
+            w0, w1 = pool.workers
+            assert w0.dispatch_table is w1.dispatch_table
+            spec = GemmSpec(m=64, k=128, n=16, bits_a=8, bits_b=8)
+            w0.dispatcher.record_timing(spec, "packed", 1e-9)
+            decision = w1.dispatcher.decide(64, 128, 16, 8, 8)
+            assert decision.prices["packed"].source == "tuned"
+            assert decision.engine == "packed"
+
+    def test_table_file_is_read_once_pool_wide(
+        self, gin_model, subgraphs, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "pool-table.json"
+        config = ServingConfig(
+            feature_bits=8, batch_size=4, dispatch_table_path=str(path)
+        )
+        engine = InferenceEngine(gin_model, config)
+        engine.infer(subgraphs)
+        engine.save_dispatch_table()
+        loads = []
+        real_load = DispatchTable.load
+
+        def spy(path, **kwargs):
+            loads.append(path)
+            return real_load(path, **kwargs)
+
+        monkeypatch.setattr(DispatchTable, "load", staticmethod(spy))
+        with ServingPool(gin_model, config, pool=PoolConfig(workers=2)) as pool:
+            assert len(loads) == 1
+            tables = {id(e.dispatch_table) for e in pool.workers}
+            assert len(tables) == 1
+            assert pool.workers[1].dispatch_table.sample_count() > 0
 
     def test_shutdown_persists_the_merged_table(
         self, gin_model, subgraphs, tmp_path
@@ -267,17 +291,15 @@ class TestDispatchTableMerging:
         config = ServingConfig(
             feature_bits=8, batch_size=4, dispatch_table_path=str(path)
         )
-        pool = ServingPool(
-            gin_model, config, pool=PoolConfig(workers=2, merge_interval=None)
-        )
+        pool = ServingPool(gin_model, config, pool=PoolConfig(workers=2))
         pool.serve(subgraphs)
         per_shard = [e.dispatch_table.sample_count() for e in pool.workers]
         pool.shutdown()
         assert path.exists()
         loaded = DispatchTable.load(path)
         assert loaded.mismatch is None
-        # The persisted table is the union of what the shards measured
-        # (>= any one shard; dedup makes exact equality uninteresting).
+        # The persisted table holds what every shard measured (>= any one
+        # shard's view of it).
         assert loaded.sample_count() >= max(per_shard)
         # A restarted single session warm-starts from the pool's table.
         engine = InferenceEngine(gin_model, config)

@@ -424,3 +424,41 @@ def test_stats_readers_never_disturb_serving_workers(structures):
         assert seconds == pytest.approx(
             sum(e.stats.phase_seconds.get(phase, 0.0) for e in engines)
         )
+
+
+# --------------------------------------------------------------------- #
+# A thread pool shares its dispatch table by mounting it, not by files
+# --------------------------------------------------------------------- #
+def test_thread_pool_rounds_never_serialise_the_dispatch_table(
+    monkeypatch, structures, tmp_path
+):
+    """Thread shards record into one mounted table, so 100 rounds save,
+    load and JSON-encode nothing and leave the ``spool_dir`` the repo
+    benchmark still passes untouched; without a ``dispatch_table_path``
+    shutdown writes no file either."""
+    import json
+
+    from repro.plan import DispatchTable
+    from repro.serving import PoolConfig, ServingPool
+
+    counts = dict.fromkeys(["save", "load", "dumps"], 0)
+    counting = partial(_counting, counts)
+    monkeypatch.setattr(DispatchTable, "save", counting("save", DispatchTable.save))
+    monkeypatch.setattr(
+        DispatchTable, "load", staticmethod(counting("load", DispatchTable.load))
+    )
+    monkeypatch.setattr(json, "dumps", counting("dumps", json.dumps))
+
+    requests = [sub for members in structures for sub in members]
+    pool = ServingPool(
+        make_batched_gin(12, 3, hidden_dim=16, seed=4),
+        ServingConfig(feature_bits=8, batch_size=4),
+        pool=PoolConfig(workers=2, spool_dir=str(tmp_path / "spool")),
+    )
+    for i in range(100):  # deadline 0: every request is its own round
+        pool.submit(requests[i % len(requests)], deadline_s=0.0).result(timeout=30)
+    stats = pool.stats()
+    pool.shutdown()
+    assert stats.batches == 100 and stats.autotune_samples > 0
+    assert counts == {"save": 0, "load": 0, "dumps": 0}
+    assert list(tmp_path.iterdir()) == []
