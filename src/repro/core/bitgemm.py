@@ -307,8 +307,11 @@ def codes_gemm(
     """The exact product as one GEMM on the integer codes, each operand —
     and the result — in :func:`exact_gemm_dtype`'s dtype (a packed
     adjacency as CSR — see :meth:`~repro.core.bitpack.Operand.matrix`).
-    The ``blas`` backend's ``run``; it has no use for tile masks."""
-    dtype = exact_gemm_dtype(a.logical_k, a.bits, b.bits)
+    The ``blas`` backend's ``run``; it has no use for tile masks.  An
+    operand quantized straight into that dtype says so (``gemm_dtype``)."""
+    dtype = a.gemm_dtype if a.gemm_dtype is not None else b.gemm_dtype
+    if dtype is None:
+        dtype = exact_gemm_dtype(a.logical_k, a.bits, b.bits)
     return a.matrix(dtype) @ b.matrix(dtype)
 
 

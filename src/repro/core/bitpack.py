@@ -394,6 +394,9 @@ class Operand:
             raise PackingError("build an operand from codes, packed words or a CSR of ones")
         self._views: dict = {}
         self._codes: np.ndarray | None = None
+        #: The dtype a ``proven`` producer quantized the codes into — its
+        #: GEMM's exact one (``quantize_into``'s contract) — else ``None``.
+        self.gemm_dtype: np.dtype | None = None
         self._packed = packed
         #: The producer's coordinates (never a decoded view), or ``None``.
         self.csr = csr
@@ -407,6 +410,7 @@ class Operand:
             if arr.ndim != 2:
                 raise ShapeError(f"an operand is a 2-D matrix, got shape {arr.shape}")
             self._codes = arr if proven else check_codes(arr, bits)
+            self.gemm_dtype = arr.dtype if proven else None
             vectors, k = arr.shape if layout == "col" else arr.shape[::-1]
         self.bits, self.layout, self.pad_vectors = bits, layout, pad_vectors
         self.logical_vectors, self.logical_k = vectors, k

@@ -68,7 +68,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -103,8 +103,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhaseTiming:
+class PhaseTiming(NamedTuple):
     """Measured wall-clock of one execution phase of a forward pass.
 
     Where :class:`StepTiming` covers only the backend-dependent kernel
@@ -133,8 +132,7 @@ class PhaseTiming:
     seconds: float
 
 
-@dataclass(frozen=True)
-class StepTiming:
+class StepTiming(NamedTuple):
     """Measured wall-clock of one executed plan step's bit-GEMM.
 
     The timing window covers exactly the backend-dependent work (the
@@ -364,6 +362,25 @@ def quantize_model_weights(
     return [quantize(w, bits=bits) for w in model.weights]
 
 
+def _bind(step: GemmStep, layer: int, registry) -> tuple:
+    """``(backend, dtype, label)`` — what every launch of ``step`` would
+    re-derive from its spec and the registry: the resolved backend (resolved,
+    not just looked up — a plan replayed against a registry that lacks its
+    backend fails as every ``engine=`` name does), the dtype its GEMM is
+    exact in and its ``role/Ln`` label, derived once per registry state
+    into :attr:`GemmStep.derived <repro.plan.ir.GemmStep.derived>`."""
+    key = (registry, registry.generation)
+    bound = step.derived.get(key)
+    if bound is None:
+        spec = step.spec
+        bound = step.derived[key] = (
+            registry.get(resolve_engine_name(step.backend, spec, registry)),
+            exact_gemm_dtype(spec.k, spec.bits_a, spec.bits_b),
+            f"{spec.role}/L{layer}",
+        )
+    return bound
+
+
 def execute_forward_plan(
     plan: ExecutionPlan,
     model: GNNModel,
@@ -468,19 +485,19 @@ def execute_forward_plan(
         )
 
     def quantize_at(
-        step: QuantizeStep, x_real: np.ndarray, spec: GemmSpec
+        step: QuantizeStep, x_real: np.ndarray, dtype: np.dtype
     ) -> tuple[np.ndarray, QuantParams]:
-        """``x_real``'s codes in the dtype ``spec``'s GEMM is exact in, their
+        """``x_real``'s codes in ``dtype``, the one its GEMM is exact in, their
         range proven on the way (nothing reads them again to check it)."""
         if calibration is None:
             params = calibrate(x_real, step.bits)
         else:
             params = calibration.params_for(step.site, x_real, step.bits)
-        dtype = exact_gemm_dtype(spec.k, spec.bits_a, spec.bits_b)
         return quantize_into(x_real, params, dtype), params
 
     def product(
         step: GemmStep,
+        bound: tuple,
         layer: int,
         left: Operand,
         right: Operand,
@@ -492,12 +509,10 @@ def execute_forward_plan(
         backend reads words; a 1-bit left operand under zero-tile jumping
         is balloted from the form it holds — that census feeds the modeled
         skip counters whichever backend runs."""
-        role, label = step.spec.role, f"{step.spec.role}/L{layer}"
+        role = step.spec.role
         start = time.perf_counter()
-        # Resolved, not just looked up: a plan replayed against a registry
-        # that lacks its backend fails as every ``engine=`` name does.
-        backend = resolve_engine_name(step.backend, step.spec, backends)
-        if backends.get(backend).caps.consumes_words:
+        primary, _, label = bound
+        if primary.caps.consumes_words:
             left.pack()
             right.pack()
         packed_at = time.perf_counter()
@@ -513,9 +528,10 @@ def execute_forward_plan(
 
         def attempt(name: str):
             began = time.perf_counter()
-            out = kernel.run(
-                left, right, engine=name, plan=skip_plan, registry=registry, memo=step.derived
-            )
+            backend = primary
+            if name != step.backend:  # a recovery's fallback: resolved per use
+                backend = backends.get(resolve_engine_name(name, step.spec, backends))
+            out = kernel.launch(backend, left, right, skip_plan, step.derived)
             win["s"] = time.perf_counter() - began
             return out
 
@@ -539,13 +555,14 @@ def execute_forward_plan(
 
     def aggregate(x_real: np.ndarray, step: GemmStep, layer: int) -> np.ndarray:
         """``Â @ x`` with the adjacency exact (1-bit) and x quantized."""
+        bound = _bind(step, layer, backends)
         start = time.perf_counter()
-        qx, px = quantize_at(step.quantize_b, x_real, step.spec)
+        qx, px = quantize_at(step.quantize_b, x_real, bound[1])
         right = Operand(qx, px.bits, "row", proven=True)
         phases.append(
             PhaseTiming("quantize", "aggregate", layer, time.perf_counter() - start)
         )
-        out = product(step, layer, adj_operand, right, adj_plan)
+        out = product(step, bound, layer, adj_operand, right, adj_plan)
         # Â is exact binary: real = s_x * (Â q_x) + c_x * degree.  (``dtype=``
         # matters: NumPy 2 keeps a Python float times a float32 in float32.)
         start = time.perf_counter()
@@ -559,13 +576,14 @@ def execute_forward_plan(
     def update(x_real: np.ndarray, step: GemmStep, layer: int) -> np.ndarray:
         """``x @ W + b`` with both operands quantized, affine-corrected."""
         weight = packed_weights[layer]
+        bound = _bind(step, layer, backends)
         start = time.perf_counter()
-        qx, px = quantize_at(step.quantize_a, x_real, step.spec)
+        qx, px = quantize_at(step.quantize_a, x_real, bound[1])
         left = Operand(qx, px.bits, "col", proven=True)
         phases.append(
             PhaseTiming("quantize", "update", layer, time.perf_counter() - start)
         )
-        out = product(step, layer, left, weight.operand)
+        out = product(step, bound, layer, left, weight.operand)
         # The terms join in place, one at a time and left to right: float
         # addition is not associative, and pre-combining any two of them
         # would change the last bit of a logit.

@@ -209,9 +209,10 @@ class SubgraphBatch:
 
     def member_slices(self) -> list[slice]:
         """Row ranges of each member inside the batch layout."""
-        out = []
-        for sub, off in zip(self.members, self.node_offsets):
-            out.append(slice(int(off), int(off) + sub.num_nodes))
+        out, start = [], 0
+        for sub in self.members:
+            out.append(slice(start, start + sub.num_nodes))
+            start += sub.num_nodes
         return out
 
 

@@ -179,8 +179,8 @@ def _phase_nodes(
         node = worker.add(PagNode(kind="phase", name=phase, seconds=seconds))
         attributed += seconds
         if phase == "gemm":
-            # The gemm phase is the same measured window step_time
-            # attribution splits per backend, so the split nests here.
+            # The gemm phase is the same measured window ``backend_seconds``
+            # splits per backend, so the split nests here.
             for backend in sorted(backend_seconds):
                 node.add(
                     PagNode(

@@ -17,8 +17,8 @@ kernel depends on the workload.  Here the guess becomes a measurement:
   (benchmark every eligible registered backend on synthesized operands of
   each bucket's shape/sparsity) and online serving feedback (every warm
   replay of a compiled plan is a free sample — the serving engine feeds
-  its measured per-GEMM timings back through
-  :meth:`~repro.serving.dispatch.CostModelDispatcher.record_timing`);
+  a round's measured per-GEMM timings back through
+  :meth:`DispatchTable.record_all`);
 * at pricing time :meth:`Backend.price <repro.plan.registry.Backend.price>`
   consults the table *before* falling back to the analytic
   :class:`HostRates` model: a bucket answers only when it is confident —
@@ -67,6 +67,7 @@ __all__ = [
     "ShapeBucket",
     "autotune",
     "bucket_for",
+    "bucket_in",
     "fraction_band",
     "host_fingerprint",
     "merge_saved_dispatch_tables",
@@ -151,6 +152,19 @@ def bucket_for(spec: GemmSpec, tile_fraction: float | None = None) -> ShapeBucke
         bits_b=spec.bits_b,
         band=fraction_band(tile_fraction),
     )
+
+
+def bucket_in(
+    memo: dict, spec: GemmSpec, tile_fraction: float | None = None
+) -> ShapeBucket:
+    """:func:`bucket_for`, kept in ``memo`` — the ``derived`` dict of the
+    plan step or price context that owns ``spec`` — while the census
+    fraction is the one it was last asked with: a replay, and every
+    backend after the first to price a product, looks it up."""
+    held = memo.get("bucket")
+    if held is None or held[0] != tile_fraction:
+        held = memo["bucket"] = (tile_fraction, bucket_for(spec, tile_fraction))
+    return held[1]
 
 
 def _blas_name() -> str:
@@ -288,16 +302,24 @@ class DispatchTable:
     # ------------------------------------------------------------------ #
     def record(self, bucket: ShapeBucket, backend: str, seconds: float) -> None:
         """Add one timing sample for ``backend`` in ``bucket``."""
-        if seconds < 0:
-            raise ConfigError(f"a timing sample must be >= 0 s, got {seconds}")
+        self.record_all([(bucket, backend, seconds)])
+
+    def record_all(
+        self, samples: Sequence[tuple[ShapeBucket, str, float]]
+    ) -> None:
+        """Add ``(bucket, backend, seconds)`` samples in order — a round's
+        worth under one lock acquisition."""
+        if any(seconds < 0 for _, _, seconds in samples):
+            raise ConfigError(f"timing samples must be >= 0 s, got {samples}")
         with self._lock:
-            self.generation += 1
-            cell = self._entries.setdefault(bucket, {}).get(backend)
-            if cell is None:
-                cell = BucketTiming(max_samples=self.max_samples)
-                self._entries[bucket][backend] = cell
-            cell.samples.append(float(seconds))
-            cell.last_seen = self.generation
+            for bucket, backend, seconds in samples:
+                self.generation += 1
+                cell = self._entries.setdefault(bucket, {}).get(backend)
+                if cell is None:
+                    cell = BucketTiming(max_samples=self.max_samples)
+                    self._entries[bucket][backend] = cell
+                cell.samples.append(float(seconds))
+                cell.last_seen = self.generation
 
     def record_spec(
         self,
@@ -340,7 +362,7 @@ class DispatchTable:
         analytic model"; a non-``None`` answer carries
         ``source="tuned"`` so dispatch decisions are attributable.
         """
-        bucket = bucket_for(ctx.spec, ctx.tile_fraction)
+        bucket = bucket_in(ctx.derived, ctx.spec, ctx.tile_fraction)
         seconds = self.median(bucket, backend)
         if seconds is None:
             return None
@@ -677,13 +699,12 @@ def _measure_backend(
     a,
     b,
     plan,
-    registry: BackendRegistry,
     passes: int,
 ) -> list[float]:
     """Wall-clock samples of one backend on fixed operands.
 
     The timed call is literally the one online serving feedback times — a
-    full ``BitGemmKernel.run`` (operand checks, counter derivation, the
+    full ``BitGemmKernel.launch`` (operand checks, counter derivation, the
     backend's product) with the left operand's census
     supplied as a precomputed ``plan`` outside the window, the way a
     session executes against its cached ballot.  Offline and online
@@ -700,11 +721,11 @@ def _measure_backend(
     """
     import time
 
-    kernel.run(a, b, engine=backend.name, plan=plan, registry=registry)
+    kernel.launch(backend, a, b, plan)
     samples = []
     for _ in range(passes):
         start = time.perf_counter()
-        kernel.run(a, b, engine=backend.name, plan=plan, registry=registry)
+        kernel.launch(backend, a, b, plan)
         samples.append(time.perf_counter() - start)
     return samples
 
@@ -783,8 +804,6 @@ def autotune(
                 estimate = backend.pricer(ctx)
                 if estimate.effective_s > max_seconds_per_backend:
                     continue
-            for sample in _measure_backend(
-                backend, kernel, a, b, plan, registry, passes
-            ):
+            for sample in _measure_backend(backend, kernel, a, b, plan, passes):
                 table.record(bucket, backend.name, sample)
     return table

@@ -17,12 +17,16 @@ batches cannot evict the small, hot packed weights — but share one lookup
 API, one byte accounting and one aggregated telemetry view.
 
 Compiled artifacts (the ``plan`` and ``kernel`` kinds) additionally carry
-**digest verification**: each insert records a content digest
-(:func:`artifact_digest`) and each hit re-derives and compares it.  A
-mismatch means the entry was corrupted after insertion; the poisoned
-entry is discarded (counted in ``CacheStats.poisoned``), the lookup
-reports a miss, and the cache-through caller recompiles — corruption
-costs one rebuild, never a wrong result replayed forever.
+**digest verification**: each insert records the artifact's content
+digest (:func:`artifact_digest`) and each hit compares the record with the
+digest the artifact itself carries, sealed when it was first taken
+(:attr:`ExecutionPlan.digest <repro.plan.ir.ExecutionPlan.digest>`, a
+compiled kernel's program digest) — two strings, nothing re-hashed: the
+artifacts are immutable, so what a hit can still catch is a rotted record
+or an entry that no longer holds the artifact it was recorded for.  A
+mismatch discards the poisoned entry (counted in ``CacheStats.poisoned``),
+the lookup reports a miss, and the cache-through caller recompiles —
+corruption costs one rebuild, never a wrong result replayed forever.
 """
 
 from __future__ import annotations
@@ -95,8 +99,8 @@ class LRUCache(Generic[K, V]):
     ``size_of`` (e.g. ``PackedLayerWeight.nbytes``).
 
     With ``digest_of`` set, the cache is *verified*: every ``put``
-    records ``digest_of(value)`` and every hit re-derives and compares
-    it.  A mismatch discards the poisoned entry (``stats.poisoned``) and
+    records ``digest_of(value)`` and every hit compares it with that of
+    the held value.  A mismatch discards the poisoned entry and
     reports a miss so cache-through callers rebuild.  ``fault_plan``
     optionally threads a :class:`~repro.faultinject.FaultPlan` whose
     ``cache`` site corrupts the recorded digest on a probed hit —
@@ -145,8 +149,8 @@ class LRUCache(Generic[K, V]):
     def get(self, key: K) -> V | None:
         """Return the cached value and mark it most recently used.
 
-        On a verified cache a hit whose re-derived digest no longer
-        matches the recorded one is *poisoned*: the entry is discarded,
+        On a verified cache a hit whose recorded digest no longer
+        matches the value's own is *poisoned*: the entry is discarded,
         ``stats.poisoned`` is bumped, and the lookup reports a miss so
         the caller rebuilds the artifact.
         """
@@ -324,13 +328,13 @@ def artifact_nbytes(value: object) -> int:
 
 
 def artifact_digest(value: object) -> str:
-    """The content digest recorded (and re-derived) by verified segments.
+    """The content digest recorded (and compared) by verified segments.
 
-    Artifacts that carry their own content digest (compiled kernels
-    expose ``.digest`` — the hash of the emitted program) use it
-    directly; everything else (compiled plans: frozen metadata
-    dataclasses) digests its ``repr``, which is deterministic for an
-    unmutated object and changes when any field is tampered with.
+    Artifacts that carry their own sealed content digest (a compiled
+    kernel's program hash, a compiled plan's
+    :attr:`~repro.plan.ir.ExecutionPlan.digest`) answer with it — a hit
+    re-hashes nothing; anything else (cache keys in event lines, plain
+    values) digests its ``repr``.
     """
     own = getattr(value, "digest", None)
     if isinstance(own, str) and own:

@@ -25,6 +25,7 @@ by construction.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -144,9 +145,16 @@ class GemmStep:
 
     @cached_property
     def derived(self) -> dict:
-        """Memo of the kernel counters of this step's census-free launches;
-        not a field, so outside the plan's ``repr``, hash and equality."""
+        """Memo of what every launch of this step would re-derive from the
+        step alone: its bindings per registry (resolved backend, exact GEMM
+        dtype, label), its dispatch-table bucket and the kernel counters of
+        its census-free launches.  Not a field, so outside the plan's
+        ``repr``, hash and equality; it dies with the step."""
         return {}
+
+    def __getstate__(self) -> dict:
+        # The memo binds live registry objects: a pickled step re-derives it.
+        return {k: v for k, v in self.__dict__.items() if k != "derived"}
 
 
 @dataclass(frozen=True)
@@ -190,6 +198,15 @@ class ExecutionPlan:
                 f"declares {self.signature.num_layers} layers"
             )
 
+    @cached_property
+    def digest(self) -> str:
+        """Content digest (of the ``repr``), sealed on first read: what a
+        verified cache segment records and compares
+        (:func:`~repro.plan.cache.artifact_digest`).  Not a field — outside
+        ``repr``, hash and equality, and a ``replace``d or retargeted copy
+        seals its own."""
+        return hashlib.blake2b(repr(self).encode(), digest_size=16).hexdigest()
+
     @property
     def num_layers(self) -> int:
         """Model layers this plan describes."""
@@ -222,25 +239,21 @@ class ExecutionPlan:
         GEMM shapes, quantize sites, or backend choices — so the compiled
         plan is still valid once every aggregate step's ``pack_a`` and
         ``census`` nodes point at the new artifact.  Everything else is
-        reused by reference; compare with a fresh
+        reused by reference — the patched steps' :attr:`GemmStep.derived`
+        bindings included; compare with a fresh
         :func:`compile_forward_plan` for the recompile path.
         """
-        layers = tuple(
-            replace(
-                layer,
-                aggregate=replace(
-                    layer.aggregate,
-                    pack_a=replace(layer.aggregate.pack_a, cache_key=adjacency_key),
-                    census=(
-                        CensusStep(cache_key=adjacency_key)
-                        if layer.aggregate.census is not None
-                        else None
-                    ),
-                ),
+        layers = []
+        for layer in self.layers:
+            step = layer.aggregate
+            patched = replace(
+                step,
+                pack_a=replace(step.pack_a, cache_key=adjacency_key),
+                census=CensusStep(adjacency_key) if step.census is not None else None,
             )
-            for layer in self.layers
-        )
-        return ExecutionPlan(signature=self.signature, layers=layers)
+            patched.derived.update(step.derived)
+            layers.append(replace(layer, aggregate=patched))
+        return ExecutionPlan(signature=self.signature, layers=tuple(layers))
 
 
 # --------------------------------------------------------------------- #

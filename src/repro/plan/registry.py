@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
@@ -128,6 +129,12 @@ class PriceContext:
     #: (see :mod:`repro.plan.autotune`); ``None`` keeps pricing analytic.
     table: "DispatchTable | None" = None
 
+    @cached_property
+    def derived(self) -> dict:
+        """Memo of what pricers derive from this context alone (the table's
+        bucket): once per product, not once per backend priced."""
+        return {}
+
     @property
     def pairs(self) -> int:
         """Plane pairs of the product (``bits_a * bits_b``)."""
@@ -203,6 +210,9 @@ class BackendRegistry:
 
     def __init__(self, backends: Sequence[Backend] = ()) -> None:
         self._backends: dict[str, Backend] = {}
+        #: Bumped by every (un)registration: what a plan step keys its
+        #: binding to this registry on (``GemmStep.derived``).
+        self.generation = 0
         for backend in backends:
             self.register(backend)
 
@@ -215,10 +225,12 @@ class BackendRegistry:
                 "pass replace=True to override it"
             )
         self._backends[backend.name] = backend
+        self.generation += 1
         return backend
 
     def unregister(self, name: str) -> Backend:
         """Remove and return a backend by name."""
+        self.generation += 1
         try:
             return self._backends.pop(name)
         except KeyError:

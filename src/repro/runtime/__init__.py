@@ -6,7 +6,6 @@ from .executor import (
     QGTCRunConfig,
     modeled_plan_report,
     qgtc_epoch_report,
-    step_time_attribution,
 )
 from .packing import BatchPayload, TransferMode, batch_payload, batch_transfer_time
 from .pcie import TransferEstimate, transfer_time
@@ -27,6 +26,5 @@ __all__ = [
     "profile_batch",
     "profile_batches",
     "qgtc_epoch_report",
-    "step_time_attribution",
     "transfer_time",
 ]

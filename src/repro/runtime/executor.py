@@ -48,37 +48,8 @@ __all__ = [
     "QGTCRunConfig",
     "modeled_plan_report",
     "qgtc_epoch_report",
-    "step_time_attribution",
 ]
 
-
-def step_time_attribution(timings, *, by: str = "backend") -> dict[str, float]:
-    """Aggregate measured per-step wall-clock by backend or GEMM role.
-
-    ``timings`` is a sequence of :class:`~repro.gnn.quantized.StepTiming`
-    samples — what :func:`~repro.gnn.quantized.execute_forward_plan`
-    measures for every executed plan step.  The measured counterpart of
-    the modeled reports above: the serving engine accumulates it into
-    ``stats.backend_seconds`` per session, and a
-    :class:`~repro.serving.pool.ServingPool` reports it per worker, so a
-    pool's wall-clock attributes to (worker, backend) cells.
-
-    ``by`` selects the grouping key: ``"backend"`` (the executed backend
-    name) or ``"role"`` (the spec's ``aggregate``/``update`` role).
-
-    Example::
-
-        forward = execute_forward_plan(plan, model, batch)
-        step_time_attribution(forward.timings)
-        # {'sparse': 0.0012, 'blas': 0.0004}
-    """
-    if by not in ("backend", "role"):
-        raise ConfigError(f"by must be 'backend' or 'role', got {by!r}")
-    out: dict[str, float] = {}
-    for timing in timings:
-        key = timing.backend if by == "backend" else timing.spec.role
-        out[key] = out.get(key, 0.0) + timing.seconds
-    return out
 
 #: Per-batch host-side overhead of the QGTC PyTorch front-end (Python
 #: dataloader iteration + extension dispatch).  Calibrated so the

@@ -39,11 +39,11 @@ The analytic model is only the *fallback*: a dispatcher built with a
 measured :class:`~repro.plan.autotune.DispatchTable` (``table=``) prices
 each product from the table's shape-bucketed backend timing medians
 wherever a confident measurement exists, and the serving engine feeds
-every executed plan's per-GEMM wall-clock back through
-:meth:`CostModelDispatcher.record_timing` — so warm replays continuously
-sharpen the very table that routes them.  Vetoed backends stay vetoed
-(resource budgets outrank measurements), and a backend without a pricer
-becomes routable once the tuner has timed it.
+every executed plan's per-GEMM wall-clock back into that table (a round
+at a time; :meth:`CostModelDispatcher.record_timing` takes one sample) —
+so warm replays continuously sharpen the very table that routes them.
+Vetoed backends stay vetoed (resource budgets outrank measurements), and
+a backend without a pricer becomes routable once the tuner has timed it.
 
 A dispatcher instance is a valid ``engine=`` argument anywhere
 :data:`~repro.core.bitgemm.Engine` is accepted; under the plan/execute
@@ -229,12 +229,13 @@ class CostModelDispatcher:
     ) -> None:
         """Feed one measured execution back into the dispatch table.
 
-        Called by the serving engine with each executed plan step's
-        wall-clock (``tile_fraction`` carries the batch's census for
-        aggregation products, matching the coordinates :meth:`decide`
-        prices with, so online samples land in the buckets that are
-        actually consulted).  A no-op without a table — an untuned
-        dispatcher stays purely analytic.
+        One executed plan step's wall-clock (``tile_fraction`` carries
+        the batch's census for aggregation products, matching the
+        coordinates :meth:`decide` prices with, so online samples land in
+        the buckets that are actually consulted; the serving engine
+        records a whole round through the table's ``record_all``).  A
+        no-op without a table — an untuned dispatcher stays purely
+        analytic.
         """
         if self.table is not None:
             self.table.record_spec(

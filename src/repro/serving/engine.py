@@ -86,14 +86,13 @@ from ..graph.batching import (
     batch_subgraphs_by_nodes,
     round_full,
 )
-from ..plan.autotune import DispatchTable, host_fingerprint, registry_digest
+from ..plan.autotune import DispatchTable, bucket_in, host_fingerprint, registry_digest
 from ..plan.cache import CacheStats, LRUCache, PlanCache, PlanKey, artifact_digest
 from ..plan.ir import ExecutionPlan, compile_forward_plan
 from ..plan.registry import default_registry
 from ..runtime.executor import (
     QGTCRunConfig,
     modeled_plan_report,
-    step_time_attribution,
 )
 from ..runtime.report import EpochReport
 from ..tc.costmodel import TCCostModel
@@ -281,6 +280,13 @@ class SessionStats(Counters):
         "measured_skip_fraction",
         "round_seconds_p50",
         "round_seconds_p99",
+        "fixed_seconds_per_round",
+    )
+    #: Phases that do a round's arithmetic or build its artifacts; the rest
+    #: of :attr:`wall_s` is :attr:`fixed_seconds_per_round`.
+    WORK_PHASES = (
+        "quantize", "pack", "census", "gemm", "epilogue", "activation",
+        "pack_adjacency", "plan_compile",
     )
 
     #: The session's name in pool telemetry (``w0`` …; empty standalone).
@@ -310,9 +316,8 @@ class SessionStats(Counters):
     #: Compiled plans adopted from a pool's cross-worker plan exchange
     #: instead of being compiled locally (0 outside a pool).
     plans_adopted: int = 0
-    #: Measured wall-clock attributed per executed backend name — the
-    #: :func:`~repro.runtime.executor.step_time_attribution` of every
-    #: executed plan step this session ran.
+    #: Measured wall-clock attributed per executed backend name, summed
+    #: over every plan step this session ran.
     backend_seconds: dict[str, float] = field(default_factory=dict)
     #: Measured wall-clock attributed per execution phase (quantize /
     #: pack / census / gemm / epilogue / activation / materialize, plus
@@ -377,6 +382,45 @@ class SessionStats(Counters):
     def round_seconds_p99(self) -> float:
         """99th-percentile seconds of recent executed rounds."""
         return self.round_seconds_quantile(0.99)
+
+    @property
+    def fixed_seconds_per_round(self) -> float:
+        """Measured seconds per round outside :attr:`WORK_PHASES` — the cost
+        a round pays whatever its size (0.0 before any round)."""
+        work = sum(self.phase_seconds.get(phase, 0.0) for phase in self.WORK_PHASES)
+        return (self.wall_s - work) / self.batches if self.batches else 0.0
+
+
+def _member_key(sub: Subgraph) -> tuple:
+    """``(num_nodes, num_edges, digest)`` of one member's structure.
+
+    The CSR arrays are digested rather than stored so a key stays
+    O(members) in size, at the full 16 bytes: a colliding key would
+    silently serve another batch's adjacency.  Hashed once per member: the
+    arrays are frozen (an in-place write raises) and the memo on the member
+    holds while they are the same, still frozen objects — a rebound
+    ``graph.indices``, a thawed or unpickled array re-hashes, and arrays
+    that borrow their memory (their owner can write) are never trusted.
+    """
+    indptr, indices = sub.graph.indptr, sub.graph.indices
+    memo = sub.__dict__.get("_member_key")
+    if (
+        memo is not None
+        and memo[0] is indptr
+        and memo[1] is indices
+        and not (indptr.flags.writeable or indices.flags.writeable)
+    ):
+        return memo[2]
+    h = hashlib.blake2b(digest_size=16)
+    h.update(indptr.tobytes())
+    h.update(b"|")
+    h.update(indices.tobytes())
+    key = (sub.num_nodes, sub.num_edges, h.digest())
+    if indptr.flags.owndata and indices.flags.owndata:
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        sub.__dict__["_member_key"] = (indptr, indices, key)
+    return key
 
 
 class InferenceEngine:
@@ -668,21 +712,8 @@ class InferenceEngine:
     def _members_digest(batch: SubgraphBatch) -> tuple:
         # Content-derived identity: two batches coalescing structurally
         # identical member subgraphs in the same order share packed planes,
-        # tile masks, degrees and compiled plans.  The CSR arrays are
-        # digested rather than stored so a key stays O(members) in size;
-        # the full 16-byte digest is kept (not truncated through
-        # ``hash()``) because a colliding key would silently serve another
-        # batch's adjacency.
-        def digest(sub: Subgraph) -> bytes:
-            h = hashlib.blake2b(digest_size=16)
-            h.update(sub.graph.indptr.tobytes())
-            h.update(b"|")
-            h.update(sub.graph.indices.tobytes())
-            return h.digest()
-
-        return tuple(
-            (sub.num_nodes, sub.num_edges, digest(sub)) for sub in batch.members
-        )
+        # tile masks, degrees and compiled plans.
+        return tuple(_member_key(sub) for sub in batch.members)
 
     def packed_adjacency_for(self, batch: SubgraphBatch) -> PackedAdjacency:
         """The batch's packed adjacency + tile-skip plan, via the plan cache.
@@ -905,8 +936,15 @@ class InferenceEngine:
         requests = list(self._pending)
         self._pending.clear()
         results: list[InferenceResult] = []
-        for group in self._coalesce(requests):
-            results.extend(self._execute(group))
+        start = 0
+        for batch in batch_subgraphs_by_nodes(
+            [r.subgraph for r in requests],
+            self.config.max_batch_nodes,
+            max_members=self.config.batch_size,
+        ):  # the node-budget batching rule, order preserved
+            stop = start + len(batch.members)
+            results.extend(self._execute(requests[start:stop], batch))
+            start = stop
         return results
 
     def infer(self, subgraphs: Iterable[Subgraph]) -> list[InferenceResult]:
@@ -959,26 +997,14 @@ class InferenceEngine:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _coalesce(
-        self, requests: Sequence[InferenceRequest]
-    ) -> Iterator[list[InferenceRequest]]:
-        """Group requests with the node-budget batching rule, preserving order."""
-        if not requests:
-            return
-        start = 0
-        for batch in batch_subgraphs_by_nodes(
-            [r.subgraph for r in requests],
-            self.config.max_batch_nodes,
-            max_members=self.config.batch_size,
-        ):
-            stop = start + len(batch.members)
-            yield list(requests[start:stop])
-            start = stop
-
-    def _execute(self, requests: Sequence[InferenceRequest]) -> list[InferenceResult]:
+    def _execute(
+        self, requests: Sequence[InferenceRequest], batch: SubgraphBatch | None = None
+    ) -> list[InferenceResult]:
         """Run one coalesced round — compile or replay its plan — and split
-        results back per request."""
-        batch = SubgraphBatch(members=tuple(r.subgraph for r in requests))
+        results back per request.  ``batch`` is the requests' subgraphs as
+        the coalescing rule already batched them (built here otherwise)."""
+        if batch is None:
+            batch = SubgraphBatch(members=tuple(r.subgraph for r in requests))
         start = time.perf_counter()
         digest = self._members_digest(batch)
         adjacency = self._adjacency(batch, digest)
@@ -1040,60 +1066,59 @@ class InferenceEngine:
             recovery=self._recovery,
         )
         executed_s = time.perf_counter() - start
-        self.stats.step_retries += len(forward.recoveries)
+        stats = self.stats
+        stats.step_retries += len(forward.recoveries)
         pack_s, plan_s = resolve_seconds
         elapsed = executed_s + pack_s + plan_s
-        self.stats.wall_s += elapsed
-        self.stats.recent_round_seconds.append(elapsed)
-        for backend, seconds in step_time_attribution(forward.timings).items():
-            self.stats.backend_seconds[backend] = (
-                self.stats.backend_seconds.get(backend, 0.0) + seconds
-            )
+        stats.wall_s += elapsed
+        stats.recent_round_seconds.append(elapsed)
         # Phase attribution of the measured window: the two artifact
         # sub-windows (adjacency resolution, plan lookup/compile), kernel
         # preparation, the executor's per-phase timings, and — as its own
         # ``round_glue`` phase — whatever of the prepare + execute window
         # none of those own (argument checks, operand construction, result
         # assembly), so every wall_s second has a named owner.
-        owned = [
-            ("plan_lower", lower_s),
-            ("kernel_compile", compile_s),
-            *((timing.phase, timing.seconds) for timing in forward.phases),
-        ]
-        glue_s = max(executed_s - sum(seconds for _, seconds in owned), 0.0)
-        phase_seconds = self.stats.phase_seconds
+        phase_seconds = stats.phase_seconds
         for phase, seconds in (
             ("pack_adjacency", pack_s),
             ("plan_compile", plan_s),
-            *owned,
-            ("round_glue", glue_s),
+            ("plan_lower", lower_s),
+            ("kernel_compile", compile_s),
         ):
             phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
-        if self.config.record_timings and isinstance(self._engine, CostModelDispatcher):
-            # Every executed step — compiled or replayed — is a free
-            # autotuning sample: feed its measured wall-clock back into the
-            # dispatch table under the same (shape, bits, census) bucket
-            # the dispatcher prices with.
-            fraction = adjacency.nonzero_fraction
-            for timing in forward.timings:
-                self._engine.record_timing(
-                    timing.spec,
-                    timing.backend,
-                    timing.seconds,
-                    tile_fraction=(
-                        fraction if timing.spec.role == "aggregate" else None
-                    ),
-                )
-            self.stats.autotune_samples += len(forward.timings)
+        owned_s = lower_s + compile_s
+        for phase, _, _, seconds in forward.phases:
+            phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
+            owned_s += seconds
+        phase_seconds["round_glue"] = phase_seconds.get("round_glue", 0.0) + max(
+            executed_s - owned_s, 0.0
+        )
+        # Every executed step — compiled or replayed — is a free autotuning
+        # sample: its measured wall-clock goes back into the dispatch table
+        # under the (shape, bits, census) bucket the dispatcher prices with,
+        # the whole round under one lock.
+        table = self.dispatch_table if self.config.record_timings else None
+        fraction = adjacency.nonzero_fraction
+        samples = []
+        for step, (spec, backend, seconds) in zip(plan.gemm_steps(), forward.timings):
+            stats.backend_seconds[backend] = (
+                stats.backend_seconds.get(backend, 0.0) + seconds
+            )
+            if table is not None:
+                census = fraction if spec.role == "aggregate" else None
+                samples.append((bucket_in(step.derived, spec, census), backend, seconds))
+        if table is not None:
+            table.record_all(samples)
+            stats.autotune_samples += len(samples)
 
-        self.stats.requests += len(batch.members)
-        self.stats.batches += 1
-        self.stats.nodes += batch.num_nodes
+        stats.requests += len(batch.members)
+        stats.batches += 1
+        stats.nodes += batch.num_nodes
         totals = forward.total_counters
-        self.stats.mma_ops += totals.mma_ops
-        self.stats.kernel_launches += totals.launches
-        self.stats.tiles_total += totals.tiles_total
-        self.stats.tiles_skipped += totals.tiles_skipped
+        stats.mma_ops += totals.mma_ops
+        stats.kernel_launches += totals.launches
+        stats.tiles_total += totals.tiles_total
+        stats.tiles_skipped += totals.tiles_skipped
         if self.config.track_device_time:
             # The adjacency artifact already carries the batch's measured
             # ballot, so the modeled report needs no separate BatchProfile

@@ -325,7 +325,6 @@ class BitGemmKernel:
         engine: Engine = "auto",
         plan: TileSkipPlan | None = None,
         registry=None,
-        memo: dict | None = None,
     ) -> KernelResult:
         """Execute the kernel: vectorized math + closed-form counters.
 
@@ -336,13 +335,19 @@ class BitGemmKernel:
         counters and the ``sparse`` host engine, so a cached plan is balloted
         exactly once per operand instead of once per launch.  ``registry``
         resolves ``engine`` against a non-default
-        :class:`~repro.plan.registry.BackendRegistry`.  ``memo``, a dict on
-        the plan step of a census-less launch, keeps its counters for replays.
+        :class:`~repro.plan.registry.BackendRegistry`.
 
         Operands are :class:`~repro.core.bitpack.Operand`\\ s (a bare
         :class:`PackedBits` is wrapped); nothing here forces a pack.
         """
         a, b = as_operand(a), as_operand(b)
+        return self.launch(_resolve_backend(engine, a, b, registry), a, b, plan)
+
+    def launch(self, backend, a: Operand, b: Operand, plan=None, memo=None) -> KernelResult:
+        """:meth:`run` on an already resolved
+        :class:`~repro.plan.registry.Backend` — what a plan step, bound to
+        its backend once, calls on every replay.  ``memo``, a dict on the
+        plan step of a census-less launch, keeps its counters for replays."""
         check_pair(a, b)
         if plan is not None and not plan.matches(a):
             raise ShapeError(
@@ -357,14 +362,15 @@ class BitGemmKernel:
             memo = plan.derived
         elif memo is None:
             memo = {}
-        shape = (a.logical_vectors, a.logical_k, b.logical_vectors)
-        key = (self.config, shape, a.bits, b.bits, a.pad_vectors, b.pad_vectors)
+        config = self.config  # flat key: a launch hashes no dataclass
+        key = (
+            config.zero_tile_jumping, config.reuse, a.logical_vectors, a.logical_k,
+            b.logical_vectors, a.bits, b.bits, a.pad_vectors, b.pad_vectors,
+        )
         counters = memo.get(key)
         if counters is None:
             counters = memo[key] = self._derive_counters(a, b, plan)
-        output = _resolve_backend(engine, a, b, registry).run(
-            a, b, plan.masks if plan is not None else None
-        )
+        output = backend.run(a, b, plan.masks if plan is not None else None)
         return KernelResult(output=output, counters=counters)
 
     def _derive_counters(

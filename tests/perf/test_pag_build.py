@@ -165,7 +165,7 @@ class TestNodesCarryTheDeclaration:
     }
     POOL_WORKER = {
         "requests", "batches", "autotune_samples", "plans_adopted",
-        "step_retries",
+        "step_retries", "fixed_seconds_per_round",
     }
     GATEWAY = {
         "submitted", "completed", "rejected", "rerouted", "hedges_launched",
@@ -200,7 +200,8 @@ class TestNodesCarryTheDeclaration:
         (worker,) = pag.nodes("worker")
         self.assert_reads(
             worker,
-            {"requests", "batches", "plans_invalidated", "step_retries"},
+            {"requests", "batches", "plans_invalidated", "step_retries",
+             "fixed_seconds_per_round"},
             stats,
         )
         assert set(_numeric_fields(stats)) <= set(worker.metrics)

@@ -117,7 +117,7 @@ def test_one_bit_blas_round_work_budget(spies):
         "pack_edges": 0,
         "tile_nonzero_mask": 0,
         "_csr_from_words": 0,
-        "blake2b": len(first),
+        "blake2b": 0,
     }
     for cold, again in zip(cold_logits, warm_logits):
         np.testing.assert_array_equal(cold, again)
@@ -330,6 +330,129 @@ def test_evicted_adjacency_is_collectable_with_its_derivations(structures):
     del adjacency, plan
     for members in structures[1:]:  # two more structures: LRU evicts the first
         engine.infer(members)
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+# --------------------------------------------------------------------- #
+# Identity, bindings and accounting: once per artifact, not once per round
+# --------------------------------------------------------------------- #
+class _CountingLock:
+    """A lock wrapper counting its acquisitions."""
+
+    def __init__(self, lock):
+        self.lock, self.acquisitions = lock, 0
+
+    def __enter__(self):
+        self.acquisitions += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+@pytest.fixture
+def rederivations(monkeypatch):
+    """Call counters on what a hit holds already: the plan's ``repr`` and
+    any digest hashed in the plan layer, the shape bucket, the exact GEMM
+    dtype and engine-name resolution (under every name they are imported
+    by), and ``SubgraphBatch`` construction."""
+    # By module name: ``repro.plan.autotune`` and ``repro.core.bitgemm`` are
+    # also functions their packages export.
+    autotune, backends, cache, ir, registry, bitgemm, quantized = (
+        sys.modules[f"repro.{name}"]
+        for name in (
+            "plan.autotune", "plan.backends", "plan.cache", "plan.ir",
+            "plan.registry", "core.bitgemm", "gnn.quantized",
+        )
+    )
+    counts = dict.fromkeys(
+        ["repr", "blake2b", "bucket_for", "exact_gemm_dtype",
+         "resolve_engine_name", "SubgraphBatch"], 0
+    )
+    counting = partial(_counting, counts)
+    monkeypatch.setattr(
+        ir.ExecutionPlan, "__repr__", counting("repr", ir.ExecutionPlan.__repr__)
+    )
+    for module in (ir, cache):
+        monkeypatch.setattr(
+            module, "hashlib",
+            SimpleNamespace(blake2b=counting("blake2b", hashlib.blake2b)),
+        )
+    monkeypatch.setattr(
+        autotune, "bucket_for", counting("bucket_for", autotune.bucket_for)
+    )
+    for name, home, importers in (
+        ("exact_gemm_dtype", bitgemm, (quantized, backends)),
+        ("resolve_engine_name", registry, (ir, quantized)),
+    ):
+        spy = counting(name, getattr(home, name))
+        for module in (home, *importers):
+            monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(
+        SubgraphBatch, "__post_init__",
+        counting("SubgraphBatch", SubgraphBatch.__post_init__),
+    )
+    return counts
+
+
+def test_warm_round_rederives_nothing_its_artifacts_fix(rederivations, structures):
+    """A plan-cache hit compares two sealed strings; a step's backend,
+    dtype, label and bucket are bound to it on its first execution; the
+    round is one batch and its samples reach the table under one lock."""
+    model = make_batched_gin(12, 3, hidden_dim=16, seed=4)
+    engine = InferenceEngine(
+        model, ServingConfig(feature_bits=8, batch_size=4)
+    ).warm_up()
+    table_lock = engine.dispatch_table._lock = _CountingLock(
+        engine.dispatch_table._lock
+    )
+
+    def round_counts(members):
+        for name in rederivations:
+            rederivations[name] = 0
+        table_lock.acquisitions = 0
+        engine.infer(members)
+        return dict(rederivations), table_lock.acquisitions
+
+    steps = 2 * model.num_layers
+    miss, _ = round_counts(structures[0])
+    # Compiled (one resolve per step) and bound on its first execution (one
+    # more); the digest is sealed where the plan enters the verified segment.
+    assert miss["resolve_engine_name"] == 2 * steps
+    assert miss["repr"] == 1 and miss["blake2b"] == 1
+    assert miss["SubgraphBatch"] == 1
+    for _ in range(2):  # the first replay already finds everything bound
+        warm, locks = round_counts(structures[0])
+        assert warm == {**dict.fromkeys(rederivations, 0), "SubgraphBatch": 1}
+        assert locks == 1
+    assert engine.stats.autotune_samples == 3 * steps
+
+
+def test_bindings_and_digests_die_with_what_they_hang_on(structures):
+    """A step's bindings and a plan's digest live on the plan, a member's
+    structure digest on the member — nothing else keeps either alive."""
+    engine = InferenceEngine(
+        make_cluster_gcn(12, 3),
+        ServingConfig(feature_bits=4, batch_size=4, plan_cache_capacity=1,
+                      adjacency_cache_capacity=1),
+    ).warm_up()
+    members = list(structures[0])
+    engine.infer(members)
+    engine.infer(members)
+    plan = engine.plan_for(SubgraphBatch(members=tuple(members)))
+    assert "digest" in plan.__dict__
+    assert all(
+        any(isinstance(key, tuple) for key in step.derived) and "bucket" in step.derived
+        for step in plan.gemm_steps()
+    )
+    assert all("_member_key" in sub.__dict__ for sub in members)
+    refs = [weakref.ref(plan), weakref.ref(members[0]), weakref.ref(members[0].graph)]
+    del plan, members
+    # ``structures`` (the fixture's list) still references the first four
+    # members: drop them there too, then evict their plan.
+    del structures[0]
+    engine.infer(structures[0])
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
 

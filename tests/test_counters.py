@@ -133,6 +133,24 @@ class TestTotalsAreSumsOfTheDeclaration:
             assert math.isnan(record.as_metrics()["latency_p99_s"])
             assert not record.has_latency
 
+    def test_fixed_seconds_per_round_is_derived_not_counted(self, served_pool):
+        """One ``DERIVED`` property, no new counter: what a round costs
+        outside its arithmetic and artifact-build phases — per shard, and
+        (the fields it reads all add) for the pool's total."""
+        stats = served_pool.stats()
+        assert "fixed_seconds_per_round" in SessionStats.DERIVED
+        assert "fixed_seconds_per_round" not in {f.name for f in fields(SessionStats)}
+        assert SessionStats().fixed_seconds_per_round == 0.0
+        for record in (stats, *stats.per_worker):
+            work = sum(
+                record.phase_seconds.get(phase, 0.0) for phase in SessionStats.WORK_PHASES
+            )
+            fixed = record.as_metrics()["fixed_seconds_per_round"]
+            assert fixed == pytest.approx((record.wall_s - work) / record.batches)
+            # Glue, materialisation and kernel preparation are what is left.
+            assert 0.0 < fixed < record.wall_s / record.batches
+            assert fixed >= record.phase_seconds["round_glue"] / record.batches
+
     def test_a_new_field_needs_no_other_edit(self):
         @dataclass
         class Probed(SessionStats):
