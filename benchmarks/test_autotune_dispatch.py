@@ -1,21 +1,24 @@
-"""Measured autotuned dispatch beats the analytic cost model.
+"""Measured autotuned dispatch against the analytic cost model.
 
 The cost model prices every product from frozen :class:`HostRates`
-constants; near the packed/sparse crossover those guesses are *wrong on
-this machine*.  A mid-sparsity 1-bit adjacency product (non-zero tile
-fraction ~0.35-0.45 — too dense for the block-diagonal regime the sparse
-engine was built for, too sparse for the model to dismiss it) is priced
-cheapest on ``sparse``, but the real sparse engine pays per-tile-row-group
-gather overhead the model underestimates at mid sparsity, where almost
-every row group has a distinct active-tile set.  The autotuner *measures*
-every registered backend on each workload bucket and the tuned
-:class:`~repro.plan.autotune.DispatchTable` overrides the bad picks.
+constants; the autotuner *measures* every registered backend (``packed``,
+``blas``, ``codegen``) on each workload bucket, and the tuned
+:class:`~repro.plan.autotune.DispatchTable` routes from the medians
+wherever they disagree with the model.
 
-Both paths execute the identical mixed-shape workload — crossover shapes
-where the model is wrong plus dense update shapes where it is right — and
-are measured as host wall-clock of this process.  Acceptance: at least
-one bucket where the tuned table overrides the analytic pick; the recorded
-``speedup.median`` is gated by ``repro.perf.regression``, not here.
+The workload mixes square 1-bit adjacency products at mid sparsity
+(non-zero tile fraction 0.4-0.5) with a dense multi-bit update GEMM.
+It was built around the model's packed/sparse crossover, where the
+analytic pick went to a zero-tile engine the measurements overruled.  That
+engine is gone: with one exact GEMM on the codes priced for every shape,
+the cold-table picks are the measured winners on every item (``blas``
+throughout on the reference 2-vCPU host), so no override is required.
+
+Both paths execute the identical workload, measured as host wall-clock
+of this process.  Acceptance: every override the tuned table does make is
+measured-faster, and the model's pick on the dense update shape is not
+churned; the recorded ``speedup.median`` (about 1.0 when nothing is
+overridden) is gated by ``repro.perf.regression``, not here.
 """
 
 from __future__ import annotations
@@ -30,10 +33,8 @@ from repro.plan import GemmSpec, autotune, bucket_for, default_registry
 from repro.plan.autotune import synthesize_operands
 from repro.serving.dispatch import CostModelDispatcher
 
-#: The mixed-shape workload: ``(m, k, n, bits_a, bits_b, tile_fraction)``.
-#: The square 1-bit mid-sparsity items sit near the packed/sparse
-#: crossover (analytic pick: sparse; measured winner: a dense engine);
-#: the multi-bit items are ordinary update GEMMs the model prices fine.
+#: The mixed-shape workload: ``(m, k, n, bits_a, bits_b, tile_fraction)``:
+#: square 1-bit mid-sparsity adjacency products and one multi-bit update.
 WORKLOAD = [
     (1024, 1024, 32, 1, 1, 0.50),
     (1536, 1536, 32, 1, 1, 0.50),
@@ -191,10 +192,8 @@ def test_autotune_dispatch(benchmark, once, report, bench_json):
         },
     )
 
-    # The point of measuring: at least one bucket where the tuned table
-    # overrides the analytic pick — and the override is measured-faster.
-    assert r["overrides"], "tuned table never overrode the analytic model"
-    assert any(o["tuned_is_faster"] for o in r["overrides"])
+    # Measurement may only override the model towards a faster backend.
+    assert all(o["tuned_is_faster"] for o in r["overrides"]), r["overrides"]
     # The analytic model is right on the dense update shapes: the tuned
     # path must not churn picks where the model already wins.
     assert r["analytic_picks"][-1] == r["tuned_picks"][-1]

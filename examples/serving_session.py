@@ -95,8 +95,8 @@ def main() -> None:
           f"{stats.plan_cache.misses} misses — one compile (incl. dispatch "
           f"decisions) per distinct round, then pure replay")
     print(f"  zero-tile skipping: {stats.tiles_skipped}/{stats.tiles_total} "
-          f"tiles jumped ({100 * stats.measured_skip_fraction:.1f}% — measured, "
-          f"what the sparse engine never computes)")
+          f"tiles jumped ({100 * stats.measured_skip_fraction:.1f}% — the "
+          f"measured §4.3 census behind the modeled device counters)")
     print(f"  batch occupancy   : {stats.mean_batch_occupancy:.1f} "
           f"requests/round over {stats.batches} rounds")
     print(f"  bmma issued       : {stats.mma_ops}")

@@ -20,7 +20,6 @@ Glue between the LoopIR pipeline and the rest of the system:
 from __future__ import annotations
 
 import hashlib
-import math
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -207,10 +206,10 @@ def _run_codegen(
     """The product through a plan-specialized compiled kernel.
 
     1-bit left operands are executed through the skip-specialized kernel
-    of their census (supplied ``tile_masks`` or balloted here, exactly
-    like the ``sparse`` engine); wider operands take the dense unrolled
-    kernel, which is correct regardless of any census (it computes every
-    tile, and zero tiles contribute nothing).  The emitted kernel returns
+    of their census (supplied ``tile_masks`` or balloted here); wider
+    operands take the dense unrolled kernel, which is correct regardless
+    of any census (it computes every tile, and zero tiles contribute
+    nothing).  The emitted kernel returns
     Algorithm 1's plane products; they are shift-added here.
     """
     a_packed, b_packed = a.packed, b.packed
@@ -244,30 +243,17 @@ def _run_codegen(
 
 
 #: Analytic-pricer constants of the codegen backend.  Deliberately
-#: conservative: the analytic estimate never undercuts the engine the
-#: kernel specializes (``sparse`` for censused products, ``packed`` for
-#: dense ones), so on a cold table the dispatcher keeps its historical
-#: choices and codegen is routed *only* when the autotuner's measured
-#: medians say it wins — the acceptance mode of this backend.
+#: conservative: the analytic estimate always sits above ``packed``'s, the
+#: word engine the kernels specialize, so on a cold table the dispatcher
+#: never picks codegen and it is routed *only* when the autotuner's
+#: measured medians say it wins — the acceptance mode of this backend.
 CODEGEN_CALL_OVERHEAD_S = 80e-6
-CODEGEN_GROUP_OVERHEAD_S = 160e-6
 CODEGEN_PRICE_MARGIN = 1.05
 
 
 def _price_codegen(ctx: PriceContext) -> BackendPrice:
-    """Conservative analytic price (see the constants' docstring)."""
-    r, spec = ctx.rates, ctx.spec
-    fraction = ctx.tile_fraction
-    if spec.bits_a == 1 and fraction is not None:
-        groups = min(max(spec.m // 8, 1), math.ceil(1.0 / max(fraction, 1e-9)))
-        seconds = CODEGEN_PRICE_MARGIN * (
-            ctx.pairs * r.packed_pair_overhead_s
-            + ctx.flops * fraction / r.packed_flops
-            + groups * r.sparse_group_overhead_s
-        )
-        return BackendPrice(
-            seconds=seconds + CODEGEN_CALL_OVERHEAD_S, tile_fraction=fraction
-        )
+    """``packed``'s price, scaled and offset (see the constants above)."""
+    r = ctx.rates
     seconds = CODEGEN_PRICE_MARGIN * (
         ctx.pairs * r.packed_pair_overhead_s + ctx.flops / r.packed_flops
     )

@@ -8,8 +8,8 @@ Two schedule transforms, applied while lowering:
   per-pair statements.
 * **skip-loop specialization** (inside :func:`lower_gemm`): the
   ``TileSkipPlan`` census is baked in at lowering time — tile rows with
-  identical non-zero-column patterns are grouped once (the ``np.unique``
-  the ``sparse`` engine repeats on every call), each group's row and
+  identical non-zero-column patterns are grouped once (an ``np.unique``
+  over the census, paid at lowering, not per call), each group's row and
   word index lists are precomputed into the program ``env``, and groups
   whose indices form contiguous runs are emitted as pure slices.  The
   kernel iterates exactly the precomputed non-zero work; there is no

@@ -15,7 +15,7 @@ NumPy idiom; the arithmetic is identical).
 
 Every entry point takes an ``engine`` argument — ``"auto"``, any backend
 name registered in the :class:`~repro.plan.registry.BackendRegistry`
-(built-ins: ``"packed"``/``"blas"``/``"sparse"``), or an
+(built-ins: ``"packed"``/``"blas"``), or an
 :data:`~repro.core.bitgemm.EngineSelector` callable that picks the engine
 per product from the GEMM shape — the hook the serving layer
 (:mod:`repro.serving`) uses to dispatch requests through its cost model.

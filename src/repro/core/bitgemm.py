@@ -23,14 +23,11 @@ reduced, exact ``(M, N)`` product, as int64 or as the float dtype
 * ``"blas"`` — :func:`codes_gemm`: *one* GEMM on the integer codes, in the
   narrowest dtype that is provably exact (:func:`exact_gemm_dtype`), with
   a codes-less 1-bit left operand (the adjacency) entering as CSR.
-* ``"sparse"`` — the host realization of the paper's §4.3 zero-tile
-  jumping: census the ``8 x 128`` tiles of the left operand once, then
-  compute only the non-zero ones (gather the surviving k-tiles of each
-  row group, AND+popcount, scatter the row block back).  Bit-identical to
-  ``"packed"`` because all-zero tiles contribute nothing to any AND+popcount
-  dot product; much faster when the operand is tile-sparse — e.g. the
-  block-diagonal adjacency of a coalesced serving batch, where roughly
-  ``1/members`` of the tiles survive.
+
+The paper's §4.3 zero-tile jumping is not a host engine: the tile census
+(:meth:`~repro.core.bitpack.Operand.tile_masks`) feeds the emulated
+kernel's modeled counters and its literal fragment loop
+(:mod:`repro.tc.kernel`), which skip exactly the tiles it marks.
 
 All engines are tested against each other and against an int64 reference.
 :func:`bitgemm_planes` / :func:`reduce_plane_products` keep Algorithm 1's
@@ -40,7 +37,7 @@ built on the packed kernel.
 Engines are *registered objects*: each lives in the
 :class:`~repro.plan.registry.BackendRegistry` as a
 :class:`~repro.plan.registry.Backend` carrying capability metadata and a
-cost pricer (see :mod:`repro.plan.backends` for the three built-ins).  The
+cost pricer (see :mod:`repro.plan.backends` for the two built-ins).  The
 ``engine=`` parameters here are a compatibility shim over that registry:
 they accept the literal names above, any custom backend name registered
 via :func:`repro.plan.register_backend`, *or* an :data:`EngineSelector` —
@@ -61,8 +58,8 @@ import numpy as np
 
 from ..errors import BitwidthError, ShapeError
 from .bitdecomp import bit_decompose
-from .bitops import and_popcount, popcount
-from .bitpack import Operand, PackedBits, as_operand, check_pair, tile_nonzero_mask
+from .bitops import and_popcount
+from .bitpack import Operand, PackedBits, as_operand, check_pair
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (plan layers above core)
     from ..plan.registry import BackendRegistry
@@ -74,7 +71,6 @@ __all__ = [
     "scalar_mul_decomposed",
     "vector_dot_decomposed",
     "bmm_plane_packed",
-    "bmm_plane_packed_sparse",
     "bitgemm_planes",
     "bitgemm",
     "bitgemm_codes",
@@ -91,7 +87,7 @@ Engine = Union[str, EngineSelector]
 
 #: Names of the built-in backends (the default registry may hold more;
 #: see :func:`repro.plan.register_backend`).
-ENGINE_NAMES = ("packed", "blas", "sparse")
+ENGINE_NAMES = ("packed", "blas")
 
 #: Row-block size of the packed engine; caps the broadcast temporary at
 #: roughly ``block * N * k_words * 4`` bytes.
@@ -172,114 +168,6 @@ def bmm_plane_packed(
         out[start:stop] = and_popcount(
             a_words[start:stop, None, :], b_words[None, :, :]
         )
-    return out
-
-
-def bmm_plane_packed_sparse(
-    a_words: np.ndarray,
-    b_words: np.ndarray,
-    *,
-    tile_mask: np.ndarray | None = None,
-    row_block: int = _PACKED_ROW_BLOCK,
-) -> np.ndarray:
-    """1-bit GEMM that computes only the non-zero ``8 x 128`` tiles of A.
-
-    Host analogue of the paper's §4.3 zero-tile jumping: the tile census of
-    the left operand (``tile_nonzero_mask``, the vectorized warp ballot) is
-    taken once, then only surviving tiles are multiplied.  Rows are gathered
-    per tile-row group, the surviving k-tiles accumulated with AND+popcount,
-    and the partial rows scattered back — skipped tiles contribute exactly
-    zero to every dot product, so the result is bit-identical to
-    :func:`bmm_plane_packed` at a fraction of the work proportional to the
-    non-zero tile ratio.
-
-    Parameters
-    ----------
-    a_words, b_words:
-        Packed planes as in :func:`bmm_plane_packed`; ``a_words`` must
-        additionally be a whole number of ``8 x 128`` tiles (always true
-        for :class:`~repro.core.bitpack.PackedBits` planes).
-    tile_mask:
-        Optional precomputed ``(rows // 8, k_words // 4)`` boolean census of
-        ``a_words`` (e.g. from a serving session's tile-mask cache).  Must
-        be *conservative*: ``True`` wherever the tile has any set bit.
-        Computed on the fly when omitted.
-    """
-    a_words = np.asarray(a_words)
-    b_words = np.asarray(b_words)
-    if a_words.ndim != 2 or b_words.ndim != 2:
-        raise ShapeError("bmm_plane_packed_sparse expects 2-D packed word arrays")
-    if a_words.shape[1] != b_words.shape[1]:
-        raise ShapeError(
-            f"packed K-word axes differ: {a_words.shape[1]} vs {b_words.shape[1]}"
-        )
-    rows, kwords = a_words.shape
-    if tile_mask is None:
-        tile_mask = tile_nonzero_mask(a_words)
-    else:
-        tile_mask = np.asarray(tile_mask)
-        if rows % 8 or kwords % 4:
-            raise ShapeError(
-                f"plane shape {a_words.shape} is not a whole number of 8x128 tiles"
-            )
-        if tile_mask.shape != (rows // 8, kwords // 4):
-            raise ShapeError(
-                f"tile mask shape {tile_mask.shape} does not match the "
-                f"{(rows // 8, kwords // 4)} tile grid of the plane"
-            )
-    return _sparse_plane_products(
-        a_words, b_words[None, :, :], tile_mask, row_block=row_block
-    )[0]
-
-
-def _sparse_plane_products(
-    a_words: np.ndarray,
-    b_planes: np.ndarray,
-    tile_mask: np.ndarray,
-    *,
-    row_block: int = _PACKED_ROW_BLOCK,
-) -> np.ndarray:
-    """One packed A plane against a stack of packed B planes, zero tiles
-    skipped.
-
-    ``b_planes`` is ``(bits_b, N, W)``; returns ``(bits_b, rows, N)``.
-    Shared core of the ``sparse`` engine: computing every B bit plane inside
-    one gather amortizes the per-call overhead that dominates tiny
-    tile-group products (the host analogue of §4.4's load-A-once schedule).
-    """
-    rows, kwords = a_words.shape
-    bits_b, n = b_planes.shape[0], b_planes.shape[1]
-    out = np.zeros((bits_b, rows, n), dtype=np.int64)
-    if not tile_mask.any() or n == 0:
-        return out
-    a_tiles = a_words.reshape(rows // 8, 8, kwords // 4, 4)
-    b_tiles = b_planes.reshape(bits_b, n, kwords // 4, 4)
-    # Tile rows sharing an active-tile set are processed in one gather — a
-    # block-diagonal batch collapses to roughly one group per member.
-    masks, inverse = np.unique(tile_mask, axis=0, return_inverse=True)
-    for group, mask in enumerate(masks):
-        active = np.flatnonzero(mask)
-        if active.size == 0:
-            continue
-        awords = active.size * 4
-        tile_rows = np.flatnonzero(inverse == group)
-        # B laid out (bits_b, active-words, N) so the broadcast's contiguous
-        # inner axis is N, not the (often tiny) surviving word count — the
-        # short-axis layout is ~3x slower purely on loop overhead.
-        b_sel = np.ascontiguousarray(
-            b_tiles[:, :, active, :].reshape(bits_b, n, awords).transpose(0, 2, 1)
-        )
-        a_sel = a_tiles[tile_rows][:, :, active, :].reshape(-1, awords)
-        row_idx = (tile_rows[:, None] * 8 + np.arange(8)[None, :]).ravel()
-        # The broadcast temporary is (bits_b, block, active-words, N); pick
-        # the row block so its footprint stays near the packed engine's
-        # ``row_block x N x kwords`` budget.
-        block = max(8, (row_block * kwords) // max(bits_b * awords, 1))
-        for start in range(0, row_idx.size, block):
-            stop = min(start + block, row_idx.size)
-            out[:, row_idx[start:stop]] = popcount(
-                a_sel[None, start:stop, :, None] & b_sel[:, None, :, :]
-            ).sum(axis=2, dtype=np.int64)
     return out
 
 
@@ -385,8 +273,7 @@ def bitgemm(
     ``engine`` reads whichever form it consumes.  ``tile_masks`` optionally
     supplies one precomputed non-zero-tile census per A plane (e.g. from a
     serving session's tile-mask cache); consumed by backends whose caps
-    declare ``consumes_tile_masks`` (``sparse``, ``codegen``), ignored by
-    the others.
+    declare ``consumes_tile_masks`` (``codegen``), ignored by the others.
     """
     a, b = as_operand(a), as_operand(b)
     check_pair(a, b)

@@ -551,9 +551,9 @@ def tile_nonzero_mask(plane_words: np.ndarray) -> np.ndarray:
     The vectorized form of the paper's §4.3 zero-tile ballot: 8 threads each
     OR their ``uint4`` (4 consecutive words = one tile row), and a warp
     ballot combines the 8 lane predicates — a zero ballot marks a tile the
-    kernel can jump.  Lives in ``core`` because both the ``sparse`` host
-    engine (:func:`repro.core.bitgemm.bmm_plane_packed_sparse`) and the TC
-    emulator's jump logic (:mod:`repro.tc.kernel`) consume it.
+    kernel can jump.  Lives in ``core`` because :class:`Operand` ballots
+    its own census with it; the TC emulator's jump logic
+    (:mod:`repro.tc.kernel`) and the ``codegen`` skip kernels consume it.
 
     Parameters
     ----------

@@ -22,7 +22,7 @@ from typing import Sequence
 from ..errors import ConfigError
 from ..graph.batching import Subgraph, induced_subgraphs
 from ..graph.csr import CSRGraph
-from ..graph.datasets import dataset_names, load_dataset
+from ..graph.datasets import load_dataset
 from ..partition.interface import PartitionResult, partition_graph
 from ..runtime.profilebatch import BatchProfile, profile_batches
 
@@ -125,8 +125,3 @@ def format_table(
     for row in cells[1:]:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def all_dataset_names() -> list[str]:
-    """Paper-order dataset names (re-exported for harness convenience)."""
-    return dataset_names()

@@ -8,10 +8,11 @@ source is missing intra-subgraph edges.  We report both the measured ratio
 and its decomposition into those two sources.
 
 ``measure=True`` additionally *executes* each batch's aggregation product
-through the zero-tile-skipping ``sparse`` host engine and records the
-skipped/processed tile counts its kernel launches report — the golden
-regression check that the modeled census (O(E), straight from the CSR edge
-list) and what the hot path actually jumps can never drift apart.
+through the emulated kernel and records the skipped/processed tile counts
+its launches report (balloted from the packed words the kernel runs on) —
+the golden regression check that the modeled census (O(E), straight from
+the CSR edge list) and what the kernel actually jumps can never drift
+apart.
 """
 
 from __future__ import annotations
@@ -42,20 +43,20 @@ class Fig8Row:
     #: blocks (everything off-diagonal is necessarily zero).
     diagonal_block_ratio: float
     paper_ratio: float
-    #: Non-zero tiles the sparse engine's kernel launches actually
+    #: Non-zero tiles the emulated kernel's launches actually
     #: processed (``None`` unless ``run_fig8(measure=True)``).  Must equal
     #: ``nonzero_tiles`` — the modeled census is a measurement too.
     measured_nonzero_tiles: int | None = None
 
 
 def _measure_batch_tiles(batch) -> tuple[int, int]:
-    """Execute one batch's aggregation GEMM on the sparse engine and return
-    its measured ``(processed, total)`` tile counts."""
+    """Execute one batch's aggregation GEMM through the emulated kernel and
+    return its measured ``(processed, total)`` tile counts."""
     packed = batch.packed_adjacency(self_loops=True)
     probe = pack_matrix(
         np.ones((batch.num_nodes, TC_M), dtype=np.int64), 1, layout="row"
     )
-    result = BitGemmKernel().run(packed, probe, engine="sparse")
+    result = BitGemmKernel().run(packed, probe)
     return result.counters.tiles_processed, result.counters.tiles_total
 
 

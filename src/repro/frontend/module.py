@@ -48,11 +48,6 @@ class Module:
             raise ConfigError(f"buffer name {name!r} is not an identifier")
         self._buffers[name] = None if value is None else np.asarray(value)
 
-    def register_parameter(self, name: str, value: Parameter | None) -> None:
-        if not name.isidentifier():
-            raise ConfigError(f"parameter name {name!r} is not an identifier")
-        self._parameters[name] = value
-
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
             self._parameters[name] = value

@@ -251,8 +251,7 @@ class PackedAdjacency:
         what it derives for as long as the artifact is cached.
     plan:
         Non-zero tile census of the packed planes (§4.3).  Feeds the
-        kernel's measured skip counters and tells the ``sparse`` host
-        engine exactly which tiles to execute.
+        kernel's measured skip counters and ``codegen``'s skip kernels.
     degrees:
         ``(n, 1)`` float64 row sums (with self loops) — the rank-1 affine
         epilogue of the aggregation product.
@@ -278,7 +277,7 @@ class PackedAdjacency:
 
     @property
     def nonzero_fraction(self) -> float:
-        """Fraction of 8x128 tiles a jumping/sparse execution processes."""
+        """Fraction of 8x128 tiles a jumping execution processes."""
         return self.plan.nonzero_fraction
 
     @property
@@ -538,9 +537,7 @@ def execute_forward_plan(
         if recovery is None:
             res, executed, failed = attempt(step.backend), step.backend, ()
         else:
-            res, executed, failed = recovery.run(
-                attempt, step.backend, bits_a=step.spec.bits_a, detail=label
-            )
+            res, executed, failed = recovery.run(attempt, step.backend, detail=label)
         gemm_s = time.perf_counter() - census_at
         # Fault-free steps reuse the phase window exactly (backend and
         # phase attribution must agree); recovered steps report only the

@@ -46,10 +46,6 @@ class DatasetSpec:
     #: citation/protein graphs are strongly clustered, social graphs less.
     intra_fraction: float = 0.85
 
-    @property
-    def avg_degree(self) -> float:
-        return 2.0 * self.num_edges / self.num_nodes
-
     def scaled(self, scale: float) -> "DatasetSpec":
         """Proportionally smaller dataset (same density and dims)."""
         if not 0 < scale <= 1:

@@ -48,7 +48,6 @@ DEFAULT_TOLERANCE = 0.4
 #: what makes a one-sided band meaningful.
 CURATED_METRICS: dict[str, tuple[str, ...]] = {
     "serving": ("speedup.median",),
-    "sparse": ("speedup.median",),
     "autotune": ("speedup.median",),
     "latency": ("overload_p99_cut", "overload_throughput_ratio"),
     "codegen": ("speedup.median",),

@@ -243,7 +243,7 @@ class DispatchTable:
     Typical use::
 
         table = DispatchTable(min_samples=2)
-        table.record_spec(spec, "sparse", measured_seconds)
+        table.record_spec(spec, "blas", measured_seconds)
         table.save("table.json")                  # host/registry-keyed
         warm = DispatchTable.load("table.json")   # next session, same host
 
@@ -366,9 +366,7 @@ class DispatchTable:
         seconds = self.median(bucket, backend)
         if seconds is None:
             return None
-        return BackendPrice(
-            seconds=seconds, tile_fraction=ctx.tile_fraction, source="tuned"
-        )
+        return BackendPrice(seconds=seconds, source="tuned")
 
     #: ``with_confidence`` sentinel: leave that policy field unchanged.
     KEEP = object()
@@ -664,8 +662,8 @@ def synthesize_operands(
     tile-structured: the requested share of its 8x128 tile grid is
     activated (each live tile filled with random bits), the rest left
     all-zero — the same structure a coalesced block-diagonal adjacency
-    presents to the census, so the sparse backend is measured on the work
-    it would actually do.
+    presents to the census, so a skip kernel is measured on the work it
+    would actually do.
 
     The :class:`~repro.core.bitpack.Operand`\\ s hold the forms serving
     hands a backend, so offline samples time the window serving feeds

@@ -122,8 +122,8 @@ class CensusStep:
     """Zero-tile census of the packed left operand (paper §4.3).
 
     The resulting :class:`~repro.tc.kernel.TileSkipPlan` feeds both the
-    kernel's measured skip counters and the ``sparse`` backend's gather;
-    it is cached under the same key as the packed operand it describes.
+    kernel's measured skip counters and ``codegen``'s skip kernels; it is
+    cached under the same key as the packed operand it describes.
     """
 
     cache_key: PlanKey | None = None

@@ -2,11 +2,9 @@
 
 These are sustained throughputs of *this* Python process on the shipped
 benchmark workloads — unlike :class:`repro.tc.hardware.DeviceSpec`, which
-prices the emulated GPU.  They used to live as class attributes on
-:class:`repro.serving.dispatch.CostModelDispatcher`, which made
-per-machine recalibration a subclassing exercise; as a frozen dataclass a
-recalibration is just a value (``HostRates(packed_flops=...)``) passed to
-the dispatcher or to any registry pricer.
+prices the emulated GPU.  A recalibration is a value
+(``HostRates(packed_flops=...)``) passed to the dispatcher or to any
+registry pricer.
 """
 
 from __future__ import annotations
@@ -33,27 +31,18 @@ class HostRates:
     blas_call_overhead_s:
         Fixed cost of the blas engine's single call (operand views,
         dispatch, the int64 cast of the product).
-    sparse_group_overhead_s:
-        Per tile-row-group overhead of the sparse engine (census lookup,
-        operand gather, row scatter).  A block-diagonal batch has roughly
-        one group per member ~= ``1/fraction`` groups.
     """
 
     packed_flops: float = 3.2e10
     blas_flops: float = 5.5e10
     packed_pair_overhead_s: float = 60e-6
     blas_call_overhead_s: float = 25e-6
-    sparse_group_overhead_s: float = 150e-6
 
     def __post_init__(self) -> None:
         for name in ("packed_flops", "blas_flops"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in (
-            "packed_pair_overhead_s",
-            "blas_call_overhead_s",
-            "sparse_group_overhead_s",
-        ):
+        for name in ("packed_pair_overhead_s", "blas_call_overhead_s"):
             if getattr(self, name) < 0:
                 raise ConfigError(
                     f"{name} must be non-negative, got {getattr(self, name)}"

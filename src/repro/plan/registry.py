@@ -1,6 +1,6 @@
 """Pluggable bit-GEMM backends: engines as registered objects, not strings.
 
-:mod:`repro.core.bitgemm` historically hard-coded its three engines behind
+:mod:`repro.core.bitgemm` historically hard-coded its engines behind
 string literals.  Here an engine is a :class:`Backend` — a named object
 carrying capability metadata (:class:`BackendCaps`: bitwidth eligibility,
 the operand form it reads), the GEMM implementation, and an optional cost
@@ -89,7 +89,7 @@ class BackendPrice:
     """One backend's modeled host cost for one GEMM."""
 
     #: Estimated host seconds (``inf`` when the backend cannot price the
-    #: product, e.g. the sparse engine without an observed census).
+    #: product, e.g. a backend without a pricer or a measurement).
     seconds: float
     #: Working-set bytes the estimate charges (the blas engine's float
     #: operands and product; 0 when not applicable).
@@ -97,8 +97,6 @@ class BackendPrice:
     #: True when the backend is excluded by a resource budget rather than
     #: by time (the blas memory veto).
     vetoed: bool = False
-    #: The measured non-zero tile fraction the price used, if any.
-    tile_fraction: float | None = None
     #: Where the estimate came from: ``"model"`` (the analytic
     #: :class:`~repro.plan.rates.HostRates` pricer) or ``"tuned"`` (a
     #: measured median from a :class:`~repro.plan.autotune.DispatchTable`).
@@ -288,11 +286,11 @@ _default_registry: BackendRegistry | None = None
 
 
 def default_registry() -> BackendRegistry:
-    """The process-wide registry: ``packed``, ``blas``, ``sparse``, ``codegen``.
+    """The process-wide registry: ``packed``, ``blas``, ``codegen``.
 
-    ``codegen`` registers after the built-ins, so on analytic price ties
-    the classic engines win — it is routed only when its price (or a
-    tuned measurement) strictly beats the incumbents — and every identity
+    ``codegen`` registers after the built-ins and its analytic price sits
+    above ``packed``'s, so it is routed only when a tuned measurement
+    beats the incumbents — and every identity
     built on the registry (:func:`registry_digest`, plan exchange,
     stale-plan invalidation) covers the full set with no special cases.
     """

@@ -34,7 +34,7 @@ class EpochReport:
     #: A-operand tiles inspected across all launches (measured census).
     tiles_total: int = 0
     #: Tiles the zero-tile ballot skipped (measured, not assumed — fed from
-    #: the same per-plane masks the sparse host engine executes).
+    #: the per-plane masks of the executed operands).
     tiles_skipped: int = 0
     extra: dict = field(default_factory=dict)
 

@@ -2,8 +2,8 @@
 
 The functional bit-GEMM's host engines are registered objects in the
 :class:`~repro.plan.registry.BackendRegistry` (built-ins: ``"packed"``,
-``"blas"``, ``"sparse"`` — see :mod:`repro.plan.backends`), each carrying
-a cost pricer.  The built-in ``"auto"`` rule is a fixed output-size
+``"blas"`` — see :mod:`repro.plan.backends`), each carrying a cost
+pricer.  The built-in ``"auto"`` rule is a fixed output-size
 threshold; a serving session instead asks :class:`CostModelDispatcher`,
 which prices each product by handing every eligible registered backend a
 :class:`~repro.plan.registry.PriceContext` — the kernel work measure of
@@ -19,21 +19,12 @@ the cheapest answer:
   and is vetoed outright when its float working set
   (``M*K + K*N + M*N`` elements of the exact dtype) would exceed
   ``blas_bytes_budget``, the regime where the packed engine's 32x denser
-  operands win by not thrashing memory;
-* the sparse engine pays the packed rate on only the *measured* non-zero
-  tile fraction of the left operand, plus a per-tile-row-group gather
-  overhead.  The fraction is an observation, not a guess: the serving
-  engine calls :meth:`CostModelDispatcher.observe_tile_fraction` with each
-  batch's measured census before compiling its plan, so the dispatcher
-  learns to route large coalesced block-diagonal batches (nonzero fraction
-  ~ ``1/members``) to ``sparse`` and small or dense products elsewhere.
-  Only 1-bit left operands (the adjacency GEMM) are eligible.
+  operands win by not thrashing memory.
 
 Rates are a frozen :class:`~repro.plan.rates.HostRates` value, so
-per-machine recalibration is ``CostModelDispatcher(rates=HostRates(...))``
-rather than a subclass (the legacy class attributes remain as the
-defaults, so existing subclass recalibrations keep working).  Backends
-registered later are priced automatically as long as they carry a pricer.
+per-machine recalibration is ``CostModelDispatcher(rates=HostRates(...))``.
+Backends registered later are priced automatically as long as they carry
+a pricer.
 
 The analytic model is only the *fallback*: a dispatcher built with a
 measured :class:`~repro.plan.autotune.DispatchTable` (``table=``) prices
@@ -55,13 +46,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from ..errors import ConfigError
 from ..plan.autotune import DispatchTable
 from ..plan.ir import GemmSpec
-from ..plan.rates import HostRates
+from ..plan.rates import DEFAULT_HOST_RATES, HostRates
 from ..plan.registry import BackendPrice, BackendRegistry, PriceContext, default_registry
 from ..tc.costmodel import MMA_FLOPS, TCCostModel
 from ..tc.hardware import RTX3090, DeviceSpec
@@ -71,26 +62,16 @@ __all__ = ["DispatchDecision", "CostModelDispatcher"]
 
 @dataclass(frozen=True)
 class DispatchDecision:
-    """One priced dispatch: estimated host seconds per engine + the pick.
+    """One priced dispatch: every backend's estimated host cost + the pick.
 
-    ``prices`` holds every registered backend's
-    :class:`~repro.plan.registry.BackendPrice`; the named fields summarize
-    the built-in engines for compatibility and convenience.
+    ``prices`` holds every priced backend's
+    :class:`~repro.plan.registry.BackendPrice` (seconds, working-set
+    bytes, veto state).
     """
 
     engine: str
-    packed_s: float
-    blas_s: float
-    blas_bytes: int
-    #: True when blas was excluded by the memory budget, not by time.
-    memory_vetoed: bool
-    #: Estimated sparse-engine seconds; ``inf`` when sparse is ineligible
-    #: (multi-bit left operand, or no tile census observed yet).
-    sparse_s: float = math.inf
-    #: The measured non-zero tile fraction the sparse price used, if any.
-    tile_fraction: float | None = None
     #: Every priced backend's answer, in registry order.
-    prices: Mapping[str, BackendPrice] = field(default_factory=dict)
+    prices: Mapping[str, BackendPrice]
     #: Backends whose price came from the measured dispatch table rather
     #: than the analytic model (empty when pricing was purely analytic).
     tuned_backends: tuple[str, ...] = ()
@@ -114,22 +95,6 @@ class CostModelDispatcher:
     :class:`~repro.tc.costmodel.TCCostModel` which price the emulated GPU.
     """
 
-    # Legacy calibration hooks: these class attributes are the *defaults*
-    # for the HostRates record built in __init__, kept so pre-HostRates
-    # subclass recalibrations keep working.  New code passes ``rates=``.
-    #: Sustained effective bit-FLOP/s of the packed AND+popcount engine.
-    PACKED_FLOPS = 3.2e10
-    #: Sustained BLAS FLOP/s of the one-GEMM-on-codes engine.
-    BLAS_FLOPS = 5.5e10
-    #: Per plane-pair dispatch overhead (row-block loop, temporaries).
-    PACKED_PAIR_OVERHEAD_S = 60e-6
-    #: Fixed cost of the blas engine's single call.
-    BLAS_CALL_OVERHEAD_S = 25e-6
-    #: Per tile-row-group overhead of the sparse engine (census lookup,
-    #: operand gather, row scatter).  A block-diagonal batch has roughly
-    #: one group per member ~= ``1/fraction`` groups.
-    SPARSE_GROUP_OVERHEAD_S = 150e-6
-
     def __init__(
         self,
         device: DeviceSpec = RTX3090,
@@ -152,13 +117,7 @@ class CostModelDispatcher:
             )
         self.cost = TCCostModel(device)
         self.blas_bytes_budget = blas_bytes_budget
-        self.rates = rates or HostRates(
-            packed_flops=self.PACKED_FLOPS,
-            blas_flops=self.BLAS_FLOPS,
-            packed_pair_overhead_s=self.PACKED_PAIR_OVERHEAD_S,
-            blas_call_overhead_s=self.BLAS_CALL_OVERHEAD_S,
-            sparse_group_overhead_s=self.SPARSE_GROUP_OVERHEAD_S,
-        )
+        self.rates = DEFAULT_HOST_RATES if rates is None else rates
         # None check, not truthiness: an empty caller registry is falsy
         # (BackendRegistry defines __len__) and must not be silently
         # replaced by the default backend set.
@@ -200,15 +159,14 @@ class CostModelDispatcher:
 
         Called by the serving engine with each batch's tile census (from
         its cached :class:`~repro.tc.kernel.TileSkipPlan`) before compiling
-        the batch's plan, so 1-bit adjacency GEMMs are priced from what the
-        sparse engine would actually execute.  The census describes the
-        batch's *adjacency* operand only, so it is applied just to square
-        1-bit products (``m == k``) — and, when ``nodes`` is given, only to
-        the ``nodes x nodes`` adjacency shape — which keeps it off dense
-        1-bit activation update GEMMs except in the coincidence that a
-        layer's input dimension equals the node count.  Even then only the
-        *price* is off: a product routed to ``sparse`` is executed against
-        its own measured census, so results are unaffected.
+        the batch's plan, so 1-bit adjacency GEMMs look up the dispatch
+        table's sparsity band they are recorded under.  The census
+        describes the batch's *adjacency* operand only, so it is applied
+        just to square 1-bit products (``m == k``) — and, when ``nodes`` is
+        given, only to the ``nodes x nodes`` adjacency shape — which keeps
+        it off dense 1-bit activation update GEMMs except in the
+        coincidence that a layer's input dimension equals the node count.
+        Even then only the *price* is off, never the result.
         """
         if not 0.0 <= fraction <= 1.0:
             raise ConfigError(
@@ -324,17 +282,8 @@ class CostModelDispatcher:
                 explored = True
                 self.explored_decisions += 1
 
-        packed = prices.get("packed")
-        blas = prices.get("blas")
-        sparse = prices.get("sparse")
         return DispatchDecision(
             engine=engine,
-            packed_s=packed.seconds if packed else math.inf,
-            blas_s=blas.seconds if blas else math.inf,
-            blas_bytes=blas.bytes if blas else 0,
-            memory_vetoed=blas.vetoed if blas else False,
-            sparse_s=sparse.effective_s if sparse else math.inf,
-            tile_fraction=fraction,
             prices=prices,
             tuned_backends=tuple(
                 name for name, price in prices.items() if price.source == "tuned"

@@ -28,9 +28,8 @@ plan/execute split of :mod:`repro.plan`:
   :mod:`repro.tc.costmodel` work measures and
   :class:`~repro.plan.rates.HostRates`.  Before compiling, the engine
   reports the batch's *measured* non-zero-tile fraction to the
-  dispatcher, which is what routes large coalesced block-diagonal batches
-  (mostly zero between members) to the zero-tile-skipping ``sparse``
-  backend.
+  dispatcher, the sparsity coordinate its measured table buckets the
+  adjacency GEMMs under.
 * **Measured autotuned dispatch** — the dispatcher carries a
   shape-bucketed :class:`~repro.plan.autotune.DispatchTable` (held in the
   plan cache's ``table`` segment) and every executed plan step's measured
@@ -265,7 +264,7 @@ class StalePlan:
     #: The plan's content key in the session's ``plan`` cache segment.
     key: PlanKey
     #: One ``(site, frozen_backend, tuned_backend)`` triple per diverged
-    #: GEMM step, e.g. ``("L0/agg", "packed", "sparse")``.
+    #: GEMM step, e.g. ``("L0/agg", "packed", "blas")``.
     divergences: tuple[tuple[str, str, str], ...]
 
 
@@ -299,7 +298,7 @@ class SessionStats(Counters):
     #: A-operand tiles inspected by executed kernels (measured).
     tiles_total: int = 0
     #: Tiles the zero-tile ballot skipped in executed kernels (measured —
-    #: these are the tiles the ``sparse`` host engine never computes).
+    #: the §4.3 census behind the modeled ``tc.*`` counters).
     tiles_skipped: int = 0
     #: Measured host seconds spent inside batch execution.
     wall_s: float = 0.0
@@ -720,8 +719,8 @@ class InferenceEngine:
 
         First execution of a batch packs and ballots (miss);
         replaying the same round is pure cache traffic, so the zero-tile
-        census the ``sparse`` engine consumes is taken once per distinct
-        batch rather than once per request.
+        census the kernel counters (and ``codegen``'s skip kernels) consume
+        is taken once per distinct batch rather than once per request.
         """
         return self._adjacency(batch, self._members_digest(batch))
 
@@ -735,8 +734,8 @@ class InferenceEngine:
     ) -> ExecutionPlan:
         """The batch's compiled execution plan, via the plan cache.
 
-        Compilation observes the batch's measured tile census (pricing the
-        sparse backend from measurement, not assumption), resolves every
+        Compilation observes the batch's measured tile census (the
+        dispatch table's sparsity coordinate), resolves every
         GEMM's backend through the dispatcher/registry, and records the
         content keys its operand artifacts hang off.  A batch whose member
         structure differs in any way — including shape — gets a different

@@ -7,11 +7,9 @@ retried on another and the request's logits do not change.  This module
 is the recovery half of the fault-tolerance tentpole
 (``repro.faultinject`` is the injection half):
 
-* :func:`fallback_chain` — the retry order for a failed GEMM step.
-  ``codegen`` falls back to the engine it specializes (``sparse`` for
-  censused 1-bit products, ``packed`` for dense ones) and then to the
-  ``packed`` oracle; every other backend falls back straight to
-  ``packed``; ``packed`` itself is the end of the line.
+* :func:`fallback_chain` — the retry order for a failed GEMM step:
+  every backend falls back straight to the ``packed`` oracle; ``packed``
+  itself is the end of the line.
 * :class:`BackendHealth` — a per-backend circuit breaker.  ``K``
   consecutive failures open the circuit (the backend is **quarantined**
   and vetoed in dispatch); after ``probe_after_s`` the circuit goes
@@ -32,8 +30,7 @@ Example::
     health = BackendHealth(quarantine_after=3, probe_after_s=5.0)
     recovery = StepRecovery(health=health)
     result, executed, retried = recovery.run(
-        lambda name: kernel.run(a, b, engine=name, plan=plan),
-        backend="codegen", bits_a=1,
+        lambda name: kernel.run(a, b, engine=name, plan=plan), "codegen"
     )
 """
 
@@ -54,21 +51,17 @@ DEFAULT_QUARANTINE_AFTER = 3
 DEFAULT_PROBE_AFTER_S = 5.0
 
 
-def fallback_chain(backend: str, *, bits_a: int = 1) -> tuple[str, ...]:
+def fallback_chain(backend: str) -> tuple[str, ...]:
     """The retry order for a GEMM step whose ``backend`` attempt failed.
 
-    Returns the full attempt sequence starting with ``backend`` itself.
-    ``codegen`` kernels specialize an existing engine — ``sparse`` for
-    censused 1-bit products (``bits_a == 1``), ``packed`` for dense ones
-    — so they fall back to that engine first and the ``packed`` oracle
-    last.  Every other backend falls back straight to ``packed``, which
-    is itself terminal.  All engines are bit-identical, so walking the
-    chain never changes results, only cost.
+    Returns the full attempt sequence starting with ``backend`` itself:
+    every backend falls back straight to ``packed`` (the word engine
+    ``codegen``'s kernels specialize, and the oracle), which is itself
+    terminal.  All engines are bit-identical, so walking the chain never
+    changes results, only cost.
     """
     if backend == "packed":
         return ("packed",)
-    if backend == "codegen" and bits_a == 1:
-        return ("codegen", "sparse", "packed")
     return (backend, "packed")
 
 
@@ -196,9 +189,9 @@ class StepRecovery:
     ``run`` executes ``attempt(backend_name)`` for each candidate in
     :func:`fallback_chain` order until one succeeds, recording outcomes
     into ``health`` (when given) and probing ``fault_plan``'s ``kernel``
-    site before each attempt (when given).  Vetoed fallback candidates
-    are skipped unless they are the last resort.  Non-retryable errors
-    (see :func:`repro.errors.is_retryable`) propagate immediately.
+    site before each attempt (when given).  The fallback is the last
+    resort, so it is attempted even when quarantined.  Non-retryable
+    errors (see :func:`repro.errors.is_retryable`) propagate immediately.
     """
 
     def __init__(self, *, health: BackendHealth | None = None, fault_plan=None):
@@ -211,25 +204,16 @@ class StepRecovery:
         attempt: Callable[[str], object],
         backend: str,
         *,
-        bits_a: int = 1,
         detail: str = "",
     ):
         """Execute one step with fallback; returns ``(result, executed,
         retried)`` where ``retried`` is the tuple of backend names that
         failed before ``executed`` succeeded.  Raises the last failure
         when the whole chain is exhausted."""
-        chain = fallback_chain(backend, bits_a=bits_a)
+        chain = fallback_chain(backend)
         failed: list[str] = []
         last: BaseException | None = None
-        for position, name in enumerate(chain):
-            is_last_resort = position == len(chain) - 1
-            if (
-                position > 0
-                and not is_last_resort
-                and self.health is not None
-                and self.health.vetoed(name)
-            ):
-                continue  # don't fall back onto a quarantined backend
+        for name in chain:
             try:
                 if self.fault_plan is not None:
                     self.fault_plan.maybe_raise("kernel", detail=f"{detail}:{name}")

@@ -50,11 +50,6 @@ class KernelCounters:
 
     # ------------------------------------------------------------------ #
     @property
-    def bit_flops(self) -> int:
-        """Total bit-level FLOPs: 2 * M * N * K per mma instruction."""
-        return self.mma_ops * 2 * 8 * 8 * 128
-
-    @property
     def skip_fraction(self) -> float:
         """Fraction of inspected A tiles that were jumped (0 when none)."""
         if self.tiles_total == 0:

@@ -11,15 +11,17 @@ Combines the pieces of §4 into one kernel:
 Two execution paths produce **identical** results and counters:
 
 * :meth:`BitGemmKernel.run_tile_loop` — a literal WMMA fragment loop.  This
-  is the executable specification: every fragment load, ballot check and
-  bmma is performed one tile at a time.  O(python) per tile, so tests use
-  small shapes.
+  is the executable specification and the one host execution that jumps
+  zero tiles: every fragment load, ballot check and bmma is performed one
+  tile at a time.  O(python) per tile, so tests use small shapes.
 * :meth:`BitGemmKernel.run` — the fast path.  The functional result comes
-  from a registered host backend (zero tiles contribute nothing, so
-  skipping them never changes the product), and the counters are derived in
-  closed form from the operands' padded geometry and the *measured*
-  per-plane zero-tile masks — never from what the host engine ran.  The test
-  suite asserts tile-loop and fast-path equality on both outputs.
+  from any registered host backend (zero tiles contribute nothing, so
+  whether a backend skips them never changes the product), and the
+  counters are derived in closed form from the operands' padded geometry
+  and the *measured* per-plane zero-tile masks (:class:`TileSkipPlan`, the
+  §4.3 census) — never from what the host engine ran.  The test suite
+  asserts tile-loop and fast-path equality on outputs and counters for
+  every registered backend.
 """
 
 from __future__ import annotations
@@ -96,9 +98,9 @@ class TileSkipPlan:
 
     The single source of truth for which ``8 x 128`` tiles a zero-tile
     jumping execution touches: the kernel emulator derives its skipped-tile
-    counters from it, the ``sparse`` host engine executes exactly the tiles
-    it marks, and a serving session caches it per batch so the ballot is
-    taken once per adjacency rather than once per request.
+    counters from it, ``codegen`` bakes it into its skip kernels, and a
+    serving session caches it per batch so the ballot is taken once per
+    adjacency rather than once per request.
     """
 
     #: One ``(mt, kt)`` boolean mask per bit plane of the left operand.
@@ -332,8 +334,9 @@ class BitGemmKernel:
         packed operand, so sparsity effects are measured, not assumed.
         ``plan`` optionally supplies a precomputed census of ``a`` (e.g.
         from a serving session's tile-mask cache); it feeds both the
-        counters and the ``sparse`` host engine, so a cached plan is balloted
-        exactly once per operand instead of once per launch.  ``registry``
+        counters and any mask-consuming backend (``codegen``), so a cached
+        plan is balloted exactly once per operand instead of once per
+        launch.  ``registry``
         resolves ``engine`` against a non-default
         :class:`~repro.plan.registry.BackendRegistry`.
 

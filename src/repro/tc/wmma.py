@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from .counters import KernelCounters
-from .fragments import FRAG_A_SHAPE, Fragment, make_fragment
+from .fragments import FRAG_A_SHAPE, Fragment
 
 __all__ = ["load_matrix_sync", "bmma_sync", "store_matrix_sync"]
 
@@ -126,8 +126,3 @@ def store_matrix_sync(
     if counters is not None:
         counters.frag_stores += 1
         counters.global_bytes_written += TILE_ACCUM_BYTES
-
-
-def fresh_accumulator() -> Fragment:
-    """Convenience: a zeroed accumulator fragment."""
-    return make_fragment("accumulator")

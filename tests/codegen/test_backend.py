@@ -212,14 +212,14 @@ class TestAutotuneRouting:
         assert decision.engine == "codegen"
 
     def test_analytic_price_is_conservative(self):
-        # Without measurements the dispatcher must keep its historical
-        # choices: codegen prices strictly above the engine it
-        # specializes, so cold-table routing is unchanged.
+        # Without measurements codegen is never the pick: it prices
+        # strictly above the cold table's choice for the shape, so it is
+        # routed only by measurement.
         dispatcher = CostModelDispatcher(blas_bytes_budget=1 << 20)
         dispatcher.observe_tile_fraction(0.1, nodes=2048)
         decision = dispatcher.decide(2048, 2048, 64, 1, 8)
-        assert decision.engine == "sparse"
+        assert decision.engine != "codegen"
         assert (
             decision.prices["codegen"].seconds
-            > decision.prices["sparse"].seconds
+            > decision.prices[decision.engine].seconds
         )

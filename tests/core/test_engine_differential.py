@@ -3,11 +3,11 @@
 AE-style randomized validation (in the spirit of the PPoPP'22 artifact):
 seeded sweeps over shapes — including empty subgraphs, single-node
 matrices and non-multiple-of-8 rows — crossed with bitwidths 1-8 and the
-built-in host engines {packed, blas, sparse}, every product
-asserted equal to ``matmul_int_reference`` bit for bit.  The sparse engine additionally gets
-structure-directed cases (block-diagonal, all-zero, stale/foreign masks)
-because its correctness argument — skipped tiles contribute nothing — is
-exactly what these tests pin down.
+built-in host engines {packed, blas}, every product asserted equal to
+``matmul_int_reference`` bit for bit.  Structure-directed cases
+(block-diagonal, all-zero, stale/foreign masks) pin the tile-mask
+plumbing on its consumer, ``codegen``: skipped tiles contribute nothing,
+and a malformed census is refused rather than trusted.
 
 The plan/execute split gets the same treatment: compiled single-GEMM plans
 replayed on fresh same-shape inputs must match eager execution bit for bit
@@ -24,8 +24,6 @@ from repro.core.bitgemm import (
     ENGINE_NAMES,
     bitgemm,
     bitgemm_codes,
-    bmm_plane_packed,
-    bmm_plane_packed_sparse,
     matmul_int_reference,
 )
 from repro.core.bitpack import Operand, pack_matrix, tile_nonzero_mask
@@ -105,8 +103,9 @@ class TestRandomizedSweep:
         )
 
 
-class TestSparseEngineStructure:
-    """Cases aimed at the zero-tile-skipping path specifically."""
+class TestTileMaskStructure:
+    """Cases aimed at tile-sparse operands and the census a backend may
+    consume (``codegen``, the one ``consumes_tile_masks`` backend)."""
 
     def test_block_diagonal_skips_and_matches(self, rng):
         # 4 members of 64 nodes: >= the off-diagonal 3/4 of tiles are zero.
@@ -123,10 +122,10 @@ class TestSparseEngineStructure:
         assert 0.0 < mask.mean() <= 0.5  # mostly zero tiles
         feats = rng.integers(0, 256, size=(n, 24), dtype=np.int64)
         packed_b = pack_matrix(feats, 8, layout="row")
-        sparse = bitgemm(packed_a, packed_b, engine="sparse")
-        packed = bitgemm(packed_a, packed_b, engine="packed")
-        np.testing.assert_array_equal(sparse, packed)
-        np.testing.assert_array_equal(sparse, matmul_int_reference(adj, feats))
+        want = matmul_int_reference(adj, feats)
+        for engine in ENGINE_NAMES:
+            got = bitgemm(packed_a, packed_b, engine=engine)
+            np.testing.assert_array_equal(got, want, err_msg=engine)
 
     def test_all_zero_left_operand(self):
         a = np.zeros((32, 256), dtype=np.int64)
@@ -135,17 +134,6 @@ class TestSparseEngineStructure:
             out = bitgemm_codes(a, b, 1, 1, engine=engine)
             assert not out.any()
 
-    def test_plane_product_matches_packed(self, rng):
-        adj = (rng.random((40, 500)) < 0.02).astype(np.int64)
-        pa = pack_matrix(adj, 1, layout="col")
-        pb = pack_matrix(
-            rng.integers(0, 2, size=(500, 16), dtype=np.int64), 1, layout="row"
-        )
-        np.testing.assert_array_equal(
-            bmm_plane_packed_sparse(pa.plane(0), pb.plane(0)),
-            bmm_plane_packed(pa.plane(0), pb.plane(0)),
-        )
-
     def test_precomputed_mask_is_honored(self, rng):
         adj = (rng.random((24, 256)) < 0.05).astype(np.int64)
         pa = pack_matrix(adj, 1, layout="col")
@@ -153,12 +141,13 @@ class TestSparseEngineStructure:
             rng.integers(0, 4, size=(256, 8), dtype=np.int64), 2, layout="row"
         )
         mask = tile_nonzero_mask(pa.plane(0))
-        with_mask = bitgemm(pa, pb, engine="sparse", tile_masks=[mask])
-        without = bitgemm(pa, pb, engine="sparse")
+        with_mask = bitgemm(pa, pb, engine="codegen", tile_masks=[mask])
+        without = bitgemm(pa, pb, engine="codegen")
         np.testing.assert_array_equal(with_mask, without)
+        np.testing.assert_array_equal(with_mask, bitgemm(pa, pb, engine="packed"))
         # An all-True mask is always conservative, hence always correct.
         full = bitgemm(
-            pa, pb, engine="sparse", tile_masks=[np.ones_like(mask)]
+            pa, pb, engine="codegen", tile_masks=[np.ones_like(mask)]
         )
         np.testing.assert_array_equal(full, without)
 
@@ -170,19 +159,11 @@ class TestSparseEngineStructure:
         )
         good = tile_nonzero_mask(pa.plane(0))
         with pytest.raises(ShapeError):
-            bitgemm(pa, pb, engine="sparse", tile_masks=[good[:-1]])
+            bitgemm(pa, pb, engine="codegen", tile_masks=[good[:-1]])
         with pytest.raises(ShapeError):
-            bitgemm(pa, pb, engine="sparse", tile_masks=[good, good])
+            bitgemm(pa, pb, engine="codegen", tile_masks=[good, good])
         with pytest.raises(ShapeError):
-            bmm_plane_packed_sparse(
-                pa.plane(0), pb.plane(0), tile_mask=good.T
-            )
-
-    def test_selector_may_return_sparse(self, rng):
-        a = _codes(rng, (16, 200), 1)
-        b = _codes(rng, (200, 12), 4)
-        out = bitgemm_codes(a, b, 1, 4, engine=lambda *args: "sparse")
-        np.testing.assert_array_equal(out, matmul_int_reference(a, b))
+            bitgemm(pa, pb, engine="codegen", tile_masks=[good.T])
 
 
 class TestExtensionBackendSweep:
@@ -196,8 +177,8 @@ class TestExtensionBackendSweep:
         builtin = set(ENGINE_NAMES)
         return [b for b in default_registry() if b.name not in builtin]
 
-    def test_registry_is_exactly_the_four_backends(self):
-        assert default_registry().names() == ("packed", "blas", "sparse", "codegen")
+    def test_registry_is_exactly_the_three_backends(self):
+        assert default_registry().names() == ("packed", "blas", "codegen")
         assert [b.name for b in self._extensions()] == ["codegen"]
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
@@ -238,30 +219,6 @@ class TestExtensionBackendSweep:
                 matmul_int_reference(a, b),
                 err_msg=f"{backend.name} trial={trial} mkn=({m},{k},{n})",
             )
-
-    def test_codegen_honors_precomputed_mask(self, rng):
-        adj = (rng.random((24, 256)) < 0.05).astype(np.int64)
-        pa = pack_matrix(adj, 1, layout="col")
-        pb = pack_matrix(
-            rng.integers(0, 4, size=(256, 8), dtype=np.int64), 2, layout="row"
-        )
-        mask = tile_nonzero_mask(pa.plane(0))
-        with_mask = bitgemm(pa, pb, engine="codegen", tile_masks=[mask])
-        without = bitgemm(pa, pb, engine="codegen")
-        np.testing.assert_array_equal(with_mask, without)
-        np.testing.assert_array_equal(
-            with_mask, bitgemm(pa, pb, engine="packed")
-        )
-
-    def test_codegen_rejects_malformed_mask(self, rng):
-        adj = (rng.random((24, 256)) < 0.05).astype(np.int64)
-        pa = pack_matrix(adj, 1, layout="col")
-        pb = pack_matrix(
-            rng.integers(0, 2, size=(256, 8), dtype=np.int64), 1, layout="row"
-        )
-        good = tile_nonzero_mask(pa.plane(0))
-        with pytest.raises(ShapeError):
-            bitgemm(pa, pb, engine="codegen", tile_masks=[good[:-1]])
 
 
 class TestPlanCompileReplay:
@@ -307,7 +264,7 @@ class TestPlanCompileReplay:
 
     def test_replay_on_packed_operands(self, rng):
         step = compile_gemm_plan(
-            self.M, self.K, self.N, self.BITS_A, self.BITS_B, engine="sparse"
+            self.M, self.K, self.N, self.BITS_A, self.BITS_B, engine="codegen"
         )
         a, b = self._operands(7)
         pa = pack_matrix(a, self.BITS_A, layout="col")

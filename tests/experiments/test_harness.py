@@ -104,14 +104,14 @@ class TestAnalyticHarnesses:
 
 
 class TestFig8GoldenRegression:
-    """The modeled zero-tile summary vs the sparse engine's measurement.
+    """The modeled zero-tile summary vs the emulated kernel's measurement.
 
     ``run_fig8``'s census comes from the O(E) CSR tile model
     (``profile_batch``); ``measure=True`` re-derives the same counts by
-    executing every batch's aggregation GEMM through the zero-tile-skipping
-    ``sparse`` host engine and reading its kernel counters.  The two must
-    agree exactly — if the model and the hot path ever disagree, one of
-    them is lying about skipped work.
+    executing every batch's aggregation GEMM through the emulated kernel
+    and reading the counters it derives from the packed words' ballot.
+    The two must agree exactly — if the model and the executed census
+    ever disagree, one of them is lying about skipped work.
     """
 
     def test_modeled_census_equals_measured_skips(self):

@@ -221,7 +221,7 @@ class TestTunedPricing:
             spec.m, spec.k, spec.n, spec.bits_a, spec.bits_b
         )
         assert "blas" in tuned.tuned_backends
-        assert tuned.blas_bytes == analytic.blas_bytes > 0
+        assert tuned.prices["blas"].bytes == analytic.prices["blas"].bytes > 0
 
     def test_online_samples_update_the_consulted_bucket(self):
         # The acceptance loop: decide -> record -> the very next decide for
@@ -253,7 +253,7 @@ class TestPersistence:
         for seconds in (1e-3, 3e-3, 2e-3):
             table.record_spec(_spec(), "packed", seconds)
         table.record_spec(_spec(), "blas", 4e-3, tile_fraction=None)
-        table.record_spec(_spec(m=40, k=260, n=17), "sparse", 5e-3, tile_fraction=0.3)
+        table.record_spec(_spec(m=40, k=260, n=17), "codegen", 5e-3, tile_fraction=0.3)
         return table
 
     def test_save_load_roundtrip(self, tmp_path):
@@ -398,7 +398,7 @@ class TestAutotuner:
         )
         spec = _spec(m=16, k=128, n=8, bits_a=16, bits_b=2)
         table = autotune([spec], registry=registry, passes=1)
-        assert set(table.backends(bucket_for(spec))) == {"packed", "blas", "sparse"}
+        assert set(table.backends(bucket_for(spec))) == {"packed", "blas"}
 
     def test_synthesized_fraction_matches_request(self):
         from repro.core.bitpack import tile_nonzero_mask

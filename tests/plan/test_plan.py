@@ -130,9 +130,10 @@ class TestCompileForwardPlan:
         plan = compile_forward_plan(
             gcn, num_nodes=2048, feature_bits=8, engine=dispatcher
         )
-        # The big square 1-bit adjacency GEMM froze the sparse routing.
-        assert plan.layers[0].aggregate.backend == "sparse"
-        assert "sparse" not in {layer.update.backend for layer in plan.layers}
+        # Each GEMM froze its own pick: the big square 1-bit adjacency
+        # product the word engine, the small update products blas.
+        assert {layer.aggregate.backend for layer in plan.layers} == {"packed"}
+        assert {layer.update.backend for layer in plan.layers} == {"blas"}
 
     def test_forced_backend(self, gcn):
         plan = compile_forward_plan(gcn, num_nodes=64, feature_bits=4, engine="packed")

@@ -41,7 +41,7 @@ class TestRegistry:
     def test_default_registry_holds_builtins_then_codegen(self):
         # Built-ins first (registration order breaks price ties in their
         # favor), then the codegen extension.
-        assert default_registry().names() == ("packed", "blas", "sparse", "codegen")
+        assert default_registry().names() == ("packed", "blas", "codegen")
 
     def test_get_unknown_raises_with_known_names(self):
         registry = BackendRegistry(builtin_backends())
@@ -65,8 +65,8 @@ class TestRegistry:
 
     def test_iteration_and_len(self):
         registry = BackendRegistry(builtin_backends())
-        assert len(registry) == 3
-        assert [b.name for b in registry] == ["packed", "blas", "sparse"]
+        assert len(registry) == 2
+        assert [b.name for b in registry] == ["packed", "blas"]
 
     def test_backend_name_must_be_string(self):
         with pytest.raises(ConfigError):
@@ -109,7 +109,7 @@ class TestPricing:
         registry = BackendRegistry(builtin_backends())
         registry.register(_reference_backend())
         prices = registry.price_all(self._ctx(GemmSpec(64, 64, 64, 2, 2)))
-        assert set(prices) == {"packed", "blas", "sparse"}
+        assert set(prices) == {"packed", "blas"}
 
     def test_vetoed_price_is_effectively_infinite(self):
         price = BackendPrice(seconds=1.0, bytes=10, vetoed=True)
@@ -120,7 +120,7 @@ class TestPricing:
 class TestResolveEngineName:
     def test_literal_names_validated_against_registry(self):
         spec = GemmSpec(8, 8, 8, 1, 1)
-        assert resolve_engine_name("sparse", spec) == "sparse"
+        assert resolve_engine_name("codegen", spec) == "codegen"
         with pytest.raises(ShapeError):
             resolve_engine_name("cuda", spec)
 

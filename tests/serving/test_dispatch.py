@@ -8,7 +8,13 @@ import pytest
 from repro.core.bitgemm import bitgemm, matmul_int_reference
 from repro.core.bitpack import pack_matrix
 from repro.errors import ConfigError, ShapeError
-from repro.plan import HostRates
+from repro.plan import (
+    DEFAULT_HOST_RATES,
+    Backend,
+    BackendPrice,
+    BackendRegistry,
+    HostRates,
+)
 from repro.serving.dispatch import CostModelDispatcher
 
 
@@ -35,89 +41,67 @@ class TestCostModelDispatcher:
     def test_memory_veto_forces_packed(self):
         dispatch = CostModelDispatcher(blas_bytes_budget=1024)
         decision = dispatch.decide(512, 512, 64, 8, 8)
-        assert decision.memory_vetoed
+        assert decision.prices["blas"].vetoed
         assert decision.engine == "packed"
         # Same shape passes with the default budget.
-        assert not CostModelDispatcher().decide(512, 512, 64, 8, 8).memory_vetoed
+        default = CostModelDispatcher().decide(512, 512, 64, 8, 8)
+        assert not default.prices["blas"].vetoed
 
     def test_huge_unpack_footprint_vetoed_by_default(self):
         # 8-bit x 8-bit at 8192^2: float32 plane temporaries > 2 GB.
         decision = CostModelDispatcher().decide(8192, 8192, 8192, 8, 8)
-        assert decision.memory_vetoed
+        assert decision.prices["blas"].vetoed
         assert decision.engine == "packed"
 
     def test_estimates_are_positive_and_footprint_exact(self):
-        decision = CostModelDispatcher().decide(128, 256, 32, 2, 4)
-        assert decision.packed_s > 0
-        assert decision.blas_s > 0
+        prices = CostModelDispatcher().decide(128, 256, 32, 2, 4).prices
+        assert prices["packed"].seconds > 0
+        assert prices["blas"].seconds > 0
         # One float32 GEMM (bound 256*3*15 < 2**24): both operands and the
         # product, whatever the bitwidths.
-        assert decision.blas_bytes == 4 * (128 * 256 + 256 * 32 + 128 * 32)
+        assert prices["blas"].bytes == 4 * (128 * 256 + 256 * 32 + 128 * 32)
 
     def test_invalid_budget(self):
         with pytest.raises(ConfigError):
             CostModelDispatcher(blas_bytes_budget=0)
 
 
-class TestSparsePricing:
-    def test_no_observation_means_no_sparse(self):
-        # Until a census is observed the sparse price is infinite: the
-        # dispatcher never guesses a sparsity it has not measured.
-        decision = CostModelDispatcher().decide(2048, 2048, 64, 1, 8)
-        assert decision.sparse_s == float("inf")
-        assert decision.tile_fraction is None
-        assert decision.engine in ("packed", "blas")
+def _census_probe() -> tuple[CostModelDispatcher, list]:
+    """A dispatcher whose one backend records the census each pricing
+    context carried."""
+    seen = []
 
-    def test_large_coalesced_batch_routes_to_sparse(self):
-        # A 16-member block-diagonal round: measured fraction ~1/16 on a
-        # big adjacency GEMM makes sparse the cheapest *word* engine — the
-        # pick wherever the one-GEMM blas engine's float working set is
-        # over budget.
-        dispatch = CostModelDispatcher(blas_bytes_budget=1 << 20)
-        dispatch.observe_tile_fraction(1 / 16)
-        decision = dispatch.decide(2048, 2048, 64, 1, 8)
-        assert decision.memory_vetoed
-        assert decision.engine == "sparse"
-        assert decision.tile_fraction == 1 / 16
-        assert decision.sparse_s < decision.packed_s
+    def pricer(ctx):
+        seen.append(ctx.tile_fraction)
+        return BackendPrice(seconds=1.0)
 
-    def test_small_batch_stays_dense(self):
-        # The per-group gather overhead dominates tiny products.
-        dispatch = CostModelDispatcher()
-        dispatch.observe_tile_fraction(1 / 16)
-        assert dispatch.decide(64, 64, 16, 1, 8).engine != "sparse"
+    probe = Backend(name="probe", run=lambda a, b, masks=None: None, pricer=pricer)
+    return CostModelDispatcher(registry=BackendRegistry([probe])), seen
 
-    def test_dense_census_never_picks_sparse(self):
-        # Fraction 1.0: sparse does packed's work plus gather overhead.
-        dispatch = CostModelDispatcher()
-        dispatch.observe_tile_fraction(1.0)
-        for shape in [(256, 256, 64), (2048, 2048, 64)]:
-            assert dispatch.decide(*shape, 1, 8).engine != "sparse"
+
+class TestCensusObservation:
+    """The observed census is the sparsity coordinate of the adjacency GEMM
+    alone: the dispatch table buckets that product by it."""
 
     def test_census_applies_only_to_square_adjacency_shape(self):
         # Regression: the observed census describes the adjacency, so a
         # *dense* 1-bit product with a different shape (e.g. the update
-        # GEMM of a 1-bit-activation session) must not inherit its
-        # sparsity discount.
-        dispatch = CostModelDispatcher()
+        # GEMM of a 1-bit-activation session) must not inherit it.
+        dispatch, seen = _census_probe()
         dispatch.observe_tile_fraction(1 / 16, nodes=2048)
-        assert dispatch.decide(2048, 2048, 64, 1, 8).sparse_s < float("inf")
+        dispatch.decide(2048, 2048, 64, 1, 8)
         # Non-square 1-bit product: census does not apply.
-        rectangular = dispatch.decide(2048, 512, 64, 1, 8)
-        assert rectangular.sparse_s == float("inf")
-        assert rectangular.tile_fraction is None
+        dispatch.decide(2048, 512, 64, 1, 8)
         # Square but a different node count than observed: also excluded.
-        other_square = dispatch.decide(512, 512, 64, 1, 8)
-        assert other_square.sparse_s == float("inf")
+        dispatch.decide(512, 512, 64, 1, 8)
+        assert seen == [1 / 16, None, None]
 
     def test_multibit_left_operand_ineligible(self):
         # Only the 1-bit adjacency operand has a tile census.
-        dispatch = CostModelDispatcher()
+        dispatch, seen = _census_probe()
         dispatch.observe_tile_fraction(1 / 16)
-        decision = dispatch.decide(2048, 64, 64, 8, 8)
-        assert decision.sparse_s == float("inf")
-        assert decision.tile_fraction is None
-        assert decision.engine != "sparse"
+        dispatch.decide(2048, 2048, 64, 8, 8)
+        assert seen == [None]
 
     def test_rejects_invalid_fraction(self):
         dispatch = CostModelDispatcher()
@@ -130,13 +114,8 @@ class TestSparsePricing:
 class TestHostRates:
     """Per-machine recalibration is a frozen value, not a subclass."""
 
-    def test_default_rates_built_from_class_attributes(self):
-        dispatch = CostModelDispatcher()
-        assert dispatch.rates.packed_flops == CostModelDispatcher.PACKED_FLOPS
-        assert (
-            dispatch.rates.sparse_group_overhead_s
-            == CostModelDispatcher.SPARSE_GROUP_OVERHEAD_S
-        )
+    def test_default_rates_are_the_shipped_defaults(self):
+        assert CostModelDispatcher().rates is DEFAULT_HOST_RATES
 
     def test_rates_value_changes_routing(self):
         # A shape the default calibration routes to blas...
@@ -146,27 +125,18 @@ class TestHostRates:
         fast_packed = HostRates(packed_flops=1e15, packed_pair_overhead_s=0.0)
         assert CostModelDispatcher(rates=fast_packed).decide(*shape).engine == "packed"
 
-    def test_legacy_subclass_recalibration_still_works(self):
-        class Recalibrated(CostModelDispatcher):
-            PACKED_FLOPS = 1e15
-            PACKED_PAIR_OVERHEAD_S = 0.0
-
-        assert Recalibrated().decide(512, 64, 64, 8, 8).engine == "packed"
-
     def test_rejects_invalid_rates(self):
         with pytest.raises(ConfigError):
             HostRates(packed_flops=0.0)
         with pytest.raises(ConfigError):
-            HostRates(sparse_group_overhead_s=-1.0)
+            HostRates(blas_call_overhead_s=-1.0)
 
     def test_prices_expose_every_backend(self):
         decision = CostModelDispatcher().decide(256, 128, 64, 2, 4)
-        # Every registered backend appears (sparse is inf without a
-        # census, but still reports).
-        assert tuple(decision.prices) == ("packed", "blas", "sparse", "codegen")
-        assert decision.prices["packed"].seconds == decision.packed_s
-        assert decision.prices["blas"].bytes == decision.blas_bytes
-        assert decision.prices["blas"].vetoed == decision.memory_vetoed
+        assert tuple(decision.prices) == ("packed", "blas", "codegen")
+        assert decision.engine == min(
+            decision.prices, key=lambda name: decision.prices[name].effective_s
+        )
 
 
 class TestDispatcherAsEngineArgument:

@@ -2,10 +2,11 @@
 
 Covers the PR 1 acceptance points — cache hit/miss accounting, LRU
 eviction under a too-small capacity, exact agreement between batched and
-per-request results under a shared calibration — plus the PR 2 sparse hot
-path: a coalesced block-diagonal round executed with the zero-tile-
-skipping ``sparse`` engine is bit-identical to per-request ``packed``
-execution, and the per-batch tile-mask cache accounts its traffic.
+per-request results under a shared calibration — plus the coalesced
+zero-tile path: a block-diagonal round executed with ``codegen``'s
+census-specialized skip kernels is bit-identical to per-request
+``packed`` execution, and the per-batch tile-mask cache accounts its
+traffic.
 """
 
 from __future__ import annotations
@@ -86,10 +87,10 @@ class TestResults:
             np.testing.assert_array_equal(got.logits, expected.logits)
         assert batched.stats.batches < single.stats.batches
 
-    def test_sparse_coalesced_equals_per_request_packed(self, rng):
-        # The PR 2 serving-level equivalence point: one 16-member
-        # block-diagonal round on the zero-tile-skipping engine returns the
-        # same bits as 16 per-request rounds on the dense packed engine.
+    def test_coalesced_skip_kernels_equal_per_request_packed(self, rng):
+        # The serving-level equivalence point: one 16-member block-diagonal
+        # round on the census-specialized skip kernels returns the same
+        # bits as 16 per-request rounds on the dense packed engine.
         g = planted_partition_graph(
             320, 2400, num_communities=16, feature_dim=12, num_classes=3, rng=rng
         )
@@ -101,7 +102,7 @@ class TestResults:
                 feature_bits=8,
                 batch_size=16,
                 max_batch_nodes=1 << 16,
-                engine="sparse",
+                engine="codegen",
             ),
         )
         batched = coalesced.infer(members)
@@ -119,7 +120,7 @@ class TestResults:
     def test_engine_choice_does_not_change_results(self, gin_model, subgraphs):
         shared = InferenceEngine(gin_model, ServingConfig(feature_bits=8))
         baseline = shared.infer(subgraphs[:4])
-        for engine_name in ("packed", "blas", "auto", "sparse", "codegen"):
+        for engine_name in ("packed", "blas", "auto", "codegen"):
             other = InferenceEngine(
                 gin_model,
                 ServingConfig(feature_bits=8, engine=engine_name),

@@ -65,16 +65,12 @@ class TestFallbackChain:
         assert fallback_chain("packed") == ("packed",)
 
     def test_codegen_falls_back_through_its_specialized_engine(self):
-        assert fallback_chain("codegen", bits_a=1) == (
-            "codegen",
-            "sparse",
-            "packed",
-        )
-        assert fallback_chain("codegen", bits_a=8) == ("codegen", "packed")
+        # Its kernels specialize the packed word engine, which is also the
+        # terminal oracle: one fallback, whatever the operand's bitwidth.
+        assert fallback_chain("codegen") == ("codegen", "packed")
 
     def test_everything_else_falls_back_to_packed(self):
         assert fallback_chain("blas") == ("blas", "packed")
-        assert fallback_chain("sparse", bits_a=1) == ("sparse", "packed")
 
 
 class FakeClock:
@@ -172,10 +168,8 @@ class TestStepRecovery:
                 raise RuntimeError("kernel crashed")
             return name
 
-        result, executed, failed = recovery.run(
-            attempt, "codegen", bits_a=1
-        )
-        assert (result, executed) == ("sparse", "sparse")
+        result, executed, failed = recovery.run(attempt, "codegen")
+        assert (result, executed) == ("packed", "packed")
         assert failed == ("codegen",)
         assert health.failures == 1 and health.successes == 1
 
@@ -199,10 +193,10 @@ class TestStepRecovery:
         with pytest.raises(RuntimeError, match="packed down"):
             recovery.run(attempt, "blas")
 
-    def test_vetoed_fallback_is_skipped_unless_last_resort(self):
+    def test_quarantined_last_resort_is_still_attempted(self):
         clock = FakeClock()
         health = BackendHealth(quarantine_after=1, clock=clock)
-        health.record_failure("sparse")  # quarantined
+        health.record_failure("packed")  # quarantined
         attempts = []
 
         def attempt(name):
@@ -212,9 +206,9 @@ class TestStepRecovery:
             return name
 
         recovery = StepRecovery(health=health)
-        result, executed, failed = recovery.run(attempt, "codegen", bits_a=1)
+        result, executed, failed = recovery.run(attempt, "codegen")
         assert executed == "packed"
-        assert attempts == ["codegen", "packed"]  # sparse skipped
+        assert attempts == ["codegen", "packed"]
 
     def test_fault_plan_kernel_site_drives_the_fallback(self):
         plan = FaultPlan(seed=0, specs=[FaultSpec("kernel", at=(0,))])
@@ -247,7 +241,7 @@ class TestDispatcherVeto:
         clock = FakeClock()
         health = BackendHealth(quarantine_after=1, clock=clock)
         dispatch = CostModelDispatcher(health=health)
-        for name in ("packed", "blas", "sparse", "codegen"):
+        for name in ("packed", "blas", "codegen"):
             health.record_failure(name)
         # Dispatch must still produce an engine rather than failing.
         assert dispatch.decide(256, 256, 64, 1, 8).engine

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.bitpack import pack_matrix, tile_nonzero_mask
 from repro.errors import PackingError, ShapeError
+from repro.plan import default_registry
 from repro.tc.kernel import (
     BitGemmKernel,
     KernelConfig,
@@ -135,15 +136,19 @@ class TestTileSkipPlan:
         assert 0.0 < plan.nonzero_fraction < 1.0
         assert plan.matches(pa)
 
-    def test_sparse_engine_equals_tile_loop(self, rng):
+    @pytest.mark.parametrize("engine", default_registry().names())
+    def test_every_backend_equals_tile_loop(self, rng, engine):
+        # §4.3 lives in the census and the tile loop, not in an engine: the
+        # planned run's output and every counter match the literal loop
+        # whichever backend computes the product.
         adj, x, pa, pb = _sparse_operands(rng)
         kernel = BitGemmKernel(KernelConfig())
-        sparse = kernel.run(pa, pb, engine="sparse")
+        fast = kernel.run(pa, pb, engine=engine, plan=plan_tile_skip(pa))
         slow = kernel.run_tile_loop(pa, pb)
-        np.testing.assert_array_equal(sparse.output, adj @ x)
-        np.testing.assert_array_equal(sparse.output, slow.output)
+        np.testing.assert_array_equal(fast.output, adj @ x)
+        np.testing.assert_array_equal(fast.output, slow.output)
         for field in COUNTER_FIELDS:
-            assert getattr(sparse.counters, field) == getattr(
+            assert getattr(fast.counters, field) == getattr(
                 slow.counters, field
             ), field
 
@@ -151,7 +156,7 @@ class TestTileSkipPlan:
         adj, x, pa, pb = _sparse_operands(rng)
         kernel = BitGemmKernel(KernelConfig())
         plan = plan_tile_skip(pa)
-        for engine in ("packed", "sparse"):
+        for engine in ("packed", "codegen"):
             with_plan = kernel.run(pa, pb, engine=engine, plan=plan)
             without = kernel.run(pa, pb, engine=engine)
             np.testing.assert_array_equal(with_plan.output, without.output)

@@ -71,16 +71,16 @@ class TestEachSiteEmitsOneLine:
         health = BackendHealth(
             quarantine_after=2, probe_after_s=5.0, clock=lambda: now[0]
         )
-        health.record_failure("sparse")
+        health.record_failure("codegen")
         assert events("backend_quarantined") == []
-        health.record_failure("sparse")
-        assert health.vetoed("sparse")
+        health.record_failure("codegen")
+        assert health.vetoed("codegen")
         now[0] = 6.0
-        assert not health.vetoed("sparse") and not health.vetoed("sparse")
-        health.record_success("sparse")
-        health.record_success("sparse")  # already closed: a counter, no event
+        assert not health.vetoed("codegen") and not health.vetoed("codegen")
+        health.record_success("codegen")
+        health.record_success("codegen")  # already closed: a counter, no event
         for name in ("backend_quarantined", "backend_half_open", "backend_closed"):
-            assert events(name) == [{"event": name, "backend": "sparse"}]
+            assert events(name) == [{"event": name, "backend": "codegen"}]
 
     def test_poisoned_entry_discarded(self, events):
         plan = FaultPlan(seed=0, specs=[FaultSpec("cache", at=(0,))])
@@ -144,7 +144,7 @@ class TestEachSiteEmitsOneLine:
                     adjacency.nonzero_fraction
                     if step.spec.role == "aggregate" else None
                 )
-                other = "packed" if step.backend != "packed" else "sparse"
+                other = "packed" if step.backend != "packed" else "codegen"
                 for _ in range(8):
                     table.record_spec(step.spec, other, 1e-9, tile_fraction=fraction)
                     table.record_spec(
