@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.bitgemm import (
     ENGINE_NAMES,
@@ -26,7 +27,12 @@ from repro.core.bitgemm import (
     bitgemm_codes,
     matmul_int_reference,
 )
-from repro.core.bitpack import Operand, pack_matrix, tile_nonzero_mask
+from repro.core.bitpack import (
+    Operand,
+    pack_matrix,
+    tile_nonzero_mask,
+    unpack_matrix,
+)
 from repro.errors import ShapeError
 from repro.plan import (
     compile_gemm_plan,
@@ -165,6 +171,13 @@ class TestTileMaskStructure:
         with pytest.raises(ShapeError):
             bitgemm(pa, pb, engine="codegen", tile_masks=[good.T])
 
+    @pytest.mark.parametrize("engine", default_registry().names())
+    def test_selector_may_return_any_backend(self, rng, engine):
+        a = _codes(rng, (16, 200), 1)
+        b = _codes(rng, (200, 12), 4)
+        out = bitgemm_codes(a, b, 1, 4, engine=lambda *args: engine)
+        np.testing.assert_array_equal(out, matmul_int_reference(a, b))
+
 
 class TestExtensionBackendSweep:
     """The registered extension backend (codegen) gets the same seeded
@@ -218,6 +231,39 @@ class TestExtensionBackendSweep:
                 got,
                 matmul_int_reference(a, b),
                 err_msg=f"{backend.name} trial={trial} mkn=({m},{k},{n})",
+            )
+
+    def test_codegen_honors_precomputed_mask(self, rng):
+        # The serving path: an adjacency known by its coordinates ballots
+        # its census in O(E), and codegen bakes that census, words unread.
+        adj = sp.csr_matrix((rng.random((24, 256)) < 0.05).astype(np.int8))
+        pa = Operand(csr=adj)
+        pb = pack_matrix(
+            rng.integers(0, 4, size=(256, 8), dtype=np.int64), 2, layout="row"
+        )
+        masks = pa.tile_masks()
+        with_mask = bitgemm(pa, pb, engine="codegen", tile_masks=masks)
+        np.testing.assert_array_equal(
+            with_mask, matmul_int_reference(adj.toarray(), unpack_matrix(pb))
+        )
+        np.testing.assert_array_equal(
+            with_mask, bitgemm(pa, pb, engine="packed")
+        )
+
+    def test_codegen_rejects_malformed_mask(self, rng):
+        # A foreign census — another operand's, over a longer K — is
+        # refused, not trusted.
+        pa = pack_matrix(
+            (rng.random((24, 256)) < 0.05).astype(np.int64), 1, layout="col"
+        )
+        pb = pack_matrix(
+            rng.integers(0, 2, size=(256, 8), dtype=np.int64), 1, layout="row"
+        )
+        foreign = pack_matrix(np.ones((24, 512), dtype=np.int64), 1, layout="col")
+        with pytest.raises(ShapeError):
+            bitgemm(
+                pa, pb, engine="codegen",
+                tile_masks=[tile_nonzero_mask(foreign.plane(0))],
             )
 
 

@@ -65,6 +65,18 @@ class TestCostModelDispatcher:
         with pytest.raises(ConfigError):
             CostModelDispatcher(blas_bytes_budget=0)
 
+    def test_cold_table_never_picks_codegen(self):
+        # codegen is routed only by measurement: analytically it sits above
+        # packed, vetoed blas or not, for every shape and bitwidth.
+        for budget in (512 * 1024 * 1024, 1024):
+            dispatch = CostModelDispatcher(blas_bytes_budget=budget)
+            for shape in [(8, 8, 8), (256, 256, 64), (2048, 2048, 64)]:
+                for bits in [(1, 8), (2, 4), (8, 8)]:
+                    decision = dispatch.decide(*shape, *bits)
+                    prices = decision.prices
+                    assert decision.engine != "codegen"
+                    assert prices["codegen"].seconds > prices["packed"].seconds
+
 
 def _census_probe() -> tuple[CostModelDispatcher, list]:
     """A dispatcher whose one backend records the census each pricing
@@ -103,6 +115,24 @@ class TestCensusObservation:
         dispatch.decide(2048, 2048, 64, 8, 8)
         assert seen == [None]
 
+    def test_no_observation_means_no_census(self):
+        # Until a census is observed the dispatcher never guesses one.
+        dispatch, seen = _census_probe()
+        dispatch.decide(2048, 2048, 64, 1, 8)
+        assert seen == [None]
+
+    def test_census_never_moves_the_analytic_pick(self):
+        # No analytic pricer reads the census: it is a table coordinate only.
+        for shape in [(64, 64, 16), (2048, 2048, 64)]:
+            cold = CostModelDispatcher(blas_bytes_budget=1 << 20)
+            want = cold.decide(*shape, 1, 8)
+            for fraction in (1 / 16, 1.0):
+                dispatch = CostModelDispatcher(blas_bytes_budget=1 << 20)
+                dispatch.observe_tile_fraction(fraction)
+                got = dispatch.decide(*shape, 1, 8)
+                assert got.engine == want.engine
+                assert got.prices == want.prices
+
     def test_rejects_invalid_fraction(self):
         dispatch = CostModelDispatcher()
         with pytest.raises(ConfigError):
@@ -124,6 +154,27 @@ class TestHostRates:
         # ...flips to packed when this "machine" has a very fast popcount.
         fast_packed = HostRates(packed_flops=1e15, packed_pair_overhead_s=0.0)
         assert CostModelDispatcher(rates=fast_packed).decide(*shape).engine == "packed"
+
+    def test_no_class_level_rates(self):
+        # The rates value is the one way in: no class attribute shadows it.
+        for legacy in (
+            "PACKED_FLOPS",
+            "BLAS_FLOPS",
+            "PACKED_PAIR_OVERHEAD_S",
+            "BLAS_CALL_OVERHEAD_S",
+        ):
+            assert not hasattr(CostModelDispatcher, legacy)
+
+    def test_codegen_price_tracks_packed_rates(self):
+        # codegen is priced on packed's formula, so a recalibrated popcount
+        # moves both prices and keeps codegen above packed.
+        shape = (512, 512, 64, 1, 8)
+        default = CostModelDispatcher().decide(*shape).prices
+        fast = HostRates(packed_flops=1e15, packed_pair_overhead_s=0.0)
+        tuned = CostModelDispatcher(rates=fast).decide(*shape).prices
+        assert tuned["codegen"].seconds < default["codegen"].seconds
+        assert tuned["codegen"].seconds > tuned["packed"].seconds
+        assert tuned["blas"] == default["blas"]
 
     def test_rejects_invalid_rates(self):
         with pytest.raises(ConfigError):
