@@ -9,9 +9,10 @@ codegen kernel compiles once outside the measured window, the way a
 serving session amortizes it across plan replays.
 
 A mid-sparsity workload (census too dense for tile skipping to shine)
-is reported alongside, and the autotuner is asserted to route the
-block-diagonal aggregation bucket to ``codegen`` on measurements alone —
-among the word engines compared here.  (``blas``, one GEMM on the
+is reported alongside, and the block-diagonal timings, fed back through
+``CostModelDispatcher.record_timing`` the way a serving session feeds
+them, are asserted to route that aggregation bucket to ``codegen`` on
+measurements alone — among the word engines compared here.  (``blas``, one GEMM on the
 integer codes, is outside this comparison of AND+popcount schedules; the
 repo benchmark's in-situ census is where it meets them.)
 
@@ -33,8 +34,8 @@ from repro.graph.batching import SubgraphBatch
 from repro.partition import partition_graph
 from repro.plan import (
     BackendRegistry,
+    DispatchTable,
     GemmSpec,
-    autotune,
     bucket_for,
     default_registry,
 )
@@ -51,9 +52,6 @@ ENGINES = ("packed", "codegen")
 #: tiles non-zero, the regime where skip specialization cannot win big.
 MID_DENSITY = 0.02
 MID_NODES = 512
-#: Autotuner bucket for the routing assertion (block-diagonal class).
-TUNE_SPEC = GemmSpec(m=512, k=512, n=32, bits_a=1, bits_b=2)
-TUNE_FRACTION = 0.25
 
 
 def _measure_engines(packed_adj, packed_x, plan) -> tuple[dict, dict, dict]:
@@ -101,25 +99,27 @@ def run_codegen_kernels() -> dict:
         packed_mid, packed_x_mid, plan_mid
     )
 
-    # Routing: a tuned table (measurements only — codegen's analytic
-    # price is deliberately conservative) sends the block-diagonal
-    # aggregation bucket to the compiled kernels.
+    # Routing: the block-diagonal samples above, fed back as online
+    # timings (measurements only — codegen's analytic price is
+    # deliberately conservative), send that aggregation bucket to the
+    # compiled kernels.
     word_engines = BackendRegistry([default_registry().get(e) for e in ENGINES])
-    table = autotune(
-        [(TUNE_SPEC, TUNE_FRACTION)], registry=word_engines, passes=PASSES, seed=0
+    dispatcher = CostModelDispatcher(
+        table=DispatchTable(min_samples=PASSES), registry=word_engines
     )
-    dispatcher = CostModelDispatcher(table=table, registry=word_engines)
-    dispatcher.observe_tile_fraction(TUNE_FRACTION, nodes=TUNE_SPEC.m)
-    decision = dispatcher.decide(
-        TUNE_SPEC.m, TUNE_SPEC.k, TUNE_SPEC.n,
-        TUNE_SPEC.bits_a, TUNE_SPEC.bits_b,
+    spec = GemmSpec(
+        m=batch.num_nodes, k=batch.num_nodes, n=FEATURE_DIM,
+        bits_a=1, bits_b=FEATURE_BITS,
     )
-    bucket = bucket_for(TUNE_SPEC, TUNE_FRACTION)
-    tuned_medians = {
-        name: table.median(bucket, name)
-        for name in table.backends(bucket)
-        if table.median(bucket, name) is not None
-    }
+    for engine, samples in bd_all.items():
+        for seconds in samples:
+            dispatcher.record_timing(
+                spec, engine, seconds, tile_fraction=plan.nonzero_fraction
+            )
+    dispatcher.observe_tile_fraction(plan.nonzero_fraction, nodes=spec.m)
+    decision = dispatcher.decide(spec.m, spec.k, spec.n, spec.bits_a, spec.bits_b)
+    bucket = bucket_for(spec, plan.nonzero_fraction)
+    tuned_medians = {name: dispatcher.table.median(bucket, name) for name in ENGINES}
 
     def medians(all_times: dict) -> dict:
         return {e: statistics.median(ts) for e, ts in all_times.items()}
@@ -204,5 +204,5 @@ def test_codegen_kernels(benchmark, once, report, bench_json):
     # Specialization must never change the bits.
     assert bd["identical"]
     assert r["mid_sparsity"]["identical"]
-    # Acceptance: the autotuner routes the bucket on measurements alone.
+    # Acceptance: the measured timings route the bucket on their own.
     assert r["routing"]["engine"] == "codegen", r["routing"]

@@ -245,7 +245,7 @@ def _run_codegen(
 #: Analytic-pricer constants of the codegen backend.  Deliberately
 #: conservative: the analytic estimate always sits above ``packed``'s, the
 #: word engine the kernels specialize, so on a cold table the dispatcher
-#: never picks codegen and it is routed *only* when the autotuner's
+#: never picks codegen and it is routed *only* when the dispatch table's
 #: measured medians say it wins — the acceptance mode of this backend.
 CODEGEN_CALL_OVERHEAD_S = 80e-6
 CODEGEN_PRICE_MARGIN = 1.05

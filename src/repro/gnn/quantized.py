@@ -517,7 +517,7 @@ def execute_forward_plan(
         packed_at = time.perf_counter()
         # Ballot a 1-bit left operand *outside* the timing window (mirroring
         # kernel.run's internal census) so the StepTiming sample covers the
-        # same census-amortized work the offline autotuner measures — mixing
+        # census-amortized work a replay does — mixing
         # census-inclusive and census-exclusive samples in one table cell
         # would bias its median against whichever backend actually executed.
         if skip_plan is None and left.bits == 1 and kernel.config.zero_tile_jumping:

@@ -19,12 +19,10 @@ description of the work:
 * :mod:`repro.plan.rates` — :class:`HostRates`, the frozen calibration
   record every pricer consumes (per-machine recalibration is a value,
   not a subclass).
-* :mod:`repro.plan.autotune` — measured autotuned dispatch:
-  :class:`ShapeBucket` workload quantization, the :class:`DispatchTable`
-  of per-backend timing medians every pricer consults *before* falling
-  back to the :class:`HostRates` model, the offline :func:`autotune`
-  sweep, and JSON persistence keyed by host fingerprint + registry
-  digest so measurements survive restarts.
+* :mod:`repro.plan.autotune` — measured dispatch:
+  :class:`ShapeBucket` workload quantization and the in-memory
+  :class:`DispatchTable` of per-backend timing medians every pricer
+  consults *before* falling back to the :class:`HostRates` model.
 * :mod:`repro.plan.ir` — the IR: :class:`GemmSpec` (shape + bitwidths),
   per-GEMM :class:`QuantizeStep`/:class:`PackStep`/:class:`CensusStep`
   nodes, :class:`GemmStep` (one product with its resolved backend),
@@ -46,12 +44,9 @@ description of the work:
 from .autotune import (
     DispatchTable,
     ShapeBucket,
-    autotune,
     bucket_for,
     fraction_band,
     host_fingerprint,
-    merge_saved_dispatch_tables,
-    registry_digest,
 )
 from .backends import builtin_backends
 from .cache import (
@@ -113,7 +108,6 @@ __all__ = [
     "ShapeBucket",
     "ThreadSafeLRUCache",
     "artifact_nbytes",
-    "autotune",
     "bucket_for",
     "builtin_backends",
     "compile_forward_plan",
@@ -123,8 +117,6 @@ __all__ = [
     "forward_gemm_specs",
     "fraction_band",
     "host_fingerprint",
-    "merge_saved_dispatch_tables",
     "register_backend",
-    "registry_digest",
     "resolve_engine_name",
 ]

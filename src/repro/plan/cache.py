@@ -9,9 +9,8 @@ weights, packed adjacencies/tile masks, and (implicitly) per-operand
 ballot reuse inside the kernel.  A :class:`PlanCache` unifies them: every
 plan artifact (packed weight, packed adjacency + census, compiled
 :class:`~repro.plan.ir.ExecutionPlan`, the measured
-:class:`~repro.plan.autotune.DispatchTable` under its
-``(host, registry)`` identity) is stored under a content-derived key
-whose first element names its *kind*.  Kinds occupy separate LRU
+:class:`~repro.plan.autotune.DispatchTable`, one per session) is
+stored under a content-derived key whose first element names its *kind*.  Kinds occupy separate LRU
 segments with independent capacities — so a burst of never-repeating
 batches cannot evict the small, hot packed weights — but share one lookup
 API, one byte accounting and one aggregated telemetry view.

@@ -269,7 +269,7 @@ class BackendRegistry:
         A backend is priceable when it has an analytic pricer *or* the
         context's tuned table holds a confident measurement for it — so a
         registered backend without a cost model still becomes routable
-        once the autotuner has timed it.  Insertion (registration) order
+        once it has been timed.  Insertion (registration) order
         is preserved, which makes engine choice deterministic under price
         ties.
         """
@@ -291,8 +291,8 @@ def default_registry() -> BackendRegistry:
     ``codegen`` registers after the built-ins and its analytic price sits
     above ``packed``'s, so it is routed only when a tuned measurement
     beats the incumbents — and every identity
-    built on the registry (:func:`registry_digest`, plan exchange,
-    stale-plan invalidation) covers the full set with no special cases.
+    built on the registry (plan exchange, stale-plan invalidation) covers
+    the full set with no special cases.
     """
     global _default_registry
     if _default_registry is None:

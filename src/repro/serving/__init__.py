@@ -14,18 +14,16 @@ into block-diagonal batched executions bounded by member and node
 budgets.  Dispatch is *measured*, not just modeled: the dispatcher's
 shape-bucketed :class:`~repro.plan.autotune.DispatchTable` (the plan
 cache's ``table`` segment) overrides analytic prices with timing medians,
-every executed round feeds its per-GEMM wall-clock back in, and
-``ServingConfig(dispatch_table_path=...)`` round-trips the table to disk
-so a restarted service dispatches from the previous session's
-measurements immediately.
+and every executed round feeds its per-GEMM wall-clock back in.  The
+table is an in-memory measurement that lives and dies with its process.
 
 Scale-out lives here too: a :class:`~repro.serving.pool.ServingPool`
 shards the request stream across N workers — each owning a shard-local
 plan cache over a shared read-only packed-weight segment, draining a
 bounded queue with continuous deadline-aware coalescing — and keeps the
 shards mutually warm (compiled-plan broadcast via
-:class:`~repro.serving.pool.PlanExchange`, dispatch-table merging
-through the JSON persistence path).  Fronting the pool, a
+:class:`~repro.serving.pool.PlanExchange`, one dispatch table shared by
+every thread shard).  Fronting the pool, a
 :class:`~repro.serving.gateway.ServingGateway` is the asyncio door
 open-loop traffic comes through: bounded-in-flight admission with
 fast-fail backpressure (:class:`~repro.errors.PoolSaturated`), priority

@@ -34,7 +34,7 @@ every executed plan's per-GEMM wall-clock back into that table (a round
 at a time; :meth:`CostModelDispatcher.record_timing` takes one sample) —
 so warm replays continuously sharpen the very table that routes them.
 Vetoed backends stay vetoed (resource budgets outrank measurements), and
-a backend without a pricer becomes routable once the tuner has timed it.
+a backend without a pricer becomes routable once it has been timed.
 
 A dispatcher instance is a valid ``engine=`` argument anywhere
 :data:`~repro.core.bitgemm.Engine` is accepted; under the plan/execute
@@ -44,8 +44,6 @@ split its per-product decisions are frozen into the compiled
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -75,9 +73,6 @@ class DispatchDecision:
     #: Backends whose price came from the measured dispatch table rather
     #: than the analytic model (empty when pricing was purely analytic).
     tuned_backends: tuple[str, ...] = ()
-    #: True when epsilon-greedy exploration overrode the cheapest-price
-    #: pick (the chosen engine was sampled, not argmin'd).
-    explored: bool = False
 
     @property
     def tuned(self) -> bool:
@@ -103,17 +98,11 @@ class CostModelDispatcher:
         rates: HostRates | None = None,
         registry: BackendRegistry | None = None,
         table: DispatchTable | None = None,
-        explore_epsilon: float = 0.0,
-        explore_seed: int = 0,
         health=None,
     ) -> None:
         if blas_bytes_budget < 1:
             raise ConfigError(
                 f"blas_bytes_budget must be positive, got {blas_bytes_budget}"
-            )
-        if not 0.0 <= explore_epsilon <= 1.0:
-            raise ConfigError(
-                f"explore_epsilon must be in [0, 1], got {explore_epsilon}"
             )
         self.cost = TCCostModel(device)
         self.blas_bytes_budget = blas_bytes_budget
@@ -125,14 +114,6 @@ class CostModelDispatcher:
         #: Measured timing table consulted before the analytic model;
         #: ``None`` keeps every price analytic.
         self.table = table
-        #: Probability one dispatch decision picks a uniformly random
-        #: non-vetoed candidate instead of the cheapest price — the
-        #: online-only discovery path: a backend the model never favors
-        #: still gets timing samples into the table.  ``0.0`` (default)
-        #: disables exploration entirely.
-        self.explore_epsilon = explore_epsilon
-        #: Exploration decisions taken so far (telemetry).
-        self.explored_decisions = 0
         #: Optional ``repro.serving.supervision.BackendHealth`` breaker:
         #: quarantined backends are dropped from the candidate set (a
         #: health veto, outranking prices like every other veto) unless
@@ -140,10 +121,6 @@ class CostModelDispatcher:
         self.health = health
         #: Decisions that dropped at least one quarantined candidate.
         self.health_vetoed_decisions = 0
-        # Private seeded RNG: exploration must be reproducible at a fixed
-        # seed and must not perturb (or be perturbed by) the global
-        # random/numpy state the rest of the stack uses.
-        self._explore_rng = random.Random(explore_seed)
         #: Measured non-zero tile fraction of the batch currently being
         #: served; ``None`` until the serving engine observes one.
         self.tile_fraction: float | None = None
@@ -202,27 +179,10 @@ class CostModelDispatcher:
 
     # ------------------------------------------------------------------ #
     def decide(
-        self,
-        m: int,
-        k: int,
-        n: int,
-        bits_a: int,
-        bits_b: int,
-        *,
-        explore: bool = True,
+        self, m: int, k: int, n: int, bits_a: int, bits_b: int
     ) -> DispatchDecision:
-        """Price every eligible backend for an ``m x k x n`` product and choose.
-
-        With ``explore_epsilon > 0`` and ``explore=True``, a fraction of
-        decisions pick a uniformly random *viable* candidate (finite
-        effective price — vetoed backends stay excluded: resource budgets
-        outrank exploration too) instead of the cheapest one; the
-        resulting executed-step timing feeds the dispatch table, so a
-        backend the analytic model never favors can still be discovered
-        online.  ``explore=False`` forces the pure cheapest-price answer —
-        what analysis passes (e.g. the stale-plan scan) ask, since a
-        random pick is not a *tuned* pick.
-        """
+        """Price every eligible backend for an ``m x k x n`` product and
+        choose the cheapest healthy one."""
         counters = self.cost.gemm_counters(m, k, n, bits_a, bits_b)
         flops = counters.mma_ops * MMA_FLOPS  # padded work, all plane pairs
         spec = GemmSpec(m=m, k=k, n=n, bits_a=bits_a, bits_b=bits_b)
@@ -266,29 +226,12 @@ class CostModelDispatcher:
             if healthy:
                 candidates = healthy
         engine = min(candidates.items(), key=lambda kv: kv[1].effective_s)[0]
-        explored = False
-        if (
-            explore
-            and self.explore_epsilon > 0.0
-            and self._explore_rng.random() < self.explore_epsilon
-        ):
-            viable = [
-                name
-                for name, price in candidates.items()
-                if math.isfinite(price.effective_s)
-            ]
-            if viable:
-                engine = self._explore_rng.choice(viable)
-                explored = True
-                self.explored_decisions += 1
-
         return DispatchDecision(
             engine=engine,
             prices=prices,
             tuned_backends=tuple(
                 name for name, price in prices.items() if price.source == "tuned"
             ),
-            explored=explored,
         )
 
     def __call__(self, m: int, k: int, n: int, bits_a: int, bits_b: int) -> str:

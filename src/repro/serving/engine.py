@@ -35,11 +35,8 @@ plan/execute split of :mod:`repro.plan`:
   plan cache's ``table`` segment) and every executed plan step's measured
   wall-clock is fed back into it, so dispatch sharpens from guessed
   :class:`~repro.plan.rates.HostRates` prices toward measured medians as
-  the session serves.  ``ServingConfig(dispatch_table_path=...)``
-  round-trips the table to disk (keyed by host fingerprint + registry
-  digest): a restarted session loads the previous session's measurements
-  and dispatches from them immediately — zero warm-up timing runs
-  (:meth:`InferenceEngine.save_dispatch_table`).
+  the session serves.  The table is an in-memory measurement: it starts
+  empty with the session and is never written to disk.
 
 Activation quantization parameters are frozen per site on first use
 (:class:`~repro.gnn.quantized.ActivationCalibration`), which makes results
@@ -61,7 +58,6 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -85,7 +81,7 @@ from ..graph.batching import (
     batch_subgraphs_by_nodes,
     round_full,
 )
-from ..plan.autotune import DispatchTable, bucket_in, host_fingerprint, registry_digest
+from ..plan.autotune import DispatchTable, bucket_in
 from ..plan.cache import CacheStats, LRUCache, PlanCache, PlanKey, artifact_digest
 from ..plan.ir import ExecutionPlan, compile_forward_plan
 from ..plan.registry import default_registry
@@ -124,8 +120,8 @@ class ServingConfig:
 
         config = ServingConfig(
             feature_bits=8,
-            batch_size=8,                      # coalesce up to 8 requests
-            dispatch_table_path="table.json",  # persist measured dispatch
+            batch_size=8,          # coalesce up to 8 requests
+            table_min_samples=3,   # trust a measured median after 3 samples
         )
         engine = InferenceEngine(model, config)
     """
@@ -155,31 +151,12 @@ class ServingConfig:
     #: any registered backend name forces that backend for the whole
     #: session.
     engine: str = "cost"
-    #: Where the session's measured dispatch table round-trips to disk.
-    #: When the file exists it is loaded at startup (host fingerprint and
-    #: registry digest validated — a foreign table degrades to analytic
-    #: pricing); :meth:`InferenceEngine.save_dispatch_table` writes it
-    #: back.  ``None`` keeps the table session-local.
-    dispatch_table_path: str | None = None
     #: Per-bucket confidence floor of the dispatch table: a measured
     #: median overrides the analytic model only after this many samples.
     table_min_samples: int = 2
-    #: Staleness horizon of table cells, counted in recordings; ``None``
-    #: (the default) trusts every sample — including everything a loaded
-    #: table persisted, whatever horizon the recording session used.
-    table_stale_after: int | None = None
     #: Feed executed plan steps' measured timings back into the dispatch
     #: table (only meaningful with ``engine="cost"``).
     record_timings: bool = True
-    #: Probability one plan-compile dispatch decision explores a random
-    #: viable backend instead of the cheapest-priced one (epsilon-greedy;
-    #: only meaningful with ``engine="cost"``).  ``0.0`` disables
-    #: exploration — the default, since exploration deliberately executes
-    #: non-optimal backends to buy the table samples it could never get
-    #: from pure exploitation.
-    explore_epsilon: float = 0.0
-    #: Seed of the exploration RNG — fixed seed, identical decisions.
-    explore_seed: int = 0
     kernel: KernelConfig = field(default_factory=KernelConfig)
     device: DeviceSpec = RTX3090
     apply_softmax: bool = False
@@ -211,14 +188,6 @@ class ServingConfig:
                 raise ConfigError(
                     f"{name} must be >= 1, got {getattr(self, name)}"
                 )
-        if self.table_stale_after is not None and self.table_stale_after < 1:
-            raise ConfigError(
-                f"table_stale_after must be >= 1 or None, got {self.table_stale_after}"
-            )
-        if not 0.0 <= self.explore_epsilon <= 1.0:
-            raise ConfigError(
-                f"explore_epsilon must be in [0, 1], got {self.explore_epsilon}"
-            )
         if self.engine not in ("cost", "auto") and self.engine not in default_registry():
             raise ConfigError(
                 "engine must be 'cost', 'auto' or a registered backend "
@@ -256,9 +225,8 @@ class StalePlan:
 
     Produced by :meth:`InferenceEngine.stale_plans`: the plan froze a
     dispatch decision at compile time, and the dispatch table has since
-    learned (through online timing feedback, an offline ``autotune()``
-    sweep, or a cross-shard merge) that a different backend is cheaper
-    for at least one of its GEMMs.
+    learned from online timing feedback that a different backend is
+    cheaper for at least one of its GEMMs.
     """
 
     #: The plan's content key in the session's ``plan`` cache segment.
@@ -495,10 +463,9 @@ class InferenceEngine:
                 "weight": self.config.weight_cache_capacity,
                 "adjacency": self.config.adjacency_cache_capacity,
                 "plan": self.config.plan_cache_capacity,
-                # One dispatch table per session identity: the (host,
-                # registry) key is constant for a session's lifetime, so
-                # this segment exists for the unified lookup/telemetry
-                # surface, not for eviction behavior.
+                # One dispatch table per session (a pool's shards mount
+                # one): the segment exists for the unified lookup and
+                # telemetry surface, not for eviction behavior.
                 "table": 1,
             },
             shared=self._with_kernel_segment(shared_segments),
@@ -509,8 +476,6 @@ class InferenceEngine:
             self._engine = CostModelDispatcher(
                 self.config.device,
                 table=self._resolve_dispatch_table(),
-                explore_epsilon=self.config.explore_epsilon,
-                explore_seed=self.config.explore_seed,
                 health=health,
             )
         else:
@@ -591,33 +556,14 @@ class InferenceEngine:
     # ------------------------------------------------------------------ #
     # The measured dispatch table (a plan artifact like any other)
     # ------------------------------------------------------------------ #
-    def _table_key(self) -> PlanKey:
-        # A table's identity is the identity of its measurements: the
-        # measuring host and the backend set it timed.
-        return ("table", host_fingerprint(), registry_digest())
-
     def _resolve_dispatch_table(self) -> DispatchTable:
         """The session's dispatch table, via the plan cache's ``table``
-        segment — loaded from ``dispatch_table_path`` when the file exists
-        (identity-validated; a foreign table degrades to empty, i.e. pure
-        analytic pricing), fresh otherwise."""
-
-        def build() -> DispatchTable:
-            path = self.config.dispatch_table_path
-            if path is not None and os.path.exists(path):
-                # This session's confidence policy wins over whatever the
-                # recording session saved (stale_after=None un-ages the
-                # persisted samples entirely).
-                return DispatchTable.load(path).with_confidence(
-                    min_samples=self.config.table_min_samples,
-                    stale_after=self.config.table_stale_after,
-                )
-            return DispatchTable(
-                min_samples=self.config.table_min_samples,
-                stale_after=self.config.table_stale_after,
-            )
-
-        return self._cache.get_or_build(self._table_key(), build)
+        segment: built empty on first use, or the one a pool's shared
+        segment already holds."""
+        return self._cache.get_or_build(
+            ("table",),
+            lambda: DispatchTable(min_samples=self.config.table_min_samples),
+        )
 
     @property
     def dispatch_table(self) -> DispatchTable | None:
@@ -641,30 +587,6 @@ class InferenceEngine:
         dynamic-mutation benchmark's full-recompile baseline) freezes
         the same dispatch decisions as :meth:`compile_plan`."""
         return self._engine
-
-    def save_dispatch_table(self, path: str | Path | None = None) -> Path:
-        """Persist the measured dispatch table to disk.
-
-        ``path`` defaults to the config's ``dispatch_table_path``.  The
-        saved JSON is keyed by host fingerprint + registry digest, so a
-        future session (:class:`ServingConfig` pointing at the same path)
-        dispatches from this session's measurements with zero warm-up
-        timing runs — and a *different* host or backend set refuses the
-        measurements and falls back to the analytic model.
-        """
-        table = self.dispatch_table
-        if table is None:
-            raise ConfigError(
-                "no dispatch table to save: the session does not use "
-                "cost-model dispatch (engine != 'cost')"
-            )
-        path = path or self.config.dispatch_table_path
-        if path is None:
-            raise ConfigError(
-                "no path: pass save_dispatch_table(path) or set "
-                "ServingConfig(dispatch_table_path=...)"
-            )
-        return table.save(path)
 
     # ------------------------------------------------------------------ #
     # Packed weights (plan-node artifacts, shared across batches)
@@ -818,13 +740,12 @@ class InferenceEngine:
 
         A compiled plan freezes each GEMM's backend at compile time; the
         dispatch table keeps learning afterwards (online timing feedback,
-        offline sweeps, sibling shards' samples).  This scan re-prices every
+        a sibling shard's samples).  This scan re-prices every
         cached plan's GEMMs against the *current* table — reproducing the
         compile-time census coordinates from the plan's cached adjacency
         artifact — and reports the plans whose frozen choice no longer
         matches.  Read-only: uses ``peek`` so neither cache telemetry nor
-        recency order is perturbed, and dispatches with ``explore=False``
-        so an epsilon-greedy session's analysis is deterministic.
+        recency order is perturbed.
 
         Plans whose adjacency artifact has been evicted are skipped — the
         compile-time census cannot be reproduced, so divergence cannot be
@@ -862,12 +783,7 @@ class InferenceEngine:
                     ):
                         spec = step.spec
                         decision = dispatcher.decide(
-                            spec.m,
-                            spec.k,
-                            spec.n,
-                            spec.bits_a,
-                            spec.bits_b,
-                            explore=False,
+                            spec.m, spec.k, spec.n, spec.bits_a, spec.bits_b
                         )
                         if decision.engine != step.backend:
                             divergences.append(

@@ -55,10 +55,9 @@ that is identical everywhere.  A :class:`ServingPool` is that system:
   the dead shard;
 * **process-pool escape hatch** — ``PoolConfig(mode="process")`` runs
   :meth:`ServingPool.serve` across fork-spawned worker processes (one
-  engine per process — forked children share no memory, so their warm
-  state is exchanged through per-shard dispatch-table files folded by
-  :func:`~repro.plan.autotune.merge_saved_dispatch_tables`) for
-  workloads that outgrow the GIL.
+  engine per process; a forked shard returns logits and stats only, and
+  its measured dispatch table dies with it) for workloads that outgrow
+  the GIL.
 
 Results are bit-identical to a single engine serving the same requests
 with the same frozen :class:`~repro.gnn.quantized.ActivationCalibration`
@@ -68,16 +67,13 @@ decisions.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
 import queue
-import tempfile
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -86,7 +82,6 @@ from ..errors import ConfigError, PoolSaturated, WorkerDied
 from ..gnn.models import GNNModel
 from ..gnn.quantized import ActivationCalibration
 from ..graph.batching import Subgraph, round_deadline, round_full
-from ..plan.autotune import DispatchTable, merge_saved_dispatch_tables
 from ..plan.cache import ThreadSafeLRUCache, artifact_nbytes
 from ..runtime.report import EpochReport
 from ..telemetry import emit_event
@@ -133,12 +128,11 @@ class PoolConfig:
     shard_policy: str = "structure"
     #: ``"thread"`` (shared weight and table segments + plan exchange)
     #: or ``"process"`` (fork-based escape hatch;
-    #: :meth:`ServingPool.serve` only, warm state exchanged through
-    #: dispatch-table files).
+    #: :meth:`ServingPool.serve` only, nothing shared between shards).
     mode: str = "thread"
-    #: Directory a process pool's per-shard dispatch-table JSON files
-    #: spool through; ``None`` uses a private temporary directory per
-    #: ``serve()``.  A thread pool never creates or writes it.
+    #: Read by nothing: neither pool mode creates or writes a directory.
+    #: The field stays only because the repo benchmark still passes it,
+    #: and goes when that harness stops (ROADMAP direction 1(a)).
     spool_dir: str | None = None
     #: Whether the pool runs a supervisor thread (thread mode) that
     #: respawns crashed shard workers and re-queues their in-flight
@@ -555,16 +549,14 @@ def _run_process_shard(args: tuple) -> tuple[int, list[np.ndarray], SessionStats
     """Serve one shard's requests in a worker process (escape hatch).
 
     Top-level so it pickles; builds a private engine, serves the shard's
-    subgraphs, persists its measured dispatch table to the shard file and
-    returns (shard index, per-request logits, the session's stats snapshot).
+    subgraphs and returns (shard index, per-request logits, the session's
+    stats snapshot).  The shard's measured dispatch table dies with it.
     """
-    index, model, config, calibration, subgraphs, table_path = args
+    index, model, config, calibration, subgraphs = args
     engine = InferenceEngine(
         model, config, calibration=calibration, label=f"w{index}"
     )
     results = engine.infer(subgraphs)
-    if engine.dispatch_table is not None:
-        engine.save_dispatch_table(table_path)
     return index, [r.logits for r in results], engine.stats.snapshot()
 
 
@@ -622,8 +614,8 @@ class ServingPool:
             self.config.weight_cache_capacity, size_of=artifact_nbytes
         )
         # One measured dispatch table, pool-wide: every shard resolves
-        # its table through this segment, so the first builds (or loads)
-        # it under the segment's lock and the rest get the same object.
+        # its table through this segment, so the first builds it under
+        # the segment's lock and the rest get the same object.
         self._table_segment = ThreadSafeLRUCache(1)
         self._lock = threading.Lock()
         # Intake is atomic with respect to shutdown: submit() holds this
@@ -766,8 +758,7 @@ class ServingPool:
 
         Thread mode submits everything and waits; process mode ships each
         shard's slice to a worker process (the escape hatch for
-        GIL-bound workloads) and merges the shards' dispatch tables from
-        their saved files afterwards.  An unfrozen calibration is frozen
+        GIL-bound workloads).  An unfrozen calibration is frozen
         in the parent (one forward touches every site) before forking,
         so shard processes — which cannot propagate freezes back — all
         quantize with the same parameters.
@@ -885,39 +876,14 @@ class ServingPool:
             shard = self.shard_of(subgraph, i)
             placement.append((shard, len(shards[shard])))
             shards[shard].append(subgraph)
-        # Forked children's measured tables come back as files: kept in
-        # ``spool_dir`` when given, else in a directory that lives this call.
-        spool_dir = self.pool_config.spool_dir
-        with (
-            tempfile.TemporaryDirectory(prefix="repro-pool-")
-            if spool_dir is None
-            else contextlib.nullcontext(spool_dir)
-        ) as spool:
-            Path(spool).mkdir(parents=True, exist_ok=True)
-            jobs = [
-                (
-                    index,
-                    self.model,
-                    self.config,
-                    self._calibration._base,
-                    members,
-                    str(Path(spool) / f"shard-{index}.json"),
-                )
-                for index, members in enumerate(shards)
-                if members
-            ]
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=max(1, len(jobs))) as process_pool:
-                outputs = process_pool.map(_run_process_shard, jobs)
-            # Fold every shard's saved table into one master and persist
-            # it where a restarted pool (or single session) will load it.
-            if self.config.dispatch_table_path is not None and jobs:
-                master = DispatchTable(
-                    min_samples=self.config.table_min_samples,
-                    stale_after=self.config.table_stale_after,
-                )
-                merge_saved_dispatch_tables(master, [job[5] for job in jobs])
-                master.save(self.config.dispatch_table_path)
+        jobs = [
+            (index, self.model, self.config, self._calibration._base, members)
+            for index, members in enumerate(shards)
+            if members
+        ]
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(processes=max(1, len(jobs))) as process_pool:
+            outputs = process_pool.map(_run_process_shard, jobs)
         by_shard = {index: logits for index, logits, _ in outputs}
         self._process_stats = [stats for _, _, stats in outputs]
         results = []
@@ -977,24 +943,8 @@ class ServingPool:
         """
         return self._calibration
 
-    def save_dispatch_table(self, path: str | Path | None = None) -> Path:
-        """Persist the pool's one dispatch table (every shard records
-        into it); ``path`` defaults to the config's
-        ``dispatch_table_path``."""
-        if not self._workers:
-            raise ConfigError(
-                "no live workers to save from (process mode persists via "
-                "ServingConfig(dispatch_table_path=...) during serve())"
-            )
-        return self._workers[0].engine.save_dispatch_table(path)
-
     def shutdown(self) -> None:
-        """Drain queues, stop workers, persist the dispatch table.
-
-        With ``ServingConfig(dispatch_table_path=...)`` the pool's table
-        is written there, so a restarted pool — or a plain single
-        session — dispatches from every shard's measurements.  Idempotent.
-        """
+        """Drain queues and stop workers.  Idempotent."""
         with self._intake_lock:
             if self._closed:
                 return
@@ -1020,12 +970,6 @@ class ServingPool:
                 # supervision disabled *during* its own crash handling):
                 # fail the stranded futures rather than leak them.
                 self._fail_worker_queue(worker)
-        if (
-            self._workers
-            and self._workers[0].engine.dispatch_table is not None
-            and self.config.dispatch_table_path is not None
-        ):
-            self._workers[0].engine.save_dispatch_table()
 
     def __enter__(self) -> "ServingPool":
         """Context-manager entry; the pool is already serving."""

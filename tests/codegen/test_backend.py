@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from repro.codegen import (
     prepare_plan_kernels,
 )
 from repro.core.bitgemm import matmul_int_reference, reduce_plane_products
-from repro.core.bitpack import pack_matrix, tile_nonzero_mask
+from repro.core.bitpack import Operand, pack_matrix, tile_nonzero_mask
 from repro.errors import ConfigError
 from repro.gnn import make_batched_gin
 from repro.graph import induced_subgraphs
@@ -19,15 +21,15 @@ from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
 from repro.plan import (
     BackendRegistry,
+    DispatchTable,
     GemmSpec,
     PlanCache,
-    autotune,
     bucket_for,
     default_registry,
 )
-from repro.plan.autotune import synthesize_operands
 from repro.serving import InferenceEngine, ServingConfig
 from repro.serving.dispatch import CostModelDispatcher
+from repro.tc.kernel import BitGemmKernel, plan_tile_skip
 
 
 @pytest.fixture
@@ -182,31 +184,51 @@ class TestServingReplay:
 
 class TestAutotuneRouting:
     @pytest.mark.timeout(120)
-    def test_autotune_routes_a_bucket_to_codegen(self):
+    def test_autotune_routes_a_bucket_to_codegen(self, rng):
         # The acceptance-mode check: on measurements alone (conservative
         # analytic price never prefers codegen), at least one censused
         # aggregation bucket must route to the compiled kernels — among
         # the word engines they specialize.  (``blas``, one GEMM on the
         # codes, takes this bucket outright when it is registered.)
+        # Each engine's launches are timed and fed back through
+        # ``record_timing``, the path a serving session feeds.
         registry = BackendRegistry(
             [b for b in default_registry() if b.caps.consumes_words]
         )
         spec = GemmSpec(m=512, k=512, n=32, bits_a=1, bits_b=2)
         fraction = 0.25
-        table = autotune([(spec, fraction)], registry=registry, passes=3, seed=0)
+        # A quarter of the 8x128 tile grid live, the rest all-zero: the
+        # structure a coalesced block-diagonal adjacency presents.
+        live = rng.random((spec.m // 8, spec.k // 128)) < fraction
+        adj = (rng.random((spec.m, spec.k)) < 0.3) & np.kron(
+            live, np.ones((8, 128), dtype=bool)
+        )
+        a = Operand(packed=pack_matrix(adj.astype(np.int64), 1, layout="col"))
+        b = Operand(rng.integers(0, 4, (spec.k, spec.n)), 2, "row").pack()
+        plan = plan_tile_skip(a)
+        dispatcher = CostModelDispatcher(
+            table=DispatchTable(min_samples=3), registry=registry
+        )
+        kernel = BitGemmKernel()
+        for backend in registry:
+            kernel.launch(backend, a, b, plan)  # codegen compiles here
+            for _ in range(3):
+                start = time.perf_counter()
+                kernel.launch(backend, a, b, plan)
+                dispatcher.record_timing(
+                    spec, backend.name, time.perf_counter() - start,
+                    tile_fraction=fraction,
+                )
         bucket = bucket_for(spec, fraction)
         medians = {
-            name: table.median(bucket, name)
-            for name in table.backends(bucket)
-            if table.median(bucket, name) is not None
+            name: dispatcher.table.median(bucket, name) for name in registry.names()
         }
-        assert "codegen" in medians
-        dispatcher = CostModelDispatcher(table=table, registry=registry)
+        assert "codegen" in medians and None not in medians.values()
         dispatcher.observe_tile_fraction(fraction, nodes=spec.m)
         decision = dispatcher.decide(
             spec.m, spec.k, spec.n, spec.bits_a, spec.bits_b
         )
-        # The tuned table must route this bucket to the measured winner;
+        # The table must route this bucket to the measured winner;
         # the codegen kernels win it on this workload class.
         assert decision.engine == min(medians, key=medians.get)
         assert decision.engine == "codegen"

@@ -113,14 +113,10 @@ class TestDetection:
         assert engine._engine.tile_fraction == before[1]
         assert engine._engine._observed_nodes == before[2]
 
-    def test_scan_is_deterministic_under_exploration(self, model, subgraphs):
-        # An epsilon-greedy session must scan with explore=False: two
-        # consecutive scans agree even though dispatch would randomize.
+    def test_scan_is_deterministic(self, model, subgraphs):
+        # Two consecutive scans over an unchanged table agree.
         engine = InferenceEngine(
-            model,
-            ServingConfig(
-                feature_bits=8, batch_size=4, explore_epsilon=0.9
-            ),
+            model, ServingConfig(feature_bits=8, batch_size=4)
         )
         engine.infer(subgraphs)
         tamper_table(engine)

@@ -1,16 +1,13 @@
-"""Serving-level tests of measured autotuned dispatch.
+"""Serving-level tests of measured dispatch.
 
-The PR 4 acceptance points: a session feeds every executed plan step's
-measured wall-clock back into its dispatch table (warm replays are free
-samples), the table lives in the plan cache's ``table`` segment, it
-round-trips to disk keyed by host + registry identity, and a fresh
-session loading the saved table makes identical backend choices to the
-session that produced it — with zero warm-up timing runs.
+A session feeds every executed plan step's measured wall-clock back into
+its dispatch table (warm replays are free samples), and the table lives
+in the plan cache's ``table`` segment: created empty with the session,
+never read from or written to disk.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -18,9 +15,7 @@ from repro.gnn import make_batched_gin
 from repro.graph import induced_subgraphs
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
-from repro.plan.autotune import host_fingerprint, registry_digest
 from repro.serving import InferenceEngine, ServingConfig
-from repro.serving.dispatch import CostModelDispatcher
 
 
 @pytest.fixture
@@ -35,24 +30,6 @@ def subgraphs(rng):
 def gin_model(subgraphs):
     g = subgraphs[0].graph
     return make_batched_gin(g.features.shape[1], 3, hidden_dim=16, seed=3)
-
-
-def _decisions(engine: InferenceEngine) -> list[tuple]:
-    """The dispatcher's current choice for every bucket its table holds."""
-    dispatcher = engine._engine
-    assert isinstance(dispatcher, CostModelDispatcher)
-    out = []
-    for bucket in sorted(dispatcher.table.buckets(), key=lambda b: b.key()):
-        # Re-observe a census inside the bucket's band for 1-bit products.
-        if bucket.band >= 0:
-            dispatcher.observe_tile_fraction(
-                0.75 * 2.0 ** -(bucket.band + 1) * 2, nodes=bucket.m
-            )
-        decision = dispatcher.decide(
-            bucket.m, bucket.k, bucket.n, bucket.bits_a, bucket.bits_b
-        )
-        out.append((bucket.key(), decision.engine, decision.tuned_backends))
-    return out
 
 
 class TestOnlineFeedback:
@@ -83,127 +60,22 @@ class TestOnlineFeedback:
         engine.infer(subgraphs)
         assert engine.dispatch_table is None
         assert engine.stats.autotune_samples == 0
-        with pytest.raises(ConfigError, match="cost-model"):
-            engine.save_dispatch_table("/tmp/never-written.json")
 
     def test_table_lives_in_the_plan_cache_table_segment(self, gin_model):
         engine = InferenceEngine(gin_model, ServingConfig(feature_bits=8))
         keys = engine.plan_artifacts.segment("table").keys()
-        assert keys == [("table", host_fingerprint(), registry_digest())]
+        assert keys == [("table",)]
         assert engine.plan_artifacts.segment("table").stats.misses == 1
 
-
-class TestPersistenceRoundtrip:
-    def test_fresh_session_matches_producer_with_zero_warmup(
-        self, gin_model, subgraphs, tmp_path
-    ):
-        path = tmp_path / "dispatch-table.json"
-        config = ServingConfig(
-            feature_bits=8, batch_size=4, dispatch_table_path=str(path)
-        )
-        producer = InferenceEngine(gin_model, config).warm_up()
-        producer.infer(subgraphs)
-        producer.infer(subgraphs)  # warm replays sharpen the table
-        saved = producer.save_dispatch_table()
-        assert saved == path and path.exists()
-
-        fresh = InferenceEngine(gin_model, config)
-        # Zero warm-up timing runs: nothing executed, nothing recorded...
-        assert fresh.stats.autotune_samples == 0
-        assert fresh.dispatch_table.mismatch is None
-        assert fresh.dispatch_table.sample_count() == (
-            producer.dispatch_table.sample_count()
-        )
-        # ...yet the fresh session makes identical backend choices.
-        assert _decisions(fresh) == _decisions(producer)
-
-    def test_fresh_session_serves_identical_logits(
-        self, gin_model, subgraphs, tmp_path
-    ):
-        path = tmp_path / "table.json"
-        config = ServingConfig(feature_bits=8, dispatch_table_path=str(path))
-        producer = InferenceEngine(gin_model, config)
-        expected = producer.infer(subgraphs)
-        producer.save_dispatch_table()
-        fresh = InferenceEngine(
-            gin_model, config, calibration=producer.calibration
-        )
-        for want, got in zip(expected, fresh.infer(subgraphs)):
-            np.testing.assert_array_equal(want.logits, got.logits)
-
-    def test_foreign_table_degrades_to_analytic(
-        self, gin_model, subgraphs, tmp_path
-    ):
-        # A table recorded on another host loads empty: the session runs,
-        # analytically priced, and begins measuring from scratch.
-        path = tmp_path / "foreign.json"
-        producer = InferenceEngine(
-            gin_model,
-            ServingConfig(feature_bits=8, dispatch_table_path=str(path)),
-        )
-        producer.infer(subgraphs)
-        payload = producer.dispatch_table.to_payload()
-        payload["host"] = "sparc64/Solaris/py2.7/numpy1.0"
-        import json
-
-        path.write_text(json.dumps(payload))
-        fresh = InferenceEngine(
-            gin_model,
-            ServingConfig(feature_bits=8, dispatch_table_path=str(path)),
-        )
-        assert fresh.dispatch_table.mismatch is not None
-        assert fresh.dispatch_table.sample_count() == 0
-        results = fresh.infer(subgraphs)
-        assert len(results) == len(subgraphs)
-        assert fresh.stats.autotune_samples > 0
-
-    def test_missing_path_is_a_fresh_table(self, gin_model, tmp_path):
-        engine = InferenceEngine(
-            gin_model,
-            ServingConfig(
-                feature_bits=8,
-                dispatch_table_path=str(tmp_path / "not-yet-written.json"),
-            ),
-        )
-        assert engine.dispatch_table.sample_count() == 0
-        assert engine.dispatch_table.mismatch is None
-
-    def test_save_requires_a_path(self, gin_model):
-        engine = InferenceEngine(gin_model, ServingConfig(feature_bits=8))
-        with pytest.raises(ConfigError, match="path"):
-            engine.save_dispatch_table()
+    def test_each_session_starts_with_an_empty_table(self, gin_model, subgraphs):
+        config = ServingConfig(feature_bits=8, table_min_samples=3)
+        first = InferenceEngine(gin_model, config)
+        first.infer(subgraphs)
+        second = InferenceEngine(gin_model, config)
+        assert second.dispatch_table is not first.dispatch_table
+        assert second.dispatch_table.sample_count() == 0
+        assert second.dispatch_table.min_samples == 3
 
     def test_config_rejects_bad_table_settings(self):
         with pytest.raises(ConfigError):
             ServingConfig(table_min_samples=0)
-        with pytest.raises(ConfigError):
-            ServingConfig(table_stale_after=0)
-
-    def test_session_staleness_policy_overrides_persisted(
-        self, gin_model, subgraphs, tmp_path
-    ):
-        # A table saved with an aggressive staleness horizon must not
-        # leave the restarted session silently unconfident: the consuming
-        # session's policy (default: no aging) wins on load.
-        path = tmp_path / "stale.json"
-        producer = InferenceEngine(
-            gin_model,
-            ServingConfig(feature_bits=8, dispatch_table_path=str(path)),
-        )
-        producer.infer(subgraphs)
-        producer.dispatch_table.stale_after = 1  # recorded under aging
-        producer.save_dispatch_table()
-        fresh = InferenceEngine(
-            gin_model,
-            ServingConfig(feature_bits=8, dispatch_table_path=str(path)),
-        )
-        assert fresh.dispatch_table.stale_after is None
-        kept = InferenceEngine(
-            gin_model,
-            ServingConfig(
-                feature_bits=8,
-                dispatch_table_path=str(path),
-                table_stale_after=7,
-            ),
-        )
-        assert kept.dispatch_table.stale_after == 7

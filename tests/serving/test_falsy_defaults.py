@@ -16,11 +16,10 @@ import pytest
 from repro.errors import ConfigError, ShapeError
 from repro.core.bitgemm import bitgemm_codes
 from repro.core.bitpack import pack_matrix
-from repro.plan.autotune import registry_digest
 from repro.plan.cache import PlanCache, ThreadSafeLRUCache, artifact_nbytes
 from repro.plan.executor import execute_gemm_plan
 from repro.plan.ir import GemmSpec, GemmStep, PackStep
-from repro.plan.registry import BackendRegistry, default_registry, resolve_engine_name
+from repro.plan.registry import BackendRegistry, resolve_engine_name
 from repro.serving import CostModelDispatcher
 from repro.tc.hardware import RTX3090
 
@@ -96,14 +95,6 @@ class TestEmptyRegistryHonored:
         b = np.ones((4, 4), dtype=np.int64)
         with pytest.raises(ShapeError, match="registered: \\(\\)"):
             bitgemm_codes(a, b, 1, 1, engine="packed", registry=empty_registry)
-
-    def test_registry_digest_of_empty_registry_is_distinct(
-        self, empty_registry
-    ):
-        # The digest identifies *which* backend set measured a table; an
-        # empty set must not masquerade as the default set.
-        assert registry_digest(empty_registry) != registry_digest(None)
-        assert registry_digest(None) == registry_digest(default_registry())
 
     def test_dispatcher_with_empty_registry_cannot_price(self, empty_registry):
         dispatcher = CostModelDispatcher(RTX3090, registry=empty_registry)

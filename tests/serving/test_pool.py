@@ -21,7 +21,7 @@ from repro.graph import CSRGraph, induced_subgraphs
 from repro.graph.batching import Subgraph
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
-from repro.plan import DispatchTable, GemmSpec
+from repro.plan import GemmSpec
 from repro.serving import (
     InferenceEngine,
     PlanExchange,
@@ -246,7 +246,7 @@ class TestPlanExchangeWarming:
             np.testing.assert_array_equal(second.logits, expected.logits)
 
 
-class TestDispatchTableMerging:
+class TestSharedDispatchTable:
     def test_shards_share_one_table(self, gin_model):
         # Thread shards mount the pool's ``table`` segment: one object, so
         # a sample recorded on shard 0 prices the next decision on shard 1.
@@ -259,51 +259,6 @@ class TestDispatchTableMerging:
             decision = w1.dispatcher.decide(64, 128, 16, 8, 8)
             assert decision.prices["packed"].source == "tuned"
             assert decision.engine == "packed"
-
-    def test_table_file_is_read_once_pool_wide(
-        self, gin_model, subgraphs, tmp_path, monkeypatch
-    ):
-        path = tmp_path / "pool-table.json"
-        config = ServingConfig(
-            feature_bits=8, batch_size=4, dispatch_table_path=str(path)
-        )
-        engine = InferenceEngine(gin_model, config)
-        engine.infer(subgraphs)
-        engine.save_dispatch_table()
-        loads = []
-        real_load = DispatchTable.load
-
-        def spy(path, **kwargs):
-            loads.append(path)
-            return real_load(path, **kwargs)
-
-        monkeypatch.setattr(DispatchTable, "load", staticmethod(spy))
-        with ServingPool(gin_model, config, pool=PoolConfig(workers=2)) as pool:
-            assert len(loads) == 1
-            tables = {id(e.dispatch_table) for e in pool.workers}
-            assert len(tables) == 1
-            assert pool.workers[1].dispatch_table.sample_count() > 0
-
-    def test_shutdown_persists_the_merged_table(
-        self, gin_model, subgraphs, tmp_path
-    ):
-        path = tmp_path / "pool-table.json"
-        config = ServingConfig(
-            feature_bits=8, batch_size=4, dispatch_table_path=str(path)
-        )
-        pool = ServingPool(gin_model, config, pool=PoolConfig(workers=2))
-        pool.serve(subgraphs)
-        per_shard = [e.dispatch_table.sample_count() for e in pool.workers]
-        pool.shutdown()
-        assert path.exists()
-        loaded = DispatchTable.load(path)
-        assert loaded.mismatch is None
-        # The persisted table holds what every shard measured (>= any one
-        # shard's view of it).
-        assert loaded.sample_count() >= max(per_shard)
-        # A restarted single session warm-starts from the pool's table.
-        engine = InferenceEngine(gin_model, config)
-        assert engine.dispatch_table.sample_count() == loaded.sample_count()
 
 
 class TestProcessEscapeHatch:
@@ -335,9 +290,7 @@ class TestProcessEscapeHatch:
             np.testing.assert_array_equal(got.logits, want.logits)
         pool.shutdown()
 
-    def test_process_serve_matches_single_engine(
-        self, gin_model, subgraphs, tmp_path
-    ):
+    def test_process_serve_matches_single_engine(self, gin_model, subgraphs):
         calibration = ActivationCalibration()
         engine = InferenceEngine(
             gin_model,
@@ -345,13 +298,9 @@ class TestProcessEscapeHatch:
             calibration=calibration,
         )
         expected = engine.infer(subgraphs)
-        path = tmp_path / "table.json"
-        config = ServingConfig(
-            feature_bits=8, batch_size=4, dispatch_table_path=str(path)
-        )
         pool = ServingPool(
             gin_model,
-            config,
+            ServingConfig(feature_bits=8, batch_size=4),
             pool=PoolConfig(workers=2, mode="process"),
             calibration=calibration,
         )
@@ -360,9 +309,6 @@ class TestProcessEscapeHatch:
             np.testing.assert_array_equal(got.logits, want.logits)
         stats = pool.stats()
         assert stats.requests == len(subgraphs)
-        # The shards' measurements were merged through the JSON path.
-        assert path.exists()
-        assert DispatchTable.load(path).sample_count() > 0
         pool.shutdown()
 
 

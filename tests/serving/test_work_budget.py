@@ -20,6 +20,7 @@ import hashlib
 import sys
 import weakref
 from functools import cached_property, partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -550,27 +551,20 @@ def test_stats_readers_never_disturb_serving_workers(structures):
 
 
 # --------------------------------------------------------------------- #
-# A thread pool shares its dispatch table by mounting it, not by files
+# A dispatch table lives in memory: no pool mode writes one to disk
 # --------------------------------------------------------------------- #
 def test_thread_pool_rounds_never_serialise_the_dispatch_table(
     monkeypatch, structures, tmp_path
 ):
-    """Thread shards record into one mounted table, so 100 rounds save,
-    load and JSON-encode nothing and leave the ``spool_dir`` the repo
-    benchmark still passes untouched; without a ``dispatch_table_path``
-    shutdown writes no file either."""
+    """Thread shards record into one mounted table, so 100 rounds
+    JSON-encode nothing and leave the ``spool_dir`` the repo benchmark
+    still passes untouched; shutdown writes no file either."""
     import json
 
-    from repro.plan import DispatchTable
     from repro.serving import PoolConfig, ServingPool
 
-    counts = dict.fromkeys(["save", "load", "dumps"], 0)
-    counting = partial(_counting, counts)
-    monkeypatch.setattr(DispatchTable, "save", counting("save", DispatchTable.save))
-    monkeypatch.setattr(
-        DispatchTable, "load", staticmethod(counting("load", DispatchTable.load))
-    )
-    monkeypatch.setattr(json, "dumps", counting("dumps", json.dumps))
+    counts = {"dumps": 0}
+    monkeypatch.setattr(json, "dumps", _counting(counts, "dumps", json.dumps))
 
     requests = [sub for members in structures for sub in members]
     pool = ServingPool(
@@ -583,5 +577,27 @@ def test_thread_pool_rounds_never_serialise_the_dispatch_table(
     stats = pool.stats()
     pool.shutdown()
     assert stats.batches == 100 and stats.autotune_samples > 0
-    assert counts == {"save": 0, "load": 0, "dumps": 0}
+    assert counts == {"dumps": 0}
     assert list(tmp_path.iterdir()) == []
+
+
+def test_process_pool_serve_writes_no_table_files(structures, tmp_path):
+    """Forked shards return logits and stats only: ``serve()`` leaves the
+    ``spool_dir`` absent and makes no temporary directory of its own."""
+    import tempfile
+
+    from repro.serving import PoolConfig, ServingPool
+
+    scratch = Path(tempfile.gettempdir())
+    before = set(scratch.glob("repro-pool-*"))
+    spool = tmp_path / "spool"
+    pool = ServingPool(
+        make_batched_gin(12, 3, hidden_dim=16, seed=4),
+        ServingConfig(feature_bits=8, batch_size=4),
+        pool=PoolConfig(workers=2, mode="process", spool_dir=str(spool)),
+    )
+    results = pool.serve([sub for members in structures for sub in members])
+    pool.shutdown()
+    assert results and pool.stats().autotune_samples > 0
+    assert not spool.exists() or list(spool.iterdir()) == []
+    assert set(scratch.glob("repro-pool-*")) <= before

@@ -20,7 +20,6 @@ from repro.gnn import make_batched_gin
 from repro.graph import induced_subgraphs
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
-from repro.plan import DispatchTable
 from repro.plan.cache import LRUCache, artifact_digest
 from repro.serving import (
     BackendHealth,
@@ -116,14 +115,6 @@ class TestEachSiteEmitsOneLine:
             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
         }
         assert unpinned["blas_pinned"] is False
-
-    def test_degraded_dispatch_table_load(self, events, tmp_path):
-        path = tmp_path / "foreign.json"
-        DispatchTable(host="alien/arch").save(path)
-        with pytest.warns(RuntimeWarning):
-            assert DispatchTable.load(path).degraded_loads == 1
-        (event,) = events("dispatch_table_degraded")
-        assert event["path"] == str(path) and "alien/arch" in event["reason"]
 
     def test_stale_plans_invalidated(self, events, model, subgraphs):
         # No live timing feedback: only the tampering below outdates a plan.
