@@ -21,7 +21,7 @@ from repro.plan import (
     fraction_band,
     host_fingerprint,
 )
-from repro.plan.autotune import MAX_FRACTION_BAND, NO_CENSUS_BAND
+from repro.plan.autotune import MAX_FRACTION_BAND, NO_CENSUS_BAND, bucket_in
 from repro.serving.dispatch import CostModelDispatcher
 
 
@@ -78,6 +78,54 @@ class TestShapeBuckets:
     def test_host_fingerprint_is_stable(self):
         assert host_fingerprint() == host_fingerprint()
 
+    def test_host_fingerprint_names_interpreter_and_numpy(self):
+        import platform
+
+        import numpy as np
+
+        fields = host_fingerprint().split("/")
+        assert len(fields) == 5
+        py = ".".join(platform.python_version_tuple()[:2])
+        assert fields[2] == f"py{py}"
+        assert fields[3] == "numpy" + ".".join(np.__version__.split(".")[:2])
+        assert fields[4]  # the linked BLAS, or "unknown"
+
+    @pytest.mark.parametrize("band", range(MAX_FRACTION_BAND - 1))
+    def test_power_of_two_opens_its_band(self, band):
+        # Band b is [2^-(b+1), 2^-b): its lower edge is in it, a hair
+        # below it is one band sparser.
+        edge = 2.0 ** -(band + 1)
+        assert fraction_band(edge) == band
+        assert fraction_band(edge * (1 - 1e-12)) == band + 1
+
+    def test_band_never_decreases_as_fraction_falls(self):
+        fractions = [1.0 - i / 1000 for i in range(1001)]
+        bands = [fraction_band(f) for f in fractions]
+        assert bands == sorted(bands)
+        assert bands[0] == 0 and bands[-1] == MAX_FRACTION_BAND
+
+
+class TestBucketIn:
+    def test_memoises_while_the_fraction_holds(self):
+        memo, spec = {}, _spec(m=40, k=260, n=17)
+        first = bucket_in(memo, spec, 0.3)
+        assert first == bucket_for(spec, 0.3)
+        assert bucket_in(memo, spec, 0.3) is first
+
+    def test_rebuckets_when_the_fraction_changes(self):
+        memo, spec = {}, _spec(m=256, k=256, n=16, bits_a=1, bits_b=8)
+        dense = bucket_in(memo, spec, 1.0)
+        sparse = bucket_in(memo, spec, 0.01)
+        assert sparse == bucket_for(spec, 0.01) != dense
+        assert bucket_in(memo, spec, None) == bucket_for(spec)
+        assert bucket_in(memo, spec, 1.0) == dense
+
+    def test_memos_are_not_shared(self):
+        # Each owner (plan step, price context) keeps its own bucket.
+        a, b = {}, {}
+        assert bucket_in(a, _spec(bits_b=4)) != bucket_in(b, _spec(bits_b=8))
+        assert bucket_in(a, _spec(bits_b=4)) == bucket_for(_spec(bits_b=4))
+
 
 class TestDispatchTableConfidence:
     def test_below_min_samples_is_not_consulted(self):
@@ -95,6 +143,75 @@ class TestDispatchTableConfidence:
             table.record(bucket, "packed", float(s))
         # Only the last four samples survive: median of 6,7,8,9.
         assert table.median(bucket, "packed") == pytest.approx(7.5)
+
+    def test_ring_keeps_the_newest_samples_of_a_batch(self):
+        # One round's batch rotates through the ring in arrival order.
+        table = DispatchTable(max_samples=3)
+        bucket = bucket_for(_spec())
+        table.record_all([(bucket, "packed", s) for s in (10.0, 20.0, 30.0, 1.0, 2.0)])
+        assert table.sample_count() == 3
+        assert table.median(bucket, "packed") == 2.0  # of 30, 1, 2
+
+    def test_one_sample_ring_prices_the_latest(self):
+        table = DispatchTable(max_samples=1)
+        bucket = bucket_for(_spec())
+        for s in (5e-3, 1e-3, 7e-3):
+            table.record(bucket, "packed", s)
+            assert table.median(bucket, "packed") == s
+
+    def test_cells_never_age_out(self):
+        # No staleness horizon: a confident cell stays confident however
+        # much is recorded elsewhere in the table.
+        table = DispatchTable(min_samples=1)
+        bucket, other = bucket_for(_spec()), bucket_for(_spec(bits_b=8))
+        table.record(bucket, "packed", 1e-3)
+        table.record_all([(other, "blas", 1e-3)] * 1000)
+        assert table.median(bucket, "packed") == 1e-3
+
+    def test_recording_only_ever_raises_confidence(self):
+        table = DispatchTable(min_samples=2, max_samples=4)
+        bucket = bucket_for(_spec())
+        table.record(bucket, "blas", 1e-4)
+        assert table.median(bucket, "blas") is None
+        table.record(bucket, "blas", 3e-4)
+        assert table.median(bucket, "blas") == pytest.approx(2e-4)
+        # A full ring rotates, and never drops below the confidence floor.
+        for s in (9e-3, 9e-3, 9e-3, 9e-3, 9e-3):
+            table.record(bucket, "blas", s)
+            assert table.median(bucket, "blas") is not None
+
+    def test_min_samples_is_per_backend_cell(self):
+        table = DispatchTable(min_samples=2)
+        bucket = bucket_for(_spec())
+        table.record_all(
+            [(bucket, "blas", 1e-3), (bucket, "blas", 1e-3), (bucket, "packed", 1e-3)]
+        )
+        assert table.median(bucket, "blas") == 1e-3
+        assert table.median(bucket, "packed") is None
+
+    def test_zero_seconds_is_a_valid_sample(self):
+        table = DispatchTable()
+        bucket = bucket_for(_spec())
+        table.record(bucket, "packed", 0.0)
+        assert table.median(bucket, "packed") == 0.0
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_bad_sample_rejects_the_whole_batch(self, position):
+        # Validation precedes recording: the samples before the bad one
+        # do not land either.
+        table = DispatchTable()
+        bucket = bucket_for(_spec())
+        batch = [(bucket, "packed", 1e-3), (bucket, "blas", 2e-3), (bucket, "codegen", 3e-3)]
+        batch[position] = (bucket, batch[position][1], -1e-9)
+        with pytest.raises(ConfigError):
+            table.record_all(batch)
+        assert table.sample_count() == 0
+        assert bucket not in table
+
+    def test_empty_batch_is_a_no_op(self):
+        table = DispatchTable()
+        table.record_all([])
+        assert table.sample_count() == 0 and len(table) == 0
 
     def test_concurrent_recorders_lose_no_sample(self):
         # A thread pool's shards record into one table: a lost update in a
@@ -149,6 +266,48 @@ class TestDispatchTableConfidence:
         assert dispatch.table.median(bucket_for(spec), "packed") == 1e-3
 
 
+class TestDispatchTableContents:
+    def test_empty_table(self):
+        table = DispatchTable()
+        bucket = bucket_for(_spec())
+        assert len(table) == 0 and table.sample_count() == 0
+        assert table.buckets() == ()
+        assert table.backends(bucket) == ()
+        assert bucket not in table
+        assert table.median(bucket, "packed") is None
+
+    def test_buckets_and_backends_list_what_was_recorded(self):
+        table = DispatchTable()
+        first, second = bucket_for(_spec()), bucket_for(_spec(bits_b=8))
+        table.record(first, "blas", 1e-3)
+        table.record(second, "packed", 1e-3)
+        table.record(first, "packed", 1e-3)
+        table.record(first, "blas", 1e-3)
+        assert table.buckets() == (first, second)
+        assert table.backends(first) == ("blas", "packed")
+        assert table.backends(second) == ("packed",)
+        assert len(table) == 2 and table.sample_count() == 4
+        assert first in table and "not a bucket" not in table
+
+    def test_record_spec_returns_the_bucket_it_filled(self):
+        table = DispatchTable()
+        spec = _spec(m=40, k=260, n=17, bits_a=1, bits_b=3)
+        bucket = table.record_spec(spec, "packed", 1e-3, tile_fraction=0.3)
+        assert bucket == bucket_for(spec, 0.3)
+        assert table.buckets() == (bucket,)
+
+    def test_census_band_separates_samples_of_one_shape(self):
+        table = DispatchTable()
+        spec = _spec(m=256, k=256, n=16, bits_a=1, bits_b=8)
+        dense = table.record_spec(spec, "packed", 1e-3, tile_fraction=0.9)
+        sparse = table.record_spec(spec, "packed", 5e-3, tile_fraction=0.05)
+        unknown = table.record_spec(spec, "packed", 9e-3)
+        assert len({dense, sparse, unknown}) == 3
+        assert table.median(dense, "packed") == 1e-3
+        assert table.median(sparse, "packed") == 5e-3
+        assert table.median(unknown, "packed") == 9e-3
+
+
 class TestTunedPricing:
     def _ctx(self, spec, table=None, fraction=None, budget=None):
         return PriceContext(
@@ -172,6 +331,25 @@ class TestTunedPricing:
         model = registry.get("packed").price(self._ctx(spec))
         assert model.source == "model"
         assert model.seconds != pytest.approx(123e-6)
+
+    def test_tuned_price_is_the_median_not_the_mean(self):
+        # One descheduled outlier must not reprice the bucket.
+        spec = _spec()
+        table = DispatchTable(min_samples=1)
+        for seconds in (1e-4, 1e-4, 1.0):
+            table.record_spec(spec, "packed", seconds)
+        registry = BackendRegistry(builtin_backends())
+        assert registry.get("packed").price(self._ctx(spec, table)).seconds == 1e-4
+
+    def test_other_census_band_falls_back_to_model(self):
+        spec = _spec(m=256, k=256, n=16, bits_a=1, bits_b=8)
+        table = DispatchTable(min_samples=1)
+        table.record_spec(spec, "packed", 1e-9, tile_fraction=0.9)
+        registry = BackendRegistry(builtin_backends())
+        packed = registry.get("packed")
+        assert packed.price(self._ctx(spec, table, fraction=0.95)).source == "tuned"
+        assert packed.price(self._ctx(spec, table, fraction=0.05)).source == "model"
+        assert packed.price(self._ctx(spec, table)).source == "model"
 
     def test_unmeasured_bucket_falls_back_to_model(self):
         table = DispatchTable(min_samples=1)

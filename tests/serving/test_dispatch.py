@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,26 @@ from repro.plan import (
     Backend,
     BackendPrice,
     BackendRegistry,
+    DispatchTable,
+    GemmSpec,
     HostRates,
+    bucket_for,
 )
 from repro.serving.dispatch import CostModelDispatcher
+
+#: A shape/bit mix whose decisions exercise several price points.
+SHAPES = [
+    (256, 256, 32, 1, 1),
+    (64, 64, 16, 4, 4),
+    (512, 128, 64, 2, 2),
+    (1024, 1024, 32, 1, 1),
+    (128, 32, 8, 8, 8),
+    (512, 512, 64, 8, 8),
+]
+
+
+def _decisions(dispatcher: CostModelDispatcher) -> list:
+    return [dispatcher.decide(*shape) for shape in SHAPES]
 
 
 class TestCostModelDispatcher:
@@ -188,6 +207,98 @@ class TestHostRates:
         assert decision.engine == min(
             decision.prices, key=lambda name: decision.prices[name].effective_s
         )
+
+
+class TestMeasuredDispatch:
+    """A decision is a pure function of the prices: the table's confident
+    medians where it has them, the analytic model elsewhere — never a
+    random draw."""
+
+    def test_fresh_dispatchers_decide_identically(self):
+        a, b = _decisions(CostModelDispatcher()), _decisions(CostModelDispatcher())
+        assert [d.engine for d in a] == [d.engine for d in b]
+        assert [d.prices for d in a] == [d.prices for d in b]
+
+    def test_global_random_state_never_moves_a_decision(self):
+        want = [d.engine for d in _decisions(CostModelDispatcher())]
+        dispatcher = CostModelDispatcher()
+        got = []
+        for seed, shape in enumerate(SHAPES):
+            random.seed(seed)  # global churn between decisions
+            np.random.seed(seed)
+            got.append(dispatcher.decide(*shape).engine)
+        assert got == want
+
+    def test_confident_measurement_is_always_taken(self):
+        # packed measured fastest in every bucket: every repeat of every
+        # decision answers packed, priced from the table.
+        dispatcher = CostModelDispatcher(table=DispatchTable(min_samples=1))
+        for m, k, n, bits_a, bits_b in SHAPES:
+            spec = GemmSpec(m=m, k=k, n=n, bits_a=bits_a, bits_b=bits_b)
+            dispatcher.record_timing(spec, "packed", 1e-9)
+            dispatcher.record_timing(spec, "blas", 1.0)
+        for _ in range(8):
+            for decision in _decisions(dispatcher):
+                assert decision.engine == "packed"
+                assert decision.tuned
+
+    def test_measured_fastest_vetoed_backend_never_wins(self):
+        # blas measured blazing fast everywhere, but a one-byte budget
+        # vetoes it: no decision may route to it.
+        dispatcher = CostModelDispatcher(
+            blas_bytes_budget=1, table=DispatchTable(min_samples=1)
+        )
+        for m, k, n, bits_a, bits_b in SHAPES:
+            spec = GemmSpec(m=m, k=k, n=n, bits_a=bits_a, bits_b=bits_b)
+            dispatcher.record_timing(spec, "blas", 1e-12)
+        for decision in _decisions(dispatcher):
+            assert decision.engine != "blas"
+            assert decision.prices["blas"].vetoed
+            assert "blas" not in decision.tuned_backends
+
+    def test_empty_table_prices_like_no_table(self):
+        cold = _decisions(CostModelDispatcher(table=DispatchTable()))
+        analytic = _decisions(CostModelDispatcher())
+        assert [d.engine for d in cold] == [d.engine for d in analytic]
+        assert [d.prices for d in cold] == [d.prices for d in analytic]
+        assert not any(d.tuned_backends for d in cold)
+
+    def test_dispatchers_sharing_a_table_see_each_others_samples(self):
+        # What a thread pool's shards do: one records packed, the other
+        # blas, and both then price both backends from the table.
+        table = DispatchTable(min_samples=1)
+        first = CostModelDispatcher(table=table)
+        second = CostModelDispatcher(table=table)
+        spec = GemmSpec(m=256, k=128, n=64, bits_a=2, bits_b=2)
+        first.record_timing(spec, "packed", 1e-6)
+        second.record_timing(spec, "blas", 2e-6)
+        for dispatcher in (first, second):
+            decision = dispatcher.decide(256, 128, 64, 2, 2)
+            assert set(decision.tuned_backends) == {"packed", "blas"}
+            assert decision.engine == "packed"
+
+    def test_record_timing_without_a_table_is_a_no_op(self):
+        dispatcher = CostModelDispatcher()
+        want = _decisions(dispatcher)
+        dispatcher.record_timing(GemmSpec(m=64, k=64, n=16, bits_a=4, bits_b=4),
+                                 "packed", 1e-12)
+        assert dispatcher.table is None
+        assert [d.prices for d in _decisions(dispatcher)] == [d.prices for d in want]
+
+    def test_census_samples_price_only_their_band(self):
+        # An adjacency sample recorded under its census prices the square
+        # 1-bit product only while a census in the same band is observed.
+        dispatcher = CostModelDispatcher(table=DispatchTable(min_samples=1))
+        spec = GemmSpec(m=256, k=256, n=16, bits_a=1, bits_b=8)
+        dispatcher.record_timing(spec, "packed", 1e-9, tile_fraction=0.1)
+        assert bucket_for(spec, 0.1) in dispatcher.table
+        assert not dispatcher.decide(256, 256, 16, 1, 8).tuned_backends
+        dispatcher.observe_tile_fraction(0.1, nodes=256)
+        decision = dispatcher.decide(256, 256, 16, 1, 8)
+        assert decision.tuned_backends == ("packed",)
+        assert decision.engine == "packed"
+        dispatcher.observe_tile_fraction(0.9, nodes=256)
+        assert not dispatcher.decide(256, 256, 16, 1, 8).tuned_backends
 
 
 class TestDispatcherAsEngineArgument:

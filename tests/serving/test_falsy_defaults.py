@@ -16,6 +16,7 @@ import pytest
 from repro.errors import ConfigError, ShapeError
 from repro.core.bitgemm import bitgemm_codes
 from repro.core.bitpack import pack_matrix
+from repro.plan.autotune import DispatchTable
 from repro.plan.cache import PlanCache, ThreadSafeLRUCache, artifact_nbytes
 from repro.plan.executor import execute_gemm_plan
 from repro.plan.ir import GemmSpec, GemmStep, PackStep
@@ -100,3 +101,17 @@ class TestEmptyRegistryHonored:
         dispatcher = CostModelDispatcher(RTX3090, registry=empty_registry)
         with pytest.raises(ConfigError, match="no priceable backend"):
             dispatcher.decide(64, 64, 16, 1, 1)
+
+
+class TestEmptyDispatchTableHonored:
+    def test_dispatcher_keeps_and_fills_a_caller_empty_table(self):
+        # An empty table is falsy (__len__ == 0): it must still be the
+        # dispatcher's table, not swapped for a private one or for None.
+        table = DispatchTable(min_samples=1)
+        dispatcher = CostModelDispatcher(RTX3090, table=table)
+        assert dispatcher.table is table
+        dispatcher.record_timing(
+            GemmSpec(m=64, k=64, n=16, bits_a=1, bits_b=1), "packed", 1e-6
+        )
+        assert table.sample_count() == 1
+        assert dispatcher.decide(64, 64, 16, 1, 1).tuned_backends == ("packed",)

@@ -260,6 +260,24 @@ class TestSharedDispatchTable:
             assert decision.prices["packed"].source == "tuned"
             assert decision.engine == "packed"
 
+    def test_the_one_table_holds_every_shards_samples(self, gin_model, subgraphs):
+        with make_pool(gin_model, shard_policy="round-robin") as pool:
+            pool.serve(subgraphs)
+            per_shard = [e.stats.autotune_samples for e in pool.workers]
+            table = pool.workers[0].dispatch_table
+            assert all(per_shard)
+            assert table.sample_count() == sum(per_shard)
+
+    def test_each_pool_starts_with_an_empty_table(self, gin_model, subgraphs):
+        with make_pool(gin_model) as first:
+            first.serve(subgraphs)
+            measured = first.workers[0].dispatch_table
+            assert measured.sample_count() > 0
+        with make_pool(gin_model) as second:
+            table = second.workers[0].dispatch_table
+            assert table is not measured
+            assert table.sample_count() == 0
+
 
 class TestProcessEscapeHatch:
     def test_submit_requires_thread_mode(self, gin_model, subgraphs):
@@ -309,6 +327,17 @@ class TestProcessEscapeHatch:
             np.testing.assert_array_equal(got.logits, want.logits)
         stats = pool.stats()
         assert stats.requests == len(subgraphs)
+        pool.shutdown()
+
+    def test_process_shards_measure_and_discard_their_tables(
+        self, gin_model, subgraphs
+    ):
+        pool = make_pool(gin_model, mode="process")
+        pool.serve(subgraphs)
+        # The shards timed their steps; only their stats came back.
+        assert pool.stats().autotune_samples > 0
+        assert pool.workers == ()
+        assert pool._table_segment.keys() == []
         pool.shutdown()
 
 
