@@ -7,7 +7,6 @@ from .batching import (
     batch_subgraphs,
     batch_subgraphs_by_nodes,
     induced_subgraphs,
-    round_deadline,
     round_full,
 )
 from .csr import CSRGraph
@@ -29,6 +28,5 @@ __all__ = [
     "load_dataset",
     "planted_partition_graph",
     "random_graph",
-    "round_deadline",
     "round_full",
 ]

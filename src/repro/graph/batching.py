@@ -28,7 +28,6 @@ __all__ = [
     "induced_subgraphs",
     "batch_subgraphs",
     "batch_subgraphs_by_nodes",
-    "round_deadline",
     "round_full",
 ]
 
@@ -49,19 +48,6 @@ def round_full(
         nodes + next_nodes > max_nodes
         or (max_members is not None and members >= max_members)
     )
-
-
-def round_deadline(current: float, admitted: float) -> float:
-    """The continuous-batching deadline rule: a forming round executes at
-    the *earliest* deadline among its admitted members.
-
-    Admitting a straggler into a forming round must never delay a member
-    that promised less waiting, so the round's execution deadline only
-    ever moves earlier.  Companion to :func:`round_full` — the membership
-    rule and the timing rule of one coalescing policy live side by side
-    so the serving pool and any future consumer can never drift apart.
-    """
-    return min(current, admitted)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ table is an in-memory measurement that lives and dies with its process.
 Scale-out lives here too: a :class:`~repro.serving.pool.ServingPool`
 shards the request stream across N workers — each owning a shard-local
 plan cache over a shared read-only packed-weight segment, draining a
-bounded queue with continuous deadline-aware coalescing — and keeps the
+bounded queue with work-conserving continuous batching — and keeps the
 shards mutually warm (compiled-plan broadcast via
 :class:`~repro.serving.pool.PlanExchange`, one dispatch table shared by
 every thread shard).  Fronting the pool, a

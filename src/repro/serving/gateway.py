@@ -117,12 +117,6 @@ class GatewayConfig:
     #: fast-failing with :class:`~repro.errors.PoolSaturated` — the
     #: backpressure bound an open-loop client sees instead of queueing.
     queue_timeout_s: float = 0.25
-    #: Per-lane coalescing deadline handed to the pool
-    #: (``submit(deadline_s=...)``); ``None`` uses the pool's
-    #: ``max_delay_s``.  Interactive typically trades occupancy for
-    #: latency (small), batch the reverse (large).
-    interactive_deadline_s: float | None = None
-    batch_deadline_s: float | None = None
     #: Duplicate a still-unfinished request onto the least-loaded other
     #: shard after this long; first completion wins.  ``None`` disables
     #: hedging (and pools with a single worker never hedge).
@@ -165,13 +159,11 @@ class GatewayConfig:
                 f"queue_timeout_s must be finite and >= 0, got "
                 f"{self.queue_timeout_s}"
             )
-        for name in ("interactive_deadline_s", "batch_deadline_s",
-                     "hedge_after_s"):
-            value = getattr(self, name)
-            if value is not None and (not math.isfinite(value) or value < 0):
-                raise ConfigError(
-                    f"{name} must be finite and >= 0 or None, got {value}"
-                )
+        hedge = self.hedge_after_s
+        if hedge is not None and (not math.isfinite(hedge) or hedge < 0):
+            raise ConfigError(
+                f"hedge_after_s must be finite and >= 0 or None, got {hedge}"
+            )
         if self.imbalance_threshold is not None and self.imbalance_threshold < 1:
             raise ConfigError(
                 "imbalance_threshold must be >= 1 or None, got "
@@ -194,13 +186,6 @@ class GatewayConfig:
         if self.interactive_reserve is not None:
             return self.interactive_reserve
         return self.max_in_flight // 8
-
-    def lane_deadline(self, lane: str) -> float | None:
-        """The coalescing deadline configured for ``lane`` (``None`` =
-        pool default)."""
-        if lane == "interactive":
-            return self.interactive_deadline_s
-        return self.batch_deadline_s
 
 
 def route_shard(
@@ -457,14 +442,12 @@ class ServingGateway:
         subgraph: Subgraph,
         *,
         lane: str = "interactive",
-        deadline_s: float | None = None,
     ) -> GatewayResult:
         """Admit, route, execute and await one request on ``lane``.
 
-        ``deadline_s`` overrides the lane's coalescing deadline.  Raises
-        :class:`~repro.errors.PoolSaturated` when the request cannot be
-        admitted within ``queue_timeout_s`` (or its shard queue is full)
-        — fast-fail backpressure, the caller's cue to shed load.
+        Raises :class:`~repro.errors.PoolSaturated` when the request
+        cannot be admitted within ``queue_timeout_s`` (or its shard queue
+        is full) — fast-fail backpressure, the caller's cue to shed load.
 
         A dispatch that fails with a retryable error is re-dispatched up
         to ``max_retries`` times (backoff + jitter between attempts),
@@ -474,12 +457,6 @@ class ServingGateway:
         """
         if lane not in LANES:
             raise ConfigError(f"lane must be one of {LANES}, got {lane!r}")
-        if deadline_s is not None and (
-            not math.isfinite(deadline_s) or deadline_s < 0
-        ):
-            raise ConfigError(
-                f"deadline_s must be finite and >= 0, got {deadline_s!r}"
-            )
         state = self._lanes[lane]
         state.submitted += 1
         start = time.monotonic()
@@ -490,7 +467,7 @@ class ServingGateway:
                 while True:
                     try:
                         settled, rerouted, hedged, hedge_won = (
-                            await self._dispatch(subgraph, lane, deadline_s)
+                            await self._dispatch(subgraph)
                         )
                         break
                     except PoolSaturated:
@@ -532,7 +509,7 @@ class ServingGateway:
         return backoff * (1.0 + self.config.retry_jitter * self._retry_rng.random())
 
     async def _dispatch(
-        self, subgraph: Subgraph, lane: str, deadline_s: float | None
+        self, subgraph: Subgraph
     ) -> tuple[PoolResult, bool, bool, bool]:
         """Route one admitted request, hedging if configured; returns
         ``(settled result, rerouted, hedged, hedge_won)``."""
@@ -546,13 +523,7 @@ class ServingGateway:
         rerouted = shard != home
         if rerouted:
             self._rerouted += 1
-        delay = (
-            deadline_s if deadline_s is not None
-            else self.config.lane_deadline(lane)
-        )
-        primary = self._bridge(
-            pool.submit(subgraph, deadline_s=delay, shard=shard, block=False)
-        )
+        primary = self._bridge(pool.submit(subgraph, shard=shard, block=False))
         hedge_after = self.config.hedge_after_s
         if hedge_after is None or pool.pool_config.workers < 2:
             return await primary, rerouted, False, False
@@ -571,9 +542,7 @@ class ServingGateway:
         alternates = [i for i in range(pool.pool_config.workers) if i != shard]
         alternate = min(alternates, key=lambda i: (depths[i], i))
         try:
-            hedged_submit = pool.submit(
-                subgraph, deadline_s=0.0, shard=alternate, block=False
-            )
+            hedged_submit = pool.submit(subgraph, shard=alternate, block=False)
         except (PoolSaturated, ConfigError):
             return await primary, rerouted, False, False
         self._hedges_launched += 1

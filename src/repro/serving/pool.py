@@ -19,10 +19,12 @@ that is identical everywhere.  A :class:`ServingPool` is that system:
 * **shard-local sessions** — every worker owns a full
   :class:`~repro.serving.engine.InferenceEngine` (private adjacency /
   plan segments, private telemetry) and drains a bounded request
-  queue with **deadline-aware coalescing**: requests wait at most
-  ``max_delay_s`` for batch-mates, grouped by the same
-  :func:`~repro.graph.batching.round_full` member-cap/node-budget rule
-  the single-engine path uses;
+  queue with **work-conserving continuous batching**: a round is
+  whatever queued while the previous round ran, taken without waiting
+  and capped by the same :func:`~repro.graph.batching.round_full`
+  member-cap/node-budget rule the single-engine path uses — under load
+  the backlog fills rounds, and an idle shard runs a lone request at
+  once (no shard ever sleeps on a timer for batch-mates);
 * **shared read-only weight segment** — packed layer weights are
   session-invariant, so all shard caches mount one
   :class:`~repro.plan.cache.ThreadSafeLRUCache` ``weight`` segment:
@@ -35,9 +37,9 @@ that is identical everywhere.  A :class:`ServingPool` is that system:
   shard mounts the pool's ``table`` segment the way it mounts the
   ``weight`` one, so a backend timing recorded by one worker prices
   dispatch on all of them from the next decision on;
-* **async front door** — intake is gateway-ready: ``submit`` validates
-  deadlines, takes an explicit ``shard=`` override (the router/hedging
-  hook) and offers ``block=False`` fast-fail intake
+* **async front door** — intake is gateway-ready: ``submit`` takes an
+  explicit ``shard=`` override (the router/hedging hook) and offers
+  ``block=False`` fast-fail intake
   (:class:`~repro.errors.PoolSaturated`), ``queue_depths`` exposes
   per-shard pressure, and :class:`PoolResult.add_done_callback` bridges
   completions into an event loop — the contract
@@ -81,7 +83,7 @@ import numpy as np
 from ..errors import ConfigError, PoolSaturated, WorkerDied
 from ..gnn.models import GNNModel
 from ..gnn.quantized import ActivationCalibration
-from ..graph.batching import Subgraph, round_deadline, round_full
+from ..graph.batching import Subgraph, round_full
 from ..plan.cache import ThreadSafeLRUCache, artifact_nbytes
 from ..runtime.report import EpochReport
 from ..telemetry import emit_event
@@ -106,7 +108,7 @@ class PoolConfig:
         pool = ServingPool(
             model,
             ServingConfig(feature_bits=8),
-            pool=PoolConfig(workers=4, max_delay_s=0.002),
+            pool=PoolConfig(workers=4, queue_capacity=64),
         )
     """
 
@@ -116,11 +118,6 @@ class PoolConfig:
     #: backpressure to :meth:`ServingPool.submit` instead of growing
     #: without limit.
     queue_capacity: int = 256
-    #: Default coalescing deadline: a queued request waits at most this
-    #: long for batch-mates before its round executes.  The pool's
-    #: latency/occupancy dial — ``submit(deadline_s=...)`` overrides it
-    #: per request.
-    max_delay_s: float = 0.005
     #: ``"structure"`` routes structurally identical subgraphs to the
     #: same shard (disjoint shard working sets — the capacity win);
     #: ``"round-robin"`` spreads requests evenly (duplicated cache
@@ -150,10 +147,6 @@ class PoolConfig:
         if self.queue_capacity < 1:
             raise ConfigError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}"
-            )
-        if self.max_delay_s < 0:
-            raise ConfigError(
-                f"max_delay_s must be >= 0, got {self.max_delay_s}"
             )
         if self.shard_policy not in ("structure", "round-robin"):
             raise ConfigError(
@@ -391,7 +384,6 @@ class PoolStats(SessionStats):
 class _QueuedRequest:
     seq: int
     subgraph: Subgraph
-    deadline: float
     future: PoolResult
 
 
@@ -454,33 +446,27 @@ class _Worker:
             self.pool._on_worker_crash(self)
 
     def _drain(self) -> None:
+        # Work-conserving continuous batching: block for a round's first
+        # request only, then take whatever queued meanwhile — without
+        # waiting — until ``round_full`` says stop or the queue is empty.
+        # Under load the backlog built up while the previous round ran
+        # forms the next one; an idle shard runs a lone request at once.
+        # The request that overflows a round opens the next.  Nothing is
+        # queued behind the shutdown sentinel (submit refuses once the
+        # pool is closed), so reaching it means every request was served.
         cfg = self.pool.config
-        stopping = False
-        while not stopping:
-            item = self.queue.get()
-            if item is _SHUTDOWN:
-                break
-            group = [item]
-            self.inflight = [item]
-            nodes = item.subgraph.num_nodes
-            deadline = item.deadline
-            # Continuous batching: stragglers keep being admitted into the
-            # forming round until the round fills or its deadline expires.
-            # The round's deadline is the *earliest* admitted member's
-            # (``round_deadline``) — a straggler that promised less
-            # waiting pulls execution earlier, never the reverse — and an
-            # already-expired deadline (``submit(deadline_s=0)``) skips
-            # the wait loop entirely: the latency fast path.
+        head = self.queue.get()
+        while head is not _SHUTDOWN:
+            group, nodes = [head], head.subgraph.num_nodes
+            self.inflight = [head]
+            head = None
             while True:
-                timeout = deadline - time.monotonic()
-                if timeout <= 0:
-                    break
                 try:
-                    nxt = self.queue.get(timeout=timeout)
+                    nxt = self.queue.get_nowait()
                 except queue.Empty:
                     break
                 if nxt is _SHUTDOWN:
-                    stopping = True
+                    head = nxt
                     break
                 self.inflight.append(nxt)
                 if round_full(
@@ -490,38 +476,14 @@ class _Worker:
                     cfg.max_batch_nodes,
                     cfg.batch_size,
                 ):
-                    self._execute(group)
-                    group = [nxt]
-                    nodes = nxt.subgraph.num_nodes
-                    deadline = nxt.deadline
-                else:
-                    group.append(nxt)
-                    nodes += nxt.subgraph.num_nodes
-                    deadline = round_deadline(deadline, nxt.deadline)
+                    head = nxt
+                    break
+                group.append(nxt)
+                nodes += nxt.subgraph.num_nodes
             self._execute(group)
-            self.inflight = []
-        # Shutdown: serve whatever is still queued, without waiting.
-        leftovers: list[_QueuedRequest] = []
-        while True:
-            try:
-                item = self.queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is not _SHUTDOWN:
-                leftovers.append(item)
-        self.inflight = leftovers
-        group, nodes = [], 0
-        for item in leftovers:
-            if round_full(
-                len(group), nodes, item.subgraph.num_nodes,
-                cfg.max_batch_nodes, cfg.batch_size,
-            ):
-                self._execute(group)
-                group, nodes = [], 0
-            group.append(item)
-            nodes += item.subgraph.num_nodes
-        self._execute(group)
-        self.inflight = []
+            if head is None:
+                self.inflight = []
+                head = self.queue.get()
 
     def _execute(self, group: list[_QueuedRequest]) -> None:
         if not group:
@@ -673,15 +635,11 @@ class ServingPool:
         self,
         subgraph: Subgraph,
         *,
-        deadline_s: float | None = None,
         shard: int | None = None,
         block: bool = True,
     ) -> PoolResult:
         """Queue one subgraph on its shard; returns a :class:`PoolResult`.
 
-        ``deadline_s`` bounds how long the request may wait for
-        batch-mates (default: the pool's ``max_delay_s``; must be finite
-        and >= 0 — ``0`` is the no-coalescing latency fast path).
         ``shard`` overrides the shard policy with an explicit worker
         index — the hook the gateway's queue-depth router and hedger use;
         entries are content-keyed, so executing on a non-home shard is
@@ -696,18 +654,6 @@ class ServingPool:
                 "submit() needs thread mode; process pools serve "
                 "synchronous workloads via serve()"
             )
-        if deadline_s is not None:
-            delay = float(deadline_s)
-            # Mirrors the PoolConfig.max_delay_s check; NaN fails both
-            # comparisons, so it needs its own rejection — without this a
-            # NaN or negative deadline silently became an already-expired
-            # round deadline (every request a singleton batch).
-            if not math.isfinite(delay) or delay < 0:
-                raise ConfigError(
-                    f"deadline_s must be finite and >= 0, got {deadline_s!r}"
-                )
-        else:
-            delay = self.pool_config.max_delay_s
         if shard is not None and not 0 <= shard < self.pool_config.workers:
             raise ConfigError(
                 f"shard must be in [0, {self.pool_config.workers}), got {shard}"
@@ -726,12 +672,7 @@ class ServingPool:
                     f"shard {worker.label} died and supervision is disabled"
                 ) from worker.died
             future = PoolResult(seq, worker.label)
-            request = _QueuedRequest(
-                seq=seq,
-                subgraph=subgraph,
-                deadline=time.monotonic() + delay,
-                future=future,
-            )
+            request = _QueuedRequest(seq=seq, subgraph=subgraph, future=future)
             if block:
                 worker.queue.put(request)
             else:
@@ -833,23 +774,27 @@ class ServingPool:
         """
         dead = self._workers[index]
         dead.thread.join()  # already dead; publishes its final writes
-        with self._intake_lock:
-            if self._closed:
-                return  # shutdown fails the stranded queue instead
-            replacement = _Worker(self, index, requests=dead.queue)
-            stranded = [r for r in dead.inflight if not r.future.done()]
-            dead.inflight = []
-            self._workers[index] = replacement
-            with self._lock:
-                self._respawns += 1
-                self._requeued += len(stranded)
+        # Not under the intake lock: a submitter parked on the dead shard's
+        # full queue holds that lock until the queue drains, and only this
+        # replacement drains it.  Shutdown stays atomic without the lock:
+        # it sets ``_closed`` and joins the supervisor (this thread) before
+        # it sends any sentinel, so a respawn either completes first — and
+        # the replacement receives the sentinel — or sees ``_closed`` here.
+        if self._closed:
+            return  # shutdown fails the stranded queue instead
+        replacement = _Worker(self, index, requests=dead.queue)
+        stranded = [r for r in dead.inflight if not r.future.done()]
+        dead.inflight = []
+        self._workers[index] = replacement
+        with self._lock:
+            self._respawns += 1
+            self._requeued += len(stranded)
         replacement.start()
         emit_event(
             __name__, "worker_respawned", shard=dead.label,
             requeued=len(stranded), cause=repr(dead.died),
         )
         for request in stranded:
-            request.deadline = time.monotonic() + self.pool_config.max_delay_s
             replacement.queue.put(request)
 
     def _serve_process(self, subgraphs: Sequence[Subgraph]) -> list[PoolResult]:

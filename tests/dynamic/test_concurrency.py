@@ -66,7 +66,7 @@ class TestMutateWhilePoolReplays:
         with ServingPool(
             model,
             ServingConfig(feature_bits=8),
-            pool=PoolConfig(workers=2, max_delay_s=0.0),
+            pool=PoolConfig(workers=2),
         ) as pool:
             baseline = pool.serve([frozen])[0].logits.copy()
             thread = threading.Thread(

@@ -48,7 +48,7 @@ class ScriptedPool:
     def queue_depths(self):
         return [0] * self.pool_config.workers
 
-    def submit(self, subgraph, *, deadline_s=None, shard=None, block=True):
+    def submit(self, subgraph, *, shard=None, block=True):
         if self.fail_submit_with is not None:
             raise self.fail_submit_with
         handle = PoolResult(len(self.handles), f"w{shard}")

@@ -2,7 +2,7 @@
 
 Covers the PR 5 acceptance points: submission-ordered results that are
 bit-identical to a single engine under a shared calibration, structure
-sharding and deadline-aware coalescing, the shared packed-weight
+sharding and backlog coalescing, the shared packed-weight
 segment (one pack pool-wide), cross-worker plan broadcast through the
 exchange, the one dispatch table every thread shard mounts (process
 shards exchange theirs through the JSON persistence path), and the
@@ -11,10 +11,13 @@ fork-based process escape hatch.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ShapeError
+from repro.faultinject import FaultPlan, FaultSpec
 from repro.gnn import make_batched_gin
 from repro.gnn.quantized import ActivationCalibration
 from repro.graph import CSRGraph, induced_subgraphs
@@ -45,12 +48,15 @@ def gin_model(subgraphs):
     return make_batched_gin(g.features.shape[1], 3, hidden_dim=16, seed=3)
 
 
-def make_pool(model, config=None, *, calibration=None, **pool_kwargs):
+def make_pool(
+    model, config=None, *, calibration=None, fault_plan=None, **pool_kwargs
+):
     return ServingPool(
         model,
         config or ServingConfig(feature_bits=8, batch_size=4),
         pool=PoolConfig(workers=2, **pool_kwargs),
         calibration=calibration,
+        fault_plan=fault_plan,
     )
 
 
@@ -60,7 +66,6 @@ class TestPoolConfig:
         [
             {"workers": 0},
             {"queue_capacity": 0},
-            {"max_delay_s": -1.0},
             {"shard_policy": "random"},
             {"mode": "fiber"},
         ],
@@ -169,21 +174,47 @@ class TestShardingAndCoalescing:
             results = pool.serve([subgraphs[0]] * 4)
             assert {r.worker for r in results} == {"w0", "w1"}
 
-    def test_deadline_coalescing_batches_waiting_requests(
-        self, gin_model, subgraphs
-    ):
-        # Four same-structure requests (one shard) submitted with a
-        # generous deadline coalesce into a single executed round.
-        with make_pool(gin_model) as pool:
-            futures = [
-                pool.submit(subgraphs[0], deadline_s=2.0) for _ in range(4)
-            ]
+    def test_backlog_coalesces_into_one_round(self, gin_model, subgraphs):
+        # Four same-structure requests (one shard) queued while that
+        # shard's first round stalls form the next round together.
+        plan = FaultPlan(
+            seed=0, specs=[FaultSpec("slow_shard", at=(0,), delay_s=0.5)]
+        )
+        with make_pool(gin_model, fault_plan=plan) as pool:
+            futures = [pool.submit(subgraphs[0])]
+            while plan.probes("slow_shard") < 1:
+                time.sleep(0.001)
+            futures += [pool.submit(subgraphs[0]) for _ in range(4)]
             for future in futures:
                 future.result(timeout=30)
             stats = pool.stats()
-            assert stats.requests == 4
-            assert stats.batches == 1
-            assert stats.mean_batch_occupancy == 4.0
+            assert stats.requests == 5
+            assert stats.batches == 2
+            assert stats.mean_batch_occupancy == 2.5
+
+    def test_backlog_round_is_bit_identical_to_per_request_serving(
+        self, gin_model, subgraphs
+    ):
+        # The backlog executes as one four-member round; every member's
+        # logits are the ones a single engine computes for it alone.
+        calibration = ActivationCalibration()
+        engine = InferenceEngine(
+            gin_model,
+            ServingConfig(feature_bits=8, batch_size=4),
+            calibration=calibration,
+        )
+        expected = [engine.infer_one(sub).logits for sub in subgraphs[:5]]
+        plan = FaultPlan(
+            seed=0, specs=[FaultSpec("slow_shard", at=(0,), delay_s=0.5)]
+        )
+        with make_pool(gin_model, calibration=calibration, fault_plan=plan) as pool:
+            futures = [pool.submit(subgraphs[0], shard=0)]
+            while plan.probes("slow_shard") < 1:
+                time.sleep(0.001)
+            futures += [pool.submit(sub, shard=0) for sub in subgraphs[1:5]]
+            for want, future in zip(expected, futures):
+                np.testing.assert_array_equal(future.result(timeout=30), want)
+            assert pool.stats().batches == 2
 
     def test_weights_pack_once_pool_wide(self, gin_model, subgraphs):
         # The shared read-only weight segment: every shard serves traffic,
@@ -208,7 +239,7 @@ class TestShardingAndCoalescing:
 
     def test_shutdown_serves_queued_requests(self, gin_model, subgraphs):
         pool = make_pool(gin_model)
-        futures = [pool.submit(sub, deadline_s=60.0) for sub in subgraphs]
+        futures = [pool.submit(sub) for sub in subgraphs]
         pool.shutdown()  # drains instead of dropping
         for sub, future in zip(subgraphs, futures):
             assert future.result(timeout=0).shape == (sub.num_nodes, 3)

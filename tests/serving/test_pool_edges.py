@@ -1,12 +1,10 @@
-"""Edge-case tests for the pool's coalescing, deadlines and lifecycle.
+"""Edge-case tests for the pool's coalescing, intake and lifecycle.
 
-The corners PR 6 hardens: the ``deadline_s=0`` no-coalescing fast path,
-deadline validation (negative/NaN/inf submissions must fail loudly, not
-become silently-expired rounds), the ``round_full`` boundary at exactly
-``max_batch_nodes``, the continuous-batching deadline rule (a straggler
-that promised less waiting pulls the round earlier), non-blocking intake
-saturation, and shutdown-drain ordering — including submits racing
-shutdown, which must either be refused or served, never stranded.
+The corners: the ``round_full`` boundary at exactly ``max_batch_nodes``
+and at the member cap, as the rules that split a backlog into rounds,
+shard overrides, non-blocking intake saturation, and shutdown-drain
+ordering — including submits racing shutdown, which must either be
+refused or served, never stranded.
 """
 
 from __future__ import annotations
@@ -18,9 +16,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, PoolSaturated
+from repro.faultinject import FaultPlan, FaultSpec
 from repro.gnn import make_batched_gin
 from repro.graph import induced_subgraphs
-from repro.graph.batching import round_deadline, round_full
+from repro.graph.batching import round_full
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
 from repro.serving import PoolConfig, ServingConfig, ServingPool
@@ -42,7 +41,9 @@ def gin_model(subgraphs):
     return make_batched_gin(g.features.shape[1], 3, hidden_dim=16, seed=3)
 
 
-def make_pool(model, *, batch_size=4, max_batch_nodes=4096, **pool_kwargs):
+def make_pool(
+    model, *, batch_size=4, max_batch_nodes=4096, fault_plan=None, **pool_kwargs
+):
     pool_kwargs.setdefault("workers", 1)
     return ServingPool(
         model,
@@ -50,7 +51,48 @@ def make_pool(model, *, batch_size=4, max_batch_nodes=4096, **pool_kwargs):
             feature_bits=8, batch_size=batch_size, max_batch_nodes=max_batch_nodes
         ),
         pool=PoolConfig(**pool_kwargs),
+        fault_plan=fault_plan,
     )
+
+
+def stalled_first_round() -> FaultPlan:
+    """A plan that stalls the first executed round, so everything
+    submitted meanwhile queues behind it as one backlog."""
+    return FaultPlan(
+        seed=0, specs=[FaultSpec("slow_shard", at=(0,), delay_s=0.5)]
+    )
+
+
+def record_rounds(pool) -> list[list[int]]:
+    """Each round the pool's first shard executes from now on, as the node
+    counts of its members, in execution order."""
+    engine = pool.workers[0]
+    rounds: list[list[int]] = []
+
+    def recording_infer(members):
+        rounds.append([sub.num_nodes for sub in members])
+        return type(engine).infer(engine, members)
+
+    engine.infer = recording_infer
+    return rounds
+
+
+def queue_behind_stall(pool, plan, head, backlog) -> list:
+    """Submit ``head``, then ``backlog`` while ``head``'s round stalls;
+    returns every future, ``head``'s first."""
+    futures = [pool.submit(head)]
+    while plan.probes("slow_shard") < 1:  # the worker is inside the stall
+        time.sleep(0.001)
+    return futures + [pool.submit(sub) for sub in backlog]
+
+
+def serve_backlog(pool, plan, head, backlog) -> list[list[int]]:
+    """Serve ``head`` alone, then ``backlog`` as the queue that built up
+    while ``head``'s round stalled; returns the executed rounds."""
+    rounds = record_rounds(pool)
+    for future in queue_behind_stall(pool, plan, head, backlog):
+        future.result(timeout=60)
+    return rounds
 
 
 class TestCoalescingRules:
@@ -64,86 +106,67 @@ class TestCoalescingRules:
         # An empty round is never full — oversized singletons still batch.
         assert not round_full(0, 0, 10_000, 100, 1)
 
-    def test_round_deadline_only_moves_earlier(self):
-        assert round_deadline(10.0, 7.0) == 7.0
-        assert round_deadline(7.0, 10.0) == 7.0
-        assert round_deadline(5.0, 5.0) == 5.0
-
-    def test_pool_coalesces_up_to_exact_node_budget(self, gin_model, subgraphs):
-        # A budget of exactly (a + b) nodes coalesces the pair into one
-        # round; the third request overflows it and opens the next round.
-        a, b, c = subgraphs[0], subgraphs[1], subgraphs[2]
-        budget = a.num_nodes + b.num_nodes
-        with make_pool(gin_model, batch_size=8, max_batch_nodes=budget) as pool:
-            futures = [
-                pool.submit(a, deadline_s=2.0),
-                pool.submit(b, deadline_s=2.0),
-                pool.submit(c, deadline_s=0.0),
-            ]
-            for future in futures:
-                future.result(timeout=60)
-            stats = pool.stats()
-            assert stats.requests == 3
-            assert stats.batches == 2
-
-    def test_pool_splits_one_node_over_budget(self, gin_model, subgraphs):
-        # One node under the pair's total: b overflows a's round.
-        a, b = subgraphs[0], subgraphs[1]
-        budget = a.num_nodes + b.num_nodes - 1
-        with make_pool(gin_model, batch_size=8, max_batch_nodes=budget) as pool:
-            fa = pool.submit(a, deadline_s=1.0)
-            fb = pool.submit(b, deadline_s=0.0)
-            fa.result(timeout=60)
-            fb.result(timeout=60)
-            assert pool.stats().batches == 2
-
-    def test_straggler_with_earlier_deadline_pulls_round_in(
+    def test_backlog_coalesces_up_to_exact_node_budget(
         self, gin_model, subgraphs
     ):
-        # a promises 30s of waiting; b, arriving later, promises none.
-        # The continuous-batching rule executes the round at the earliest
-        # member's deadline, so both must complete promptly, in one batch.
-        with make_pool(gin_model, batch_size=8) as pool:
-            start = time.monotonic()
-            fa = pool.submit(subgraphs[0], deadline_s=30.0)
-            fb = pool.submit(subgraphs[1], deadline_s=0.0)
-            fa.result(timeout=60)
-            fb.result(timeout=60)
-            elapsed = time.monotonic() - start
-            assert elapsed < 10.0  # nobody waited out the 30s deadline
+        # A budget of exactly (a + b) nodes coalesces the pair into one
+        # round; c overflows it and opens the next round.
+        head, a, b, c = subgraphs[3], subgraphs[0], subgraphs[1], subgraphs[2]
+        budget = a.num_nodes + b.num_nodes
+        plan = stalled_first_round()
+        with make_pool(
+            gin_model, batch_size=8, max_batch_nodes=budget, fault_plan=plan
+        ) as pool:
+            rounds = serve_backlog(pool, plan, head, [a, b, c])
             stats = pool.stats()
-            assert stats.requests == 2
-            assert stats.batches == 1
+        assert rounds == [
+            [head.num_nodes], [a.num_nodes, b.num_nodes], [c.num_nodes]
+        ]
+        assert (stats.requests, stats.batches) == (4, 3)
 
+    def test_backlog_splits_one_node_over_budget(self, gin_model, subgraphs):
+        # One node under the pair's total: b overflows a's round.
+        head, a, b = subgraphs[3], subgraphs[0], subgraphs[1]
+        budget = a.num_nodes + b.num_nodes - 1
+        plan = stalled_first_round()
+        with make_pool(
+            gin_model, batch_size=8, max_batch_nodes=budget, fault_plan=plan
+        ) as pool:
+            rounds = serve_backlog(pool, plan, head, [a, b])
+        assert rounds == [[head.num_nodes], [a.num_nodes], [b.num_nodes]]
 
-class TestDeadlineFastPathAndValidation:
-    def test_deadline_zero_skips_coalescing(self, gin_model, subgraphs):
-        # The latency fast path: an already-expired deadline executes the
-        # request as a singleton round, no waiting for batch-mates.
-        with make_pool(gin_model) as pool:
-            for sub in subgraphs[:4]:
-                pool.submit(sub, deadline_s=0.0).result(timeout=60)
-            stats = pool.stats()
-            assert stats.requests == 4
-            assert stats.batches == 4
-            assert stats.mean_batch_occupancy == 1.0
+    def test_backlog_runs_an_oversized_request_alone(self, gin_model, subgraphs):
+        # Every request exceeds a one-node budget: each still executes,
+        # as a round of its own.
+        head, a, b = subgraphs[3], subgraphs[0], subgraphs[1]
+        plan = stalled_first_round()
+        with make_pool(
+            gin_model, batch_size=8, max_batch_nodes=1, fault_plan=plan
+        ) as pool:
+            rounds = serve_backlog(pool, plan, head, [a, b])
+        assert rounds == [[head.num_nodes], [a.num_nodes], [b.num_nodes]]
 
     @pytest.mark.parametrize(
-        "bad", [-1.0, -1e-9, float("nan"), float("inf"), float("-inf")]
+        "cap, split", [(1, [1] * 5), (2, [2, 2, 1]), (3, [3, 2]), (5, [5])]
     )
-    def test_rejects_non_finite_or_negative_deadlines(
-        self, gin_model, subgraphs, bad
+    def test_backlog_splits_at_the_member_cap(
+        self, gin_model, subgraphs, cap, split
     ):
-        with make_pool(gin_model) as pool:
-            # ValueError, not a silently-expired round: ConfigError
-            # subclasses ValueError so stdlib-only callers catch it too.
-            with pytest.raises(ValueError):
-                pool.submit(subgraphs[0], deadline_s=bad)
-            assert pool.stats().requests == 0
+        # Five queued requests under a cap of ``cap`` members.
+        sub = subgraphs[0]
+        plan = stalled_first_round()
+        with make_pool(gin_model, batch_size=cap, fault_plan=plan) as pool:
+            rounds = serve_backlog(pool, plan, sub, [sub] * 5)
+            stats = pool.stats()
+        n = sub.num_nodes
+        assert rounds == [[n]] + [[n] * members for members in split]
+        assert (stats.requests, stats.batches) == (6, 1 + len(split))
 
+
+class TestShardOverride:
     def test_shard_override_routes_to_that_worker(self, gin_model, subgraphs):
         with make_pool(gin_model, workers=2) as pool:
-            future = pool.submit(subgraphs[0], deadline_s=0.0, shard=1)
+            future = pool.submit(subgraphs[0], shard=1)
             future.result(timeout=60)
             assert future.worker == "w1"
             with pytest.raises(ConfigError):
@@ -154,17 +177,15 @@ class TestDeadlineFastPathAndValidation:
 
 class TestNonBlockingIntake:
     def test_saturated_queue_fast_fails(self, gin_model, subgraphs):
-        # One worker, a one-slot queue, singleton rounds: while the
-        # worker executes, the submitter outruns it and the queue fills —
-        # block=False must shed with PoolSaturated, never block.
+        # One worker and a one-slot queue: while the worker executes, the
+        # submitter outruns it and the queue fills — block=False must shed
+        # with PoolSaturated, never block.
         with make_pool(gin_model, queue_capacity=1) as pool:
             futures, sheds = [], 0
             for _ in range(8):
                 for sub in subgraphs:
                     try:
-                        futures.append(
-                            pool.submit(sub, deadline_s=0.0, block=False)
-                        )
+                        futures.append(pool.submit(sub, block=False))
                     except PoolSaturated:
                         sheds += 1
             assert sheds > 0
@@ -174,9 +195,7 @@ class TestNonBlockingIntake:
 
     def test_blocking_intake_never_sheds(self, gin_model, subgraphs):
         with make_pool(gin_model, queue_capacity=1) as pool:
-            futures = [
-                pool.submit(sub, deadline_s=0.0) for sub in subgraphs
-            ]
+            futures = [pool.submit(sub) for sub in subgraphs]
             for future in futures:
                 future.result(timeout=120)
             assert pool.stats().requests == len(subgraphs)
@@ -184,15 +203,34 @@ class TestNonBlockingIntake:
 
 class TestShutdownOrdering:
     def test_shutdown_drains_queued_requests(self, gin_model, subgraphs):
-        # Requests parked behind generous deadlines when shutdown lands
-        # must still be served by the drain, not stranded.
-        pool = make_pool(gin_model, batch_size=2)
-        futures = [pool.submit(sub, deadline_s=30.0) for sub in subgraphs]
+        # Requests queued behind a stalled round when shutdown lands must
+        # still be served by the drain, not stranded.
+        plan = stalled_first_round()
+        pool = make_pool(gin_model, batch_size=2, fault_plan=plan)
+        futures = [pool.submit(sub) for sub in subgraphs]
         pool.shutdown()
+        assert plan.fires("slow_shard") == 1
         for sub, future in zip(subgraphs, futures):
             logits = future.result(timeout=0)  # settled by the drain
             assert logits.shape == (sub.num_nodes, 3)
         pool.shutdown()  # idempotent
+
+    def test_sentinel_behind_a_backlog_ends_the_round_it_lands_in(
+        self, gin_model, subgraphs
+    ):
+        # Shutdown lands while the first round stalls, so its sentinel
+        # queues right behind the backlog: the round that takes the
+        # backlog also takes the sentinel, executes, and the worker stops.
+        head, a, b, c = subgraphs[3], subgraphs[0], subgraphs[1], subgraphs[2]
+        plan = stalled_first_round()
+        pool = make_pool(gin_model, batch_size=8, fault_plan=plan)
+        rounds = record_rounds(pool)
+        futures = queue_behind_stall(pool, plan, head, [a, b, c])
+        pool.shutdown()
+        assert all(future.done() for future in futures)
+        assert rounds == [
+            [head.num_nodes], [a.num_nodes, b.num_nodes, c.num_nodes]
+        ]
 
     def test_submit_after_shutdown_is_refused(self, gin_model, subgraphs):
         pool = make_pool(gin_model)
@@ -216,7 +254,7 @@ class TestShutdownOrdering:
             while not stop.is_set():
                 try:
                     accepted.append(
-                        pool.submit(subgraphs[i % len(subgraphs)], deadline_s=0.01)
+                        pool.submit(subgraphs[i % len(subgraphs)])
                     )
                 except ConfigError:
                     return

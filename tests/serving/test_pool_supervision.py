@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -38,6 +39,26 @@ def wait_until(predicate, timeout_s=10.0):
     while not predicate():
         assert time.monotonic() < deadline, "condition never became true"
         time.sleep(0.005)
+
+
+def crash_holding_an_overflow(pool, plan, subgraphs):
+    """Stall the first round while three requests queue, then kill the
+    worker on the second.  Under a one-member cap that round takes the
+    first queued request and already holds the second, which overflowed
+    it; the third is still queued.  Returns (first future, the rest)."""
+    head = pool.submit(subgraphs[0])
+    wait_until(lambda: plan.probes("slow_shard") == 1)
+    return head, [pool.submit(sg) for sg in subgraphs[1:4]]
+
+
+def stall_then_kill() -> FaultPlan:
+    return FaultPlan(
+        seed=0,
+        specs=[
+            FaultSpec("slow_shard", at=(0,), delay_s=0.5),
+            FaultSpec("worker", at=(1,)),
+        ],
+    )
 
 
 class TestSettleIdempotence:
@@ -122,6 +143,67 @@ class TestSupervisedRespawn:
             assert pool.workers[0].dispatch_table is table
             assert table.sample_count() > 0
 
+    @pytest.mark.timeout(120)
+    def test_respawn_drains_a_full_queue_behind_a_blocking_submit(
+        self, gin_model, subgraphs
+    ):
+        # The first round stalls; meanwhile one request fills the one-slot
+        # queue and three blocking submitters park behind it, the first
+        # holding the intake lock.  The second round kills the worker,
+        # which leaves the queue full again with a submitter still parked
+        # — only the replacement can drain it, so respawn must not wait
+        # for the intake lock that submitter holds.
+        plan = stall_then_kill()
+        pool = ServingPool(
+            gin_model,
+            ServingConfig(feature_bits=2, batch_size=1),
+            pool=PoolConfig(workers=1, queue_capacity=1, supervise_interval_s=0.01),
+            fault_plan=plan,
+        )
+        futures = [pool.submit(subgraphs[0])]
+        wait_until(lambda: plan.probes("slow_shard") == 1)
+        # Daemons: a regression fails the joins below instead of hanging
+        # the interpreter's exit.
+        submitters = [
+            threading.Thread(
+                target=lambda sg=sg: futures.append(pool.submit(sg)), daemon=True
+            )
+            for sg in subgraphs[1:5]
+        ]
+        for thread in submitters:
+            thread.start()
+        for thread in submitters:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        for future in futures:
+            assert future.result(timeout=30) is not None
+        assert len(futures) == 5
+        assert plan.fires("worker") == 1
+        assert pool.stats().respawns == 1
+        stopper = threading.Thread(target=pool.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(timeout=30)
+        assert not stopper.is_alive()
+
+    def test_overflow_request_held_across_a_crash_is_requeued(
+        self, gin_model, subgraphs
+    ):
+        plan = stall_then_kill()
+        with ServingPool(
+            gin_model,
+            ServingConfig(feature_bits=2, batch_size=1),
+            pool=PoolConfig(workers=1, supervise_interval_s=0.01),
+            fault_plan=plan,
+        ) as pool:
+            head, backlog = crash_holding_an_overflow(pool, plan, subgraphs)
+            for future in [head, *backlog]:
+                assert future.result(timeout=30) is not None
+            stats = pool.stats()
+        assert plan.fires("worker") == 1
+        # The dying round's member and the overflow it held; the third
+        # request never left the queue the replacement took over.
+        assert (stats.respawns, stats.requeued) == (1, 2)
+
 
 class TestUnsupervisedCrash:
     def make_pool(self, model, plan):
@@ -151,6 +233,20 @@ class TestUnsupervisedCrash:
             died = [o for o in outcomes if isinstance(o, WorkerDied)]
             assert died, "no future surfaced WorkerDied"
             assert "injected worker fault" in repr(died[0].__cause__)
+        finally:
+            pool.shutdown()
+
+    def test_crash_fails_the_overflow_request_it_held(self, gin_model, subgraphs):
+        plan = stall_then_kill()
+        pool = self.make_pool(gin_model, plan)
+        try:
+            head, backlog = crash_holding_an_overflow(pool, plan, subgraphs)
+            assert head.result(timeout=30) is not None
+            # In flight, held as the next round's first, and still queued:
+            # each surfaces WorkerDied, none is stranded.
+            for future in backlog:
+                with pytest.raises(WorkerDied):
+                    future.result(timeout=30)
         finally:
             pool.shutdown()
 

@@ -515,7 +515,7 @@ def test_stats_readers_never_disturb_serving_workers(structures):
         with ServingPool(
             make_batched_gin(12, 3, hidden_dim=16, seed=4),
             ServingConfig(feature_bits=8, batch_size=4),
-            pool=PoolConfig(workers=2, max_delay_s=0.0),
+            pool=PoolConfig(workers=2),
         ) as pool:
 
             def read_loop():
@@ -551,6 +551,66 @@ def test_stats_readers_never_disturb_serving_workers(structures):
 
 
 # --------------------------------------------------------------------- #
+# A pool round makes no timed wait: the backlog is the batching window
+# --------------------------------------------------------------------- #
+@pytest.fixture
+def shard_gets(monkeypatch):
+    """Every ``get`` on a pool shard's request queue, as ``(block,
+    timeout)`` — ``get_nowait`` included, which is ``get(block=False)``."""
+    import queue
+
+    from repro.serving import pool as pool_module
+
+    calls: list[tuple[bool, float | None]] = []
+
+    class RecordingQueue(queue.Queue):
+        def get(self, block=True, timeout=None):
+            calls.append((block, timeout))
+            return super().get(block, timeout)
+
+    monkeypatch.setattr(
+        pool_module, "queue",
+        SimpleNamespace(Queue=RecordingQueue, Empty=queue.Empty, Full=queue.Full),
+    )
+    return calls
+
+
+@pytest.mark.timeout(120)
+def test_pool_and_gateway_rounds_never_wait_on_a_timer(shard_gets, structures):
+    """Through a 2-worker pool and the gateway, a shard blocks only for a
+    round's first request and takes the rest of the round without
+    waiting: no queue read carries a timeout."""
+    from repro.serving import GatewayConfig, PoolConfig, ServingGateway, ServingPool
+
+    requests = [sub for members in structures for sub in members]
+    with ServingPool(
+        make_batched_gin(12, 3, hidden_dim=16, seed=4),
+        ServingConfig(feature_bits=8, batch_size=4),
+        pool=PoolConfig(workers=2),
+    ) as pool:
+        pool.serve(requests)
+        ServingGateway(pool, GatewayConfig(max_in_flight=16)).run(requests)
+        stats = pool.stats()
+    assert stats.requests == 2 * len(requests)
+    assert {block for block, _ in shard_gets} == {True, False}
+    assert [timeout for _, timeout in shard_gets if timeout is not None] == []
+
+
+def test_lone_request_on_an_idle_shard_is_a_singleton_round(shard_gets, structures):
+    from repro.serving import PoolConfig, ServingPool
+
+    with ServingPool(
+        make_batched_gin(12, 3, hidden_dim=16, seed=4),
+        ServingConfig(feature_bits=8, batch_size=4),
+        pool=PoolConfig(workers=1),
+    ) as pool:
+        pool.submit(structures[0][0]).result(timeout=30)
+        stats = pool.stats()
+    assert stats.batches == stats.requests == 1
+    assert [timeout for _, timeout in shard_gets if timeout is not None] == []
+
+
+# --------------------------------------------------------------------- #
 # A dispatch table lives in memory: no pool mode writes one to disk
 # --------------------------------------------------------------------- #
 def test_thread_pool_rounds_never_serialise_the_dispatch_table(
@@ -572,8 +632,8 @@ def test_thread_pool_rounds_never_serialise_the_dispatch_table(
         ServingConfig(feature_bits=8, batch_size=4),
         pool=PoolConfig(workers=2, spool_dir=str(tmp_path / "spool")),
     )
-    for i in range(100):  # deadline 0: every request is its own round
-        pool.submit(requests[i % len(requests)], deadline_s=0.0).result(timeout=30)
+    for i in range(100):  # one at a time: every request is its own round
+        pool.submit(requests[i % len(requests)]).result(timeout=30)
     stats = pool.stats()
     pool.shutdown()
     assert stats.batches == 100 and stats.autotune_samples > 0
