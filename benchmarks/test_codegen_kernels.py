@@ -81,7 +81,7 @@ def run_codegen_kernels() -> dict:
     result = partition_graph(graph, MEMBERS, method="metis")
     subgraphs = induced_subgraphs(graph, result.assignment)
     batch = SubgraphBatch(members=tuple(subgraphs))
-    packed_adj = batch.packed_adjacency(self_loops=True)
+    packed_adj = batch.packed_adjacency()
     plan = plan_tile_skip(packed_adj)
     feats = rng.integers(0, 1 << FEATURE_BITS, (batch.num_nodes, FEATURE_DIM))
     packed_x = pack_matrix(feats, FEATURE_BITS, layout="row")

@@ -52,7 +52,7 @@ class Fig8Row:
 def _measure_batch_tiles(batch) -> tuple[int, int]:
     """Execute one batch's aggregation GEMM through the emulated kernel and
     return its measured ``(processed, total)`` tile counts."""
-    packed = batch.packed_adjacency(self_loops=True)
+    packed = batch.packed_adjacency()
     probe = pack_matrix(
         np.ones((batch.num_nodes, TC_M), dtype=np.int64), 1, layout="row"
     )

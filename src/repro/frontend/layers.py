@@ -110,7 +110,7 @@ class CompoundSubgraphBuffer(Module):
     def __init__(self, batch: SubgraphBatch, *, feature_bits: int = 4):
         super().__init__()
         self.feature_bits = feature_bits
-        packed_adj = batch.packed_adjacency(self_loops=True)
+        packed_adj = batch.packed_adjacency()
         codes, params = quantize(
             batch.features().astype(np.float64), bits=feature_bits
         )

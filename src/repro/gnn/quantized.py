@@ -361,6 +361,13 @@ def quantize_model_weights(
     return [quantize(w, bits=bits) for w in model.weights]
 
 
+def _row_sums(codes: np.ndarray) -> np.ndarray:
+    """``(n, 1)`` float64 row sums of integer codes: one GEMV against ones in
+    their own dtype, exact as their product is (a row sums to at most
+    ``k * (2**bits - 1)``)."""
+    return (codes @ np.ones(codes.shape[1], codes.dtype)).astype(np.float64)[:, None]
+
+
 def _bind(step: GemmStep, layer: int, registry) -> tuple:
     """``(backend, dtype, label)`` — what every launch of ``step`` would
     re-derive from its spec and the registry: the resolved backend (resolved,
@@ -587,9 +594,8 @@ def execute_forward_plan(
         start = time.perf_counter()
         s_l, c_l = px.scale, _mid_offset(px)
         s_r, c_r = weight.params.scale, _mid_offset(weight.params)
-        row_sums = qx.sum(axis=1, dtype=np.float64)[:, None]
         out = np.multiply(out, s_l * s_r, dtype=np.float64)
-        out += s_l * c_r * row_sums
+        out += s_l * c_r * _row_sums(qx)
         out += c_l * s_r * weight.col_sums
         out += left.logical_k * c_l * c_r
         out += model.biases[layer]

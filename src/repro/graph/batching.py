@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,6 +64,47 @@ class Subgraph:
     @property
     def num_edges(self) -> int:
         return self.graph.num_edges
+
+    def memo(self, name: str, derive: Callable[[CSRGraph], Any]) -> Any:
+        """``derive(self.graph)``, memoised on this member under ``name`` —
+        the one rule every per-member memo follows.
+
+        The structure arrays are frozen here (an in-place write raises), and
+        the memo holds while ``graph.indptr`` / ``graph.indices`` are the
+        same, still read-only objects: a rebound, thawed or unpickled array
+        derives again.  Arrays that borrow their memory (their owner can
+        write) are never trusted.  Racing threads derive an equal value.
+        """
+        graph, held = self.graph, self.__dict__.get(name)
+        indptr, indices = graph.indptr, graph.indices
+        if held and held[0] is indptr and held[1] is indices and not (
+            indptr.flags.writeable or indices.flags.writeable
+        ):
+            return held[2]
+        if not (indptr.flags.owndata and indices.flags.owndata):
+            return derive(graph)
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        held = self.__dict__[name] = (indptr, indices, derive(graph))
+        return held[2]
+
+    @property
+    def self_looped_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of ``A + I`` as a canonical CSR — rows
+        sorted, a stored self loop or repeated coordinate one entry — derived
+        once per member (:meth:`memo`).  GCN aggregates ``N(v) ∪ {v}``."""
+        return self.memo("_self_looped_csr", _self_looped)
+
+
+def _self_looped(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
+    n = graph.num_nodes
+    ones = np.ones(graph.indices.size, np.float32)
+    adj = sp.csr_matrix((ones, graph.indices, graph.indptr), shape=(n, n), copy=True)
+    adj.sum_duplicates()
+    adj = adj + sp.identity(n, dtype=np.float32, format="csr")
+    for arr in (adj.indptr, adj.indices):
+        arr.setflags(write=False)
+    return adj.indptr, adj.indices
 
 
 def induced_subgraphs(graph: CSRGraph, assignment: np.ndarray) -> list[Subgraph]:
@@ -144,62 +185,43 @@ class SubgraphBatch:
             np.fill_diagonal(out, 1)
         return out
 
-    def adjacency_csr(self, *, self_loops: bool = True) -> sp.csr_matrix:
-        """The block-diagonal adjacency as a canonical ``float32`` CSR of
-        ones, concatenated from the members' CSRs in ``O(E)``.
+    def adjacency_csr(self) -> sp.csr_matrix:
+        """The block-diagonal ``A + I`` as a canonical ``float32`` CSR of
+        ones: the members' self-looped CSRs
+        (:attr:`Subgraph.self_looped_csr`) concatenated at their node
+        offsets in ``O(E)`` — blocks of canonical rows stay canonical."""
+        loops = [sub.self_looped_csr for sub in self.members]
+        nnz = np.cumsum([0] + [idx.size for _, idx in loops]).tolist()
+        n, dtype = self.num_nodes, np.int32 if nnz[-1] < 2**31 else np.int64
+        indptr, indices = np.zeros(n + 1, dtype), np.empty(nnz[-1], dtype)
+        for (ptr, idx), at, base in zip(loops, self.node_offsets.tolist(), nnz):
+            np.add(ptr[1:], base, out=indptr[at + 1 : at + ptr.size], dtype=dtype)
+            np.add(idx, at, out=indices[base : base + idx.size], dtype=dtype)
+        return sp.csr_matrix((np.ones(nnz[-1], np.float32), indices, indptr), shape=(n, n))
 
-        Members that are already canonical — what :class:`CSRGraph` builds
-        — only pay the check; unsorted rows are sorted and repeated
-        coordinates collapsed.  ``self_loops`` adds the identity (GCN
-        aggregates ``N(v) ∪ {v}``); a stored self loop stays one entry.
-        """
-        graphs = [sub.graph for sub in self.members]
-        degrees = np.concatenate([[0], *(g.degrees() for g in graphs)])
-        indices = [g.indices + at for g, at in zip(graphs, self.node_offsets)]
-        indices = np.concatenate(indices)
-        n = self.num_nodes
-        csr = sp.csr_matrix(
-            (np.ones(indices.size, np.float32), indices, np.cumsum(degrees)), shape=(n, n)
-        )
-        csr.sum_duplicates()
-        if self_loops:
-            csr = csr + sp.identity(n, dtype=np.float32, format="csr")
-        csr.data[:] = 1  # duplicates and stored self loops were summed
-        return csr
-
-    def packed_adjacency(
-        self, *, self_loops: bool = True, pad_vectors: int = 8
-    ) -> PackedBits:
+    def packed_adjacency(self, *, pad_vectors: int = 8) -> PackedBits:
         """1-bit column-compressed adjacency — the kernel's left operand."""
-        csr = self.adjacency_csr(self_loops=self_loops)
-        return Operand(csr=csr, pad_vectors=pad_vectors).packed
+        return Operand(csr=self.adjacency_csr(), pad_vectors=pad_vectors).packed
 
     def features(self, dtype=None) -> np.ndarray:
         """Row-stacked member features, aligned with the adjacency rows —
         concatenated straight into ``dtype`` when one is given."""
-        feats = []
-        for sub in self.members:
-            if sub.graph.features is None:
-                raise ShapeError("batch member has no features")
-            feats.append(sub.graph.features)
-        return np.concatenate(feats, axis=0, dtype=dtype)
+        return np.concatenate(self._stacked("features"), axis=0, dtype=dtype)
 
     def labels(self) -> np.ndarray:
         """Row-stacked member labels."""
-        labs = []
-        for sub in self.members:
-            if sub.graph.labels is None:
-                raise ShapeError("batch member has no labels")
-            labs.append(sub.graph.labels)
-        return np.concatenate(labs, axis=0)
+        return np.concatenate(self._stacked("labels"), axis=0)
+
+    def _stacked(self, name: str) -> list[np.ndarray]:
+        arrays = [getattr(sub.graph, name) for sub in self.members]
+        if any(a is None for a in arrays):
+            raise ShapeError(f"batch member has no {name}")
+        return arrays
 
     def member_slices(self) -> list[slice]:
         """Row ranges of each member inside the batch layout."""
-        out, start = [], 0
-        for sub in self.members:
-            out.append(slice(start, start + sub.num_nodes))
-            start += sub.num_nodes
-        return out
+        starts = self.node_offsets.tolist()
+        return [slice(at, at + sub.num_nodes) for at, sub in zip(starts, self.members)]
 
 
 def batch_subgraphs(

@@ -42,7 +42,9 @@ class CSRGraph:
     labels: np.ndarray | None = None
     name: str = "graph"
     num_classes: int | None = None
-    _adj_cache: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    #: ``(indptr, indices, adjacency)``: :meth:`to_scipy`'s matrix and the
+    #: arrays it was built over.
+    _adj_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -177,7 +179,8 @@ class CSRGraph:
     # Conversions
     # ------------------------------------------------------------------ #
     def to_scipy(self) -> sp.csr_matrix:
-        """Unweighted CSR adjacency (cached).
+        """Unweighted CSR adjacency (cached while ``indptr`` and ``indices``
+        are the objects it was built over: rebinding either rebuilds it).
 
         The returned matrix aliases this graph's ``indptr``/``indices``
         buffers through read-only views: in-place scipy operations that
@@ -185,17 +188,17 @@ class CSRGraph:
         raise instead of silently corrupting the graph — and every later
         ``to_scipy()`` call — behind the cache.
         """
-        if self._adj_cache is None:
+        cache = self._adj_cache
+        if cache is None or cache[0] is not self.indptr or cache[1] is not self.indices:
             n = self.num_nodes
             data = np.ones(self.indices.size, dtype=np.float32)
             indices = self.indices.view()
             indptr = self.indptr.view()
             for arr in (data, indices, indptr):
                 arr.setflags(write=False)
-            self._adj_cache = sp.csr_matrix(
-                (data, indices, indptr), shape=(n, n), copy=False
-            )
-        return self._adj_cache
+            adj = sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False)
+            cache = self._adj_cache = (self.indptr, self.indices, adj)
+        return cache[2]
 
     def adjacency_dense(self) -> np.ndarray:
         """Dense 0/1 adjacency (small graphs only; used for packing)."""

@@ -363,31 +363,15 @@ def _member_key(sub: Subgraph) -> tuple:
 
     The CSR arrays are digested rather than stored so a key stays
     O(members) in size, at the full 16 bytes: a colliding key would
-    silently serve another batch's adjacency.  Hashed once per member: the
-    arrays are frozen (an in-place write raises) and the memo on the member
-    holds while they are the same, still frozen objects — a rebound
-    ``graph.indices``, a thawed or unpickled array re-hashes, and arrays
-    that borrow their memory (their owner can write) are never trusted.
+    silently serve another batch's adjacency.  Hashed once per member
+    (:meth:`Subgraph.memo <repro.graph.batching.Subgraph.memo>`).
     """
-    indptr, indices = sub.graph.indptr, sub.graph.indices
-    memo = sub.__dict__.get("_member_key")
-    if (
-        memo is not None
-        and memo[0] is indptr
-        and memo[1] is indices
-        and not (indptr.flags.writeable or indices.flags.writeable)
-    ):
-        return memo[2]
-    h = hashlib.blake2b(digest_size=16)
-    h.update(indptr.tobytes())
-    h.update(b"|")
-    h.update(indices.tobytes())
-    key = (sub.num_nodes, sub.num_edges, h.digest())
-    if indptr.flags.owndata and indices.flags.owndata:
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        sub.__dict__["_member_key"] = (indptr, indices, key)
-    return key
+    return sub.memo("_member_key", _structure_key)
+
+
+def _structure_key(g) -> tuple:
+    data = b"|".join((g.indptr.tobytes(), g.indices.tobytes()))
+    return (g.num_nodes, g.num_edges, hashlib.blake2b(data, digest_size=16).digest())
 
 
 class InferenceEngine:

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
+from repro.gnn import make_cluster_gcn
+from repro.gnn.reference import reference_forward, reference_forward_dense
+from repro.graph.batching import Subgraph, SubgraphBatch
 from repro.graph.csr import CSRGraph
 
 
@@ -92,6 +95,45 @@ class TestAccessors:
         g = CSRGraph.from_edges(50, edges)
         dense = g.adjacency_dense()
         np.testing.assert_array_equal(dense, dense.T)
+
+
+class TestToScipy:
+    def test_cached_while_the_arrays_are_the_same(self, triangle):
+        adj = triangle.to_scipy()
+        assert triangle.to_scipy() is adj
+        np.testing.assert_array_equal(adj.toarray(), triangle.adjacency_dense())
+
+    def test_a_rebound_indices_array_rebuilds_the_adjacency(self):
+        """Rebinding ``indices`` — how the owner of a read-only, digested
+        member changes its structure — must not leave ``subgraph`` or the
+        fp32 reference on the old one."""
+        feats = np.arange(8, dtype=np.float32).reshape(4, 2)
+        path = CSRGraph.from_edges(4, np.array([[0, 1], [1, 2], [2, 3]]), features=feats)
+        # 0-2-1-3: the same degrees, hence the same indptr, other neighbours.
+        other = CSRGraph.from_edges(4, np.array([[0, 2], [2, 1], [1, 3]]))
+        batch = SubgraphBatch(members=(Subgraph(graph=path, original_nodes=np.arange(4)),))
+        model = make_cluster_gcn(2, 2)
+        reference_forward(model, batch)
+        stale = path.to_scipy()
+        path.indices = other.indices.copy()
+        fresh = path.to_scipy()
+        assert fresh is not stale and path.to_scipy() is fresh
+        np.testing.assert_array_equal(fresh.toarray(), other.adjacency_dense())
+        assert path.subgraph(np.array([0, 1])).num_edges == 0  # no longer adjacent
+        assert path.subgraph(np.array([0, 2])).num_edges == 1
+        np.testing.assert_allclose(
+            reference_forward(model, batch),
+            reference_forward_dense(model, batch.dense_adjacency(), feats),
+            rtol=1e-5,
+        )
+
+    def test_a_rebound_indptr_array_rebuilds_the_adjacency(self, triangle):
+        stale = triangle.to_scipy()
+        # The same indices [1, 2, 0, 2, 0, 1] split 1 / 2 / 3 over the rows.
+        triangle.indptr = np.array([0, 1, 3, 6])
+        fresh = triangle.to_scipy()
+        assert fresh is not stale and triangle.to_scipy() is fresh
+        np.testing.assert_array_equal(fresh.toarray(), [[0, 1, 0], [1, 0, 1], [1, 1, 1]])
 
 
 class TestSubgraph:

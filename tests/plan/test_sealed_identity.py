@@ -2,7 +2,8 @@
 
 A compiled plan seals its content digest on first read (a verified cache
 hit compares two strings), a batch member memoises its structure digest
-on itself — but only while mutation cannot go unnoticed — and a plan step
+and its self-looped CSR on itself — but only while mutation cannot go
+unnoticed — and a plan step
 binds what every launch would re-derive (backend, dtype, label, bucket,
 counters) into ``GemmStep.derived``.  Each memo must equal the fresh
 derivation, follow its object through ``replace`` / pickle the right way,
@@ -11,9 +12,11 @@ and notice every change of what it was derived from.
 
 from __future__ import annotations
 
+import gc
 import pickle
 import sys
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -180,6 +183,119 @@ class TestMemberDigestMemo:
             sys.setswitchinterval(interval)
         for out in seen:
             assert out == expected * 20
+
+
+#: Every memo a member carries, under the one rule of ``Subgraph.memo``:
+#: ``name -> (key in the member's __dict__, read)``.
+MEMBER_MEMOS = {
+    "member_key": ("_member_key", _member_key),
+    "self_looped_csr": ("_self_looped_csr", lambda sub: sub.self_looped_csr),
+}
+
+
+def _content(value: tuple) -> tuple:
+    """A memo's value in a form ``==`` compares by content."""
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in value)
+
+
+def _fresh(read, sub: Subgraph) -> tuple:
+    """What ``read`` derives from scratch: an unpickled member's arrays
+    borrow the pickle's memory, so nothing memoised is trusted."""
+    return _content(read(pickle.loads(pickle.dumps(sub))))
+
+
+@pytest.fixture(params=sorted(MEMBER_MEMOS))
+def member_memo(request):
+    return MEMBER_MEMOS[request.param]
+
+
+class TestEveryMemberMemoFollowsTheRule:
+    """``TestMemberDigestMemo``'s cases, once per memo a member carries."""
+
+    def test_served_from_the_member_while_the_arrays_hold(self, member_memo, subgraphs):
+        name, read = member_memo
+        sub = subgraphs[0]
+        value = read(sub)
+        assert read(sub) is value and sub.__dict__[name][2] is value
+        assert _content(value) == _fresh(read, sub)
+        for array in (sub.graph.indptr, sub.graph.indices):
+            assert not array.flags.writeable
+
+    def test_a_rebound_array_derives_again(self, member_memo, subgraphs):
+        name, read = member_memo
+        sub = subgraphs[0]
+        before = _content(read(sub))
+        rebound = sub.graph.indices.copy()
+        rebound[1] = rebound[0]
+        sub.graph.indices = rebound
+        after = read(sub)
+        assert _content(after) != before and _content(after) == _fresh(read, sub)
+        assert read(sub) is after  # and memoised again
+
+    def test_a_thawed_or_unpickled_member_derives_again(self, member_memo, subgraphs):
+        name, read = member_memo
+        sub = subgraphs[0]
+        before = _content(read(sub))
+        sub.graph.indices.setflags(write=True)
+        sub.graph.indices[1] = sub.graph.indices[0]
+        assert _content(read(sub)) != before
+        shipped = pickle.loads(pickle.dumps(subgraphs[1]))
+        fresh = _content(read(subgraphs[1]))
+        assert _content(read(shipped)) == fresh
+        shipped.graph.indices[1] = shipped.graph.indices[0]
+        assert _content(read(shipped)) != fresh
+
+    def test_borrowed_memory_is_never_trusted(self, member_memo, subgraphs):
+        name, read = member_memo
+        graph = subgraphs[0].graph
+        store = np.concatenate([graph.indices, graph.indices])
+        view = CSRGraph(indptr=graph.indptr.copy(), indices=store[: graph.indices.size])
+        sub = Subgraph(graph=view, original_nodes=subgraphs[0].original_nodes)
+        before = _content(read(sub))
+        assert name not in sub.__dict__ and store.flags.writeable
+        store[1] = store[0]  # through the owner: no flag could stop this
+        assert _content(read(sub)) != before
+
+    @pytest.mark.timeout(60)
+    def test_concurrent_reads_of_one_member_agree(self, member_memo, rng):
+        name, read = member_memo
+        g = planted_partition_graph(
+            512, 4000, num_communities=16, feature_dim=4, num_classes=2, rng=rng
+        )
+        members = induced_subgraphs(g, metis_like_partition(g, 16))
+        expected = [_fresh(read, sub) for sub in members]
+        seen: list[list[tuple]] = [[], [], []]
+        start = threading.Barrier(len(seen))
+
+        def read_all(out):
+            start.wait(timeout=30)
+            for _ in range(20):
+                out.extend(_content(read(sub)) for sub in members)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=read_all, args=(out,)) for out in seen]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for out in seen:
+            assert out == expected * 20
+
+    def test_the_self_looped_csr_dies_with_its_member(self, subgraphs):
+        sub = subgraphs.pop(0)
+        batch = SubgraphBatch(members=(sub,))
+        adjacency = batch.adjacency_csr()  # a copy: it holds no memo array
+        indptr, indices = sub.self_looped_csr
+        refs = [weakref.ref(sub), weakref.ref(indptr), weakref.ref(indices)]
+        del sub, batch, indptr, indices
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+        assert adjacency.nnz > 0
 
 
 def _registry(names, flavour):

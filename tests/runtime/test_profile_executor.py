@@ -76,7 +76,7 @@ class TestModeledPlanReport:
         _, subs = setup
         gin = make_batched_gin(16, 4)
         for batch in batch_subgraphs(subs, 4):
-            packed = batch.packed_adjacency(self_loops=True)
+            packed = batch.packed_adjacency()
             tile_plan = plan_tile_skip(packed)
             from_plan = modeled_plan_report(
                 gin,
@@ -84,7 +84,6 @@ class TestModeledPlanReport:
                 num_nodes=batch.num_nodes,
                 tile_plan=tile_plan,
             )
-            assert tile_plan.summary().nonzero_tiles == tile_plan.nonzero_tiles
             from_profile = qgtc_epoch_report(
                 [profile_batch(batch)], gin, QGTCRunConfig(feature_bits=4)
             )

@@ -127,6 +127,73 @@ def test_one_bit_blas_round_work_budget(spies):
     assert engine.stats.tiles_skipped > 0  # the ballot still feeds the counters
 
 
+class _ReduceatSpy:
+    """``np.add`` with its ``reduceat`` calls counted."""
+
+    def __init__(self, counts):
+        self.counts, self.ufunc = counts, np.add
+
+    def __call__(self, *args, **kwargs):
+        return self.ufunc(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.ufunc, name)
+
+    def reduceat(self, *args, **kwargs):
+        self.counts["reduceat"] += 1
+        return self.ufunc.reduceat(*args, **kwargs)
+
+
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """Call counters on what a structure miss could rebuild: the identity,
+    sparse additions and duplicate summing on the CSR class every adjacency
+    is built in, and ``np.add.reduceat``."""
+    import scipy.sparse as sp
+
+    counts = dict.fromkeys(["identity", "__add__", "sum_duplicates", "reduceat"], 0)
+    monkeypatch.setattr(sp, "identity", _counting(counts, "identity", sp.identity))
+    for name in ("__add__", "sum_duplicates"):
+        real = getattr(sp.csr_matrix, name)
+        monkeypatch.setattr(sp.csr_matrix, name, _counting(counts, name, real))
+    monkeypatch.setattr(np, "add", _ReduceatSpy(counts))
+    return counts
+
+
+def test_cold_round_over_seen_members_rebuilds_nothing(rebuilds):
+    """A member's self-looped CSR is derived on its first sight — one
+    identity, one addition, one duplicate sum per member — and a later
+    structure miss over members seen before concatenates them: no scipy
+    rebuild.  Nor does a round's 1-bit ballot of its activation codes
+    reduce twice; it is one GEMM."""
+    subgraphs = _eight_subgraphs()
+    first, second = subgraphs[:4], subgraphs[4:]
+    engine = InferenceEngine(
+        make_cluster_gcn(12, 3),
+        ServingConfig(
+            feature_bits=1, engine="blas", batch_size=4,
+            adjacency_cache_capacity=1, plan_cache_capacity=1,
+        ),
+    ).warm_up()
+
+    def miss_counts(members):
+        for name in rebuilds:
+            rebuilds[name] = 0
+        misses = engine.stats.adjacency_cache.misses
+        engine.infer(members)
+        assert engine.stats.adjacency_cache.misses == misses + 1
+        return dict(rebuilds)
+
+    seen = dict.fromkeys(rebuilds, 0)
+    for members in (first, second):
+        assert miss_counts(members) == {
+            **dict.fromkeys(["identity", "__add__", "sum_duplicates"], len(members)),
+            "reduceat": 0,
+        }
+    for members in (first, second, first):
+        assert miss_counts(members) == seen
+
+
 def test_adjacency_words_are_packed_once_by_their_first_reader(spies):
     """Whoever reads the §4.2 words first — a round routed to ``packed``, a
     ``kernel`` fault recovered ``blas -> packed`` on a cold miss — packs them
