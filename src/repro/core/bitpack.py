@@ -492,18 +492,19 @@ class Operand:
         """The §4.3 zero-tile ballot of every plane (see
         :func:`tile_nonzero_mask`), taken from the cheapest form held:
         coordinates in ``O(E)``, else words, else — 1-bit column-compressed
-        — the codes, summed per k-tile by one GEMM against a 0/1 indicator
-        (exact in their dtype: at most 128 ones) and OR-ed over 8-row groups;
-        only multi-bit codes pack.
+        — the codes, summed per k-tile by one float32 GEMM against a 0/1
+        indicator (exact whatever the codes' dtype: a tile sums at most 128
+        ones) and OR-ed over 8-row groups; only multi-bit codes pack.
         """
         if self.csr is None and (self._packed is not None or not self._sparse):
             return tuple(tile_nonzero_mask(plane) for plane in self.packed.words)
         kt = self.k_words * WORD_BITS // TC_K
         if self.csr is None:
             k_tile = np.arange(self.logical_k)[:, None] // TC_K
-            indicator = (k_tile == np.arange(kt)).astype(self._codes.dtype)
+            indicator = (k_tile == np.arange(kt)).astype(np.float32)
+            sums = self.matrix(np.float32) @ indicator
             live = np.zeros((self.padded_vectors, kt), dtype=bool)
-            np.not_equal(self._codes @ indicator, 0, out=live[: self.logical_vectors])
+            np.not_equal(sums, 0, out=live[: self.logical_vectors])
             return (live.reshape(-1, TC_M, kt).any(axis=1),)
         mask = np.zeros((self.padded_vectors // TC_M, kt), dtype=bool)
         rows = np.arange(self.logical_vectors)
@@ -569,14 +570,6 @@ def tile_nonzero_mask(plane_words: np.ndarray) -> np.ndarray:
     ``(padded_vectors // 8, k_words // 4)`` boolean array; ``True`` marks a
     tile that contains at least one set bit and must be processed.
     """
-    # Per-thread uint4 OR (axis -1), then the warp-ballot across the 8 rows
-    # (axis 1): nonzero ballot == tile has an edge.
-    per_row = np.bitwise_or.reduce(_tile_grid(plane_words), axis=-1)
-    return np.bitwise_or.reduce(per_row, axis=1) != 0
-
-
-def _tile_grid(plane_words: np.ndarray) -> np.ndarray:
-    """A packed plane as its ``(row tiles, 8 rows, k tiles, 4 words)`` grid."""
     if plane_words.ndim != 2:
         raise ShapeError("expected a 2-D packed plane")
     rows, kwords = plane_words.shape
@@ -584,7 +577,11 @@ def _tile_grid(plane_words: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"plane shape {plane_words.shape} is not a whole number of 8x128 tiles"
         )
-    return plane_words.reshape(rows // 8, 8, kwords // 4, 4)
+    tiles = plane_words.reshape(rows // 8, 8, kwords // 4, 4)
+    # Per-thread uint4 OR (axis -1), then the warp-ballot across the 8 rows
+    # (axis 1): nonzero ballot == tile has an edge.
+    per_row = np.bitwise_or.reduce(tiles, axis=-1)
+    return np.bitwise_or.reduce(per_row, axis=1) != 0
 
 
 def recensus_tiles(
@@ -616,17 +613,26 @@ def recensus_tiles(
     -------
     Number of tiles re-censused.
     """
-    grid_words = _tile_grid(plane_words)
-    grid = grid_words.shape[::2]
+    if plane_words.ndim != 2:
+        raise ShapeError("expected a 2-D packed plane")
+    rows, kwords = plane_words.shape
+    if rows % 8 or kwords % 4:
+        raise ShapeError(
+            f"plane shape {plane_words.shape} is not a whole number of 8x128 tiles"
+        )
+    grid = (rows // 8, kwords // 4)
     if mask.shape != grid:
         raise ShapeError(f"census shape {mask.shape} != tile grid {grid}")
     coords = sorted(set((int(tr), int(tc)) for tr, tc in tiles))
     if not coords:
         return 0
-    tr, tc = np.array(coords, dtype=np.intp).T
+    tr = np.fromiter((c[0] for c in coords), dtype=np.intp, count=len(coords))
+    tc = np.fromiter((c[1] for c in coords), dtype=np.intp, count=len(coords))
     if (tr < 0).any() or (tr >= grid[0]).any() or (tc < 0).any() or (tc >= grid[1]).any():
         raise ShapeError(f"tile coordinate outside census grid {grid}")
     # Gather each dirty tile's 8x4 word block and re-ballot it.
-    blocks = grid_words[tr, :, tc, :].reshape(len(coords), -1)
+    row_idx = tr[:, None, None] * 8 + np.arange(8, dtype=np.intp)[None, :, None]
+    word_idx = tc[:, None, None] * 4 + np.arange(4, dtype=np.intp)[None, None, :]
+    blocks = plane_words[row_idx, word_idx].reshape(len(coords), -1)
     mask[tr, tc] = blocks.any(axis=1)
     return len(coords)

@@ -97,6 +97,10 @@ class Subgraph:
 
 
 def _self_looped(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
+    # Built from the arrays themselves, not ``graph.to_scipy()``: that cache
+    # holds while the arrays are the same objects, so it would serve the old
+    # structure after a thawed or borrowed array is written in place — the
+    # very cases :meth:`Subgraph.memo` derives again for.
     n = graph.num_nodes
     ones = np.ones(graph.indices.size, np.float32)
     adj = sp.csr_matrix((ones, graph.indices, graph.indptr), shape=(n, n), copy=True)
@@ -192,36 +196,47 @@ class SubgraphBatch:
         offsets in ``O(E)`` — blocks of canonical rows stay canonical."""
         loops = [sub.self_looped_csr for sub in self.members]
         nnz = np.cumsum([0] + [idx.size for _, idx in loops]).tolist()
-        n, dtype = self.num_nodes, np.int32 if nnz[-1] < 2**31 else np.int64
-        indptr, indices = np.zeros(n + 1, dtype), np.empty(nnz[-1], dtype)
+        n = self.num_nodes
+        dtype = np.int32 if nnz[-1] < 2**31 else np.int64
+        indptr = np.zeros(n + 1, dtype)
+        indices = np.empty(nnz[-1], dtype)
         for (ptr, idx), at, base in zip(loops, self.node_offsets.tolist(), nnz):
             np.add(ptr[1:], base, out=indptr[at + 1 : at + ptr.size], dtype=dtype)
             np.add(idx, at, out=indices[base : base + idx.size], dtype=dtype)
-        return sp.csr_matrix((np.ones(nnz[-1], np.float32), indices, indptr), shape=(n, n))
+        data = np.ones(nnz[-1], np.float32)
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
     def packed_adjacency(self, *, pad_vectors: int = 8) -> PackedBits:
         """1-bit column-compressed adjacency — the kernel's left operand."""
-        return Operand(csr=self.adjacency_csr(), pad_vectors=pad_vectors).packed
+        csr = self.adjacency_csr()
+        return Operand(csr=csr, pad_vectors=pad_vectors).packed
 
     def features(self, dtype=None) -> np.ndarray:
         """Row-stacked member features, aligned with the adjacency rows —
         concatenated straight into ``dtype`` when one is given."""
-        return np.concatenate(self._stacked("features"), axis=0, dtype=dtype)
+        feats = []
+        for sub in self.members:
+            if sub.graph.features is None:
+                raise ShapeError("batch member has no features")
+            feats.append(sub.graph.features)
+        return np.concatenate(feats, axis=0, dtype=dtype)
 
     def labels(self) -> np.ndarray:
         """Row-stacked member labels."""
-        return np.concatenate(self._stacked("labels"), axis=0)
-
-    def _stacked(self, name: str) -> list[np.ndarray]:
-        arrays = [getattr(sub.graph, name) for sub in self.members]
-        if any(a is None for a in arrays):
-            raise ShapeError(f"batch member has no {name}")
-        return arrays
+        labs = []
+        for sub in self.members:
+            if sub.graph.labels is None:
+                raise ShapeError("batch member has no labels")
+            labs.append(sub.graph.labels)
+        return np.concatenate(labs, axis=0)
 
     def member_slices(self) -> list[slice]:
         """Row ranges of each member inside the batch layout."""
-        starts = self.node_offsets.tolist()
-        return [slice(at, at + sub.num_nodes) for at, sub in zip(starts, self.members)]
+        out, start = [], 0
+        for sub in self.members:
+            out.append(slice(start, start + sub.num_nodes))
+            start += sub.num_nodes
+        return out
 
 
 def batch_subgraphs(

@@ -369,9 +369,12 @@ def _member_key(sub: Subgraph) -> tuple:
     return sub.memo("_member_key", _structure_key)
 
 
-def _structure_key(g) -> tuple:
-    data = b"|".join((g.indptr.tobytes(), g.indices.tobytes()))
-    return (g.num_nodes, g.num_edges, hashlib.blake2b(data, digest_size=16).digest())
+def _structure_key(graph) -> tuple:
+    h = hashlib.blake2b(digest_size=16)
+    h.update(graph.indptr.tobytes())
+    h.update(b"|")
+    h.update(graph.indices.tobytes())
+    return (graph.num_nodes, graph.num_edges, h.digest())
 
 
 class InferenceEngine:

@@ -162,6 +162,18 @@ class TileSkipPlan:
         """Surviving tile count of each plane (feeds the counter closed forms)."""
         return [int(mask.sum()) for mask in self.masks]
 
+    def summary(self) -> TileSummary:
+        """The census as a :class:`TileSummary` (Figure 8's metric).
+
+        This is the bridge from an executed plan's adjacency artifact to
+        the runtime's modeled reports: a batch whose ``PackedAdjacency``
+        already carries its ballot needs no separate
+        :class:`~repro.runtime.profilebatch.BatchProfile` census.
+        """
+        return TileSummary(
+            total_tiles=self.total_tiles, nonzero_tiles=self.nonzero_tiles
+        )
+
     def matches(self, operand: "Operand | PackedBits") -> bool:
         """Whether this plan describes ``operand``'s plane/tile geometry."""
         return self.bits == operand.bits and self.tile_grid == (

@@ -2,9 +2,10 @@
 CSR concatenated from memoised member CSRs — each equal to its exact
 oracle, bit for bit.
 
-* §4.3's ballot of a 1-bit operand held as codes is one GEMM against a
-  ``k -> k-tile`` indicator: a tile sum is at most 128, exact in any GEMM
-  dtype.  Oracle: :func:`tile_nonzero_mask` of the packed words.
+* §4.3's ballot of a 1-bit operand held as codes is one float32 GEMM
+  against a ``k -> k-tile`` indicator: a tile sum is at most 128, exact
+  whatever the codes' dtype.  Oracle: :func:`tile_nonzero_mask` of the
+  packed words.
 * §4.5's rank-1 row sums are one GEMV against ones in the codes' dtype: a
   row sum is at most ``k * (2**bits - 1)``, within
   :func:`exact_gemm_dtype`'s bound.  Oracle: the ``int64`` sum.
@@ -51,6 +52,7 @@ def _sparse_codes(rng, n, k, high, density):
 @example(n=13, k=300, dtype=np.float32, density=0.0, pad=8, proven=True, seed=0)
 @example(n=8, k=128, dtype=np.float64, density=1.0, pad=8, proven=True, seed=0)
 @example(n=1, k=1, dtype=np.int64, density=1.0, pad=128, proven=False, seed=0)
+@example(n=21, k=300, dtype=np.int64, density=0.03, pad=8, proven=False, seed=0)
 def test_codes_census_equals_the_ballot_of_the_words(n, k, dtype, density, pad, proven, seed):
     codes = _sparse_codes(np.random.default_rng(seed), n, k, 1, density)
     words = pack_matrix(codes, 1, "col", pad_vectors=pad)
@@ -60,6 +62,9 @@ def test_codes_census_equals_the_ballot_of_the_words(n, k, dtype, density, pad, 
     assert mask.dtype == want.dtype and mask.shape == want.shape
     np.testing.assert_array_equal(mask, want)
     assert operand._packed is None  # the ballot packed nothing
+    # One float32 (BLAS) GEMM whatever the codes' dtype: NumPy multiplies
+    # int64 matrices without BLAS, ``k / 128`` times the work of a sum.
+    assert list(operand._views) == [np.dtype(np.float32)]
 
 
 @settings(max_examples=150)

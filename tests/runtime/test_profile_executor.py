@@ -84,6 +84,7 @@ class TestModeledPlanReport:
                 num_nodes=batch.num_nodes,
                 tile_plan=tile_plan,
             )
+            assert tile_plan.summary().nonzero_tiles == tile_plan.nonzero_tiles
             from_profile = qgtc_epoch_report(
                 [profile_batch(batch)], gin, QGTCRunConfig(feature_bits=4)
             )
