@@ -194,8 +194,9 @@ class DynamicSession:
         return delta
 
     def _recompile(self, adjacency: PackedAdjacency) -> ExecutionPlan:
-        """Compile and cache the live plan against the current census
-        (resets the drift state the patch policy judges against)."""
+        """Bind (a new node count or census band: compile) and cache the
+        live plan against the current census (resets the drift state the
+        patch policy judges against)."""
         plan = self.engine.compile_plan(
             self.mutable.num_nodes, adjacency, self.adjacency_key()
         )

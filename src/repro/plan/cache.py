@@ -15,7 +15,7 @@ segments with independent capacities — so a burst of never-repeating
 batches cannot evict the small, hot packed weights — but share one lookup
 API, one byte accounting and one aggregated telemetry view.
 
-Compiled artifacts (the ``plan`` and ``kernel`` kinds) additionally carry
+Compiled artifacts (the ``plan``, ``template`` and ``kernel`` kinds) carry
 **digest verification**: each insert records the artifact's content
 digest (:func:`artifact_digest`) and each hit compares the record with the
 digest the artifact itself carries, sealed when it was first taken
@@ -364,13 +364,13 @@ class PlanCache:
     #: validated against this set at construction: a typo'd kind used to
     #: silently create an empty LRU that nothing would ever read, hiding
     #: the misconfiguration until cache hit rates cratered.
-    KNOWN_KINDS = frozenset({"weight", "adjacency", "plan", "table", "kernel"})
+    KNOWN_KINDS = frozenset({"weight", "adjacency", "plan", "template", "table", "kernel"})
 
     #: Kinds holding *compiled* artifacts, whose segments verify a
     #: recorded :func:`artifact_digest` on every hit and discard poisoned
     #: entries (counted in ``CacheStats.poisoned``) so corruption costs a
     #: recompile, never a wrong replay.
-    VERIFIED_KINDS = frozenset({"plan", "kernel"})
+    VERIFIED_KINDS = frozenset({"plan", "template", "kernel"})
 
     def __init__(
         self,

@@ -64,6 +64,7 @@ import numpy as np
 
 from ..codegen import prepare_plan_kernels
 from ..core.bitgemm import Engine
+from ..core.bitpack import TC_M
 from ..errors import ConfigError
 from ..gnn.models import GNNModel
 from ..gnn.quantized import (
@@ -81,7 +82,7 @@ from ..graph.batching import (
     batch_subgraphs_by_nodes,
     round_full,
 )
-from ..plan.autotune import DispatchTable, bucket_in
+from ..plan.autotune import DispatchTable, bucket_in, fraction_band
 from ..plan.cache import CacheStats, LRUCache, PlanCache, PlanKey, artifact_digest
 from ..plan.ir import ExecutionPlan, compile_forward_plan
 from ..plan.registry import default_registry
@@ -450,6 +451,9 @@ class InferenceEngine:
                 "weight": self.config.weight_cache_capacity,
                 "adjacency": self.config.adjacency_cache_capacity,
                 "plan": self.config.plan_cache_capacity,
+                # Plan templates, one per (node count, census band): sized
+                # from the node budget, not a knob (see compile_plan).
+                "template": max(self.config.max_batch_nodes // TC_M, 1),
                 # One dispatch table per session (a pool's shards mount
                 # one): the segment exists for the unified lookup and
                 # telemetry surface, not for eviction behavior.
@@ -643,10 +647,10 @@ class InferenceEngine:
     ) -> ExecutionPlan:
         """The batch's compiled execution plan, via the plan cache.
 
-        Compilation observes the batch's measured tile census (the
-        dispatch table's sparsity coordinate), resolves every
-        GEMM's backend through the dispatcher/registry, and records the
-        content keys its operand artifacts hang off.  A batch whose member
+        A miss binds the template of the batch's node count and census band
+        (:meth:`compile_plan`: every GEMM's backend resolved through the
+        dispatcher/registry once per shape) to the content key its
+        adjacency artifact hangs off.  A batch whose member
         structure differs in any way — including shape — gets a different
         content key, so a mutated input compiles a fresh plan rather than
         silently replaying a stale one; the executor additionally refuses
@@ -690,33 +694,47 @@ class InferenceEngine:
     def compile_plan(
         self, num_nodes: int, adjacency: PackedAdjacency, adjacency_key: PlanKey
     ) -> ExecutionPlan:
-        """Compile a forward plan over ``adjacency`` (uncached).
+        """A forward plan over ``adjacency`` under ``adjacency_key`` (the
+        plan is not cached here; its template is).
 
         The one compile path of a session: :meth:`plan_for` calls it
         under a batch's content key, a
         :class:`~repro.dynamic.session.DynamicSession` under its chained
-        structure digest — same fault site, same census observation, same
-        frozen dispatch either way.
+        structure digest — same fault site, same frozen dispatch either
+        way.  A plan depends on its structure only through the node count,
+        the census band the dispatch table buckets by and the adjacency
+        key, so dispatch is priced once per ``(num_nodes, band)`` into a
+        *template* (a plan with no adjacency key, in the verified
+        ``template`` segment, also keyed by what its decisions depend on:
+        the registry generation and the quarantined backends) and every
+        plan is that template bound to its key.
         """
         if self.fault_plan is not None:
             # Injected compile failure: aborts this request with a
             # retryable error before any plan state is cached, so the
             # gateway's bounded retry replays it cleanly.
             self.fault_plan.maybe_raise("compile", detail=self.label)
-        if isinstance(self._engine, CostModelDispatcher):
-            # Hand the dispatcher this batch's measured census so the plan's
-            # frozen dispatch decisions are priced from observation.
-            self._engine.observe_tile_fraction(
-                adjacency.nonzero_fraction, nodes=num_nodes
+        fraction = adjacency.nonzero_fraction
+        quarantined = () if self.health is None else self.health.quarantined()
+        key = ("template", num_nodes, fraction_band(fraction),
+               default_registry().generation, quarantined)
+
+        def compile_template() -> ExecutionPlan:
+            if isinstance(self._engine, CostModelDispatcher):
+                # Hand the dispatcher this batch's measured census so the
+                # frozen dispatch decisions are priced from observation.
+                self._engine.observe_tile_fraction(fraction, nodes=num_nodes)
+            return compile_forward_plan(
+                self.model,
+                num_nodes=num_nodes,
+                feature_bits=self.config.feature_bits,
+                weight_bits=self.config.effective_weight_bits,
+                engine=self._engine,
+                weight_key=self._weight_key,
             )
-        return compile_forward_plan(
-            self.model,
-            num_nodes=num_nodes,
-            feature_bits=self.config.feature_bits,
-            weight_bits=self.config.effective_weight_bits,
-            engine=self._engine,
-            weight_key=self._weight_key,
-            adjacency_key=adjacency_key,
+
+        return self._cache.get_or_build(key, compile_template).retarget_adjacency(
+            adjacency_key
         )
 
     # ------------------------------------------------------------------ #
@@ -798,9 +816,14 @@ class InferenceEngine:
         was just invalidated.  The next execution of the same batch
         misses, recompiles under the current tuned table, and returns
         bit-identical logits (a plan's backend choice affects schedule,
-        never arithmetic).  Returns what was invalidated.
+        never arithmetic).  Every plan template is dropped too, stale or
+        not, so the next miss re-prices against the live table.  Returns
+        what was invalidated.
         """
         stale = self.stale_plans()
+        templates = self._cache.segment("template")
+        for key in templates.keys():
+            templates.discard(key)
         plan_segment = self._cache.segment("plan")
         for entry in stale:
             if plan_segment.discard(entry.key):

@@ -91,9 +91,9 @@ class TestVerifiedLRUCache:
 
 
 class TestPlanCacheVerification:
-    def test_only_plan_and_kernel_segments_verify(self):
+    def test_only_compiled_segments_verify(self):
         cache = PlanCache({"plan": 4, "weight": 4})
-        assert PlanCache.VERIFIED_KINDS == frozenset({"plan", "kernel"})
+        assert PlanCache.VERIFIED_KINDS == frozenset({"plan", "template", "kernel"})
         cache.put(("plan", "x"), ("compiled",))
         assert cache.segment("plan").corrupt(("plan", "x"))
         assert cache.get(("plan", "x")) is None

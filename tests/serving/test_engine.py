@@ -308,7 +308,7 @@ class TestPlanCache:
         assert engine.stats.plan_cache.hits >= 1
         assert plan.signature.num_nodes == batch.num_nodes
         registered = set(engine.plan_artifacts.kinds())
-        assert registered == {"weight", "adjacency", "plan", "table", "kernel"}
+        assert registered == {"weight", "adjacency", "plan", "template", "table", "kernel"}
         for step in plan.gemm_steps():
             assert step.backend in default_registry().names()
         # The plan's weight nodes carry the session's cache keys.
@@ -345,7 +345,9 @@ class TestPlanCache:
         )
         engine.infer(subgraphs)
         telemetry = engine.cache_telemetry()
-        assert set(telemetry) == {"weight", "adjacency", "plan", "table", "kernel"}
+        assert set(telemetry) == {
+            "weight", "adjacency", "plan", "template", "table", "kernel"
+        }
         total = engine.plan_artifacts.total_stats()
         assert total.lookups == sum(t.lookups for t in telemetry.values())
         assert engine.plan_artifacts.nbytes >= engine.adjacency_cache.nbytes

@@ -335,6 +335,43 @@ def test_warm_round_derives_nothing_a_miss_derives_once(derivations, structures)
         assert round_counts(members) == dict.fromkeys(derivations, 0)
 
 
+def test_a_plan_miss_over_a_seen_shape_prices_nothing(monkeypatch, structures):
+    """Dispatch is priced once per ``(node count, census band)``: a plan
+    miss over a shape seen before binds that shape's template, with no
+    ``decide`` and no compile; a first sight prices each GEMM once."""
+    from repro.plan import ir
+    from repro.serving import CostModelDispatcher
+
+    counts = dict.fromkeys(["decide", "compile_forward_plan"], 0)
+    monkeypatch.setattr(
+        CostModelDispatcher, "decide",
+        _counting(counts, "decide", CostModelDispatcher.decide),
+    )
+    monkeypatch.setattr(
+        engine_module, "compile_forward_plan",
+        _counting(counts, "compile_forward_plan", ir.compile_forward_plan),
+    )
+    model = make_cluster_gcn(12, 3)
+    engine = InferenceEngine(
+        model, ServingConfig(feature_bits=1, batch_size=4, plan_cache_capacity=1)
+    ).warm_up()
+    first, second = structures[:2]
+    assert sum(s.num_nodes for s in first) != sum(s.num_nodes for s in second)
+
+    def miss_counts(members):
+        for name in counts:
+            counts[name] = 0
+        misses = engine.stats.plan_cache.misses
+        engine.infer(members)
+        assert engine.stats.plan_cache.misses == misses + 1
+        return dict(counts)
+
+    first_sight = {"decide": 2 * model.num_layers, "compile_forward_plan": 1}
+    assert miss_counts(first) == miss_counts(second) == first_sight
+    for members in (first, second, first):
+        assert miss_counts(members) == dict.fromkeys(counts, 0)
+
+
 def test_replayed_counters_equal_fresh_derivations_times_replays(structures):
     model = make_batched_gin(12, 3, hidden_dim=16, seed=4)
     config = ServingConfig(feature_bits=8, engine="blas", batch_size=4)
@@ -486,9 +523,10 @@ def test_warm_round_rederives_nothing_its_artifacts_fix(rederivations, structure
     steps = 2 * model.num_layers
     miss, _ = round_counts(structures[0])
     # Compiled (one resolve per step) and bound on its first execution (one
-    # more); the digest is sealed where the plan enters the verified segment.
+    # more); a digest is sealed where the plan, and its template, enter
+    # their verified segments.
     assert miss["resolve_engine_name"] == 2 * steps
-    assert miss["repr"] == 1 and miss["blake2b"] == 1
+    assert miss["repr"] == 2 and miss["blake2b"] == 2
     assert miss["SubgraphBatch"] == 1
     for _ in range(2):  # the first replay already finds everything bound
         warm, locks = round_counts(structures[0])
