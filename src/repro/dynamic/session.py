@@ -194,9 +194,9 @@ class DynamicSession:
         return delta
 
     def _recompile(self, adjacency: PackedAdjacency) -> ExecutionPlan:
-        """Bind (a new node count or census band: compile) and cache the
-        live plan against the current census (resets the drift state the
-        patch policy judges against)."""
+        """Cache the live plan for the current census — a template bind
+        unless its node count or census band is new — and reset the drift
+        state the patch policy judges against."""
         plan = self.engine.compile_plan(
             self.mutable.num_nodes, adjacency, self.adjacency_key()
         )
