@@ -6,8 +6,7 @@ the live graph and times two ways of bringing the serving state current:
 
 * **incremental** — :meth:`DynamicSession.mutate`: delta bit-flips on the
   packed planes, dirty-tile re-census, snapshot publication, plan
-  patch-or-recompile, and stale-entry invalidation, all inside the
-  window;
+  template bind, and stale-entry invalidation, all inside the window;
 * **full re-pack** — what a static engine does on any structure change:
   rebuild the CSR from the edge set (``to_batch()``, the larger part),
   :func:`pack_batch_adjacency` from scratch — O(E + n^2/32) straight
@@ -139,7 +138,6 @@ def run_mutation_sweep() -> dict:
                     "incremental_s": incremental_s,
                     "full_repack_s": full_s,
                     "speedup": full_s / incremental_s,
-                    "action": session.last_decision.action,
                 }
             )
         per_rate[str(rate)] = {
@@ -171,18 +169,15 @@ def format_mutation_sweep(r: dict) -> str:
         f"Dynamic mutation sweep: {NUM_NODES} nodes, {NUM_EDGES} edges, "
         f"{ROUNDS_PER_RATE} rounds/rate",
         f"{'rate':>8} {'muts':>6} {'incr ms':>9} {'repack ms':>10} "
-        f"{'speedup':>8}  action",
+        f"{'speedup':>8}",
     ]
     for rate in RATES:
         row = r["per_rate"][str(rate)]
-        actions = ",".join(
-            sorted({round_["action"] for round_ in row["rounds"]})
-        )
         lines.append(
             f"{rate:>8} {row['mutations_per_round']:>6} "
             f"{row['median_incremental_s'] * 1e3:>9.2f} "
             f"{row['median_full_repack_s'] * 1e3:>10.2f} "
-            f"{row['median_speedup']:>8.1f}  {actions}"
+            f"{row['median_speedup']:>8.1f}"
         )
     metrics = r["dynamic_metrics"]
     lines.append(

@@ -28,11 +28,7 @@ from .backend import (
 )
 from .emit import compile_program, maybe_jit, popcount64
 from .loopir import EMIT_VERSION, Block, Line, Loop, Program, substitute, unroll
-from .lower import (
-    census_pattern_count,
-    lower_gemm,
-    unroll_bit_planes,
-)
+from .lower import lower_gemm, unroll_bit_planes
 
 __all__ = [
     "EMIT_VERSION",
@@ -42,7 +38,6 @@ __all__ = [
     "Loop",
     "Program",
     "census_digest",
-    "census_pattern_count",
     "codegen_backend",
     "compile_program",
     "gemm_kernel",

@@ -33,7 +33,6 @@ from .loopir import Block, Line, Loop, Program, Stmt, unroll
 __all__ = [
     "GROUP_UNROLL_LIMIT",
     "PAIR_UNROLL_LIMIT",
-    "census_pattern_count",
     "lower_gemm",
     "unroll_bit_planes",
 ]
@@ -225,25 +224,6 @@ def _lower_gemm_dense(
         body=body,
         schedule=tuple(schedule),
     )
-
-
-def census_pattern_count(tile_mask: np.ndarray) -> int:
-    """Distinct *live* tile-row census patterns of one plane mask.
-
-    Exactly the grouping statistic :func:`_lower_gemm_skip` unrolls over —
-    a pattern is a distinct row of the ``(mt, kt)`` census, and it is live
-    when at least one of its tiles survives the ballot.  A count above
-    :data:`GROUP_UNROLL_LIMIT` means the skip-loop specialization falls
-    back to the dense schedule; the dynamic-graph patch policy watches the
-    same number so a mutation stream that drags a census across the
-    fallback boundary (in either direction) triggers a recompile instead
-    of a key patch.
-    """
-    mask = np.ascontiguousarray(np.asarray(tile_mask, dtype=bool))
-    if mask.ndim != 2:
-        raise ShapeError(f"census mask must be 2-D, got shape {mask.shape}")
-    patterns = np.unique(mask, axis=0)
-    return int(patterns.any(axis=1).sum())
 
 
 def _lower_gemm_skip(

@@ -7,21 +7,17 @@ structure *mutable* without giving up any of that machinery:
 * :class:`~repro.dynamic.mutable.MutableGraph` — in-place delta updates
   of the packed bit-planes and the §4.3 tile census (only dirty tiles
   re-balloted), identity tracked by a chained structure digest;
-* :class:`~repro.dynamic.patch.PatchPolicy` — when a cached
-  :class:`~repro.plan.ir.ExecutionPlan` may be key-patched onto the
-  mutated operand versus recompiled (census drift, dirty-tile fraction,
-  the codegen 48-pattern dense-fallback boundary);
 * :class:`~repro.dynamic.session.DynamicSession` — serving integration:
-  digest-keyed artifacts, eager invalidation of superseded cache entries
-  (plans, adjacencies, compiled kernels), a serve-time stale guard, and
-  mutation counters surfaced to the perf PAG.
+  digest-keyed artifacts, every plan bound from the engine's template for
+  the graph's ``(num_nodes, census band)``, eager invalidation of
+  superseded cache entries (plans, adjacencies, compiled kernels), a
+  serve-time stale guard, and mutation counters surfaced to the perf PAG.
 
 Everything is pinned bit-for-bit against the fresh pack-from-scratch
 oracle by the mutation differential harness in ``tests/dynamic``.
 """
 
 from .mutable import MutableGraph, MutationDelta, MutationStats, dirty_tiles_for
-from .patch import PatchDecision, PatchPolicy
 from .session import DynamicSession, DynamicStats
 
 __all__ = [
@@ -30,7 +26,5 @@ __all__ = [
     "MutableGraph",
     "MutationDelta",
     "MutationStats",
-    "PatchDecision",
-    "PatchPolicy",
     "dirty_tiles_for",
 ]

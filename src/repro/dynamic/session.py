@@ -1,4 +1,4 @@
-"""Dynamic-graph serving: mutate, patch-or-recompile, never serve stale.
+"""Dynamic-graph serving: mutate, bind a plan template, never serve stale.
 
 :class:`DynamicSession` pairs a :class:`~repro.dynamic.mutable.MutableGraph`
 with an :class:`~repro.serving.engine.InferenceEngine` and keeps the
@@ -10,10 +10,11 @@ engine's content-keyed artifact caches coherent across mutations:
   changes every key and a stale entry can never be *hit* again;
 * on mutation the packed operand is **delta-published** (a frozen
   snapshot of the incrementally-updated planes, no CSR rebuild and
-  re-pack) and the cached plan is **patched**
-  (:meth:`~repro.plan.ir.ExecutionPlan.retarget_adjacency`) when the
-  :class:`~repro.dynamic.patch.PatchPolicy` allows, recompiled when the
-  census drifted past its thresholds;
+  re-pack) and the live plan is **bound** by
+  :meth:`~repro.serving.engine.InferenceEngine.compile_plan`: the
+  engine's template for the graph's ``(num_nodes, census band)``
+  retargeted at the new key, priced afresh only when that pair (or the
+  registry, or the quarantined backends) is new;
 * superseded entries — including codegen ``kernel``-segment entries
   compiled against the pre-mutation census — are eagerly **discarded**
   (counted as cache invalidations), and :meth:`serve` re-checks the
@@ -34,8 +35,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..codegen import gemm_kernel_key
 from ..codegen.backend import census_digest
 from ..errors import ConfigError
@@ -45,7 +44,6 @@ from ..plan.ir import ExecutionPlan
 from ..serving.engine import InferenceEngine, ServingConfig
 from ..telemetry import Counters
 from .mutable import MutableGraph, MutationDelta
-from .patch import PatchDecision, PatchPolicy
 
 __all__ = ["DynamicSession", "DynamicStats"]
 
@@ -60,10 +58,10 @@ class DynamicStats(Counters):
     mutation_batches: int = 0
     #: Forward passes served from the incremental state.
     serves: int = 0
-    #: Plans reused via key patching (no compilation).
+    #: Plans bound from an already-priced template (no compilation).
     plans_patched: int = 0
-    #: Plans recompiled because the policy refused to patch (or none
-    #: existed yet).
+    #: Plans that priced a new template: a ``(num_nodes, census band)``,
+    #: registry generation or quarantined set the engine had not seen.
     plans_recompiled: int = 0
     #: Superseded dynamic plan entries discarded from the plan segment.
     plans_invalidated: int = 0
@@ -81,7 +79,7 @@ class DynamicStats(Counters):
 
 
 class DynamicSession:
-    """Serve a mutating graph through patched/recompiled cached plans."""
+    """Serve a mutating graph through plans bound from engine templates."""
 
     def __init__(
         self,
@@ -89,7 +87,6 @@ class DynamicSession:
         graph: "MutableGraph | CSRGraph",
         config: ServingConfig | None = None,
         *,
-        policy: PatchPolicy | None = None,
         calibration=None,
         engine: InferenceEngine | None = None,
     ) -> None:
@@ -108,17 +105,11 @@ class DynamicSession:
             if engine is not None
             else InferenceEngine(model, config, calibration=calibration)
         )
-        self.policy = policy if policy is not None else PatchPolicy()
         self.stats = DynamicStats()
-        self.last_decision: PatchDecision | None = None
         # The executor only reads features()/num_nodes from the batch when
         # the packed adjacency is passed explicitly; both are mutation
         # invariant, so one template batch serves every structure version.
         self._feature_batch = self.mutable.to_batch()
-        # Compile-time census state the patch policy judges drift against.
-        self._dirty_since_compile: set[tuple[int, int]] = set()
-        self._fraction_at_compile: float | None = None
-        self._mask_at_compile: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     # Content keys
@@ -146,65 +137,38 @@ class DynamicSession:
         """Apply a mutation batch and bring the caches up to date.
 
         Delta-updates the packed planes and census, publishes a frozen
-        snapshot under the new structure digest, patches the cached plan
-        (policy permitting) or recompiles it, then discards every
-        superseded dynamic cache entry — adjacency, plan, and the codegen
-        kernels of the pre-mutation census (:meth:`invalidate_mutated`).
+        snapshot under the new structure digest, binds the live plan
+        (:meth:`_bind`), then discards every superseded dynamic cache
+        entry — adjacency, plan, and the codegen kernels of the
+        pre-mutation census (:meth:`invalidate_mutated`).
         """
-        cache = self.engine.plan_artifacts
-        old_plan_key = self.plan_key()
         delta = self.mutable.apply(mutations)
         if not delta.mutated:
             return delta
         self.stats.mutation_batches += 1
-        self._dirty_since_compile |= delta.dirty_tiles
         adjacency = self.mutable.snapshot()
-        cache.put(self.adjacency_key(), adjacency)
+        self.engine.plan_artifacts.put(self.adjacency_key(), adjacency)
         self.stats.repacks_avoided += 1
-        old_plan = cache.segment("plan").peek(old_plan_key)
-        mask_now = adjacency.plan.masks[0]
-        fraction_at_compile = (
-            self._fraction_at_compile
-            if self._fraction_at_compile is not None
-            else adjacency.nonzero_fraction
-        )
-        decision = self.policy.decide(
-            dirty_tiles=len(self._dirty_since_compile),
-            total_tiles=int(mask_now.size),
-            fraction_at_compile=fraction_at_compile,
-            fraction_now=adjacency.nonzero_fraction,
-            mask_at_compile=self._mask_at_compile,
-            mask_now=mask_now,
-        )
-        self.last_decision = decision
-        if decision.patch and old_plan is not None:
-            patched = old_plan.retarget_adjacency(self.adjacency_key())
-            cache.put(self.plan_key(), patched)
-            self.stats.plans_patched += 1
-            dispatcher = self.engine.dispatcher
-            if dispatcher is not None:
-                # Keep the pricer's census observation current even when
-                # no compilation consults it right now.
-                dispatcher.observe_tile_fraction(
-                    adjacency.nonzero_fraction, nodes=self.mutable.num_nodes
-                )
-        else:
-            self._recompile(adjacency)
+        self._bind(adjacency)
         self.invalidate_mutated()
         return delta
 
-    def _recompile(self, adjacency: PackedAdjacency) -> ExecutionPlan:
-        """Cache the live plan for the current census — a template bind
-        unless its node count or census band is new — and reset the drift
-        state the patch policy judges against."""
+    def _bind(self, adjacency: PackedAdjacency) -> ExecutionPlan:
+        """Cache the live plan: the engine's template for the current
+        ``(num_nodes, census band)`` bound to the live adjacency key,
+        priced first if the engine has no such template (a ``template``
+        segment miss, counted in ``plans_recompiled``)."""
+        cache = self.engine.plan_artifacts
+        templates = cache.segment("template").stats
+        misses = templates.misses
         plan = self.engine.compile_plan(
             self.mutable.num_nodes, adjacency, self.adjacency_key()
         )
-        self.engine.plan_artifacts.put(self.plan_key(), plan)
-        self.stats.plans_recompiled += 1
-        self._dirty_since_compile.clear()
-        self._fraction_at_compile = adjacency.nonzero_fraction
-        self._mask_at_compile = adjacency.plan.masks[0]
+        cache.put(self.plan_key(), plan)
+        if templates.misses == misses:
+            self.stats.plans_patched += 1
+        else:
+            self.stats.plans_recompiled += 1
         return plan
 
     # ------------------------------------------------------------------ #
@@ -280,7 +244,7 @@ class DynamicSession:
         adjacency_at = time.perf_counter()
         plan = cache.segment("plan").get(self.plan_key())
         if plan is None:
-            plan = self._recompile(adjacency)
+            plan = self._bind(adjacency)
         adjacency, plan = self._check_live(adjacency, plan)
         resolve_seconds = (adjacency_at - start, time.perf_counter() - adjacency_at)
         forward = self.engine.run_round(
@@ -314,7 +278,7 @@ class DynamicSession:
         self.stats.stale_kernel_hits += 1
         adjacency = self.mutable.snapshot()
         self.engine.plan_artifacts.put(expected_key, adjacency)
-        return adjacency, self._recompile(adjacency)
+        return adjacency, self._bind(adjacency)
 
     # ------------------------------------------------------------------ #
     # Telemetry

@@ -149,7 +149,8 @@ class GemmStep:
         step alone: its bindings per registry (resolved backend, exact GEMM
         dtype, label), its dispatch-table bucket and the kernel counters of
         its census-free launches.  Not a field, so outside the plan's
-        ``repr``, hash and equality; it dies with the step."""
+        ``repr``, hash and equality; it dies with the last step holding it
+        (the steps :meth:`ExecutionPlan.retarget_adjacency` binds share it)."""
         return {}
 
     def __getstate__(self) -> dict:
@@ -239,9 +240,11 @@ class ExecutionPlan:
         GEMM shapes, quantize sites, or backend choices — so the compiled
         plan is still valid once every aggregate step's ``pack_a`` and
         ``census`` nodes point at the new artifact.  Everything else is
-        reused by reference — the patched steps' :attr:`GemmStep.derived`
-        bindings included; compare with a fresh
-        :func:`compile_forward_plan` for the recompile path.
+        reused by reference, and each patched step *shares* its source's
+        :attr:`GemmStep.derived` memo (pure in spec, backend and registry),
+        so every plan bound from one template derives its bindings once;
+        compare with a fresh :func:`compile_forward_plan` for the
+        recompile path.
         """
         layers = []
         for layer in self.layers:
@@ -251,7 +254,7 @@ class ExecutionPlan:
                 pack_a=replace(step.pack_a, cache_key=adjacency_key),
                 census=CensusStep(adjacency_key) if step.census is not None else None,
             )
-            patched.derived.update(step.derived)
+            vars(patched)["derived"] = step.derived
             layers.append(replace(layer, aggregate=patched))
         return ExecutionPlan(signature=self.signature, layers=tuple(layers))
 

@@ -1,11 +1,11 @@
-"""Lowering tests: schedule transforms and the census grouping statistic."""
+"""Lowering tests: schedule transforms."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.codegen import census_pattern_count, compile_program, lower_gemm
+from repro.codegen import compile_program, lower_gemm
 from repro.codegen.lower import GROUP_UNROLL_LIMIT, PAIR_UNROLL_LIMIT
 from repro.core.bitpack import pack_matrix, tile_nonzero_mask
 from repro.errors import ShapeError
@@ -112,22 +112,3 @@ class TestGemmSchedules:
         with pytest.raises(ShapeError):
             lower_gemm(m=8, n=8, bits_a=1, bits_b=1,
                        a_padded_vectors=8, a_k_words=3)
-
-
-class TestCensusPatternCount:
-    @staticmethod
-    def _looped(mask: np.ndarray) -> int:
-        """The definition: distinct census rows with at least one live tile."""
-        return sum(1 for pattern in np.unique(mask, axis=0) if pattern.any())
-
-    def test_matches_looped_definition(self, rng):
-        random_mask = rng.random((60, 9)) < 0.2
-        duplicated = np.zeros((6, 4), dtype=bool)
-        duplicated[1] = duplicated[4] = [True, False, True, False]
-        duplicated[2, 3] = True
-        for mask, expected in [
-            (random_mask, self._looped(random_mask)),
-            (np.zeros((5, 3), dtype=bool), 0),
-            (duplicated, 2),  # the repeated live row counts once
-        ]:
-            assert census_pattern_count(mask) == self._looped(mask) == expected

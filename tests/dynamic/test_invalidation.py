@@ -7,17 +7,17 @@ Three layers of the invariant, each pinned separately:
 * **eviction** — ``mutate()`` discards the superseded entries, including
   codegen ``kernel``-segment entries compiled against the pre-mutation
   census;
-* **equivalence** — a *patched* plan (key-retargeted, no recompilation)
-  serves logits bit-identical to a freshly compiled plan.
+* **equivalence** — a *bound* plan (a template retargeted at the live
+  key, no recompilation) serves logits bit-identical to a freshly
+  compiled plan.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.codegen import census_digest, gemm_kernel_key
-from repro.dynamic import DynamicSession, MutableGraph, PatchPolicy
+from repro.dynamic import DynamicSession
 from repro.gnn.models import make_cluster_gcn
 from repro.graph.csr import CSRGraph
 from repro.serving.engine import ServingConfig
@@ -32,10 +32,10 @@ def feature_graph(n=160, edges=420, seed=0, feature_dim=8):
     )
 
 
-def make_session(n=160, seed=0, config=None, policy=None):
+def make_session(n=160, seed=0, config=None):
     graph = feature_graph(n=n, seed=seed)
     model = make_cluster_gcn(8, 4, seed=1)
-    return DynamicSession(model, graph, config, policy=policy)
+    return DynamicSession(model, graph, config)
 
 
 def fresh_edge(session, rng):
@@ -165,19 +165,13 @@ class TestEviction:
 
 
 class TestPatchedEqualsFresh:
-    def always_patch(self):
-        return PatchPolicy(
-            max_dirty_fraction=1.0, max_census_drift=1.0, pattern_limit=10**9
-        )
-
     def test_patched_plan_serves_fresh_compile_logits(self):
-        session = make_session(policy=self.always_patch())
+        session = make_session()
         session.serve()  # seed compile
         rng = np.random.default_rng(5)
         for _ in range(3):
             session.mutate([fresh_edge(session, rng) for _ in range(2)])
         assert session.stats.plans_patched >= 3
-        assert session.last_decision is not None and session.last_decision.patch
         served = session.serve()
         # A second session over the *mutated* structure compiles its plan
         # from scratch; shared calibration makes the logits bit-comparable.
@@ -188,63 +182,25 @@ class TestPatchedEqualsFresh:
         )
         oracle = fresh.serve()
         np.testing.assert_array_equal(served.logits, oracle.logits)
-        assert fresh.stats.plans_recompiled >= 1
+        assert fresh.stats.plans_recompiled == 1
 
     def test_forced_recompile_matches_patched(self):
-        patched = make_session(policy=self.always_patch())
-        recompiled = make_session(
-            policy=PatchPolicy(max_dirty_fraction=0.0),
-            # Same model seed + default calibration path on an identical
-            # graph keeps the two sessions bit-comparable.
-        )
+        bound = make_session()
+        repriced = make_session()
+        # Same model seed + default calibration path on an identical
+        # graph keeps the two sessions bit-comparable.
         rng_a, rng_b = np.random.default_rng(6), np.random.default_rng(6)
-        for session, rng in ((patched, rng_a), (recompiled, rng_b)):
+        for session, rng in ((bound, rng_a), (repriced, rng_b)):
             session.serve()
-            session.mutate([fresh_edge(session, rng) for _ in range(3)])
-        assert patched.stats.plans_patched >= 1
-        assert recompiled.stats.plans_recompiled >= 2  # seed + forced
+            for _ in range(3):
+                if session is repriced:
+                    session.engine.plan_artifacts.segment("template").clear()
+                session.mutate([fresh_edge(session, rng)])
+        assert bound.stats.plans_patched == 3
+        assert bound.stats.plans_recompiled == 1  # the seed
+        assert repriced.stats.plans_recompiled == 4  # seed + every mutation
         np.testing.assert_array_equal(
-            patched.serve().logits, recompiled.serve().logits
+            bound.serve().logits, repriced.serve().logits
         )
-        assert patched.stats.stale_kernel_hits == 0
-        assert recompiled.stats.stale_kernel_hits == 0
-
-
-class TestPatchPolicyThresholds:
-    def test_dirty_fraction_forces_recompile(self):
-        policy = PatchPolicy(max_dirty_fraction=0.05)
-        decision = policy.decide(
-            dirty_tiles=6, total_tiles=100,
-            fraction_at_compile=0.5, fraction_now=0.5,
-        )
-        assert not decision.patch and "dirty" in decision.reason
-
-    def test_census_drift_forces_recompile(self):
-        policy = PatchPolicy(max_census_drift=0.02)
-        decision = policy.decide(
-            dirty_tiles=1, total_tiles=1000,
-            fraction_at_compile=0.50, fraction_now=0.55,
-        )
-        assert not decision.patch and "drift" in decision.reason
-
-    def test_pattern_boundary_forces_recompile(self):
-        policy = PatchPolicy(pattern_limit=2)
-        at_compile = np.zeros((4, 2), dtype=bool)
-        at_compile[0] = (True, False)  # 1 live pattern
-        now = at_compile.copy()
-        now[1] = (False, True)
-        now[2] = (True, True)  # 3 live patterns: crosses the limit of 2
-        decision = policy.decide(
-            dirty_tiles=1, total_tiles=1000,
-            fraction_at_compile=0.5, fraction_now=0.5,
-            mask_at_compile=at_compile, mask_now=now,
-        )
-        assert not decision.patch and "pattern" in decision.reason
-
-    def test_small_quiet_mutation_patches(self):
-        policy = PatchPolicy()
-        decision = policy.decide(
-            dirty_tiles=1, total_tiles=1000,
-            fraction_at_compile=0.5, fraction_now=0.5001,
-        )
-        assert decision.patch
+        assert bound.stats.stale_kernel_hits == 0
+        assert repriced.stats.stale_kernel_hits == 0

@@ -1,10 +1,11 @@
-"""A patched plan keeps what its steps were bound to.
+"""A bound plan keeps what its steps were bound to.
 
 ``ExecutionPlan.retarget_adjacency`` rebuilds every aggregate step (new
-``pack_a`` / ``census`` keys); the bindings in ``GemmStep.derived`` —
-resolved backend, exact GEMM dtype, label — do not depend on the
-adjacency, so a ``DynamicSession`` round after a patch re-derives none of
-them: only the census-dependent dispatch bucket may move.
+``pack_a`` / ``census`` keys) and shares the template step's
+``GemmStep.derived`` memo; the bindings in it — resolved backend, exact
+GEMM dtype, label — do not depend on the adjacency, so a
+``DynamicSession`` round after a bind re-derives none of them: only the
+census-dependent dispatch bucket may move.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.dynamic import DynamicSession, PatchPolicy
+from repro.dynamic import DynamicSession
 from repro.faultinject import FaultPlan, FaultSpec
 from repro.gnn import execute_forward_plan, make_batched_gin, make_cluster_gcn
 from repro.gnn.quantized import ActivationCalibration
@@ -284,33 +284,58 @@ def test_a_cache_fault_on_a_template_counts_poisoned_and_recompiles(
     assert work["compile_forward_plan"] == 2 + 1  # two here, one in ``clean``
 
 
-def test_a_dynamic_recompile_binds_within_a_band(work):
+def sparse_feature_graph():
     rng = np.random.default_rng(0)
-    graph = CSRGraph.from_edges(
+    return CSRGraph.from_edges(
         320,
         rng.integers(0, 320, size=(60, 2)),
         features=rng.standard_normal((320, 8)).astype(np.float32),
     )
+
+
+def test_a_dynamic_recompile_binds_within_a_band(work):
+    graph = sparse_feature_graph()
     session = DynamicSession(
-        make_cluster_gcn(8, 4, seed=1),
-        graph,
-        ServingConfig(record_timings=False),
-        policy=PatchPolicy(max_dirty_fraction=0.0),  # every mutation recompiles
+        make_cluster_gcn(8, 4, seed=1), graph, ServingConfig(record_timings=False)
     )
     session.serve()
     assert work["compile_forward_plan"] == 1
+    assert (session.stats.plans_recompiled, session.stats.plans_patched) == (1, 0)
     # An edge inside a diagonal tile: the census, hence the band, is unchanged.
+    work.update(decide=0, compile_forward_plan=0)
     session.mutate([("insert", 0, 1)])
-    assert session.stats.plans_recompiled == 2
-    assert work["compile_forward_plan"] == 1
+    assert (session.stats.plans_recompiled, session.stats.plans_patched) == (1, 1)
+    assert work == {"decide": 0, "compile_forward_plan": 0}
     assert templates(session.engine).stats.hits == 1
     session.serve()
     # Deleting every edge leaves the diagonal tiles: another band compiles.
     edges = [(u, int(v)) for u in range(graph.num_nodes)
              for v in graph.indices[graph.indptr[u]:graph.indptr[u + 1]]]
     session.mutate([("delete", u, v) for u, v in edges])
-    assert work["compile_forward_plan"] == 2
+    assert (session.stats.plans_recompiled, session.stats.plans_patched) == (2, 1)
+    assert work["compile_forward_plan"] == 1
     assert len(templates(session.engine)) == 2
+    session.serve()
+    assert session.stats.stale_kernel_hits == 0
+
+
+def test_a_dynamic_mutation_never_binds_a_quarantined_backend():
+    health = BackendHealth(quarantine_after=1, clock=lambda: 0.0)
+    engine = InferenceEngine(
+        make_cluster_gcn(8, 4, seed=1), ServingConfig(record_timings=False),
+        health=health,
+    )
+    session = DynamicSession(engine.model, sparse_feature_graph(), engine=engine)
+    session.serve()
+    frozen = engine.plan_artifacts.segment("plan").peek(session.plan_key()).backends()
+    health.record_failure(frozen[0])
+    assert health.quarantined() == (frozen[0],)
+
+    band = fraction_band(session.mutable.nonzero_fraction)
+    session.mutate([("insert", 0, 1)])
+    assert fraction_band(session.mutable.nonzero_fraction) == band
+    live = engine.plan_artifacts.segment("plan").peek(session.plan_key())
+    assert frozen[0] not in live.backends()
     session.serve()
     assert session.stats.stale_kernel_hits == 0
 

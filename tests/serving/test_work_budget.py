@@ -10,7 +10,8 @@ quantizer's threshold is derived once per calibration site.  Nor does a
 warm round re-derive what is a pure function of the artifacts it
 has just hit in the cache — kernel counters, the modeled report, GEMM
 specs — or read its activation codes a second time to range-check them;
-and those derivations die with the artifact they hang on.
+and those derivations die with the artifact they hang on.  A plan miss,
+static or a dynamic mutation, over a seen shape prices nothing.
 """
 
 from __future__ import annotations
@@ -370,6 +371,47 @@ def test_a_plan_miss_over_a_seen_shape_prices_nothing(monkeypatch, structures):
     assert miss_counts(first) == miss_counts(second) == first_sight
     for members in (first, second, first):
         assert miss_counts(members) == dict.fromkeys(counts, 0)
+
+
+def test_a_mutation_over_a_seen_shape_prices_and_sorts_nothing(monkeypatch):
+    """A ``DynamicSession`` mutation binds the engine's template for the
+    graph's ``(node count, census band)``: when that pair was seen before
+    it makes no ``decide`` call, compiles nothing and sorts no census."""
+    from repro.dynamic import DynamicSession
+    from repro.graph.csr import CSRGraph
+    from repro.plan import ir
+    from repro.plan.autotune import fraction_band
+    from repro.serving import CostModelDispatcher
+
+    rng = np.random.default_rng(0)
+    n = 320
+    graph = CSRGraph.from_edges(
+        n,
+        rng.integers(0, n, size=(60, 2)),
+        features=rng.standard_normal((n, 8)).astype(np.float32),
+    )
+    session = DynamicSession(
+        make_cluster_gcn(8, 4, seed=1), graph, ServingConfig(record_timings=False)
+    )
+    session.serve()
+    band = fraction_band(session.mutable.nonzero_fraction)
+
+    counts = dict.fromkeys(["decide", "compile_forward_plan", "unique"], 0)
+    monkeypatch.setattr(
+        CostModelDispatcher, "decide",
+        _counting(counts, "decide", CostModelDispatcher.decide),
+    )
+    monkeypatch.setattr(
+        engine_module, "compile_forward_plan",
+        _counting(counts, "compile_forward_plan", ir.compile_forward_plan),
+    )
+    monkeypatch.setattr(np, "unique", _counting(counts, "unique", np.unique))
+    # Edges inside diagonal tiles: every mutation keeps the census band.
+    for edit in (("insert", 0, 1), ("insert", 2, 3), ("delete", 0, 1), ("insert", 4, 5)):
+        session.mutate([edit])
+        assert fraction_band(session.mutable.nonzero_fraction) == band
+        assert counts == dict.fromkeys(counts, 0)
+    assert session.stats.plans_patched == 4
 
 
 def test_replayed_counters_equal_fresh_derivations_times_replays(structures):
