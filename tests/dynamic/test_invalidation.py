@@ -1,6 +1,6 @@
 """Cache-invalidation contract: mutated structure can never be served stale.
 
-Three layers of the invariant, each pinned separately:
+Four layers of the invariant, each pinned separately:
 
 * **keying** — the chained structure digest moves with every effective
   mutation, so pre-mutation adjacency/plan/kernel keys cannot be *hit*;
@@ -9,7 +9,9 @@ Three layers of the invariant, each pinned separately:
   census;
 * **equivalence** — a *bound* plan (a template retargeted at the live
   key, no recompilation) serves logits bit-identical to a freshly
-  compiled plan.
+  compiled plan;
+* **band rule** — a mutation prices a new template only when it moves
+  the census band; how many tiles it dirties, or which, is no reason.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.codegen import census_digest, gemm_kernel_key
 from repro.dynamic import DynamicSession
 from repro.gnn.models import make_cluster_gcn
 from repro.graph.csr import CSRGraph
+from repro.plan.autotune import fraction_band
 from repro.serving.engine import ServingConfig
 
 
@@ -204,3 +207,97 @@ class TestPatchedEqualsFresh:
         )
         assert bound.stats.stale_kernel_hits == 0
         assert repriced.stats.stale_kernel_hits == 0
+
+
+def fresh_logits(session):
+    """Logits of a new session over the live structure: its plan is
+    compiled from scratch, and the shared calibration keeps the logits
+    bit-comparable with ``session``'s."""
+    fresh = DynamicSession(
+        session.engine.model,
+        session.mutable.to_csr(),
+        session.engine.config,
+        calibration=session.engine.calibration,
+    )
+    return fresh.serve().logits
+
+
+def live_edges(session):
+    """Every edge of the live structure, once, as ``(u, v)`` with u < v."""
+    csr = session.mutable.to_csr()
+    return [
+        (u, int(v))
+        for u in range(csr.num_nodes)
+        for v in csr.indices[csr.indptr[u]:csr.indptr[u + 1]]
+        if u < v
+    ]
+
+
+def templates_priced(session):
+    return len(session.engine.plan_artifacts.segment("template"))
+
+
+class TestBandRule:
+    def test_a_wide_mutation_within_its_band_binds(self):
+        session = make_session()  # every census tile is live: band 0
+        session.serve()
+        band = fraction_band(session.mutable.nonzero_fraction)
+        tiles = session.mutable.census_mask().size
+        rng = np.random.default_rng(7)
+        delta = session.mutate([fresh_edge(session, rng) for _ in range(20)])
+        assert len(delta.dirty_tiles) >= tiles // 4
+        assert fraction_band(session.mutable.nonzero_fraction) == band
+        assert session.stats.plans_patched == 1
+        assert session.stats.plans_recompiled == 1  # the seed
+        assert templates_priced(session) == 1
+        np.testing.assert_array_equal(session.serve().logits, fresh_logits(session))
+        assert session.stats.stale_kernel_hits == 0
+
+    def test_a_band_move_prices_a_new_template(self):
+        session = DynamicSession(
+            make_cluster_gcn(8, 4, seed=1), feature_graph(n=320, edges=60, seed=0)
+        )
+        session.serve()
+        band = fraction_band(session.mutable.nonzero_fraction)
+        # Only the diagonal tiles of A + I stay live: a sparser band.
+        session.mutate([("delete", u, v) for u, v in live_edges(session)])
+        assert fraction_band(session.mutable.nonzero_fraction) != band
+        assert session.stats.plans_recompiled == 2
+        assert session.stats.plans_patched == 0
+        assert templates_priced(session) == 2
+        np.testing.assert_array_equal(session.serve().logits, fresh_logits(session))
+        assert session.stats.stale_kernel_hits == 0
+
+    def test_a_return_to_a_priced_band_binds(self):
+        session = DynamicSession(
+            make_cluster_gcn(8, 4, seed=1), feature_graph(n=320, edges=60, seed=0)
+        )
+        seeded = session.serve().logits
+        edges = live_edges(session)
+        session.mutate([("delete", u, v) for u, v in edges])
+        session.mutate([("insert", u, v) for u, v in edges])
+        assert session.stats.plans_recompiled == 2  # seed band, sparse band
+        assert session.stats.plans_patched == 1
+        assert templates_priced(session) == 2
+        np.testing.assert_array_equal(session.serve().logits, seeded)
+        assert session.stats.stale_kernel_hits == 0
+
+    def test_a_new_tile_pattern_within_its_band_compiles_its_own_kernel(self):
+        graph = feature_graph(n=160, edges=60, seed=2)  # 34 of 40 tiles live
+        session = DynamicSession(
+            make_cluster_gcn(8, 4, seed=1), graph, ServingConfig(engine="codegen")
+        )
+        session.serve()
+        band = fraction_band(session.mutable.nonzero_fraction)
+        old_key = aggregate_kernel_key(session, session.mutable.snapshot())
+        session.mutate([census_changing_edge(session)])
+        assert fraction_band(session.mutable.nonzero_fraction) == band
+        assert session.stats.plans_patched == 1
+        assert templates_priced(session) == 1
+        new_key = aggregate_kernel_key(session, session.mutable.snapshot())
+        assert new_key != old_key
+        served = session.serve().logits
+        kernels = session.engine.plan_artifacts.segment("kernel")
+        assert kernels.peek(new_key) is not None
+        np.testing.assert_array_equal(served, fresh_logits(session))
+        assert session.stats.stale_kernel_hits == 0
