@@ -158,8 +158,8 @@ def run_partitioner_ablation(
         rep = qgtc_epoch_report(
             prepared.profiles, model, QGTCRunConfig(feature_bits=bits), device
         )
-        nnz = sum(p.nnz_tiles for p in prepared.profiles)
-        total = sum(p.total_tiles for p in prepared.profiles)
+        nnz = sum(p.plan.nonzero_tiles for p in prepared.profiles)
+        total = sum(p.plan.total_tiles for p in prepared.profiles)
         records.append(
             {
                 "method": method,

@@ -83,8 +83,8 @@ def run_fig8(
             prepared.profiles,
             _batch_member_sizes(prepared, batch_size),
         ):
-            total += profile.total_tiles
-            nnz += profile.nnz_tiles
+            total += profile.plan.total_tiles
+            nnz += profile.plan.nonzero_tiles
             # Tiles whose row range and column range intersect the same
             # member block can be non-zero; count them (with the member's
             # actual offset, since blocks are not tile-aligned) as the

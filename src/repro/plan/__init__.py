@@ -27,7 +27,7 @@ description of the work:
   per-GEMM :class:`QuantizeStep`/:class:`PackStep`/:class:`CensusStep`
   nodes, :class:`GemmStep` (one product with its resolved backend),
   :class:`LayerPlan` and :class:`ExecutionPlan`, plus the compilers
-  (:func:`compile_gemm_plan`, :func:`compile_forward_plan`) and
+  (:func:`compile_gemm_step`, :func:`compile_forward_plan`) and
   :func:`forward_gemm_specs` — the single source of truth for the
   shapes/bitwidths of a forward pass, shared with the runtime's modeled
   reports.
@@ -35,10 +35,10 @@ description of the work:
   for every plan artifact kind (packed weights, packed adjacencies,
   compiled plans) with per-kind segments and shared telemetry; also the
   home of the generic :class:`LRUCache`/:class:`CacheStats` primitives.
-* :mod:`repro.plan.executor` — replay of compiled single-GEMM steps on
-  fresh operands (the layer/session forward executor lives in
-  :func:`repro.gnn.quantized.execute_forward_plan`, next to the affine
-  algebra it carries).
+
+The forward executor lives in :func:`repro.gnn.quantized.execute_forward_plan`,
+next to the affine algebra it carries; a single compiled step replays
+through :func:`repro.core.bitgemm.bitgemm` with ``engine=step.backend``.
 """
 
 from .autotune import (
@@ -57,7 +57,6 @@ from .cache import (
     ThreadSafeLRUCache,
     artifact_nbytes,
 )
-from .executor import compile_gemm_plan, execute_gemm_plan
 from .ir import (
     CensusStep,
     ExecutionPlan,
@@ -111,9 +110,7 @@ __all__ = [
     "bucket_for",
     "builtin_backends",
     "compile_forward_plan",
-    "compile_gemm_plan",
     "default_registry",
-    "execute_gemm_plan",
     "forward_gemm_specs",
     "fraction_band",
     "host_fingerprint",

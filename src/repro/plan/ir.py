@@ -14,8 +14,9 @@ replayed), and the content keys under which request-invariant artifacts
 
 Compilation is cheap (dataclass construction plus one engine resolution
 per GEMM); execution lives next to the numerics it drives —
-:func:`repro.plan.executor.execute_gemm_plan` for single products,
-:func:`repro.gnn.quantized.execute_forward_plan` for whole forwards.
+:func:`repro.core.bitgemm.bitgemm` with ``engine=step.backend`` for single
+products, :func:`repro.gnn.quantized.execute_forward_plan` for whole
+forwards.
 :func:`forward_gemm_specs` is deliberately the *only* place the per-layer
 GEMM shapes of a forward pass are enumerated: the plan compiler and the
 runtime's modeled reports (:func:`repro.runtime.executor.modeled_plan_report`)

@@ -22,10 +22,10 @@ already lives on the plan layer: :func:`modeled_plan_report` models a
 batch straight from the :class:`~repro.tc.kernel.TileSkipPlan` its packed
 adjacency carries — the same ballot the executed kernels skip by — so a
 serving session describes modeled and measured work from one artifact
-with no re-censusing.  :func:`qgtc_epoch_report` merges per-batch reports
-over an epoch from pre-measured
-:class:`~repro.runtime.profilebatch.BatchProfile` statistics (the cheap
-``O(E)`` census path for paper-scale figure sweeps).
+with no re-censusing.  :func:`qgtc_epoch_report` merges the same per-batch
+body over an epoch of batch profiles
+(:class:`~repro.runtime.profilebatch.BatchProfile`), each holding that
+census (the cheap ``O(E)`` path for paper-scale figure sweeps).
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def _spec_counters(
     Shapes and bitwidths come from the :class:`~repro.plan.ir.GemmSpec` —
     the same nodes the executed plan dispatches — so modeled and measured
     accounting describe identical work.  ``mt``/``kt`` may be overridden
-    with a measured tile grid (the batch profile's census grid).
+    with a measured tile grid (the adjacency census's grid).
     """
     spec_mt, spec_kt, spec_nt = spec.tile_grid()
     return derive_tile_counters(
@@ -145,20 +145,13 @@ def modeled_plan_report(
     artifact): a replay looks the report up.  The result is that shared
     object — merge it into an accumulator, never into it.
     """
-    if tile_plan.bits != 1:
-        raise ConfigError(
-            f"an adjacency tile plan has exactly one bit plane, got "
-            f"{tile_plan.bits}; this report models the 1-bit aggregation "
-            "operand"
-        )
     dims = tuple(w.shape for w in model.weights)
     key = ("report", model.kind, dims, config, num_nodes, device, dataset, cost)
     report = tile_plan.derived.get(key)
     if report is None:
-        mt, kt = tile_plan.tile_grid
         report = tile_plan.derived[key] = _modeled_report(
-            model, config, num_nodes=num_nodes, mt=mt, kt=kt,
-            nnz_tiles=tile_plan.nonzero_tiles, device=device, dataset=dataset, cost=cost,
+            model, config, num_nodes=num_nodes, tile_plan=tile_plan,
+            device=device, dataset=dataset, cost=cost,
         )
     return report
 
@@ -168,14 +161,18 @@ def _modeled_report(
     config: QGTCRunConfig,
     *,
     num_nodes: int,
-    mt: int,
-    kt: int,
-    nnz_tiles: int,
+    tile_plan: TileSkipPlan,
     device: DeviceSpec = RTX3090,
     dataset: str = "",
     cost: TCCostModel | None = None,
 ) -> EpochReport:
-    """Shared closed forms: one batch modeled from its census grid."""
+    """Shared closed forms: one batch modeled from its adjacency census."""
+    if tile_plan.bits != 1:
+        raise ConfigError(
+            f"an adjacency tile plan has exactly one bit plane, got "
+            f"{tile_plan.bits}; this report models the 1-bit aggregation "
+            "operand"
+        )
     cost = cost or TCCostModel(device)
     fb = config.feature_bits
     wb = config.effective_weight_bits
@@ -188,8 +185,9 @@ def _modeled_report(
         n, model.feature_dim, fb, device, mode=config.transfer_mode
     ).seconds
 
+    mt, kt = tile_plan.tile_grid
     jumping = config.kernel.zero_tile_jumping
-    agg_processed = [nnz_tiles if jumping else mt * kt]
+    agg_processed = [tile_plan.nonzero_tiles if jumping else mt * kt]
 
     # The per-layer GEMM shapes/bitwidths come from the same plan nodes the
     # executed forward dispatches (plan/ir.forward_gemm_specs), so modeled
@@ -225,7 +223,7 @@ def _modeled_report(
             report.mma_ops += counters.mma_ops
             report.kernels += counters.launches
             # The aggregation counters carry the batch's *measured* tile
-            # census (profile.nnz_tiles comes from the real packed operand),
+            # census (tile_plan is the ballot of the real adjacency),
             # so the report's skip fraction is an observation, not a model.
             report.tiles_total += counters.tiles_total
             report.tiles_skipped += counters.tiles_skipped
@@ -256,15 +254,8 @@ def qgtc_epoch_report(
     for profile in profiles:
         report.merge(
             _modeled_report(
-                model,
-                config,
-                num_nodes=profile.num_nodes,
-                mt=profile.mt,
-                kt=profile.kt,
-                nnz_tiles=profile.nnz_tiles,
-                device=device,
-                dataset=dataset,
-                cost=cost,
+                model, config, num_nodes=profile.num_nodes, tile_plan=profile.plan,
+                device=device, dataset=dataset, cost=cost,
             )
         )
     return report

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["EpochReport"]
 
@@ -36,7 +36,6 @@ class EpochReport:
     #: Tiles the zero-tile ballot skipped (measured, not assumed — fed from
     #: the per-plane masks of the executed operands).
     tiles_skipped: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def skip_fraction(self) -> float:

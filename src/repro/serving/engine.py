@@ -161,8 +161,6 @@ class ServingConfig:
     kernel: KernelConfig = field(default_factory=KernelConfig)
     device: DeviceSpec = RTX3090
     apply_softmax: bool = False
-    #: Accumulate modeled device time per executed batch (small overhead).
-    track_device_time: bool = True
 
     def __post_init__(self) -> None:
         if not 1 <= self.feature_bits <= 32:
@@ -1044,18 +1042,16 @@ class InferenceEngine:
         stats.kernel_launches += totals.launches
         stats.tiles_total += totals.tiles_total
         stats.tiles_skipped += totals.tiles_skipped
-        if self.config.track_device_time:
-            # The adjacency artifact already carries the batch's measured
-            # ballot, so the modeled report needs no separate BatchProfile
-            # census — modeled and measured skips come from the same masks.
-            self.device_report.merge(
-                modeled_plan_report(
-                    self.model,
-                    self._run_config,
-                    num_nodes=batch.num_nodes,
-                    tile_plan=adjacency.plan,
-                    device=self.config.device,
-                    cost=self._cost,
-                )
+        # The adjacency artifact already carries the batch's measured
+        # ballot, so modeled and measured skips come from the same masks.
+        self.device_report.merge(
+            modeled_plan_report(
+                self.model,
+                self._run_config,
+                num_nodes=batch.num_nodes,
+                tile_plan=adjacency.plan,
+                device=self.config.device,
+                cost=self._cost,
             )
+        )
         return forward

@@ -507,19 +507,27 @@ class _Worker:
             request.future._fill(result.logits)
 
 
-def _run_process_shard(args: tuple) -> tuple[int, list[np.ndarray], SessionStats]:
+def _run_process_shard(
+    args: tuple,
+) -> tuple[int, list[np.ndarray], SessionStats, EpochReport]:
     """Serve one shard's requests in a worker process (escape hatch).
 
     Top-level so it pickles; builds a private engine, serves the shard's
     subgraphs and returns (shard index, per-request logits, the session's
-    stats snapshot).  The shard's measured dispatch table dies with it.
+    stats snapshot, its modeled device report).  The shard's measured
+    dispatch table dies with it.
     """
     index, model, config, calibration, subgraphs = args
     engine = InferenceEngine(
         model, config, calibration=calibration, label=f"w{index}"
     )
     results = engine.infer(subgraphs)
-    return index, [r.logits for r in results], engine.stats.snapshot()
+    return (
+        index,
+        [r.logits for r in results],
+        engine.stats.snapshot(),
+        engine.device_report,
+    )
 
 
 class ServingPool:
@@ -595,6 +603,7 @@ class ServingPool:
         self._crash_event = threading.Event()
         self._supervisor: threading.Thread | None = None
         self._process_stats: list[SessionStats] = []
+        self._process_reports: list[EpochReport] = []
         self._workers: list[_Worker] = []
         if self.pool_config.mode == "thread":
             self._workers = [
@@ -829,8 +838,9 @@ class ServingPool:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=max(1, len(jobs))) as process_pool:
             outputs = process_pool.map(_run_process_shard, jobs)
-        by_shard = {index: logits for index, logits, _ in outputs}
-        self._process_stats = [stats for _, _, stats in outputs]
+        by_shard = {index: logits for index, logits, _, _ in outputs}
+        self._process_stats = [stats for _, _, stats, _ in outputs]
+        self._process_reports = [report for _, _, _, report in outputs]
         results = []
         for seq, (shard, position) in enumerate(placement):
             future = PoolResult(seq, f"w{shard}")
@@ -869,8 +879,9 @@ class ServingPool:
     def device_report(self) -> EpochReport:
         """Merged modeled-device report across every shard's session."""
         report = EpochReport(system="serving-pool", dataset="pool")
-        for worker in self._workers:
-            report.merge(worker.engine.device_report)
+        shards = [worker.engine.device_report for worker in self._workers]
+        for shard in shards or self._process_reports:
+            report.merge(shard)
         return report
 
     @property

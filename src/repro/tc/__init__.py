@@ -12,10 +12,8 @@ from .kernel import (
     KernelResult,
     ReuseMode,
     TileSkipPlan,
-    TileSummary,
     derive_tile_counters,
     plan_tile_skip,
-    zero_tile_summary,
 )
 from .wmma import bmma_sync, load_matrix_sync, store_matrix_sync
 
@@ -36,7 +34,6 @@ __all__ = [
     "ReuseMode",
     "TCCostModel",
     "TileSkipPlan",
-    "TileSummary",
     "TimeBreakdown",
     "bmma_sync",
     "derive_tile_counters",
@@ -48,5 +45,4 @@ __all__ = [
     "tflops",
     "tile_nonzero_mask",
     "useful_flops",
-    "zero_tile_summary",
 ]

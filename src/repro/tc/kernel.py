@@ -45,51 +45,11 @@ __all__ = [
     "BitGemmKernel",
     "KernelResult",
     "TileSkipPlan",
-    "TileSummary",
     "derive_tile_counters",
     "plan_tile_skip",
-    "zero_tile_summary",
 ]
 
 ReuseMode = Literal["cross-bit", "cross-tile"]
-
-
-@dataclass(frozen=True)
-class TileSummary:
-    """Tile census of an adjacency plane — the quantity Figure 8 plots."""
-
-    total_tiles: int
-    nonzero_tiles: int
-
-    @property
-    def zero_tiles(self) -> int:
-        return self.total_tiles - self.nonzero_tiles
-
-    @property
-    def processed_ratio(self) -> float:
-        """Fraction of tiles a jumping kernel still processes (Figure 8 bar)."""
-        if self.total_tiles == 0:
-            return 0.0
-        return self.nonzero_tiles / self.total_tiles
-
-
-def zero_tile_summary(
-    plane_words: np.ndarray, *, counters: KernelCounters | None = None
-) -> TileSummary:
-    """Census the tiles of a packed plane, optionally charging counters.
-
-    The zero-tile check itself reads every word once; its traffic is charged
-    to ``counters.global_bytes_read`` because the jump test is not free —
-    the paper's §6.3 win is that a 128-byte read replaces a full
-    load-fragment + bmma pipeline.
-    """
-    mask = tile_nonzero_mask(plane_words)
-    summary = TileSummary(total_tiles=mask.size, nonzero_tiles=int(mask.sum()))
-    if counters is not None:
-        counters.tiles_total += summary.total_tiles
-        counters.tiles_skipped += summary.zero_tiles
-        counters.global_bytes_read += plane_words.nbytes
-    return summary
 
 
 @dataclass(frozen=True)
@@ -161,18 +121,6 @@ class TileSkipPlan:
     def processed_per_plane(self) -> list[int]:
         """Surviving tile count of each plane (feeds the counter closed forms)."""
         return [int(mask.sum()) for mask in self.masks]
-
-    def summary(self) -> TileSummary:
-        """The census as a :class:`TileSummary` (Figure 8's metric).
-
-        This is the bridge from an executed plan's adjacency artifact to
-        the runtime's modeled reports: a batch whose ``PackedAdjacency``
-        already carries its ballot needs no separate
-        :class:`~repro.runtime.profilebatch.BatchProfile` census.
-        """
-        return TileSummary(
-            total_tiles=self.total_tiles, nonzero_tiles=self.nonzero_tiles
-        )
 
     def matches(self, operand: "Operand | PackedBits") -> bool:
         """Whether this plan describes ``operand``'s plane/tile geometry."""

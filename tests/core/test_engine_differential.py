@@ -9,10 +9,9 @@ built-in host engines {packed, blas}, every product asserted equal to
 plumbing on its consumer, ``codegen``: skipped tiles contribute nothing,
 and a malformed census is refused rather than trusted.
 
-The plan/execute split gets the same treatment: compiled single-GEMM plans
-replayed on fresh same-shape inputs must match eager execution bit for bit
-for every registered backend, and mutated-shape inputs must invalidate the
-plan (hard error), never silently reuse it.
+The plan/execute split gets the same treatment: a compiled single-GEMM
+step replayed on fresh same-shape inputs must match eager execution bit
+for bit for every registered backend.
 """
 
 from __future__ import annotations
@@ -20,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bitgemm import (
     ENGINE_NAMES,
@@ -34,11 +35,8 @@ from repro.core.bitpack import (
     unpack_matrix,
 )
 from repro.errors import ShapeError
-from repro.plan import (
-    compile_gemm_plan,
-    default_registry,
-    execute_gemm_plan,
-)
+from repro.plan import GemmSpec, default_registry
+from repro.plan.ir import compile_gemm_step
 
 #: Shape corners of the sweep: (M, K, N).
 SHAPES = [
@@ -205,7 +203,7 @@ class TestExtensionBackendSweep:
         ref = matmul_int_reference(a, b)
         for backend in self._extensions():
             if not backend.caps.supports(
-                compile_gemm_plan(m, k, n, bits_a, bits_b).spec
+                GemmSpec(m=m, k=k, n=n, bits_a=bits_a, bits_b=bits_b)
             ):
                 continue
             got = bitgemm_codes(a, b, bits_a, bits_b, engine=backend.name)
@@ -268,12 +266,15 @@ class TestExtensionBackendSweep:
 
 
 class TestPlanCompileReplay:
-    """Plan/execute split: a compiled plan replayed on fresh inputs of the
-    same shape is bit-identical to eager execution for every registered
-    backend, and a mutated-shape input invalidates the plan (hard error)
-    rather than silently reusing it."""
+    """Plan/execute split: a compiled step replayed through ``bitgemm`` on
+    fresh inputs of the same shape is bit-identical to eager execution for
+    every registered backend."""
 
     M, K, N, BITS_A, BITS_B = 21, 150, 14, 3, 2
+
+    def _compile(self, engine, m=M, k=K, n=N, bits_a=BITS_A, bits_b=BITS_B):
+        spec = GemmSpec(m=m, k=k, n=n, bits_a=bits_a, bits_b=bits_b)
+        return compile_gemm_step(spec, engine=engine)
 
     def _operands(self, seed: int):
         rng = np.random.default_rng(seed)
@@ -283,18 +284,15 @@ class TestPlanCompileReplay:
 
     def _replay(self, step, a, b):
         """Replay ``step`` on integer codes, in the plan's layouts."""
-        return execute_gemm_plan(
-            step,
+        return bitgemm(
             Operand(a, self.BITS_A, step.pack_a.layout),
             Operand(b, self.BITS_B, step.pack_b.layout),
+            engine=step.backend,
         )
 
     def test_replay_matches_eager_for_all_registered_backends(self):
         for backend in default_registry():
-            step = compile_gemm_plan(
-                self.M, self.K, self.N, self.BITS_A, self.BITS_B,
-                engine=backend.name,
-            )
+            step = self._compile(backend.name)
             assert step.backend == backend.name
             # Replay the one compiled plan on several fresh same-shape inputs.
             for seed in range(3):
@@ -308,41 +306,43 @@ class TestPlanCompileReplay:
                 )
                 np.testing.assert_array_equal(replayed, matmul_int_reference(a, b))
 
+    @settings(max_examples=30)
+    @given(
+        shape=st.tuples(st.integers(0, 40), st.integers(1, 300), st.integers(0, 24)),
+        bits=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_replay_property_every_backend(self, shape, bits, seed):
+        # compile -> replay over arbitrary shapes and bitwidths, every
+        # registered backend that accepts the spec.
+        (m, k, n), (bits_a, bits_b) = shape, bits
+        rng = np.random.default_rng(seed)
+        a = _codes(rng, (m, k), bits_a)
+        b = _codes(rng, (k, n), bits_b)
+        ref = matmul_int_reference(a, b)
+        spec = GemmSpec(m=m, k=k, n=n, bits_a=bits_a, bits_b=bits_b)
+        for backend in default_registry():
+            if not backend.caps.supports(spec):
+                continue
+            step = compile_gemm_step(spec, engine=backend.name)
+            got = bitgemm(
+                Operand(a, bits_a, step.pack_a.layout),
+                Operand(b, bits_b, step.pack_b.layout),
+                engine=step.backend,
+            )
+            np.testing.assert_array_equal(got, ref, err_msg=backend.name)
+
     def test_replay_on_packed_operands(self, rng):
-        step = compile_gemm_plan(
-            self.M, self.K, self.N, self.BITS_A, self.BITS_B, engine="codegen"
-        )
+        step = self._compile("codegen")
         a, b = self._operands(7)
         pa = pack_matrix(a, self.BITS_A, layout="col")
         pb = pack_matrix(b, self.BITS_B, layout="row")
         np.testing.assert_array_equal(
-            execute_gemm_plan(step, pa, pb), matmul_int_reference(a, b)
+            bitgemm(pa, pb, engine=step.backend), matmul_int_reference(a, b)
         )
-
-    def test_mutated_shape_invalidates_plan(self):
-        step = compile_gemm_plan(
-            self.M, self.K, self.N, self.BITS_A, self.BITS_B, engine="packed"
-        )
-        a, b = self._operands(0)
-        # Mutated M: one extra row must refuse to replay, not mis-execute.
-        with pytest.raises(ShapeError, match="fresh plan"):
-            self._replay(step, np.vstack([a, a[:1]]), b)
-        # Mutated N likewise.
-        with pytest.raises(ShapeError, match="fresh plan"):
-            self._replay(step, a, b[:, :-1])
-
-    def test_mutated_bitwidth_invalidates_plan(self):
-        step = compile_gemm_plan(
-            self.M, self.K, self.N, self.BITS_A, self.BITS_B, engine="packed"
-        )
-        a, b = self._operands(1)
-        pa = pack_matrix(a, self.BITS_A + 1, layout="col")
-        pb = pack_matrix(b, self.BITS_B, layout="row")
-        with pytest.raises(ShapeError, match="fresh plan"):
-            execute_gemm_plan(step, pa, pb)
 
     def test_auto_plan_freezes_threshold_choice(self):
-        small = compile_gemm_plan(8, 128, 8, 1, 1, engine="auto")
-        large = compile_gemm_plan(512, 128, 512, 1, 1, engine="auto")
+        small = self._compile("auto", 8, 128, 8, 1, 1)
+        large = self._compile("auto", 512, 128, 512, 1, 1)
         assert small.backend == "packed"
         assert large.backend == "blas"

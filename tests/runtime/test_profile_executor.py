@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.dgl_like import DGLRunConfig, dgl_epoch_report
 from repro.core.bitpack import tile_nonzero_mask
 from repro.errors import ConfigError
 from repro.gnn.models import make_batched_gin, make_cluster_gcn
+from repro.gnn.quantized import pack_batch_adjacency
 from repro.graph.batching import batch_subgraphs, induced_subgraphs
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
@@ -20,7 +25,7 @@ from repro.runtime.executor import (
 from repro.runtime.profilebatch import profile_batch, profile_batches
 from repro.runtime.report import EpochReport
 from repro.tc.hardware import RTX3090
-from repro.tc.kernel import KernelConfig, TileSkipPlan, plan_tile_skip
+from repro.tc.kernel import KernelConfig, TileSkipPlan
 
 
 @pytest.fixture(scope="module")
@@ -44,18 +49,20 @@ class TestProfiles:
         for batch in batch_subgraphs(subs, 4):
             fast = profile_batch(batch)
             ballot = tile_nonzero_mask(batch.packed_adjacency().plane(0))
-            assert fast.nnz_tiles == ballot.sum()
-            assert fast.total_tiles == ballot.size
+            assert fast.plan.nonzero_tiles == ballot.sum()
+            assert fast.plan.total_tiles == ballot.size
 
     def test_profile_fields(self, setup):
         _, subs = setup
+        batches = list(batch_subgraphs(subs, 4))
         profiles = profile_batches(subs, 4)
-        assert len(profiles) == 4
-        for p in profiles:
-            assert 0 < p.nnz_tiles <= p.total_tiles
-            assert p.nnz_adj == 2 * p.num_edges + p.num_nodes
-            assert 0 < p.nonzero_tile_fraction <= 1.0
-            assert 0 < p.adjacency_density <= 1.0
+        assert len(profiles) == len(batches) == 4
+        for p, batch in zip(profiles, batches):
+            assert p.num_nodes == batch.num_nodes
+            assert 0 < p.plan.nonzero_tiles <= p.plan.total_tiles
+            assert p.nnz_adj == 2 * batch.num_edges + batch.num_nodes
+            assert 0 < p.plan.nonzero_fraction <= 1.0
+            assert p.nnz_adj <= p.num_nodes * p.num_nodes
 
     def test_batching_creates_zero_tiles(self, setup):
         # The Figure 8 mechanism: batching B subgraphs makes off-diagonal
@@ -63,37 +70,64 @@ class TestProfiles:
         _, subs = setup
         single = profile_batches(subs, 1)
         batched = profile_batches(subs, 8)
-        frac_single = np.mean([p.nonzero_tile_fraction for p in single])
-        frac_batched = np.mean([p.nonzero_tile_fraction for p in batched])
+        frac_single = np.mean([p.plan.nonzero_fraction for p in single])
+        frac_batched = np.mean([p.plan.nonzero_fraction for p in batched])
         assert frac_batched < frac_single
+
+
+@st.composite
+def partitioned_batches(draw):
+    """One coalesced batch of a randomly partitioned planted graph."""
+    num_nodes = draw(st.integers(16, 600))
+    parts = draw(st.integers(1, 8))
+    graph = planted_partition_graph(
+        num_nodes,
+        draw(st.integers(num_nodes, 6 * num_nodes)),
+        num_communities=parts,
+        rng=np.random.default_rng(draw(st.integers(0, 2**16))),
+    )
+    subs = induced_subgraphs(graph, metis_like_partition(graph, parts))
+    return next(batch_subgraphs(subs, draw(st.integers(1, parts))))
 
 
 class TestModeledPlanReport:
     """Batch-profile-free modeling: the census comes from the adjacency
     artifact's TileSkipPlan, not a separate BatchProfile pass."""
 
-    def test_matches_profile_epoch_path(self, setup):
+    @settings(max_examples=40)
+    @given(
+        batch=partitioned_batches(),
+        gin=st.booleans(),
+        feature_bits=st.integers(1, 8),
+        fused=st.booleans(),
+        jumping=st.booleans(),
+    )
+    def test_matches_profile_epoch_path(self, batch, gin, feature_bits, fused, jumping):
+        # One body models both paths: every field is equal, not close.
+        model = (make_batched_gin if gin else make_cluster_gcn)(16, 4)
+        config = QGTCRunConfig(
+            feature_bits=feature_bits,
+            fused=fused,
+            kernel=KernelConfig(zero_tile_jumping=jumping),
+        )
+        from_profile = qgtc_epoch_report([profile_batch(batch)], model, config)
+        from_plan = modeled_plan_report(
+            model,
+            config,
+            num_nodes=batch.num_nodes,
+            tile_plan=pack_batch_adjacency(batch).plan,
+        )
+        assert asdict(from_profile) == asdict(from_plan)
+
+    def test_epoch_report_leaves_no_memo(self, setup):
+        # A figure sweep models each profile under many configurations;
+        # only the serving path memoises on the census.
         _, subs = setup
-        gin = make_batched_gin(16, 4)
-        for batch in batch_subgraphs(subs, 4):
-            packed = batch.packed_adjacency()
-            tile_plan = plan_tile_skip(packed)
-            from_plan = modeled_plan_report(
-                gin,
-                QGTCRunConfig(feature_bits=4),
-                num_nodes=batch.num_nodes,
-                tile_plan=tile_plan,
-            )
-            assert tile_plan.summary().nonzero_tiles == tile_plan.nonzero_tiles
-            from_profile = qgtc_epoch_report(
-                [profile_batch(batch)], gin, QGTCRunConfig(feature_bits=4)
-            )
-            # Same census, same closed forms: identical modeled report.
-            assert from_plan.total_s(include_transfer=True) == (
-                from_profile.total_s(include_transfer=True)
-            )
-            assert from_plan.tiles_skipped == from_profile.tiles_skipped
-            assert from_plan.mma_ops == from_profile.mma_ops
+        profiles = profile_batches(subs, 4)
+        gcn = make_cluster_gcn(16, 4)
+        for bits in (1, 4, 8):
+            qgtc_epoch_report(profiles, gcn, QGTCRunConfig(feature_bits=bits))
+        assert all(p.plan.derived == {} for p in profiles)
 
     def test_rejects_multibit_plan(self, setup):
         _, subs = setup
@@ -186,6 +220,19 @@ class TestQGTCEpoch:
         merged = r1.merge(r2)
         assert merged.total_s() == pytest.approx(total.total_s())
         assert merged.kernels == total.kernels
+
+
+    def test_merge_sums_every_counted_field(self):
+        # The hand-rolled merge must name every counter EpochReport has.
+        counted = [
+            f.name for f in fields(EpochReport) if f.name not in ("system", "dataset")
+        ]
+        ones = {name: i for i, name in enumerate(counted, 1)}
+        a = EpochReport(system="a", **ones)
+        b = EpochReport(system="b", **{name: 10 * i for name, i in ones.items()})
+        a.merge(b)
+        want = [11 * i for i in range(1, len(counted) + 1)]
+        assert [getattr(a, name) for name in counted] == want
 
 
 class TestDGLBaseline:

@@ -427,13 +427,6 @@ class TestSessionTelemetry:
         assert report.total_s() > 0
         assert report.mma_ops > 0
 
-    def test_device_tracking_can_be_disabled(self, gin_model, subgraphs):
-        engine = InferenceEngine(
-            gin_model, ServingConfig(feature_bits=8, track_device_time=False)
-        )
-        engine.infer(subgraphs[:2])
-        assert engine.device_report.num_batches == 0
-
     def test_round_seconds_ring_tracks_service_time(self, gin_model, subgraphs):
         engine = InferenceEngine(
             gin_model, ServingConfig(feature_bits=8, batch_size=2)

@@ -15,11 +15,9 @@ import pytest
 
 from repro.errors import ConfigError, ShapeError
 from repro.core.bitgemm import bitgemm_codes
-from repro.core.bitpack import pack_matrix
 from repro.plan.autotune import DispatchTable
 from repro.plan.cache import PlanCache, ThreadSafeLRUCache, artifact_nbytes
-from repro.plan.executor import execute_gemm_plan
-from repro.plan.ir import GemmSpec, GemmStep, PackStep
+from repro.plan.ir import GemmSpec
 from repro.plan.registry import BackendRegistry, resolve_engine_name
 from repro.serving import CostModelDispatcher
 from repro.tc.hardware import RTX3090
@@ -72,20 +70,6 @@ class TestEmptyRegistryHonored:
             resolve_engine_name("packed", spec, registry=empty_registry)
         # None still means "the default set".
         assert resolve_engine_name("packed", spec, registry=None) == "packed"
-
-    def test_executor_rejects_instead_of_falling_back(self, empty_registry):
-        import numpy as np
-
-        step = GemmStep(
-            spec=GemmSpec(m=4, k=4, n=4, bits_a=1, bits_b=1, role="update"),
-            backend="packed",
-            pack_a=PackStep(layout="col", bits=1, cache_key=None),
-            pack_b=PackStep(layout="row", bits=1, cache_key=None),
-        )
-        a = pack_matrix(np.ones((4, 4), dtype=np.int64), 1, layout="col")
-        b = pack_matrix(np.ones((4, 4), dtype=np.int64), 1, layout="row")
-        with pytest.raises(ShapeError, match="registered: \\(\\)"):
-            execute_gemm_plan(step, a, b, registry=empty_registry)
 
     def test_bitgemm_facade_rejects_instead_of_falling_back(
         self, empty_registry

@@ -360,6 +360,13 @@ class TestProcessEscapeHatch:
         assert stats.requests == len(subgraphs)
         pool.shutdown()
 
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_device_report_covers_every_batch(self, gin_model, subgraphs, mode):
+        pool = make_pool(gin_model, mode=mode)
+        pool.serve(subgraphs)
+        assert pool.device_report().num_batches == pool.stats().batches
+        pool.shutdown()
+
     def test_process_shards_measure_and_discard_their_tables(
         self, gin_model, subgraphs
     ):

@@ -7,8 +7,7 @@ import pytest
 
 from repro.core.bitpack import pack_matrix, tile_nonzero_mask
 from repro.errors import ShapeError
-from repro.tc.counters import KernelCounters
-from repro.tc.kernel import TileSummary, zero_tile_summary
+from repro.tc.kernel import plan_tile_skip
 
 
 class TestTileMask:
@@ -57,23 +56,12 @@ class TestTileMask:
 class TestSummary:
     def test_ratio(self, rng):
         adj = (rng.random((80, 1280)) < 0.005).astype(np.int64)
-        packed = pack_matrix(adj, 1, layout="col")
-        summary = zero_tile_summary(packed.plane(0))
-        assert isinstance(summary, TileSummary)
-        assert summary.total_tiles == 10 * 10
-        assert summary.nonzero_tiles + summary.zero_tiles == summary.total_tiles
-        assert 0.0 <= summary.processed_ratio <= 1.0
-
-    def test_counters_charged(self, rng):
-        packed = pack_matrix(
-            (rng.random((16, 256)) < 0.01).astype(np.int64), 1, layout="col"
-        )
-        c = KernelCounters()
-        summary = zero_tile_summary(packed.plane(0), counters=c)
-        assert c.tiles_total == summary.total_tiles
-        assert c.tiles_skipped == summary.zero_tiles
-        assert c.global_bytes_read == packed.plane(0).nbytes
+        plan = plan_tile_skip(pack_matrix(adj, 1, layout="col"))
+        assert plan.total_tiles == 10 * 10
+        zero_tiles = int((~plan.masks[0]).sum())
+        assert plan.nonzero_tiles + zero_tiles == plan.total_tiles
+        assert 0.0 <= plan.nonzero_fraction <= 1.0
 
     def test_empty_ratio(self):
         packed = pack_matrix(np.zeros((8, 128), np.int64), 1, layout="col")
-        assert zero_tile_summary(packed.plane(0)).processed_ratio == 0.0
+        assert plan_tile_skip(packed).nonzero_fraction == 0.0
