@@ -239,7 +239,7 @@ def quantize_into(values: np.ndarray, params: QuantParams, dtype) -> np.ndarray:
         codes = np.subtract(values, params.alpha_min, dtype=np.float64)
         np.divide(codes, params.scale, out=codes)
         np.floor(codes, out=codes)
-        np.clip(codes, 0, params.levels - 1, out=codes)
+        codes.clip(0, params.levels - 1, out=codes)
         lowest = codes.min(initial=0.0)
     if np.isnan(lowest):  # ``min`` propagates NaN; the clip and the compare hide it
         raise BitwidthError("cannot quantize NaN: codes must be non-negative integers")

@@ -26,59 +26,42 @@ Only the ``q_a q_b`` term touches the Tensor Core.
 
 Serving hooks
 -------------
-Two ingredients of the forward pass are invariant across requests and are
-exposed so a session (:mod:`repro.serving`) can build them once and reuse
-them:
+What is invariant across requests is built once and fed back in:
+:class:`PackedLayerWeight` (a layer's weights quantized and row-packed,
+with their column-sum epilogue; :func:`pack_layer_weight`),
+:class:`PackedAdjacency` (a batch's 1-bit adjacency, its
+:class:`~repro.tc.kernel.TileSkipPlan` census and degrees;
+:func:`pack_batch_adjacency`) and :class:`ActivationCalibration`
+(activation parameters frozen per site on first touch — with a shared one,
+a batched forward and the per-request forwards give *bit-identical*
+logits: the block-diagonal adjacency keeps members independent).  Without
+them, weights and adjacency are packed per call and activations calibrate
+per tensor.
 
-* :class:`PackedLayerWeight` — a layer's weight matrix quantized,
-  bit-packed row-wise, with its affine column-sum epilogue precomputed.
-  :func:`pack_layer_weight` builds one; ``packed_weights=`` feeds them in.
-* :class:`ActivationCalibration` — per-site activation quantization
-  parameters frozen on first touch.  With a shared calibration, a batched
-  forward and the equivalent per-request forwards produce *bit-identical*
-  logits (the block-diagonal adjacency keeps members independent, so the
-  only coupling is through calibration — which freezing removes).
-* :class:`PackedAdjacency` — a batch's adjacency 1-bit packed,
-  tile-censused (:class:`~repro.tc.kernel.TileSkipPlan`) and degree-summed
-  once.  :func:`pack_batch_adjacency` builds one; ``packed_adjacency=``
-  feeds it in so a serving session that sees the same batch twice packs and
-  ballots the operand once.
-
-When none is supplied the behavior is the original one-shot path: weights
-and the adjacency are re-packed per call and activations calibrate per
-tensor.
-
-Plan/execute split
-------------------
-The forward pass is structured as *compile once, replay many*: a
-:class:`~repro.plan.ir.ExecutionPlan` (built by
-:func:`repro.plan.ir.compile_forward_plan`) records each layer's GEMM
-shapes, bitwidths, quantize sites, pack/census cache keys and the backend
-resolved for every product; :func:`execute_forward_plan` replays a plan on
-a batch, resolving request-invariant artifacts (packed weights, the packed
-adjacency) through a :class:`~repro.plan.cache.PlanCache` when one is
-supplied.  :func:`quantized_forward` is the eager compatibility shim —
-compile + execute in one call — and its ``packed_weights=`` /
-``packed_adjacency=`` arguments simply seed the corresponding plan-node
-artifacts.
+Compile once, replay many: an :class:`~repro.plan.ir.ExecutionPlan`
+(:func:`repro.plan.ir.compile_forward_plan`) records each GEMM's shape,
+bitwidths, quantize site, cache keys and backend; :func:`execute_forward_plan`
+lowers it against its artifacts into a bound program once and replays that;
+:func:`quantized_forward` is the eager shim (compile + execute).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from operator import add, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..core.bitgemm import Engine, exact_gemm_dtype
+from ..core.bitgemm import Engine, codes_gemm, exact_gemm_dtype
 from ..core.bitpack import Operand, PackedBits, pack_matrix
 from ..core.quantization import QuantParams, calibrate, quantize, quantize_into
 from ..errors import BitwidthError, ConfigError, ShapeError
 from ..graph.batching import SubgraphBatch
-from ..plan.ir import ExecutionPlan, GemmSpec, GemmStep, QuantizeStep, compile_forward_plan
+from ..plan.ir import ExecutionPlan, GemmSpec, GemmStep, compile_forward_plan
 from ..plan.registry import default_registry, resolve_engine_name
 from ..tc.counters import KernelCounters
 from ..tc.kernel import BitGemmKernel, KernelConfig, TileSkipPlan, plan_tile_skip
@@ -106,19 +89,12 @@ __all__ = [
 class PhaseTiming(NamedTuple):
     """Measured wall-clock of one execution phase of a forward pass.
 
-    Where :class:`StepTiming` covers only the backend-dependent kernel
-    dispatch (the autotuning sample), phase timings cover *everything* a
-    forward pass spends time on — materializing features, quantizing,
-    packing, censusing, the GEMM itself, affine epilogues and
-    activations — so :mod:`repro.perf` can attribute (nearly) all of a
-    session's measured wall-clock to named plan-step phases.  ``gemm``
-    phases reuse the exact elapsed value of the corresponding
-    :class:`StepTiming`, so backend attribution and phase attribution
-    never disagree about the kernel seconds.  (The one exception: when a
-    step recovered on a fallback backend, the ``gemm`` phase covers the
-    whole attempt window while the :class:`StepTiming` sample covers only
-    the winning attempt — failed attempts must not bias the winner's
-    autotune cell.)
+    Phases cover everything a pass spends time on — materializing
+    features, quantizing, packing, censusing, the GEMM, affine epilogues,
+    activations — so :mod:`repro.perf` can attribute a session's
+    wall-clock to named plan-step phases.  A ``gemm`` phase is its
+    :class:`StepTiming`'s window exactly, unless the step recovered on a
+    fallback: the phase covers every attempt, the sample only the winner.
     """
 
     #: Phase name: ``materialize``, ``quantize``, ``pack``, ``census``,
@@ -133,15 +109,10 @@ class PhaseTiming(NamedTuple):
 
 
 class StepTiming(NamedTuple):
-    """Measured wall-clock of one executed plan step's bit-GEMM.
-
-    The timing window covers exactly the backend-dependent work (the
-    kernel dispatch, on operands already packed where the backend reads
-    words), which makes each executed step a valid autotuning sample: the
-    serving engine feeds these into the dispatcher's
-    :class:`~repro.plan.autotune.DispatchTable`, so every warm replay
-    sharpens future dispatch decisions for free.
-    """
+    """Measured wall-clock of one executed plan step's bit-GEMM — the
+    backend-dependent work only, so each executed step is an autotuning
+    sample the serving engine feeds its
+    :class:`~repro.plan.autotune.DispatchTable`."""
 
     spec: GemmSpec
     backend: str
@@ -154,19 +125,36 @@ class QuantizedForwardResult:
 
     logits: np.ndarray
     counters: list[KernelCounters]
-    #: One measured per-GEMM timing per executed plan step, in execution
-    #: order (parallel to ``counters``).  When a step recovered on a
-    #: fallback backend, ``backend`` names the backend that actually
-    #: executed, not the one the plan chose.
-    timings: tuple[StepTiming, ...] = ()
-    #: Full phase attribution of the pass's wall-clock (quantize / pack /
-    #: census / gemm / epilogue / ... — see :class:`PhaseTiming`); empty
-    #: for paths that do not collect phases.
-    phases: tuple[PhaseTiming, ...] = ()
     #: One ``(step role, failed backend, executed backend)`` triple per
     #: failed GEMM attempt that a fallback recovered (see
     #: ``repro.serving.supervision``); empty on a fault-free pass.
     recoveries: tuple[tuple[str, str, str], ...] = ()
+    #: The bound program that ran, the ``perf_counter`` stamps at its phase
+    #: boundaries and ``{step: (executed backend, winning attempt's
+    #: seconds)}`` of the steps a fallback recovered.
+    program: "_Program | None" = None
+    stamps: list[float] | None = None
+    recovered: dict | None = None
+
+    @cached_property
+    def timings(self) -> tuple[StepTiming, ...]:
+        """One :class:`StepTiming` per executed step, in execution order
+        (parallel to ``counters``): its ``gemm`` phase window, or — for a
+        recovered step, named by the backend that actually executed — the
+        winning attempt alone, so failures never bias the autotune cell."""
+        stamps, steps = self.stamps, self.program.steps
+        timings = [(b.step.spec, b.step.backend, stamps[at + 1] - stamps[at])
+                   for b, at in zip(steps, self.program.gemm_at)]
+        for i, (executed, seconds) in self.recovered.items():
+            timings[i] = (steps[i].step.spec, executed, seconds)
+        return tuple(map(_as_step_timing, timings))
+
+    @cached_property
+    def phases(self) -> tuple[PhaseTiming, ...]:
+        """Full phase attribution of the pass's wall-clock, one
+        :class:`PhaseTiming` per interval of the program's layout."""
+        seconds = zip(map(sub, self.stamps[1:], self.stamps))
+        return tuple(map(_as_phase_timing, map(add, self.program.layout, seconds)))
 
     @property
     def total_counters(self) -> KernelCounters:
@@ -183,23 +171,11 @@ def _mid_offset(params: QuantParams) -> float:
 
 @dataclass(frozen=True)
 class PackedLayerWeight:
-    """One layer's weights, quantized and bit-packed once per session.
-
-    The paper pre-computes and caches the weight bit-decomposition because
-    the same ``W`` serves every subgraph at a layer (§3.2 last paragraph).
-    Bundles everything the update GEMM needs from the right operand:
-
-    Attributes
-    ----------
-    packed:
-        Row-wise compressed bit planes of the quantized codes — the
-        kernel's right operand, built once instead of per request.
-    params:
-        Affine parameters of the weight quantization.
-    col_sums:
-        ``(1, out_dim)`` column sums of the integer codes — the rank-1
-        affine epilogue term, also request-invariant.
-    """
+    """One layer's weights, quantized and bit-packed once per session — the
+    same ``W`` serves every subgraph at a layer, so the paper caches its bit
+    decomposition (§3.2): ``packed``, the row-compressed right operand;
+    ``params``, its affine parameters; ``col_sums``, the ``(1, out_dim)``
+    column sums of its codes (the rank-1 epilogue term)."""
 
     packed: PackedBits
     params: QuantParams
@@ -235,31 +211,24 @@ def pack_layer_weight(weight: np.ndarray, bits: int) -> PackedLayerWeight:
 
 @dataclass(frozen=True)
 class PackedAdjacency:
-    """A batch's aggregation operand, built once and reusable across layers
-    and (via a serving cache) across repeat executions of the same batch.
-
-    Bundles everything the aggregation GEMM needs from the left operand:
-
-    Attributes
-    ----------
-    operand:
-        The 1-bit column-compressed adjacency (self loops included) — the
-        kernel's left operand, in the form its producer held: a canonical
-        CSR of ones (:func:`pack_batch_adjacency`; the §4.2 words are
-        packed when something first reads :attr:`packed`) or the words (a
-        dynamic-graph snapshot; a GEMM on codes decodes them).  Memoises
-        what it derives for as long as the artifact is cached.
-    plan:
-        Non-zero tile census of the packed planes (§4.3).  Feeds the
-        kernel's measured skip counters and ``codegen``'s skip kernels.
-    degrees:
-        ``(n, 1)`` float64 row sums (with self loops) — the rank-1 affine
-        epilogue of the aggregation product.
-    """
+    """A batch's aggregation operand, built once and reused across layers
+    and (via a serving cache) across replays of the same batch:
+    ``operand``, the 1-bit column-compressed adjacency with self loops in
+    the form its producer held — a canonical CSR of ones
+    (:func:`pack_batch_adjacency`; the §4.2 words are packed on first read)
+    or the words (a dynamic-graph snapshot) — memoising what it derives;
+    ``plan``, the §4.3 tile census the measured skip counters and
+    ``codegen``'s skip kernels read; ``degrees``, the ``(n, 1)`` float64 row
+    sums (the aggregation's rank-1 epilogue)."""
 
     operand: Operand
     plan: TileSkipPlan
     degrees: np.ndarray
+
+    @cached_property
+    def derived(self) -> dict:
+        """What is bound to this adjacency (:func:`execute_forward_plan`)."""
+        return {}
 
     @property
     def packed(self) -> PackedBits:
@@ -361,20 +330,19 @@ def quantize_model_weights(
     return [quantize(w, bits=bits) for w in model.weights]
 
 
-def _row_sums(codes: np.ndarray) -> np.ndarray:
-    """``(n, 1)`` float64 row sums of integer codes: one GEMV against ones in
-    their own dtype, exact as their product is (a row sums to at most
-    ``k * (2**bits - 1)``)."""
-    return (codes @ np.ones(codes.shape[1], codes.dtype)).astype(np.float64)[:, None]
+def _row_sums(codes: np.ndarray, ones: np.ndarray | None = None) -> np.ndarray:
+    """``(n, 1)`` float64 row sums of integer codes: one GEMV against (bound)
+    ones in their dtype, exact as their product (a row is ``<= k (2**b - 1)``)."""
+    if ones is None:
+        ones = np.ones(codes.shape[1], codes.dtype)
+    return (codes @ ones).astype(np.float64)[:, None]
 
 
 def _bind(step: GemmStep, layer: int, registry) -> tuple:
-    """``(backend, dtype, label)`` — what every launch of ``step`` would
-    re-derive from its spec and the registry: the resolved backend (resolved,
-    not just looked up — a plan replayed against a registry that lacks its
-    backend fails as every ``engine=`` name does), the dtype its GEMM is
-    exact in and its ``role/Ln`` label, derived once per registry state
-    into :attr:`GemmStep.derived <repro.plan.ir.GemmStep.derived>`."""
+    """``(backend, exact GEMM dtype, "role/Ln" label)`` of ``step``, kept in
+    :attr:`GemmStep.derived <repro.plan.ir.GemmStep.derived>` per registry
+    state: the backend is resolved, not looked up, so a plan replayed
+    against a registry that lacks it fails as every ``engine=`` name does."""
     key = (registry, registry.generation)
     bound = step.derived.get(key)
     if bound is None:
@@ -385,6 +353,99 @@ def _bind(step: GemmStep, layer: int, registry) -> tuple:
             f"{spec.role}/L{layer}",
         )
     return bound
+
+
+class _BoundStep(NamedTuple):
+    """One GEMM step lowered against its artifacts: ``fixed`` is the cached
+    side (adjacency left, weights right); ``matmul`` the ``blas`` product on
+    raw codes with its matrix bound, else ``None``; ``counters`` is ``None``
+    when a 1-bit activation under jumping is balloted per round;
+    ``epilogue`` the affine terms, by the unbound form's float operations
+    in its order: ``(s, c deg)`` or ``(s_l s_r, s_l c_r, ones, c_l s_r
+    colsums, k c_l c_r, bias)``."""
+
+    step: GemmStep
+    layer: int
+    aggregate: bool
+    relu: bool
+    label: str
+    params: QuantParams
+    dtype: np.dtype
+    backend: object
+    fixed: Operand
+    matmul: object
+    skip_plan: TileSkipPlan | None
+    counters: KernelCounters | None
+    epilogue: tuple
+
+    def operand(self, codes: np.ndarray) -> Operand:
+        """The step's activation operand: ``codes``, range-proven."""
+        return Operand(codes, self.params.bits, "row" if self.aggregate else "col", proven=True)
+
+
+def _bind_step(step, layer, relu, registry, kernel, params, codes, weight, adjacency, bias):
+    """``(bound step, activation operand)`` of the binding round."""
+    backend, dtype, label = _bind(step, layer, registry)
+    aggregate = step.spec.role == "aggregate"
+    activation = Operand(codes, params.bits, "row" if aggregate else "col", proven=True)
+    fixed = adjacency.operand if aggregate else weight.operand
+    left, right = (fixed, activation) if aggregate else (activation, fixed)
+    skip_plan = counters = None  # a 1-bit activation under jumping is balloted per round
+    if aggregate or not kernel.jumps(activation):
+        skip_plan, counters = kernel.account(left, right, adjacency.plan if aggregate else None, step.derived)
+    s_l, c_l = params.scale, _mid_offset(params)
+    if aggregate:
+        epilogue = (s_l, c_l * adjacency.degrees)
+    else:
+        s_r, c_r, k = weight.params.scale, _mid_offset(weight.params), activation.logical_k
+        ones = np.ones(k, dtype)
+        ones.setflags(write=False)
+        epilogue = (s_l * s_r, s_l * c_r, ones, c_l * s_r * weight.col_sums, k * c_l * c_r, bias)
+    matmul = None
+    if backend.run is codes_gemm and counters is not None:
+        matrix = fixed.matrix(dtype)
+        matmul = matrix.__matmul__ if aggregate else matrix.__rmatmul__
+    return _BoundStep(step, layer, aggregate, relu, label, params, dtype, backend, fixed,
+                      matmul, skip_plan, counters, epilogue), activation
+
+
+class _Program(NamedTuple):
+    """A plan lowered against one set of artifacts (``key``; ``pinned`` holds
+    the model and weights it names by id) with the round's fixed-shape
+    accounting: each stamped interval's ``(phase, role, layer)``, each
+    step's ``gemm`` interval, the summed counters (``None``: a step counts
+    per round) and a memo of what consumers derive from it."""
+
+    key: tuple
+    pinned: tuple
+    steps: tuple[_BoundStep, ...]
+    kernel: BitGemmKernel
+    layout: tuple[tuple[str, str, int], ...]
+    gemm_at: tuple[int, ...]
+    totals: KernelCounters | None
+    derived: dict
+
+
+def _lower(key, pinned, steps, kernel, softmax) -> _Program:
+    layout = [("materialize", "forward", -1)]
+    for bound in steps:
+        layout += [(phase, bound.step.spec.role, bound.layer) for phase in PHASES[1:6]]
+        layout += [("activation", "forward", bound.layer)] * bound.relu
+    layout += [("activation", "forward", -1)] * softmax
+    totals = None
+    if all(bound.counters is not None for bound in steps):
+        totals = KernelCounters()
+        for bound in steps:
+            totals.merge(bound.counters)
+    gemm_at = tuple(i for i, (phase, _, _) in enumerate(layout) if phase == "gemm")
+    return _Program(key, pinned, tuple(steps), kernel, tuple(layout), gemm_at, totals, {})
+
+
+#: Executor phases; a program's stamps delimit one interval per layout entry.
+PHASES = ("materialize", "quantize", "pack", "census", "gemm", "epilogue", "activation")
+_DEFAULT_KERNEL = KernelConfig()
+_as_phase_timing = partial(tuple.__new__, PhaseTiming)
+_as_step_timing = partial(tuple.__new__, StepTiming)
 
 
 def execute_forward_plan(
@@ -403,45 +464,30 @@ def execute_forward_plan(
 ) -> QuantizedForwardResult:
     """Replay a compiled :class:`~repro.plan.ir.ExecutionPlan` on one batch.
 
-    ``registry`` resolves the plan's backend names against a non-default
-    :class:`~repro.plan.registry.BackendRegistry` — pass the same registry
-    the plan was compiled with.
+    ``registry`` resolves the plan's backend names (pass the one the plan
+    was compiled with).  ``recovery`` (a
+    ``repro.serving.supervision.StepRecovery``-shaped object) retries a
+    step whose backend raised a retryable error along its fallback chain;
+    engines are bit-identical, so a recovery changes cost, never logits
+    (:attr:`QuantizedForwardResult.recoveries`).  Missing
+    ``packed_weights``/``packed_adjacency`` are resolved through
+    ``artifacts`` under the plan nodes' keys, else built transiently.
 
-    ``recovery`` (a ``repro.serving.supervision.StepRecovery``-shaped
-    object, duck-typed to keep this module serving-agnostic) retries a
-    GEMM step whose backend raised a retryable error on that backend's
-    fallback chain; every engine is bit-identical to the oracle, so a
-    recovered step changes cost, never logits.  Recovered steps are
-    reported in :attr:`QuantizedForwardResult.recoveries`.
-
-    Request-invariant operands hang off the plan's pack/census nodes: when
-    an ``artifacts`` cache is supplied, each node's artifact (a
-    :class:`PackedLayerWeight` per update step, one :class:`PackedAdjacency`
-    for the aggregation steps) is resolved through it under the node's
-    content key — so a serving session's replayed rounds are pure cache
-    traffic.  Explicit ``packed_weights``/``packed_adjacency`` seed the
-    artifacts directly (the eager shim's path); with neither, operands are
-    rebuilt transiently, reproducing the original one-shot behavior.
-
-    A plan compiled for a different shape refuses to run
-    (:class:`~repro.errors.ShapeError`): a stale plan is an error, never a
-    silent wrong answer.
+    The first run over a set of artifacts (plan, adjacency, weights,
+    registry state, kernel config, calibration) lowers the plan into a
+    *bound program* kept on the adjacency, running the operand pair,
+    census, dtype and weight-bitwidth checks once; later runs are its
+    NumPy calls, a ``perf_counter`` stamp per phase boundary and each
+    step's recovery wrapper.  Without a shared ``calibration`` nothing
+    keeps it.  The node count, feature width and Eq. 2's NaN check run
+    every time (another shape raises :class:`~repro.errors.ShapeError`).
     """
     sig = plan.signature
-    if len(plan.layers) != model.num_layers:
-        raise ConfigError(
-            f"plan has {len(plan.layers)} layers, model has {model.num_layers}"
-        )
     if batch.num_nodes != sig.num_nodes:
         raise ShapeError(
             f"plan compiled for {sig.num_nodes} nodes cannot execute a "
             f"{batch.num_nodes}-node batch; compile a fresh plan"
         )
-    kernel = BitGemmKernel(kernel_config or KernelConfig())
-    counters: list[KernelCounters] = []
-    timings: list[StepTiming] = []
-    phases: list[PhaseTiming] = []
-    recoveries: list[tuple[str, str, str]] = []
 
     def resolve(key, builder):
         if artifacts is not None and key is not None:
@@ -450,193 +496,136 @@ def execute_forward_plan(
 
     if packed_adjacency is None:
         packed_adjacency = resolve(
-            plan.layers[0].aggregate.pack_a.cache_key,
-            lambda: pack_batch_adjacency(batch),
+            plan.layers[0].aggregate.pack_a.cache_key, partial(pack_batch_adjacency, batch)
         )
-    if packed_adjacency.num_nodes != batch.num_nodes:
-        raise ShapeError(
-            f"packed adjacency covers {packed_adjacency.num_nodes} nodes, "
-            f"batch has {batch.num_nodes}"
-        )
-
     if packed_weights is None:
         packed_weights = [
-            resolve(
-                layer.update.pack_b.cache_key,
-                lambda w=model.weights[layer.index], bits=layer.update.spec.bits_b: (
-                    pack_layer_weight(w, bits)
-                ),
-            )
-            for layer in plan.layers
+            resolve(layer.update.pack_b.cache_key, partial(pack_layer_weight, w, layer.update.spec.bits_b))
+            for layer, w in zip(plan.layers, model.weights)
         ]
-    elif len(packed_weights) != model.num_layers:
-        raise ConfigError(
-            f"expected {model.num_layers} packed weights, got {len(packed_weights)}"
-        )
-
-    adj_operand = packed_adjacency.operand
-    adj_plan = packed_adjacency.plan
-    degrees = packed_adjacency.degrees
     backends = default_registry() if registry is None else registry
+    config = _DEFAULT_KERNEL if kernel_config is None else kernel_config
+    key = (plan, backends, backends.generation, config, calibration, apply_softmax,
+           id(model), *map(id, packed_weights))
+    program = packed_adjacency.derived.get("program")
+    if program is None or program.key != key:
+        _check_artifacts(plan, model, packed_weights, packed_adjacency)
+        program, kernel = None, BitGemmKernel(config)
+        schedule = [(step, layer.index, not layer.is_output and i == 1)
+                    for layer in plan.layers for i, step in enumerate(layer.steps(sig.aggregate_first))]
+    else:
+        schedule, kernel = program.steps, program.kernel
 
-    start = time.perf_counter()
+    clock = time.perf_counter
+    stamps = [clock()]
+    stamp = stamps.append
     h = batch.features(np.float64)
-    phases.append(
-        PhaseTiming("materialize", "forward", -1, time.perf_counter() - start)
-    )
+    stamp(clock())
     if h.shape[1] != sig.feature_dim:
         raise ShapeError(
             f"plan compiled for feature_dim={sig.feature_dim} cannot execute "
             f"a batch with {h.shape[1]} features; compile a fresh plan"
         )
-
-    def quantize_at(
-        step: QuantizeStep, x_real: np.ndarray, dtype: np.dtype
-    ) -> tuple[np.ndarray, QuantParams]:
-        """``x_real``'s codes in ``dtype``, the one its GEMM is exact in, their
-        range proven on the way (nothing reads them again to check it)."""
-        if calibration is None:
-            params = calibrate(x_real, step.bits)
+    bound, counters, recoveries, recovered = [], [], [], {}
+    for i, bs in enumerate(schedule):
+        if program is None:  # binding: calibrate, quantize, lower the step
+            step, layer, relu = bs
+            site = step.quantize_a or step.quantize_b
+            params = (calibrate(h, site.bits) if calibration is None
+                      else calibration.params_for(site.site, h, site.bits))
+            codes = quantize_into(h, params, _bind(step, layer, backends)[1])
+            bs, operand = _bind_step(step, layer, relu, backends, kernel, params, codes,
+                                     packed_weights[layer], packed_adjacency, model.biases[layer])
         else:
-            params = calibration.params_for(step.site, x_real, step.bits)
-        return quantize_into(x_real, params, dtype), params
+            codes = quantize_into(h, bs.params, bs.dtype)
+            operand = None if bs.matmul is not None else bs.operand(codes)
+        bound.append(bs)
+        stamp(clock())
+        if bs.matmul is None and bs.backend.caps.consumes_words:
+            operand.pack()
+            bs.fixed.pack()
+        stamp(clock())
+        skip_plan, step_counters = bs.skip_plan, bs.counters
+        if step_counters is None:  # a 1-bit activation's ballot: per round
+            skip_plan, step_counters = kernel.account(operand, bs.fixed, None, bs.step.derived)
+        counters.append(step_counters)
+        stamp(clock())
 
-    def product(
-        step: GemmStep,
-        bound: tuple,
-        layer: int,
-        left: Operand,
-        right: Operand,
-        skip_plan: TileSkipPlan | None = None,
-    ) -> np.ndarray:
-        """One step's pack, census and gemm phases around its kernel launch
-        on ``left @ right``.  Activations (a cached side already holds its
-        words) are bit-packed ahead of the GEMM window only when the step's
-        backend reads words; a 1-bit left operand under zero-tile jumping
-        is balloted from the form it holds — that census feeds the modeled
-        skip counters whichever backend runs."""
-        role = step.spec.role
-        start = time.perf_counter()
-        primary, _, label = bound
-        if primary.caps.consumes_words:
-            left.pack()
-            right.pack()
-        packed_at = time.perf_counter()
-        # Ballot a 1-bit left operand *outside* the timing window (mirroring
-        # kernel.run's internal census) so the StepTiming sample covers the
-        # census-amortized work a replay does — mixing
-        # census-inclusive and census-exclusive samples in one table cell
-        # would bias its median against whichever backend actually executed.
-        if skip_plan is None and left.bits == 1 and kernel.config.zero_tile_jumping:
-            skip_plan = plan_tile_skip(left)
-        census_at = time.perf_counter()
-        win: dict[str, float] = {}
-
-        def attempt(name: str):
-            began = time.perf_counter()
-            backend = primary
-            if name != step.backend:  # a recovery's fallback: resolved per use
-                backend = backends.get(resolve_engine_name(name, step.spec, backends))
-            out = kernel.launch(backend, left, right, skip_plan, step.derived)
-            win["s"] = time.perf_counter() - began
+        def attempt(name, bs=bs, codes=codes, operand=operand,
+                    masks=None if skip_plan is None else skip_plan.masks):
+            primary = name == bs.step.backend
+            if primary and bs.matmul is not None:
+                return bs.matmul(codes)
+            if operand is None:
+                operand = bs.operand(codes)
+            pair = (bs.fixed, operand) if bs.aggregate else (operand, bs.fixed)
+            if primary:
+                return bs.backend.run(*pair, masks)
+            began = clock()  # a recovery's fallback: resolved per use, timed alone
+            out = backends.get(resolve_engine_name(name, bs.step.spec, backends)).run(*pair, masks)
+            won[name] = clock() - began
             return out
 
+        won = {}
         if recovery is None:
-            res, executed, failed = attempt(step.backend), step.backend, ()
+            out, executed, failed = attempt(bs.step.backend), bs.step.backend, ()
         else:
-            res, executed, failed = recovery.run(attempt, step.backend, detail=label)
-        gemm_s = time.perf_counter() - census_at
-        # Fault-free steps reuse the phase window exactly (backend and
-        # phase attribution must agree); recovered steps report only the
-        # winning attempt so failures never bias the autotune sample.
-        timings.append(StepTiming(step.spec, executed, win["s"] if failed else gemm_s))
-        recoveries.extend((label, name, executed) for name in failed)
-        counters.append(res.counters)
-        phases.append(PhaseTiming("pack", role, layer, packed_at - start))
-        phases.append(PhaseTiming("census", role, layer, census_at - packed_at))
-        phases.append(PhaseTiming("gemm", role, layer, gemm_s))
-        return res.output
-
-    def aggregate(x_real: np.ndarray, step: GemmStep, layer: int) -> np.ndarray:
-        """``Â @ x`` with the adjacency exact (1-bit) and x quantized."""
-        bound = _bind(step, layer, backends)
-        start = time.perf_counter()
-        qx, px = quantize_at(step.quantize_b, x_real, bound[1])
-        right = Operand(qx, px.bits, "row", proven=True)
-        phases.append(
-            PhaseTiming("quantize", "aggregate", layer, time.perf_counter() - start)
-        )
-        out = product(step, bound, layer, adj_operand, right, adj_plan)
-        # Â is exact binary: real = s_x * (Â q_x) + c_x * degree.  (``dtype=``
-        # matters: NumPy 2 keeps a Python float times a float32 in float32.)
-        start = time.perf_counter()
-        out = np.multiply(out, px.scale, dtype=np.float64)
-        out += _mid_offset(px) * degrees
-        phases.append(
-            PhaseTiming("epilogue", "aggregate", layer, time.perf_counter() - start)
-        )
-        return out
-
-    def update(x_real: np.ndarray, step: GemmStep, layer: int) -> np.ndarray:
-        """``x @ W + b`` with both operands quantized, affine-corrected."""
-        weight = packed_weights[layer]
-        bound = _bind(step, layer, backends)
-        start = time.perf_counter()
-        qx, px = quantize_at(step.quantize_a, x_real, bound[1])
-        left = Operand(qx, px.bits, "col", proven=True)
-        phases.append(
-            PhaseTiming("quantize", "update", layer, time.perf_counter() - start)
-        )
-        out = product(step, bound, layer, left, weight.operand)
-        # The terms join in place, one at a time and left to right: float
-        # addition is not associative, and pre-combining any two of them
-        # would change the last bit of a logit.
-        start = time.perf_counter()
-        s_l, c_l = px.scale, _mid_offset(px)
-        s_r, c_r = weight.params.scale, _mid_offset(weight.params)
-        out = np.multiply(out, s_l * s_r, dtype=np.float64)
-        out += s_l * c_r * _row_sums(qx)
-        out += c_l * s_r * weight.col_sums
-        out += left.logical_k * c_l * c_r
-        out += model.biases[layer]
-        phases.append(
-            PhaseTiming("epilogue", "update", layer, time.perf_counter() - start)
-        )
-        return out
-
-    for layer in plan.layers:
-        if sig.aggregate_first:
-            h = update(
-                aggregate(h, layer.aggregate, layer.index),
-                layer.update,
-                layer.index,
-            )
+            out, executed, failed = recovery.run(attempt, bs.step.backend, detail=bs.label)
+        stamp(clock())
+        if failed:
+            recovered[i] = (executed, won[executed])
+            recoveries.extend((bs.label, name, executed) for name in failed)
+        # The product is widened exactly, then scaled in float64 (NumPy 2
+        # keeps a Python float times a float32 in float32).  The terms join
+        # in place, one at a time and left to right: float addition is not
+        # associative, and pre-combining any two would move a logit's last bit.
+        out = out.astype(np.float64)
+        if bs.aggregate:  # Â is exact binary: real = s_x (Â q_x) + c_x degree
+            scale, offset = bs.epilogue
+            out *= scale
+            out += offset
         else:
-            h = aggregate(
-                update(h, layer.update, layer.index),
-                layer.aggregate,
-                layer.index,
-            )
-        if not layer.is_output:
-            start = time.perf_counter()
-            np.maximum(h, 0.0, out=h)
-            phases.append(
-                PhaseTiming(
-                    "activation", "forward", layer.index,
-                    time.perf_counter() - start,
-                )
-            )
+            scale, row_scale, ones, col_terms, constant, bias = bs.epilogue
+            out *= scale
+            out += row_scale * _row_sums(codes, ones)
+            out += col_terms
+            out += constant
+            out += bias
+        stamp(clock())
+        if bs.relu:
+            np.maximum(out, 0.0, out=out)
+            stamp(clock())
+        h = out
 
-    start = time.perf_counter()
     logits = softmax(h) if apply_softmax else h
     if apply_softmax:
-        phases.append(
-            PhaseTiming("activation", "forward", -1, time.perf_counter() - start)
+        stamp(clock())
+    if program is None:
+        program = _lower(key, (model, *packed_weights), bound, kernel, apply_softmax)
+        if calibration is not None:
+            packed_adjacency.derived["program"] = program
+    return QuantizedForwardResult(logits, counters, tuple(recoveries), program, stamps, recovered)
+
+
+def _check_artifacts(plan, model, packed_weights, packed_adjacency) -> None:
+    """What a program binds on: the plan's layers, the adjacency's node
+    count and the layer weights' count and bitwidths (weights wider than
+    the plan's would run in a dtype that is not exact for them)."""
+    if len(plan.layers) != model.num_layers:
+        raise ConfigError(f"plan has {len(plan.layers)} layers, model has {model.num_layers}")
+    if packed_adjacency.num_nodes != plan.signature.num_nodes:
+        raise ShapeError(
+            f"packed adjacency covers {packed_adjacency.num_nodes} nodes, "
+            f"batch has {plan.signature.num_nodes}"
         )
-    return QuantizedForwardResult(
-        logits=logits, counters=counters, timings=tuple(timings),
-        phases=tuple(phases), recoveries=tuple(recoveries),
-    )
+    if len(packed_weights) != model.num_layers:
+        raise ConfigError(f"expected {model.num_layers} packed weights, got {len(packed_weights)}")
+    for layer, weight in zip(plan.layers, packed_weights):
+        if weight.bits != layer.update.spec.bits_b:
+            raise BitwidthError(
+                f"layer {layer.index} weights are {weight.bits}-bit, its plan "
+                f"multiplies {layer.update.spec.bits_b}-bit ones; compile a plan for them"
+            )
 
 
 def quantized_forward(
@@ -655,40 +644,23 @@ def quantized_forward(
     artifacts: "PlanCache | None" = None,
     registry=None,
 ) -> QuantizedForwardResult:
-    """Run a quantized forward pass over one subgraph batch.
+    """Run a quantized forward pass over one subgraph batch: compile an
+    :class:`~repro.plan.ir.ExecutionPlan` for its shape (unless ``plan`` is
+    given; it must describe this shape) and execute it with
+    :func:`execute_forward_plan`.  A serving session replays cached plans
+    instead.
 
-    The eager entry point: compiles an :class:`~repro.plan.ir.ExecutionPlan`
-    for the batch's shape (unless a pre-compiled ``plan`` is given) and
-    executes it via :func:`execute_forward_plan`.  A serving session skips
-    this shim and replays cached plans directly.
-
-    Parameters
-    ----------
-    feature_bits, weight_bits:
-        Activation / weight bitwidths (weights default to the feature
-        setting, as in the paper's sweeps).
-    kernel_config:
-        Zero-tile jumping and reuse switches for the emulated kernel.
-    packed_weights:
-        Pre-packed per-layer weights (see :func:`pack_layer_weight`),
-        seeded as the plan's per-layer weight artifacts so packing happens
-        once, not per request.  ``weight_bits`` is ignored when given.
-    packed_adjacency:
-        Pre-packed batch adjacency with its tile-skip plan (see
-        :func:`pack_batch_adjacency`), seeded as the plan's adjacency
-        artifact.  Must describe exactly this ``batch``.
-    calibration:
-        Shared :class:`ActivationCalibration`; omit for the one-shot
-        per-tensor calibration behavior.
-    engine:
-        Bit-GEMM backend name or per-product selector; resolved through
-        the backend registry once per GEMM at plan-compile time.
-    plan:
-        A pre-compiled plan to replay (skips compilation; must describe
-        this batch's shape).
-    artifacts:
-        Optional :class:`~repro.plan.cache.PlanCache` the plan's operand
-        artifacts are resolved through.
+    ``feature_bits``/``weight_bits`` are the activation and weight
+    bitwidths (weights follow features by default, as in the paper's
+    sweeps); ``kernel_config`` the emulated kernel's zero-tile jumping and
+    reuse switches; ``engine`` a backend name or per-product selector,
+    resolved once per GEMM at compile time.  ``packed_weights``
+    (:func:`pack_layer_weight`; ``weight_bits`` is ignored then) and
+    ``packed_adjacency`` (:func:`pack_batch_adjacency`, of exactly this
+    ``batch``) seed the plan's artifacts; ``artifacts`` is a
+    :class:`~repro.plan.cache.PlanCache` to resolve the others through;
+    ``calibration`` a shared :class:`ActivationCalibration` (omit it for
+    per-tensor calibration).
 
     Returns the float logits (full-precision output layer, paper §4.5) and
     the per-kernel event counters.

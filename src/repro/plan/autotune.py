@@ -213,12 +213,11 @@ class DispatchTable:
             raise ConfigError(
                 f"timing samples must be finite and >= 0 s, got {samples}"
             )
+        entries = self._entries
         with self._lock:
             for bucket, backend, seconds in samples:
-                ring = self._entries.setdefault(bucket, {}).get(backend)
-                if ring is None:
-                    ring = deque(maxlen=self.max_samples)
-                    self._entries[bucket][backend] = ring
+                cells = entries.get(bucket) or entries.setdefault(bucket, {})
+                ring = cells.get(backend) or cells.setdefault(backend, deque(maxlen=self.max_samples))
                 ring.append(float(seconds))
 
     def record_spec(

@@ -58,7 +58,8 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from functools import partial
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,6 +69,7 @@ from ..core.bitpack import TC_M
 from ..errors import ConfigError
 from ..gnn.models import GNNModel
 from ..gnn.quantized import (
+    PHASES,
     ActivationCalibration,
     PackedAdjacency,
     PackedLayerWeight,
@@ -107,6 +109,10 @@ __all__ = [
     "InferenceEngine",
 ]
 
+
+#: Where a round's measured window goes: the artifact windows, kernel
+#: preparation, ``round_glue`` (the rest of it) and the executor's phases.
+ROUND_PHASES = ("pack_adjacency", "plan_compile", "plan_lower", "kernel_compile", "round_glue", *PHASES)
 
 #: Environment variables an operator pins BLAS threading with (reported,
 #: never read for behaviour, by the ``engine_start`` event).
@@ -199,16 +205,14 @@ class ServingConfig:
         return self.weight_bits if self.weight_bits is not None else self.feature_bits
 
 
-@dataclass(frozen=True)
-class InferenceRequest:
+class InferenceRequest(NamedTuple):
     """One queued unit of work: a subgraph awaiting inference."""
 
     request_id: int
     subgraph: Subgraph
 
 
-@dataclass(frozen=True)
-class InferenceResult:
+class InferenceResult(NamedTuple):
     """Per-request logits plus the execution round that produced them."""
 
     request_id: int
@@ -357,6 +361,19 @@ class SessionStats(Counters):
         return (self.wall_s - work) / self.batches if self.batches else 0.0
 
 
+class _RoundBinding(NamedTuple):
+    """What a round's accounting reads off its bound program's artifacts
+    alone (:meth:`InferenceEngine.run_round`): each step's dispatch bucket
+    and planned backend, each stamped interval's :data:`ROUND_PHASES` slot,
+    the modeled device report and each member's row slice."""
+
+    buckets: tuple
+    backends: tuple
+    slots: tuple
+    report: EpochReport
+    slices: tuple
+
+
 def _member_key(sub: Subgraph) -> tuple:
     """``(num_nodes, num_edges, digest)`` of one member's structure.
 
@@ -459,6 +476,11 @@ class InferenceEngine:
             },
             shared=self._with_kernel_segment(shared_segments),
             fault_plan=fault_plan,
+        )
+        bits = self.config.effective_weight_bits
+        self._weight_builds = tuple(  # (key, builder) of each layer's packed weights
+            (self._weight_key(i, bits), partial(pack_layer_weight, w, bits))
+            for i, w in enumerate(self.model.weights)
         )
         self._engine: Engine
         if self.config.engine == "cost":
@@ -602,13 +624,8 @@ class InferenceEngine:
         The first call per session packs (misses); later calls hit unless
         the segment capacity is smaller than the layer count.
         """
-        bits = self.config.effective_weight_bits
-        return [
-            self._cache.get_or_build(
-                self._weight_key(i, bits), lambda w=w: pack_layer_weight(w, bits)
-            )
-            for i, w in enumerate(self.model.weights)
-        ]
+        get_or_build = self._cache.segment("weight").get_or_build
+        return [get_or_build(key, build) for key, build in self._weight_builds]
 
     def warm_up(self) -> "InferenceEngine":
         """Pack all layer weights ahead of traffic; returns ``self``."""
@@ -939,13 +956,10 @@ class InferenceEngine:
         )
         batch_id = self._next_batch_id
         self._next_batch_id += 1
+        logits = forward.logits
         return [
-            InferenceResult(
-                request_id=request.request_id,
-                batch_id=batch_id,
-                logits=forward.logits[rows],
-            )
-            for request, rows in zip(requests, batch.member_slices())
+            InferenceResult(request.request_id, batch_id, logits[rows])
+            for request, rows in zip(requests, forward.program.derived["round"].slices)
         ]
 
     def run_round(
@@ -990,68 +1004,72 @@ class InferenceEngine:
         )
         executed_s = time.perf_counter() - start
         stats = self.stats
-        stats.step_retries += len(forward.recoveries)
+        program = forward.program
+        bound = program.derived.get("round")  # bound on the program's first round
+        if bound is None:
+            bound = program.derived["round"] = self._bind_round(batch, adjacency, program)
         pack_s, plan_s = resolve_seconds
         elapsed = executed_s + pack_s + plan_s
         stats.wall_s += elapsed
         stats.recent_round_seconds.append(elapsed)
         # Phase attribution of the measured window: the two artifact
         # sub-windows (adjacency resolution, plan lookup/compile), kernel
-        # preparation, the executor's per-phase timings, and — as its own
+        # preparation, the executor's stamped phases, and — as its own
         # ``round_glue`` phase — whatever of the prepare + execute window
-        # none of those own (argument checks, operand construction, result
-        # assembly), so every wall_s second has a named owner.
+        # none of those own (the executor's entry and exit, kernel
+        # preparation's walk), so every wall_s second has a named owner.
+        stamps = forward.stamps
+        spent = [pack_s, plan_s, lower_s, compile_s, 0.0] + [0.0] * len(PHASES)
+        last = stamps[0]
+        for slot, now in zip(bound.slots, stamps[1:]):
+            spent[slot] += now - last
+            last = now
+        spent[4] = max(executed_s - lower_s - compile_s - (last - stamps[0]), 0.0)
         phase_seconds = stats.phase_seconds
-        for phase, seconds in (
-            ("pack_adjacency", pack_s),
-            ("plan_compile", plan_s),
-            ("plan_lower", lower_s),
-            ("kernel_compile", compile_s),
-        ):
+        for phase, seconds in zip(ROUND_PHASES, spent):
             phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
-        owned_s = lower_s + compile_s
-        for phase, _, _, seconds in forward.phases:
-            phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
-            owned_s += seconds
-        phase_seconds["round_glue"] = phase_seconds.get("round_glue", 0.0) + max(
-            executed_s - owned_s, 0.0
-        )
         # Every executed step — compiled or replayed — is a free autotuning
         # sample: its measured wall-clock goes back into the dispatch table
         # under the (shape, bits, census) bucket the dispatcher prices with,
         # the whole round under one lock.
+        samples = [  # a recovered step's sample is its winning attempt
+            (b, *t[1:]) for b, t in zip(bound.buckets, forward.timings)
+        ] if forward.recovered else [
+            (bucket, backend, stamps[at + 1] - stamps[at])
+            for bucket, backend, at in zip(bound.buckets, bound.backends, program.gemm_at)
+        ]
+        backend_seconds = stats.backend_seconds
+        for _, backend, seconds in samples:
+            backend_seconds[backend] = backend_seconds.get(backend, 0.0) + seconds
         table = self.dispatch_table if self.config.record_timings else None
-        fraction = adjacency.nonzero_fraction
-        samples = []
-        for step, (spec, backend, seconds) in zip(plan.gemm_steps(), forward.timings):
-            stats.backend_seconds[backend] = (
-                stats.backend_seconds.get(backend, 0.0) + seconds
-            )
-            if table is not None:
-                census = fraction if spec.role == "aggregate" else None
-                samples.append((bucket_in(step.derived, spec, census), backend, seconds))
         if table is not None:
             table.record_all(samples)
             stats.autotune_samples += len(samples)
 
+        stats.step_retries += len(forward.recoveries)
         stats.requests += len(batch.members)
         stats.batches += 1
         stats.nodes += batch.num_nodes
-        totals = forward.total_counters
+        totals = program.totals
+        if totals is None:  # a step counted a per-round ballot
+            totals = forward.total_counters
         stats.mma_ops += totals.mma_ops
         stats.kernel_launches += totals.launches
         stats.tiles_total += totals.tiles_total
         stats.tiles_skipped += totals.tiles_skipped
-        # The adjacency artifact already carries the batch's measured
-        # ballot, so modeled and measured skips come from the same masks.
-        self.device_report.merge(
-            modeled_plan_report(
-                self.model,
-                self._run_config,
-                num_nodes=batch.num_nodes,
-                tile_plan=adjacency.plan,
-                device=self.config.device,
-                cost=self._cost,
-            )
-        )
+        self.device_report.merge(bound.report)
         return forward
+
+    def _bind_round(self, batch: SubgraphBatch, adjacency: PackedAdjacency, program) -> _RoundBinding:
+        fraction = adjacency.nonzero_fraction
+        return _RoundBinding(
+            tuple(bucket_in(b.step.derived, b.step.spec, fraction if b.aggregate else None)
+                  for b in program.steps),
+            tuple(b.step.backend for b in program.steps),
+            tuple(ROUND_PHASES.index(phase) for phase, _, _ in program.layout),
+            modeled_plan_report(
+                self.model, self._run_config, num_nodes=batch.num_nodes,
+                tile_plan=adjacency.plan, device=self.config.device, cost=self._cost,
+            ),
+            tuple(batch.member_slices()),
+        )

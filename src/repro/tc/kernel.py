@@ -296,9 +296,18 @@ class BitGemmKernel:
 
     def launch(self, backend, a: Operand, b: Operand, plan=None, memo=None) -> KernelResult:
         """:meth:`run` on an already resolved
-        :class:`~repro.plan.registry.Backend` — what a plan step, bound to
-        its backend once, calls on every replay.  ``memo``, a dict on the
+        :class:`~repro.plan.registry.Backend`.  ``memo``, a dict on the
         plan step of a census-less launch, keeps its counters for replays."""
+        plan, counters = self.account(a, b, plan, memo)
+        return KernelResult(backend.run(a, b, plan.masks if plan is not None else None), counters)
+
+    def jumps(self, a: "Operand | PackedBits") -> bool:
+        """Whether zero-tile jumping engages on left operand ``a`` (1-bit)."""
+        return self.config.zero_tile_jumping and a.bits == 1
+
+    def account(self, a: Operand, b: Operand, plan=None, memo=None) -> tuple:
+        """``(census, counters)`` of a launch — all of it but the product,
+        checks included: what a bound forward step takes once."""
         check_pair(a, b)
         if plan is not None and not plan.matches(a):
             raise ShapeError(
@@ -306,7 +315,7 @@ class BitGemmKernel:
                 f"does not describe the left operand "
                 f"({a.padded_vectors // 8}, {a.k_words // 4}) x {a.bits}"
             )
-        if plan is None and (self.config.zero_tile_jumping and a.bits == 1):
+        if plan is None and self.jumps(a):
             plan = plan_tile_skip(a)
         # Pure in (geometry, census, config): memoised on the census, else in ``memo``.
         if plan is not None:
@@ -321,8 +330,7 @@ class BitGemmKernel:
         counters = memo.get(key)
         if counters is None:
             counters = memo[key] = self._derive_counters(a, b, plan)
-        output = backend.run(a, b, plan.masks if plan is not None else None)
-        return KernelResult(output=output, counters=counters)
+        return plan, counters
 
     def _derive_counters(
         self, a: Operand, b: Operand, plan: TileSkipPlan | None
@@ -330,7 +338,7 @@ class BitGemmKernel:
         mt = a.padded_vectors // 8
         kt = a.k_words // 4
         nt = b.padded_vectors // 8
-        jumping = self.config.zero_tile_jumping and a.bits == 1
+        jumping = self.jumps(a)
         processed = plan.processed_per_plane() if jumping else [mt * kt] * a.bits
         counters = derive_tile_counters(
             mt=mt, kt=kt, nt=nt, bits_a=a.bits, bits_b=b.bits,
@@ -353,7 +361,7 @@ class BitGemmKernel:
         mt = a.padded_vectors // 8
         kt = a.k_words // 4
         nt = b.padded_vectors // 8
-        jumping = self.config.zero_tile_jumping and a.bits == 1
+        jumping = self.jumps(a)
         cross_tile = self.config.reuse == "cross-tile"
 
         counters = KernelCounters(schedule=self.config.reuse, launches=1)

@@ -808,3 +808,82 @@ def test_process_pool_serve_writes_no_table_files(structures, tmp_path):
     assert results and pool.stats().autotune_samples > 0
     assert not spool.exists() or list(spool.iterdir()) == []
     assert set(scratch.glob("repro-pool-*")) <= before
+
+
+# --------------------------------------------------------------------- #
+# A bound replay: the program's NumPy calls plus fixed-shape accounting
+# --------------------------------------------------------------------- #
+@pytest.fixture
+def bindings(monkeypatch):
+    """Call counters on what a bound program takes once: kernel configs and
+    emulators, the pair and census checks, counter records and their
+    merges, the shape bucket and a step-level binding (its exact dtype and
+    its backend resolution, under every name they are imported by)."""
+    from repro.tc.counters import KernelCounters
+
+    # By module name: some are also functions their packages export.
+    autotune, registry, bitgemm, quantized = (
+        sys.modules[f"repro.{name}"]
+        for name in ("plan.autotune", "plan.registry", "core.bitgemm", "gnn.quantized")
+    )
+    counts = dict.fromkeys(
+        ["KernelConfig", "BitGemmKernel", "check_pair", "matches", "KernelCounters",
+         "merge", "bucket_for", "exact_gemm_dtype", "resolve_engine_name"], 0
+    )
+    counting = partial(_counting, counts)
+    for cls, method, name in (
+        (tc_kernel.KernelConfig, "__post_init__", "KernelConfig"),
+        (tc_kernel.BitGemmKernel, "__init__", "BitGemmKernel"),
+        (tc_kernel.TileSkipPlan, "matches", "matches"),
+        (KernelCounters, "__init__", "KernelCounters"),
+        (KernelCounters, "merge", "merge"),
+    ):
+        monkeypatch.setattr(cls, method, counting(name, getattr(cls, method)))
+    for name, home, importers in (
+        ("check_pair", bitpack, (tc_kernel, bitgemm)),
+        ("bucket_for", autotune, ()),
+        ("exact_gemm_dtype", bitgemm, (quantized,)),
+        ("resolve_engine_name", registry, (quantized,)),
+    ):
+        spy = counting(name, getattr(home, name))
+        for module in (home, *importers):
+            monkeypatch.setattr(module, name, spy)
+    return counts
+
+
+def test_a_bound_replay_is_numpy_calls_and_fixed_accounting(bindings, structures):
+    """A second replay of a round constructs no kernel config, emulator or
+    counter record, merges nothing, runs no pair or census check, buckets
+    nothing and takes the dispatch table's lock once; a miss over a shape
+    seen before binds no step-level record again."""
+    model = make_batched_gin(12, 3, hidden_dim=16, seed=4)
+    engine = InferenceEngine(
+        model,
+        ServingConfig(feature_bits=8, batch_size=4, plan_cache_capacity=1,
+                      adjacency_cache_capacity=1),
+    ).warm_up()
+    table_lock = engine.dispatch_table._lock = _CountingLock(engine.dispatch_table._lock)
+
+    def round_counts(members):
+        for name in bindings:
+            bindings[name] = 0
+        table_lock.acquisitions = 0
+        logits = [r.logits for r in engine.infer(members)]
+        return dict(bindings), table_lock.acquisitions, logits
+
+    first, seen, _ = round_counts(structures[0])  # binds
+    assert first["BitGemmKernel"] == 1 and first["exact_gemm_dtype"] > 0
+    _, _, bound_logits = round_counts(structures[0])  # the first replay
+    counts, locks, logits = round_counts(structures[0])  # the second
+    assert counts == dict.fromkeys(bindings, 0) and locks == 1
+    for want, got in zip(bound_logits, logits):
+        np.testing.assert_array_equal(want, got)
+    assert engine.stats.plan_cache.hits >= 2
+
+    round_counts(structures[1])  # evicts the first structure's artifacts
+    misses = engine.stats.plan_cache.misses
+    counts, _, logits = round_counts(structures[0])  # a miss over a seen shape
+    assert engine.stats.plan_cache.misses == misses + 1
+    assert counts["exact_gemm_dtype"] == counts["resolve_engine_name"] == 0
+    for want, got in zip(bound_logits, logits):
+        np.testing.assert_array_equal(want, got)
