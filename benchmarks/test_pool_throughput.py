@@ -159,7 +159,6 @@ def run_pool_throughput() -> dict:
         "single_plan_hits": single_plan.hits,
         "single_plan_misses": single_plan.misses,
         "per_worker": per_worker,
-        "plans_published": stats.plans_published,
         "pag_coverage": pag_coverage,
     }
 
@@ -209,7 +208,6 @@ def test_pool_throughput(benchmark, once, report, bench_json):
             },
             "pool_req_per_s": r["pool_req_per_s"],
             "bit_identical": r["identical"],
-            "plans_published": r["plans_published"],
             "pag_coverage": r["pag_coverage"],
             "premise": (
                 "The miss penalty the pool amortised was the O(n^2) "

@@ -8,9 +8,9 @@ hold replays nothing — every round densifies, packs, ballots and
 compiles again.  A :class:`~repro.serving.ServingPool` shards the stream
 by structure digest across N workers: each shard's slice fits its
 shard-local cache (steady state is pure plan replay), packed weights
-live in one shared read-only segment, compiled plans broadcast through
-the cross-worker exchange, and every shard records into and prices from
-the one measured dispatch table the pool mounts.
+live in one shared read-only segment, each shard binds its plans from
+its own templates, and every shard records into and prices from the one
+measured dispatch table the pool mounts.
 
 Logits are bit-identical to the single engine for every request — the
 pool is a throughput decision, never an accuracy decision.
@@ -100,8 +100,11 @@ def main() -> None:
     print(f"  shared weight segment: "
           f"{pool.workers[0].weight_cache.stats.misses} packs "
           f"(once pool-wide), {pool.workers[0].weight_cache.stats.hits} hits")
-    print(f"  plan exchange: {stats.plans_published} plans broadcast, "
-          f"{stats.plans_adopted} adopted by sibling shards")
+    for engine in pool.workers:
+        segments = engine.plan_artifacts
+        print(f"  {engine.label} misses: "
+              f"{segments.segment('template').stats.misses} templates priced, "
+              f"{segments.segment('plan').stats.misses} plans bound")
     print(f"  dispatch table: one object mounted by every shard, "
           f"{pool.workers[0].dispatch_table.sample_count()} samples")
     print(f"  backend attribution: " + ", ".join(

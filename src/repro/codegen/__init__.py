@@ -14,7 +14,7 @@ when importable — and compiled kernels live in the content-keyed
 ``kernel`` segment shared with serving :class:`~repro.plan.cache.PlanCache`
 instances.  The whole pipeline is surfaced as the ``codegen`` entry of
 the standard backend registry, so dispatch, measured timing, plan
-exchange, and differential testing all sweep it with no special cases.
+templates, and differential testing all sweep it with no special cases.
 """
 
 from .backend import (

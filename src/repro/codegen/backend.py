@@ -30,7 +30,7 @@ from ..core.bitgemm import reduce_plane_products
 from ..core.bitpack import TC_K, TC_M, Operand, pad_to, tile_nonzero_mask
 from ..core.bitops import WORD_BITS
 from ..errors import ShapeError
-from ..plan.cache import ThreadSafeLRUCache, artifact_digest
+from ..plan.cache import LRUCache, artifact_digest
 from ..plan.registry import Backend, BackendCaps, BackendPrice, PriceContext
 from .emit import compile_program
 from .loopir import EMIT_VERSION, Program
@@ -81,12 +81,12 @@ def _kernel_nbytes(value: object) -> int:
 #: over nothing mutable) and compilation is the cost being amortized.
 #: Verified: every hit re-checks the kernel's program digest, so a
 #: poisoned entry is discarded and recompiled instead of replayed.
-_KERNEL_SEGMENT = ThreadSafeLRUCache(
+_KERNEL_SEGMENT = LRUCache(
     256, size_of=_kernel_nbytes, digest_of=artifact_digest
 )
 
 
-def kernel_cache_segment() -> ThreadSafeLRUCache:
+def kernel_cache_segment() -> LRUCache:
     """The shared ``"kernel"`` cache segment (mounted by serving sessions)."""
     return _KERNEL_SEGMENT
 

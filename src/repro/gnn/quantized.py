@@ -47,6 +47,7 @@ lowers it against its artifacts into a bound program once and replays that;
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -288,11 +289,22 @@ class ActivationCalibration:
     site calibrates its :class:`~repro.core.quantization.QuantParams`; every
     later tensor reuses them, i.e. static post-calibration quantization.
     Sessions share one instance so results are reproducible across batch
-    shapes.
+    shapes — concurrently too: the first-touch freeze runs under the
+    calibration's own lock, so however many sessions, pools or threads
+    share it, each site is calibrated exactly once.  It pickles (without
+    the lock) so a process shard can take it along.
     """
 
     def __init__(self) -> None:
         self._sites: dict[tuple[str, int], QuantParams] = {}
+        self._lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        return {"_sites": dict(self._sites)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__()
+        self._sites.update(state["_sites"])
 
     def __len__(self) -> int:
         return len(self._sites)
@@ -303,11 +315,15 @@ class ActivationCalibration:
         return dict(self._sites)
 
     def params_for(self, site: str, values: np.ndarray, bits: int) -> QuantParams:
-        """This site's parameters, calibrated from ``values`` on first touch."""
+        """This site's parameters, calibrated from ``values`` on first touch
+        (frozen sites are read without the lock)."""
         key = (site, bits)
         params = self._sites.get(key)
         if params is None:
-            params = self._sites[key] = calibrate(values, bits)
+            with self._lock:
+                params = self._sites.get(key)
+                if params is None:
+                    params = self._sites[key] = calibrate(values, bits)
         return params
 
     def quantize(

@@ -54,7 +54,6 @@ from .cache import (
     LRUCache,
     PlanCache,
     PlanKey,
-    ThreadSafeLRUCache,
     artifact_nbytes,
 )
 from .ir import (
@@ -105,7 +104,6 @@ __all__ = [
     "PriceContext",
     "QuantizeStep",
     "ShapeBucket",
-    "ThreadSafeLRUCache",
     "artifact_nbytes",
     "bucket_for",
     "builtin_backends",

@@ -44,7 +44,6 @@ __all__ = [
     "LRUCache",
     "PlanCache",
     "PlanKey",
-    "ThreadSafeLRUCache",
     "artifact_digest",
     "artifact_nbytes",
 ]
@@ -90,12 +89,20 @@ class CacheStats(Counters):
 
 
 class LRUCache(Generic[K, V]):
-    """A capacity-bounded least-recently-used map with stats.
+    """A capacity-bounded, thread-safe least-recently-used map with stats.
 
     ``capacity`` counts entries.  ``get`` and ``get_or_build`` refresh
     recency; insertion beyond capacity evicts the least recently used
     entry.  Optionally tracks the byte footprint of held values via
     ``size_of`` (e.g. ``PackedLayerWeight.nbytes``).
+
+    One re-entrant lock serializes every counted read and every write
+    (``peek`` and presence checks are single dict reads), so a segment
+    can be mounted into several sessions at once (a pool's ``weight``
+    and ``table`` segments, the process-wide ``kernel`` one).
+    ``get_or_build`` holds it across the build: concurrent misses on one
+    key build the value exactly once — for packed weights, one pack
+    pool-wide.
 
     With ``digest_of`` set, the cache is *verified*: every ``put``
     records ``digest_of(value)`` and every hit compares it with that of
@@ -121,6 +128,7 @@ class LRUCache(Generic[K, V]):
         self._size_of = size_of
         self._digest_of = digest_of
         self._fault_plan = fault_plan
+        self._lock = threading.RLock()
         self._bytes = 0
         self._entries: OrderedDict[K, V] = OrderedDict()
         #: Recorded content digests, parallel to ``_entries`` (verified
@@ -137,7 +145,8 @@ class LRUCache(Generic[K, V]):
 
     def keys(self) -> list[K]:
         """Keys from least to most recently used."""
-        return list(self._entries)
+        with self._lock:
+            return list(self._entries)
 
     @property
     def nbytes(self) -> int:
@@ -153,24 +162,25 @@ class LRUCache(Generic[K, V]):
         ``stats.poisoned`` is bumped, and the lookup reports a miss so
         the caller rebuilds the artifact.
         """
-        value = self._entries.get(key)
-        if value is None:
-            self.stats.misses += 1
-            return None
-        if self._digest_of is not None:
-            recorded = self._digests.get(key)
-            if (
-                recorded is not None
-                and self._fault_plan is not None
-                and self._fault_plan.probe("cache", detail=repr(key))
-            ):
-                recorded = "!injected-corruption"  # simulated artifact rot
-            if recorded is not None and recorded != self._digest_of(value):
-                self._drop_poisoned(key, value)
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self.stats.misses += 1
                 return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return value
+            if self._digest_of is not None:
+                recorded = self._digests.get(key)
+                if (
+                    recorded is not None
+                    and self._fault_plan is not None
+                    and self._fault_plan.probe("cache", detail=repr(key))
+                ):
+                    recorded = "!injected-corruption"  # simulated artifact rot
+                if recorded is not None and recorded != self._digest_of(value):
+                    self._drop_poisoned(key, value)
+                    return None
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            return value
 
     def _drop_poisoned(self, key: K, value: V) -> None:
         """Remove a digest-mismatched entry; counts poisoned + miss."""
@@ -191,10 +201,11 @@ class LRUCache(Generic[K, V]):
         """
         if self._digest_of is None:
             raise ConfigError("corrupt() needs a cache built with digest_of")
-        if key not in self._digests:
-            return False
-        self._digests[key] = "corrupt:" + self._digests[key]
-        return True
+        with self._lock:
+            if key not in self._digests:
+                return False
+            self._digests[key] = "corrupt:" + self._digests[key]
+            return True
 
     def peek(self, key: K) -> V | None:
         """Return the cached value *without* counting a lookup or
@@ -210,111 +221,48 @@ class LRUCache(Generic[K, V]):
         pressure), so it counts against ``stats.invalidations`` rather
         than ``stats.evictions``.
         """
-        value = self._entries.pop(key, None)
-        if value is None:
-            return False
-        self._digests.pop(key, None)
-        self._bytes -= self._size_of(value) if self._size_of else 0
-        self.stats.invalidations += 1
-        return True
+        with self._lock:
+            value = self._entries.pop(key, None)
+            if value is None:
+                return False
+            self._digests.pop(key, None)
+            self._bytes -= self._size_of(value) if self._size_of else 0
+            self.stats.invalidations += 1
+            return True
 
     def put(self, key: K, value: V) -> None:
         """Insert (or replace) a value, evicting LRU entries over capacity."""
-        if key in self._entries:
-            old = self._entries.pop(key)
-            self._bytes -= self._size_of(old) if self._size_of else 0
-        self._entries[key] = value
-        self._bytes += self._size_of(value) if self._size_of else 0
-        if self._digest_of is not None:
-            self._digests[key] = self._digest_of(value)
-        self.stats.insertions += 1
-        while len(self._entries) > self.capacity:
-            evicted_key, evicted = self._entries.popitem(last=False)
-            self._digests.pop(evicted_key, None)
-            self._bytes -= self._size_of(evicted) if self._size_of else 0
-            self.stats.evictions += 1
+        with self._lock:
+            if key in self._entries:
+                old = self._entries.pop(key)
+                self._bytes -= self._size_of(old) if self._size_of else 0
+            self._entries[key] = value
+            self._bytes += self._size_of(value) if self._size_of else 0
+            if self._digest_of is not None:
+                self._digests[key] = self._digest_of(value)
+            self.stats.insertions += 1
+            while len(self._entries) > self.capacity:
+                evicted_key, evicted = self._entries.popitem(last=False)
+                self._digests.pop(evicted_key, None)
+                self._bytes -= self._size_of(evicted) if self._size_of else 0
+                self.stats.evictions += 1
 
     def get_or_build(self, key: K, builder: Callable[[], V]) -> V:
-        """Cache-through read: build, insert and return on a miss."""
-        value = self.get(key)
-        if value is None:
-            value = builder()
-            self.put(key, value)
-        return value
+        """Cache-through read: build, insert and return on a miss (the
+        build runs under the lock, so a key is built once)."""
+        with self._lock:
+            value = self.get(key)
+            if value is None:
+                value = builder()
+                self.put(key, value)
+            return value
 
     def clear(self) -> None:
         """Drop all entries (stats are preserved — they describe history)."""
-        self._entries.clear()
-        self._digests.clear()
-        self._bytes = 0
-
-
-class ThreadSafeLRUCache(LRUCache[K, V]):
-    """An :class:`LRUCache` whose operations are serialized by a lock.
-
-    The segment a :class:`~repro.serving.pool.ServingPool` shares across
-    its workers (packed weights are session-invariant, so every shard
-    reads the same entries; the one dispatch table likewise).  ``get_or_build`` holds the lock across the
-    build, so a value is built exactly once even when several workers
-    miss the same key concurrently — for packed weights that is the
-    point: one pack, pool-wide.  Per-shard segments stay plain
-    :class:`LRUCache` (each is owned by a single worker thread).
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        *,
-        size_of: Callable[[V], int] | None = None,
-        digest_of: Callable[[V], str] | None = None,
-        fault_plan=None,
-    ) -> None:
-        """Create the cache; parameters match :class:`LRUCache`."""
-        super().__init__(
-            capacity, size_of=size_of, digest_of=digest_of, fault_plan=fault_plan
-        )
-        self._lock = threading.RLock()
-
-    def get(self, key: K) -> V | None:
-        """Thread-safe :meth:`LRUCache.get`."""
         with self._lock:
-            return super().get(key)
-
-    def put(self, key: K, value: V) -> None:
-        """Thread-safe :meth:`LRUCache.put`."""
-        with self._lock:
-            super().put(key, value)
-
-    def get_or_build(self, key: K, builder: Callable[[], V]) -> V:
-        """Thread-safe cache-through read; the build runs under the lock
-        so concurrent misses on one key build the value exactly once."""
-        with self._lock:
-            return super().get_or_build(key, builder)
-
-    def keys(self) -> list[K]:
-        """Thread-safe :meth:`LRUCache.keys`."""
-        with self._lock:
-            return super().keys()
-
-    def peek(self, key: K) -> V | None:
-        """Thread-safe :meth:`LRUCache.peek`."""
-        with self._lock:
-            return super().peek(key)
-
-    def discard(self, key: K) -> bool:
-        """Thread-safe :meth:`LRUCache.discard`."""
-        with self._lock:
-            return super().discard(key)
-
-    def clear(self) -> None:
-        """Thread-safe :meth:`LRUCache.clear`."""
-        with self._lock:
-            super().clear()
-
-    def corrupt(self, key: K) -> bool:
-        """Thread-safe :meth:`LRUCache.corrupt`."""
-        with self._lock:
-            return super().corrupt(key)
+            self._entries.clear()
+            self._digests.clear()
+            self._bytes = 0
 
 
 def artifact_nbytes(value: object) -> int:
@@ -351,8 +299,7 @@ class PlanCache:
         cache.segment("weight").stats.hits   # per-kind telemetry
         cache.total_stats().hits             # shared telemetry
 
-    ``shared`` mounts pre-built segments (typically
-    :class:`ThreadSafeLRUCache` instances owned by a
+    ``shared`` mounts pre-built segments (typically ones owned by a
     :class:`~repro.serving.pool.ServingPool`) under their kind names, so
     several caches can read and populate one segment — the pool's
     shard-local caches all alias one packed-weight segment while keeping

@@ -291,7 +291,7 @@ def default_registry() -> BackendRegistry:
     ``codegen`` registers after the built-ins and its analytic price sits
     above ``packed``'s, so it is routed only when a tuned measurement
     beats the incumbents — and every identity
-    built on the registry (plan exchange, stale-plan invalidation) covers
+    built on the registry (plan templates, stale-plan invalidation) covers
     the full set with no special cases.
     """
     global _default_registry

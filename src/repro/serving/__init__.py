@@ -20,10 +20,9 @@ table is an in-memory measurement that lives and dies with its process.
 Scale-out lives here too: a :class:`~repro.serving.pool.ServingPool`
 shards the request stream across N workers — each owning a shard-local
 plan cache over a shared read-only packed-weight segment, draining a
-bounded queue with work-conserving continuous batching — and keeps the
-shards mutually warm (compiled-plan broadcast via
-:class:`~repro.serving.pool.PlanExchange`, one dispatch table shared by
-every thread shard).  Fronting the pool, a
+bounded queue with work-conserving continuous batching.  What shards
+share is mounted, locked objects: the weight segment, one dispatch
+table and one activation calibration.  Fronting the pool, a
 :class:`~repro.serving.gateway.ServingGateway` is the asyncio door
 open-loop traffic comes through: bounded-in-flight admission with
 fast-fail backpressure (:class:`~repro.errors.PoolSaturated`), priority
@@ -64,7 +63,6 @@ from .engine import (
     StalePlan,
 )
 from .pool import (
-    PlanExchange,
     PoolConfig,
     PoolResult,
     PoolStats,
@@ -87,7 +85,6 @@ __all__ = [
     "LRUCache",
     "LaneStats",
     "PlanCache",
-    "PlanExchange",
     "PoolConfig",
     "PoolResult",
     "PoolStats",

@@ -283,9 +283,6 @@ class SessionStats(Counters):
     #: Executed-GEMM timing samples fed back into the dispatch table
     #: (0 when dispatch is not cost-model or feedback is disabled).
     autotune_samples: int = 0
-    #: Compiled plans adopted from a pool's cross-worker plan exchange
-    #: instead of being compiled locally (0 outside a pool).
-    plans_adopted: int = 0
     #: Measured wall-clock attributed per executed backend name, summed
     #: over every plan step this session ran.
     backend_seconds: dict[str, float] = field(default_factory=dict)
@@ -415,7 +412,6 @@ class InferenceEngine:
         *,
         calibration: ActivationCalibration | None = None,
         shared_segments: dict[str, LRUCache] | None = None,
-        plan_exchange=None,
         label: str = "",
         health=None,
         fault_plan=None,
@@ -427,11 +423,9 @@ class InferenceEngine:
         bit-identical).  The remaining keywords are the pool-worker hooks
         of :class:`~repro.serving.pool.ServingPool`: ``shared_segments``
         mounts pre-built cache segments (the pool's shared packed-weight
-        and dispatch-table segments) into this session's plan cache,
-        ``plan_exchange`` is a cross-worker board consulted before
-        compiling and published to after (see
-        :class:`~repro.serving.pool.PlanExchange`), and ``label`` names
-        this session in pool telemetry and the modeled device report.
+        and dispatch-table segments) into this session's plan cache, and
+        ``label`` names this session in pool telemetry and the modeled
+        device report.
 
         ``health`` shares a
         :class:`~repro.serving.supervision.BackendHealth` circuit breaker
@@ -451,7 +445,6 @@ class InferenceEngine:
             calibration if calibration is not None else ActivationCalibration()
         )
         self.label = label
-        self._plan_exchange = plan_exchange
         #: Shared per-backend circuit breaker (``None`` outside a pool
         #: unless the caller supplies one).
         self.health = health
@@ -673,12 +666,6 @@ class InferenceEngine:
 
         ``adjacency`` passes the batch's already-resolved packed adjacency
         to avoid a second cache lookup.
-
-        In a pool, a local miss first consults the cross-worker plan
-        exchange: a plan another shard already compiled for this exact
-        content key is adopted (plans are immutable metadata, so sharing
-        is safe), and a locally compiled plan is broadcast for the
-        sibling shards — compiled-plan metadata spreads on first compile.
         """
         digest = self._members_digest(batch)
         if adjacency is None:
@@ -689,22 +676,12 @@ class InferenceEngine:
         self, batch: SubgraphBatch, digest: tuple, adjacency: PackedAdjacency
     ) -> ExecutionPlan:
         # ``digest`` is taken once per round; both cache keys derive from it.
-        key = ("plan",) + digest
-
-        def build() -> ExecutionPlan:
-            if self._plan_exchange is not None:
-                shared = self._plan_exchange.get(key)
-                if shared is not None:
-                    self.stats.plans_adopted += 1
-                    return shared
-            plan = self.compile_plan(
+        return self._cache.get_or_build(
+            ("plan",) + digest,
+            lambda: self.compile_plan(
                 batch.num_nodes, adjacency, ("adjacency",) + digest
-            )
-            if self._plan_exchange is not None:
-                self._plan_exchange.publish(key, plan)
-            return plan
-
-        return self._cache.get_or_build(key, build)
+            ),
+        )
 
     def compile_plan(
         self, num_nodes: int, adjacency: PackedAdjacency, adjacency_key: PlanKey
@@ -825,15 +802,12 @@ class InferenceEngine:
 
         For each plan :meth:`stale_plans` reports, the cached entry is
         discarded (counted in ``stats.plans_invalidated`` and the plan
-        segment's ``invalidations``, not its evictions) and, in a pool,
-        the cross-worker plan-exchange entry is discarded too — otherwise
-        the recompile's exchange lookup would re-adopt the very plan that
-        was just invalidated.  The next execution of the same batch
-        misses, recompiles under the current tuned table, and returns
-        bit-identical logits (a plan's backend choice affects schedule,
-        never arithmetic).  Every plan template is dropped too, stale or
-        not, so the next miss re-prices against the live table.  Returns
-        what was invalidated.
+        segment's ``invalidations``, not its evictions).  The next
+        execution of the same batch misses, recompiles under the current
+        tuned table, and returns bit-identical logits (a plan's backend
+        choice affects schedule, never arithmetic).  Every plan template
+        is dropped too, stale or not, so the next miss re-prices against
+        the live table.  Returns what was invalidated.
         """
         stale = self.stale_plans()
         templates = self._cache.segment("template")
@@ -843,8 +817,6 @@ class InferenceEngine:
         for entry in stale:
             if plan_segment.discard(entry.key):
                 self.stats.plans_invalidated += 1
-            if self._plan_exchange is not None:
-                self._plan_exchange.discard(entry.key)
         if stale:
             emit_event(
                 __name__, "stale_plans_invalidated", shard=self.label,

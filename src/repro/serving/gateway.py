@@ -339,7 +339,6 @@ class ServingGateway:
         self._rerouted = 0
         self._hedges_launched = 0
         self._hedges_won = 0
-        self._seq = 0
         # Private PRNG: retry jitter must not perturb (or be perturbed
         # by) anyone else's use of the global random state.
         self._retry_rng = random.Random(self.config.retry_seed)
@@ -514,9 +513,7 @@ class ServingGateway:
         """Route one admitted request, hedging if configured; returns
         ``(settled result, rerouted, hedged, hedge_won)``."""
         pool = self.pool
-        seq = self._seq
-        self._seq += 1
-        home = pool.shard_of(subgraph, seq)
+        home = pool.shard_of(subgraph)
         shard = route_shard(
             home, pool.queue_depths(), self.config.imbalance_threshold
         )

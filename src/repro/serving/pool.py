@@ -1,4 +1,4 @@
-"""Sharded serving worker pool with cross-worker plan-cache warming.
+"""Sharded serving worker pool over shared, locked artifact segments.
 
 A single :class:`~repro.serving.engine.InferenceEngine` session tops out
 where its working set does: once the distinct coalesced batches of a
@@ -11,11 +11,11 @@ stream across N workers, give each worker its *own* shard-local
 :class:`~repro.plan.cache.PlanCache`, and let the shards share the state
 that is identical everywhere.  A :class:`ServingPool` is that system:
 
-* **sharding** — each submitted request is routed to one worker, by
-  structure digest (the default: structurally identical subgraphs always
-  land on the same shard, so each shard's cache holds a disjoint slice
-  of the workload and the pool's effective capacity is the *sum* of the
-  shard caches) or round-robin (balance over locality);
+* **sharding** — each submitted request is routed to one worker by
+  structure digest: structurally identical subgraphs always land on the
+  same shard, so each shard's cache holds a disjoint slice of the
+  workload and the pool's effective capacity is the *sum* of the shard
+  caches;
 * **shard-local sessions** — every worker owns a full
   :class:`~repro.serving.engine.InferenceEngine` (private adjacency /
   plan segments, private telemetry) and drains a bounded request
@@ -25,18 +25,19 @@ that is identical everywhere.  A :class:`ServingPool` is that system:
   member-cap/node-budget rule the single-engine path uses — under load
   the backlog fills rounds, and an idle shard runs a lone request at
   once (no shard ever sleeps on a timer for batch-mates);
-* **shared read-only weight segment** — packed layer weights are
-  session-invariant, so all shard caches mount one
-  :class:`~repro.plan.cache.ThreadSafeLRUCache` ``weight`` segment:
-  each layer is quantized and packed exactly once, pool-wide;
-* **cross-worker plan warming** — compiled-plan metadata is broadcast
-  through a :class:`PlanExchange` on first compile (plans are immutable
-  dataclasses; a sibling shard that misses locally adopts instead of
-  recompiling), and the measured
-  :class:`~repro.plan.autotune.DispatchTable` is one object: every
-  shard mounts the pool's ``table`` segment the way it mounts the
-  ``weight`` one, so a backend timing recorded by one worker prices
-  dispatch on all of them from the next decision on;
+* **shared state is a mounted, locked object** — packed layer weights
+  are session-invariant, so all shard caches mount one
+  :class:`~repro.plan.cache.LRUCache` ``weight`` segment, whose lock
+  holds across a build: each layer is quantized and packed exactly
+  once, pool-wide.  The measured
+  :class:`~repro.plan.autotune.DispatchTable` is mounted the same way
+  (the ``table`` segment), so a backend timing recorded by one worker
+  prices dispatch on all of them from the next decision on, and every
+  shard shares the pool's one
+  :class:`~repro.gnn.quantized.ActivationCalibration`, which freezes
+  each site once under its own lock.  Nothing else crosses shards: a
+  shard whose ``plan`` segment misses binds the plan from its own
+  ``template`` segment, as a single engine does;
 * **async front door** — intake is gateway-ready: ``submit`` takes an
   explicit ``shard=`` override (the router/hedging hook) and offers
   ``block=False`` fast-fail intake
@@ -49,12 +50,12 @@ that is identical everywhere.  A :class:`ServingPool` is that system:
   for shard threads that died *outside* the per-request handler (a
   drain-loop bug, or an injected ``worker`` fault from a
   :class:`~repro.faultinject.FaultPlan`), respawns the shard with a
-  fresh engine remounting the shared weight and table segments,
-  calibration and plan exchange, and re-queues the dead worker's
-  unsettled in-flight requests so no submitter is stranded; disabled, the
-  crash is surfaced instead — every queued and in-flight future fails
-  with :class:`~repro.errors.WorkerDied`, as do later submits routed to
-  the dead shard;
+  fresh engine remounting the shared weight and table segments and
+  calibration, and re-queues the dead worker's unsettled in-flight
+  requests so no submitter is stranded; disabled, the crash is surfaced
+  instead — every queued and in-flight future fails with
+  :class:`~repro.errors.WorkerDied`, as do later submits routed to the
+  dead shard;
 * **process-pool escape hatch** — ``PoolConfig(mode="process")`` runs
   :meth:`ServingPool.serve` across fork-spawned worker processes (one
   engine per process; a forked shard returns logits and stats only, and
@@ -74,7 +75,6 @@ import math
 import queue
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,14 +84,13 @@ from ..errors import ConfigError, PoolSaturated, WorkerDied
 from ..gnn.models import GNNModel
 from ..gnn.quantized import ActivationCalibration
 from ..graph.batching import Subgraph, round_full
-from ..plan.cache import ThreadSafeLRUCache, artifact_nbytes
+from ..plan.cache import LRUCache, artifact_nbytes
 from ..runtime.report import EpochReport
 from ..telemetry import emit_event
 from .engine import InferenceEngine, ServingConfig, SessionStats
 from .supervision import BackendHealth
 
 __all__ = [
-    "PlanExchange",
     "PoolConfig",
     "PoolResult",
     "PoolStats",
@@ -118,12 +117,7 @@ class PoolConfig:
     #: backpressure to :meth:`ServingPool.submit` instead of growing
     #: without limit.
     queue_capacity: int = 256
-    #: ``"structure"`` routes structurally identical subgraphs to the
-    #: same shard (disjoint shard working sets — the capacity win);
-    #: ``"round-robin"`` spreads requests evenly (duplicated cache
-    #: entries, but the plan exchange recovers the compile cost).
-    shard_policy: str = "structure"
-    #: ``"thread"`` (shared weight and table segments + plan exchange)
+    #: ``"thread"`` (shared weight and table segments and calibration)
     #: or ``"process"`` (fork-based escape hatch;
     #: :meth:`ServingPool.serve` only, nothing shared between shards).
     mode: str = "thread"
@@ -148,11 +142,6 @@ class PoolConfig:
             raise ConfigError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}"
             )
-        if self.shard_policy not in ("structure", "round-robin"):
-            raise ConfigError(
-                "shard_policy must be 'structure' or 'round-robin', "
-                f"got {self.shard_policy!r}"
-            )
         if self.mode not in ("thread", "process"):
             raise ConfigError(
                 f"mode must be 'thread' or 'process', got {self.mode!r}"
@@ -162,104 +151,6 @@ class PoolConfig:
             raise ConfigError(
                 f"supervise_interval_s must be finite > 0, got {interval!r}"
             )
-
-
-class PlanExchange:
-    """Cross-worker compiled-plan board (the ``plan`` half of warming).
-
-    A lock-protected, bounded map from plan content keys to compiled
-    :class:`~repro.plan.ir.ExecutionPlan` values.  Workers publish on
-    first compile and consult on local cache misses; adopting a plan
-    skips the dispatcher pricing pass entirely.  Plans are immutable
-    metadata (frozen dataclasses a few hundred bytes each), so sharing
-    them across threads is safe by construction.
-
-    Example::
-
-        exchange = PlanExchange()
-        engine = InferenceEngine(model, config, plan_exchange=exchange)
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        """Create an empty board holding at most ``capacity`` plans
-        (oldest published evicted first)."""
-        if capacity < 1:
-            raise ConfigError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        #: Plans published by first compilers.
-        self.published = 0
-        #: Successful lookups by sibling shards.
-        self.adopted = 0
-        self._lock = threading.Lock()
-        self._plans: OrderedDict[tuple, object] = OrderedDict()
-
-    def __len__(self) -> int:
-        """Plans currently held on the board."""
-        with self._lock:
-            return len(self._plans)
-
-    def get(self, key: tuple):
-        """The plan another worker compiled for ``key``, or ``None``."""
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self.adopted += 1
-            return plan
-
-    def publish(self, key: tuple, plan) -> None:
-        """Broadcast a freshly compiled plan (first publisher wins)."""
-        with self._lock:
-            if key in self._plans:
-                return
-            self._plans[key] = plan
-            self.published += 1
-            while len(self._plans) > self.capacity:
-                self._plans.popitem(last=False)
-
-    def discard(self, key: tuple) -> bool:
-        """Withdraw one published plan; returns whether it was held.
-
-        The invalidation half of the board
-        (:meth:`~repro.serving.engine.InferenceEngine.invalidate_stale_plans`):
-        a plan whose frozen dispatch diverged from the tuned pick must
-        leave the exchange along with the shard caches, or the recompile
-        miss would simply re-adopt the stale plan from here.
-        """
-        with self._lock:
-            return self._plans.pop(key, None) is not None
-
-
-class _SharedCalibration(ActivationCalibration):
-    """A view over a base calibration whose first-touch freeze is locked.
-
-    Calibration must be race-free across workers: two shards hitting an
-    unfrozen site concurrently could otherwise freeze different
-    parameters and silently break the batched == per-request bit-identity
-    guarantee.  Frozen sites are read lock-free (the hot path); only the
-    one-time calibrate takes the lock.
-    """
-
-    def __init__(self, base: ActivationCalibration) -> None:
-        super().__init__()
-        self._base = base
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._base)
-
-    @property
-    def sites(self):
-        """Read-only view of the base calibration's frozen sites."""
-        return self._base.sites
-
-    def params_for(self, site: str, values: np.ndarray, bits: int):
-        """The site's frozen parameters, freezing under a lock on first
-        touch so exactly one worker calibrates each site."""
-        params = self._base._sites.get((site, bits))
-        if params is not None:
-            return params
-        with self._lock:
-            return self._base.params_for(site, values, bits)
 
 
 class PoolResult:
@@ -360,9 +251,6 @@ class PoolStats(SessionStats):
     DERIVED = SessionStats.DERIVED + ("poisoned_discards",)
 
     workers: int = 0
-    #: Plans broadcast through the plan exchange (``plans_adopted``, the
-    #: other half, is summed from the shards that adopted them).
-    plans_published: int = 0
     #: Circuit-open transitions recorded by the shared
     #: :class:`~repro.serving.supervision.BackendHealth`.
     quarantines: int = 0
@@ -382,7 +270,6 @@ class PoolStats(SessionStats):
 
 @dataclass
 class _QueuedRequest:
-    seq: int
     subgraph: Subgraph
     future: PoolResult
 
@@ -417,7 +304,6 @@ class _Worker:
                 "weight": pool._weight_segment,
                 "table": pool._table_segment,
             },
-            plan_exchange=pool.plan_exchange,
             label=self.label,
             health=pool.health,
             fault_plan=pool.fault_plan,
@@ -575,18 +461,16 @@ class ServingPool:
         #: Optional fault-injection plan threaded through the shards.
         self.fault_plan = fault_plan
         # None check, not truthiness: an empty calibration is falsy.
-        self._calibration = _SharedCalibration(
+        self._calibration = (
             calibration if calibration is not None else ActivationCalibration()
         )
-        #: Cross-worker compiled-plan board (thread mode).
-        self.plan_exchange = PlanExchange()
-        self._weight_segment = ThreadSafeLRUCache(
+        self._weight_segment = LRUCache(
             self.config.weight_cache_capacity, size_of=artifact_nbytes
         )
         # One measured dispatch table, pool-wide: every shard resolves
         # its table through this segment, so the first builds it under
         # the segment's lock and the rest get the same object.
-        self._table_segment = ThreadSafeLRUCache(1)
+        self._table_segment = LRUCache(1)
         self._lock = threading.Lock()
         # Intake is atomic with respect to shutdown: submit() holds this
         # across its closed-check *and* enqueue, and shutdown() sets
@@ -596,7 +480,6 @@ class ServingPool:
         # holds it, and stats() must not wait behind that submit.
         self._intake_lock = threading.Lock()
         self._next_seq = 0
-        self._round_robin = 0
         self._closed = False
         self._respawns = 0
         self._requeued = 0
@@ -630,10 +513,13 @@ class ServingPool:
         h.update(subgraph.graph.indices.tobytes())
         return h.digest()
 
-    def shard_of(self, subgraph: Subgraph, seq: int) -> int:
-        """The worker index a request routes to under the shard policy."""
-        if self.pool_config.shard_policy == "round-robin":
-            return seq % self.pool_config.workers
+    def shard_of(self, subgraph: Subgraph, seq: int | None = None) -> int:
+        """The worker index a request's structure routes to.
+
+        ``seq`` is read by nothing: it stays only because the repo
+        benchmark still passes it, and goes when that harness stops
+        (ROADMAP direction 1(a)).
+        """
         digest = self._structure_digest(subgraph)
         return int.from_bytes(digest, "little") % self.pool_config.workers
 
@@ -649,7 +535,7 @@ class ServingPool:
     ) -> PoolResult:
         """Queue one subgraph on its shard; returns a :class:`PoolResult`.
 
-        ``shard`` overrides the shard policy with an explicit worker
+        ``shard`` overrides structure routing with an explicit worker
         index — the hook the gateway's queue-depth router and hedger use;
         entries are content-keyed, so executing on a non-home shard is
         always safe, it merely re-builds that shard's artifacts.  With
@@ -672,7 +558,7 @@ class ServingPool:
                 raise ConfigError("pool is shut down")
             seq = self._next_seq
             self._next_seq += 1
-            index = shard if shard is not None else self.shard_of(subgraph, seq)
+            index = shard if shard is not None else self.shard_of(subgraph)
             worker = self._workers[index]
             if worker.died is not None and self._supervisor is None:
                 # Unsupervised dead shard: its queue is never drained
@@ -681,7 +567,7 @@ class ServingPool:
                     f"shard {worker.label} died and supervision is disabled"
                 ) from worker.died
             future = PoolResult(seq, worker.label)
-            request = _QueuedRequest(seq=seq, subgraph=subgraph, future=future)
+            request = _QueuedRequest(subgraph=subgraph, future=future)
             if block:
                 worker.queue.put(request)
             else:
@@ -775,7 +661,7 @@ class ServingPool:
         """Replace a dead shard worker, re-queueing its in-flight requests.
 
         The replacement remounts everything shared — weight and table
-        segments, calibration, plan exchange, backend health, fault plan —
+        segments, calibration, backend health, fault plan —
         and takes over the dead worker's queue, so requests that were queued
         (or submitted) across the crash are served in place.  Unsettled
         in-flight requests are re-queued; artifacts are content-keyed and
@@ -826,12 +712,12 @@ class ServingPool:
             [] for _ in range(self.pool_config.workers)
         ]
         placement: list[tuple[int, int]] = []
-        for i, subgraph in enumerate(subgraphs):
-            shard = self.shard_of(subgraph, i)
+        for subgraph in subgraphs:
+            shard = self.shard_of(subgraph)
             placement.append((shard, len(shards[shard])))
             shards[shard].append(subgraph)
         jobs = [
-            (index, self.model, self.config, self._calibration._base, members)
+            (index, self.model, self.config, self._calibration, members)
             for index, members in enumerate(shards)
             if members
         ]
@@ -860,7 +746,6 @@ class ServingPool:
             respawns, requeued = self._respawns, self._requeued
         total = PoolStats(
             workers=self.pool_config.workers,
-            plans_published=self.plan_exchange.published,
             quarantines=self.health.quarantines,
             respawns=respawns,
             requeued=requeued,

@@ -113,10 +113,10 @@ class TestPlanCacheValidation:
             PlanCache({"wieght": 4})  # the typo this validation exists for
 
     def test_unknown_shared_kind_rejected(self):
-        from repro.plan.cache import ThreadSafeLRUCache
+        from repro.plan.cache import LRUCache
 
         with pytest.raises(ConfigError, match="unknown artifact kind"):
-            PlanCache({"plan": 4}, shared={"kernels": ThreadSafeLRUCache(4)})
+            PlanCache({"plan": 4}, shared={"kernels": LRUCache(4)})
 
     def test_kernel_is_a_known_kind(self):
         cache = PlanCache({"kernel": 4})

@@ -159,13 +159,12 @@ class TestNodesCarryTheDeclaration:
         "poisoned", "hit_rate",
     }
     POOL_ROOT = {
-        "workers", "requests", "batches", "plans_published", "plans_adopted",
-        "step_retries", "quarantines", "respawns", "requeued",
-        "poisoned_discards",
+        "workers", "requests", "batches", "step_retries", "quarantines",
+        "respawns", "requeued", "poisoned_discards",
     }
     POOL_WORKER = {
-        "requests", "batches", "autotune_samples", "plans_adopted",
-        "step_retries", "fixed_seconds_per_round",
+        "requests", "batches", "autotune_samples", "step_retries",
+        "fixed_seconds_per_round",
     }
     GATEWAY = {
         "submitted", "completed", "rejected", "rerouted", "hedges_launched",

@@ -17,7 +17,7 @@ from repro.graph import induced_subgraphs
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
 from repro.perf import stale_plan
-from repro.serving import InferenceEngine, PlanExchange, ServingConfig
+from repro.serving import InferenceEngine, ServingConfig
 
 
 @pytest.fixture
@@ -177,25 +177,6 @@ class TestInvalidation:
             assert np.array_equal(want.logits, got.logits)
         for want, got in zip(expected, again):
             assert np.array_equal(want.logits, got.logits)
-
-    def test_invalidation_purges_the_plan_exchange(self, model, subgraphs):
-        # Without the exchange purge, the recompile's miss would re-adopt
-        # the very plan that was just invalidated.
-        exchange = PlanExchange()
-        engine = InferenceEngine(
-            model,
-            ServingConfig(feature_bits=8, batch_size=4),
-            plan_exchange=exchange,
-        )
-        engine.infer(subgraphs)
-        published = len(exchange)
-        assert published > 0
-        tamper_table(engine)
-        invalidated = engine.invalidate_stale_plans()
-        assert len(exchange) == published - len(invalidated)
-        adopted_before = engine.stats.plans_adopted
-        engine.infer(subgraphs)
-        assert engine.stats.plans_adopted == adopted_before
 
     def test_idempotent_when_nothing_is_stale(self, model, subgraphs):
         engine = InferenceEngine(

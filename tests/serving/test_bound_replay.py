@@ -2,9 +2,9 @@
 
 A warm round replays its bound program, yet each step still runs under its
 ``StepRecovery`` wrapper with the ``kernel`` fault site probed on every
-attempt, and a plan that pool shards share through the ``PlanExchange`` is
-bound per shard, on each shard's own adjacency — nothing is bound onto
-the plan itself.
+attempt, and a pool shard binds its plans from its own ``template``
+segment and its programs on its own adjacency — nothing is bound onto a
+plan itself.
 """
 
 from __future__ import annotations
@@ -79,31 +79,46 @@ def test_a_fault_on_a_bound_step_recovers_bit_identically(model, subgraphs):
 
 
 @pytest.mark.timeout(120)
-def test_pool_shards_bind_one_shared_plan_on_their_own(model, subgraphs):
-    """Two thread shards adopt one plan through the ``PlanExchange`` and each
-    binds it on its own adjacency: every replay, on either shard, serves the
-    single engine's logits bit for bit."""
+def test_a_non_home_shard_binds_from_its_own_template(model, subgraphs):
+    """A request forced onto the shard its structure does not route to
+    misses that shard's ``plan`` segment once and binds the plan from the
+    shard's own ``template`` segment, and its program on the shard's own
+    adjacency: every reply, on either shard, is the single engine's logits
+    bit for bit."""
     calibration = ActivationCalibration()
     config = ServingConfig(feature_bits=8, batch_size=1)
     single = InferenceEngine(model, config, calibration=calibration)
     expected = single.infer([subgraphs[0]])[0].logits
     with ServingPool(
-        model, config, pool=PoolConfig(workers=2, shard_policy="round-robin"),
-        calibration=calibration,
+        model, config, pool=PoolConfig(workers=2), calibration=calibration
     ) as pool:
-        replies = [pool.serve([subgraphs[0]])[0] for _ in range(6)]
-        stats = pool.stats()
-        w0, w1 = pool.workers
+        home = pool.shard_of(subgraphs[0])
+        replies = [
+            pool.submit(subgraphs[0], shard=shard).result(timeout=30)
+            for shard in (home, 1 - home) * 3
+        ]
         batch = SubgraphBatch(members=(subgraphs[0],))
-        adjacencies = [w.packed_adjacency_for(batch) for w in (w0, w1)]
-        plans = [w.plan_for(batch, adjacency=a) for w, a in zip((w0, w1), adjacencies)]
-    assert {reply.worker for reply in replies} == {"w0", "w1"}
-    assert stats.plans_adopted >= 1
-    assert plans[0] is plans[1]  # one plan object, adopted
-    assert adjacencies[0] is not adjacencies[1]
+        adjacencies = [w.packed_adjacency_for(batch) for w in pool.workers]
+        plans = [
+            w.plan_for(batch, adjacency=a)
+            for w, a in zip(pool.workers, adjacencies)
+        ]
+        artifacts = [w.plan_artifacts for w in pool.workers]
+    for plan, cache in zip(plans, artifacts):
+        assert cache.segment("plan").stats.misses == 1
+        templates = cache.segment("template")
+        assert templates.stats.misses == 1
+        (key,) = templates.keys()
+        template = templates.peek(key)
+        for step, source in zip(plan.gemm_steps(), template.gemm_steps()):
+            assert step.derived is source.derived  # bound from this template
+    assert plans[0] is not plans[1]
+    first, second = (plan.layers[0].aggregate.derived for plan in plans)
+    assert first is not second
     programs = [a.derived["program"] for a in adjacencies]
     assert programs[0] is not programs[1]
-    assert all(program.key[0] is plans[0] for program in programs)
-    assert "program" not in vars(plans[0])
-    for reply in replies:
-        np.testing.assert_array_equal(reply.logits, expected)
+    assert all(p.key[0] is plan for p, plan in zip(programs, plans))
+    for plan in plans:
+        assert "program" not in vars(plan)
+    for logits in replies:
+        np.testing.assert_array_equal(logits, expected)

@@ -1,9 +1,9 @@
 """Seeded concurrency stress tests for the shared serving state.
 
-The pool's correctness story rests on three shared structures: the
-thread-safe weight segment (build exactly once, pool-wide), the plan
-exchange (first publisher wins, bounded), and the locked calibration
-view (exactly one worker freezes each quantize site — the bit-identity
+The pool's correctness story rests on two shared, locked objects: the
+``LRUCache`` weight segment (build exactly once, pool-wide) and the
+``ActivationCalibration`` (exactly one thread freezes each quantize
+site, however many sessions or pools share it — the bit-identity
 guarantee).  Each test hammers one structure from many threads behind a
 barrier (so the race window is real, not incidental) and asserts no
 lost updates, no duplicate builds, and no deadlock — the module-level
@@ -12,6 +12,8 @@ lost updates, no duplicate builds, and no deadlock — the module-level
 
 from __future__ import annotations
 
+import pickle
+import sys
 import threading
 from collections import Counter
 
@@ -19,23 +21,32 @@ import numpy as np
 import pytest
 
 from repro.gnn import make_batched_gin
+from repro.gnn import quantized
 from repro.gnn.quantized import ActivationCalibration
 from repro.graph import induced_subgraphs
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
-from repro.plan.cache import ThreadSafeLRUCache
+from repro.plan.cache import LRUCache
 from repro.serving import (
     InferenceEngine,
-    PlanExchange,
     PoolConfig,
     ServingConfig,
     ServingPool,
 )
-from repro.serving.pool import _SharedCalibration
 
 pytestmark = pytest.mark.timeout(300)
 
 THREADS = 16
+
+
+@pytest.fixture
+def served(rng):
+    """``(subgraphs, model)``: eight planted-partition structures and a GIN."""
+    g = planted_partition_graph(
+        192, 1200, num_communities=8, feature_dim=12, num_classes=3, rng=rng
+    )
+    subgraphs = induced_subgraphs(g, metis_like_partition(g, 8))
+    return subgraphs, make_batched_gin(g.features.shape[1], 3, hidden_dim=16, seed=3)
 
 
 def hammer(worker) -> None:
@@ -53,19 +64,24 @@ def hammer(worker) -> None:
     threads = [
         threading.Thread(target=target, args=(i,)) for i in range(THREADS)
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120)
-        assert not t.is_alive(), "stress worker deadlocked"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often: widen every race
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive(), "stress worker deadlocked"
+    finally:
+        sys.setswitchinterval(interval)
     if errors:
         raise errors[0]
 
 
-class TestThreadSafeLRUCacheStress:
+class TestLRUCacheStress:
     def test_each_key_built_exactly_once_under_contention(self):
         keys = 32
-        cache = ThreadSafeLRUCache(64)
+        cache = LRUCache(64)
         builds: Counter = Counter()  # mutated only under the cache lock
 
         def worker(index: int) -> None:
@@ -89,7 +105,7 @@ class TestThreadSafeLRUCacheStress:
         assert stats.hits + stats.misses == THREADS * keys
 
     def test_mixed_put_get_keeps_counters_coherent(self):
-        cache = ThreadSafeLRUCache(8)
+        cache = LRUCache(8)
 
         def worker(index: int) -> None:
             for k in range(64):
@@ -106,40 +122,9 @@ class TestThreadSafeLRUCacheStress:
         assert len(cache.keys()) <= 8
 
 
-class TestPlanExchangeStress:
-    def test_first_publisher_wins_and_no_lost_plans(self):
-        keys = 32
-        exchange = PlanExchange(capacity=1024)
-
-        def worker(index: int) -> None:
-            for k in range(keys):
-                exchange.publish(("plan", k), f"compiled-by-{index}")
-
-        hammer(worker)
-        assert len(exchange) == keys
-        assert exchange.published == keys  # one winner per key, ever
-        # Every reader sees the one winning plan, whoever raced it in.
-        for k in range(keys):
-            winner = exchange.get(("plan", k))
-            assert winner is not None
-            assert winner == exchange.get(("plan", k))
-        assert exchange.adopted == 2 * keys
-
-    def test_bounded_board_under_concurrent_publish(self):
-        exchange = PlanExchange(capacity=16)
-
-        def worker(index: int) -> None:
-            for k in range(128):
-                exchange.publish(("plan", index, k), k)
-
-        hammer(worker)
-        assert len(exchange) == 16
-
-
-class TestSharedCalibrationStress:
+class TestActivationCalibrationStress:
     def test_exactly_one_thread_freezes_each_site(self, rng):
-        base = ActivationCalibration()
-        shared = _SharedCalibration(base)
+        shared = ActivationCalibration()
         # Every thread brings *different* values to the same site: only
         # one calibration may win, or differently-coalesced executions
         # would quantize with different parameters.
@@ -155,24 +140,73 @@ class TestSharedCalibrationStress:
                 params_seen[index] = params
 
         hammer(worker)
-        assert len(base.sites) == 1
-        frozen = base.sites[("L0/agg", 8)]
+        assert len(shared.sites) == 1
+        frozen = shared.sites[("L0/agg", 8)]
         assert all(p == frozen for p in params_seen)
         # Replays of a frozen site quantize deterministically.
         codes_a, _ = shared.quantize("L0/agg", values[0], 8)
         codes_b, _ = shared.quantize("L0/agg", values[0], 8)
         np.testing.assert_array_equal(codes_a, codes_b)
 
+    def test_a_frozen_calibration_pickles_with_a_fresh_lock(self, rng):
+        calibration = ActivationCalibration()
+        values = np.asarray(rng.normal(size=(16, 4)), dtype=np.float64)
+        calibration.params_for("L0/agg", values, 8)
+        with calibration._lock:  # held here: the lock does not travel
+            clone = pickle.loads(pickle.dumps(calibration))
+        assert clone.sites == calibration.sites
+        assert clone._lock.acquire(blocking=False)
+        clone._lock.release()
+        fresh = clone.params_for("L1/agg", values, 4)
+        assert clone.sites[("L1/agg", 4)] == fresh
+        assert len(calibration) == 1
+
+    def test_two_pools_sharing_a_calibration_freeze_each_site_once(
+        self, served, monkeypatch
+    ):
+        subgraphs, model = served
+        # Two first touches meet inside ``calibrate``: with one lock per
+        # pool both would calibrate the first site, each from its own
+        # request, and each pool would bind its own parameters.  With the
+        # calibration's own lock the second waits out the barrier outside.
+        barrier = threading.Barrier(2, timeout=1.0)
+        calibrate = quantized.calibrate
+
+        def meet(values, bits):
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+            return calibrate(values, bits)
+
+        monkeypatch.setattr(quantized, "calibrate", meet)
+        calibration = ActivationCalibration()
+        config = ServingConfig(feature_bits=8, batch_size=1)
+        pools = [
+            ServingPool(
+                model, config, pool=PoolConfig(workers=1), calibration=calibration
+            )
+            for _ in range(2)
+        ]
+        try:
+            a, b = subgraphs[0], subgraphs[1]
+            first = [pools[0].submit(a), pools[1].submit(b)]
+            a_on_0, b_on_1 = (f.result(timeout=60) for f in first)
+            b_on_0 = pools[0].submit(b).result(timeout=60)
+            a_on_1 = pools[1].submit(a).result(timeout=60)
+        finally:
+            for pool in pools:
+                pool.shutdown()
+        np.testing.assert_array_equal(a_on_0, a_on_1)
+        np.testing.assert_array_equal(b_on_0, b_on_1)
+        sites = calibration.sites
+        assert len(sites) == len({site for site, _ in sites})
+        assert len(sites) == 2 * model.num_layers
+
 
 class TestPoolUnderConcurrentSubmitters:
-    def test_hammered_pool_is_bit_identical_to_single_engine(self, rng):
-        g = planted_partition_graph(
-            192, 1200, num_communities=8, feature_dim=12, num_classes=3, rng=rng
-        )
-        subgraphs = induced_subgraphs(g, metis_like_partition(g, 8))
-        model = make_batched_gin(
-            g.features.shape[1], 3, hidden_dim=16, seed=3
-        )
+    def test_hammered_pool_is_bit_identical_to_single_engine(self, served):
+        subgraphs, model = served
         calibration = ActivationCalibration()
         engine = InferenceEngine(
             model,

@@ -16,7 +16,7 @@ import pytest
 from repro.errors import ConfigError, ShapeError
 from repro.core.bitgemm import bitgemm_codes
 from repro.plan.autotune import DispatchTable
-from repro.plan.cache import PlanCache, ThreadSafeLRUCache, artifact_nbytes
+from repro.plan.cache import LRUCache, PlanCache, artifact_nbytes
 from repro.plan.ir import GemmSpec
 from repro.plan.registry import BackendRegistry, resolve_engine_name
 from repro.serving import CostModelDispatcher
@@ -36,7 +36,7 @@ class TestSharedSegments:
         # (a one-entry dict is truthy), but the invariant worth pinning
         # is the aliasing itself: the first session's insertions must be
         # the second session's hits.
-        segment = ThreadSafeLRUCache(8, size_of=artifact_nbytes)
+        segment = LRUCache(8, size_of=artifact_nbytes)
         first = PlanCache({"plan": 4}, shared={"weight": segment})
         second = PlanCache({"plan": 4}, shared={"weight": segment})
         assert first.segment("weight") is second.segment("weight")
@@ -53,7 +53,7 @@ class TestSharedSegments:
     def test_empty_capacities_with_shared_segment_is_valid(self):
         # All segments mounted, none owned: the falsy-empty *capacities*
         # mapping must not trip the "needs at least one kind" guard.
-        segment = ThreadSafeLRUCache(8)
+        segment = LRUCache(8)
         cache = PlanCache({}, shared={"weight": segment})
         assert cache.kinds() == ("weight",)
 

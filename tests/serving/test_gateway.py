@@ -362,7 +362,7 @@ class TestGatewayServing:
             # Pin the policy inputs: home is always shard 0, whose queue
             # reads far deeper than shard 1's — the router must move the
             # request, and a foreign shard must still serve it.
-            pool.shard_of = lambda subgraph, seq: 0
+            pool.shard_of = lambda subgraph, seq=None: 0
             pool.queue_depths = lambda: (100, 0)
             result = gateway.run(subgraphs[:1])[0]
             assert result.rerouted

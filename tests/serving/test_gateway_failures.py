@@ -42,8 +42,8 @@ class ScriptedPool:
         self.handles: list[PoolResult] = []
         self.fail_submit_with: Exception | None = None
 
-    def shard_of(self, subgraph, seq):
-        return seq % self.pool_config.workers
+    def shard_of(self, subgraph, seq=None):
+        return 0  # every request's home is shard 0
 
     def queue_depths(self):
         return [0] * self.pool_config.workers

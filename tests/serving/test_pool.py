@@ -3,10 +3,9 @@
 Covers the PR 5 acceptance points: submission-ordered results that are
 bit-identical to a single engine under a shared calibration, structure
 sharding and backlog coalescing, the shared packed-weight
-segment (one pack pool-wide), cross-worker plan broadcast through the
-exchange, the one dispatch table every thread shard mounts (process
-shards exchange theirs through the JSON persistence path), and the
-fork-based process escape hatch.
+segment (one pack pool-wide), the one dispatch table every thread shard
+mounts (a process shard's dies with it), and the fork-based process
+escape hatch.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.partition import metis_like_partition
 from repro.plan import GemmSpec
 from repro.serving import (
     InferenceEngine,
-    PlanExchange,
     PoolConfig,
     ServingConfig,
     ServingPool,
@@ -66,27 +64,12 @@ class TestPoolConfig:
         [
             {"workers": 0},
             {"queue_capacity": 0},
-            {"shard_policy": "random"},
             {"mode": "fiber"},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ConfigError):
             PoolConfig(**kwargs)
-
-    def test_exchange_rejects_bad_capacity(self):
-        with pytest.raises(ConfigError):
-            PlanExchange(capacity=0)
-
-    def test_exchange_is_bounded_and_first_publisher_wins(self):
-        exchange = PlanExchange(capacity=2)
-        exchange.publish(("plan", 1), "a")
-        exchange.publish(("plan", 1), "b")  # ignored: first wins
-        assert exchange.get(("plan", 1)) == "a"
-        exchange.publish(("plan", 2), "c")
-        exchange.publish(("plan", 3), "d")  # evicts the oldest
-        assert exchange.get(("plan", 1)) is None
-        assert len(exchange) == 2
 
 
 class TestPoolResults:
@@ -167,13 +150,6 @@ class TestShardingAndCoalescing:
             }
             assert len(workers) > 1  # distinct structures spread out
 
-    def test_round_robin_policy_spreads_identical_structures(
-        self, gin_model, subgraphs
-    ):
-        with make_pool(gin_model, shard_policy="round-robin") as pool:
-            results = pool.serve([subgraphs[0]] * 4)
-            assert {r.worker for r in results} == {"w0", "w1"}
-
     def test_backlog_coalesces_into_one_round(self, gin_model, subgraphs):
         # Four same-structure requests (one shard) queued while that
         # shard's first round stalls form the next round together.
@@ -245,38 +221,6 @@ class TestShardingAndCoalescing:
             assert future.result(timeout=0).shape == (sub.num_nodes, 3)
 
 
-class TestPlanExchangeWarming:
-    def test_sibling_shards_adopt_broadcast_plans(self, gin_model, subgraphs):
-        # Round-robin sharding sends the same structure to both shards;
-        # serving sequentially guarantees the first compile is published
-        # before the sibling misses, so the sibling adopts instead of
-        # compiling (no second dispatcher pricing pass).
-        with make_pool(gin_model, shard_policy="round-robin") as pool:
-            pool.serve([subgraphs[0]])   # w0 compiles + broadcasts
-            pool.serve([subgraphs[0]])   # w1 misses locally, adopts
-            stats = pool.stats()
-            assert stats.plans_published >= 1
-            assert stats.plans_adopted >= 1
-            adopters = [w for w in stats.per_worker if w.plans_adopted]
-            assert adopters, "no worker adopted a broadcast plan"
-
-    def test_adopted_plans_execute_bit_identically(self, gin_model, subgraphs):
-        calibration = ActivationCalibration()
-        engine = InferenceEngine(
-            gin_model,
-            ServingConfig(feature_bits=8, batch_size=1),
-            calibration=calibration,
-        )
-        expected = engine.infer([subgraphs[0]])[0]
-        with make_pool(gin_model, calibration=calibration,
-                       shard_policy="round-robin") as pool:
-            first = pool.serve([subgraphs[0]])[0]
-            second = pool.serve([subgraphs[0]])[0]  # adopted on the sibling
-            assert first.worker != second.worker
-            np.testing.assert_array_equal(first.logits, expected.logits)
-            np.testing.assert_array_equal(second.logits, expected.logits)
-
-
 class TestSharedDispatchTable:
     def test_shards_share_one_table(self, gin_model):
         # Thread shards mount the pool's ``table`` segment: one object, so
@@ -292,8 +236,15 @@ class TestSharedDispatchTable:
             assert decision.engine == "packed"
 
     def test_the_one_table_holds_every_shards_samples(self, gin_model, subgraphs):
-        with make_pool(gin_model, shard_policy="round-robin") as pool:
-            pool.serve(subgraphs)
+        with make_pool(gin_model) as pool:
+            # Every structure is served on every shard, home or not.
+            futures = [
+                pool.submit(sub, shard=shard)
+                for shard in range(2)
+                for sub in subgraphs
+            ]
+            for future in futures:
+                future.result(timeout=30)
             per_shard = [e.stats.autotune_samples for e in pool.workers]
             table = pool.workers[0].dispatch_table
             assert all(per_shard)
