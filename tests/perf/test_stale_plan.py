@@ -178,6 +178,29 @@ class TestInvalidation:
         for want, got in zip(expected, again):
             assert np.array_equal(want.logits, got.logits)
 
+    def test_invalidation_purges_the_plan_templates(self, model, subgraphs):
+        # Without the template purge, the recompile's miss would bind the
+        # very backend picks that were just invalidated.
+        engine = InferenceEngine(
+            model, ServingConfig(feature_bits=8, batch_size=4)
+        )
+        engine.infer(subgraphs)
+        templates = engine.plan_artifacts.segment("template")
+        held = len(templates)
+        assert held > 0
+        prefer = tamper_table(engine)
+        engine.invalidate_stale_plans()
+        assert len(templates) == 0
+        assert templates.stats.invalidations == held
+        misses_before = templates.stats.misses
+        engine.infer(subgraphs)
+        # The recompiles re-price their templates in this session, under
+        # the tampered table.
+        assert templates.stats.misses > misses_before
+        for key in templates.keys():
+            for step in templates.peek(key).gemm_steps():
+                assert step.backend == prefer
+
     def test_idempotent_when_nothing_is_stale(self, model, subgraphs):
         engine = InferenceEngine(
             model, ServingConfig(feature_bits=8, batch_size=4)

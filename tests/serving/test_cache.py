@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import ConfigError
@@ -49,6 +51,47 @@ class TestLRUCache:
         assert len(calls) == 1
         assert cache.stats.misses == 1
         assert cache.stats.hits == 1
+
+    def test_a_builder_may_reenter_its_own_cache(self):
+        # The build runs under the cache's lock; the lock is re-entrant,
+        # so a builder that reads or fills the same cache does not
+        # deadlock (a worker thread turns a deadlock into a failure).
+        cache = LRUCache(4)
+
+        def builder():
+            assert cache.get("inner") is None
+            cache.put("inner", 1)
+            return cache.get("inner") + 1
+
+        thread = threading.Thread(
+            target=lambda: cache.get_or_build("outer", builder), daemon=True
+        )
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "re-entrant build deadlocked"
+        assert cache.get("outer") == 2
+        assert cache.stats.insertions == 2
+
+    def test_a_failed_build_inserts_nothing_and_frees_the_lock(self):
+        cache = LRUCache(4)
+
+        def broken():
+            raise RuntimeError("build failed")
+
+        with pytest.raises(RuntimeError):
+            cache.get_or_build("k", broken)
+        assert "k" not in cache
+        assert cache.stats.insertions == 0
+        # Another thread can take the lock and build the key.
+        built = []
+        thread = threading.Thread(
+            target=lambda: built.append(cache.get_or_build("k", lambda: 7)),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "a failed build kept the lock"
+        assert built == [7]
 
     def test_lru_eviction_order(self):
         cache = LRUCache(2)

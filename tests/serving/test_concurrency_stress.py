@@ -148,6 +148,26 @@ class TestActivationCalibrationStress:
         codes_b, _ = shared.quantize("L0/agg", values[0], 8)
         np.testing.assert_array_equal(codes_a, codes_b)
 
+    def test_a_frozen_site_is_read_without_the_lock(self, rng):
+        # The freeze checks twice: a frozen site is a plain dict read, so
+        # a first touch elsewhere (which holds the lock while it
+        # calibrates) never stalls replays of the sites already frozen.
+        calibration = ActivationCalibration()
+        values = np.asarray(rng.normal(size=(16, 4)), dtype=np.float64)
+        frozen = calibration.params_for("L0/agg", values, 8)
+        seen = []
+        with calibration._lock:
+            thread = threading.Thread(
+                target=lambda: seen.append(
+                    calibration.params_for("L0/agg", values * 3, 8)
+                ),
+                daemon=True,
+            )
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive(), "a frozen site waited on the lock"
+        assert seen == [frozen]
+
     def test_a_frozen_calibration_pickles_with_a_fresh_lock(self, rng):
         calibration = ActivationCalibration()
         values = np.asarray(rng.normal(size=(16, 4)), dtype=np.float64)

@@ -150,6 +150,15 @@ class TestShardingAndCoalescing:
             }
             assert len(workers) > 1  # distinct structures spread out
 
+    def test_shard_of_ignores_seq(self, gin_model, subgraphs):
+        # Structure is the one routing key: the sequence number a caller
+        # passes changes nothing, and submit() lands where shard_of says.
+        with make_pool(gin_model) as pool:
+            for sub in subgraphs:
+                home = pool.shard_of(sub)
+                assert {pool.shard_of(sub, seq) for seq in range(6)} == {home}
+                assert pool.submit(sub).worker == f"w{home}"
+
     def test_backlog_coalesces_into_one_round(self, gin_model, subgraphs):
         # Four same-structure requests (one shard) queued while that
         # shard's first round stalls form the next round together.
@@ -260,6 +269,50 @@ class TestSharedDispatchTable:
             assert table is not measured
             assert table.sample_count() == 0
 
+
+class TestShardsMountSharedState:
+    """A pool shares state one way: every shard mounts the same locked
+    object, never a private view of it."""
+
+    def test_shards_mount_the_pools_calibration(self, gin_model, subgraphs):
+        calibration = ActivationCalibration()
+        with make_pool(gin_model, calibration=calibration) as pool:
+            assert pool.calibration is calibration
+            assert all(e.calibration is calibration for e in pool.workers)
+            pool.serve(subgraphs)
+        # Each shard froze into the one object: one params per site.
+        assert len(calibration) == 2 * gin_model.num_layers
+
+    def test_shards_mount_one_weight_and_one_table_segment(self, gin_model):
+        with make_pool(gin_model) as pool:
+            w0, w1 = (e.plan_artifacts for e in pool.workers)
+            for kind in ("weight", "table"):
+                assert w0.segment(kind) is w1.segment(kind)
+            # Plans, templates and adjacencies stay per shard: a miss
+            # binds from the shard's own template, as in a single engine.
+            for kind in ("plan", "template", "adjacency"):
+                assert w0.segment(kind) is not w1.segment(kind)
+
+
+    def test_a_respawned_shard_mounts_the_same_calibration(
+        self, gin_model, subgraphs
+    ):
+        calibration = ActivationCalibration()
+        plan = FaultPlan(seed=0, specs=[FaultSpec("worker", at=(1,))])
+        with make_pool(
+            gin_model,
+            calibration=calibration,
+            fault_plan=plan,
+            supervise_interval_s=0.01,
+        ) as pool:
+            # One round per request: the second kills shard 0's loop.
+            for sub in subgraphs[:3]:
+                pool.submit(sub, shard=0).result(timeout=30)
+            deadline = time.monotonic() + 10
+            while pool.stats().respawns < 1:
+                assert time.monotonic() < deadline, "shard never respawned"
+                time.sleep(0.005)
+            assert all(e.calibration is calibration for e in pool.workers)
 
 class TestProcessEscapeHatch:
     def test_submit_requires_thread_mode(self, gin_model, subgraphs):
