@@ -21,7 +21,9 @@ where ``r_a`` is the row-sum vector of ``q_a`` and ``g_b`` the column-sum
 of ``q_b`` — rank-1 epilogue terms the fused kernel absorbs (paper §4.5),
 and so does the host: a step quantizes straight into its GEMM's dtype,
 takes the product in it and adds the terms in place, one float64 buffer
-from activation to activation, no full-precision round trip in between.
+from activation to activation, no full-precision round trip in between —
+and on a warm round not even that: one native pass
+(:mod:`repro.core.native`) turns a product into the next step's codes.
 Only the ``q_a q_b`` term touches the Tensor Core.
 
 Serving hooks
@@ -57,6 +59,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
+from ..core import native
 from ..core.bitgemm import Engine, codes_gemm, exact_gemm_dtype
 from ..core.bitpack import Operand, PackedBits, pack_matrix
 from ..core.quantization import QuantParams, calibrate, quantize, quantize_into
@@ -457,6 +460,30 @@ def _lower(key, pinned, steps, kernel, softmax) -> _Program:
     return _Program(key, pinned, tuple(steps), kernel, tuple(layout), gemm_at, totals, {})
 
 
+def _native_entries(program: _Program) -> tuple:
+    """Each step's ``(quantize, tail)`` native entries
+    (:mod:`repro.core.native`), bound on the program's first replay — a
+    round that binds every time never pays for them: Eq. 2 from a float64
+    activation, and the epilogue, the ReLU and the next step's Eq. 2 from a
+    product in the step's exact dtype into the next codes and their row
+    sums (an update step reads them), or the last step's logits.  ``None``
+    keeps NumPy."""
+    entries = program.derived.get("native")
+    if entries is None:
+        entries, steps = [], program.steps
+        for bs, after in zip(steps, [*steps[1:], None]):
+            spec = bs.step.spec
+            activation = (spec.k, spec.n) if bs.aggregate else (spec.m, spec.k)
+            quantize = native.bind_quantize(bs.params, bs.dtype, activation, not bs.aggregate)
+            tail = None
+            if bs.aggregate or quantize is not None:  # the row sums an update step reads
+                into = () if after is None else (after.params, after.dtype, not after.aggregate)
+                tail = native.bind_tail(bs.dtype, (spec.m, spec.n), bs.epilogue, bs.relu, *into)
+            entries.append((quantize, tail))
+        entries = program.derived["native"] = tuple(entries)
+    return entries
+
+
 #: Executor phases; a program's stamps delimit one interval per layout entry.
 PHASES = ("materialize", "quantize", "pack", "census", "gemm", "epilogue", "activation")
 _DEFAULT_KERNEL = KernelConfig()
@@ -493,10 +520,13 @@ def execute_forward_plan(
     registry state, kernel config, calibration) lowers the plan into a
     *bound program* kept on the adjacency, running the operand pair,
     census, dtype and weight-bitwidth checks once; later runs are its
-    NumPy calls, a ``perf_counter`` stamp per phase boundary and each
-    step's recovery wrapper.  Without a shared ``calibration`` nothing
-    keeps it.  The node count, feature width and Eq. 2's NaN check run
-    every time (another shape raises :class:`~repro.errors.ShapeError`).
+    GEMMs, one native call per step for the epilogue, ReLU and next Eq. 2
+    (NumPy where the kernel is unavailable or the product is not in the
+    step's exact dtype — the same bits), a ``perf_counter`` stamp per
+    phase boundary and each step's recovery wrapper.  Without a shared
+    ``calibration`` nothing keeps it.  The node count, feature width and
+    Eq. 2's NaN check run every time (another shape raises
+    :class:`~repro.errors.ShapeError`).
     """
     sig = plan.signature
     if batch.num_nodes != sig.num_nodes:
@@ -529,8 +559,9 @@ def execute_forward_plan(
         program, kernel = None, BitGemmKernel(config)
         schedule = [(step, layer.index, not layer.is_output and i == 1)
                     for layer in plan.layers for i, step in enumerate(layer.steps(sig.aggregate_first))]
+        natives = [(None, None)] * len(schedule)
     else:
-        schedule, kernel = program.steps, program.kernel
+        schedule, kernel, natives = program.steps, program.kernel, _native_entries(program)
 
     clock = time.perf_counter
     stamps = [clock()]
@@ -543,7 +574,8 @@ def execute_forward_plan(
             f"a batch with {h.shape[1]} features; compile a fresh plan"
         )
     bound, counters, recoveries, recovered = [], [], [], {}
-    for i, bs in enumerate(schedule):
+    codes = sums = None  # a warm step's codes (and row sums), when the step before wrote them
+    for i, (bs, (quantize, tail)) in enumerate(zip(schedule, natives)):
         if program is None:  # binding: calibrate, quantize, lower the step
             step, layer, relu = bs
             site = step.quantize_a or step.quantize_b
@@ -553,7 +585,9 @@ def execute_forward_plan(
             bs, operand = _bind_step(step, layer, relu, backends, kernel, params, codes,
                                      packed_weights[layer], packed_adjacency, model.biases[layer])
         else:
-            codes = quantize_into(h, bs.params, bs.dtype)
+            if codes is None:
+                codes, sums = (quantize(h) if quantize is not None
+                               else (quantize_into(h, bs.params, bs.dtype), None))
             operand = None if bs.matmul is not None else bs.operand(codes)
         bound.append(bs)
         stamp(clock())
@@ -591,27 +625,35 @@ def execute_forward_plan(
         if failed:
             recovered[i] = (executed, won[executed])
             recoveries.extend((bs.label, name, executed) for name in failed)
-        # The product is widened exactly, then scaled in float64 (NumPy 2
-        # keeps a Python float times a float32 in float32).  The terms join
-        # in place, one at a time and left to right: float addition is not
-        # associative, and pre-combining any two would move a logit's last bit.
-        out = out.astype(np.float64)
-        if bs.aggregate:  # Â is exact binary: real = s_x (Â q_x) + c_x degree
-            scale, offset = bs.epilogue
-            out *= scale
-            out += offset
+        # A product not in the step's exact dtype (an int64 one from
+        # ``packed``, primary or a recovery's fallback) keeps NumPy.
+        fused = tail is not None and out.dtype == bs.dtype
+        if fused:  # the same operations below, the ReLU and the next Eq. 2 in one pass
+            codes, sums = tail(out, sums)
+            h = codes  # the last step's are the logits
         else:
-            scale, row_scale, ones, col_terms, constant, bias = bs.epilogue
-            out *= scale
-            out += row_scale * _row_sums(codes, ones)
-            out += col_terms
-            out += constant
-            out += bias
+            # The product is widened exactly, then scaled in float64 (NumPy 2
+            # keeps a Python float times a float32 in float32).  The terms join
+            # in place, one at a time and left to right: float addition is not
+            # associative, and pre-combining any two would move a logit's last bit.
+            out = out.astype(np.float64)
+            if bs.aggregate:  # Â is exact binary: real = s_x (Â q_x) + c_x degree
+                scale, offset = bs.epilogue
+                out *= scale
+                out += offset
+            else:
+                scale, row_scale, ones, col_terms, constant, bias = bs.epilogue
+                out *= scale
+                out += row_scale * _row_sums(codes, ones)
+                out += col_terms
+                out += constant
+                out += bias
+            h, codes = out, None
         stamp(clock())
         if bs.relu:
-            np.maximum(out, 0.0, out=out)
+            if not fused:
+                np.maximum(out, 0.0, out=out)
             stamp(clock())
-        h = out
 
     logits = softmax(h) if apply_softmax else h
     if apply_softmax:

@@ -64,6 +64,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from ..codegen import prepare_plan_kernels
+from ..core import native
 from ..core.bitgemm import Engine
 from ..core.bitpack import TC_M
 from ..errors import ConfigError
@@ -509,6 +510,8 @@ class InferenceEngine:
         emit_event(
             __name__, "engine_start", shard=label,
             blas_pinned="1" in threads.values(), **threads,
+            # Compiled here, once per process, so no request pays for it.
+            native_tail=native.load() is not None,
         )
 
     @staticmethod

@@ -11,7 +11,10 @@ warm round re-derive what is a pure function of the artifacts it
 has just hit in the cache — kernel counters, the modeled report, GEMM
 specs — or read its activation codes a second time to range-check them;
 and those derivations die with the artifact they hang on.  A plan miss,
-static or a dynamic mutation, over a seen shape prices nothing.
+static or a dynamic mutation, over a seen shape prices nothing.  With the
+native kernel, a warm round runs no NumPy Eq. 2 and no row-sum GEMV, and
+its peak memory holds no float64 activation (a named ``tracemalloc``
+bound).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import sys
+import tracemalloc
 import weakref
 from functools import cached_property, partial
 from pathlib import Path
@@ -27,10 +31,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core import bitdecomp, bitpack
+from repro.core import bitdecomp, bitpack, native
 from repro.core.quantization import QuantParams
 from repro.faultinject import FaultPlan, FaultSpec
 from repro.gnn import make_batched_gin, make_cluster_gcn, quantized_forward
+from repro.gnn import quantized as quantized_module
 from repro.gnn.quantized import ActivationCalibration, pack_batch_adjacency
 from repro.graph import induced_subgraphs
 from repro.graph.batching import SubgraphBatch
@@ -887,3 +892,69 @@ def test_a_bound_replay_is_numpy_calls_and_fixed_accounting(bindings, structures
     assert counts["exact_gemm_dtype"] == counts["resolve_engine_name"] == 0
     for want, got in zip(bound_logits, logits):
         np.testing.assert_array_equal(want, got)
+
+
+# --------------------------------------------------------------------- #
+# A warm step is one native pass: no NumPy Eq. 2, no float64 activation
+# --------------------------------------------------------------------- #
+needs_kernel = pytest.mark.skipif(native.load() is None, reason="no C compiler on this host")
+
+
+@needs_kernel
+def test_a_warm_round_quantizes_and_sums_rows_natively(monkeypatch, structures):
+    """The binding round runs Eq. 2 and the update steps' row sums in NumPy,
+    one per step; a warm ``blas`` round runs neither — each step's tail
+    writes the next step's codes and their row sums."""
+    counts = dict.fromkeys(["quantize_into", "_row_sums"], 0)
+    for name in counts:
+        real = getattr(quantized_module, name)
+        monkeypatch.setattr(quantized_module, name, _counting(counts, name, real))
+    model = make_batched_gin(12, 3, hidden_dim=16, seed=4)
+    engine = InferenceEngine(model, ServingConfig(feature_bits=8, engine="blas", batch_size=4))
+
+    def round_counts():
+        for name in counts:
+            counts[name] = 0
+        engine.infer(structures[0])
+        return dict(counts)
+
+    steps = 2 * model.num_layers
+    assert round_counts() == {"quantize_into": steps, "_row_sums": model.num_layers}
+    assert round_counts() == round_counts() == {"quantize_into": 0, "_row_sums": 0}
+
+
+#: A warm round may hold, at its peak, three ``(n, hidden)`` buffers in the
+#: step's exact dtype (float32 here: a product, its codes and the next
+#: step's codes), the float64 features and logits, and this much of round
+#: records; one float64 ``(n, hidden)`` intermediate is two float32 ones.
+ROUND_RECORDS_BYTES = 64 << 10
+
+
+@needs_kernel
+def test_a_warm_round_allocates_no_float64_activation(monkeypatch, structures):
+    """Peak traced memory of a warm ``blas`` round stays under the named
+    bound; the NumPy tail, which widens every product into a float64
+    activation, does not."""
+    members = structures[0]
+    n = sum(sub.num_nodes for sub in members)
+    hidden, classes, features = 256, 3, 12
+    bound = (3 * n * hidden * np.dtype(np.float32).itemsize
+             + n * (features + classes) * np.dtype(np.float64).itemsize + ROUND_RECORDS_BYTES)
+
+    def warm_peak():
+        engine = InferenceEngine(
+            make_batched_gin(features, classes, hidden_dim=hidden, seed=4),
+            ServingConfig(feature_bits=8, engine="blas", batch_size=4),
+        )
+        engine.infer(members)
+        engine.infer(members)
+        tracemalloc.start()
+        try:
+            engine.infer(members)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert warm_peak() <= bound
+    monkeypatch.setattr(native, "load", lambda: None)
+    assert warm_peak() > bound + n * hidden * np.dtype(np.float64).itemsize // 2

@@ -15,6 +15,7 @@ import logging
 
 import pytest
 
+from repro.core import native
 from repro.faultinject import FaultPlan, FaultSpec
 from repro.gnn import make_batched_gin
 from repro.graph import induced_subgraphs
@@ -113,6 +114,7 @@ class TestEachSiteEmitsOneLine:
         assert pinned == {
             "event": "engine_start", "shard": "w3", "blas_pinned": True,
             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+            "native_tail": native.load() is not None,
         }
         assert unpinned["blas_pinned"] is False
 
