@@ -211,7 +211,6 @@ def test_dynamic_mutation(benchmark, once, report, bench_json):
             "stale_kernel_hits": metrics["stale_kernel_hits"],
             "plans_patched": metrics["plans_patched"],
             "plans_recompiled": metrics["plans_recompiled"],
-            "kernels_invalidated": metrics["kernels_invalidated"],
             "repacks_avoided": metrics["repacks_avoided"],
         },
     )

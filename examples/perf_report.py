@@ -96,7 +96,7 @@ def invalidation_story(model, subgraphs) -> None:
                     adjacency.nonzero_fraction
                     if step.spec.role == "aggregate" else None
                 )
-                other = "codegen" if step.backend != "codegen" else "packed"
+                other = "packed" if step.backend != "packed" else "blas"
                 for _ in range(8):
                     engine.dispatch_table.record_spec(
                         step.spec, other, 1e-9, tile_fraction=fraction

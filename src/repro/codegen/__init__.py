@@ -1,53 +1,16 @@
-"""Plan-specialized kernel generation: LoopIR → emitted numpy → callable.
+"""What is left of the LoopIR kernel generator: one no-op hook.
 
-The ROADMAP's "Plan IR → generated kernels, Exo/SYS_ATL-style" item.
-Instead of dispatching every GEMM to a fully generic engine, a compiled
-:class:`~repro.plan.ir.ExecutionPlan` is lowered through a small
-schedulable loop IR (:mod:`repro.codegen.loopir`) into kernels
-specialized to that plan's bitwidths, padded shapes, and measured tile
-census — bit-plane loops unrolled to constants, the
-:class:`~repro.tc.kernel.TileSkipPlan` baked in as precomputed
-nonzero-tile index lists.  Emission
-(:mod:`repro.codegen.emit`) is textual Python/numpy source compiled with
-``compile()``/``exec`` — zero new hard dependencies, optional numba JIT
-when importable — and compiled kernels live in the content-keyed
-``kernel`` segment shared with serving :class:`~repro.plan.cache.PlanCache`
-instances.  The whole pipeline is surfaced as the ``codegen`` entry of
-the standard backend registry, so dispatch, measured timing, plan
-templates, and differential testing all sweep it with no special cases.
+No registered backend compiles kernels, so no plan has any to prepare.
+:func:`prepare_plan_kernels` stays only because ``benchmarks/e2e`` imports
+it; it goes when that harness stops doing so (ROADMAP direction 1(a)).
 """
 
-from .backend import (
-    CompiledKernel,
-    census_digest,
-    codegen_backend,
-    gemm_kernel,
-    gemm_kernel_key,
-    kernel_cache_segment,
-    prepare_plan_kernels,
-)
-from .emit import compile_program, maybe_jit, popcount64
-from .loopir import EMIT_VERSION, Block, Line, Loop, Program, substitute, unroll
-from .lower import lower_gemm, unroll_bit_planes
+from __future__ import annotations
 
-__all__ = [
-    "EMIT_VERSION",
-    "Block",
-    "CompiledKernel",
-    "Line",
-    "Loop",
-    "Program",
-    "census_digest",
-    "codegen_backend",
-    "compile_program",
-    "gemm_kernel",
-    "gemm_kernel_key",
-    "kernel_cache_segment",
-    "lower_gemm",
-    "maybe_jit",
-    "popcount64",
-    "prepare_plan_kernels",
-    "substitute",
-    "unroll",
-    "unroll_bit_planes",
-]
+__all__ = ["prepare_plan_kernels"]
+
+
+def prepare_plan_kernels(plan, adjacency) -> tuple[float, float]:
+    """``(lower_seconds, compile_seconds)`` of a plan's kernel builds:
+    always ``(0.0, 0.0)``, since nothing is compiled."""
+    return 0.0, 0.0

@@ -52,7 +52,7 @@ as executable documentation; the test-suite uses them as independent oracles.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
@@ -189,14 +189,14 @@ def exact_gemm_dtype(k: int, bits_a: int, bits_b: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def codes_gemm(
-    a: Operand, b: Operand, tile_masks: Sequence[np.ndarray] | None = None
-) -> np.ndarray:
+def codes_gemm(a: Operand, b: Operand, _masks: object = None) -> np.ndarray:
     """The exact product as one GEMM on the integer codes, each operand —
     and the result — in :func:`exact_gemm_dtype`'s dtype (a packed
     adjacency as CSR — see :meth:`~repro.core.bitpack.Operand.matrix`).
-    The ``blas`` backend's ``run``; it has no use for tile masks.  An
-    operand quantized straight into that dtype says so (``gemm_dtype``)."""
+    The ``blas`` backend's ``run``.  An operand quantized straight into
+    that dtype says so (``gemm_dtype``).  A third argument is ignored, so
+    a wrapper written for the old ``(a, b, tile_masks)`` runner still
+    calls it."""
     dtype = a.gemm_dtype if a.gemm_dtype is not None else b.gemm_dtype
     if dtype is None:
         dtype = exact_gemm_dtype(a.logical_k, a.bits, b.bits)
@@ -262,7 +262,6 @@ def bitgemm(
     b: "Operand | PackedBits",
     *,
     engine: Engine = "auto",
-    tile_masks: Sequence[np.ndarray] | None = None,
     registry: "BackendRegistry | None" = None,
 ) -> np.ndarray:
     """Any-bitwidth GEMM on a registered backend.
@@ -270,19 +269,11 @@ def bitgemm(
     Returns the exact int64 product of the underlying integer matrices,
     shape ``(M, N)``.  Operands are :class:`~repro.core.bitpack.Operand`\\ s
     (a bare :class:`PackedBits` is wrapped); the backend resolved from
-    ``engine`` reads whichever form it consumes.  ``tile_masks`` optionally
-    supplies one precomputed non-zero-tile census per A plane (e.g. from a
-    serving session's tile-mask cache); consumed by backends whose caps
-    declare ``consumes_tile_masks`` (``codegen``), ignored by the others.
+    ``engine`` reads whichever form it consumes.
     """
     a, b = as_operand(a), as_operand(b)
     check_pair(a, b)
-    if tile_masks is not None and len(tile_masks) != a.bits:
-        raise ShapeError(
-            f"tile_masks must have {a.bits} entries (one per A plane), "
-            f"got {len(tile_masks)}"
-        )
-    product = _resolve_backend(engine, a, b, registry).run(a, b, tile_masks)
+    product = _resolve_backend(engine, a, b, registry).run(a, b)
     return product.astype(np.int64, copy=False)
 
 

@@ -556,7 +556,7 @@ def tile_nonzero_mask(plane_words: np.ndarray) -> np.ndarray:
     ballot combines the 8 lane predicates — a zero ballot marks a tile the
     kernel can jump.  Lives in ``core`` because :class:`Operand` ballots
     its own census with it; the TC emulator's jump logic
-    (:mod:`repro.tc.kernel`) and the ``codegen`` skip kernels consume it.
+    (:mod:`repro.tc.kernel`) consumes it.
 
     Parameters
     ----------

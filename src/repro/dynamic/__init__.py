@@ -10,7 +10,7 @@ structure *mutable* without giving up any of that machinery:
 * :class:`~repro.dynamic.session.DynamicSession` — serving integration:
   digest-keyed artifacts, every plan bound from the engine's template for
   the graph's ``(num_nodes, census band)``, eager invalidation of
-  superseded cache entries (plans, adjacencies, compiled kernels), a
+  superseded cache entries (plans, adjacencies), a
   serve-time stale guard, and mutation counters surfaced to the perf PAG.
 
 Everything is pinned bit-for-bit against the fresh pack-from-scratch

@@ -15,7 +15,7 @@ Identity is a **chained structure digest**: every effective mutation
 extends ``digest_{t+1} = H(digest_t || op || u || v)``, so the digest
 changes whenever — and only when — the structure changes, in O(edits)
 instead of O(E).  Cache keys derived from the digest therefore miss the
-moment the structure moves, which is what makes a stale compiled kernel
+moment the structure moves, which is what makes a stale plan or operand
 unreachable (see :mod:`repro.dynamic.session`).
 
 Published artifacts are immutable: :meth:`MutableGraph.snapshot` hands out

@@ -15,12 +15,11 @@ engine's content-keyed artifact caches coherent across mutations:
   engine's template for the graph's ``(num_nodes, census band)``
   retargeted at the new key, priced afresh only when that pair (or the
   registry, or the quarantined backends) is new;
-* superseded entries — including codegen ``kernel``-segment entries
-  compiled against the pre-mutation census — are eagerly **discarded**
-  (counted as cache invalidations), and :meth:`serve` re-checks the
-  served operand's census digest against the live structure so a stale
-  compiled kernel is caught and counted (``stale_kernel_hits``; the
-  benchmark asserts zero) even if a caller bypasses the bookkeeping.
+* superseded entries are eagerly **discarded** (counted as cache
+  invalidations), and :meth:`serve` re-checks the served operand's census
+  against the live structure so a stale plan/operand pair is caught and
+  counted (``stale_kernel_hits``; the benchmark asserts zero) even if a
+  caller bypasses the bookkeeping.
 
 Serving hands the live ``(batch, snapshot, plan)`` to the engine's single
 round path (:meth:`~repro.serving.engine.InferenceEngine.run_round`), so
@@ -35,8 +34,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ..codegen import gemm_kernel_key
-from ..codegen.backend import census_digest
+import numpy as np
+
 from ..errors import ConfigError
 from ..gnn.quantized import PackedAdjacency, QuantizedForwardResult
 from ..graph.csr import CSRGraph
@@ -67,8 +66,6 @@ class DynamicStats(Counters):
     plans_invalidated: int = 0
     #: Superseded packed-adjacency entries discarded.
     adjacency_invalidated: int = 0
-    #: Codegen kernels (keyed by the pre-mutation census digest) discarded.
-    kernels_invalidated: int = 0
     #: Mutation batches absorbed without a CSR rebuild + re-pack.
     repacks_avoided: int = 0
     #: Times a served plan/operand pair failed the live-structure check.
@@ -139,8 +136,7 @@ class DynamicSession:
         Delta-updates the packed planes and census, publishes a frozen
         snapshot under the new structure digest, binds the live plan
         (:meth:`_bind`), then discards every superseded dynamic cache
-        entry — adjacency, plan, and the codegen kernels of the
-        pre-mutation census (:meth:`invalidate_mutated`).
+        entry (:meth:`invalidate_mutated`).
         """
         delta = self.mutable.apply(mutations)
         if not delta.mutated:
@@ -179,49 +175,20 @@ class DynamicSession:
 
         Retires superseded adjacency and plan entries from the engine's
         :class:`~repro.plan.cache.PlanCache` (counted in each segment's
-        ``invalidations``) and, for every retired adjacency, the codegen
-        ``kernel``-segment entries compiled against its census — the keys
-        are reconstructed via
-        :func:`~repro.codegen.backend.gemm_kernel_key`, so stale kernels
-        are removed without recompiling anything.  Idempotent; returns
-        the per-kind discard counts.
+        ``invalidations``).  Idempotent; returns the per-kind discard
+        counts.
         """
         cache = self.engine.plan_artifacts
         current = self.mutable.structure_digest
-        counts = {"adjacency": 0, "plan": 0, "kernel": 0}
-        kernel_segment = cache.segment("kernel")
-        plan_now = cache.segment("plan").peek(self.plan_key())
-        adjacency_segment = cache.segment("adjacency")
-        for key in list(adjacency_segment.keys()):
-            if not self._is_dynamic_key(key) or key[2] == current:
-                continue
-            stale = adjacency_segment.peek(key)
-            if stale is not None and plan_now is not None:
-                for step in plan_now.gemm_steps():
-                    spec = step.spec
-                    if spec.role != "aggregate" or spec.bits_a != 1:
-                        continue
-                    kernel_key = gemm_kernel_key(
-                        m=spec.m,
-                        n=spec.n,
-                        bits_a=spec.bits_a,
-                        bits_b=spec.bits_b,
-                        a_padded_vectors=stale.operand.padded_vectors,
-                        a_k_words=stale.operand.k_words,
-                        tile_mask=stale.plan.masks[0],
-                    )
-                    if kernel_segment.discard(kernel_key):
-                        counts["kernel"] += 1
-            if adjacency_segment.discard(key):
-                counts["adjacency"] += 1
-        plan_segment = cache.segment("plan")
-        for key in list(plan_segment.keys()):
-            if self._is_dynamic_key(key) and key[2] != current:
-                if plan_segment.discard(key):
-                    counts["plan"] += 1
+        counts = {}
+        for kind in ("adjacency", "plan"):
+            segment = cache.segment(kind)
+            counts[kind] = sum(
+                segment.discard(key) for key in list(segment.keys())
+                if self._is_dynamic_key(key) and key[2] != current
+            )
         self.stats.adjacency_invalidated += counts["adjacency"]
         self.stats.plans_invalidated += counts["plan"]
-        self.stats.kernels_invalidated += counts["kernel"]
         return counts
 
     # ------------------------------------------------------------------ #
@@ -262,16 +229,15 @@ class DynamicSession:
         """The serve-time stale guard (see :attr:`DynamicStats.stale_kernel_hits`).
 
         A plan or operand that does not describe the live structure —
-        wrong adjacency key, or a census digest that disagrees with the
-        live census — would replay a kernel compiled for a different
-        graph.  The digest keying makes this unreachable through the
-        normal flow; this check makes it *detectable* if anything
-        bypasses the keying, and rebuilds before serving.
+        wrong adjacency key, or a census that disagrees with the live
+        census — would serve a different graph.  The digest keying makes
+        this unreachable through the normal flow; this check makes it
+        *detectable* if anything bypasses the keying, and rebuilds before
+        serving.
         """
         expected_key = self.adjacency_key()
-        live_digest = census_digest(self.mutable.census_mask())
         ok = all(key == expected_key for key in plan.adjacency_keys())
-        ok = ok and census_digest(adjacency.plan.masks[0]) == live_digest
+        ok = ok and np.array_equal(adjacency.plan.masks[0], self.mutable.census_mask())
         ok = ok and adjacency.num_nodes == self.mutable.num_nodes
         if ok:
             return adjacency, plan

@@ -27,7 +27,7 @@ threaded in (the default), every probe is a no-op:
     for the spec's ``delay_s``, emulating a straggling shard (the
     gateway's hedging countermeasure).
 ``cache``
-    One verified-cache read (``plan``/``kernel`` segments).  A fire
+    One verified-cache read (``plan``/``template`` segments).  A fire
     corrupts the recorded digest so verification discards the entry and
     the artifact is recompiled (counted as ``poisoned`` in
     ``CacheStats``).

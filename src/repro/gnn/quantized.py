@@ -221,9 +221,9 @@ class PackedAdjacency:
     the form its producer held — a canonical CSR of ones
     (:func:`pack_batch_adjacency`; the §4.2 words are packed on first read)
     or the words (a dynamic-graph snapshot) — memoising what it derives;
-    ``plan``, the §4.3 tile census the measured skip counters and
-    ``codegen``'s skip kernels read; ``degrees``, the ``(n, 1)`` float64 row
-    sums (the aggregation's rank-1 epilogue)."""
+    ``plan``, the §4.3 tile census the measured skip counters read;
+    ``degrees``, the ``(n, 1)`` float64 row sums (the aggregation's
+    rank-1 epilogue)."""
 
     operand: Operand
     plan: TileSkipPlan
@@ -393,7 +393,6 @@ class _BoundStep(NamedTuple):
     backend: object
     fixed: Operand
     matmul: object
-    skip_plan: TileSkipPlan | None
     counters: KernelCounters | None
     epilogue: tuple
 
@@ -409,9 +408,9 @@ def _bind_step(step, layer, relu, registry, kernel, params, codes, weight, adjac
     activation = Operand(codes, params.bits, "row" if aggregate else "col", proven=True)
     fixed = adjacency.operand if aggregate else weight.operand
     left, right = (fixed, activation) if aggregate else (activation, fixed)
-    skip_plan = counters = None  # a 1-bit activation under jumping is balloted per round
+    counters = None  # a 1-bit activation under jumping is balloted per round
     if aggregate or not kernel.jumps(activation):
-        skip_plan, counters = kernel.account(left, right, adjacency.plan if aggregate else None, step.derived)
+        counters = kernel.account(left, right, adjacency.plan if aggregate else None, step.derived)
     s_l, c_l = params.scale, _mid_offset(params)
     if aggregate:
         epilogue = (s_l, c_l * adjacency.degrees)
@@ -425,7 +424,7 @@ def _bind_step(step, layer, relu, registry, kernel, params, codes, weight, adjac
         matrix = fixed.matrix(dtype)
         matmul = matrix.__matmul__ if aggregate else matrix.__rmatmul__
     return _BoundStep(step, layer, aggregate, relu, label, params, dtype, backend, fixed,
-                      matmul, skip_plan, counters, epilogue), activation
+                      matmul, counters, epilogue), activation
 
 
 class _Program(NamedTuple):
@@ -595,14 +594,13 @@ def execute_forward_plan(
             operand.pack()
             bs.fixed.pack()
         stamp(clock())
-        skip_plan, step_counters = bs.skip_plan, bs.counters
+        step_counters = bs.counters
         if step_counters is None:  # a 1-bit activation's ballot: per round
-            skip_plan, step_counters = kernel.account(operand, bs.fixed, None, bs.step.derived)
+            step_counters = kernel.account(operand, bs.fixed, None, bs.step.derived)
         counters.append(step_counters)
         stamp(clock())
 
-        def attempt(name, bs=bs, codes=codes, operand=operand,
-                    masks=None if skip_plan is None else skip_plan.masks):
+        def attempt(name, bs=bs, codes=codes, operand=operand):
             primary = name == bs.step.backend
             if primary and bs.matmul is not None:
                 return bs.matmul(codes)
@@ -610,9 +608,9 @@ def execute_forward_plan(
                 operand = bs.operand(codes)
             pair = (bs.fixed, operand) if bs.aggregate else (operand, bs.fixed)
             if primary:
-                return bs.backend.run(*pair, masks)
+                return bs.backend.run(*pair)
             began = clock()  # a recovery's fallback: resolved per use, timed alone
-            out = backends.get(resolve_engine_name(name, bs.step.spec, backends)).run(*pair, masks)
+            out = backends.get(resolve_engine_name(name, bs.step.spec, backends)).run(*pair)
             won[name] = clock() - began
             return out
 

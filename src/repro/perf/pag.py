@@ -39,8 +39,6 @@ __all__ = ["PagNode", "Pag", "build_pag"]
 PHASE_ORDER = (
     "pack_adjacency",
     "plan_compile",
-    "plan_lower",
-    "kernel_compile",
     "materialize",
     "quantize",
     "pack",

@@ -49,7 +49,6 @@ DEFAULT_TOLERANCE = 0.4
 CURATED_METRICS: dict[str, tuple[str, ...]] = {
     "serving": ("speedup.median",),
     "latency": ("overload_p99_cut", "overload_throughput_ratio"),
-    "codegen": ("speedup.median",),
     "chaos": ("throughput_ratio",),
     "dynamic": ("speedup.median",),
 }

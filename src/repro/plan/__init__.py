@@ -13,9 +13,8 @@ description of the work:
   capability metadata and a cost pricer, registered by name in a
   :class:`BackendRegistry`.  The ``engine=`` string/callable API of
   :mod:`repro.core` is a compatibility shim over this registry.
-* :mod:`repro.plan.backends` — the two built-in host backends
-  (``packed``, ``blas``) expressed as registry entries
-  (``codegen`` joins them in the default registry).
+* :mod:`repro.plan.backends` — the two host backends (``packed``,
+  ``blas``) expressed as registry entries: the default registry.
 * :mod:`repro.plan.rates` — :class:`HostRates`, the frozen calibration
   record every pricer consumes (per-machine recalibration is a value,
   not a subclass).

@@ -14,8 +14,6 @@ value, not a subclass.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..core.bitgemm import bmm_plane_packed, codes_gemm, exact_gemm_dtype
@@ -28,10 +26,8 @@ __all__ = ["builtin_backends"]
 # --------------------------------------------------------------------- #
 # Implementations
 # --------------------------------------------------------------------- #
-def _run_packed(
-    a: Operand, b: Operand, tile_masks: Sequence[np.ndarray] | None = None
-) -> np.ndarray:
-    """Word-at-a-time AND+popcount on the packed words (ignores masks)."""
+def _run_packed(a: Operand, b: Operand) -> np.ndarray:
+    """Word-at-a-time AND+popcount on the packed words."""
     a_packed, b_packed = a.packed, b.packed
     m, n = a.logical_vectors, b.logical_vectors
     out = np.zeros((m, n), dtype=np.int64)

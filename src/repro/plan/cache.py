@@ -15,14 +15,14 @@ segments with independent capacities — so a burst of never-repeating
 batches cannot evict the small, hot packed weights — but share one lookup
 API, one byte accounting and one aggregated telemetry view.
 
-Compiled artifacts (the ``plan``, ``template`` and ``kernel`` kinds) carry
+Compiled artifacts (the ``plan`` and ``template`` kinds) carry
 **digest verification**: each insert records the artifact's content
 digest (:func:`artifact_digest`) and each hit compares the record with the
 digest the artifact itself carries, sealed when it was first taken
-(:attr:`ExecutionPlan.digest <repro.plan.ir.ExecutionPlan.digest>`, a
-compiled kernel's program digest) — two strings, nothing re-hashed: the
-artifacts are immutable, so what a hit can still catch is a rotted record
-or an entry that no longer holds the artifact it was recorded for.  A
+(:attr:`ExecutionPlan.digest <repro.plan.ir.ExecutionPlan.digest>`) —
+two strings, nothing re-hashed: the artifacts are immutable, so what a
+hit can still catch is a rotted record or an entry that no longer holds
+the artifact it was recorded for.  A
 mismatch discards the poisoned entry (counted in ``CacheStats.poisoned``),
 the lookup reports a miss, and the cache-through caller recompiles —
 corruption costs one rebuild, never a wrong result replayed forever.
@@ -99,7 +99,7 @@ class LRUCache(Generic[K, V]):
     One re-entrant lock serializes every counted read and every write
     (``peek`` and presence checks are single dict reads), so a segment
     can be mounted into several sessions at once (a pool's ``weight``
-    and ``table`` segments, the process-wide ``kernel`` one).
+    and ``table`` segments).
     ``get_or_build`` holds it across the build: concurrent misses on one
     key build the value exactly once — for packed weights, one pack
     pool-wide.
@@ -278,9 +278,8 @@ def artifact_digest(value: object) -> str:
     """The content digest recorded (and compared) by verified segments.
 
     Artifacts that carry their own sealed content digest (a compiled
-    kernel's program hash, a compiled plan's
-    :attr:`~repro.plan.ir.ExecutionPlan.digest`) answer with it — a hit
-    re-hashes nothing; anything else (cache keys in event lines, plain
+    plan's :attr:`~repro.plan.ir.ExecutionPlan.digest`) answer with it —
+    a hit re-hashes nothing; anything else (cache keys in event lines, plain
     values) digests its ``repr``.
     """
     own = getattr(value, "digest", None)
@@ -311,13 +310,13 @@ class PlanCache:
     #: validated against this set at construction: a typo'd kind used to
     #: silently create an empty LRU that nothing would ever read, hiding
     #: the misconfiguration until cache hit rates cratered.
-    KNOWN_KINDS = frozenset({"weight", "adjacency", "plan", "template", "table", "kernel"})
+    KNOWN_KINDS = frozenset({"weight", "adjacency", "plan", "template", "table"})
 
     #: Kinds holding *compiled* artifacts, whose segments verify a
     #: recorded :func:`artifact_digest` on every hit and discard poisoned
     #: entries (counted in ``CacheStats.poisoned``) so corruption costs a
     #: recompile, never a wrong replay.
-    VERIFIED_KINDS = frozenset({"plan", "template", "kernel"})
+    VERIFIED_KINDS = frozenset({"plan", "template"})
 
     def __init__(
         self,

@@ -122,9 +122,9 @@ class PackStep:
 class CensusStep:
     """Zero-tile census of the packed left operand (paper §4.3).
 
-    The resulting :class:`~repro.tc.kernel.TileSkipPlan` feeds both the
-    kernel's measured skip counters and ``codegen``'s skip kernels; it is
-    cached under the same key as the packed operand it describes.
+    The resulting :class:`~repro.tc.kernel.TileSkipPlan` feeds the
+    kernel's measured skip counters; it is cached under the same key as
+    the packed operand it describes.
     """
 
     cache_key: PlanKey | None = None

@@ -66,9 +66,6 @@ class BackendCaps:
     #: Inclusive right-operand bitwidth range the backend accepts.
     min_bits_b: int = 1
     max_bits_b: int = 32
-    #: Whether the backend can consume a precomputed per-plane tile census
-    #: of the left operand (the serving tile-mask cache feeds these).
-    consumes_tile_masks: bool = False
     #: Whether ``run`` reads the operands' packed words: the forward
     #: executor bit-packs activations ahead of the GEMM window only for
     #: backends that do (``blas``, which multiplies codes, does not).
@@ -139,12 +136,10 @@ class PriceContext:
         return self.spec.bits_a * self.spec.bits_b
 
 
-#: GEMM implementation: ``(a, b, tile_masks) ->`` the exact product of the
-#: two operands' codes, shape ``(M, N)`` on the logical shapes — int64, or
+#: GEMM implementation: ``(a, b) ->`` the exact product of the two
+#: operands' codes, shape ``(M, N)`` on the logical shapes — int64, or
 #: the float dtype ``exact_gemm_dtype`` proves exact for the product.
-GemmRunner = Callable[
-    ["Operand", "Operand", "Sequence[np.ndarray] | None"], np.ndarray
-]
+GemmRunner = Callable[["Operand", "Operand"], np.ndarray]
 #: Cost pricer: modeled host seconds (and veto state) for one product.
 Pricer = Callable[[PriceContext], BackendPrice]
 
@@ -286,22 +281,12 @@ _default_registry: BackendRegistry | None = None
 
 
 def default_registry() -> BackendRegistry:
-    """The process-wide registry: ``packed``, ``blas``, ``codegen``.
-
-    ``codegen`` registers after the built-ins and its analytic price sits
-    above ``packed``'s, so it is routed only when a tuned measurement
-    beats the incumbents — and every identity
-    built on the registry (plan templates, stale-plan invalidation) covers
-    the full set with no special cases.
-    """
+    """The process-wide registry: ``packed``, ``blas``."""
     global _default_registry
     if _default_registry is None:
-        from ..codegen import codegen_backend
         from .backends import builtin_backends
 
-        registry = BackendRegistry(builtin_backends())
-        registry.register(codegen_backend())
-        _default_registry = registry
+        _default_registry = BackendRegistry(builtin_backends())
     return _default_registry
 
 

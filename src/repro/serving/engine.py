@@ -63,7 +63,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ..codegen import prepare_plan_kernels
 from ..core import native
 from ..core.bitgemm import Engine
 from ..core.bitpack import TC_M
@@ -111,9 +110,9 @@ __all__ = [
 ]
 
 
-#: Where a round's measured window goes: the artifact windows, kernel
-#: preparation, ``round_glue`` (the rest of it) and the executor's phases.
-ROUND_PHASES = ("pack_adjacency", "plan_compile", "plan_lower", "kernel_compile", "round_glue", *PHASES)
+#: Where a round's measured window goes: the artifact windows,
+#: ``round_glue`` (the rest of it) and the executor's phases.
+ROUND_PHASES = ("pack_adjacency", "plan_compile", "round_glue", *PHASES)
 
 #: Environment variables an operator pins BLAS threading with (reported,
 #: never read for behaviour, by the ``engine_start`` event).
@@ -306,10 +305,9 @@ class SessionStats(Counters):
     weight_cache: CacheStats = field(default_factory=CacheStats)
     adjacency_cache: CacheStats = field(default_factory=CacheStats)
     plan_cache: CacheStats = field(default_factory=CacheStats)
-    #: Telemetry window onto the process-wide compiled-kernel segment the
-    #: ``codegen`` backend stores into (shared across sessions: a replay
-    #: that hits here performs zero kernel compiles).
-    kernel_cache: CacheStats = field(default_factory=CacheStats)
+    #: Telemetry window onto the plan-template segment (one priced plan
+    #: per ``(node count, census band)``; see ``compile_plan``).
+    template_cache: CacheStats = field(default_factory=CacheStats)
 
     @property
     def requests_per_s(self) -> float:
@@ -468,7 +466,7 @@ class InferenceEngine:
                 # telemetry surface, not for eviction behavior.
                 "table": 1,
             },
-            shared=self._with_kernel_segment(shared_segments),
+            shared=shared_segments,
             fault_plan=fault_plan,
         )
         bits = self.config.effective_weight_bits
@@ -493,7 +491,7 @@ class InferenceEngine:
             weight_cache=self._cache.segment("weight").stats,
             adjacency_cache=self._cache.segment("adjacency").stats,
             plan_cache=self._cache.segment("plan").stats,
-            kernel_cache=self._cache.segment("kernel").stats,
+            template_cache=self._cache.segment("template").stats,
         )
         self._cost = TCCostModel(self.config.device)
         self._run_config = QGTCRunConfig(
@@ -513,25 +511,6 @@ class InferenceEngine:
             # Compiled here, once per process, so no request pays for it.
             native_tail=native.load() is not None,
         )
-
-    @staticmethod
-    def _with_kernel_segment(
-        shared_segments: dict[str, LRUCache] | None,
-    ) -> dict[str, LRUCache]:
-        """Shared segments with the process-wide ``kernel`` segment mounted.
-
-        Compiled codegen kernels are pure content (keyed by shape, bits,
-        census digest, emitter version), so every session aliases the
-        same segment and a plan any session has executed replays with
-        zero compiles in all of them.  A caller-supplied ``"kernel"``
-        entry (a pool mounting its own) wins over the process default.
-        """
-        from ..codegen import kernel_cache_segment
-
-        merged: dict[str, LRUCache] = {"kernel": kernel_cache_segment()}
-        if shared_segments is not None:
-            merged.update(shared_segments)
-        return merged
 
     # ------------------------------------------------------------------ #
     # The unified plan cache and its per-kind views
@@ -643,8 +622,8 @@ class InferenceEngine:
 
         First execution of a batch packs and ballots (miss);
         replaying the same round is pure cache traffic, so the zero-tile
-        census the kernel counters (and ``codegen``'s skip kernels) consume
-        is taken once per distinct batch rather than once per request.
+        census the kernel counters consume is taken once per distinct
+        batch rather than once per request.
         """
         return self._adjacency(batch, self._members_digest(batch))
 
@@ -960,11 +939,6 @@ class InferenceEngine:
         # measured window: ``wall_s`` is seconds spent inside batch execution.
         weights = self.packed_weights()
         start = time.perf_counter()
-        # Codegen kernels compile ahead of the GEMM windows so the
-        # lower/compile seconds land in their own PAG phases instead of
-        # inflating the first gemm window; a warmed plan's prepare is a
-        # pure kernel-segment hit and both phases record 0.0.
-        lower_s, compile_s = prepare_plan_kernels(plan, adjacency)
         forward = execute_forward_plan(
             plan,
             self.model,
@@ -988,18 +962,17 @@ class InferenceEngine:
         stats.wall_s += elapsed
         stats.recent_round_seconds.append(elapsed)
         # Phase attribution of the measured window: the two artifact
-        # sub-windows (adjacency resolution, plan lookup/compile), kernel
-        # preparation, the executor's stamped phases, and — as its own
-        # ``round_glue`` phase — whatever of the prepare + execute window
-        # none of those own (the executor's entry and exit, kernel
-        # preparation's walk), so every wall_s second has a named owner.
+        # sub-windows (adjacency resolution, plan lookup/compile), the
+        # executor's stamped phases, and — as its own ``round_glue`` phase —
+        # whatever of the execute window neither owns (the executor's entry
+        # and exit), so every wall_s second has a named owner.
         stamps = forward.stamps
-        spent = [pack_s, plan_s, lower_s, compile_s, 0.0] + [0.0] * len(PHASES)
+        spent = [pack_s, plan_s, 0.0] + [0.0] * len(PHASES)
         last = stamps[0]
         for slot, now in zip(bound.slots, stamps[1:]):
             spent[slot] += now - last
             last = now
-        spent[4] = max(executed_s - lower_s - compile_s - (last - stamps[0]), 0.0)
+        spent[2] = max(executed_s - (last - stamps[0]), 0.0)
         phase_seconds = stats.phase_seconds
         for phase, seconds in zip(ROUND_PHASES, spent):
             phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds

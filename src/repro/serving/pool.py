@@ -264,8 +264,8 @@ class PoolStats(SessionStats):
     @property
     def poisoned_discards(self) -> int:
         """Entries the *verified* segments discarded on a digest mismatch:
-        every shard's ``plan`` segment plus the shared ``kernel`` one."""
-        return self.plan_cache.poisoned + self.kernel_cache.poisoned
+        every shard's ``plan`` and ``template`` segments."""
+        return self.plan_cache.poisoned + self.template_cache.poisoned
 
 
 @dataclass
@@ -754,11 +754,10 @@ class ServingPool:
         for shard in per_worker:
             total.merge(shard)
         if self._workers:
-            # Thread shards all mount the pool's one ``weight`` segment and
-            # the process's one ``kernel`` segment: count each once, not
-            # once per shard.  (Process shards own theirs; the sum stands.)
+            # Thread shards all mount the pool's one ``weight`` segment:
+            # count it once, not once per shard.  (Process shards own
+            # theirs; the sum stands.)
             total.weight_cache = per_worker[0].weight_cache.snapshot()
-            total.kernel_cache = per_worker[0].kernel_cache.snapshot()
         return total
 
     def device_report(self) -> EpochReport:

@@ -8,8 +8,8 @@ is the recovery half of the fault-tolerance tentpole
 (``repro.faultinject`` is the injection half):
 
 * :func:`fallback_chain` — the retry order for a failed GEMM step:
-  every backend falls back straight to the ``packed`` oracle; ``packed``
-  itself is the end of the line.
+  ``blas`` (or any other backend) falls back straight to the ``packed``
+  oracle; ``packed`` itself is the end of the line.
 * :class:`BackendHealth` — a per-backend circuit breaker.  ``K``
   consecutive failures open the circuit (the backend is **quarantined**
   and vetoed in dispatch); after ``probe_after_s`` the circuit goes
@@ -30,7 +30,7 @@ Example::
     health = BackendHealth(quarantine_after=3, probe_after_s=5.0)
     recovery = StepRecovery(health=health)
     result, executed, retried = recovery.run(
-        lambda name: kernel.run(a, b, engine=name, plan=plan), "codegen"
+        lambda name: kernel.run(a, b, engine=name, plan=plan), "blas"
     )
 """
 
@@ -55,9 +55,8 @@ def fallback_chain(backend: str) -> tuple[str, ...]:
     """The retry order for a GEMM step whose ``backend`` attempt failed.
 
     Returns the full attempt sequence starting with ``backend`` itself:
-    every backend falls back straight to ``packed`` (the word engine
-    ``codegen``'s kernels specialize, and the oracle), which is itself
-    terminal.  All engines are bit-identical, so walking the chain never
+    every backend falls back straight to ``packed`` (the §4.2 word engine
+    and the oracle), which is itself terminal.  All engines are bit-identical, so walking the chain never
     changes results, only cost.
     """
     if backend == "packed":

@@ -58,9 +58,8 @@ class TileSkipPlan:
 
     The single source of truth for which ``8 x 128`` tiles a zero-tile
     jumping execution touches: the kernel emulator derives its skipped-tile
-    counters from it, ``codegen`` bakes it into its skip kernels, and a
-    serving session caches it per batch so the ballot is taken once per
-    adjacency rather than once per request.
+    counters from it, and a serving session caches it per batch so the
+    ballot is taken once per adjacency rather than once per request.
     """
 
     #: One ``(mt, kt)`` boolean mask per bit plane of the left operand.
@@ -73,8 +72,8 @@ class TileSkipPlan:
         for mask in self.masks:
             if mask.ndim != 2 or mask.shape != first:
                 raise ShapeError("plane masks must share one 2-D tile grid")
-        # Census masks are shared by reference across cached plans, codegen
-        # kernel keys, and serving sessions: freeze them so an in-place
+        # Census masks are shared by reference across cached plans and
+        # serving sessions: freeze them so an in-place
         # mutation (e.g. a dynamic-graph delta census) cannot silently
         # invalidate a published plan.  Writable inputs are copied first so
         # the caller's array stays writable.
@@ -281,11 +280,9 @@ class BitGemmKernel:
         The closed forms are derived from the actual zero-tile masks of the
         packed operand, so sparsity effects are measured, not assumed.
         ``plan`` optionally supplies a precomputed census of ``a`` (e.g.
-        from a serving session's tile-mask cache); it feeds both the
-        counters and any mask-consuming backend (``codegen``), so a cached
-        plan is balloted exactly once per operand instead of once per
-        launch.  ``registry``
-        resolves ``engine`` against a non-default
+        from a serving session's tile-mask cache) for the counters, so a
+        cached plan is balloted exactly once per operand instead of once
+        per launch.  ``registry`` resolves ``engine`` against a non-default
         :class:`~repro.plan.registry.BackendRegistry`.
 
         Operands are :class:`~repro.core.bitpack.Operand`\\ s (a bare
@@ -298,16 +295,15 @@ class BitGemmKernel:
         """:meth:`run` on an already resolved
         :class:`~repro.plan.registry.Backend`.  ``memo``, a dict on the
         plan step of a census-less launch, keeps its counters for replays."""
-        plan, counters = self.account(a, b, plan, memo)
-        return KernelResult(backend.run(a, b, plan.masks if plan is not None else None), counters)
+        return KernelResult(backend.run(a, b), self.account(a, b, plan, memo))
 
     def jumps(self, a: "Operand | PackedBits") -> bool:
         """Whether zero-tile jumping engages on left operand ``a`` (1-bit)."""
         return self.config.zero_tile_jumping and a.bits == 1
 
-    def account(self, a: Operand, b: Operand, plan=None, memo=None) -> tuple:
-        """``(census, counters)`` of a launch — all of it but the product,
-        checks included: what a bound forward step takes once."""
+    def account(self, a: Operand, b: Operand, plan=None, memo=None) -> KernelCounters:
+        """The counters of a launch — all of it but the product, checks
+        included: what a bound forward step takes once."""
         check_pair(a, b)
         if plan is not None and not plan.matches(a):
             raise ShapeError(
@@ -330,7 +326,7 @@ class BitGemmKernel:
         counters = memo.get(key)
         if counters is None:
             counters = memo[key] = self._derive_counters(a, b, plan)
-        return plan, counters
+        return counters
 
     def _derive_counters(
         self, a: Operand, b: Operand, plan: TileSkipPlan | None

@@ -5,9 +5,7 @@ seeded sweeps over shapes — including empty subgraphs, single-node
 matrices and non-multiple-of-8 rows — crossed with bitwidths 1-8 and the
 built-in host engines {packed, blas}, every product asserted equal to
 ``matmul_int_reference`` bit for bit.  Structure-directed cases
-(block-diagonal, all-zero, stale/foreign masks) pin the tile-mask
-plumbing on its consumer, ``codegen``: skipped tiles contribute nothing,
-and a malformed census is refused rather than trusted.
+(block-diagonal, all-zero) pin that zero tiles contribute nothing.
 
 The plan/execute split gets the same treatment: a compiled single-GEMM
 step replayed on fresh same-shape inputs must match eager execution bit
@@ -18,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,9 +29,7 @@ from repro.core.bitpack import (
     Operand,
     pack_matrix,
     tile_nonzero_mask,
-    unpack_matrix,
 )
-from repro.errors import ShapeError
 from repro.plan import GemmSpec, default_registry
 from repro.plan.ir import compile_gemm_step
 
@@ -108,8 +103,7 @@ class TestRandomizedSweep:
 
 
 class TestTileMaskStructure:
-    """Cases aimed at tile-sparse operands and the census a backend may
-    consume (``codegen``, the one ``consumes_tile_masks`` backend)."""
+    """Cases aimed at tile-sparse operands."""
 
     def test_block_diagonal_skips_and_matches(self, rng):
         # 4 members of 64 nodes: >= the off-diagonal 3/4 of tiles are zero.
@@ -138,131 +132,12 @@ class TestTileMaskStructure:
             out = bitgemm_codes(a, b, 1, 1, engine=engine)
             assert not out.any()
 
-    def test_precomputed_mask_is_honored(self, rng):
-        adj = (rng.random((24, 256)) < 0.05).astype(np.int64)
-        pa = pack_matrix(adj, 1, layout="col")
-        pb = pack_matrix(
-            rng.integers(0, 4, size=(256, 8), dtype=np.int64), 2, layout="row"
-        )
-        mask = tile_nonzero_mask(pa.plane(0))
-        with_mask = bitgemm(pa, pb, engine="codegen", tile_masks=[mask])
-        without = bitgemm(pa, pb, engine="codegen")
-        np.testing.assert_array_equal(with_mask, without)
-        np.testing.assert_array_equal(with_mask, bitgemm(pa, pb, engine="packed"))
-        # An all-True mask is always conservative, hence always correct.
-        full = bitgemm(
-            pa, pb, engine="codegen", tile_masks=[np.ones_like(mask)]
-        )
-        np.testing.assert_array_equal(full, without)
-
-    def test_rejects_malformed_masks(self, rng):
-        adj = (rng.random((24, 256)) < 0.05).astype(np.int64)
-        pa = pack_matrix(adj, 1, layout="col")
-        pb = pack_matrix(
-            rng.integers(0, 2, size=(256, 8), dtype=np.int64), 1, layout="row"
-        )
-        good = tile_nonzero_mask(pa.plane(0))
-        with pytest.raises(ShapeError):
-            bitgemm(pa, pb, engine="codegen", tile_masks=[good[:-1]])
-        with pytest.raises(ShapeError):
-            bitgemm(pa, pb, engine="codegen", tile_masks=[good, good])
-        with pytest.raises(ShapeError):
-            bitgemm(pa, pb, engine="codegen", tile_masks=[good.T])
-
     @pytest.mark.parametrize("engine", default_registry().names())
     def test_selector_may_return_any_backend(self, rng, engine):
         a = _codes(rng, (16, 200), 1)
         b = _codes(rng, (200, 12), 4)
         out = bitgemm_codes(a, b, 1, 4, engine=lambda *args: engine)
         np.testing.assert_array_equal(out, matmul_int_reference(a, b))
-
-
-class TestExtensionBackendSweep:
-    """The registered extension backend (codegen) gets the same seeded
-    shape x bitwidth x sparsity sweep as the built-ins: every
-    caps-supported product bit-identical to the int64 oracle, including
-    the empty/single-node/non-multiple-of-8 corners."""
-
-    @staticmethod
-    def _extensions():
-        builtin = set(ENGINE_NAMES)
-        return [b for b in default_registry() if b.name not in builtin]
-
-    def test_registry_is_exactly_the_three_backends(self):
-        assert default_registry().names() == ("packed", "blas", "codegen")
-        assert [b.name for b in self._extensions()] == ["codegen"]
-
-    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
-    @pytest.mark.parametrize("bits", [(1, 4), (3, 2)], ids=lambda b: f"{b[0]}b{b[1]}")
-    def test_extensions_match_reference(self, shape, bits):
-        m, k, n = shape
-        bits_a, bits_b = bits
-        rng = np.random.default_rng(hash((m, k, n, bits_a, bits_b)) & 0xFFFF)
-        a = _codes(rng, (m, k), bits_a)
-        b = _codes(rng, (k, n), bits_b)
-        ref = matmul_int_reference(a, b)
-        for backend in self._extensions():
-            if not backend.caps.supports(
-                GemmSpec(m=m, k=k, n=n, bits_a=bits_a, bits_b=bits_b)
-            ):
-                continue
-            got = bitgemm_codes(a, b, bits_a, bits_b, engine=backend.name)
-            assert got.dtype == np.int64
-            np.testing.assert_array_equal(
-                got, ref, err_msg=f"{backend.name} shape={shape} bits={bits}"
-            )
-
-    @pytest.mark.parametrize("trial", range(10))
-    def test_extensions_match_reference_randomized(self, trial):
-        rng = np.random.default_rng(0xC0DE + trial)
-        m = int(rng.integers(0, 70))
-        k = int(rng.integers(1, 400))
-        n = int(rng.integers(0, 40))
-        density = float(rng.random())
-        for backend in self._extensions():
-            bits_a = int(rng.integers(1, min(backend.caps.max_bits_a, 6) + 1))
-            bits_b = int(rng.integers(1, min(backend.caps.max_bits_b, 8) + 1))
-            a = _codes(rng, (m, k), bits_a) * (rng.random((m, k)) < density)
-            b = _codes(rng, (k, n), bits_b)
-            got = bitgemm_codes(a, b, bits_a, bits_b, engine=backend.name)
-            np.testing.assert_array_equal(
-                got,
-                matmul_int_reference(a, b),
-                err_msg=f"{backend.name} trial={trial} mkn=({m},{k},{n})",
-            )
-
-    def test_codegen_honors_precomputed_mask(self, rng):
-        # The serving path: an adjacency known by its coordinates ballots
-        # its census in O(E), and codegen bakes that census, words unread.
-        adj = sp.csr_matrix((rng.random((24, 256)) < 0.05).astype(np.int8))
-        pa = Operand(csr=adj)
-        pb = pack_matrix(
-            rng.integers(0, 4, size=(256, 8), dtype=np.int64), 2, layout="row"
-        )
-        masks = pa.tile_masks()
-        with_mask = bitgemm(pa, pb, engine="codegen", tile_masks=masks)
-        np.testing.assert_array_equal(
-            with_mask, matmul_int_reference(adj.toarray(), unpack_matrix(pb))
-        )
-        np.testing.assert_array_equal(
-            with_mask, bitgemm(pa, pb, engine="packed")
-        )
-
-    def test_codegen_rejects_malformed_mask(self, rng):
-        # A foreign census — another operand's, over a longer K — is
-        # refused, not trusted.
-        pa = pack_matrix(
-            (rng.random((24, 256)) < 0.05).astype(np.int64), 1, layout="col"
-        )
-        pb = pack_matrix(
-            rng.integers(0, 2, size=(256, 8), dtype=np.int64), 1, layout="row"
-        )
-        foreign = pack_matrix(np.ones((24, 512), dtype=np.int64), 1, layout="col")
-        with pytest.raises(ShapeError):
-            bitgemm(
-                pa, pb, engine="codegen",
-                tile_masks=[tile_nonzero_mask(foreign.plane(0))],
-            )
 
 
 class TestPlanCompileReplay:
@@ -333,7 +208,7 @@ class TestPlanCompileReplay:
             np.testing.assert_array_equal(got, ref, err_msg=backend.name)
 
     def test_replay_on_packed_operands(self, rng):
-        step = self._compile("codegen")
+        step = self._compile("blas")
         a, b = self._operands(7)
         pa = pack_matrix(a, self.BITS_A, layout="col")
         pb = pack_matrix(b, self.BITS_B, layout="row")

@@ -56,13 +56,10 @@ class TestEveryBackendOnBothForms:
         a, b = _codes(rng, (m, k), bits_a), _codes(rng, (k, n), bits_b)
         want = matmul_int_reference(a, b)
         for backend in default_registry():
-            from_codes = backend.run(
-                Operand(a, bits_a, "col"), Operand(b, bits_b, "row"), None
-            )
+            from_codes = backend.run(Operand(a, bits_a, "col"), Operand(b, bits_b, "row"))
             from_words = backend.run(
                 Operand(packed=pack_matrix(a, bits_a, layout="col")),
                 Operand(packed=pack_matrix(b, bits_b, layout="row")),
-                None,
             )
             # ``run`` hands back int64 or the float dtype proven exact
             # for the product (what ``blas`` ran in); ``bitgemm`` int64.

@@ -3,10 +3,9 @@
 Four layers of the invariant, each pinned separately:
 
 * **keying** — the chained structure digest moves with every effective
-  mutation, so pre-mutation adjacency/plan/kernel keys cannot be *hit*;
-* **eviction** — ``mutate()`` discards the superseded entries, including
-  codegen ``kernel``-segment entries compiled against the pre-mutation
-  census;
+  mutation, so pre-mutation adjacency/plan keys cannot be *hit*, and a
+  pair that bypasses the keying is caught by the serve-time census check;
+* **eviction** — ``mutate()`` discards the superseded entries;
 * **equivalence** — a *bound* plan (a template retargeted at the live
   key, no recompilation) serves logits bit-identical to a freshly
   compiled plan;
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codegen import census_digest, gemm_kernel_key
 from repro.dynamic import DynamicSession
 from repro.gnn.models import make_cluster_gcn
 from repro.graph.csr import CSRGraph
@@ -63,23 +61,15 @@ def census_changing_edge(session):
     raise AssertionError("census is fully dense; use a sparser graph")
 
 
-def aggregate_kernel_key(session, adjacency):
-    """The codegen kernel key of the plan's (first) censused aggregation."""
-    plan = session.engine.plan_artifacts.segment("plan").peek(session.plan_key())
-    assert plan is not None
-    for step in plan.gemm_steps():
-        spec = step.spec
-        if spec.role == "aggregate" and spec.bits_a == 1:
-            return gemm_kernel_key(
-                m=spec.m,
-                n=spec.n,
-                bits_a=spec.bits_a,
-                bits_b=spec.bits_b,
-                a_padded_vectors=adjacency.packed.padded_vectors,
-                a_k_words=adjacency.packed.k_words,
-                tile_mask=adjacency.plan.masks[0],
-            )
-    raise AssertionError("plan has no censused aggregate step")
+def tile_emptying_edge(session):
+    """A live edge whose deletion empties a tile of the census."""
+    dense = session.mutable.to_csr().adjacency_dense() != 0
+    for u, v in live_edges(session):
+        for row, col in ((u, v), (v, u)):
+            r, c = row // 8 * 8, col // 128 * 128
+            if dense[r : r + 8, c : c + 128].sum() == 1:
+                return ("delete", u, v)
+    raise AssertionError("every tile holds two edges; use a sparser graph")
 
 
 class TestKeying:
@@ -98,26 +88,50 @@ class TestKeying:
         session.mutate([("insert", 3, 3)])  # self-loop: no-op
         assert session.adjacency_key() == a0
 
-    def test_census_digest_distinguishes_masks(self):
-        mask = np.zeros((4, 2), dtype=bool)
-        other = mask.copy()
-        other[1, 1] = True
-        assert census_digest(mask) != census_digest(other)
-        assert census_digest(mask) == census_digest(mask.copy())
-        assert census_digest(None) == "dense"
+    def test_a_stale_operand_under_the_live_key_is_caught(self):
+        # Sparse graph: plenty of zero census tiles for the mutation to flip.
+        session = DynamicSession(
+            make_cluster_gcn(8, 4, seed=1), feature_graph(n=160, edges=60, seed=2)
+        )
+        session.serve()
+        stale = session.mutable.snapshot()
+        session.mutate([census_changing_edge(session)])
+        # Bypass the keying: the pre-mutation operand under the live key.
+        session.engine.plan_artifacts.put(session.adjacency_key(), stale)
+        served = session.serve().logits
+        assert session.stats.stale_kernel_hits == 1
+        np.testing.assert_array_equal(served, fresh_logits(session))
+        session.serve()
+        assert session.stats.stale_kernel_hits == 1
 
-    def test_kernel_key_embeds_census_digest(self):
-        mask = np.zeros((4, 2), dtype=bool)
-        mutated = mask.copy()
-        mutated[0, 0] = True
-        base = dict(m=32, n=8, bits_a=1, bits_b=4,
-                    a_padded_vectors=32, a_k_words=8)
-        assert gemm_kernel_key(**base, tile_mask=mask) != gemm_kernel_key(
-            **base, tile_mask=mutated
+    def test_a_stale_operand_after_a_tile_emptying_delete_is_caught(self):
+        # The census compare also catches a tile the live graph has
+        # emptied but the stale snapshot still holds.
+        session = DynamicSession(
+            make_cluster_gcn(8, 4, seed=1), feature_graph(n=160, edges=60, seed=2)
         )
-        assert gemm_kernel_key(**base, tile_mask=mask) == gemm_kernel_key(
-            **base, tile_mask=mask.copy()
-        )
+        session.serve()
+        stale = session.mutable.snapshot()
+        session.mutate([tile_emptying_edge(session)])
+        assert stale.plan.masks[0].sum() > session.mutable.census_mask().sum()
+        session.engine.plan_artifacts.put(session.adjacency_key(), stale)
+        served = session.serve().logits
+        assert session.stats.stale_kernel_hits == 1
+        np.testing.assert_array_equal(served, fresh_logits(session))
+
+    def test_a_stale_plan_under_the_live_key_is_caught(self):
+        # A plan bound to the pre-mutation adjacency names a dead key.
+        session = make_session()
+        session.serve()
+        segment = session.engine.plan_artifacts.segment("plan")
+        stale = segment.peek(session.plan_key())
+        session.mutate([fresh_edge(session, np.random.default_rng(6))])
+        segment.put(session.plan_key(), stale)
+        served = session.serve().logits
+        assert session.stats.stale_kernel_hits == 1
+        np.testing.assert_array_equal(served, fresh_logits(session))
+        session.serve()
+        assert session.stats.stale_kernel_hits == 1
 
 
 class TestEviction:
@@ -137,34 +151,11 @@ class TestEviction:
         assert cache.segment("adjacency").peek(session.adjacency_key()) is not None
         assert cache.segment("plan").peek(session.plan_key()) is not None
 
-    def test_mutation_discards_stale_codegen_kernels(self):
-        # Sparse graph: plenty of zero census tiles for the mutation to flip.
-        graph = feature_graph(n=160, edges=60, seed=2)
-        session = DynamicSession(
-            make_cluster_gcn(8, 4, seed=1), graph, ServingConfig(engine="codegen")
-        )
-        session.serve()  # compiles kernels against the seed census
-        cache = session.engine.plan_artifacts
-        old_key = aggregate_kernel_key(session, session.mutable.snapshot())
-        assert cache.segment("kernel").peek(old_key) is not None
-        session.mutate([census_changing_edge(session)])
-        assert cache.segment("kernel").peek(old_key) is None
-        assert session.stats.kernels_invalidated >= 1
-        # The post-mutation kernel key is different (census digest moved)
-        # and serving recompiles under it without a stale hit.
-        new_key = aggregate_kernel_key(session, session.mutable.snapshot())
-        assert new_key != old_key
-        session.serve()
-        assert cache.segment("kernel").peek(new_key) is not None
-        assert session.stats.stale_kernel_hits == 0
-
     def test_invalidate_is_idempotent(self):
         session = make_session()
         session.serve()
         session.mutate([fresh_edge(session, np.random.default_rng(4))])
-        assert session.invalidate_mutated() == {
-            "adjacency": 0, "plan": 0, "kernel": 0
-        }
+        assert session.invalidate_mutated() == {"adjacency": 0, "plan": 0}
 
 
 class TestPatchedEqualsFresh:
@@ -282,22 +273,19 @@ class TestBandRule:
         np.testing.assert_array_equal(session.serve().logits, seeded)
         assert session.stats.stale_kernel_hits == 0
 
-    def test_a_new_tile_pattern_within_its_band_compiles_its_own_kernel(self):
+    def test_a_new_tile_pattern_within_its_band_binds(self):
         graph = feature_graph(n=160, edges=60, seed=2)  # 34 of 40 tiles live
+        # ``packed`` reads the mutated words, not only the codes.
         session = DynamicSession(
-            make_cluster_gcn(8, 4, seed=1), graph, ServingConfig(engine="codegen")
+            make_cluster_gcn(8, 4, seed=1), graph, ServingConfig(engine="packed")
         )
         session.serve()
         band = fraction_band(session.mutable.nonzero_fraction)
-        old_key = aggregate_kernel_key(session, session.mutable.snapshot())
+        census = session.mutable.census_mask().copy()
         session.mutate([census_changing_edge(session)])
         assert fraction_band(session.mutable.nonzero_fraction) == band
+        assert not np.array_equal(session.mutable.census_mask(), census)
         assert session.stats.plans_patched == 1
         assert templates_priced(session) == 1
-        new_key = aggregate_kernel_key(session, session.mutable.snapshot())
-        assert new_key != old_key
-        served = session.serve().logits
-        kernels = session.engine.plan_artifacts.segment("kernel")
-        assert kernels.peek(new_key) is not None
-        np.testing.assert_array_equal(served, fresh_logits(session))
+        np.testing.assert_array_equal(session.serve().logits, fresh_logits(session))
         assert session.stats.stale_kernel_hits == 0

@@ -134,7 +134,7 @@ class TestAggregationProductDifferential:
         dense = snap.packed.to_codes()[:n, :n]  # unpacked mutated operand
         codes = rng.integers(0, 16, size=(n, 12), dtype=np.int64)
         ref = matmul_int_reference(dense, codes)
-        got = bitgemm_codes(dense, codes, 1, 4, engine="codegen")
+        got = bitgemm_codes(dense, codes, 1, 4, engine="packed")
         np.testing.assert_array_equal(got, ref)
         # And the dense operand is exactly adjacency + identity.
         oracle_dense = mg.to_batch().dense_adjacency(self_loops=True)

@@ -176,7 +176,7 @@ class TestNodesCarryTheDeclaration:
     }
     DYNAMIC = {
         "mutation_batches", "serves", "plans_patched", "plans_recompiled",
-        "plans_invalidated", "adjacency_invalidated", "kernels_invalidated",
+        "plans_invalidated", "adjacency_invalidated",
         "repacks_avoided", "stale_kernel_hits", "graph.batches",
         "graph.edges_inserted", "graph.edges_deleted", "graph.noop_mutations",
         "graph.mutations_applied", "graph.tiles_recensused",

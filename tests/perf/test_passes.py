@@ -82,17 +82,17 @@ class TestHotspot:
                 make_worker(
                     "w0",
                     {"pack": 0.5, "quantize": 0.1, "gemm": 0.4},
-                    backend_seconds={"codegen": 0.3, "blas": 0.1},
+                    backend_seconds={"packed": 0.3, "blas": 0.1},
                 )
             ]
         )
         result = hotspot(pag, top_k=3)
         assert result.ok
         nodes = [f["node"] for f in result.findings]
-        # pack (0.5) > backend:codegen (0.3) > quantize/backend:blas (0.1);
+        # pack (0.5) > backend:packed (0.3) > quantize/backend:blas (0.1);
         # the gemm umbrella never appears because its backends carry it.
         assert nodes[0] == "phase:pack"
-        assert nodes[1] == "backend:codegen"
+        assert nodes[1] == "backend:packed"
         assert "phase:gemm" not in nodes
         shares = [f["share"] for f in result.findings]
         assert shares == sorted(shares, reverse=True)

@@ -51,8 +51,8 @@ class TestCompare:
 
     def test_noise_within_band_passes(self, dirs):
         out, base = dirs
-        write_bench(base, "codegen", {"speedup": {"median": 5.0}})
-        write_bench(out, "codegen", {"speedup": {"median": 3.5}})  # ratio 0.7
+        write_bench(base, "dynamic", {"speedup": {"median": 5.0}})
+        write_bench(out, "dynamic", {"speedup": {"median": 3.5}})  # ratio 0.7
         assert compare_benchmarks(out, base).ok
 
     def test_improvement_never_fails(self, dirs):

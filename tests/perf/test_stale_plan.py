@@ -56,7 +56,8 @@ def tamper_table(engine, prefer: str = None) -> str:
                     else None
                 )
                 steps.append((step, fraction))
-    prefer = prefer or ("codegen" if "codegen" not in frozen else "packed")
+    # The backend no step froze: every step then diverges to it.
+    prefer = prefer or ("packed" if "packed" not in frozen else "blas")
     for step, fraction in steps:
         for _ in range(8):  # past min_samples, drowning real feedback
             table.record_spec(step.spec, prefer, 1e-9, tile_fraction=fraction)

@@ -201,7 +201,7 @@ class TestDispatchTableConfidence:
         # do not land either.
         table = DispatchTable()
         bucket = bucket_for(_spec())
-        batch = [(bucket, "packed", 1e-3), (bucket, "blas", 2e-3), (bucket, "codegen", 3e-3)]
+        batch = [(bucket, "packed", 1e-3), (bucket, "blas", 2e-3), (bucket, "reference", 3e-3)]
         batch[position] = (bucket, batch[position][1], -1e-9)
         with pytest.raises(ConfigError):
             table.record_all(batch)

@@ -144,7 +144,7 @@ class TestCompileForwardPlan:
         # replay through execute_forward_plan with that same registry.
         from repro.plan import Backend, BackendRegistry, builtin_backends
 
-        def oracle(a, b, tile_masks=None):
+        def oracle(a, b):
             return a.codes @ b.codes
 
         registry = BackendRegistry(builtin_backends())

@@ -31,17 +31,17 @@ from repro.serving.dispatch import CostModelDispatcher
 def _reference_backend(name: str = "reference") -> Backend:
     """A custom backend: multiply the operands' codes in int64."""
 
-    def run(a, b, tile_masks=None):
+    def run(a, b):
         return a.codes @ b.codes
 
     return Backend(name=name, run=run, caps=BackendCaps(summary="int64 oracle"))
 
 
 class TestRegistry:
-    def test_default_registry_holds_builtins_then_codegen(self):
-        # Built-ins first (registration order breaks price ties in their
-        # favor), then the codegen extension.
-        assert default_registry().names() == ("packed", "blas", "codegen")
+    def test_default_registry_is_packed_then_blas(self):
+        # Registration order breaks price ties in ``packed``'s favor; no
+        # other backend is registered by default.
+        assert default_registry().names() == ("packed", "blas")
 
     def test_get_unknown_raises_with_known_names(self):
         registry = BackendRegistry(builtin_backends())
@@ -120,9 +120,10 @@ class TestPricing:
 class TestResolveEngineName:
     def test_literal_names_validated_against_registry(self):
         spec = GemmSpec(8, 8, 8, 1, 1)
-        assert resolve_engine_name("codegen", spec) == "codegen"
-        with pytest.raises(ShapeError):
-            resolve_engine_name("cuda", spec)
+        assert resolve_engine_name("blas", spec) == "blas"
+        for unknown in ("cuda", "codegen"):
+            with pytest.raises(ShapeError):
+                resolve_engine_name(unknown, spec)
 
     def test_auto_threshold(self):
         assert resolve_engine_name("auto", GemmSpec(8, 128, 8, 1, 1)) == "packed"

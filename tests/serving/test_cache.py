@@ -1,4 +1,5 @@
-"""Tests for the serving LRU cache: accounting, eviction, byte tracking."""
+"""Tests for the serving LRU cache: accounting, eviction, byte tracking,
+and the artifact kinds a plan cache accepts."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import threading
 import pytest
 
 from repro.errors import ConfigError
-from repro.plan.cache import CacheStats, LRUCache
+from repro.plan.cache import CacheStats, LRUCache, PlanCache
 
 
 class TestCacheStats:
@@ -152,3 +153,49 @@ class TestLRUCache:
     def test_invalid_capacity(self):
         with pytest.raises(ConfigError):
             LRUCache(0)
+
+
+class TestPlanCacheKinds:
+    def test_unknown_capacity_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown artifact kind"):
+            PlanCache({"wieght": 4})  # the typo this validation exists for
+
+    def test_unknown_shared_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown artifact kind"):
+            PlanCache({"plan": 4}, shared={"kernels": LRUCache(4)})
+
+    def test_kernel_is_no_longer_a_kind(self):
+        # No backend compiles kernels, so nothing may hold a segment of them.
+        with pytest.raises(ConfigError, match="unknown artifact kind"):
+            PlanCache({"kernel": 4})
+
+    @pytest.mark.parametrize("kind", sorted(PlanCache.KNOWN_KINDS))
+    def test_every_known_kind_is_a_segment_built_or_mounted(self, kind):
+        built = PlanCache({kind: 2})
+        built.put((kind, "x"), ("artifact",))
+        assert built.kinds() == (kind,)
+        assert built.get((kind, "x")) == ("artifact",)
+        assert built.segment(kind).stats.hits == 1
+        mounted = LRUCache(2)
+        shared = PlanCache({}, shared={kind: mounted})
+        shared.put((kind, "y"), ("artifact",))
+        assert shared.segment(kind) is mounted
+        assert mounted.peek((kind, "y")) == ("artifact",)
+
+    @pytest.mark.parametrize("kind", sorted(PlanCache.KNOWN_KINDS))
+    def test_only_verified_kinds_catch_a_corrupt_entry(self, kind):
+        # A verified segment discards a corrupt entry and counts it in its
+        # own ``poisoned``: the count a pool's ``poisoned_discards`` sums.
+        cache = PlanCache({kind: 2})
+        cache.put((kind, "x"), ("artifact",))
+        segment = cache.segment(kind)
+        if kind not in PlanCache.VERIFIED_KINDS:
+            with pytest.raises(ConfigError):
+                segment.corrupt((kind, "x"))
+            assert cache.get((kind, "x")) == ("artifact",)
+            return
+        assert segment.corrupt((kind, "x"))
+        assert cache.get((kind, "x")) is None
+        assert segment.stats.poisoned == 1
+        assert cache.total_stats().poisoned == 1
+        assert len(segment) == 0

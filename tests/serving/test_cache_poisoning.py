@@ -93,7 +93,7 @@ class TestVerifiedLRUCache:
 class TestPlanCacheVerification:
     def test_only_compiled_segments_verify(self):
         cache = PlanCache({"plan": 4, "weight": 4})
-        assert PlanCache.VERIFIED_KINDS == frozenset({"plan", "template", "kernel"})
+        assert PlanCache.VERIFIED_KINDS == frozenset({"plan", "template"})
         cache.put(("plan", "x"), ("compiled",))
         assert cache.segment("plan").corrupt(("plan", "x"))
         assert cache.get(("plan", "x")) is None

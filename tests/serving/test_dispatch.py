@@ -84,18 +84,6 @@ class TestCostModelDispatcher:
         with pytest.raises(ConfigError):
             CostModelDispatcher(blas_bytes_budget=0)
 
-    def test_cold_table_never_picks_codegen(self):
-        # codegen is routed only by measurement: analytically it sits above
-        # packed, vetoed blas or not, for every shape and bitwidth.
-        for budget in (512 * 1024 * 1024, 1024):
-            dispatch = CostModelDispatcher(blas_bytes_budget=budget)
-            for shape in [(8, 8, 8), (256, 256, 64), (2048, 2048, 64)]:
-                for bits in [(1, 8), (2, 4), (8, 8)]:
-                    decision = dispatch.decide(*shape, *bits)
-                    prices = decision.prices
-                    assert decision.engine != "codegen"
-                    assert prices["codegen"].seconds > prices["packed"].seconds
-
 
 def _census_probe() -> tuple[CostModelDispatcher, list]:
     """A dispatcher whose one backend records the census each pricing
@@ -184,15 +172,13 @@ class TestHostRates:
         ):
             assert not hasattr(CostModelDispatcher, legacy)
 
-    def test_codegen_price_tracks_packed_rates(self):
-        # codegen is priced on packed's formula, so a recalibrated popcount
-        # moves both prices and keeps codegen above packed.
+    def test_packed_price_tracks_packed_rates(self):
+        # A recalibrated popcount moves packed's price and leaves blas's.
         shape = (512, 512, 64, 1, 8)
         default = CostModelDispatcher().decide(*shape).prices
         fast = HostRates(packed_flops=1e15, packed_pair_overhead_s=0.0)
         tuned = CostModelDispatcher(rates=fast).decide(*shape).prices
-        assert tuned["codegen"].seconds < default["codegen"].seconds
-        assert tuned["codegen"].seconds > tuned["packed"].seconds
+        assert tuned["packed"].seconds < default["packed"].seconds
         assert tuned["blas"] == default["blas"]
 
     def test_rejects_invalid_rates(self):
@@ -203,7 +189,7 @@ class TestHostRates:
 
     def test_prices_expose_every_backend(self):
         decision = CostModelDispatcher().decide(256, 128, 64, 2, 4)
-        assert tuple(decision.prices) == ("packed", "blas", "codegen")
+        assert tuple(decision.prices) == ("packed", "blas")
         assert decision.engine == min(
             decision.prices, key=lambda name: decision.prices[name].effective_s
         )

@@ -3,10 +3,9 @@
 Covers the PR 1 acceptance points — cache hit/miss accounting, LRU
 eviction under a too-small capacity, exact agreement between batched and
 per-request results under a shared calibration — plus the coalesced
-zero-tile path: a block-diagonal round executed with ``codegen``'s
-census-specialized skip kernels is bit-identical to per-request
-``packed`` execution, and the per-batch tile-mask cache accounts its
-traffic.
+zero-tile path: a block-diagonal ``blas`` round whose census skips tiles
+is bit-identical to per-request ``packed`` execution, and the per-batch
+tile-mask cache accounts its traffic.
 """
 
 from __future__ import annotations
@@ -61,6 +60,10 @@ class TestServingConfig:
         with pytest.raises(ConfigError):
             ServingConfig(**kwargs)
 
+    def test_codegen_is_not_an_engine(self):
+        with pytest.raises(ConfigError, match=r"\('packed', 'blas'\)"):
+            ServingConfig(engine="codegen")
+
 
 class TestResults:
     def test_results_in_submission_order(self, gin_model, subgraphs):
@@ -87,10 +90,10 @@ class TestResults:
             np.testing.assert_array_equal(got.logits, expected.logits)
         assert batched.stats.batches < single.stats.batches
 
-    def test_coalesced_skip_kernels_equal_per_request_packed(self, rng):
+    def test_coalesced_round_equals_per_request_packed(self, rng):
         # The serving-level equivalence point: one 16-member block-diagonal
-        # round on the census-specialized skip kernels returns the same
-        # bits as 16 per-request rounds on the dense packed engine.
+        # ``blas`` round, most of its census zero, returns the same bits as
+        # 16 per-request rounds on the packed word engine.
         g = planted_partition_graph(
             320, 2400, num_communities=16, feature_dim=12, num_classes=3, rng=rng
         )
@@ -102,7 +105,7 @@ class TestResults:
                 feature_bits=8,
                 batch_size=16,
                 max_batch_nodes=1 << 16,
-                engine="codegen",
+                engine="blas",
             ),
         )
         batched = coalesced.infer(members)
@@ -120,7 +123,7 @@ class TestResults:
     def test_engine_choice_does_not_change_results(self, gin_model, subgraphs):
         shared = InferenceEngine(gin_model, ServingConfig(feature_bits=8))
         baseline = shared.infer(subgraphs[:4])
-        for engine_name in ("packed", "blas", "auto", "codegen"):
+        for engine_name in ("packed", "blas", "auto"):
             other = InferenceEngine(
                 gin_model,
                 ServingConfig(feature_bits=8, engine=engine_name),
@@ -308,7 +311,7 @@ class TestPlanCache:
         assert engine.stats.plan_cache.hits >= 1
         assert plan.signature.num_nodes == batch.num_nodes
         registered = set(engine.plan_artifacts.kinds())
-        assert registered == {"weight", "adjacency", "plan", "template", "table", "kernel"}
+        assert registered == {"weight", "adjacency", "plan", "template", "table"}
         for step in plan.gemm_steps():
             assert step.backend in default_registry().names()
         # The plan's weight nodes carry the session's cache keys.
@@ -345,9 +348,7 @@ class TestPlanCache:
         )
         engine.infer(subgraphs)
         telemetry = engine.cache_telemetry()
-        assert set(telemetry) == {
-            "weight", "adjacency", "plan", "template", "table", "kernel"
-        }
+        assert set(telemetry) == {"weight", "adjacency", "plan", "template", "table"}
         total = engine.plan_artifacts.total_stats()
         assert total.lookups == sum(t.lookups for t in telemetry.values())
         assert engine.plan_artifacts.nbytes >= engine.adjacency_cache.nbytes

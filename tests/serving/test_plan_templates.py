@@ -101,7 +101,7 @@ def prefer_other_backend(engine, batch):
     plan = engine.plan_for(batch)
     fraction = engine.packed_adjacency_for(batch).nonzero_fraction
     frozen = set(plan.backends())
-    prefer = "codegen" if "codegen" not in frozen else "packed"
+    prefer = "packed" if "packed" not in frozen else "blas"
     for step in plan.gemm_steps():
         census = fraction if step.spec.role == "aggregate" else None
         for _ in range(8):
@@ -263,8 +263,8 @@ def test_registering_a_backend_compiles_fresh(same_shape, work):
 def test_a_cache_fault_on_a_template_counts_poisoned_and_recompiles(
     same_shape, work
 ):
-    # Forced ``blas``: no codegen kernel-segment probes, so the template
-    # hit of the second structure is the ``cache`` site's first probe.
+    # The template hit of the second structure is the ``cache`` site's
+    # first probe.
     faults = FaultPlan(seed=0, specs=[FaultSpec("cache", at=(0,))])
     model = make_cluster_gcn(12, 3)
     calibration = ActivationCalibration()

@@ -423,26 +423,34 @@ class TestPoolStatsAreShardSnapshots:
         assert all(node.metrics["misses"] > 0 for node in segments)
         pool.shutdown()
 
-    def test_poisoned_discards_counts_the_shared_kernel_segment_once(
-        self, gin_model, subgraphs, monkeypatch
-    ):
-        # The verified segments are ``plan`` (per shard) and ``kernel``
-        # (one per process, mounted by every shard): a poisoned kernel is
-        # one discard — not zero (the unverified adjacency segment used to
-        # be summed instead), not one per shard that mounts the segment.
-        from repro.codegen import kernel_cache_segment
-        from repro.plan.cache import CacheStats
-
-        segment = kernel_cache_segment()
-        # A fresh counter window for this test: the segment outlives it.
-        monkeypatch.setattr(segment, "stats", CacheStats())
-        config = ServingConfig(feature_bits=2, batch_size=2, engine="codegen")
+    def test_poisoned_discards_counts_the_template_segment(self, gin_model, subgraphs):
+        # The verified segments are every shard's ``plan`` and ``template``:
+        # a corrupted template is discarded (and counted) when a new
+        # structure of a node count and census band its shard has seen
+        # misses into it.
+        base = subgraphs[0]
+        graph = base.graph
+        rows = np.repeat(np.arange(graph.num_nodes), np.diff(graph.indptr))
+        edges = np.stack([rows, graph.indices], axis=1)
+        # A new edge inside an 8-row block lands in a tile its self loops
+        # already keep live: another structure, the same census.
+        u, v = next((u, u + 1) for u in range(graph.num_nodes - 1)
+                    if u % 8 != 7 and u + 1 not in graph.neighbors(u))
+        twin = Subgraph(
+            graph=CSRGraph.from_edges(
+                graph.num_nodes, np.vstack([edges, [(u, v)]]), features=graph.features
+            ),
+            original_nodes=base.original_nodes,
+        )
+        config = ServingConfig(feature_bits=2, batch_size=1)
         with ServingPool(gin_model, config, pool=PoolConfig(workers=2)) as pool:
-            pool.serve(subgraphs)
+            pool.submit(base, shard=0).result()
             assert pool.stats().poisoned_discards == 0
-            # The most recently used kernel: this pool's last round read it.
-            assert segment.corrupt(segment.keys()[-1])
-            pool.serve(subgraphs)
+            templates = pool.workers[0].plan_artifacts.segment("template")
+            (key,) = templates.keys()
+            assert templates.corrupt(key)
+            pool.submit(twin, shard=0).result()
             stats = pool.stats()
-        assert stats.poisoned_discards == stats.kernel_cache.poisoned == 1
-        assert all(w.kernel_cache.poisoned == 1 for w in stats.per_worker)
+        assert stats.poisoned_discards == stats.template_cache.poisoned == 1
+        assert [w.template_cache.poisoned for w in stats.per_worker] == [1, 0]
+        assert stats.plan_cache.poisoned == 0

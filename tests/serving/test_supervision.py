@@ -64,13 +64,10 @@ class TestFallbackChain:
     def test_packed_is_terminal(self):
         assert fallback_chain("packed") == ("packed",)
 
-    def test_codegen_falls_back_through_its_specialized_engine(self):
-        # Its kernels specialize the packed word engine, which is also the
-        # terminal oracle: one fallback, whatever the operand's bitwidth.
-        assert fallback_chain("codegen") == ("codegen", "packed")
-
     def test_everything_else_falls_back_to_packed(self):
         assert fallback_chain("blas") == ("blas", "packed")
+        # A custom registered backend gets the same one-step chain.
+        assert fallback_chain("reference") == ("reference", "packed")
 
 
 class FakeClock:
@@ -164,13 +161,13 @@ class TestStepRecovery:
         recovery = StepRecovery(health=health)
 
         def attempt(name):
-            if name == "codegen":
+            if name == "blas":
                 raise RuntimeError("kernel crashed")
             return name
 
-        result, executed, failed = recovery.run(attempt, "codegen")
+        result, executed, failed = recovery.run(attempt, "blas")
         assert (result, executed) == ("packed", "packed")
-        assert failed == ("codegen",)
+        assert failed == ("blas",)
         assert health.failures == 1 and health.successes == 1
 
     def test_non_retryable_propagates_immediately(self):
@@ -206,9 +203,9 @@ class TestStepRecovery:
             return name
 
         recovery = StepRecovery(health=health)
-        result, executed, failed = recovery.run(attempt, "codegen")
+        result, executed, failed = recovery.run(attempt, "blas")
         assert executed == "packed"
-        assert attempts == ["codegen", "packed"]
+        assert attempts == ["blas", "packed"]
 
     def test_fault_plan_kernel_site_drives_the_fallback(self):
         plan = FaultPlan(seed=0, specs=[FaultSpec("kernel", at=(0,))])
@@ -241,7 +238,7 @@ class TestDispatcherVeto:
         clock = FakeClock()
         health = BackendHealth(quarantine_after=1, clock=clock)
         dispatch = CostModelDispatcher(health=health)
-        for name in ("packed", "blas", "codegen"):
+        for name in ("packed", "blas"):
             health.record_failure(name)
         # Dispatch must still produce an engine rather than failing.
         assert dispatch.decide(256, 256, 64, 1, 8).engine

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.bitpack import pack_matrix, tile_nonzero_mask
+from repro.core.bitpack import Operand, pack_matrix, tile_nonzero_mask
 from repro.errors import PackingError, ShapeError
 from repro.plan import default_registry
 from repro.tc.kernel import (
@@ -156,7 +156,7 @@ class TestTileSkipPlan:
         adj, x, pa, pb = _sparse_operands(rng)
         kernel = BitGemmKernel(KernelConfig())
         plan = plan_tile_skip(pa)
-        for engine in ("packed", "codegen"):
+        for engine in ("packed", "blas"):
             with_plan = kernel.run(pa, pb, engine=engine, plan=plan)
             without = kernel.run(pa, pb, engine=engine)
             np.testing.assert_array_equal(with_plan.output, without.output)
@@ -186,6 +186,88 @@ class TestTileSkipPlan:
         assert plan.bits == 3
         assert plan.total_tiles == 3 * plan.masks[0].size
         assert plan.processed_per_plane() == [int(m.sum()) for m in plan.masks]
+
+
+#: Shape corners (M, K, N): empty operands, a single node, exactly one
+#: 8x128 tile, and partial tiles on every axis.
+SHAPE_CORNERS = [
+    (0, 96, 8),
+    (64, 300, 0),
+    (1, 1, 1),
+    (8, 128, 8),
+    (13, 150, 24),
+    (40, 260, 17),
+    (129, 129, 9),
+]
+
+
+def _shape_id(shape):
+    return "x".join(map(str, shape))
+
+
+class TestShapeCornerSweep:
+    """The census readers — a planned launch's counters and the literal
+    tile loop — agree with every registered backend's product on every
+    shape corner, from an all-zero adjacency (every tile jumped) to a
+    dense one (none jumped)."""
+
+    @pytest.mark.parametrize("engine", default_registry().names())
+    @pytest.mark.parametrize("density", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("shape", SHAPE_CORNERS, ids=_shape_id)
+    def test_planned_run_equals_tile_loop(self, shape, density, engine):
+        m, k, n = shape
+        rng = np.random.default_rng(hash((m, k, n, density)) & 0xFFFF)
+        adj, x, pa, pb = _sparse_operands(rng, m=m, k=k, n=n, density=density)
+        plan = plan_tile_skip(pa)
+        for reuse in ("cross-bit", "cross-tile"):
+            kernel = BitGemmKernel(KernelConfig(reuse=reuse))
+            fast = kernel.run(pa, pb, engine=engine, plan=plan)
+            slow = kernel.run_tile_loop(pa, pb)
+            np.testing.assert_array_equal(fast.output, adj @ x)
+            np.testing.assert_array_equal(slow.output, fast.output)
+            for field in COUNTER_FIELDS:
+                assert getattr(fast.counters, field) == getattr(
+                    slow.counters, field
+                ), (reuse, field)
+            counters = fast.counters
+            assert counters.tiles_total == plan.total_tiles
+            assert counters.tiles_processed == plan.nonzero_tiles
+            if density == 0.0:
+                assert counters.tiles_processed == 0
+            if density == 1.0 and m:
+                # Every tile holds a logical row; only M = 0's lone
+                # padding tile is all zero, and it is jumped.
+                assert counters.tiles_skipped == 0
+
+    @pytest.mark.parametrize("engine", default_registry().names())
+    @pytest.mark.parametrize("bits_a", [2, 3])
+    @pytest.mark.parametrize("shape", SHAPE_CORNERS, ids=_shape_id)
+    def test_census_less_launch_equals_tile_loop(self, shape, bits_a, engine):
+        # A multi-bit left operand never jumps, so a launch has no census:
+        # its counters are memoised on the step instead, and a replay
+        # through the same memo reuses them.
+        m, k, n = shape
+        rng = np.random.default_rng(hash((m, k, n, bits_a)) & 0xFFFF)
+        a = rng.integers(0, 1 << bits_a, (m, k))
+        x = rng.integers(0, 4, (k, n))
+        pa = Operand(packed=pack_matrix(a, bits_a, layout="col"))
+        pb = Operand(packed=pack_matrix(x, 2, layout="row"))
+        kernel = BitGemmKernel(KernelConfig())
+        backend = default_registry().get(engine)
+        memo = {}
+        first = kernel.launch(backend, pa, pb, memo=memo)
+        replay = kernel.launch(backend, pa, pb, memo=memo)
+        slow = kernel.run_tile_loop(pa.packed, pb.packed)
+        np.testing.assert_array_equal(first.output, a @ x)
+        np.testing.assert_array_equal(replay.output, first.output)
+        np.testing.assert_array_equal(slow.output, first.output)
+        assert replay.counters is first.counters
+        assert len(memo) == 1
+        for field in COUNTER_FIELDS:
+            assert getattr(first.counters, field) == getattr(
+                slow.counters, field
+            ), field
+        assert first.counters.tiles_skipped == 0
 
 
 class TestValidation:

@@ -26,7 +26,6 @@ import importlib
 import inspect
 import pkgutil
 
-import repro.codegen
 import repro.dynamic
 import repro.faultinject
 import repro.perf
@@ -34,7 +33,6 @@ import repro.plan
 import repro.serving
 
 CHECKED_PACKAGES = (
-    repro.codegen,
     repro.dynamic,
     repro.faultinject,
     repro.perf,

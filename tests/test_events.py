@@ -71,16 +71,16 @@ class TestEachSiteEmitsOneLine:
         health = BackendHealth(
             quarantine_after=2, probe_after_s=5.0, clock=lambda: now[0]
         )
-        health.record_failure("codegen")
+        health.record_failure("blas")
         assert events("backend_quarantined") == []
-        health.record_failure("codegen")
-        assert health.vetoed("codegen")
+        health.record_failure("blas")
+        assert health.vetoed("blas")
         now[0] = 6.0
-        assert not health.vetoed("codegen") and not health.vetoed("codegen")
-        health.record_success("codegen")
-        health.record_success("codegen")  # already closed: a counter, no event
+        assert not health.vetoed("blas") and not health.vetoed("blas")
+        health.record_success("blas")
+        health.record_success("blas")  # already closed: a counter, no event
         for name in ("backend_quarantined", "backend_half_open", "backend_closed"):
-            assert events(name) == [{"event": name, "backend": "codegen"}]
+            assert events(name) == [{"event": name, "backend": "blas"}]
 
     def test_poisoned_entry_discarded(self, events):
         plan = FaultPlan(seed=0, specs=[FaultSpec("cache", at=(0,))])
@@ -137,7 +137,7 @@ class TestEachSiteEmitsOneLine:
                     adjacency.nonzero_fraction
                     if step.spec.role == "aggregate" else None
                 )
-                other = "packed" if step.backend != "packed" else "codegen"
+                other = "packed" if step.backend != "packed" else "blas"
                 for _ in range(8):
                     table.record_spec(step.spec, other, 1e-9, tile_fraction=fraction)
                     table.record_spec(
