@@ -221,10 +221,10 @@ class _Bound:
 
 
 def _float64(term, shape: tuple[int, int]) -> np.ndarray:
-    """``term`` as a C-ordered float64 array of ``shape``: itself when it
-    already is one (read by reference, as the NumPy tail reads it)."""
+    """``term`` as a writable C-ordered float64 array of ``shape``: itself
+    when it already is one (read by reference, as the NumPy tail reads it)."""
     if (isinstance(term, np.ndarray) and term.shape == shape and term.dtype == np.float64
-            and term.flags.c_contiguous):
+            and term.flags.c_contiguous and term.flags.writeable):
         return term
     array = np.empty(shape)
     array[...] = term
@@ -276,12 +276,12 @@ def _bind(recipe, product, shape, terms, relu, params, dtype, sums, reads_sums) 
                 for term, to in ((rows, (n, 1)), (cols, (1, m)), (bias, (1, m)))]
     except ValueError:  # a term that is not one per row / per column
         return None
-    rows, cols, bias = (None if a is None else a.ctypes.data for a in keep)
-    args = _TailArgs(n=n, m=m, relu=relu, scale=scale, row_scale=row_scale,
-                     constant=constant, rows=rows, cols=cols, bias=bias)
-    if params is not None:
-        args.one_bit, args.top = params.bits == 1, params.levels - 1
-        args.alpha_min, args.step = params.alpha_min, params.scale
+    one_bit, alpha_min, step, top = (False, 0.0, 0.0, 0) if params is None else (
+        params.bits == 1, params.alpha_min, params.scale, params.levels - 1)
+    rows, cols, bias = (None if a is None else ctypes.addressof(ctypes.c_char.from_buffer(a))
+                        for a in keep)  # cheaper than ``a.ctypes.data``
+    args = _TailArgs(n, m, relu, one_bit, scale, row_scale, constant, rows, cols, bias,
+                     alpha_min, step, top)  # positional: the fields' order
     name = _NAMES[out] if params is not None else "logits"
     return _Bound(recipe, getattr(lib, f"tail_{_NAMES[product]}_{name}"), args, keep,
                   (product, shape), (n,) if reads_sums else None, (shape, out),

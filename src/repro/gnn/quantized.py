@@ -22,7 +22,8 @@ of ``q_b`` — rank-1 epilogue terms the fused kernel absorbs (paper §4.5),
 and so does the host: a step quantizes straight into its GEMM's dtype,
 takes the product in it and adds the terms in place, one float64 buffer
 from activation to activation, no full-precision round trip in between —
-and on a warm round not even that: one native pass
+and once the next step's calibration site is frozen (every round after
+warm-up, a binding round too) not even that: one native pass
 (:mod:`repro.core.native`) turns a product into the next step's codes.
 Only the ``q_a q_b`` term touches the Tensor Core.
 
@@ -101,8 +102,9 @@ class PhaseTiming(NamedTuple):
     fallback: the phase covers every attempt, the sample only the winner.
     """
 
-    #: Phase name: ``materialize``, ``quantize``, ``pack``, ``census``,
-    #: ``gemm``, ``epilogue`` or ``activation``.
+    #: Phase name: ``materialize``, ``bind`` (a binding round's lowering),
+    #: ``quantize``, ``pack``, ``census``, ``gemm``, ``epilogue`` or
+    #: ``activation``.
     phase: str
     #: The step role the phase belongs to (``aggregate``/``update``), or
     #: ``forward`` for per-pass phases like materialization.
@@ -134,11 +136,13 @@ class QuantizedForwardResult:
     #: ``repro.serving.supervision``); empty on a fault-free pass.
     recoveries: tuple[tuple[str, str, str], ...] = ()
     #: The bound program that ran, the ``perf_counter`` stamps at its phase
-    #: boundaries and ``{step: (executed backend, winning attempt's
-    #: seconds)}`` of the steps a fallback recovered.
+    #: boundaries, ``{step: (executed backend, winning attempt's seconds)}``
+    #: of the steps a fallback recovered and whether this round bound the
+    #: program (its layout then has a ``bind`` interval per step).
     program: "_Program | None" = None
     stamps: list[float] | None = None
     recovered: dict | None = None
+    binding: bool = False
 
     @cached_property
     def timings(self) -> tuple[StepTiming, ...]:
@@ -148,7 +152,7 @@ class QuantizedForwardResult:
         winning attempt alone, so failures never bias the autotune cell."""
         stamps, steps = self.stamps, self.program.steps
         timings = [(b.step.spec, b.step.backend, stamps[at + 1] - stamps[at])
-                   for b, at in zip(steps, self.program.gemm_at)]
+                   for b, at in zip(steps, self.program.gemm_at[self.binding])]
         for i, (executed, seconds) in self.recovered.items():
             timings[i] = (steps[i].step.spec, executed, seconds)
         return tuple(map(_as_step_timing, timings))
@@ -158,7 +162,7 @@ class QuantizedForwardResult:
         """Full phase attribution of the pass's wall-clock, one
         :class:`PhaseTiming` per interval of the program's layout."""
         seconds = zip(map(sub, self.stamps[1:], self.stamps))
-        return tuple(map(_as_phase_timing, map(add, self.program.layout, seconds)))
+        return tuple(map(_as_phase_timing, map(add, self.program.layouts[self.binding], seconds)))
 
     @property
     def total_counters(self) -> KernelCounters:
@@ -317,6 +321,11 @@ class ActivationCalibration:
         """Read-only view of the calibrated ``(site, bits) -> params`` map."""
         return dict(self._sites)
 
+    def frozen(self, site: str, bits: int) -> QuantParams | None:
+        """This site's frozen parameters, or ``None`` before its first touch
+        (a read: it never calibrates)."""
+        return self._sites.get((site, bits))
+
     def params_for(self, site: str, values: np.ndarray, bits: int) -> QuantParams:
         """This site's parameters, calibrated from ``values`` on first touch
         (frozen sites are read without the lock)."""
@@ -401,90 +410,112 @@ class _BoundStep(NamedTuple):
         return Operand(codes, self.params.bits, "row" if self.aggregate else "col", proven=True)
 
 
-def _bind_step(step, layer, relu, registry, kernel, params, codes, weight, adjacency, bias):
-    """``(bound step, activation operand)`` of the binding round."""
+def _bind_step(step, layer, relu, registry, kernel, params, weight, adjacency, bias) -> _BoundStep:
+    """The binding round's bound step; its counters are taken from its codes
+    in the ``census`` interval (the weights' ``k`` is the activation's, or
+    the pair check raises there)."""
     backend, dtype, label = _bind(step, layer, registry)
     aggregate = step.spec.role == "aggregate"
-    activation = Operand(codes, params.bits, "row" if aggregate else "col", proven=True)
     fixed = adjacency.operand if aggregate else weight.operand
-    left, right = (fixed, activation) if aggregate else (activation, fixed)
-    counters = None  # a 1-bit activation under jumping is balloted per round
-    if aggregate or not kernel.jumps(activation):
-        counters = kernel.account(left, right, adjacency.plan if aggregate else None, step.derived)
     s_l, c_l = params.scale, _mid_offset(params)
     if aggregate:
         epilogue = (s_l, c_l * adjacency.degrees)
     else:
-        s_r, c_r, k = weight.params.scale, _mid_offset(weight.params), activation.logical_k
+        s_r, c_r, k = weight.params.scale, _mid_offset(weight.params), fixed.logical_k
         ones = np.ones(k, dtype)
         ones.setflags(write=False)
         epilogue = (s_l * s_r, s_l * c_r, ones, c_l * s_r * weight.col_sums, k * c_l * c_r, bias)
     matmul = None
-    if backend.run is codes_gemm and counters is not None:
+    if backend.run is codes_gemm and (aggregate or not kernel.jumps(params)):
         matrix = fixed.matrix(dtype)
         matmul = matrix.__matmul__ if aggregate else matrix.__rmatmul__
     return _BoundStep(step, layer, aggregate, relu, label, params, dtype, backend, fixed,
-                      matmul, counters, epilogue), activation
+                      matmul, None, epilogue)
 
 
 class _Program(NamedTuple):
     """A plan lowered against one set of artifacts (``key``; ``pinned`` holds
     the model and weights it names by id) with the round's fixed-shape
-    accounting: each stamped interval's ``(phase, role, layer)``, each
-    step's ``gemm`` interval, the summed counters (``None``: a step counts
-    per round) and a memo of what consumers derive from it."""
+    accounting: each stamped interval's ``(phase, role, layer)`` and each
+    step's ``gemm`` interval — ``(replay's, the binding round's)`` — the
+    summed counters (``None``: a step counts per round) and a memo of what
+    consumers derive from it."""
 
     key: tuple
     pinned: tuple
     steps: tuple[_BoundStep, ...]
     kernel: BitGemmKernel
-    layout: tuple[tuple[str, str, int], ...]
-    gemm_at: tuple[int, ...]
+    layouts: tuple[tuple[tuple[str, str, int], ...], ...]
+    gemm_at: tuple[tuple[int, ...], ...]
     totals: KernelCounters | None
     derived: dict
 
 
 def _lower(key, pinned, steps, kernel, softmax) -> _Program:
-    layout = [("materialize", "forward", -1)]
-    for bound in steps:
-        layout += [(phase, bound.step.spec.role, bound.layer) for phase in PHASES[1:6]]
-        layout += [("activation", "forward", bound.layer)] * bound.relu
-    layout += [("activation", "forward", -1)] * softmax
+    replay, binding = [("materialize", "forward", -1)], [("materialize", "forward", -1)]
+    for bound in steps:  # a binding round has a ``bind`` interval ahead of each step
+        role, layer = bound.step.spec.role, bound.layer
+        block = [(phase, role, layer) for phase in PHASES[2:7]]
+        block += [("activation", "forward", layer)] * bound.relu
+        replay += block
+        binding += [("bind", role, layer), *block]
+    softmax = [("activation", "forward", -1)] * softmax
     totals = None
     if all(bound.counters is not None for bound in steps):
         totals = KernelCounters()
         for bound in steps:
             totals.merge(bound.counters)
-    gemm_at = tuple(i for i, (phase, _, _) in enumerate(layout) if phase == "gemm")
-    return _Program(key, pinned, tuple(steps), kernel, tuple(layout), gemm_at, totals, {})
+    gemm_at = tuple(i for i, (phase, _, _) in enumerate(replay) if phase == "gemm")
+    return _Program(key, pinned, tuple(steps), kernel, (tuple(replay + softmax), tuple(binding + softmax)),
+                    (gemm_at, tuple(at + i + 1 for i, at in enumerate(gemm_at))), totals, {})
+
+
+def _bind_native(bs: _BoundStep, into: tuple | None, fed: bool = False) -> tuple:
+    """``bs``'s ``(quantize, tail)`` native entries (:mod:`repro.core.native`):
+    Eq. 2 from a float64 activation — none when the step is ``fed`` its
+    codes and row sums by the step before — and the epilogue, the ReLU and
+    the next step's Eq. 2 from a product in the step's exact dtype into the
+    next codes and their row sums (an update step reads them): ``into`` is
+    the next step's frozen ``(params, dtype, row sums?)``, ``()`` the last
+    step's logits.  ``None`` keeps NumPy, as does ``into=None`` for the
+    tail: a next site not frozen yet calibrates on the float64 activation."""
+    spec = bs.step.spec
+    activation = (spec.k, spec.n) if bs.aggregate else (spec.m, spec.k)
+    quantize = None if fed else native.bind_quantize(bs.params, bs.dtype, activation, not bs.aggregate)
+    tail = None
+    if into is not None and (bs.aggregate or fed or quantize is not None):  # an update step reads row sums
+        tail = native.bind_tail(bs.dtype, (spec.m, spec.n), bs.epilogue, bs.relu, *into)
+    return quantize, tail
+
+
+def _frozen_into(step, layer, calibration, registry) -> tuple | None:
+    """What a binding round's step fuses into: ``step``'s frozen ``(params,
+    exact dtype, row sums?)``, or ``None`` while its site is not frozen."""
+    site = step.quantize_a or step.quantize_b
+    params = calibration.frozen(site.site, site.bits)
+    return None if params is None else (params, _bind(step, layer, registry)[1],
+                                        step.spec.role != "aggregate")
 
 
 def _native_entries(program: _Program) -> tuple:
-    """Each step's ``(quantize, tail)`` native entries
-    (:mod:`repro.core.native`), bound on the program's first replay — a
-    round that binds every time never pays for them: Eq. 2 from a float64
-    activation, and the epilogue, the ReLU and the next step's Eq. 2 from a
-    product in the step's exact dtype into the next codes and their row
-    sums (an update step reads them), or the last step's logits.  ``None``
-    keeps NumPy."""
+    """Each step's native entries (:func:`_bind_native`), bound on the
+    program's first replay, when every site is frozen.  A binding round
+    binds its own: a step whose site was frozen before the round reached it
+    quantizes natively, and fuses its tail when the next site is frozen too
+    (or it is the last step) — every round of a warmed-up session."""
     entries = program.derived.get("native")
     if entries is None:
-        entries, steps = [], program.steps
-        for bs, after in zip(steps, [*steps[1:], None]):
-            spec = bs.step.spec
-            activation = (spec.k, spec.n) if bs.aggregate else (spec.m, spec.k)
-            quantize = native.bind_quantize(bs.params, bs.dtype, activation, not bs.aggregate)
-            tail = None
-            if bs.aggregate or quantize is not None:  # the row sums an update step reads
-                into = () if after is None else (after.params, after.dtype, not after.aggregate)
-                tail = native.bind_tail(bs.dtype, (spec.m, spec.n), bs.epilogue, bs.relu, *into)
-            entries.append((quantize, tail))
-        entries = program.derived["native"] = tuple(entries)
+        steps = program.steps
+        entries = program.derived["native"] = tuple(
+            _bind_native(bs, () if after is None else (after.params, after.dtype, not after.aggregate))
+            for bs, after in zip(steps, [*steps[1:], None])
+        )
     return entries
 
 
-#: Executor phases; a program's stamps delimit one interval per layout entry.
-PHASES = ("materialize", "quantize", "pack", "census", "gemm", "epilogue", "activation")
+#: Executor phases; a program's stamps delimit one interval per layout entry
+#: (``bind`` on the binding round only: calibration, lowering, native binds).
+PHASES = ("materialize", "bind", "quantize", "pack", "census", "gemm", "epilogue", "activation")
 _DEFAULT_KERNEL = KernelConfig()
 _as_phase_timing = partial(tuple.__new__, PhaseTiming)
 _as_step_timing = partial(tuple.__new__, StepTiming)
@@ -522,7 +553,9 @@ def execute_forward_plan(
     GEMMs, one native call per step for the epilogue, ReLU and next Eq. 2
     (NumPy where the kernel is unavailable or the product is not in the
     step's exact dtype — the same bits), a ``perf_counter`` stamp per
-    phase boundary and each step's recovery wrapper.  Without a shared
+    phase boundary and each step's recovery wrapper.  The binding round
+    takes the same native calls wherever its calibration sites are
+    already frozen (:func:`_native_entries`).  Without a shared
     ``calibration`` nothing keeps it.  The node count, feature width and
     Eq. 2's NaN check run every time (another shape raises
     :class:`~repro.errors.ShapeError`).
@@ -573,30 +606,39 @@ def execute_forward_plan(
             f"a batch with {h.shape[1]} features; compile a fresh plan"
         )
     bound, counters, recoveries, recovered = [], [], [], {}
-    codes = sums = None  # a warm step's codes (and row sums), when the step before wrote them
+    codes = sums = None  # a step's codes (and row sums), when the step before wrote them
     for i, (bs, (quantize, tail)) in enumerate(zip(schedule, natives)):
-        if program is None:  # binding: calibrate, quantize, lower the step
+        if program is None:  # binding: calibrate, lower the step, bind its native entries
             step, layer, relu = bs
             site = step.quantize_a or step.quantize_b
-            params = (calibrate(h, site.bits) if calibration is None
-                      else calibration.params_for(site.site, h, site.bits))
-            codes = quantize_into(h, params, _bind(step, layer, backends)[1])
-            bs, operand = _bind_step(step, layer, relu, backends, kernel, params, codes,
-                                     packed_weights[layer], packed_adjacency, model.biases[layer])
-        else:
-            if codes is None:
-                codes, sums = (quantize(h) if quantize is not None
-                               else (quantize_into(h, bs.params, bs.dtype), None))
-            operand = None if bs.matmul is not None else bs.operand(codes)
-        bound.append(bs)
+            frozen = None if calibration is None else calibration.frozen(site.site, site.bits)
+            params = frozen if frozen is not None else (
+                calibrate(h, site.bits) if calibration is None
+                else calibration.params_for(site.site, h, site.bits))
+            bs = _bind_step(step, layer, relu, backends, kernel, params, packed_weights[layer],
+                            packed_adjacency, model.biases[layer])
+            if frozen is not None:
+                into = () if i + 1 == len(schedule) else _frozen_into(*schedule[i + 1][:2],
+                                                                       calibration, backends)
+                quantize, tail = _bind_native(bs, into, codes is not None)
+            stamp(clock())
+        if codes is None:
+            codes, sums = (quantize(h) if quantize is not None
+                           else (quantize_into(h, bs.params, bs.dtype), None))
+        operand = bs.operand(codes) if program is None or bs.matmul is None else None
         stamp(clock())
         if bs.matmul is None and bs.backend.caps.consumes_words:
             operand.pack()
             bs.fixed.pack()
         stamp(clock())
         step_counters = bs.counters
-        if step_counters is None:  # a 1-bit activation's ballot: per round
-            step_counters = kernel.account(operand, bs.fixed, None, bs.step.derived)
+        if step_counters is None:  # binding, or a 1-bit activation's ballot: per round
+            pair = (bs.fixed, operand) if bs.aggregate else (operand, bs.fixed)
+            step_counters = kernel.account(*pair, packed_adjacency.plan if bs.aggregate else None,
+                                           bs.step.derived)
+            if program is None and (bs.aggregate or not kernel.jumps(operand)):
+                bs = bs._replace(counters=step_counters)
+        bound.append(bs)
         counters.append(step_counters)
         stamp(clock())
 
@@ -656,11 +698,13 @@ def execute_forward_plan(
     logits = softmax(h) if apply_softmax else h
     if apply_softmax:
         stamp(clock())
-    if program is None:
+    binding = program is None
+    if binding:
         program = _lower(key, (model, *packed_weights), bound, kernel, apply_softmax)
         if calibration is not None:
             packed_adjacency.derived["program"] = program
-    return QuantizedForwardResult(logits, counters, tuple(recoveries), program, stamps, recovered)
+    return QuantizedForwardResult(logits, counters, tuple(recoveries), program, stamps, recovered,
+                                  binding)
 
 
 def _check_artifacts(plan, model, packed_weights, packed_adjacency) -> None:

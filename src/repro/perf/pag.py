@@ -40,6 +40,7 @@ PHASE_ORDER = (
     "pack_adjacency",
     "plan_compile",
     "materialize",
+    "bind",
     "quantize",
     "pack",
     "census",

@@ -113,6 +113,7 @@ __all__ = [
 #: Where a round's measured window goes: the artifact windows,
 #: ``round_glue`` (the rest of it) and the executor's phases.
 ROUND_PHASES = ("pack_adjacency", "plan_compile", "round_glue", *PHASES)
+_SLOTS = {phase: slot for slot, phase in enumerate(ROUND_PHASES)}
 
 #: Environment variables an operator pins BLAS threading with (reported,
 #: never read for behaviour, by the ``engine_start`` event).
@@ -255,7 +256,7 @@ class SessionStats(Counters):
     #: Phases that do a round's arithmetic or build its artifacts; the rest
     #: of :attr:`wall_s` is :attr:`fixed_seconds_per_round`.
     WORK_PHASES = (
-        "quantize", "pack", "census", "gemm", "epilogue", "activation",
+        "bind", "quantize", "pack", "census", "gemm", "epilogue", "activation",
         "pack_adjacency", "plan_compile",
     )
 
@@ -287,7 +288,8 @@ class SessionStats(Counters):
     #: over every plan step this session ran.
     backend_seconds: dict[str, float] = field(default_factory=dict)
     #: Measured wall-clock attributed per execution phase (quantize /
-    #: pack / census / gemm / epilogue / activation / materialize, plus
+    #: pack / census / gemm / epilogue / activation / materialize, ``bind``
+    #: on binding rounds, plus
     #: the engine-level ``pack_adjacency`` and ``plan_compile`` windows) —
     #: what :func:`repro.perf.build_pag` reads; sums to (nearly all of)
     #: :attr:`wall_s`.
@@ -360,8 +362,9 @@ class SessionStats(Counters):
 class _RoundBinding(NamedTuple):
     """What a round's accounting reads off its bound program's artifacts
     alone (:meth:`InferenceEngine.run_round`): each step's dispatch bucket
-    and planned backend, each stamped interval's :data:`ROUND_PHASES` slot,
-    the modeled device report and each member's row slice."""
+    and planned backend, each stamped interval's :data:`ROUND_PHASES` slot
+    (a replay's, a binding round's), the modeled device report and each
+    member's row slice."""
 
     buckets: tuple
     backends: tuple
@@ -969,7 +972,7 @@ class InferenceEngine:
         stamps = forward.stamps
         spent = [pack_s, plan_s, 0.0] + [0.0] * len(PHASES)
         last = stamps[0]
-        for slot, now in zip(bound.slots, stamps[1:]):
+        for slot, now in zip(bound.slots[forward.binding], stamps[1:]):
             spent[slot] += now - last
             last = now
         spent[2] = max(executed_s - (last - stamps[0]), 0.0)
@@ -984,7 +987,8 @@ class InferenceEngine:
             (b, *t[1:]) for b, t in zip(bound.buckets, forward.timings)
         ] if forward.recovered else [
             (bucket, backend, stamps[at + 1] - stamps[at])
-            for bucket, backend, at in zip(bound.buckets, bound.backends, program.gemm_at)
+            for bucket, backend, at in zip(bound.buckets, bound.backends,
+                                           program.gemm_at[forward.binding])
         ]
         backend_seconds = stats.backend_seconds
         for _, backend, seconds in samples:
@@ -1014,7 +1018,7 @@ class InferenceEngine:
             tuple(bucket_in(b.step.derived, b.step.spec, fraction if b.aggregate else None)
                   for b in program.steps),
             tuple(b.step.backend for b in program.steps),
-            tuple(ROUND_PHASES.index(phase) for phase, _, _ in program.layout),
+            tuple(tuple(_SLOTS[phase] for phase, _, _ in layout) for layout in program.layouts),
             modeled_plan_report(
                 self.model, self._run_config, num_nodes=batch.num_nodes,
                 tile_plan=adjacency.plan, device=self.config.device, cost=self._cost,

@@ -134,7 +134,9 @@ def test_bound_blas_operands_are_proven_and_their_sums_exact(
 @pytest.mark.parametrize("engine", ["blas", "packed"])
 def test_binding_round_and_replay_report_the_same_layout(engine):
     """A binding round and a bound replay return the same ``(phase, role,
-    layer)`` sequence and the same ``timings`` spec/backend sequence."""
+    layer)`` sequence — the binding round's with one ``bind`` interval
+    ahead of each step's ``quantize`` — and the same ``timings``
+    spec/backend sequence."""
     batch = _batch(48, 8)
     model = make_batched_gin(8, 3, hidden_dim=16, seed=1)
     plan = compile_forward_plan(model, num_nodes=48, feature_bits=8, engine=engine)
@@ -152,10 +154,14 @@ def test_binding_round_and_replay_report_the_same_layout(engine):
     program = adjacency.derived["program"]
     replay = run()
     assert replay.program is program is binding.program
-    assert [p[:3] for p in replay.phases] == [p[:3] for p in binding.phases]
-    assert [p.phase for p in binding.phases][:6] == [
-        "materialize", "quantize", "pack", "census", "gemm", "epilogue"
+    assert [p[:3] for p in replay.phases] == [p[:3] for p in binding.phases if p.phase != "bind"]
+    assert [p.phase for p in binding.phases][:7] == [
+        "materialize", "bind", "quantize", "pack", "census", "gemm", "epilogue"
     ]
+    assert "bind" not in [p.phase for p in replay.phases]
+    binds = [i for i, p in enumerate(binding.phases) if p.phase == "bind"]
+    assert len(binds) == len(binding.timings)
+    assert all(binding.phases[i + 1][:3] == ("quantize", *binding.phases[i][1:3]) for i in binds)
     assert [p for p in binding.phases if p.phase == "activation"][-1][1:3] == ("forward", -1)
     assert [t[:2] for t in replay.timings] == [t[:2] for t in binding.timings] == [
         (step.spec, engine) for step in plan.gemm_steps()

@@ -923,6 +923,31 @@ def test_a_warm_round_quantizes_and_sums_rows_natively(monkeypatch, structures):
     assert round_counts() == round_counts() == {"quantize_into": 0, "_row_sums": 0}
 
 
+@needs_kernel
+def test_a_binding_round_over_a_frozen_calibration_is_native(monkeypatch, structures):
+    """A ``cold_structures``-shaped stream — 1-bit rounds of new structures
+    through caches of capacity 2, so every round binds — over a frozen
+    calibration: each binding round lowers every step and runs no NumPy
+    Eq. 2 and no row-sum GEMV; its steps' tails are native."""
+    counts = dict.fromkeys(["quantize_into", "_row_sums", "_bind_step"], 0)
+    for name in counts:
+        real = getattr(quantized_module, name)
+        monkeypatch.setattr(quantized_module, name, _counting(counts, name, real))
+    model = make_cluster_gcn(12, 3, seed=4)
+    engine = InferenceEngine(model, ServingConfig(
+        feature_bits=1, batch_size=4, adjacency_cache_capacity=2, plan_cache_capacity=2,
+    ))
+    steps = 2 * model.num_layers
+    engine.infer(structures[0])  # first touch: every site calibrates, on NumPy
+    assert len(engine.calibration) == steps
+    for members in [*structures[1:], *structures]:
+        for name in counts:
+            counts[name] = 0
+        engine.infer(members)
+        assert counts == {"quantize_into": 0, "_row_sums": 0, "_bind_step": steps}
+    assert engine.stats.adjacency_cache.hits == 0
+
+
 #: A warm round may hold, at its peak, three ``(n, hidden)`` buffers in the
 #: step's exact dtype (float32 here: a product, its codes and the next
 #: step's codes), the float64 features and logits, and this much of round
