@@ -26,7 +26,7 @@ columns are sliced away on unpack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,7 +48,6 @@ __all__ = [
     "pack_bit_planes",
     "pack_edges",
     "pack_matrix",
-    "recensus_tiles",
     "tile_nonzero_mask",
     "unpack_bit_planes",
     "unpack_matrix",
@@ -452,14 +451,18 @@ class Operand:
 
     def pack(self) -> "Operand":
         """Derive the packed words now — inside the caller's timing window
-        rather than the first consumer's — and return ``self``."""
-        if self._packed is None and self.csr is not None:
-            coo = self.csr.tocoo()
-            self._packed = pack_edges(coo.row, coo.col, *coo.shape, pad_vectors=self.pad_vectors)
-        elif self._packed is None:
-            self._packed = pack_matrix(
-                self.codes, self.bits, self.layout, pad_vectors=self.pad_vectors
-            )
+        rather than the first consumer's — and return ``self``.  Derived
+        words are read-only: an operand is shared, so its forms are too."""
+        if self._packed is None:
+            if self.csr is not None:
+                coo = self.csr.tocoo()
+                packed = pack_edges(coo.row, coo.col, *coo.shape, pad_vectors=self.pad_vectors)
+            else:
+                packed = pack_matrix(
+                    self.codes, self.bits, self.layout, pad_vectors=self.pad_vectors
+                )
+            packed.words.setflags(write=False)
+            self._packed = packed
         return self
 
     @property
@@ -582,57 +585,3 @@ def tile_nonzero_mask(plane_words: np.ndarray) -> np.ndarray:
     # (axis 1): nonzero ballot == tile has an edge.
     per_row = np.bitwise_or.reduce(tiles, axis=-1)
     return np.bitwise_or.reduce(per_row, axis=1) != 0
-
-
-def recensus_tiles(
-    plane_words: np.ndarray,
-    mask: np.ndarray,
-    tiles: Iterable[tuple[int, int]],
-) -> int:
-    """Re-run the §4.3 zero-tile ballot for a *subset* of tiles, in place.
-
-    The incremental counterpart of :func:`tile_nonzero_mask`: after an edge
-    mutation flips bits inside a few ``8 x 128`` tiles, only those tiles need
-    their ballot re-taken.  ``mask[tr, tc]`` is overwritten with the fresh
-    ballot for every ``(tr, tc)`` in ``tiles``; untouched entries keep their
-    previous census verdict.
-
-    Parameters
-    ----------
-    plane_words:
-        Packed 1-bit plane, shape ``(padded_vectors, k_words)`` uint32 —
-        the same layout :func:`tile_nonzero_mask` consumes.
-    mask:
-        Writable boolean census of shape ``(padded_vectors//8, k_words//4)``,
-        updated in place.
-    tiles:
-        Tile coordinates ``(row_tile, k_tile)`` to re-census.  Out-of-range
-        coordinates raise :class:`~repro.errors.ShapeError`.
-
-    Returns
-    -------
-    Number of tiles re-censused.
-    """
-    if plane_words.ndim != 2:
-        raise ShapeError("expected a 2-D packed plane")
-    rows, kwords = plane_words.shape
-    if rows % 8 or kwords % 4:
-        raise ShapeError(
-            f"plane shape {plane_words.shape} is not a whole number of 8x128 tiles"
-        )
-    grid = (rows // 8, kwords // 4)
-    if mask.shape != grid:
-        raise ShapeError(f"census shape {mask.shape} != tile grid {grid}")
-    coords = sorted(set((int(tr), int(tc)) for tr, tc in tiles))
-    if not coords:
-        return 0
-    tr = np.fromiter((c[0] for c in coords), dtype=np.intp, count=len(coords))
-    tc = np.fromiter((c[1] for c in coords), dtype=np.intp, count=len(coords))
-    if (tr < 0).any() or (tr >= grid[0]).any() or (tc < 0).any() or (tc >= grid[1]).any():
-        raise ShapeError(f"tile coordinate outside census grid {grid}")
-    # Gather each dirty tile's 8x4 word block and re-ballot it.
-    row_idx = tr[:, None, None] * 8 + np.arange(8, dtype=np.intp)[None, :, None]
-    word_idx = tc[:, None, None] * 4 + np.arange(4, dtype=np.intp)[None, None, :]
-    blocks = plane_words[row_idx, word_idx].reshape(len(coords), -1)
-    mask[tr, tc] = blocks.any(axis=1)
-    return len(coords)

@@ -1,15 +1,13 @@
-"""Incrementally mutable adjacency: delta re-packing + delta tile census.
+"""Incrementally mutable adjacency: sorted edge keys + delta tile census.
 
-The paper's 8x128 tile structure (§4.3) localizes edits: flipping one
-adjacency bit touches exactly one packed ``uint32`` word per direction and
-dirties at most the two tiles containing the ``(u, v)`` / ``(v, u)``
-positions.  :class:`MutableGraph` exploits that locality — it owns a live
-copy of the packed 1-bit aggregation operand ``A + I`` (the exact operand
-:func:`repro.gnn.quantized.pack_batch_adjacency` builds) and applies edge
-insert/delete streams as in-place word updates, re-balloting *only* the
-dirty tiles via :func:`repro.core.bitpack.recensus_tiles`.  A full
-re-pack is O(E + n^2/32) after an O(E) CSR rebuild; a mutation batch is
-O(edits).
+The paper's 8x128 tile structure (§4.3) localizes edits: an edge sets
+the positions ``(u, v)`` and ``(v, u)``, in at most two tiles.
+:class:`MutableGraph` holds nothing ``n x n``: its live state is the
+sorted keys ``u * n + v`` of ``A + I``'s set positions, their CSR (the
+one :func:`repro.gnn.quantized.pack_batch_adjacency` builds) and the
+zero-tile census.  A mutation batch splices its net edits into them and
+moves only the dirty tiles' census; the §4.2 words are packed by their
+first reader, if any (a ``blas`` serve binds the CSR).
 
 Identity is a **chained structure digest**: every effective mutation
 extends ``digest_{t+1} = H(digest_t || op || u || v)``, so the digest
@@ -18,10 +16,10 @@ instead of O(E).  Cache keys derived from the digest therefore miss the
 moment the structure moves, which is what makes a stale plan or operand
 unreachable (see :mod:`repro.dynamic.session`).
 
-Published artifacts are immutable: :meth:`MutableGraph.snapshot` hands out
-*frozen copies* of the packed words, census and degrees, never views of
-the live buffers — a reader replaying a snapshot can never observe a
-concurrent mutation mid-flight.
+Published artifacts are immutable: a mutation builds new arrays and
+never writes into the old ones, so :meth:`MutableGraph.snapshot` shares
+the live (read-only) arrays, and a reader replaying a snapshot can never
+observe a concurrent mutation mid-flight.
 """
 
 from __future__ import annotations
@@ -29,19 +27,13 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
+import scipy.sparse as sp
 
-from ..core.bitpack import (
-    TC_K,
-    TC_M,
-    Operand,
-    PackedBits,
-    bit_address,
-    pad_to,
-    recensus_tiles,
-)
+from ..core.bitpack import TC_K, TC_M, Operand, pad_to
 from ..core.bitops import WORD_BITS
 from ..errors import ShapeError
 from ..gnn.quantized import PackedAdjacency, pack_batch_adjacency
@@ -109,25 +101,25 @@ class MutationStats(Counters):
 
 
 class MutableGraph:
-    """A mutable wrapper over the packed aggregation operand ``A + I``.
+    """A mutable wrapper over the aggregation operand ``A + I``.
 
     Construct with :meth:`from_csr`; mutate with :meth:`insert_edge` /
     :meth:`delete_edge` / :meth:`apply`; publish with :meth:`snapshot`.
-    The live packed planes, census and degrees are private — every
-    published artifact is a frozen copy, and the class-level invariant is
-    that the incremental state is *bit-for-bit* equal to a fresh
+    The live arrays are private and read-only — a published artifact
+    shares them — and the class-level invariant is that a snapshot is
+    *bit-for-bit* equal to a fresh
     :func:`~repro.gnn.quantized.pack_batch_adjacency` of the mutated edge
     set (the differential harness in ``tests/dynamic`` pins this after
     every mutation).
     """
 
     def __init__(self, graph: CSRGraph) -> None:
-        """Seed the packed state from ``graph`` (see :meth:`from_csr`)."""
+        """Seed the live state from ``graph`` (see :meth:`from_csr`)."""
         self._features = graph.features
         self._labels = graph.labels
         self._name = graph.name
         self._num_classes = graph.num_classes
-        self.num_nodes = graph.num_nodes
+        self.num_nodes = n = graph.num_nodes
         if self.num_nodes <= 0:
             raise ShapeError("a mutable graph needs at least one node")
         # Canonical undirected edge set: (lo, hi) with lo < hi.  Deriving
@@ -143,12 +135,20 @@ class MutableGraph:
         self.version = 0
         self._csr_cache: tuple[int, CSRGraph] | None = None
         canonical = self.to_csr()
-        # Seed packed planes / census / degrees through the exact serving
-        # pack path, so state starts bit-identical by construction.
+        # Seed the CSR and census through the exact serving pack path, so
+        # state starts bit-identical by construction (no word is packed).
         adjacency = pack_batch_adjacency(self.to_batch())
-        self._words = np.array(adjacency.packed.words)  # writable copy
-        self._mask = np.array(adjacency.plan.masks[0])
-        self._degrees = np.array(adjacency.degrees)
+        indptr, indices = adjacency.operand.csr.indptr, adjacency.operand.csr.indices
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        mask = adjacency.plan.masks[0]
+        counts = np.zeros(mask.shape, np.int32)
+        np.add.at(counts, (rows // TC_M, indices // TC_K), 1)
+        #: Swapped whole by a mutation: the sorted keys ``u n + v`` of
+        #: ``A + I``'s set positions, their CSR's ``indptr`` and ``indices``
+        #: (``keys % n``), the key count of each 8x128 tile, and the census.
+        self._state = (rows * n + indices, indptr, indices, counts, mask)
+        for arr in self._state:
+            arr.setflags(write=False)
         self.stats = MutationStats()
         self.stats.full_repacks += 1  # the seeding pack
         h = hashlib.blake2b(digest_size=16)
@@ -189,12 +189,12 @@ class MutableGraph:
     @property
     def tile_grid(self) -> tuple[int, int]:
         """``(row_tiles, k_tiles)`` of the packed operand's census."""
-        return self._mask.shape
+        return self.census_mask().shape
 
     @property
     def nonzero_fraction(self) -> float:
         """Live census: fraction of 8x128 tiles with at least one bit."""
-        return float(self._mask.mean()) if self._mask.size else 0.0
+        return float(self.census_mask().mean())  # n >= 1: never an empty grid
 
     def has_edge(self, u: int, v: int) -> bool:
         """Membership test on the canonical undirected edge set."""
@@ -233,52 +233,33 @@ class MutableGraph:
         :meth:`CSRGraph.from_edges` canonicalization, which keeps the
         incremental state bit-comparable to a fresh pack.
 
-        Bit-plane words are updated in place; only the dirty tiles are
-        re-balloted.  The structure digest advances once per batch over
-        the effective mutations.
+        The whole batch is validated before any of it is committed: a bad
+        mutation raises with the graph unchanged.  The net edits are spliced
+        in (:meth:`_commit`); the digest advances once over the effective ones.
         """
-        applied: list[tuple[str, int, int]] = []
-        dirty: set[tuple[int, int]] = set()
-        noops = 0
-        words = self._words[0]
-        degrees = self._degrees
+        edits = []
         for op, u, v in mutations:
             a, b = self._canonical(u, v)
             if op not in ("insert", "delete"):
                 raise ShapeError(f"unknown mutation op {op!r}")
-            if a == b:
-                noops += 1
+            edits.append((op, a, b))
+        applied: list[tuple[str, int, int]] = []
+        net: dict[tuple[int, int], int] = {}  # +1 inserted, -1 deleted, 0 both
+        for op, a, b in edits:
+            edge, insert = (a, b), op == "insert"
+            if a == b or (edge in self._edges) == insert:
                 continue
-            edge = (a, b)
-            if op == "insert":
-                if edge in self._edges:
-                    noops += 1
-                    continue
+            if insert:
                 self._edges.add(edge)
-                set_bit = True
-                degrees[a, 0] += 1.0
-                degrees[b, 0] += 1.0
                 self.stats.edges_inserted += 1
             else:
-                if edge not in self._edges:
-                    noops += 1
-                    continue
                 self._edges.remove(edge)
-                set_bit = False
-                degrees[a, 0] -= 1.0
-                degrees[b, 0] -= 1.0
                 self.stats.edges_deleted += 1
-            for row, col in ((a, b), (b, a)):
-                word, bit = bit_address(col)
-                if set_bit:
-                    words[row, word] |= bit
-                else:
-                    words[row, word] &= ~bit
-            dirty |= dirty_tiles_for(a, b)
+            net[edge] = net.get(edge, 0) + (1 if insert else -1)
             applied.append((op, a, b))
+        dirty = frozenset().union(*(dirty_tiles_for(a, b) for _, a, b in applied))
         if applied:
-            recensused = recensus_tiles(words, self._mask, dirty)
-            self.stats.tiles_recensused += recensused
+            self._commit(net)
             h = hashlib.blake2b(digest_size=16)
             h.update(self._digest)
             for op, a, b in applied:
@@ -286,49 +267,67 @@ class MutableGraph:
             self._digest = h.digest()
             self.version += 1
             self._csr_cache = None
+        self.stats.tiles_recensused += len(dirty)
+        self.stats.noop_mutations += len(edits) - len(applied)
         self.stats.batches += 1
-        self.stats.noop_mutations += noops
-        return MutationDelta(
-            applied=tuple(applied),
-            noops=noops,
-            dirty_tiles=frozenset(dirty if applied else ()),
+        return MutationDelta(tuple(applied), len(edits) - len(applied), dirty)
+
+    def _commit(self, net: dict[tuple[int, int], int]) -> None:
+        """Swap in the state after ``net`` edits as new arrays: a published
+        snapshot shares the old ones."""
+        keys, indptr, indices, counts, _ = self._state
+        n = self.num_nodes
+        # (key, +1 insert / -1 delete), both directions, in key order.
+        changes = sorted(
+            (key, step) for (a, b), step in net.items() if step for key in (a * n + b, b * n + a)
         )
+        # One splice of keys and indices (np.delete plus np.insert pass twice):
+        # an insert goes before the key ``searchsorted`` finds; a delete is it.
+        at = np.searchsorted(keys, [key for key, _ in changes]).tolist()
+        parts, prev = [], 0
+        for where, (key, step) in zip(at, changes):
+            parts.append((keys[prev:where], indices[prev:where]))
+            if step > 0:
+                parts.append(([key], [key % n]))
+            prev = where + (step < 0)
+        parts.append((keys[prev:], indices[prev:]))
+        columns = zip(*parts)  # the keys' parts, the indices' parts
+        keys, indices = (np.concatenate(c, dtype=a.dtype) for c, a in zip(columns, (keys, indices)))
+        # Every row offset past a changed key's row moves by its step.
+        shifts = list(accumulate((step for _, step in changes), initial=0))
+        bounds = [0] + [key // n + 1 for key, _ in changes] + [n + 1]
+        indptr = indptr + np.repeat(np.array(shifts, indptr.dtype), np.diff(bounds))
+        # The §4.3 re-ballot of the dirty tiles: each change moves its
+        # tile's key count, and a tile is live iff its count is non-zero.
+        counts = counts.copy()
+        for key, step in changes:
+            counts[key // n // TC_M, key % n // TC_K] += step
+        state = (keys, indptr, indices, counts, counts != 0)
+        for arr in state:  # read-only before a snapshot can share it
+            arr.setflags(write=False)
+        self._state = state
 
     # ------------------------------------------------------------------ #
     # Publication
     # ------------------------------------------------------------------ #
     def snapshot(self) -> PackedAdjacency:
         """A frozen :class:`~repro.gnn.quantized.PackedAdjacency` of the
-        current structure.
-
-        Every array is a read-only *copy* of the live state: later
-        mutations never reach a published snapshot, and an attempt to
-        write through one raises.  This is the incremental replacement
-        for :func:`~repro.gnn.quantized.pack_batch_adjacency` — one copy
-        instead of a CSR rebuild plus re-pack — and bit-identical to it.
-        """
-        words = self._words.copy()
-        mask = self._mask.copy()
-        degrees = self._degrees.copy()
-        for arr in (words, mask, degrees):
+        current structure, bit-identical to a fresh
+        :func:`~repro.gnn.quantized.pack_batch_adjacency` of it: the live
+        CSR of ones and census, shared, not copied — no CSR rebuild and no
+        word packed.  Every array is read-only."""
+        _, indptr, indices, _, mask = self._state
+        data = np.ones(indices.size, np.float32)
+        degrees = np.diff(indptr).astype(np.float64)[:, None]
+        for arr in (data, degrees):
             arr.setflags(write=False)
-        packed = PackedBits(
-            words=words,
-            bits=1,
-            layout="col",
-            logical_vectors=self.num_nodes,
-            logical_k=self.num_nodes,
-            pad_vectors=TC_M,
-        )
-        return PackedAdjacency(
-            operand=Operand(packed=packed), plan=TileSkipPlan(masks=(mask,)), degrees=degrees
-        )
+        csr = sp.csr_matrix((data, indices, indptr), shape=(self.num_nodes,) * 2)
+        csr.has_canonical_format = True  # sorted, distinct keys
+        return PackedAdjacency(Operand(csr=csr), TileSkipPlan(masks=(mask,)), degrees)
 
     def census_mask(self) -> np.ndarray:
-        """A read-only copy of the live zero-tile census."""
-        mask = self._mask.copy()
-        mask.setflags(write=False)
-        return mask
+        """The live zero-tile census (read-only; a mutation replaces it)."""
+        return self._state[4]
 
     def to_csr(self) -> CSRGraph:
         """Rebuild the current structure as a static CSR (cached per

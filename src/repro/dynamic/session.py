@@ -8,9 +8,9 @@ engine's content-keyed artifact caches coherent across mutations:
   digest** — ``("adjacency", "dynamic", digest)`` for the packed operand,
   ``("plan", "dynamic", digest)`` for the compiled plan — so a mutation
   changes every key and a stale entry can never be *hit* again;
-* on mutation the packed operand is **delta-published** (a frozen
-  snapshot of the incrementally-updated planes, no CSR rebuild and
-  re-pack) and the live plan is **bound** by
+* on mutation the operand is **delta-published** (a snapshot sharing the
+  graph's incrementally-spliced CSR and census, no CSR rebuild from the
+  edge set and no word packed) and the live plan is **bound** by
   :meth:`~repro.serving.engine.InferenceEngine.compile_plan`: the
   engine's template for the graph's ``(num_nodes, census band)``
   retargeted at the new key, priced afresh only when that pair (or the
@@ -133,8 +133,8 @@ class DynamicSession:
     def mutate(self, mutations) -> MutationDelta:
         """Apply a mutation batch and bring the caches up to date.
 
-        Delta-updates the packed planes and census, publishes a frozen
-        snapshot under the new structure digest, binds the live plan
+        Splices the edits into the graph's CSR and census, publishes a
+        snapshot of them under the new structure digest, binds the live plan
         (:meth:`_bind`), then discards every superseded dynamic cache
         entry (:meth:`invalidate_mutated`).
         """
@@ -198,7 +198,7 @@ class DynamicSession:
         """One forward pass over the current structure.
 
         Resolves the operand and plan by the live structure digest
-        (seeding frozen snapshots / compiling on miss), verifies the pair
+        (publishing a snapshot / binding on miss), verifies the pair
         actually describes the live structure (a mismatch is a
         ``stale_kernel_hits`` event and forces a rebuild — it cannot
         serve), and runs the engine's round on it.  Logits are

@@ -221,10 +221,10 @@ def pack_layer_weight(weight: np.ndarray, bits: int) -> PackedLayerWeight:
 class PackedAdjacency:
     """A batch's aggregation operand, built once and reused across layers
     and (via a serving cache) across replays of the same batch:
-    ``operand``, the 1-bit column-compressed adjacency with self loops in
-    the form its producer held — a canonical CSR of ones
-    (:func:`pack_batch_adjacency`; the §4.2 words are packed on first read)
-    or the words (a dynamic-graph snapshot) — memoising what it derives;
+    ``operand``, the 1-bit column-compressed adjacency with self loops as a
+    canonical CSR of ones (:func:`pack_batch_adjacency`, or a dynamic
+    graph's snapshot; the §4.2 words are packed on first read), memoising
+    what it derives;
     ``plan``, the §4.3 tile census the measured skip counters read;
     ``degrees``, the ``(n, 1)`` float64 row sums (the aggregation's
     rank-1 epilogue)."""

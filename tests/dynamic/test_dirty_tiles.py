@@ -1,4 +1,5 @@
-"""Property/fuzz tests: the dirty-tile set is exactly the analytic set.
+"""Property/fuzz tests: the dirty-tile set is exactly the analytic set,
+and the live keys state is a fresh pack after every batch.
 
 Every mutation ``(u, v)`` must dirty precisely
 ``{(u//8, v//128), (v//8, u//128)}`` (one tile when the coordinates
@@ -6,17 +7,22 @@ coincide) — no more, no less — and the delta census must re-ballot
 exactly the dirty tiles while leaving every clean tile's verdict
 untouched.  Seeded random streams plus the adversarial corners: insert→
 delete round-trips, duplicates, self-loops, and tile-boundary edges at
-rows/cols ≡ 0 (mod 8) and ≡ 0 (mod 128).
+rows/cols ≡ 0 (mod 8) and ≡ 0 (mod 128).  A derandomised Hypothesis
+property pins the snapshot's CSR, census, degrees and words to
+``pack_batch_adjacency`` of the mutated edge set on node counts either
+side of every tile seam.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core.bitpack import recensus_tiles, tile_nonzero_mask
+from repro.core.bitpack import tile_nonzero_mask
 from repro.dynamic import MutableGraph, dirty_tiles_for
-from repro.errors import ShapeError
+from repro.gnn.quantized import pack_batch_adjacency
 from repro.graph.csr import CSRGraph
 
 
@@ -129,50 +135,79 @@ class TestTileBoundaries:
         )
 
 
-class TestRecensusTiles:
-    """The core partial-census helper, directly."""
+def assert_is_fresh_pack(mg: MutableGraph, context: str = "") -> None:
+    """The live state equals ``pack_batch_adjacency`` of the mutated edge
+    set: CSR arrays and dtypes, canonical format, census, degrees, words."""
+    oracle = pack_batch_adjacency(mg.to_batch())
+    snap = mg.snapshot()
+    got, want = snap.csr, oracle.csr
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, f"{name} dtype {context}"
+        np.testing.assert_array_equal(a, b, err_msg=f"{name} {context}")
+    assert got.has_canonical_format == want.has_canonical_format, context
+    np.testing.assert_array_equal(snap.plan.masks[0], oracle.plan.masks[0], err_msg=context)
+    np.testing.assert_array_equal(mg.census_mask(), oracle.plan.masks[0], err_msg=context)
+    assert snap.degrees.dtype == oracle.degrees.dtype
+    np.testing.assert_array_equal(snap.degrees, oracle.degrees, err_msg=context)
+    np.testing.assert_array_equal(snap.packed.words, oracle.packed.words, err_msg=context)
 
-    def test_matches_full_ballot_on_subset(self):
-        rng = np.random.default_rng(0)
-        words = rng.integers(0, 2**32, size=(16, 8), dtype=np.uint32)
-        words[0:8, 0:4] = 0
-        mask = tile_nonzero_mask(words)
-        stale = mask.copy()
-        stale[:] = True  # poison every verdict
-        count = recensus_tiles(words, stale, [(0, 0), (1, 1)])
-        assert count == 2
-        assert not stale[0, 0]  # re-balloted to the truth
-        assert stale[1, 1] == mask[1, 1]
-        assert stale[0, 1]  # untouched tiles keep the poisoned verdict
 
-    def test_empty_tile_list_is_noop(self):
-        words = np.zeros((8, 4), dtype=np.uint32)
-        mask = np.ones((1, 1), dtype=bool)
-        assert recensus_tiles(words, mask, []) == 0
-        assert mask[0, 0]
+SIZES = [1, 7, 8, 9, 127, 128, 129, 257]
 
-    def test_duplicate_coordinates_counted_once(self):
-        words = np.zeros((8, 4), dtype=np.uint32)
-        mask = np.ones((1, 1), dtype=bool)
-        assert recensus_tiles(words, mask, [(0, 0), (0, 0)]) == 1
-        assert not mask[0, 0]
 
-    def test_out_of_range_tile_rejected(self):
-        words = np.zeros((8, 4), dtype=np.uint32)
-        mask = np.zeros((1, 1), dtype=bool)
-        with pytest.raises(ShapeError):
-            recensus_tiles(words, mask, [(1, 0)])
+def seam_nodes(n: int) -> list[int]:
+    """Nodes on either side of the 8-row and 128-column seams, and the last."""
+    return sorted({v for v in (0, 1, 7, 8, 9, 15, 16, 127, 128, 129, 255, 256) if v < n} | {n - 1})
 
-    def test_bad_shapes_rejected(self):
-        with pytest.raises(ShapeError):
-            recensus_tiles(
-                np.zeros((7, 4), dtype=np.uint32),
-                np.zeros((1, 1), dtype=bool),
-                [(0, 0)],
-            )
-        with pytest.raises(ShapeError):
-            recensus_tiles(
-                np.zeros((8, 4), dtype=np.uint32),
-                np.zeros((2, 1), dtype=bool),
-                [(0, 0)],
-            )
+
+@st.composite
+def mutation_runs(draw):
+    """``(n, seed edges, batches)``; a delete names an edge the run holds
+    when it can, so deletes take effect and can empty a tile."""
+    n = draw(st.sampled_from(SIZES))
+    node = st.one_of(st.sampled_from(seam_nodes(n)), st.integers(0, n - 1))
+    pair = st.tuples(node, node)
+    edges = draw(st.lists(pair, max_size=30))
+    held = {(min(u, v), max(u, v)) for u, v in edges if u != v}
+    batches = []
+    for _ in range(draw(st.integers(1, 5))):
+        batch = []
+        for _ in range(draw(st.integers(0, 10))):
+            if held and draw(st.booleans()):
+                u, v = draw(st.sampled_from(sorted(held)))
+                batch.append(("delete", u, v))
+                held.discard((u, v))
+            else:
+                u, v = draw(pair)
+                batch.append(("insert", u, v))
+                if u != v:
+                    held.add((min(u, v), max(u, v)))
+        batches.append(batch)
+    return n, edges, batches
+
+
+class TestKeysStateIsAFreshPack:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(mutation_runs())
+    # Zero-edge graph; insert-then-delete of one edge within a batch.
+    @example((9, [], [[("insert", 0, 8), ("delete", 0, 8)], []]))
+    # A delete that empties a tile (the last node's, across the 128 seam).
+    @example((257, [(0, 256)], [[("delete", 0, 256)], [("insert", 127, 128)]]))
+    def test_every_batch_matches_a_fresh_pack(self, run):
+        n, edges, batches = run
+        pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        mg = MutableGraph.from_csr(CSRGraph.from_edges(n, pairs))
+        assert_is_fresh_pack(mg, f"n={n} seed")
+        for step, batch in enumerate(batches):
+            delta = mg.apply(batch)
+            assert delta.dirty_tiles == expected_dirty(delta.applied)
+            assert_is_fresh_pack(mg, f"n={n} batch={step}")
+
+    def test_a_delete_that_empties_a_tile_clears_its_census(self):
+        mg = MutableGraph.from_csr(empty_graph(257))
+        mg.insert_edge(0, 256)
+        assert mg.census_mask()[0, 2] and mg.census_mask()[32, 0]
+        mg.delete_edge(0, 256)
+        assert not mg.census_mask()[0, 2] and not mg.census_mask()[32, 0]
+        assert_is_fresh_pack(mg, "emptied")

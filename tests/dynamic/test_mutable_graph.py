@@ -107,6 +107,37 @@ class TestMutationSemantics:
         assert not mg.has_edge(3, 30)
 
 
+class TestAtomicity:
+    """A batch is validated whole before any of it is committed."""
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            [("insert", 0, 39), ("insert", 5, 99)],  # second edge out of range
+            [("insert", 0, 39), ("delete", 3, 30), ("upsert", 0, 1)],  # bad op last
+        ],
+    )
+    def test_a_batch_that_raises_changes_nothing(self, batch):
+        mg = MutableGraph.from_csr(small_graph())
+        mg.insert_edge(3, 30)
+        digest, version, edges = mg.structure_digest, mg.version, mg.num_edges
+        before = mg.snapshot()
+        with pytest.raises(ShapeError):
+            mg.apply(batch)
+        assert (mg.structure_digest, mg.version, mg.num_edges) == (digest, version, edges)
+        assert not mg.has_edge(0, 39) and mg.has_edge(3, 30)
+        after = mg.snapshot()
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(after.csr, name), getattr(before.csr, name))
+        np.testing.assert_array_equal(after.plan.masks[0], before.plan.masks[0])
+        np.testing.assert_array_equal(after.degrees, before.degrees)
+        np.testing.assert_array_equal(after.packed.words, before.packed.words)
+        # The version-keyed CSR and a fresh pack of it agree with the state.
+        assert mg.to_csr().num_edges == edges
+        oracle = pack_batch_adjacency(mg.to_batch())
+        np.testing.assert_array_equal(after.packed.words, oracle.packed.words)
+
+
 class TestDigest:
     def test_digest_moves_on_every_effective_mutation(self):
         mg = MutableGraph.from_csr(small_graph())

@@ -11,7 +11,8 @@ warm round re-derive what is a pure function of the artifacts it
 has just hit in the cache — kernel counters, the modeled report, GEMM
 specs — or read its activation codes a second time to range-check them;
 and those derivations die with the artifact they hang on.  A plan miss,
-static or a dynamic mutation, over a seen shape prices nothing.  With the
+static or a dynamic mutation, over a seen shape prices nothing, and a
+dynamic mutate-and-serve binds the snapshot's own CSR.  With the
 native kernel, a warm round runs no NumPy Eq. 2 and no row-sum GEMV, and
 its peak memory holds no float64 activation (a named ``tracemalloc``
 bound).
@@ -417,6 +418,42 @@ def test_a_mutation_over_a_seen_shape_prices_and_sorts_nothing(monkeypatch):
         assert fraction_band(session.mutable.nonzero_fraction) == band
         assert counts == dict.fromkeys(counts, 0)
     assert session.stats.plans_patched == 4
+
+
+def test_a_dynamic_mutate_and_serve_packs_and_decodes_nothing(spies):
+    """A ``DynamicSession`` round on a ``blas`` plan binds the snapshot's own
+    CSR: ``mutate(8 edits)`` plus ``serve()`` packs no word, decodes no word
+    back into a CSR and ballots no word-wide census."""
+    from repro.dynamic import DynamicSession
+    from repro.graph.csr import CSRGraph
+
+    rng = np.random.default_rng(3)
+    n = 320
+    graph = CSRGraph.from_edges(
+        n,
+        rng.integers(0, n, size=(900, 2)),
+        features=rng.standard_normal((n, 8)).astype(np.float32),
+    )
+    session = DynamicSession(
+        make_cluster_gcn(8, 4, seed=1), graph, ServingConfig(engine="blas", record_timings=False)
+    )
+    session.serve()
+    for _ in range(3):
+        csr = session.mutable.to_csr()
+        rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+        present = np.stack([rows, csr.indices], axis=1)[rows < csr.indices]
+        absent = [(u, v) for u, v in rng.integers(0, n, size=(64, 2)).tolist()
+                  if u != v and not session.mutable.has_edge(u, v)]
+        edits = [("delete", *e) for e in rng.choice(present, 4, replace=False).tolist()]
+        edits += [("insert", *e) for e in absent[:4]]
+        for name in spies:
+            spies[name] = 0
+        assert len(session.mutate(edits).applied) == 8
+        session.serve()
+        assert {name: spies[name] for name in spies if name != "blake2b"} == {
+            "pack_matrix": 0, "pack_edges": 0, "tile_nonzero_mask": 0, "_csr_from_words": 0,
+        }
+    assert session.stats.stale_kernel_hits == 0
 
 
 def test_replayed_counters_equal_fresh_derivations_times_replays(structures):
