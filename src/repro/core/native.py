@@ -15,11 +15,17 @@ Every operation is the NumPy path's, element by element and in its order,
 so the results are equal bit for bit: the product widened to float64,
 ``x * s``, each term added in its own rounding (``-ffp-contract=off``
 keeps GCC from fusing a multiply-add), ``np.maximum(x, 0.0)``, then
-``(x - alpha_min) / scale``, ``floor`` and the clip — at one bit too,
-where it is code for code :func:`~repro.core.quantization.quantize_into`'s
-``x >= threshold`` (that is how ``QuantParams.threshold`` is defined).
-``-ffast-math`` would reorder them and is never used;
+``(x - alpha_min) / scale``, ``floor`` and the clip — or, at one bit,
+:func:`~repro.core.quantization.quantize_into`'s one compare
+``x >= QuantParams.threshold`` (the divide form's code, by the threshold's
+definition).  ``-ffast-math`` would reorder them and is never used;
 ``-fno-trapping-math`` lets GCC vectorise the selects.
+
+An entry that writes row sums writes an update step's left operand, and
+takes its §4.3 census in the same pass: it counts the live ``8 x 128``
+tiles (8-row groups by 128-column blocks; codes are non-negative, so a
+tile is live iff its code sum is not zero).  :meth:`_Bound.run` returns
+the count beside the codes; the shared entry keeps it nowhere.
 
 The source is compiled once per process by :func:`load` with the system C
 compiler and opened with :mod:`ctypes`; without a compiler :func:`load`
@@ -61,55 +67,78 @@ SOURCE = r"""
 typedef struct {
     ptrdiff_t n, m;            /* the product's rows and columns */
     int relu;
-    int one_bit;               /* a 1-bit code of -0.0 is +0.0 (a compare) */
+    int one_bit;               /* a code is x >= threshold, not Eq. 2's divide */
     double scale, row_scale, constant;
     const double *rows;        /* the row term when a call passes no row sums */
     const double *cols, *bias; /* one per column */
-    double alpha_min, step, top;   /* the next step's Eq. 2 */
+    double alpha_min, step, top, threshold;   /* the next step's Eq. 2 */
 } tail_args;
 
+/* The element loop: the epilogue in one rounding per NumPy in-place
+   operation, np.maximum(x, 0.0) (NaN stays, a zero of either sign is +0.0),
+   then the code q by CODE — a compare, or Eq. 2's divide and a clip that
+   keeps a -0.0; both write a defined 0 for NaN, which the caller raises on.
+   One loop per CODE: a branch inside it kept GCC from vectorising. */
+#define ELEMENT(CODE, C, ACC)                                                  \
+    for (ptrdiff_t c = c0; c < c1; ++c) {                                      \
+        double x = (double)in[r * m + c] * scale, q;                           \
+        x = x + row;                                                           \
+        x = x + cols[c];                                                       \
+        x = x + constant;                                                      \
+        x = x + bias[c];                                                       \
+        x = relu && !(x > 0.0 || x != x) ? 0.0 : x;                            \
+        nan |= x != x;                                                         \
+        CODE                                                                   \
+        out[r * m + c] = (C)(quantize ? q : x);                                \
+        block += (ACC)q;                                                       \
+    }
+#define COMPARE q = x >= threshold ? 1.0 : 0.0;
+#define DIVIDE q = floor((x - lo) / step); q = q >= 0.0 ? q : 0.0; q = q > top ? top : q;
+
 /* Epilogue, ReLU and Eq. 2 into the next step's codes and their row sums,
-   or with QUANTIZE 0 the epilogue's float64 values (the logits); returns 1
-   when an activation is NaN.  The fields are read into locals first: as far
-   as the compiler can tell, the stores into the outputs could alias them,
-   which would keep it from vectorising. */
+   or with QUANTIZE 0 the epilogue's float64 values (the logits).  The
+   elements are visited tile by tile (8-row groups by 128-column blocks) so
+   that a call writing row sums also counts the live tiles of its codes; it
+   returns that count (0 for a call without row sums), or -1 when an
+   activation is NaN.  The fields are read into locals first: as far as the
+   compiler can tell, the stores into the outputs could alias them, which
+   would keep it from vectorising. */
 #define TAIL(NAME, P, C, ACC, QUANTIZE)                                        \
-int NAME(const tail_args *a, const P *restrict in, const double *sums,         \
-         C *restrict out, double *restrict out_sums)                           \
+ptrdiff_t NAME(const tail_args *a, const P *restrict in, const double *sums,   \
+               C *restrict out, double *restrict out_sums)                     \
 {                                                                              \
     const ptrdiff_t n = a->n, m = a->m;                                        \
     const int relu = a->relu, quantize = QUANTIZE, one_bit = a->one_bit;       \
     const double scale = a->scale, row_scale = a->row_scale;                   \
     const double constant = a->constant, lo = a->alpha_min;                    \
-    const double step = a->step, top = a->top;                                 \
+    const double step = a->step, top = a->top, threshold = a->threshold;       \
     const double *restrict rows = sums ? sums : a->rows;                       \
     const double *restrict cols = a->cols, *restrict bias = a->bias;           \
+    ptrdiff_t live = 0;                                                        \
     int nan = 0;                                                               \
-    for (ptrdiff_t r = 0; r < n; ++r) {                                        \
-        const double row = rows ? row_scale * rows[r] : -0.0;                  \
-        ACC acc = 0;                                                           \
-        for (ptrdiff_t c = 0; c < m; ++c) {                                    \
-            /* One rounding per NumPy in-place operation, then                 \
-               np.maximum(x, 0.0): NaN stays, a zero of either sign is +0.0. */ \
-            double x = (double)in[r * m + c] * scale;                          \
-            x = x + row;                                                       \
-            x = x + cols[c];                                                   \
-            x = x + constant;                                                  \
-            x = x + bias[c];                                                   \
-            x = relu && !(x > 0.0 || x != x) ? 0.0 : x;                        \
-            nan |= x != x;                                                     \
-            /* The clip keeps a -0.0 (but a 1-bit code is a compare's +0.0)    \
-               and writes a defined 0 for NaN, which the caller raises on. */  \
-            double q = floor((x - lo) / step);                                 \
-            q = q >= 0.0 && !(one_bit && q == 0.0) ? q : 0.0;                  \
-            q = q > top ? top : q;                                             \
-            out[r * m + c] = (C)(quantize ? q : x);                            \
-            acc += (ACC)q;                                                     \
+    for (ptrdiff_t r0 = 0; r0 < n; r0 += 8) {                                  \
+        const ptrdiff_t r1 = n - r0 < 8 ? n : r0 + 8;                          \
+        ACC acc[8] = {0};                                                      \
+        for (ptrdiff_t c0 = 0; c0 < m; c0 += 128) {                            \
+            const ptrdiff_t c1 = m - c0 < 128 ? m : c0 + 128;                  \
+            int any = 0;                                                       \
+            for (ptrdiff_t r = r0; r < r1; ++r) {                              \
+                const double row = rows ? row_scale * rows[r] : -0.0;          \
+                ACC block = 0;                                                 \
+                if (one_bit)                                                   \
+                    ELEMENT(COMPARE, C, ACC)                                   \
+                else                                                           \
+                    ELEMENT(DIVIDE, C, ACC)                                    \
+                acc[r - r0] += block;                                          \
+                any |= block != 0;                                             \
+            }                                                                  \
+            live += any;                                                       \
         }                                                                      \
         if (quantize && out_sums)                                              \
-            out_sums[r] = (double)acc;                                         \
+            for (ptrdiff_t r = r0; r < r1; ++r)                                \
+                out_sums[r] = (double)acc[r - r0];                             \
     }                                                                          \
-    return quantize && nan;                                                    \
+    return quantize && nan ? -1 : quantize && out_sums ? live : 0;             \
 }
 
 /* Row sums of float32 codes are below 2**24 (the exact-dtype bound), so an
@@ -132,6 +161,7 @@ class _TailArgs(ctypes.Structure):
         ("scale", ctypes.c_double), ("row_scale", ctypes.c_double), ("constant", ctypes.c_double),
         ("rows", ctypes.c_void_p), ("cols", ctypes.c_void_p), ("bias", ctypes.c_void_p),
         ("alpha_min", ctypes.c_double), ("step", ctypes.c_double), ("top", ctypes.c_double),
+        ("threshold", ctypes.c_double),
     ]
 
 
@@ -174,7 +204,7 @@ def _compile() -> ctypes.CDLL | None:
         for out in (*CODE_DTYPES, "logits"):
             fn = getattr(lib, f"tail_{product}_{out}")
             fn.argtypes = (ctypes.POINTER(_TailArgs), _BUFFER, _BUFFER, _BUFFER, _BUFFER)
-            fn.restype = ctypes.c_int
+            fn.restype = ctypes.c_ssize_t
     return lib
 
 
@@ -204,9 +234,15 @@ class _Bound:
         return self._recipe
 
     def __call__(self, values: np.ndarray, sums: np.ndarray | None = None):
-        """``(outputs, their row sums or None)`` of ``values`` — the
-        product (with the step's own codes' row sums on an update step) or,
-        for the quantize-only entry, the activation."""
+        """``(outputs, their row sums or None)`` of ``values``: :meth:`run`
+        without the census."""
+        return self.run(values, sums)[:2]
+
+    def run(self, values: np.ndarray, sums: np.ndarray | None = None):
+        """``(outputs, their row sums, their live 8 x 128 tiles)`` of
+        ``values`` — the product (with the step's own codes' row sums on an
+        update step) or, for the quantize-only entry, the activation; the
+        sums and the count are ``None`` for an entry bound without sums."""
         dtype, shape = self._in
         if values.shape != shape or values.dtype != dtype:
             raise ShapeError(f"bound for a {dtype} {shape} operand, got a {values.dtype} {values.shape} one")
@@ -214,10 +250,11 @@ class _Bound:
             raise ShapeError(f"an update step's tail reads its codes' {self._rows} float64 row sums")
         out = np.empty(*self._out)
         out_sums = np.empty(shape[0]) if self._sums else None
-        if self._fn(self._args, _buffer(values), _buffer(sums if self._rows else None),
-                    _buffer(out), _buffer(out_sums)):
+        live = self._fn(self._args, _buffer(values), _buffer(sums if self._rows else None),
+                        _buffer(out), _buffer(out_sums))
+        if live < 0:
             raise BitwidthError(_NAN)
-        return out, out_sums
+        return out, out_sums, live if self._sums else None
 
 
 def _float64(term, shape: tuple[int, int]) -> np.ndarray:
@@ -281,7 +318,7 @@ def _bind(recipe, product, shape, terms, relu, params, dtype, sums, reads_sums) 
     rows, cols, bias = (None if a is None else ctypes.addressof(ctypes.c_char.from_buffer(a))
                         for a in keep)  # cheaper than ``a.ctypes.data``
     args = _TailArgs(n, m, relu, one_bit, scale, row_scale, constant, rows, cols, bias,
-                     alpha_min, step, top)  # positional: the fields' order
+                     alpha_min, step, top, params.threshold if one_bit else 0.0)  # the fields' order
     name = _NAMES[out] if params is not None else "logits"
     return _Bound(recipe, getattr(lib, f"tail_{_NAMES[product]}_{name}"), args, keep,
                   (product, shape), (n,) if reads_sums else None, (shape, out),

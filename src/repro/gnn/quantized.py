@@ -24,7 +24,7 @@ takes the product in it and adds the terms in place, one float64 buffer
 from activation to activation, no full-precision round trip in between —
 and once the next step's calibration site is frozen (every round after
 warm-up, a binding round too) not even that: one native pass
-(:mod:`repro.core.native`) turns a product into the next step's codes.
+(:mod:`repro.core.native`) turns a product into the next step's codes and census.
 Only the ``q_a q_b`` term touches the Tensor Core.
 
 Serving hooks
@@ -387,7 +387,8 @@ class _BoundStep(NamedTuple):
     """One GEMM step lowered against its artifacts: ``fixed`` is the cached
     side (adjacency left, weights right); ``matmul`` the ``blas`` product on
     raw codes with its matrix bound, else ``None``; ``counters`` is ``None``
-    when a 1-bit activation under jumping is balloted per round;
+    when a 1-bit activation under jumping is censused per round, ``census``
+    then its counters' key (:meth:`~repro.tc.kernel.BitGemmKernel.key`);
     ``epilogue`` the affine terms, by the unbound form's float operations
     in its order: ``(s, c deg)`` or ``(s_l s_r, s_l c_r, ones, c_l s_r
     colsums, k c_l c_r, bias)``."""
@@ -403,6 +404,7 @@ class _BoundStep(NamedTuple):
     fixed: Operand
     matmul: object
     counters: KernelCounters | None
+    census: tuple | None
     epilogue: tuple
 
     def operand(self, codes: np.ndarray) -> Operand:
@@ -410,7 +412,7 @@ class _BoundStep(NamedTuple):
         return Operand(codes, self.params.bits, "row" if self.aggregate else "col", proven=True)
 
 
-def _bind_step(step, layer, relu, registry, kernel, params, weight, adjacency, bias) -> _BoundStep:
+def _bind_step(step, layer, relu, registry, params, weight, adjacency, bias) -> _BoundStep:
     """The binding round's bound step; its counters are taken from its codes
     in the ``census`` interval (the weights' ``k`` is the activation's, or
     the pair check raises there)."""
@@ -426,11 +428,11 @@ def _bind_step(step, layer, relu, registry, kernel, params, weight, adjacency, b
         ones.setflags(write=False)
         epilogue = (s_l * s_r, s_l * c_r, ones, c_l * s_r * weight.col_sums, k * c_l * c_r, bias)
     matmul = None
-    if backend.run is codes_gemm and (aggregate or not kernel.jumps(params)):
+    if backend.run is codes_gemm:
         matrix = fixed.matrix(dtype)
         matmul = matrix.__matmul__ if aggregate else matrix.__rmatmul__
     return _BoundStep(step, layer, aggregate, relu, label, params, dtype, backend, fixed,
-                      matmul, None, epilogue)
+                      matmul, None, None, epilogue)
 
 
 class _Program(NamedTuple):
@@ -606,7 +608,7 @@ def execute_forward_plan(
             f"a batch with {h.shape[1]} features; compile a fresh plan"
         )
     bound, counters, recoveries, recovered = [], [], [], {}
-    codes = sums = None  # a step's codes (and row sums), when the step before wrote them
+    codes = sums = live = None  # a step's codes (row sums, live tiles), when the step before wrote them
     for i, (bs, (quantize, tail)) in enumerate(zip(schedule, natives)):
         if program is None:  # binding: calibrate, lower the step, bind its native entries
             step, layer, relu = bs
@@ -615,7 +617,7 @@ def execute_forward_plan(
             params = frozen if frozen is not None else (
                 calibrate(h, site.bits) if calibration is None
                 else calibration.params_for(site.site, h, site.bits))
-            bs = _bind_step(step, layer, relu, backends, kernel, params, packed_weights[layer],
+            bs = _bind_step(step, layer, relu, backends, params, packed_weights[layer],
                             packed_adjacency, model.biases[layer])
             if frozen is not None:
                 into = () if i + 1 == len(schedule) else _frozen_into(*schedule[i + 1][:2],
@@ -623,21 +625,26 @@ def execute_forward_plan(
                 quantize, tail = _bind_native(bs, into, codes is not None)
             stamp(clock())
         if codes is None:
-            codes, sums = (quantize(h) if quantize is not None
-                           else (quantize_into(h, bs.params, bs.dtype), None))
-        operand = bs.operand(codes) if program is None or bs.matmul is None else None
+            codes, sums, live = (quantize.run(h) if quantize is not None
+                                 else (quantize_into(h, bs.params, bs.dtype), None, None))
+        # Binding checks the pair; a replay ballots in Python only codes no native pass censused.
+        account = program is None or bs.counters is None and live is None
+        operand = bs.operand(codes) if account or bs.matmul is None else None
         stamp(clock())
         if bs.matmul is None and bs.backend.caps.consumes_words:
             operand.pack()
             bs.fixed.pack()
         stamp(clock())
         step_counters = bs.counters
-        if step_counters is None:  # binding, or a 1-bit activation's ballot: per round
+        if account:
             pair = (bs.fixed, operand) if bs.aggregate else (operand, bs.fixed)
             step_counters = kernel.account(*pair, packed_adjacency.plan if bs.aggregate else None,
-                                           bs.step.derived)
-            if program is None and (bs.aggregate or not kernel.jumps(operand)):
-                bs = bs._replace(counters=step_counters)
+                                           bs.step.derived, live)
+            if program is None:  # a 1-bit activation under jumping is censused per round
+                census = None if bs.aggregate or not kernel.jumps(operand) else kernel.key(*pair)
+                bs = bs._replace(counters=None if census else step_counters, census=census)
+        elif step_counters is None:  # censused by the pass that wrote the codes
+            step_counters = kernel.tally(bs.census, live, bs.step.derived)
         bound.append(bs)
         counters.append(step_counters)
         stamp(clock())
@@ -669,7 +676,7 @@ def execute_forward_plan(
         # ``packed``, primary or a recovery's fallback) keeps NumPy.
         fused = tail is not None and out.dtype == bs.dtype
         if fused:  # the same operations below, the ReLU and the next Eq. 2 in one pass
-            codes, sums = tail(out, sums)
+            codes, sums, live = tail.run(out, sums)
             h = codes  # the last step's are the logits
         else:
             # The product is widened exactly, then scaled in float64 (NumPy 2

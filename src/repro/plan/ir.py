@@ -149,7 +149,7 @@ class GemmStep:
         """Memo of what every launch of this step would re-derive from the
         step alone: its bindings per registry (resolved backend, exact GEMM
         dtype, label), its dispatch-table bucket and the kernel counters of
-        its census-free launches.  Not a field, so outside the plan's
+        its launches, by live-tile count.  Not a field, so outside the plan's
         ``repr``, hash and equality; it dies with the last step holding it
         (the steps :meth:`ExecutionPlan.retarget_adjacency` binds share it)."""
         return {}

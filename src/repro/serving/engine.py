@@ -1002,13 +1002,12 @@ class InferenceEngine:
         stats.requests += len(batch.members)
         stats.batches += 1
         stats.nodes += batch.num_nodes
-        totals = program.totals
-        if totals is None:  # a step counted a per-round ballot
-            totals = forward.total_counters
-        stats.mma_ops += totals.mma_ops
-        stats.kernel_launches += totals.launches
-        stats.tiles_total += totals.tiles_total
-        stats.tiles_skipped += totals.tiles_skipped
+        # A step censused per round has no program total: its records are summed.
+        for totals in forward.counters if program.totals is None else (program.totals,):
+            stats.mma_ops += totals.mma_ops
+            stats.kernel_launches += totals.launches
+            stats.tiles_total += totals.tiles_total
+            stats.tiles_skipped += totals.tiles_skipped
         self.device_report.merge(bound.report)
         return forward
 

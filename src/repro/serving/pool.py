@@ -506,11 +506,11 @@ class ServingPool:
     # Sharding
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _structure_digest(subgraph: Subgraph) -> bytes:
+    def _structure_digest(graph) -> bytes:  # hashed once per member (``Subgraph.memo``)
         h = hashlib.blake2b(digest_size=8)
-        h.update(subgraph.graph.indptr.tobytes())
+        h.update(graph.indptr.tobytes())
         h.update(b"|")
-        h.update(subgraph.graph.indices.tobytes())
+        h.update(graph.indices.tobytes())
         return h.digest()
 
     def shard_of(self, subgraph: Subgraph, seq: int | None = None) -> int:
@@ -520,7 +520,7 @@ class ServingPool:
         benchmark still passes it, and goes when that harness stops
         (ROADMAP direction 1(a)).
         """
-        digest = self._structure_digest(subgraph)
+        digest = subgraph.memo("_shard_digest", self._structure_digest)
         return int.from_bytes(digest, "little") % self.pool_config.workers
 
     # ------------------------------------------------------------------ #

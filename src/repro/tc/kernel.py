@@ -33,7 +33,7 @@ from typing import Literal
 import numpy as np
 
 from ..core.bitgemm import Engine, _resolve_backend
-from ..core.bitpack import Operand, PackedBits, as_operand, check_pair, tile_nonzero_mask
+from ..core.bitpack import Operand, PackedBits, as_operand, check_pair, pad_to, tile_nonzero_mask
 from ..errors import ShapeError
 from .counters import KernelCounters
 from .fragments import make_fragment
@@ -294,16 +294,18 @@ class BitGemmKernel:
     def launch(self, backend, a: Operand, b: Operand, plan=None, memo=None) -> KernelResult:
         """:meth:`run` on an already resolved
         :class:`~repro.plan.registry.Backend`.  ``memo``, a dict on the
-        plan step of a census-less launch, keeps its counters for replays."""
+        plan step, keeps its counters for replays (:meth:`tally`)."""
         return KernelResult(backend.run(a, b), self.account(a, b, plan, memo))
 
     def jumps(self, a: "Operand | PackedBits") -> bool:
         """Whether zero-tile jumping engages on left operand ``a`` (1-bit)."""
         return self.config.zero_tile_jumping and a.bits == 1
 
-    def account(self, a: Operand, b: Operand, plan=None, memo=None) -> KernelCounters:
+    def account(self, a: Operand, b: Operand, plan=None, memo=None, live=None) -> KernelCounters:
         """The counters of a launch — all of it but the product, checks
-        included: what a bound forward step takes once."""
+        included: what a bound forward step takes once.  ``live``, the
+        count of live tiles of a 1-bit left operand that the pass writing
+        it took (:mod:`repro.core.native`), stands in for its ballot."""
         check_pair(a, b)
         if plan is not None and not plan.matches(a):
             raise ShapeError(
@@ -311,36 +313,51 @@ class BitGemmKernel:
                 f"does not describe the left operand "
                 f"({a.padded_vectors // 8}, {a.k_words // 4}) x {a.bits}"
             )
-        if plan is None and self.jumps(a):
-            plan = plan_tile_skip(a)
-        # Pure in (geometry, census, config): memoised on the census, else in ``memo``.
-        if plan is not None:
-            memo = plan.derived
-        elif memo is None:
-            memo = {}
-        config = self.config  # flat key: a launch hashes no dataclass
-        key = (
+        jumping = self.jumps(a)
+        if live is None and jumping:
+            live = (plan_tile_skip(a) if plan is None else plan).nonzero_tiles
+        shared = None if plan is None else plan.derived
+        if memo is None:
+            memo, shared = ({} if shared is None else shared), None
+        return self.tally(self.key(a, b), live if jumping else None, memo, shared)
+
+    def key(self, a: Operand, b: Operand) -> tuple:
+        """The flat configuration and geometry key of a launch's counters
+        (a launch hashes no dataclass)."""
+        config = self.config
+        return (
             config.zero_tile_jumping, config.reuse, a.logical_vectors, a.logical_k,
             b.logical_vectors, a.bits, b.bits, a.pad_vectors, b.pad_vectors,
         )
-        counters = memo.get(key)
+
+    def tally(self, key: tuple, live: int | None, memo: dict, shared: dict | None = None) -> KernelCounters:
+        """The counters of a launch of geometry ``key`` (:meth:`key`) whose
+        jumped 1-bit left operand has ``live`` non-zero tiles (``None``: it
+        does not jump).  They are pure in the pair, so ``memo`` keeps them
+        by it — at most ``mt * kt + 1`` entries per geometry: the first
+        launch with a count derives, later ones look it up.  A ``shared``
+        memo (a census's, which every launch over it may read) is read
+        before deriving, and filled too."""
+        pair = (key, live)
+        counters = memo.get(pair)
         if counters is None:
-            counters = memo[key] = self._derive_counters(a, b, plan)
+            counters = memo[pair] = (shared or {}).get(pair) or self._derive_counters(key, live)
+            if shared is not None:
+                shared[pair] = counters
         return counters
 
-    def _derive_counters(
-        self, a: Operand, b: Operand, plan: TileSkipPlan | None
-    ) -> KernelCounters:
-        mt = a.padded_vectors // 8
-        kt = a.k_words // 4
-        nt = b.padded_vectors // 8
-        jumping = self.jumps(a)
-        processed = plan.processed_per_plane() if jumping else [mt * kt] * a.bits
+    def _derive_counters(self, key: tuple, live: int | None) -> KernelCounters:
+        _, _, m, k, n, bits_a, bits_b, pad_a, pad_b = key
+        mt = pad_to(max(m, 1), pad_a) // 8
+        kt = pad_to(max(k, 1), 128) // 128
+        nt = pad_to(max(n, 1), pad_b) // 8
+        jumping = live is not None
+        processed = [live] if jumping else [mt * kt] * bits_a
         counters = derive_tile_counters(
-            mt=mt, kt=kt, nt=nt, bits_a=a.bits, bits_b=b.bits,
+            mt=mt, kt=kt, nt=nt, bits_a=bits_a, bits_b=bits_b,
             processed_per_plane=processed, jumping=jumping, config=self.config,
         )
-        counters.tags["shape"] = (a.logical_vectors, a.logical_k, b.logical_vectors)
+        counters.tags["shape"] = (m, k, n)
         return counters
 
     # ------------------------------------------------------------------ #

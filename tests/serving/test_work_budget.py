@@ -858,9 +858,10 @@ def test_process_pool_serve_writes_no_table_files(structures, tmp_path):
 @pytest.fixture
 def bindings(monkeypatch):
     """Call counters on what a bound program takes once: kernel configs and
-    emulators, the pair and census checks, counter records and their
-    merges, the shape bucket and a step-level binding (its exact dtype and
-    its backend resolution, under every name they are imported by)."""
+    emulators, the pair and census checks, the Python §4.3 ballot, counter
+    records and their merges, the shape bucket and a step-level binding
+    (its exact dtype and its backend resolution, under every name they are
+    imported by)."""
     from repro.tc.counters import KernelCounters
 
     # By module name: some are also functions their packages export.
@@ -869,20 +870,22 @@ def bindings(monkeypatch):
         for name in ("plan.autotune", "plan.registry", "core.bitgemm", "gnn.quantized")
     )
     counts = dict.fromkeys(
-        ["KernelConfig", "BitGemmKernel", "check_pair", "matches", "KernelCounters",
-         "merge", "bucket_for", "exact_gemm_dtype", "resolve_engine_name"], 0
+        ["KernelConfig", "BitGemmKernel", "check_pair", "matches", "tile_masks", "plan_tile_skip",
+         "KernelCounters", "merge", "bucket_for", "exact_gemm_dtype", "resolve_engine_name"], 0
     )
     counting = partial(_counting, counts)
     for cls, method, name in (
         (tc_kernel.KernelConfig, "__post_init__", "KernelConfig"),
         (tc_kernel.BitGemmKernel, "__init__", "BitGemmKernel"),
         (tc_kernel.TileSkipPlan, "matches", "matches"),
+        (bitpack.Operand, "tile_masks", "tile_masks"),
         (KernelCounters, "__init__", "KernelCounters"),
         (KernelCounters, "merge", "merge"),
     ):
         monkeypatch.setattr(cls, method, counting(name, getattr(cls, method)))
     for name, home, importers in (
         ("check_pair", bitpack, (tc_kernel, bitgemm)),
+        ("plan_tile_skip", tc_kernel, (quantized,)),
         ("bucket_for", autotune, ()),
         ("exact_gemm_dtype", bitgemm, (quantized,)),
         ("resolve_engine_name", registry, (quantized,)),
@@ -983,6 +986,95 @@ def test_a_binding_round_over_a_frozen_calibration_is_native(monkeypatch, struct
         engine.infer(members)
         assert counts == {"quantize_into": 0, "_row_sums": 0, "_bind_step": steps}
     assert engine.stats.adjacency_cache.hits == 0
+
+
+def _gateway_open_structure():
+    """One structure of the ``gateway_open`` mix: ~256 nodes, 8 features."""
+    g = planted_partition_graph(
+        1024, 6000, num_communities=4, feature_dim=8, num_classes=4,
+        rng=np.random.default_rng(5),
+    )
+    return induced_subgraphs(g, metis_like_partition(g, 4))[:1]
+
+
+def _gateway_open_rounds(counts, members):
+    """Three rounds of a ``gateway_open``-shaped engine (batched GIN, hidden
+    8, 1 bit) over one structure: the binding round, the first replay and
+    the second, with the second's call counts."""
+    engine = InferenceEngine(make_batched_gin(8, 4, hidden_dim=8, seed=5),
+                             ServingConfig(feature_bits=1, batch_size=2))
+    logits = [engine.infer(members)[0].logits for _ in range(2)]
+    for name in counts:
+        counts[name] = 0
+    logits.append(engine.infer(members)[0].logits)
+    stats = engine.stats
+    return dict(counts), logits, (stats.mma_ops, stats.kernel_launches, stats.tiles_total,
+                                  stats.tiles_skipped)
+
+
+@needs_kernel
+def test_a_one_bit_bound_replay_takes_its_census_from_the_native_pass(bindings, monkeypatch):
+    """The 1-bit twin of the bound-replay budget: each update step's codes
+    come with their live-tile count from the native pass that wrote them,
+    so a second replay ballots nothing in Python, checks no pair and builds
+    no counter record.  Without the kernel the same rounds ballot in Python
+    and serve the same logits and the same counters."""
+    members = _gateway_open_structure()
+    counts, logits, stats = _gateway_open_rounds(bindings, members)
+    assert counts == dict.fromkeys(bindings, 0)
+    monkeypatch.setattr(native, "load", lambda: None)
+    numpy_counts, numpy_logits, numpy_stats = _gateway_open_rounds(bindings, members)
+    assert numpy_counts["tile_masks"] == numpy_counts["plan_tile_skip"] > 0
+    for want, got in zip(numpy_logits, logits):
+        np.testing.assert_array_equal(want, got)
+    assert numpy_stats == stats and stats[3] > 0
+
+
+@needs_kernel
+def test_a_cold_miss_over_seen_census_counts_derives_no_counters(monkeypatch, structures):
+    """A ``cold_structures``-shaped stream (1-bit cluster GCN, caches of
+    capacity 1): a miss over a structure served before binds a new
+    adjacency, whose aggregate census and 1-bit activations have counts its
+    steps have seen — every step's counters are looked up, none derived."""
+    counts = {"_derive_counters": 0}
+    monkeypatch.setattr(tc_kernel.BitGemmKernel, "_derive_counters", _counting(
+        counts, "_derive_counters", tc_kernel.BitGemmKernel._derive_counters))
+    engine = InferenceEngine(make_cluster_gcn(12, 3, seed=4), ServingConfig(
+        feature_bits=1, batch_size=4, adjacency_cache_capacity=1, plan_cache_capacity=1,
+    ))
+    engine.infer(structures[0])  # first touch: calibrates
+    engine.infer(structures[1])  # evicts the first structure
+    misses, hits = engine.stats.plan_cache.misses, engine.stats.adjacency_cache.hits
+    counts["_derive_counters"] = 0
+    engine.infer(structures[0])
+    assert engine.stats.plan_cache.misses == misses + 1
+    assert engine.stats.adjacency_cache.hits == hits
+    assert counts == {"_derive_counters": 0}
+
+
+def test_gateway_routing_hashes_a_structure_once(monkeypatch, structures):
+    """The pool routes a structure by a digest memoised on the member:
+    twenty gateway requests for one structure hash it once."""
+    from repro.serving import GatewayConfig, PoolConfig, ServingGateway, ServingPool
+    from repro.serving import pool as pool_module
+
+    counts = {"blake2b": 0}
+    monkeypatch.setattr(pool_module, "hashlib",
+                        SimpleNamespace(blake2b=_counting(counts, "blake2b", hashlib.blake2b)))
+    sub = structures[0][0]
+    with ServingPool(
+        make_batched_gin(12, 3, hidden_dim=8, seed=5),
+        ServingConfig(feature_bits=1, batch_size=2),
+        pool=PoolConfig(workers=2),
+    ) as pool:
+        ServingGateway(pool, GatewayConfig(max_in_flight=4)).run([sub] * 20)
+        home = pool.shard_of(sub)
+        assert pool.stats().requests == 20
+    assert counts == {"blake2b": 1}
+    want = hashlib.blake2b(digest_size=8)
+    for array in (sub.graph.indptr, b"|", sub.graph.indices):
+        want.update(array if isinstance(array, bytes) else array.tobytes())
+    assert home == int.from_bytes(want.digest(), "little") % 2
 
 
 #: A warm round may hold, at its peak, three ``(n, hidden)`` buffers in the
