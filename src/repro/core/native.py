@@ -1,4 +1,4 @@
-"""A forward step's tail in one native pass (paper §4.5 on the host).
+"""A forward step's tail, or a batch adjacency, in one native pass (paper §4.5, §4.3).
 
 The QGTC kernel applies the rank-1 dequantization epilogue and the next
 layer's quantize before anything goes back to memory.  On the host, a
@@ -27,6 +27,10 @@ tiles (8-row groups by 128-column blocks; codes are non-negative, so a
 tile is live iff its code sum is not zero).  :meth:`_Bound.run` returns
 the count beside the codes; the shared entry keeps it nowhere.
 
+The other kind of entry, :func:`adjacency`, packs: it concatenates a
+batch's member CSRs and writes each row's degree and the census of the
+tiles its entries fall in (the §4.3 ballot taken as subgraphs are packed).
+
 The source is compiled once per process by :func:`load` with the system C
 compiler and opened with :mod:`ctypes`; without a compiler :func:`load`
 returns ``None`` (one ``native_tail_unavailable`` event) and the callers
@@ -47,7 +51,7 @@ from ..errors import BitwidthError, ShapeError
 from ..telemetry import emit_event
 from .quantization import QuantParams
 
-__all__ = ["SOURCE", "bind_quantize", "bind_tail", "load"]
+__all__ = ["SOURCE", "adjacency", "bind_quantize", "bind_tail", "load"]
 
 #: The compiler :func:`load` runs, and its flags (see the module doc).
 COMPILER = "cc"
@@ -151,6 +155,37 @@ TAIL(tail_float64_float64, double, double, int64_t, 1)
 TAIL(tail_float64_int64, double, int64_t, int64_t, 1)
 TAIL(tail_float32_logits, float, double, int64_t, 0)
 TAIL(tail_float64_logits, double, double, int64_t, 0)
+
+/* Member g's CSR (pointers, indices, rows, entries at members[4g..4g+3])
+   at its node offset, its rows' entry counts as degrees and a 1 per 8 x 128
+   tile (kt to a row group) an entry falls in.  Returns the entries, or -1 at
+   a pointer out of order or a row not strictly increasing in its block. */
+ptrdiff_t adjacency(ptrdiff_t count, const ptrdiff_t *members, ptrdiff_t kt, int32_t *restrict indptr,
+                    int32_t *restrict indices, double *restrict degrees, unsigned char *restrict mask)
+{
+    ptrdiff_t row = 0, nnz = 0;
+    indptr[0] = 0;
+    for (const ptrdiff_t *g = members; g < members + 4 * count; g += 4, nnz += g[-1]) {
+        const int32_t *ptr = (const int32_t *)g[0], *idx = (const int32_t *)g[1];
+        const ptrdiff_t size = g[2], stored = g[3], base = row;
+        if (ptr[0] != 0 || ptr[size] != stored)
+            return -1;
+        for (ptrdiff_t r = 0; r < size; ++r, ++row) {
+            const ptrdiff_t lo = ptr[r], hi = ptr[r + 1];
+            if (hi < lo || hi > stored)
+                return -1;
+            for (ptrdiff_t e = lo, last = -1; e < hi; last = idx[e++]) {
+                if (idx[e] <= last || idx[e] >= size)
+                    return -1;
+                indices[nnz + e] = (int32_t)(base + idx[e]);
+                mask[row / 8 * kt + (base + idx[e]) / 128] = 1;
+            }
+            indptr[row + 1] = (int32_t)(nnz + hi);
+            degrees[row] = (double)(hi - lo);
+        }
+    }
+    return nnz;
+}
 """
 
 
@@ -205,6 +240,8 @@ def _compile() -> ctypes.CDLL | None:
             fn = getattr(lib, f"tail_{product}_{out}")
             fn.argtypes = (ctypes.POINTER(_TailArgs), _BUFFER, _BUFFER, _BUFFER, _BUFFER)
             fn.restype = ctypes.c_ssize_t
+    lib.adjacency.argtypes = (ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_ssize_t, *[ctypes.c_void_p] * 4)
+    lib.adjacency.restype = ctypes.c_ssize_t
     return lib
 
 
@@ -255,6 +292,25 @@ class _Bound:
         if live < 0:
             raise BitwidthError(_NAN)
         return out, out_sums, live if self._sums else None
+
+
+def adjacency(loops) -> tuple[np.ndarray, ...] | None:
+    """The int32 ``indptr`` / ``indices`` of the block-diagonal CSR of
+    ``loops`` (members' ``(indptr, indices)``), its ``(n, 1)`` float64
+    degrees and tile census; ``None`` without the library, for a
+    member not C-ordered int32, past int32 or refused by the pass."""
+    lib = load()
+    if lib is None or any(a.dtype != np.int32 or not a.flags.c_contiguous for pair in loops for a in pair):
+        return None
+    members = np.array([(ptr.ctypes.data, idx.ctypes.data, ptr.size - 1, idx.size)
+                        for ptr, idx in loops], np.intp).reshape(-1, 4)
+    n, nnz = members[:, 2:].sum(axis=0).tolist()
+    if not n or max(n, nnz) >= 1 << 31:
+        return None
+    out = (np.empty(n + 1, np.int32), np.empty(nnz, np.int32), np.empty((n, 1)),
+           np.zeros((-(-n // 8), -(-n // 128)), bool))
+    done = lib.adjacency(len(loops), members.ctypes.data, out[3].shape[1], *(a.ctypes.data for a in out))
+    return out if done == nnz else None
 
 
 def _float64(term, shape: tuple[int, int]) -> np.ndarray:

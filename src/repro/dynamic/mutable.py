@@ -31,15 +31,13 @@ from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
-from ..core.bitpack import TC_K, TC_M, Operand, pad_to
+from ..core.bitpack import TC_K, TC_M, pad_to
 from ..core.bitops import WORD_BITS
 from ..errors import ShapeError
 from ..gnn.quantized import PackedAdjacency, pack_batch_adjacency
 from ..graph.batching import Subgraph, SubgraphBatch
 from ..graph.csr import CSRGraph
-from ..tc.kernel import TileSkipPlan
 from ..telemetry import Counters
 
 __all__ = [
@@ -316,14 +314,8 @@ class MutableGraph:
         :func:`~repro.gnn.quantized.pack_batch_adjacency` of it: the live
         CSR of ones and census, shared, not copied — no CSR rebuild and no
         word packed.  Every array is read-only."""
-        _, indptr, indices, _, mask = self._state
-        data = np.ones(indices.size, np.float32)
-        degrees = np.diff(indptr).astype(np.float64)[:, None]
-        for arr in (data, degrees):
-            arr.setflags(write=False)
-        csr = sp.csr_matrix((data, indices, indptr), shape=(self.num_nodes,) * 2)
-        csr.has_canonical_format = True  # sorted, distinct keys
-        return PackedAdjacency(Operand(csr=csr), TileSkipPlan(masks=(mask,)), degrees)
+        _, indptr, indices, _, mask = self._state  # sorted, distinct keys
+        return PackedAdjacency.canonical(indptr, indices, np.diff(indptr).astype(np.float64)[:, None], mask)
 
     def census_mask(self) -> np.ndarray:
         """The live zero-tile census (read-only; a mutation replaces it)."""
@@ -351,14 +343,7 @@ class MutableGraph:
 
     def to_batch(self) -> SubgraphBatch:
         """The current structure as a one-member batch (oracle input)."""
-        return SubgraphBatch(
-            members=(
-                Subgraph(
-                    graph=self.to_csr(),
-                    original_nodes=np.arange(self.num_nodes),
-                ),
-            )
-        )
+        return SubgraphBatch(members=(Subgraph(self.to_csr(), np.arange(self.num_nodes)),))
 
     def expected_words_shape(self) -> tuple[int, int, int]:
         """Shape of the packed plane array (for tests and docs)."""

@@ -233,6 +233,17 @@ class PackedAdjacency:
     plan: TileSkipPlan
     degrees: np.ndarray
 
+    @classmethod
+    def canonical(cls, indptr, indices, degrees, mask) -> PackedAdjacency:
+        """The adjacency over a CSR of ones its producer proved canonical
+        (scipy's scan is skipped); the ones and ``degrees`` are frozen."""
+        data = np.ones(indices.size, np.float32)
+        for arr in (data, degrees):
+            arr.setflags(write=False)
+        csr = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
+        csr.has_canonical_format = True
+        return cls(Operand(csr=csr), TileSkipPlan(masks=(mask,)), degrees)
+
     @cached_property
     def derived(self) -> dict:
         """What is bound to this adjacency (:func:`execute_forward_plan`)."""
@@ -273,19 +284,19 @@ def pack_batch_adjacency(batch: SubgraphBatch) -> PackedAdjacency:
     """Census one batch's adjacency (with self loops) — the per-batch
     analogue of :func:`pack_layer_weight`.
 
-    The members' CSRs concatenate into one canonical CSR of ones
-    (:meth:`SubgraphBatch.adjacency_csr`; a stored self loop plus the
-    added diagonal is one set bit), and the census and the degrees — the
-    distinct set bits of each row, which is what a dense row sum would
-    count — are read off it.  The bit-compressed words wait for their
-    first reader: a round on codes never allocates the ``n x n / 32`` plane.
+    The members' self-looped CSRs concatenate into one canonical CSR of ones
+    (a stored self loop plus the added diagonal is one set bit) with its
+    census and degrees — each row's distinct set bits, as a dense row sum
+    counts them — in one native pass (:func:`repro.core.native.adjacency`),
+    else in the NumPy reference (:meth:`SubgraphBatch.adjacency_csr`).  The
+    words wait for their first reader: a round on codes never packs them.
     """
-    operand = Operand(csr=batch.adjacency_csr())
-    return PackedAdjacency(
-        operand=operand,
-        plan=plan_tile_skip(operand),
-        degrees=np.diff(operand.csr.indptr).astype(np.float64)[:, None],
-    )
+    built = native.adjacency([sub.self_looped_csr for sub in batch.members])
+    if built is None:
+        operand = Operand(csr=batch.adjacency_csr())
+        degrees = np.diff(operand.csr.indptr).astype(np.float64)[:, None]
+        return PackedAdjacency(operand, plan_tile_skip(operand), degrees)
+    return PackedAdjacency.canonical(*built)
 
 
 class ActivationCalibration:

@@ -142,8 +142,10 @@ def modeled_plan_report(
 
     A pure function of its arguments, so derived once per census and
     memoised on it (:attr:`TileSkipPlan.derived`, dropped with the
-    artifact): a replay looks the report up.  The result is that shared
-    object — merge it into an accumulator, never into it.
+    artifact): a replay looks the report up.  It reads only the census's
+    grid and live-tile count, so a serving session also keeps it by them on
+    its plan template, where a cold miss over a seen count finds it.  The
+    result is that shared object — merge it into an accumulator, never into it.
     """
     dims = tuple(w.shape for w in model.weights)
     key = ("report", model.kind, dims, config, num_nodes, device, dataset, cost)

@@ -1012,15 +1012,19 @@ class InferenceEngine:
         return forward
 
     def _bind_round(self, batch: SubgraphBatch, adjacency: PackedAdjacency, program) -> _RoundBinding:
-        fraction = adjacency.nonzero_fraction
+        census, fraction = adjacency.plan, adjacency.nonzero_fraction
+        # Pure in these (the cost model stands for the engine's model, config and
+        # device); every plan bound from one template shares this memo (<= mt*kt+1).
+        reports = next(b.step.derived for b in program.steps if b.aggregate)
+        key = ("report", self._cost, batch.num_nodes, census.tile_grid, census.nonzero_tiles)
+        if key not in reports:
+            reports[key] = modeled_plan_report(self.model, self._run_config, num_nodes=batch.num_nodes,
+                                               tile_plan=census, device=self.config.device, cost=self._cost)
         return _RoundBinding(
             tuple(bucket_in(b.step.derived, b.step.spec, fraction if b.aggregate else None)
                   for b in program.steps),
             tuple(b.step.backend for b in program.steps),
             tuple(tuple(_SLOTS[phase] for phase, _, _ in layout) for layout in program.layouts),
-            modeled_plan_report(
-                self.model, self._run_config, num_nodes=batch.num_nodes,
-                tile_plan=adjacency.plan, device=self.config.device, cost=self._cost,
-            ),
+            reports[key],
             tuple(batch.member_slices()),
         )

@@ -45,6 +45,7 @@ from repro.partition import metis_like_partition
 from repro.plan.ir import GemmSpec
 from repro.runtime import executor as runtime_executor
 from repro.runtime.executor import QGTCRunConfig, modeled_plan_report
+from repro.runtime.report import EpochReport
 from repro.serving import InferenceEngine, ServingConfig
 from repro.serving import engine as engine_module
 from repro.tc import kernel as tc_kernel
@@ -1050,6 +1051,90 @@ def test_a_cold_miss_over_seen_census_counts_derives_no_counters(monkeypatch, st
     assert engine.stats.plan_cache.misses == misses + 1
     assert engine.stats.adjacency_cache.hits == hits
     assert counts == {"_derive_counters": 0}
+
+
+def _cold_cycles(counts, structures, cycles):
+    """A ``cold_structures``-shaped engine (1-bit cluster GCN, caches of
+    capacity 2 under a cycle of 3 structures, so every round is a miss):
+    one first-touch round that calibrates, then ``cycles`` cycles, with the
+    call counts of each cycle."""
+    engine = InferenceEngine(make_cluster_gcn(12, 3, seed=4), ServingConfig(
+        feature_bits=1, batch_size=4, adjacency_cache_capacity=2, plan_cache_capacity=2,
+    ))
+    engine.infer(structures[-1])
+    per_cycle = []
+    for _ in range(cycles):
+        for name in counts:
+            counts[name] = 0
+        for members in structures:
+            engine.infer(members)
+        per_cycle.append(dict(counts))
+    assert engine.stats.adjacency_cache.hits == engine.stats.plan_cache.hits == 0
+    return engine, per_cycle
+
+
+@needs_kernel
+def test_a_cold_miss_builds_natively_and_models_no_seen_census(monkeypatch, structures):
+    """A cold miss builds its adjacency in one native pass: no
+    concatenation in NumPy, no Python ballot.  A miss over a ``(node count,
+    live tiles)`` pair its template has seen models no report.  Counters
+    and the device report are those of the NumPy path with a report modeled
+    afresh per round."""
+    counts = dict.fromkeys(["adjacency_csr", "tile_masks", "plan_tile_skip", "_modeled_report"], 0)
+    counting = partial(_counting, counts)
+    monkeypatch.setattr(SubgraphBatch, "adjacency_csr",
+                        counting("adjacency_csr", SubgraphBatch.adjacency_csr))
+    monkeypatch.setattr(bitpack.Operand, "tile_masks",
+                        counting("tile_masks", bitpack.Operand.tile_masks))
+    spy = counting("plan_tile_skip", tc_kernel.plan_tile_skip)
+    for module in (tc_kernel, quantized_module):
+        monkeypatch.setattr(module, "plan_tile_skip", spy)
+    monkeypatch.setattr(runtime_executor, "_modeled_report",
+                        counting("_modeled_report", runtime_executor._modeled_report))
+
+    engine, (first, second) = _cold_cycles(counts, structures, 2)
+    # The first touch already modeled the last structure's pair.
+    assert first == {"adjacency_csr": 0, "tile_masks": 0, "plan_tile_skip": 0,
+                     "_modeled_report": len(structures) - 1}
+    assert second == dict.fromkeys(counts, 0)
+
+    monkeypatch.setattr(native, "load", lambda: None)
+    numpy_engine, (numpy_first, _) = _cold_cycles(counts, structures, 2)
+    assert numpy_first["adjacency_csr"] == len(structures) and numpy_first["plan_tile_skip"] > 0
+    stats = [(e.stats.mma_ops, e.stats.kernel_launches, e.stats.tiles_total, e.stats.tiles_skipped)
+             for e in (engine, numpy_engine)]
+    assert stats[0] == stats[1] and stats[0][3] > 0
+    fresh = EpochReport(system=engine.device_report.system, dataset=engine.device_report.dataset)
+    config = engine.config
+    run_config = QGTCRunConfig(feature_bits=1, weight_bits=config.effective_weight_bits,
+                               kernel=config.kernel)
+    for members in [structures[-1], *structures * 2]:
+        batch = SubgraphBatch(members=tuple(members))
+        fresh.merge(modeled_plan_report(engine.model, run_config, num_nodes=batch.num_nodes,
+                                        tile_plan=pack_batch_adjacency(batch).plan,
+                                        device=config.device))
+    assert engine.device_report == numpy_engine.device_report == fresh
+
+
+def test_the_report_memo_is_bounded_and_dies_with_its_template(structures):
+    """The reports a cold miss keeps by census count hang on the template's
+    aggregate step: at most ``mt * kt + 1`` per node count, and collectable
+    once the template and the plans bound from it are evicted."""
+    engine, _ = _cold_cycles({}, structures, 2)
+    templates = engine.plan_artifacts.segment("template")
+    refs = []
+    for key in templates.keys():
+        step = templates.get(key).layers[0].aggregate
+        reports = [v for k, v in step.derived.items() if k[0] == "report"]
+        mt, kt = step.spec.tile_grid()[:2]
+        assert 1 <= len(reports) <= mt * kt + 1
+        refs += [weakref.ref(step), *map(weakref.ref, reports)]
+    del step, reports
+    engine.invalidate_stale_plans()  # drops every template
+    for segment in ("plan", "adjacency"):
+        engine.plan_artifacts.segment(segment).clear()
+    gc.collect()
+    assert refs and [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_gateway_routing_hashes_a_structure_once(monkeypatch, structures):
