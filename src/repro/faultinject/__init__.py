@@ -18,12 +18,13 @@ threaded in (the default), every probe is a no-op:
     request with a retryable error; the gateway's bounded retry replays
     it.
 ``worker``
-    One iteration of a pool worker's drain loop (and the start of each
-    batch execution).  A fire kills the worker thread *outside*
-    per-request handling — the supervision thread detects the death,
-    respawns the worker, and re-queues its in-flight requests.
+    The start of each round a pool shard's drain thread runs.  A fire
+    kills the worker thread *outside* per-request handling — the
+    supervision thread detects the death, respawns the worker, and
+    re-queues its in-flight requests.  A caller serving an idle shard
+    in place never probes it: a caller does not die.
 ``slow_shard``
-    The start of one batch execution.  A fire does not raise; it sleeps
+    The start of each round, whoever runs it.  A fire does not raise; it sleeps
     for the spec's ``delay_s``, emulating a straggling shard (the
     gateway's hedging countermeasure).
 ``cache``

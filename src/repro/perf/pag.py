@@ -290,8 +290,8 @@ def build_pag(source, pool_stats: PoolStats | None = None) -> Pag:
     ``source`` may be a live :class:`~repro.serving.engine.InferenceEngine`
     (one worker node), a live :class:`~repro.serving.pool.ServingPool`
     (one node per shard, plus live queue depths and cache capacities), a
-    :class:`~repro.serving.pool.PoolStats` snapshot (e.g. the summary a
-    process-mode ``serve()`` left behind), a
+    :class:`~repro.serving.pool.PoolStats` snapshot (e.g. one taken
+    before the pool shut down), a
     :class:`~repro.dynamic.session.DynamicSession` (its engine's worker
     node plus a ``dynamic`` mutation-counter node), or a
     :class:`~repro.serving.gateway.GatewayStats` paired with the backing

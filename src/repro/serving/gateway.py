@@ -38,6 +38,13 @@ pool into something an open-loop client can face:
   retried: shedding only works if shed load actually leaves.
   Deterministic validation errors are never retried either — every
   attempt would fail identically.
+* **idle shards served in place** — a request that cannot hedge, is the
+  only one past the gate after one event-loop yield, and routes to an
+  idle shard runs its round on the loop thread
+  (:meth:`ServingPool.serve_if_idle`) instead of crossing to the shard's
+  drain thread and back: a thread hand-off costs more than a lone
+  request's round.  Bursts and hedged requests keep the shard queues, so
+  coalescing, shedding and hedging are unchanged.
 
 Every decision above chooses *where* and *when* a request executes,
 never *what* it computes: under a shared frozen
@@ -290,6 +297,9 @@ class GatewayStats(LaneStats):
 
     #: Requests the depth router moved off their home shard.
     rerouted: int = 0
+    #: Dispatches run on the gateway's own thread because their shard
+    #: was idle; the rest went through the shard queues.
+    caller_served: int = 0
     hedges_launched: int = 0
     hedges_won: int = 0
     #: Requests currently past the admission gate.
@@ -308,8 +318,8 @@ class ServingGateway:
     """Asyncio front-end over one :class:`ServingPool`; see module doc.
 
     The gateway owns no threads and no shards — only the admission gate,
-    the router and the hedger.  It composes over an existing (thread
-    mode) pool, whose lifecycle stays with the caller::
+    the router and the hedger.  It composes over an existing pool, whose
+    lifecycle stays with the caller::
 
         with ServingPool(model, config) as pool:
             gateway = ServingGateway(pool, GatewayConfig(max_in_flight=32))
@@ -324,12 +334,7 @@ class ServingGateway:
     def __init__(
         self, pool: ServingPool, config: GatewayConfig | None = None
     ) -> None:
-        """Wrap ``pool`` (thread mode) with admission policy ``config``."""
-        if pool.pool_config.mode != "thread":
-            raise ConfigError(
-                "a gateway needs a thread-mode pool (async intake rides "
-                "submit(), which process pools do not offer)"
-            )
+        """Wrap ``pool`` with admission policy ``config``."""
         self.pool = pool
         self.config = config or GatewayConfig()
         self._in_flight = 0
@@ -337,6 +342,7 @@ class ServingGateway:
         #: Admission waiters, FIFO within each lane.
         self._waiters: dict[str, deque] = {lane: deque() for lane in LANES}
         self._rerouted = 0
+        self._caller_served = 0
         self._hedges_launched = 0
         self._hedges_won = 0
         # Private PRNG: retry jitter must not perturb (or be perturbed
@@ -513,6 +519,12 @@ class ServingGateway:
         """Route one admitted request, hedging if configured; returns
         ``(settled result, rerouted, hedged, hedge_won)``."""
         pool = self.pool
+        hedge_after = self.config.hedge_after_s
+        can_hedge = hedge_after is not None and pool.pool_config.workers > 1
+        if not can_hedge:
+            # Let a burst admitted in this tick show itself before
+            # deciding this request is alone.
+            await asyncio.sleep(0)
         home = pool.shard_of(subgraph)
         shard = route_shard(
             home, pool.queue_depths(), self.config.imbalance_threshold
@@ -520,9 +532,14 @@ class ServingGateway:
         rerouted = shard != home
         if rerouted:
             self._rerouted += 1
+        if not can_hedge and self._in_flight == 1:
+            settled = pool.serve_if_idle(subgraph, shard)
+            if settled is not None:
+                self._caller_served += 1
+                settled.result(timeout=0)  # re-raises a failed round's error
+                return settled, rerouted, False, False
         primary = self._bridge(pool.submit(subgraph, shard=shard, block=False))
-        hedge_after = self.config.hedge_after_s
-        if hedge_after is None or pool.pool_config.workers < 2:
+        if not can_hedge:
             return await primary, rerouted, False, False
         try:
             settled = await asyncio.wait_for(
@@ -602,6 +619,7 @@ class ServingGateway:
         """Snapshot of admission, routing and hedging counters."""
         total = GatewayStats(
             rerouted=self._rerouted,
+            caller_served=self._caller_served,
             hedges_launched=self._hedges_launched,
             hedges_won=self._hedges_won,
             in_flight=self._in_flight,

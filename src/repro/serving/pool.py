@@ -24,7 +24,11 @@ that is identical everywhere.  A :class:`ServingPool` is that system:
   and capped by the same :func:`~repro.graph.batching.round_full`
   member-cap/node-budget rule the single-engine path uses — under load
   the backlog fills rounds, and an idle shard runs a lone request at
-  once (no shard ever sleeps on a timer for batch-mates);
+  once (no shard ever sleeps on a timer for batch-mates).  A round runs
+  only under its shard's one drain lock, held by the drain thread or —
+  through :meth:`ServingPool.serve_if_idle`, for a request that finds
+  the shard idle — by the caller, which then runs the same round body
+  on its own thread instead of paying for a hand-off;
 * **shared state is a mounted, locked object** — packed layer weights
   are session-invariant, so all shard caches mount one
   :class:`~repro.plan.cache.LRUCache` ``weight`` segment, whose lock
@@ -46,7 +50,7 @@ that is identical everywhere.  A :class:`ServingPool` is that system:
   completions into an event loop — the contract
   :class:`~repro.serving.gateway.ServingGateway` builds SLO-aware
   admission, priority lanes and hedging on;
-* **worker supervision** — in thread mode a supervisor thread watches
+* **worker supervision** — a supervisor thread watches
   for shard threads that died *outside* the per-request handler (a
   drain-loop bug, or an injected ``worker`` fault from a
   :class:`~repro.faultinject.FaultPlan`), respawns the shard with a
@@ -55,12 +59,7 @@ that is identical everywhere.  A :class:`ServingPool` is that system:
   requests so no submitter is stranded; disabled, the crash is surfaced
   instead — every queued and in-flight future fails with
   :class:`~repro.errors.WorkerDied`, as do later submits routed to the
-  dead shard;
-* **process-pool escape hatch** — ``PoolConfig(mode="process")`` runs
-  :meth:`ServingPool.serve` across fork-spawned worker processes (one
-  engine per process; a forked shard returns logits and stats only, and
-  its measured dispatch table dies with it) for workloads that outgrow
-  the GIL.
+  dead shard.
 
 Results are bit-identical to a single engine serving the same requests
 with the same frozen :class:`~repro.gnn.quantized.ActivationCalibration`
@@ -71,6 +70,7 @@ decisions.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import queue
 import threading
@@ -111,21 +111,17 @@ class PoolConfig:
         )
     """
 
-    #: Number of shard workers (threads, or processes in process mode).
+    #: Number of shard workers (one drain thread each).
     workers: int = 4
     #: Bound of each shard's request queue; a full queue applies
     #: backpressure to :meth:`ServingPool.submit` instead of growing
     #: without limit.
     queue_capacity: int = 256
-    #: ``"thread"`` (shared weight and table segments and calibration)
-    #: or ``"process"`` (fork-based escape hatch;
-    #: :meth:`ServingPool.serve` only, nothing shared between shards).
-    mode: str = "thread"
-    #: Read by nothing: neither pool mode creates or writes a directory.
+    #: Read by nothing: the pool creates or writes no directory.
     #: The field stays only because the repo benchmark still passes it,
     #: and goes when that harness stops (ROADMAP direction 1(a)).
     spool_dir: str | None = None
-    #: Whether the pool runs a supervisor thread (thread mode) that
+    #: Whether the pool runs a supervisor thread that
     #: respawns crashed shard workers and re-queues their in-flight
     #: requests.  Disabled, a worker crash fails its stranded futures
     #: with :class:`~repro.errors.WorkerDied` instead.
@@ -141,10 +137,6 @@ class PoolConfig:
         if self.queue_capacity < 1:
             raise ConfigError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}"
-            )
-        if self.mode not in ("thread", "process"):
-            raise ConfigError(
-                f"mode must be 'thread' or 'process', got {self.mode!r}"
             )
         interval = self.supervise_interval_s
         if not math.isfinite(interval) or interval <= 0:
@@ -308,6 +300,9 @@ class _Worker:
             health=pool.health,
             fault_plan=pool.fault_plan,
         )
+        #: Held across every round on this shard, by the drain thread or
+        #: by a caller serving an idle shard: no two rounds overlap.
+        self.lock = threading.Lock()
         #: Requests pulled off the queue but not yet settled — what the
         #: supervisor re-queues (or fails) after a crash.
         self.inflight: list[_QueuedRequest] = []
@@ -372,14 +367,22 @@ class _Worker:
                 head = self.queue.get()
 
     def _execute(self, group: list[_QueuedRequest]) -> None:
-        if not group:
-            return
+        with self.lock:
+            plan = self.pool.fault_plan
+            if plan is not None:
+                # The ``worker`` site fires *outside* the per-request
+                # handler in ``serve`` — it kills the drain loop,
+                # exercising supervision.  A caller serving an idle shard
+                # never probes it: a caller does not die.
+                plan.maybe_raise("worker", detail=self.label)
+            self.serve(group)
+
+    def serve(self, group: list[_QueuedRequest]) -> None:
+        """Run one round through this shard's engine and settle its
+        requests; the caller holds :attr:`lock`."""
         plan = self.pool.fault_plan
         if plan is not None:
-            # The ``worker`` site fires *outside* the per-request handler
-            # below — it kills the drain loop, exercising supervision —
-            # and ``slow_shard`` stalls the round without failing it.
-            plan.maybe_raise("worker", detail=self.label)
+            # ``slow_shard`` stalls the round without failing it.
             delay = plan.delay("slow_shard", detail=self.label)
             if delay > 0.0:
                 time.sleep(delay)
@@ -391,29 +394,6 @@ class _Worker:
             return
         for request, result in zip(group, results):
             request.future._fill(result.logits)
-
-
-def _run_process_shard(
-    args: tuple,
-) -> tuple[int, list[np.ndarray], SessionStats, EpochReport]:
-    """Serve one shard's requests in a worker process (escape hatch).
-
-    Top-level so it pickles; builds a private engine, serves the shard's
-    subgraphs and returns (shard index, per-request logits, the session's
-    stats snapshot, its modeled device report).  The shard's measured
-    dispatch table dies with it.
-    """
-    index, model, config, calibration, subgraphs = args
-    engine = InferenceEngine(
-        model, config, calibration=calibration, label=f"w{index}"
-    )
-    results = engine.infer(subgraphs)
-    return (
-        index,
-        [r.logits for r in results],
-        engine.stats.snapshot(),
-        engine.device_report,
-    )
 
 
 class ServingPool:
@@ -444,8 +424,8 @@ class ServingPool:
         health: BackendHealth | None = None,
         fault_plan=None,
     ) -> None:
-        """Build the shard workers (threads start immediately in thread
-        mode) over one ``model`` and a per-shard ``config`` policy.
+        """Build the shard workers (their threads start immediately) over
+        one ``model`` and a per-shard ``config`` policy.
 
         ``health`` is the pool-wide backend circuit breaker (one is
         created when not given, so a backend quarantined on one shard is
@@ -479,28 +459,24 @@ class ServingPool:
         # separate lock from self._lock: a submit blocked on a full queue
         # holds it, and stats() must not wait behind that submit.
         self._intake_lock = threading.Lock()
-        self._next_seq = 0
+        self._seq = itertools.count()
         self._closed = False
         self._respawns = 0
         self._requeued = 0
         self._crash_event = threading.Event()
         self._supervisor: threading.Thread | None = None
-        self._process_stats: list[SessionStats] = []
-        self._process_reports: list[EpochReport] = []
-        self._workers: list[_Worker] = []
-        if self.pool_config.mode == "thread":
-            self._workers = [
-                _Worker(self, i) for i in range(self.pool_config.workers)
-            ]
-            for worker in self._workers:
-                worker.start()
-            if self.pool_config.supervise:
-                self._supervisor = threading.Thread(
-                    target=self._supervise,
-                    name="serving-pool-supervisor",
-                    daemon=True,
-                )
-                self._supervisor.start()
+        self._workers = [
+            _Worker(self, i) for i in range(self.pool_config.workers)
+        ]
+        for worker in self._workers:
+            worker.start()
+        if self.pool_config.supervise:
+            self._supervisor = threading.Thread(
+                target=self._supervise,
+                name="serving-pool-supervisor",
+                daemon=True,
+            )
+            self._supervisor.start()
 
     # ------------------------------------------------------------------ #
     # Sharding
@@ -544,11 +520,6 @@ class ServingPool:
         :class:`~repro.errors.PoolSaturated` instead — the intake an
         event loop needs, since blocking would stall every other request.
         """
-        if self.pool_config.mode != "thread":
-            raise ConfigError(
-                "submit() needs thread mode; process pools serve "
-                "synchronous workloads via serve()"
-            )
         if shard is not None and not 0 <= shard < self.pool_config.workers:
             raise ConfigError(
                 f"shard must be in [0, {self.pool_config.workers}), got {shard}"
@@ -556,8 +527,7 @@ class ServingPool:
         with self._intake_lock:
             if self._closed:
                 raise ConfigError("pool is shut down")
-            seq = self._next_seq
-            self._next_seq += 1
+            seq = next(self._seq)
             index = shard if shard is not None else self.shard_of(subgraph)
             worker = self._workers[index]
             if worker.died is not None and self._supervisor is None:
@@ -580,8 +550,31 @@ class ServingPool:
                     ) from None
         return future
 
+    def serve_if_idle(self, subgraph: Subgraph, shard: int) -> PoolResult | None:
+        """Serve one request on the calling thread if ``shard`` is idle.
+
+        Idle means the pool is open, the shard's worker is alive, its
+        queue is empty and its drain lock is free.  Then the round runs
+        under that lock through the shard's own engine — the round body
+        the drain thread runs, ``worker`` fault probe aside: a caller
+        never dies — and the settled :class:`PoolResult` is returned.
+        Otherwise nothing runs and the answer is ``None``: queue the
+        request with :meth:`submit`.  Never blocks on the shard.
+        """
+        worker = self._workers[shard]
+        if not worker.lock.acquire(blocking=False):
+            return None
+        try:
+            if self._closed or worker.died is not None or worker.queue.qsize():
+                return None
+            future = PoolResult(next(self._seq), worker.label)
+            worker.serve([_QueuedRequest(subgraph=subgraph, future=future)])
+        finally:
+            worker.lock.release()
+        return future
+
     def queue_depths(self) -> tuple[int, ...]:
-        """Requests currently queued per shard (thread mode).
+        """Requests currently queued per shard.
 
         A point-in-time approximation (workers drain concurrently), which
         is exactly what queue-depth-aware routing needs: relative
@@ -592,15 +585,9 @@ class ServingPool:
     def serve(self, subgraphs: Sequence[Subgraph]) -> list[PoolResult]:
         """Serve a whole workload; completed results in submission order.
 
-        Thread mode submits everything and waits; process mode ships each
-        shard's slice to a worker process (the escape hatch for
-        GIL-bound workloads).  An unfrozen calibration is frozen
-        in the parent (one forward touches every site) before forking,
-        so shard processes — which cannot propagate freezes back — all
-        quantize with the same parameters.
+        Submits everything through the shard queues (so backlogs
+        coalesce) and waits.
         """
-        if self.pool_config.mode == "process":
-            return self._serve_process(subgraphs)
         futures = [self.submit(subgraph) for subgraph in subgraphs]
         for future in futures:
             future.result()
@@ -608,8 +595,7 @@ class ServingPool:
 
     def warm_up(self) -> "ServingPool":
         """Pack all layer weights into the shared segment ahead of traffic."""
-        if self._workers:
-            self._workers[0].engine.warm_up()
+        self._workers[0].engine.warm_up()
         return self
 
     # ------------------------------------------------------------------ #
@@ -692,48 +678,6 @@ class ServingPool:
         for request in stranded:
             replacement.queue.put(request)
 
-    def _serve_process(self, subgraphs: Sequence[Subgraph]) -> list[PoolResult]:
-        import multiprocessing
-
-        if self._closed:
-            raise ConfigError("pool is shut down")
-        subgraphs = list(subgraphs)
-        if subgraphs and len(self._calibration) == 0:
-            # Freeze activation calibration *before* forking: one forward
-            # touches every quantize site, and forked children cannot
-            # propagate their freezes back to the parent — without this,
-            # each shard would calibrate from its own first batch and
-            # shard results would not be bit-identical to a single
-            # engine (nor reproducible from ``pool.calibration``).
-            InferenceEngine(
-                self.model, self.config, calibration=self._calibration
-            ).infer_one(subgraphs[0])
-        shards: list[list[Subgraph]] = [
-            [] for _ in range(self.pool_config.workers)
-        ]
-        placement: list[tuple[int, int]] = []
-        for subgraph in subgraphs:
-            shard = self.shard_of(subgraph)
-            placement.append((shard, len(shards[shard])))
-            shards[shard].append(subgraph)
-        jobs = [
-            (index, self.model, self.config, self._calibration, members)
-            for index, members in enumerate(shards)
-            if members
-        ]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=max(1, len(jobs))) as process_pool:
-            outputs = process_pool.map(_run_process_shard, jobs)
-        by_shard = {index: logits for index, logits, _, _ in outputs}
-        self._process_stats = [stats for _, _, stats, _ in outputs]
-        self._process_reports = [report for _, _, _, report in outputs]
-        results = []
-        for seq, (shard, position) in enumerate(placement):
-            future = PoolResult(seq, f"w{shard}")
-            future._fill(by_shard[shard][position])
-            results.append(future)
-        return results
-
     # ------------------------------------------------------------------ #
     # Telemetry and lifecycle
     # ------------------------------------------------------------------ #
@@ -741,7 +685,7 @@ class ServingPool:
         """Aggregated pool counters plus per-worker snapshots."""
         per_worker = tuple(
             worker.engine.stats.snapshot() for worker in self._workers
-        ) or tuple(self._process_stats)
+        )
         with self._lock:
             respawns, requeued = self._respawns, self._requeued
         total = PoolStats(
@@ -753,19 +697,16 @@ class ServingPool:
         )
         for shard in per_worker:
             total.merge(shard)
-        if self._workers:
-            # Thread shards all mount the pool's one ``weight`` segment:
-            # count it once, not once per shard.  (Process shards own
-            # theirs; the sum stands.)
-            total.weight_cache = per_worker[0].weight_cache.snapshot()
+        # Every shard mounts the pool's one ``weight`` segment: count it
+        # once, not once per shard.
+        total.weight_cache = per_worker[0].weight_cache.snapshot()
         return total
 
     def device_report(self) -> EpochReport:
         """Merged modeled-device report across every shard's session."""
         report = EpochReport(system="serving-pool", dataset="pool")
-        shards = [worker.engine.device_report for worker in self._workers]
-        for shard in shards or self._process_reports:
-            report.merge(shard)
+        for worker in self._workers:
+            report.merge(worker.engine.device_report)
         return report
 
     @property

@@ -255,3 +255,96 @@ class TestPoolUnderConcurrentSubmitters:
             assert got is not None
             for want, logits in zip(expected, got):
                 np.testing.assert_array_equal(logits, want)
+
+
+#: Seeds of the caller-served overlap schedules (fixed: Tier-1 stays
+#: deterministic in what it runs).
+OVERLAP_SEEDS = (0, 1, 2, 3, 4, 5)
+
+
+class TestCallerServedRounds:
+    def test_caller_and_drain_rounds_on_one_shard_never_overlap(self, served):
+        """A submitter thread queues requests (awaiting some, not others)
+        while the event loop sends lone gateway requests that run in place
+        whenever the shard is idle.  Under frequent thread switches, an
+        overlap detector around the shard's engine sees one round at a
+        time, and both paths serve the single engine's bits."""
+        import asyncio
+        import random
+
+        from repro.serving import GatewayConfig, ServingGateway
+
+        subgraphs, model = served
+        config = ServingConfig(feature_bits=8, batch_size=4)
+        calibration = ActivationCalibration()
+        expected = [
+            r.logits
+            for r in InferenceEngine(model, config, calibration=calibration).infer(
+                subgraphs
+            )
+        ]
+        totals: Counter = Counter()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for seed in OVERLAP_SEEDS:
+                rng = random.Random(seed)
+                picks = [rng.randrange(len(subgraphs)) for _ in range(32)]
+                waits = [rng.random() < 0.5 for _ in range(16)]
+                active, overlaps, rounds = [0], [], Counter()
+                guard = threading.Lock()
+                with ServingPool(
+                    model, config, pool=PoolConfig(workers=1), calibration=calibration
+                ) as pool:
+                    engine = pool.workers[0]
+                    real = engine.infer
+
+                    def detector(batch, real=real):
+                        name = threading.current_thread().name
+                        with guard:
+                            active[0] += 1
+                            overlaps.extend([name] if active[0] > 1 else [])
+                            rounds[name] += 1
+                        try:
+                            return real(batch)
+                        finally:
+                            with guard:
+                                active[0] -= 1
+
+                    engine.infer = detector
+                    gateway = ServingGateway(pool, GatewayConfig(max_in_flight=4))
+                    queued = []
+
+                    def submitter():
+                        for i, wait in zip(picks[:16], waits):
+                            queued.append((i, pool.submit(subgraphs[i])))
+                            if wait:
+                                queued[-1][1].result(timeout=60)
+
+                    async def lone():
+                        return [
+                            (i, await gateway.submit(subgraphs[i]))
+                            for i in picks[16:]
+                        ]
+
+                    thread = threading.Thread(target=submitter)
+                    thread.start()
+                    replies = asyncio.run(lone())
+                    thread.join(timeout=60)
+                    assert not thread.is_alive(), "submitter deadlocked"
+                    for _, future in queued:
+                        future.result(timeout=60)
+                    caller_served = gateway.stats().caller_served
+                    assert pool.stats().requests == 32
+                assert overlaps == [], f"seed {seed}: rounds overlapped"
+                assert rounds[threading.current_thread().name] == caller_served
+                totals.update(rounds)
+                for i, future in queued:
+                    np.testing.assert_array_equal(future.result(timeout=60), expected[i])
+                for i, reply in replies:
+                    np.testing.assert_array_equal(reply.logits, expected[i])
+        finally:
+            sys.setswitchinterval(interval)
+        # Across the schedules, both paths ran rounds on the shard.
+        assert totals[threading.current_thread().name] > 0
+        assert totals["serving-pool-0"] > 0

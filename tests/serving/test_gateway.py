@@ -18,10 +18,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, PoolSaturated
+from repro.errors import ConfigError, PoolSaturated, ShapeError
+from repro.faultinject import FaultPlan, FaultSpec
 from repro.gnn import make_batched_gin
 from repro.gnn.quantized import ActivationCalibration
-from repro.graph import induced_subgraphs
+from repro.graph import CSRGraph, induced_subgraphs
+from repro.graph.batching import Subgraph
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
 from repro.serving import (
@@ -66,15 +68,13 @@ def make_pool(model, config=None, *, calibration=None, **pool_kwargs):
     )
 
 
-def gate_only(workers: int = 2, mode: str = "thread") -> SimpleNamespace:
+def gate_only(workers: int = 2) -> SimpleNamespace:
     """A stand-in pool for admission-gate unit tests.
 
     The gate touches nothing but ``pool_config``, so its semantics can be
     tested without standing up worker threads.
     """
-    return SimpleNamespace(
-        pool_config=SimpleNamespace(mode=mode, workers=workers)
-    )
+    return SimpleNamespace(pool_config=SimpleNamespace(workers=workers))
 
 
 class TestGatewayConfig:
@@ -205,10 +205,6 @@ class TestAdmissionGate:
             await asyncio.gather(batch, interactive)
 
         asyncio.run(scenario())
-
-    def test_rejects_process_mode_pool(self):
-        with pytest.raises(ConfigError):
-            ServingGateway(gate_only(mode="process"))
 
 
 class TestPoolResultBridge:
@@ -351,6 +347,75 @@ class TestGatewayServing:
             results = gateway.run(subgraphs[:4])
             assert gateway.stats().hedges_launched == 0
             assert all(not r.hedged for r in results)
+
+    def test_lone_requests_are_served_in_place_unless_they_may_hedge(
+        self, gin_model, subgraphs
+    ):
+        async def one_at_a_time(gateway):
+            return [await gateway.submit(sub) for sub in subgraphs[:3]]
+
+        with make_pool(gin_model) as pool:
+            plain = ServingGateway(pool, GatewayConfig(max_in_flight=8))
+            hedging = ServingGateway(
+                pool, GatewayConfig(max_in_flight=8, hedge_after_s=5.0)
+            )
+            asyncio.run(one_at_a_time(plain))
+            asyncio.run(one_at_a_time(hedging))
+        assert plain.stats().as_metrics()["caller_served"] == 3
+        assert hedging.stats().caller_served == 0
+        # A single worker never hedges, so its lone requests run in place
+        # whatever hedge_after_s says.
+        with make_pool(gin_model, workers=1) as pool:
+            lone = ServingGateway(
+                pool, GatewayConfig(max_in_flight=8, hedge_after_s=0.0)
+            )
+            results = asyncio.run(one_at_a_time(lone))
+        assert lone.stats().caller_served == 3
+        assert not any(r.hedged for r in results)
+
+    def test_a_failed_caller_served_round_is_retried_in_place(
+        self, gin_model, subgraphs
+    ):
+        # The first plan compile fails retryably: the in-place round
+        # settles with the error, the gateway retries, and the retry —
+        # again alone on an idle shard — runs in place and serves the bits.
+        calibration = ActivationCalibration()
+        config = ServingConfig(feature_bits=8, batch_size=4)
+        want = InferenceEngine(gin_model, config, calibration=calibration).infer_one(
+            subgraphs[0]
+        )
+        plan = FaultPlan(seed=0, specs=[FaultSpec("compile", at=(0,))])
+        with ServingPool(
+            gin_model, config, pool=PoolConfig(workers=2),
+            calibration=calibration, fault_plan=plan,
+        ) as pool:
+            gateway = ServingGateway(pool, GatewayConfig(max_retries=2))
+            reply = asyncio.run(gateway.submit(subgraphs[0]))
+        np.testing.assert_array_equal(reply.logits, want.logits)
+        assert plan.fires("compile") == 1
+        stats = gateway.stats()
+        assert stats.retries == 1 and stats.failures == 0
+        assert stats.caller_served == 2
+
+    def test_a_caller_served_error_surfaces_and_the_shard_keeps_serving(
+        self, gin_model, subgraphs
+    ):
+        featureless = Subgraph(
+            graph=CSRGraph(
+                indptr=subgraphs[0].graph.indptr,
+                indices=subgraphs[0].graph.indices,
+            ),
+            original_nodes=subgraphs[0].original_nodes,
+        )
+        with make_pool(gin_model) as pool:
+            gateway = ServingGateway(pool)
+            with pytest.raises(ShapeError):
+                asyncio.run(gateway.submit(featureless))
+            reply = asyncio.run(gateway.submit(subgraphs[0]))
+            assert reply.logits.shape == (subgraphs[0].num_nodes, 3)
+        stats = gateway.stats()
+        assert stats.failures == 1 and stats.completed == 1
+        assert stats.caller_served == 2
 
     def test_depth_router_moves_requests_off_congested_home(
         self, gin_model, subgraphs

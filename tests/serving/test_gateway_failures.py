@@ -37,7 +37,7 @@ class ScriptedPool:
     """
 
     def __init__(self, script=(), *, workers=2):
-        self.pool_config = SimpleNamespace(mode="thread", workers=workers)
+        self.pool_config = SimpleNamespace(workers=workers)
         self.script = list(script)
         self.handles: list[PoolResult] = []
         self.fail_submit_with: Exception | None = None
@@ -47,6 +47,9 @@ class ScriptedPool:
 
     def queue_depths(self):
         return [0] * self.pool_config.workers
+
+    def serve_if_idle(self, subgraph, shard):
+        return None  # never idle: every dispatch takes the scripted submit
 
     def submit(self, subgraph, *, shard=None, block=True):
         if self.fail_submit_with is not None:

@@ -3,9 +3,8 @@
 Covers the PR 5 acceptance points: submission-ordered results that are
 bit-identical to a single engine under a shared calibration, structure
 sharding and backlog coalescing, the shared packed-weight
-segment (one pack pool-wide), the one dispatch table every thread shard
-mounts (a process shard's dies with it), and the fork-based process
-escape hatch.
+segment (one pack pool-wide), and the one dispatch table every shard
+mounts.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ class TestPoolConfig:
         [
             {"workers": 0},
             {"queue_capacity": 0},
-            {"mode": "fiber"},
+            {"supervise_interval_s": float("inf")},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -138,6 +137,11 @@ class TestPoolResults:
             fresh = type(result)(99, "w0")
             with pytest.raises(TimeoutError):
                 fresh.result(timeout=0.01)
+
+    def test_device_report_covers_every_batch(self, gin_model, subgraphs):
+        with make_pool(gin_model) as pool:
+            pool.serve(subgraphs)
+            assert pool.device_report().num_batches == pool.stats().batches
 
 
 class TestShardingAndCoalescing:
@@ -293,7 +297,6 @@ class TestShardsMountSharedState:
             for kind in ("plan", "template", "adjacency"):
                 assert w0.segment(kind) is not w1.segment(kind)
 
-
     def test_a_respawned_shard_mounts_the_same_calibration(
         self, gin_model, subgraphs
     ):
@@ -314,114 +317,40 @@ class TestShardsMountSharedState:
                 time.sleep(0.005)
             assert all(e.calibration is calibration for e in pool.workers)
 
-class TestProcessEscapeHatch:
-    def test_submit_requires_thread_mode(self, gin_model, subgraphs):
-        pool = make_pool(gin_model, mode="process")
-        with pytest.raises(ConfigError):
-            pool.submit(subgraphs[0])
-        pool.shutdown()
-
-    def test_process_pool_freezes_calibration_before_forking(
-        self, gin_model, subgraphs
-    ):
-        # With no pre-frozen calibration, the parent freezes every site
-        # before forking, so the shards share one parameter set and a
-        # later engine sharing pool.calibration reproduces the bits.
-        pool = ServingPool(
-            gin_model,
-            ServingConfig(feature_bits=8, batch_size=4),
-            pool=PoolConfig(workers=2, mode="process"),
-        )
-        results = pool.serve(subgraphs)
-        assert len(pool.calibration) > 0  # freezes visible in the parent
-        engine = InferenceEngine(
-            gin_model,
-            ServingConfig(feature_bits=8, batch_size=4),
-            calibration=pool.calibration,
-        )
-        for want, got in zip(engine.infer(subgraphs), results):
-            np.testing.assert_array_equal(got.logits, want.logits)
-        pool.shutdown()
-
-    def test_process_serve_matches_single_engine(self, gin_model, subgraphs):
-        calibration = ActivationCalibration()
-        engine = InferenceEngine(
-            gin_model,
-            ServingConfig(feature_bits=8, batch_size=4),
-            calibration=calibration,
-        )
-        expected = engine.infer(subgraphs)
-        pool = ServingPool(
-            gin_model,
-            ServingConfig(feature_bits=8, batch_size=4),
-            pool=PoolConfig(workers=2, mode="process"),
-            calibration=calibration,
-        )
-        results = pool.serve(subgraphs)
-        for want, got in zip(expected, results):
-            np.testing.assert_array_equal(got.logits, want.logits)
-        stats = pool.stats()
-        assert stats.requests == len(subgraphs)
-        pool.shutdown()
-
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_device_report_covers_every_batch(self, gin_model, subgraphs, mode):
-        pool = make_pool(gin_model, mode=mode)
-        pool.serve(subgraphs)
-        assert pool.device_report().num_batches == pool.stats().batches
-        pool.shutdown()
-
-    def test_process_shards_measure_and_discard_their_tables(
-        self, gin_model, subgraphs
-    ):
-        pool = make_pool(gin_model, mode="process")
-        pool.serve(subgraphs)
-        # The shards timed their steps; only their stats came back.
-        assert pool.stats().autotune_samples > 0
-        assert pool.workers == ()
-        assert pool._table_segment.keys() == []
-        pool.shutdown()
-
 
 class TestPoolStatsAreShardSnapshots:
     COUNTERS = (
         "requests", "batches", "nodes", "mma_ops", "tiles_total", "tiles_skipped",
     )
 
-    def test_process_mode_reports_the_shards_real_counters(
+    def test_per_worker_snapshots_are_the_shards_real_counters(
         self, gin_model, subgraphs
     ):
-        # A process shard ships back its whole SessionStats snapshot, so
-        # the pool summary carries real cache counters — it used to be six
-        # hand-picked keys around empty CacheStats().
-        from repro.perf import build_pag
-
+        # Served one at a time, every request is its own round, so each
+        # shard's snapshot equals a single engine serving that shard's
+        # slice member by member — cache counters included.
         config = ServingConfig(feature_bits=8, batch_size=4)
-        pool = ServingPool(
-            gin_model, config, pool=PoolConfig(workers=2, mode="process")
-        )
-        pool.serve(subgraphs)
-        stats = pool.stats()
+        with ServingPool(gin_model, config, pool=PoolConfig(workers=2)) as pool:
+            for subgraph in subgraphs:
+                pool.submit(subgraph).result(timeout=30)
+            stats = pool.stats()
         slices: dict[str, list] = {}
-        for seq, subgraph in enumerate(subgraphs):
-            slices.setdefault(f"w{pool.shard_of(subgraph, seq)}", []).append(subgraph)
-        assert {w.label for w in stats.per_worker} == set(slices)
+        for subgraph in subgraphs:
+            slices.setdefault(f"w{pool.shard_of(subgraph)}", []).append(subgraph)
+        assert [w.label for w in stats.per_worker] == ["w0", "w1"]
         for worker in stats.per_worker:
             engine = InferenceEngine(gin_model, config, calibration=pool.calibration)
-            engine.infer(slices[worker.label])
+            for subgraph in slices.get(worker.label, []):
+                engine.infer_one(subgraph)
             for name in self.COUNTERS:
                 assert getattr(worker, name) == getattr(engine.stats, name), name
-            assert worker.plan_cache.misses == engine.stats.plan_cache.misses > 0
+            assert worker.plan_cache.misses == engine.stats.plan_cache.misses
             assert worker.plan_cache.hits == engine.stats.plan_cache.hits
         for name in self.COUNTERS + ("step_retries", "plans_invalidated"):
             assert getattr(stats, name) == sum(
                 getattr(w, name) for w in stats.per_worker
             ), name
         assert stats.requests == len(subgraphs) and stats.mma_ops > 0
-        segments = [n for n in build_pag(stats).nodes("segment") if n.name == "plan"]
-        assert len(segments) == len(slices)
-        assert all(node.metrics["misses"] > 0 for node in segments)
-        pool.shutdown()
 
     def test_poisoned_discards_counts_the_template_segment(self, gin_model, subgraphs):
         # The verified segments are every shard's ``plan`` and ``template``:

@@ -26,7 +26,6 @@ import sys
 import tracemalloc
 import weakref
 from functools import cached_property, partial
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -801,7 +800,183 @@ def test_lone_request_on_an_idle_shard_is_a_singleton_round(shard_gets, structur
 
 
 # --------------------------------------------------------------------- #
-# A dispatch table lives in memory: no pool mode writes one to disk
+# A lone gateway request on an idle shard is served by its caller
+# --------------------------------------------------------------------- #
+@pytest.fixture
+def shard_puts(monkeypatch):
+    """Requests ``put`` on a pool shard's queue (shutdown sentinels
+    aside) and ``PoolResult.add_done_callback`` calls, counted."""
+    import queue
+
+    from repro.serving import pool as pool_module
+
+    counts = {"put": 0, "add_done_callback": 0}
+
+    class RecordingQueue(queue.Queue):
+        def put(self, item, block=True, timeout=None):
+            counts["put"] += item is not pool_module._SHUTDOWN
+            return super().put(item, block, timeout)
+
+    monkeypatch.setattr(
+        pool_module, "queue",
+        SimpleNamespace(Queue=RecordingQueue, Empty=queue.Empty, Full=queue.Full),
+    )
+    real = pool_module.PoolResult.add_done_callback
+    monkeypatch.setattr(
+        pool_module.PoolResult, "add_done_callback",
+        _counting(counts, "add_done_callback", real),
+    )
+    return counts
+
+
+def _one_at_a_time(gateway, requests):
+    """Gateway replies to ``requests``, each awaited before the next."""
+    import asyncio
+
+    async def drive():
+        return [await gateway.submit(sub) for sub in requests]
+
+    return asyncio.run(drive())
+
+
+def _pool_parts():
+    return make_batched_gin(12, 3, hidden_dim=16, seed=4), ServingConfig(
+        feature_bits=8, batch_size=4
+    )
+
+
+def test_a_lone_gateway_request_on_an_idle_shard_is_served_by_its_caller(
+    shard_puts, structures
+):
+    """One request in flight at a time: the loop thread runs each round on
+    the routed shard's engine.  No shard-queue put, no completion
+    callback, a single engine's bits, and every round in pool stats."""
+    import threading
+
+    from repro.serving import GatewayConfig, PoolConfig, ServingGateway, ServingPool
+
+    model, config = _pool_parts()
+    requests = [sub for members in structures for sub in members]
+    calibration = ActivationCalibration()
+    expected = InferenceEngine(model, config, calibration=calibration).infer(requests)
+    threads: list[str] = []
+    with ServingPool(
+        model, config, pool=PoolConfig(workers=2), calibration=calibration
+    ) as pool:
+        for engine in pool.workers:
+            real = engine.infer
+            engine.infer = lambda batch, real=real: (
+                threads.append(threading.current_thread().name) or real(batch)
+            )
+        gateway = ServingGateway(pool, GatewayConfig(max_in_flight=16))
+        replies = _one_at_a_time(gateway, requests)
+        stats = pool.stats()
+    assert shard_puts == {"put": 0, "add_done_callback": 0}
+    assert gateway.stats().caller_served == len(requests)
+    assert threads == [threading.main_thread().name] * len(requests)
+    assert stats.requests == stats.batches == len(requests)
+    for sub, want, got in zip(requests, expected, replies):
+        np.testing.assert_array_equal(got.logits, want.logits)
+        assert got.worker == f"w{pool.shard_of(sub)}"
+
+
+def test_a_gateway_burst_still_coalesces_through_the_shard_queues(
+    shard_puts, structures
+):
+    """A burst admitted in one tick sees itself after the yield: every
+    request is queued, none is caller-served, and the backlog behind a
+    stalled first round coalesces."""
+    from repro.serving import GatewayConfig, PoolConfig, ServingGateway, ServingPool
+
+    model, config = _pool_parts()
+    requests = [sub for members in structures for sub in members]
+    plan = FaultPlan(seed=0, specs=[FaultSpec("slow_shard", at=(0,), delay_s=0.2)])
+    with ServingPool(
+        model, config, pool=PoolConfig(workers=1), fault_plan=plan
+    ) as pool:
+        gateway = ServingGateway(pool, GatewayConfig(max_in_flight=16))
+        gateway.run(requests)
+        stats = pool.stats()
+    assert shard_puts["put"] == shard_puts["add_done_callback"] == len(requests)
+    assert gateway.stats().caller_served == 0
+    assert stats.requests == len(requests)
+    assert stats.requests / stats.batches > 1
+
+
+def test_a_caller_served_round_draws_no_worker_probe(structures):
+    """A ``worker`` fault models a drain thread dying and a caller never
+    dies: caller-served rounds leave the site unprobed, ``slow_shard``
+    still stalls them, and the drain thread's next round still fires it."""
+    from repro.serving import PoolConfig, ServingGateway, ServingPool
+
+    model, config = _pool_parts()
+    requests = structures[0]
+    plan = FaultPlan(
+        seed=0,
+        specs=[
+            FaultSpec("worker", at=(0,)),
+            FaultSpec("slow_shard", at=(0,), delay_s=0.01),
+        ],
+    )
+    with ServingPool(
+        model,
+        config,
+        pool=PoolConfig(workers=2, supervise_interval_s=0.01),
+        fault_plan=plan,
+    ) as pool:
+        gateway = ServingGateway(pool)
+        _one_at_a_time(gateway, requests)
+        assert gateway.stats().caller_served == len(requests)
+        assert plan.snapshot()["worker"] == {"probes": 0, "fires": 0}
+        assert plan.snapshot()["slow_shard"] == {"probes": len(requests), "fires": 1}
+        # Through the queue, the drain thread probes and dies; the
+        # request is re-queued onto the respawned shard and served.
+        assert pool.submit(requests[0]).result(timeout=30) is not None
+        assert plan.fires("worker") == 1
+        assert pool.stats().respawns == 1
+
+
+def test_a_busy_dead_or_shut_down_shard_is_never_served_inline(structures):
+    """Held drain lock, dead worker, closed pool: ``serve_if_idle`` runs
+    nothing, and the gateway falls back to the queue path and its error."""
+    import asyncio
+
+    from repro.errors import ConfigError, WorkerDied
+    from repro.serving import PoolConfig, ServingGateway, ServingPool
+
+    model, config = _pool_parts()
+    sub = structures[0][0]
+    with ServingPool(model, config, pool=PoolConfig(workers=1)) as pool:
+        with pool._workers[0].lock:  # a round in progress
+            assert pool.serve_if_idle(sub, 0) is None
+        served = pool.serve_if_idle(sub, 0)
+        assert served.done() and served.worker == "w0"
+        assert pool.stats().requests == 1
+
+    plan = FaultPlan(seed=0, specs=[FaultSpec("worker", at=(0,))])
+    dead = ServingPool(
+        model, config, pool=PoolConfig(workers=1, supervise=False), fault_plan=plan
+    )
+    with pytest.raises(WorkerDied):
+        dead.submit(sub).result(timeout=30)
+    gateway = ServingGateway(dead)
+    assert dead.serve_if_idle(sub, 0) is None
+    with pytest.raises(WorkerDied):
+        asyncio.run(gateway.submit(sub))
+    dead.shutdown()
+
+    closed = ServingPool(model, config, pool=PoolConfig(workers=1))
+    closed.shutdown()
+    assert closed.serve_if_idle(sub, 0) is None
+    with pytest.raises(ConfigError):
+        asyncio.run(ServingGateway(closed).submit(sub))
+    for pool in (dead, closed):
+        assert pool.stats().requests == 0
+    assert gateway.stats().caller_served == 0
+
+
+# --------------------------------------------------------------------- #
+# A dispatch table lives in memory: the pool writes none to disk
 # --------------------------------------------------------------------- #
 def test_thread_pool_rounds_never_serialise_the_dispatch_table(
     monkeypatch, structures, tmp_path
@@ -829,28 +1004,6 @@ def test_thread_pool_rounds_never_serialise_the_dispatch_table(
     assert stats.batches == 100 and stats.autotune_samples > 0
     assert counts == {"dumps": 0}
     assert list(tmp_path.iterdir()) == []
-
-
-def test_process_pool_serve_writes_no_table_files(structures, tmp_path):
-    """Forked shards return logits and stats only: ``serve()`` leaves the
-    ``spool_dir`` absent and makes no temporary directory of its own."""
-    import tempfile
-
-    from repro.serving import PoolConfig, ServingPool
-
-    scratch = Path(tempfile.gettempdir())
-    before = set(scratch.glob("repro-pool-*"))
-    spool = tmp_path / "spool"
-    pool = ServingPool(
-        make_batched_gin(12, 3, hidden_dim=16, seed=4),
-        ServingConfig(feature_bits=8, batch_size=4),
-        pool=PoolConfig(workers=2, mode="process", spool_dir=str(spool)),
-    )
-    results = pool.serve([sub for members in structures for sub in members])
-    pool.shutdown()
-    assert results and pool.stats().autotune_samples > 0
-    assert not spool.exists() or list(spool.iterdir()) == []
-    assert set(scratch.glob("repro-pool-*")) <= before
 
 
 # --------------------------------------------------------------------- #
