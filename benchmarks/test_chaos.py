@@ -54,7 +54,8 @@ N_REQUESTS = 144
 #: early fire so the step-recovery path is always exercised).
 KERNEL_FAULT_RATE = 0.01
 #: Worker-site probe index of the single injected worker kill.  Workers
-#: probe the site twice per drained round, so this lands mid-run.
+#: probe the site once per drained round (``_Worker._execute``), so this
+#: lands mid-run.
 WORKER_KILL_AT = 24
 #: Passes per variant (best-of; fresh cold pool each pass) so one
 #: interference-hit window cannot masquerade as a recovery-cost

@@ -65,7 +65,8 @@ SOURCE = r"""
 
 /* What a step's tail reads besides its product, bound once per step.  One
    epilogue form serves every step: an aggregate step's row term is
-   1.0 * (c_x degree) and its column terms are -0.0, the quantize-only entry
+   c_x * degree (the degrees passed per call, where an update step passes its
+   codes' row sums) and its column terms are -0.0, the quantize-only entry
    has scale 1.0 and -0.0 terms (no row term is -0.0) — x * 1.0 and
    x + -0.0 are exact identities, signed zeros included. */
 typedef struct {

@@ -401,8 +401,10 @@ class _BoundStep(NamedTuple):
     when a 1-bit activation under jumping is censused per round, ``census``
     then its counters' key (:meth:`~repro.tc.kernel.BitGemmKernel.key`);
     ``epilogue`` the affine terms, by the unbound form's float operations
-    in its order: ``(s, c deg)`` or ``(s_l s_r, s_l c_r, ones, c_l s_r
-    colsums, k c_l c_r, bias)``."""
+    in its order: ``(s, c, degrees)`` or ``(s_l s_r, s_l c_r, ones, c_l s_r
+    colsums, k c_l c_r, bias)``.  An aggregate step of a template part
+    (:class:`_Program`) has no adjacency: no ``fixed``, ``matmul``,
+    ``counters`` or ``degrees``."""
 
     step: GemmStep
     layer: int
@@ -412,7 +414,7 @@ class _BoundStep(NamedTuple):
     params: QuantParams
     dtype: np.dtype
     backend: object
-    fixed: Operand
+    fixed: Operand | None
     matmul: object
     counters: KernelCounters | None
     census: tuple | None
@@ -423,27 +425,34 @@ class _BoundStep(NamedTuple):
         return Operand(codes, self.params.bits, "row" if self.aggregate else "col", proven=True)
 
 
-def _bind_step(step, layer, relu, registry, params, weight, adjacency, bias) -> _BoundStep:
-    """The binding round's bound step; its counters are taken from its codes
-    in the ``census`` interval (the weights' ``k`` is the activation's, or
-    the pair check raises there)."""
+def _bind_step(step, layer, relu, registry, params, weight, bias) -> _BoundStep:
+    """The step lowered against its weights — an aggregate step's adjacency
+    is bound per structure (:func:`_over`); its counters are taken from its
+    codes in the ``census`` interval (the weights' ``k`` is the
+    activation's, or the pair check raises there)."""
     backend, dtype, label = _bind(step, layer, registry)
-    aggregate = step.spec.role == "aggregate"
-    fixed = adjacency.operand if aggregate else weight.operand
     s_l, c_l = params.scale, _mid_offset(params)
-    if aggregate:
-        epilogue = (s_l, c_l * adjacency.degrees)
-    else:
-        s_r, c_r, k = weight.params.scale, _mid_offset(weight.params), fixed.logical_k
-        ones = np.ones(k, dtype)
-        ones.setflags(write=False)
-        epilogue = (s_l * s_r, s_l * c_r, ones, c_l * s_r * weight.col_sums, k * c_l * c_r, bias)
-    matmul = None
-    if backend.run is codes_gemm:
-        matrix = fixed.matrix(dtype)
-        matmul = matrix.__matmul__ if aggregate else matrix.__rmatmul__
-    return _BoundStep(step, layer, aggregate, relu, label, params, dtype, backend, fixed,
-                      matmul, None, None, epilogue)
+    if step.spec.role == "aggregate":
+        return _BoundStep(step, layer, True, relu, label, params, dtype, backend, None, None,
+                          None, None, (s_l, c_l, None))
+    fixed = weight.operand
+    s_r, c_r, k = weight.params.scale, _mid_offset(weight.params), fixed.logical_k
+    ones = np.ones(k, dtype)
+    ones.setflags(write=False)
+    epilogue = (s_l * s_r, s_l * c_r, ones, c_l * s_r * weight.col_sums, k * c_l * c_r, bias)
+    matmul = fixed.matrix(dtype).__rmatmul__ if backend.run is codes_gemm else None
+    return _BoundStep(step, layer, False, relu, label, params, dtype, backend, fixed, matmul,
+                      None, None, epilogue)
+
+
+def _over(bs: _BoundStep, adjacency: PackedAdjacency) -> _BoundStep:
+    """Aggregate step ``bs`` bound to ``adjacency``: its left operand, its
+    ``blas`` matrix and the degrees its row term ``c * degree`` reads (a
+    writable copy, which the native tail takes in place)."""
+    fixed = adjacency.operand
+    matmul = fixed.matrix(bs.dtype).__matmul__ if bs.backend.run is codes_gemm else None
+    return bs._replace(fixed=fixed, matmul=matmul,
+                       epilogue=(*bs.epilogue[:2], adjacency.degrees.ravel().copy()))
 
 
 class _Program(NamedTuple):
@@ -451,8 +460,18 @@ class _Program(NamedTuple):
     the model and weights it names by id) with the round's fixed-shape
     accounting: each stamped interval's ``(phase, role, layer)`` and each
     step's ``gemm`` interval — ``(replay's, the binding round's)`` — the
-    summed counters (``None``: a step counts per round) and a memo of what
-    consumers derive from it."""
+    summed counters (``None``: a step counts per round), a memo of what
+    consumers derive from it (``derived``) and one of what they derive from
+    its template part alone (``shared``: native entries, a round's slots).
+
+    A *template part* is a ``_Program`` whose aggregate steps have no
+    adjacency and whose key is the program key without its plan (registry
+    and generation, kernel config, calibration, softmax, the ids of model
+    and weights).  The last one bound is kept on the plan's first aggregate
+    :attr:`GemmStep.derived <repro.plan.ir.GemmStep.derived>` (``"program"``),
+    which every plan bound from one template shares: a binding round over
+    another adjacency binds its aggregate steps' adjacency (:func:`_over`)
+    and census alone."""
 
     key: tuple
     pinned: tuple
@@ -462,6 +481,17 @@ class _Program(NamedTuple):
     gemm_at: tuple[tuple[int, ...], ...]
     totals: KernelCounters | None
     derived: dict
+    shared: dict
+
+
+def _totals(steps) -> KernelCounters | None:
+    """The steps' summed counters; ``None`` when a step counts per round."""
+    if any(bound.counters is None for bound in steps):
+        return None
+    totals = KernelCounters()
+    for bound in steps:
+        totals.merge(bound.counters)
+    return totals
 
 
 def _lower(key, pinned, steps, kernel, softmax) -> _Program:
@@ -473,14 +503,9 @@ def _lower(key, pinned, steps, kernel, softmax) -> _Program:
         replay += block
         binding += [("bind", role, layer), *block]
     softmax = [("activation", "forward", -1)] * softmax
-    totals = None
-    if all(bound.counters is not None for bound in steps):
-        totals = KernelCounters()
-        for bound in steps:
-            totals.merge(bound.counters)
     gemm_at = tuple(i for i, (phase, _, _) in enumerate(replay) if phase == "gemm")
     return _Program(key, pinned, tuple(steps), kernel, (tuple(replay + softmax), tuple(binding + softmax)),
-                    (gemm_at, tuple(at + i + 1 for i, at in enumerate(gemm_at))), totals, {})
+                    (gemm_at, tuple(at + i + 1 for i, at in enumerate(gemm_at))), _totals(steps), {}, {})
 
 
 def _bind_native(bs: _BoundStep, into: tuple | None, fed: bool = False) -> tuple:
@@ -488,16 +513,19 @@ def _bind_native(bs: _BoundStep, into: tuple | None, fed: bool = False) -> tuple
     Eq. 2 from a float64 activation — none when the step is ``fed`` its
     codes and row sums by the step before — and the epilogue, the ReLU and
     the next step's Eq. 2 from a product in the step's exact dtype into the
-    next codes and their row sums (an update step reads them): ``into`` is
-    the next step's frozen ``(params, dtype, row sums?)``, ``()`` the last
-    step's logits.  ``None`` keeps NumPy, as does ``into=None`` for the
-    tail: a next site not frozen yet calibrates on the float64 activation."""
+    next codes and their row sums (an update step reads them, an aggregate
+    step its degrees, each call): ``into`` is the next step's frozen
+    ``(params, dtype, row sums?)``, ``()`` the last step's logits.  ``None``
+    keeps NumPy, as does ``into=None`` for the tail: a next site not frozen
+    yet calibrates on the float64 activation."""
     spec = bs.step.spec
     activation = (spec.k, spec.n) if bs.aggregate else (spec.m, spec.k)
     quantize = None if fed else native.bind_quantize(bs.params, bs.dtype, activation, not bs.aggregate)
     tail = None
     if into is not None and (bs.aggregate or fed or quantize is not None):  # an update step reads row sums
-        tail = native.bind_tail(bs.dtype, (spec.m, spec.n), bs.epilogue, bs.relu, *into)
+        # An aggregate step's row term, c * degree, takes the update form's row sums slot.
+        epilogue = (*bs.epilogue[:2], None, -0.0, -0.0, -0.0) if bs.aggregate else bs.epilogue
+        tail = native.bind_tail(bs.dtype, (spec.m, spec.n), epilogue, bs.relu, *into)
     return quantize, tail
 
 
@@ -511,15 +539,15 @@ def _frozen_into(step, layer, calibration, registry) -> tuple | None:
 
 
 def _native_entries(program: _Program) -> tuple:
-    """Each step's native entries (:func:`_bind_native`), bound on the
-    program's first replay, when every site is frozen.  A binding round
+    """Each step's native entries (:func:`_bind_native`), bound once per
+    template part, when every site is frozen.  A round that calibrates
     binds its own: a step whose site was frozen before the round reached it
     quantizes natively, and fuses its tail when the next site is frozen too
-    (or it is the last step) — every round of a warmed-up session."""
-    entries = program.derived.get("native")
+    (or it is the last step)."""
+    entries = program.shared.get("native")
     if entries is None:
         steps = program.steps
-        entries = program.derived["native"] = tuple(
+        entries = program.shared["native"] = tuple(
             _bind_native(bs, () if after is None else (after.params, after.dtype, not after.aggregate))
             for bs, after in zip(steps, [*steps[1:], None])
         )
@@ -527,7 +555,8 @@ def _native_entries(program: _Program) -> tuple:
 
 
 #: Executor phases; a program's stamps delimit one interval per layout entry
-#: (``bind`` on the binding round only: calibration, lowering, native binds).
+#: (``bind`` on the binding round only: calibration, lowering, native binds,
+#: or from a template part the aggregate steps' adjacency alone).
 PHASES = ("materialize", "bind", "quantize", "pack", "census", "gemm", "epilogue", "activation")
 _DEFAULT_KERNEL = KernelConfig()
 _as_phase_timing = partial(tuple.__new__, PhaseTiming)
@@ -566,10 +595,14 @@ def execute_forward_plan(
     GEMMs, one native call per step for the epilogue, ReLU and next Eq. 2
     (NumPy where the kernel is unavailable or the product is not in the
     step's exact dtype — the same bits), a ``perf_counter`` stamp per
-    phase boundary and each step's recovery wrapper.  The binding round
-    takes the same native calls wherever its calibration sites are
-    already frozen (:func:`_native_entries`).  Without a shared
-    ``calibration`` nothing keeps it.  The node count, feature width and
+    phase boundary and each step's recovery wrapper.  Once every
+    calibration site is frozen, what a program binds apart from its
+    adjacency is bound once per template — its *template part*
+    (:class:`_Program`), native entries included — and a binding round over
+    another adjacency of the template binds its aggregate steps alone.  A
+    round whose sites are not all frozen calibrates them, natively where
+    they already are (:func:`_native_entries`).  Without a shared
+    ``calibration`` nothing keeps either.  The node count, feature width and
     Eq. 2's NaN check run every time (another shape raises
     :class:`~repro.errors.ShapeError`).
     """
@@ -599,12 +632,19 @@ def execute_forward_plan(
     key = (plan, backends, backends.generation, config, calibration, apply_softmax,
            id(model), *map(id, packed_weights))
     program = packed_adjacency.derived.get("program")
+    template = None
     if program is None or program.key != key:
         _check_artifacts(plan, model, packed_weights, packed_adjacency)
-        program, kernel = None, BitGemmKernel(config)
-        schedule = [(step, layer.index, not layer.is_output and i == 1)
-                    for layer in plan.layers for i, step in enumerate(layer.steps(sig.aggregate_first))]
-        natives = [(None, None)] * len(schedule)
+        program, memo = None, plan.layers[0].aggregate.derived
+        if calibration is not None:
+            template = memo.get("program")
+        if template is not None and template.key == key[1:]:
+            schedule, kernel, natives = template.steps, template.kernel, _native_entries(template)
+        else:  # each step binds as the round reaches it (and calibrates, if its site is not frozen)
+            template, kernel = None, BitGemmKernel(config)
+            schedule = [(step, layer.index, not layer.is_output and i == 1)
+                        for layer in plan.layers for i, step in enumerate(layer.steps(sig.aggregate_first))]
+            natives = [(None, None)] * len(schedule)
     else:
         schedule, kernel, natives = program.steps, program.kernel, _native_entries(program)
 
@@ -621,25 +661,28 @@ def execute_forward_plan(
     bound, counters, recoveries, recovered = [], [], [], {}
     codes = sums = live = None  # a step's codes (row sums, live tiles), when the step before wrote them
     for i, (bs, (quantize, tail)) in enumerate(zip(schedule, natives)):
-        if program is None:  # binding: calibrate, lower the step, bind its native entries
-            step, layer, relu = bs
-            site = step.quantize_a or step.quantize_b
-            frozen = None if calibration is None else calibration.frozen(site.site, site.bits)
-            params = frozen if frozen is not None else (
-                calibrate(h, site.bits) if calibration is None
-                else calibration.params_for(site.site, h, site.bits))
-            bs = _bind_step(step, layer, relu, backends, params, packed_weights[layer],
-                            packed_adjacency, model.biases[layer])
-            if frozen is not None:
-                into = () if i + 1 == len(schedule) else _frozen_into(*schedule[i + 1][:2],
-                                                                       calibration, backends)
-                quantize, tail = _bind_native(bs, into, codes is not None)
+        if program is None:  # binding: lower the step unless its template part has, bind its adjacency
+            if template is None:
+                step, layer, relu = bs
+                site = step.quantize_a or step.quantize_b
+                frozen = None if calibration is None else calibration.frozen(site.site, site.bits)
+                params = frozen if frozen is not None else (
+                    calibrate(h, site.bits) if calibration is None
+                    else calibration.params_for(site.site, h, site.bits))
+                bs = _bind_step(step, layer, relu, backends, params, packed_weights[layer],
+                                model.biases[layer])
+                if frozen is not None:
+                    into = () if i + 1 == len(schedule) else _frozen_into(*schedule[i + 1][:2],
+                                                                           calibration, backends)
+                    quantize, tail = _bind_native(bs, into, codes is not None)
+            if bs.aggregate:
+                bs = _over(bs, packed_adjacency)
             stamp(clock())
         if codes is None:
             codes, sums, live = (quantize.run(h) if quantize is not None
                                  else (quantize_into(h, bs.params, bs.dtype), None, None))
         # Binding checks the pair; a replay ballots in Python only codes no native pass censused.
-        account = program is None or bs.counters is None and live is None
+        account = bs.counters is None and (live is None or bs.census is None)
         operand = bs.operand(codes) if account or bs.matmul is None else None
         stamp(clock())
         if bs.matmul is None and bs.backend.caps.consumes_words:
@@ -651,7 +694,7 @@ def execute_forward_plan(
             pair = (bs.fixed, operand) if bs.aggregate else (operand, bs.fixed)
             step_counters = kernel.account(*pair, packed_adjacency.plan if bs.aggregate else None,
                                            bs.step.derived, live)
-            if program is None:  # a 1-bit activation under jumping is censused per round
+            if bs.census is None:  # binding: a 1-bit activation under jumping is censused per round
                 census = None if bs.aggregate or not kernel.jumps(operand) else kernel.key(*pair)
                 bs = bs._replace(counters=None if census else step_counters, census=census)
         elif step_counters is None:  # censused by the pass that wrote the codes
@@ -687,7 +730,7 @@ def execute_forward_plan(
         # ``packed``, primary or a recovery's fallback) keeps NumPy.
         fused = tail is not None and out.dtype == bs.dtype
         if fused:  # the same operations below, the ReLU and the next Eq. 2 in one pass
-            codes, sums, live = tail.run(out, sums)
+            codes, sums, live = tail.run(out, bs.epilogue[2] if bs.aggregate else sums)
             h = codes  # the last step's are the logits
         else:
             # The product is widened exactly, then scaled in float64 (NumPy 2
@@ -696,9 +739,9 @@ def execute_forward_plan(
             # associative, and pre-combining any two would move a logit's last bit.
             out = out.astype(np.float64)
             if bs.aggregate:  # Â is exact binary: real = s_x (Â q_x) + c_x degree
-                scale, offset = bs.epilogue
+                scale, offset, degrees = bs.epilogue
                 out *= scale
-                out += offset
+                out += offset * degrees[:, None]
             else:
                 scale, row_scale, ones, col_terms, constant, bias = bs.epilogue
                 out *= scale
@@ -718,7 +761,16 @@ def execute_forward_plan(
         stamp(clock())
     binding = program is None
     if binding:
-        program = _lower(key, (model, *packed_weights), bound, kernel, apply_softmax)
+        if template is not None:
+            program = template._replace(key=key, steps=tuple(bound), totals=_totals(bound), derived={})
+        else:
+            program = _lower(key, (model, *packed_weights), bound, kernel, apply_softmax)
+            if calibration is not None:  # every site is frozen now: keep the template part, bound
+                steps = tuple(b if not b.aggregate else b._replace(
+                    fixed=None, matmul=None, counters=None, epilogue=(*b.epilogue[:2], None)) for b in bound)
+                template = program._replace(key=key[1:], steps=steps, derived={})
+                _native_entries(template)
+                memo["program"] = template
         if calibration is not None:
             packed_adjacency.derived["program"] = program
     return QuantizedForwardResult(logits, counters, tuple(recoveries), program, stamps, recovered,

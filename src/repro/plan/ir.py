@@ -54,6 +54,10 @@ __all__ = [
 ]
 
 
+def _blake2b(text: str) -> str:
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+
 def _tiles(dim: int, unit: int) -> int:
     return max(pad_to(dim, unit) // unit, 1)
 
@@ -202,12 +206,23 @@ class ExecutionPlan:
 
     @cached_property
     def digest(self) -> str:
-        """Content digest (of the ``repr``), sealed on first read: what a
-        verified cache segment records and compares
+        """Content digest, sealed on first read: the blake2b of the
+        template's sealed part (:attr:`sealed`) and the ``repr`` of the
+        adjacency keys, what a verified cache segment records and compares
         (:func:`~repro.plan.cache.artifact_digest`).  Not a field — outside
-        ``repr``, hash and equality, and a ``replace``d or retargeted copy
-        seals its own."""
-        return hashlib.blake2b(repr(self).encode(), digest_size=16).hexdigest()
+        ``repr``, hash and equality, and a ``replace``d copy seals its own."""
+        keys: dict = {}  # each distinct key once, each aggregate step's pair by position
+        at = tuple((keys.setdefault(s.pack_a.cache_key, len(keys)),
+                    keys.setdefault(s.census and s.census.cache_key, len(keys)))
+                   for s in (layer.aggregate for layer in self.layers))
+        return _blake2b(self.sealed + repr((tuple(keys), at)))
+
+    @cached_property
+    def sealed(self) -> str:
+        """The digest of the plan's ``repr`` with its adjacency keys
+        stripped (:meth:`retarget_adjacency` to ``None``): equal for every
+        plan bound from one template, which hands it on once sealed."""
+        return _blake2b(repr(self.retarget_adjacency(None)))
 
     @property
     def num_layers(self) -> int:
@@ -233,20 +248,13 @@ class ExecutionPlan:
         return tuple(keys)
 
     def retarget_adjacency(self, adjacency_key: PlanKey | None) -> "ExecutionPlan":
-        """Patch the plan to read its adjacency from a different cache key.
-
-        The structural patch behind dynamic-graph plan reuse: a
-        shape-preserving edge mutation changes the adjacency's *content*
-        (and therefore its structure digest / cache key) but none of the
-        GEMM shapes, quantize sites, or backend choices — so the compiled
-        plan is still valid once every aggregate step's ``pack_a`` and
-        ``census`` nodes point at the new artifact.  Everything else is
-        reused by reference, and each patched step *shares* its source's
-        :attr:`GemmStep.derived` memo (pure in spec, backend and registry),
-        so every plan bound from one template derives its bindings once;
-        compare with a fresh :func:`compile_forward_plan` for the
-        recompile path.
-        """
+        """The plan reading its adjacency from another cache key: what
+        binds a template to a structure (a structure changes no GEMM shape,
+        quantize site or backend).  Every aggregate step's ``pack_a`` and
+        ``census`` nodes are patched and share their source's
+        :attr:`GemmStep.derived` memo; everything else, the sealed part of
+        the digest (:attr:`sealed`) included, is reused by reference — a
+        fresh :func:`compile_forward_plan` under the key is equal to it."""
         layers = []
         for layer in self.layers:
             step = layer.aggregate
@@ -257,7 +265,10 @@ class ExecutionPlan:
             )
             vars(patched)["derived"] = step.derived
             layers.append(replace(layer, aggregate=patched))
-        return ExecutionPlan(signature=self.signature, layers=tuple(layers))
+        plan = ExecutionPlan(signature=self.signature, layers=tuple(layers))
+        if "sealed" in vars(self):
+            vars(plan)["sealed"] = self.sealed
+        return plan
 
 
 # --------------------------------------------------------------------- #
@@ -336,26 +347,11 @@ def forward_gemm_specs(
     specs: list[tuple[GemmSpec, GemmSpec]] = []
     for layer, wb in zip(layer_specs, per_layer):
         agg_dim = layer.in_dim if model.aggregate_first else layer.out_dim
-        specs.append(
-            (
-                GemmSpec(
-                    m=num_nodes,
-                    k=num_nodes,
-                    n=agg_dim,
-                    bits_a=1,
-                    bits_b=feature_bits,
-                    role="aggregate",
-                ),
-                GemmSpec(
-                    m=num_nodes,
-                    k=layer.in_dim,
-                    n=layer.out_dim,
-                    bits_a=feature_bits,
-                    bits_b=wb,
-                    role="update",
-                ),
-            )
-        )
+        specs.append((
+            GemmSpec(m=num_nodes, k=num_nodes, n=agg_dim, bits_a=1, bits_b=feature_bits, role="aggregate"),
+            GemmSpec(m=num_nodes, k=layer.in_dim, n=layer.out_dim, bits_a=feature_bits, bits_b=wb,
+                     role="update"),
+        ))
     return specs
 
 
@@ -386,37 +382,15 @@ def compile_forward_plan(
     transient adjacency).
     """
     key_for_weight = weight_key or _default_weight_key
-    pairs = forward_gemm_specs(
-        model,
-        num_nodes=num_nodes,
-        feature_bits=feature_bits,
-        weight_bits=weight_bits,
-        weight_bits_per_layer=weight_bits_per_layer,
-    )
+    pairs = forward_gemm_specs(model, num_nodes=num_nodes, feature_bits=feature_bits,
+                               weight_bits=weight_bits, weight_bits_per_layer=weight_bits_per_layer)
     layers = []
-    last = len(pairs) - 1
     for i, (agg_spec, upd_spec) in enumerate(pairs):
-        aggregate = compile_gemm_step(
-            agg_spec,
-            engine=engine,
-            registry=registry,
-            pack_a_key=adjacency_key,
-            census=True,
-            census_key=adjacency_key,
-            site_b=f"L{i}/agg",
-        )
-        update = compile_gemm_step(
-            upd_spec,
-            engine=engine,
-            registry=registry,
-            pack_b_key=key_for_weight(i, upd_spec.bits_b),
-            site_a=f"L{i}/upd",
-        )
-        layers.append(
-            LayerPlan(
-                index=i, aggregate=aggregate, update=update, is_output=(i == last)
-            )
-        )
+        aggregate = compile_gemm_step(agg_spec, engine=engine, registry=registry, pack_a_key=adjacency_key,
+                                      census=True, census_key=adjacency_key, site_b=f"L{i}/agg")
+        update = compile_gemm_step(upd_spec, engine=engine, registry=registry,
+                                   pack_b_key=key_for_weight(i, upd_spec.bits_b), site_a=f"L{i}/upd")
+        layers.append(LayerPlan(i, aggregate, update, is_output=i == len(pairs) - 1))
     return ExecutionPlan(
         signature=PlanSignature(
             num_nodes=num_nodes,

@@ -78,20 +78,12 @@ from ..gnn.quantized import (
     pack_batch_adjacency,
     pack_layer_weight,
 )
-from ..graph.batching import (
-    Subgraph,
-    SubgraphBatch,
-    batch_subgraphs_by_nodes,
-    round_full,
-)
+from ..graph.batching import Subgraph, SubgraphBatch, batch_subgraphs_by_nodes, round_full
 from ..plan.autotune import DispatchTable, bucket_in, fraction_band
 from ..plan.cache import CacheStats, LRUCache, PlanCache, PlanKey, artifact_digest
 from ..plan.ir import ExecutionPlan, compile_forward_plan
 from ..plan.registry import default_registry
-from ..runtime.executor import (
-    QGTCRunConfig,
-    modeled_plan_report,
-)
+from ..runtime.executor import QGTCRunConfig, modeled_plan_report
 from ..runtime.report import EpochReport
 from ..tc.costmodel import TCCostModel
 from ..tc.hardware import RTX3090, DeviceSpec
@@ -757,24 +749,13 @@ class InferenceEngine:
                 dispatcher.observe_tile_fraction(
                     adjacency.nonzero_fraction, nodes=adjacency.num_nodes
                 )
-                divergences: list[tuple[str, str, str]] = []
+                divergences = []
                 for layer in plan.layers:
-                    for step, tag in (
-                        (layer.aggregate, "agg"),
-                        (layer.update, "upd"),
-                    ):
+                    for step, tag in ((layer.aggregate, "agg"), (layer.update, "upd")):
                         spec = step.spec
-                        decision = dispatcher.decide(
-                            spec.m, spec.k, spec.n, spec.bits_a, spec.bits_b
-                        )
-                        if decision.engine != step.backend:
-                            divergences.append(
-                                (
-                                    f"L{layer.index}/{tag}",
-                                    step.backend,
-                                    decision.engine,
-                                )
-                            )
+                        picked = dispatcher.decide(spec.m, spec.k, spec.n, spec.bits_a, spec.bits_b).engine
+                        if picked != step.backend:
+                            divergences.append((f"L{layer.index}/{tag}", step.backend, picked))
                 if divergences:
                     stale.append(StalePlan(key=key, divergences=tuple(divergences)))
         finally:
@@ -1020,11 +1001,11 @@ class InferenceEngine:
         if key not in reports:
             reports[key] = modeled_plan_report(self.model, self._run_config, num_nodes=batch.num_nodes,
                                                tile_plan=census, device=self.config.device, cost=self._cost)
-        return _RoundBinding(
-            tuple(bucket_in(b.step.derived, b.step.spec, fraction if b.aggregate else None)
-                  for b in program.steps),
-            tuple(b.step.backend for b in program.steps),
-            tuple(tuple(_SLOTS[phase] for phase, _, _ in layout) for layout in program.layouts),
-            reports[key],
-            tuple(batch.member_slices()),
-        )
+        fixed = program.shared.get("round")  # what the template part alone fixes
+        if fixed is None:
+            fixed = program.shared["round"] = (
+                tuple(b.step.backend for b in program.steps),
+                tuple(tuple(_SLOTS[phase] for phase, _, _ in layout) for layout in program.layouts))
+        buckets = tuple(bucket_in(b.step.derived, b.step.spec, fraction if b.aggregate else None)
+                        for b in program.steps)
+        return _RoundBinding(buckets, *fixed, reports[key], tuple(batch.member_slices()))

@@ -88,9 +88,9 @@ class TestSupervisedRespawn:
         reference = InferenceEngine(gin_model, config, calibration=calibration)
         expected = [reference.infer_one(sg).logits for sg in subgraphs]
 
-        # The worker site probes twice per drained round; index 1 is the
-        # first _execute probe — it fires with requests in flight, so the
-        # respawn must re-queue them.
+        # The worker site probes once per drained round, in _execute;
+        # index 1 is the second round's probe — it fires with requests in
+        # flight, so the respawn must re-queue them.
         plan = FaultPlan(seed=0, specs=[FaultSpec("worker", at=(1,))])
         with ServingPool(
             gin_model,

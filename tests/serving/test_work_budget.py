@@ -41,6 +41,7 @@ from repro.graph import induced_subgraphs
 from repro.graph.batching import SubgraphBatch
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
+from repro.plan import ir
 from repro.plan.ir import GemmSpec
 from repro.runtime import executor as runtime_executor
 from repro.runtime.executor import QGTCRunConfig, modeled_plan_report
@@ -608,9 +609,10 @@ def test_warm_round_rederives_nothing_its_artifacts_fix(rederivations, structure
     miss, _ = round_counts(structures[0])
     # Compiled (one resolve per step) and bound on its first execution (one
     # more); a digest is sealed where the plan, and its template, enter
-    # their verified segments.
+    # their verified segments: the template's ``repr`` is hashed once, into
+    # the sealed part both digests compose with their adjacency keys.
     assert miss["resolve_engine_name"] == 2 * steps
-    assert miss["repr"] == 2 and miss["blake2b"] == 2
+    assert miss["repr"] == 1 and miss["blake2b"] == 3
     assert miss["SubgraphBatch"] == 1
     for _ in range(2):  # the first replay already finds everything bound
         warm, locks = round_counts(structures[0])
@@ -1121,8 +1123,9 @@ def test_a_warm_round_quantizes_and_sums_rows_natively(monkeypatch, structures):
 def test_a_binding_round_over_a_frozen_calibration_is_native(monkeypatch, structures):
     """A ``cold_structures``-shaped stream — 1-bit rounds of new structures
     through caches of capacity 2, so every round binds — over a frozen
-    calibration: each binding round lowers every step and runs no NumPy
-    Eq. 2 and no row-sum GEMV; its steps' tails are native."""
+    calibration: a binding round runs no NumPy Eq. 2 and no row-sum GEMV,
+    its steps' tails are native, and it lowers every step the first time
+    its template binds and none after (the template part is kept)."""
     counts = dict.fromkeys(["quantize_into", "_row_sums", "_bind_step"], 0)
     for name in counts:
         real = getattr(quantized_module, name)
@@ -1134,12 +1137,15 @@ def test_a_binding_round_over_a_frozen_calibration_is_native(monkeypatch, struct
     steps = 2 * model.num_layers
     engine.infer(structures[0])  # first touch: every site calibrates, on NumPy
     assert len(engine.calibration) == steps
+    templates, lowered = engine.plan_artifacts.segment("template").stats, []
     for members in [*structures[1:], *structures]:
         for name in counts:
             counts[name] = 0
+        misses = templates.misses
         engine.infer(members)
-        assert counts == {"quantize_into": 0, "_row_sums": 0, "_bind_step": steps}
-    assert engine.stats.adjacency_cache.hits == 0
+        lowered.append(steps if templates.misses > misses else 0)
+        assert counts == {"quantize_into": 0, "_row_sums": 0, "_bind_step": lowered[-1]}
+    assert engine.stats.adjacency_cache.hits == 0 and 0 in lowered
 
 
 def _gateway_open_structure():
@@ -1288,6 +1294,107 @@ def test_the_report_memo_is_bounded_and_dies_with_its_template(structures):
         engine.plan_artifacts.segment(segment).clear()
     gc.collect()
     assert refs and [ref() for ref in refs] == [None] * len(refs)
+
+
+@needs_kernel
+def test_a_cold_miss_binds_only_its_adjacency(monkeypatch, structures):
+    """On a ``cold_structures``-shaped stream, a miss whose template has
+    bound once binds its aggregate steps' adjacency and census only: no
+    native entry, no step lowered again and no ``repr`` of a template (its
+    digest is sealed).  Logits, counters, phase layouts, kernel counts and
+    the device report are those of an engine on the NumPy path."""
+    counts = dict.fromkeys(["bind_tail", "bind_quantize", "_bind_step/update",
+                            "_bind_step/aggregate", "repr"], 0)
+    for name in ("bind_tail", "bind_quantize"):
+        monkeypatch.setattr(native, name, _counting(counts, name, getattr(native, name)))
+    real_bind_step = quantized_module._bind_step
+
+    def bind_step(step, *args):
+        counts[f"_bind_step/{step.spec.role}"] += 1
+        return real_bind_step(step, *args)
+
+    monkeypatch.setattr(quantized_module, "_bind_step", bind_step)
+    plan_repr = ir.ExecutionPlan.__repr__
+    monkeypatch.setattr(ir.ExecutionPlan, "__repr__", _counting(counts, "repr", plan_repr))
+    rounds = []
+    run_round = InferenceEngine.run_round
+
+    def recording(self, *args, **kwargs):
+        forward = run_round(self, *args, **kwargs)
+        rounds.append((forward.logits.view(np.uint64), forward.counters, forward.binding,
+                       [phase[:3] for phase in forward.phases]))
+        return forward
+
+    monkeypatch.setattr(InferenceEngine, "run_round", recording)
+
+    engine, (first, second) = _cold_cycles(counts, structures, 2)
+    assert second == dict.fromkeys(counts, 0)
+    assert first["bind_tail"] > 0  # the first-touch template binds its entries on its next miss
+    native_rounds = rounds[:]
+    rounds.clear()
+    monkeypatch.setattr(native, "load", lambda: None)
+    numpy_engine, _ = _cold_cycles(counts, structures, 2)
+    assert len(rounds) == len(native_rounds) == 1 + 2 * len(structures)
+    for (logits, counters, binding, layout), want in zip(native_rounds, rounds):
+        np.testing.assert_array_equal(logits, want[0])
+        assert (counters, binding, layout) == want[1:] and binding
+        assert [phase for phase, _, _ in layout].count("bind") == 2 * engine.model.num_layers
+    stats = [(e.stats.mma_ops, e.stats.kernel_launches, e.stats.tiles_total, e.stats.tiles_skipped)
+             for e in (engine, numpy_engine)]
+    assert stats[0] == stats[1] and stats[0][3] > 0
+    assert engine.device_report == numpy_engine.device_report
+
+
+def _arrays(root) -> list[np.ndarray]:
+    """Every array reachable from ``root`` through containers and
+    ``repro`` objects (not through functions, classes or modules)."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (tuple, list, dict)) or type(obj).__module__.startswith("repro"):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_the_template_part_is_one_per_template_and_pins_no_adjacency(structures):
+    """What a program binds apart from its adjacency is kept once per
+    template, on its aggregate step's memo — the last key bound, shared by
+    every program bound from it — holds no array sized by an adjacency, so
+    evicted adjacencies die while their template lives, and it dies with
+    its template and the plans bound from it."""
+    engine, _ = _cold_cycles({}, structures, 2)
+    templates = engine.plan_artifacts.segment("template")
+    adjacencies = engine.plan_artifacts.segment("adjacency")
+    parts = {}
+    for key in templates.keys():
+        step = templates.peek(key).layers[0].aggregate
+        (part,) = [v for v in step.derived.values() if isinstance(v, quantized_module._Program)]
+        parts[id(step.derived)] = part
+        n = step.spec.m
+        assert not [a for a in _arrays(part) if n in a.shape]
+        assert all(b.fixed is b.matmul is b.counters is b.epilogue[2] is None
+                   for b in part.steps if b.aggregate)
+    for plan in map(engine.plan_cache.peek, engine.plan_cache.keys()):
+        program = adjacencies.peek(plan.adjacency_keys()[0]).derived["program"]
+        part = parts[id(plan.layers[0].aggregate.derived)]
+        assert program.key[1:] == part.key
+        assert program.shared is part.shared and program.layouts is part.layouts
+    refs = [weakref.ref(adjacencies.peek(key)) for key in adjacencies.keys()]
+    engine.plan_artifacts.segment("plan").clear()
+    adjacencies.clear()
+    gc.collect()
+    assert refs and [ref() for ref in refs] == [None] * len(refs)
+    refs = [weakref.ref(part.kernel) for part in parts.values()]
+    refs += [weakref.ref(templates.peek(key).layers[0].aggregate) for key in templates.keys()]
+    del step, part, parts, program, plan
+    engine.invalidate_stale_plans()  # drops every template
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_gateway_routing_hashes_a_structure_once(monkeypatch, structures):
