@@ -1,4 +1,5 @@
-"""A forward step's tail, or a batch adjacency, in one native pass (paper §4.5, §4.3).
+"""A forward step's tail (an aggregate step's product with it), or a batch
+adjacency, in one native pass (paper §4.5, §4.3).
 
 The QGTC kernel applies the rank-1 dequantization epilogue and the next
 layer's quantize before anything goes back to memory.  On the host, a
@@ -26,6 +27,13 @@ takes its §4.3 census in the same pass: it counts the live ``8 x 128``
 tiles (8-row groups by 128-column blocks; codes are non-negative, so a
 tile is live iff its code sum is not zero).  :meth:`_Bound.run` returns
 the count beside the codes; the shared entry keeps it nowhere.
+
+Given an aggregate step's adjacency (the int32 CSR of the binary ``A +
+I``), a tail entry takes the step's codes in place of its product
+(:meth:`_Bound.run`'s ``csr``) and gathers each tile's product on the
+stack, up to 16 columns in registers at a time: no aggregate product
+reaches memory.  Sums of integer codes within the exact-dtype bound are
+exact in any order, so the bits are scipy's ``csr @ codes`` and the tail's.
 
 The other kind of entry, :func:`adjacency`, packs: it concatenates a
 batch's member CSRs and writes each row's degree and the census of the
@@ -86,7 +94,7 @@ typedef struct {
    One loop per CODE: a branch inside it kept GCC from vectorising. */
 #define ELEMENT(CODE, C, ACC)                                                  \
     for (ptrdiff_t c = c0; c < c1; ++c) {                                      \
-        double x = (double)in[r * m + c] * scale, q;                           \
+        double x = (double)src[c - c0] * scale, q;                             \
         x = x + row;                                                           \
         x = x + cols[c];                                                       \
         x = x + constant;                                                      \
@@ -100,17 +108,57 @@ typedef struct {
 #define COMPARE q = x >= threshold ? 1.0 : 0.0;
 #define DIVIDE q = floor((x - lo) / step); q = q >= 0.0 ? q : 0.0; q = q > top ? top : q;
 
+/* Rows r0..r1, columns c0..c1 of A @ in (A a binary CSR) into TILE, 128 to
+   a row: a row's neighbours' codes summed W = 16, 8, 4, then 1 columns at a
+   time in registers, in the product's dtype — exact in any order, and from
+   +0.0 as scipy's sums (a -0.0 code adds as +0.0), so scipy's bits. */
+#define BLOCK(P, W)                                                            \
+    for (; c1 - b >= W; b += W) {                                              \
+        typedef P block __attribute__((vector_size(W * sizeof(P))));           \
+        block acc = {0}, x;                                                    \
+        for (const int32_t *e = e0; e < e1; ++e) {                             \
+            __builtin_memcpy(&x, in + *e * m + b, sizeof x);                   \
+            acc += x;                                                          \
+        }                                                                      \
+        __builtin_memcpy(row + b - c0, &acc, sizeof acc);                      \
+    }
+#define GATHER(P)                                                              \
+static void gather_##P(const P *restrict in, ptrdiff_t m, const int32_t *indptr, \
+                       const int32_t *indices, ptrdiff_t r0, ptrdiff_t r1,      \
+                       ptrdiff_t c0, ptrdiff_t c1, P *restrict tile)           \
+{                                                                              \
+    for (ptrdiff_t r = r0; r < r1; ++r) {                                      \
+        const int32_t *e0 = indices + indptr[r], *e1 = indices + indptr[r + 1]; \
+        P *row = tile + (r - r0) * 128;                                        \
+        ptrdiff_t b = c0;                                                      \
+        BLOCK(P, 16)                                                           \
+        BLOCK(P, 8)                                                            \
+        BLOCK(P, 4)                                                            \
+        for (; b < c1; ++b) {                                                  \
+            P acc = 0;                                                         \
+            for (const int32_t *e = e0; e < e1; ++e)                           \
+                acc += in[*e * m + b];                                         \
+            row[b - c0] = acc;                                                 \
+        }                                                                      \
+    }                                                                          \
+}
+GATHER(float)
+GATHER(double)
+
 /* Epilogue, ReLU and Eq. 2 into the next step's codes and their row sums,
    or with QUANTIZE 0 the epilogue's float64 values (the logits).  The
    elements are visited tile by tile (8-row groups by 128-column blocks) so
    that a call writing row sums also counts the live tiles of its codes; it
    returns that count (0 for a call without row sums), or -1 when an
-   activation is NaN.  The fields are read into locals first: as far as the
+   activation is NaN.  Given a binary CSR (indptr), IN is an aggregate
+   step's codes and each tile's product is gathered on the stack, never
+   written out.  The fields are read into locals first: as far as the
    compiler can tell, the stores into the outputs could alias them, which
    would keep it from vectorising. */
 #define TAIL(NAME, P, C, ACC, QUANTIZE)                                        \
 ptrdiff_t NAME(const tail_args *a, const P *restrict in, const double *sums,   \
-               C *restrict out, double *restrict out_sums)                     \
+               C *restrict out, double *restrict out_sums,                     \
+               const int32_t *indptr, const int32_t *indices)                  \
 {                                                                              \
     const ptrdiff_t n = a->n, m = a->m;                                        \
     const int relu = a->relu, quantize = QUANTIZE, one_bit = a->one_bit;       \
@@ -121,14 +169,22 @@ ptrdiff_t NAME(const tail_args *a, const P *restrict in, const double *sums,   \
     const double *restrict cols = a->cols, *restrict bias = a->bias;           \
     ptrdiff_t live = 0;                                                        \
     int nan = 0;                                                               \
+    P tile[8 * 128];                                                           \
     for (ptrdiff_t r0 = 0; r0 < n; r0 += 8) {                                  \
         const ptrdiff_t r1 = n - r0 < 8 ? n : r0 + 8;                          \
         ACC acc[8] = {0};                                                      \
         for (ptrdiff_t c0 = 0; c0 < m; c0 += 128) {                            \
             const ptrdiff_t c1 = m - c0 < 128 ? m : c0 + 128;                  \
+            const P *t = in + r0 * m + c0;                                     \
+            ptrdiff_t ld = m;                                                  \
+            if (indptr) {                                                      \
+                gather_##P(in, m, indptr, indices, r0, r1, c0, c1, tile);      \
+                t = tile, ld = 128;                                            \
+            }                                                                  \
             int any = 0;                                                       \
             for (ptrdiff_t r = r0; r < r1; ++r) {                              \
                 const double row = rows ? row_scale * rows[r] : -0.0;          \
+                const P *src = t + (r - r0) * ld;                              \
                 ACC block = 0;                                                 \
                 if (one_bit)                                                   \
                     ELEMENT(COMPARE, C, ACC)                                   \
@@ -205,7 +261,6 @@ class _TailArgs(ctypes.Structure):
 PRODUCT_DTYPES = ("float32", "float64")
 CODE_DTYPES = ("float32", "float64", "int64")
 _NAMES = {np.dtype(name): name for name in CODE_DTYPES}
-_BUFFER = ctypes.POINTER(ctypes.c_char)
 _NAN = "cannot quantize NaN: codes must be non-negative integers"
 _loaded: list = []  # the library (or None) once :func:`load` has run
 _load_lock = threading.Lock()
@@ -239,7 +294,7 @@ def _compile() -> ctypes.CDLL | None:
     for product in PRODUCT_DTYPES:
         for out in (*CODE_DTYPES, "logits"):
             fn = getattr(lib, f"tail_{product}_{out}")
-            fn.argtypes = (ctypes.POINTER(_TailArgs), _BUFFER, _BUFFER, _BUFFER, _BUFFER)
+            fn.argtypes = (ctypes.POINTER(_TailArgs), *[ctypes.c_void_p] * 6)
             fn.restype = ctypes.c_ssize_t
     lib.adjacency.argtypes = (ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_ssize_t, *[ctypes.c_void_p] * 4)
     lib.adjacency.restype = ctypes.c_ssize_t
@@ -247,13 +302,15 @@ def _compile() -> ctypes.CDLL | None:
 
 
 def _buffer(array: np.ndarray | None):
-    """``array``'s memory as a ctypes argument (``None`` for NULL); a
-    read-only or strided array is read from a C-ordered copy."""
+    """``array``'s memory as a ctypes argument (``None`` for NULL): a
+    read-only one by address, a strided one from a C-ordered copy."""
     if array is None:
         return None
-    if not array.flags.carray:
-        array = np.array(array, order="C")
-    return ctypes.byref(ctypes.c_char.from_buffer(array))
+    if array.flags.carray:
+        return ctypes.byref(ctypes.c_char.from_buffer(array))  # cheaper than ``ctypes.data``
+    if array.flags.c_contiguous:  # read-only: only an address reaches C, which only reads it
+        return array.ctypes.data
+    return _buffer(np.array(array, order="C"))
 
 
 class _Bound:
@@ -276,20 +333,26 @@ class _Bound:
         without the census."""
         return self.run(values, sums)[:2]
 
-    def run(self, values: np.ndarray, sums: np.ndarray | None = None):
+    def run(self, values: np.ndarray, sums: np.ndarray | None = None, csr: tuple | None = None):
         """``(outputs, their row sums, their live 8 x 128 tiles)`` of
         ``values`` — the product (with the step's own codes' row sums on an
         update step) or, for the quantize-only entry, the activation; the
-        sums and the count are ``None`` for an entry bound without sums."""
+        sums and the count are ``None`` for an entry bound without sums.
+        With ``csr``, the int32 ``(indptr, indices)`` of a square CSR of
+        ones (an aggregate step's adjacency, trusted as scipy's kernel
+        trusts it), ``values`` are the step's codes and the product of a
+        tail's entry is that CSR times them, taken in the same pass."""
         dtype, shape = self._in
         if values.shape != shape or values.dtype != dtype:
             raise ShapeError(f"bound for a {dtype} {shape} operand, got a {values.dtype} {values.shape} one")
         if self._rows is not None and (sums is None or sums.shape != self._rows or sums.dtype != np.float64):
             raise ShapeError(f"an update step's tail reads its codes' {self._rows} float64 row sums")
+        if csr is not None and (csr[0].shape != (shape[0] + 1,) or not csr[0].dtype == csr[1].dtype == np.int32):
+            raise ShapeError(f"a tail gathers from the int32 CSR of a {shape[0]}-row square adjacency")
         out = np.empty(*self._out)
         out_sums = np.empty(shape[0]) if self._sums else None
         live = self._fn(self._args, _buffer(values), _buffer(sums if self._rows else None),
-                        _buffer(out), _buffer(out_sums))
+                        _buffer(out), _buffer(out_sums), *map(_buffer, csr or (None, None)))
         if live < 0:
             raise BitwidthError(_NAN)
         return out, out_sums, live if self._sums else None
@@ -315,10 +378,10 @@ def adjacency(loops) -> tuple[np.ndarray, ...] | None:
 
 
 def _float64(term, shape: tuple[int, int]) -> np.ndarray:
-    """``term`` as a writable C-ordered float64 array of ``shape``: itself
-    when it already is one (read by reference, as the NumPy tail reads it)."""
+    """``term`` as a C-ordered float64 array of ``shape``: itself when it
+    already is one (read by reference, as the NumPy tail reads it)."""
     if (isinstance(term, np.ndarray) and term.shape == shape and term.dtype == np.float64
-            and term.flags.c_contiguous and term.flags.writeable):
+            and term.flags.c_contiguous):
         return term
     array = np.empty(shape)
     array[...] = term
@@ -372,8 +435,7 @@ def _bind(recipe, product, shape, terms, relu, params, dtype, sums, reads_sums) 
         return None
     one_bit, alpha_min, step, top = (False, 0.0, 0.0, 0) if params is None else (
         params.bits == 1, params.alpha_min, params.scale, params.levels - 1)
-    rows, cols, bias = (None if a is None else ctypes.addressof(ctypes.c_char.from_buffer(a))
-                        for a in keep)  # cheaper than ``a.ctypes.data``
+    rows, cols, bias = (None if a is None else a.ctypes.data for a in keep)
     args = _TailArgs(n, m, relu, one_bit, scale, row_scale, constant, rows, cols, bias,
                      alpha_min, step, top, params.threshold if one_bit else 0.0)  # the fields' order
     name = _NAMES[out] if params is not None else "logits"

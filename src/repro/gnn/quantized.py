@@ -402,9 +402,10 @@ class _BoundStep(NamedTuple):
     then its counters' key (:meth:`~repro.tc.kernel.BitGemmKernel.key`);
     ``epilogue`` the affine terms, by the unbound form's float operations
     in its order: ``(s, c, degrees)`` or ``(s_l s_r, s_l c_r, ones, c_l s_r
-    colsums, k c_l c_r, bias)``.  An aggregate step of a template part
-    (:class:`_Program`) has no adjacency: no ``fixed``, ``matmul``,
-    ``counters`` or ``degrees``."""
+    colsums, k c_l c_r, bias)``; ``csr`` a ``blas`` aggregate step's int32
+    ``(indptr, indices)``, which its native tail gathers its product from.
+    An aggregate step of a template part (:class:`_Program`) has no
+    adjacency: no ``fixed``, ``matmul``, ``counters``, ``degrees`` or ``csr``."""
 
     step: GemmStep
     layer: int
@@ -419,6 +420,7 @@ class _BoundStep(NamedTuple):
     counters: KernelCounters | None
     census: tuple | None
     epilogue: tuple
+    csr: tuple | None = None
 
     def operand(self, codes: np.ndarray) -> Operand:
         """The step's activation operand: ``codes``, range-proven."""
@@ -447,12 +449,16 @@ def _bind_step(step, layer, relu, registry, params, weight, bias) -> _BoundStep:
 
 def _over(bs: _BoundStep, adjacency: PackedAdjacency) -> _BoundStep:
     """Aggregate step ``bs`` bound to ``adjacency``: its left operand, its
-    ``blas`` matrix and the degrees its row term ``c * degree`` reads (a
-    writable copy, which the native tail takes in place)."""
-    fixed = adjacency.operand
-    matmul = fixed.matrix(bs.dtype).__matmul__ if bs.backend.run is codes_gemm else None
-    return bs._replace(fixed=fixed, matmul=matmul,
-                       epilogue=(*bs.epilogue[:2], adjacency.degrees.ravel().copy()))
+    ``blas`` matrix with its int32 CSR, and the degrees its row term ``c *
+    degree`` reads."""
+    fixed, matmul, csr = adjacency.operand, None, None
+    if bs.backend.run is codes_gemm:
+        matrix = fixed.matrix(bs.dtype)
+        matmul = matrix.__matmul__
+        if sp.issparse(matrix) and matrix.indptr.dtype == matrix.indices.dtype == np.int32:
+            csr = (matrix.indptr, matrix.indices)
+    return bs._replace(fixed=fixed, matmul=matmul, csr=csr,
+                       epilogue=(*bs.epilogue[:2], adjacency.degrees.ravel()))
 
 
 class _Program(NamedTuple):
@@ -593,9 +599,11 @@ def execute_forward_plan(
     *bound program* kept on the adjacency, running the operand pair,
     census, dtype and weight-bitwidth checks once; later runs are its
     GEMMs, one native call per step for the epilogue, ReLU and next Eq. 2
-    (NumPy where the kernel is unavailable or the product is not in the
-    step's exact dtype — the same bits), a ``perf_counter`` stamp per
-    phase boundary and each step's recovery wrapper.  Once every
+    (a ``blas`` aggregate step's product in the same call, gathered from
+    its adjacency's CSR; NumPy where the kernel is unavailable or the
+    product is not in the step's exact dtype — the same bits), a
+    ``perf_counter`` stamp per phase boundary and each step's recovery
+    wrapper.  Once every
     calibration site is frozen, what a program binds apart from its
     adjacency is bound once per template — its *template part*
     (:class:`_Program`), native entries included — and a binding round over
@@ -703,9 +711,11 @@ def execute_forward_plan(
         counters.append(step_counters)
         stamp(clock())
 
-        def attempt(name, bs=bs, codes=codes, operand=operand):
+        def attempt(name, bs=bs, codes=codes, operand=operand, tail=tail):
             primary = name == bs.step.backend
             if primary and bs.matmul is not None:
+                if tail is not None and bs.csr is not None:  # the product and its tail in one pass
+                    return tail.run(codes, bs.epilogue[2], bs.csr)
                 return bs.matmul(codes)
             if operand is None:
                 operand = bs.operand(codes)
@@ -727,10 +737,13 @@ def execute_forward_plan(
             recovered[i] = (executed, won[executed])
             recoveries.extend((bs.label, name, executed) for name in failed)
         # A product not in the step's exact dtype (an int64 one from
-        # ``packed``, primary or a recovery's fallback) keeps NumPy.
-        fused = tail is not None and out.dtype == bs.dtype
+        # ``packed``, primary or a recovery's fallback) keeps NumPy; an
+        # attempt that gathered its product has run the tail already.
+        if tail is not None and type(out) is not tuple and out.dtype == bs.dtype:
+            out = tail.run(out, bs.epilogue[2] if bs.aggregate else sums)
+        fused = type(out) is tuple
         if fused:  # the same operations below, the ReLU and the next Eq. 2 in one pass
-            codes, sums, live = tail.run(out, bs.epilogue[2] if bs.aggregate else sums)
+            codes, sums, live = out
             h = codes  # the last step's are the logits
         else:
             # The product is widened exactly, then scaled in float64 (NumPy 2
@@ -767,7 +780,8 @@ def execute_forward_plan(
             program = _lower(key, (model, *packed_weights), bound, kernel, apply_softmax)
             if calibration is not None:  # every site is frozen now: keep the template part, bound
                 steps = tuple(b if not b.aggregate else b._replace(
-                    fixed=None, matmul=None, counters=None, epilogue=(*b.epilogue[:2], None)) for b in bound)
+                    fixed=None, matmul=None, counters=None, epilogue=(*b.epilogue[:2], None), csr=None)
+                    for b in bound)
                 template = program._replace(key=key[1:], steps=steps, derived={})
                 _native_entries(template)
                 memo["program"] = template

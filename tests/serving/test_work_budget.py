@@ -516,12 +516,14 @@ def test_evicted_adjacency_is_collectable_with_its_derivations(structures):
     assert adjacency.plan.derived and all(
         step.derived for step in plan.gemm_steps() if step.spec.role == "update"
     )
-    refs = [weakref.ref(adjacency), weakref.ref(adjacency.plan), weakref.ref(plan)]
-    del adjacency, plan
+    # The arrays too: a native entry bound once per template reads the CSR per call.
+    held = (adjacency, adjacency.plan, plan, adjacency.operand, adjacency.csr.indptr, adjacency.csr.indices)
+    refs = list(map(weakref.ref, held))
+    del adjacency, plan, held
     for members in structures[1:]:  # two more structures: LRU evicts the first
         engine.infer(members)
     gc.collect()
-    assert [ref() for ref in refs] == [None, None, None]
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 # --------------------------------------------------------------------- #
@@ -1343,6 +1345,70 @@ def test_a_cold_miss_binds_only_its_adjacency(monkeypatch, structures):
              for e in (engine, numpy_engine)]
     assert stats[0] == stats[1] and stats[0][3] > 0
     assert engine.device_report == numpy_engine.device_report
+
+
+@needs_kernel
+def test_a_blas_aggregate_step_is_one_native_pass(monkeypatch, structures):
+    """Over a frozen calibration a ``blas`` aggregate step's product and
+    tail are one foreign call over its adjacency's CSR: a cold miss over a
+    seen template and a warm replay make no scipy sparse matmul and one
+    native call per step (and the features' quantize).  On the NumPy path
+    every aggregate step is a scipy matmul."""
+    from scipy.sparse import _base, _sparsetools
+
+    counts = dict.fromkeys(["_matmul_dispatch", "csr_matvecs", "native", "gathering"], 0)
+    monkeypatch.setattr(_base._spbase, "_matmul_dispatch",
+                        _counting(counts, "_matmul_dispatch", _base._spbase._matmul_dispatch))
+    monkeypatch.setattr(_sparsetools, "csr_matvecs",
+                        _counting(counts, "csr_matvecs", _sparsetools.csr_matvecs))
+    run = native._Bound.run
+
+    def counting_run(self, values, sums=None, csr=None):
+        counts["native"] += 1
+        counts["gathering"] += csr is not None
+        return run(self, values, sums, csr)
+
+    monkeypatch.setattr(native._Bound, "run", counting_run)
+    engine, (_, cold) = _cold_cycles(counts, structures, 2)
+    layers, rounds = engine.model.num_layers, len(structures)
+    one_pass = {"_matmul_dispatch": 0, "csr_matvecs": 0, "native": 2 * layers + 1, "gathering": layers}
+    assert cold == {name: rounds * calls for name, calls in one_pass.items()}
+
+    engine.infer(structures[0])  # now held by the caches: the next round replays
+    for name in counts:
+        counts[name] = 0
+    engine.infer(structures[0])
+    assert engine.stats.plan_cache.hits == 1 and counts == one_pass
+
+    monkeypatch.setattr(native, "load", lambda: None)
+    _, (_, numpy_cold) = _cold_cycles(counts, structures, 2)
+    assert numpy_cold["native"] == 0
+    assert numpy_cold["_matmul_dispatch"] == numpy_cold["csr_matvecs"] == rounds * layers
+
+
+@needs_kernel
+def test_a_kernel_fault_before_a_fused_aggregate_recovers_on_packed(structures):
+    """A ``kernel`` fault probed before a warm round's fused aggregate
+    attempts sends each to ``packed``, whose int64 product takes the NumPy
+    tail: the round's logits are the fault-free round's, bit for bit."""
+    model = make_cluster_gcn(12, 3, seed=4)
+    config = ServingConfig(feature_bits=1, batch_size=4)
+
+    def third_round(faults):
+        engine = InferenceEngine(model, config, fault_plan=faults)
+        engine.infer(structures[0])
+        engine.infer(structures[0])
+        at = faults.probes("kernel")
+        return engine, at, [r.logits for r in engine.infer(structures[0])]
+
+    _, at, want = third_round(FaultPlan(seed=0, specs=[]))
+    # at + 1 probes the first one's ``packed`` retry, at + 2 the update between them
+    faults = FaultPlan(seed=0, specs=[FaultSpec("kernel", at=(at, at + 3))])
+    engine, _, got = third_round(faults)
+    assert [e.detail for e in faults.events] == ["aggregate/L0:blas", "aggregate/L1:blas"]
+    assert engine.stats.step_retries == 2
+    for a, b in zip(want, got):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _arrays(root) -> list[np.ndarray]:
