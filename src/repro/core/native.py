@@ -59,7 +59,7 @@ from ..errors import BitwidthError, ShapeError
 from ..telemetry import emit_event
 from .quantization import QuantParams
 
-__all__ = ["SOURCE", "adjacency", "bind_quantize", "bind_tail", "load"]
+__all__ = ["SOURCE", "adjacency", "bind_csr", "bind_quantize", "bind_tail", "load"]
 
 #: The compiler :func:`load` runs, and its flags (see the module doc).
 COMPILER = "cc"
@@ -340,22 +340,37 @@ class _Bound:
         sums and the count are ``None`` for an entry bound without sums.
         With ``csr``, the int32 ``(indptr, indices)`` of a square CSR of
         ones (an aggregate step's adjacency, trusted as scipy's kernel
-        trusts it), ``values`` are the step's codes and the product of a
-        tail's entry is that CSR times them, taken in the same pass."""
+        trusts it; ``sums`` its degrees) or :func:`bind_csr`'s binding of
+        both, ``values`` are the step's codes and the product of a tail's
+        entry is that CSR times them, taken in the same pass."""
         dtype, shape = self._in
         if values.shape != shape or values.dtype != dtype:
             raise ShapeError(f"bound for a {dtype} {shape} operand, got a {values.dtype} {values.shape} one")
-        if self._rows is not None and (sums is None or sums.shape != self._rows or sums.dtype != np.float64):
+        if csr is not None:  # ``(indptr, indices)``, ``sums`` their degrees, or what bind_csr bound
+            rows, fixed, _ = csr if len(csr) == 3 else bind_csr(*csr, sums) or (None, None, None)
+            if self._rows != (rows,):  # an entry's row count is its shape's
+                raise ShapeError(f"a tail gathers from the int32 CSR of a {shape[0]}-row square adjacency")
+        elif self._rows is not None and (sums is None or sums.shape != self._rows or sums.dtype != np.float64):
             raise ShapeError(f"an update step's tail reads its codes' {self._rows} float64 row sums")
-        if csr is not None and (csr[0].shape != (shape[0] + 1,) or not csr[0].dtype == csr[1].dtype == np.int32):
-            raise ShapeError(f"a tail gathers from the int32 CSR of a {shape[0]}-row square adjacency")
+        else:
+            fixed = (_buffer(sums if self._rows else None), None, None)
         out = np.empty(*self._out)
         out_sums = np.empty(shape[0]) if self._sums else None
-        live = self._fn(self._args, _buffer(values), _buffer(sums if self._rows else None),
-                        _buffer(out), _buffer(out_sums), *map(_buffer, csr or (None, None)))
+        live = self._fn(self._args, _buffer(values), fixed[0], _buffer(out), _buffer(out_sums), *fixed[1:])
         if live < 0:
             raise BitwidthError(_NAN)
         return out, out_sums, live if self._sums else None
+
+
+def bind_csr(indptr: np.ndarray, indices: np.ndarray, degrees: np.ndarray) -> tuple | None:
+    """An aggregate step's int32 CSR and ``(n,)`` float64 degrees checked and
+    addressed once for :meth:`_Bound.run`'s ``csr``: ``(n, addresses in the
+    foreign call's order, the arrays)``, or ``None`` for another dtype or length."""
+    arrays = degrees, indptr, indices = tuple(map(np.ascontiguousarray, (degrees, indptr, indices)))
+    n = indptr.size - 1
+    if indptr.dtype == indices.dtype == np.int32 and degrees.dtype == np.float64 and degrees.shape == (n,):
+        return n, tuple(a.ctypes.data for a in arrays), arrays
+    return None
 
 
 def adjacency(loops) -> tuple[np.ndarray, ...] | None:

@@ -10,9 +10,9 @@ The stack probes five named **sites**; with no :class:`FaultPlan`
 threaded in (the default), every probe is a no-op:
 
 ``kernel``
-    One GEMM-step attempt inside the per-step recovery wrapper.  A fire
-    raises :class:`~repro.errors.InjectedFault`; the step is retried on
-    the fallback backend bit-identically.
+    Before each step attempt: the round's inline attempt and a recovery's
+    fallback alike.  A fire raises :class:`~repro.errors.InjectedFault`;
+    the step is retried on the fallback backend bit-identically.
 ``compile``
     One plan compilation in ``InferenceEngine``.  A fire aborts the
     request with a retryable error; the gateway's bounded retry replays

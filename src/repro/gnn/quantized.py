@@ -403,7 +403,8 @@ class _BoundStep(NamedTuple):
     ``epilogue`` the affine terms, by the unbound form's float operations
     in its order: ``(s, c, degrees)`` or ``(s_l s_r, s_l c_r, ones, c_l s_r
     colsums, k c_l c_r, bias)``; ``csr`` a ``blas`` aggregate step's int32
-    ``(indptr, indices)``, which its native tail gathers its product from.
+    CSR and degrees as its native tail gathers from them
+    (:func:`~repro.core.native.bind_csr`: checked and addressed once).
     An aggregate step of a template part (:class:`_Program`) has no
     adjacency: no ``fixed``, ``matmul``, ``counters``, ``degrees`` or ``csr``."""
 
@@ -422,9 +423,17 @@ class _BoundStep(NamedTuple):
     epilogue: tuple
     csr: tuple | None = None
 
-    def operand(self, codes: np.ndarray) -> Operand:
-        """The step's activation operand: ``codes``, range-proven."""
-        return Operand(codes, self.params.bits, "row" if self.aggregate else "col", proven=True)
+    def pair(self, codes: np.ndarray) -> tuple[Operand, Operand]:
+        """The step's ``(left, right)`` operands: ``fixed`` and its activation ``codes``, range-proven."""
+        operand = Operand(codes, self.params.bits, "row" if self.aggregate else "col", proven=True)
+        return (self.fixed, operand) if self.aggregate else (operand, self.fixed)
+
+    def fallback(self, registry, pair: tuple, name: str) -> tuple:
+        """``(product, seconds)`` of the step on a recovery's backend
+        ``name``: resolved per use, timed alone."""
+        began = time.perf_counter()
+        out = registry.get(resolve_engine_name(name, self.step.spec, registry)).run(*pair)
+        return out, time.perf_counter() - began
 
 
 def _bind_step(step, layer, relu, registry, params, weight, bias) -> _BoundStep:
@@ -450,15 +459,14 @@ def _bind_step(step, layer, relu, registry, params, weight, bias) -> _BoundStep:
 def _over(bs: _BoundStep, adjacency: PackedAdjacency) -> _BoundStep:
     """Aggregate step ``bs`` bound to ``adjacency``: its left operand, its
     ``blas`` matrix with its int32 CSR, and the degrees its row term ``c *
-    degree`` reads."""
-    fixed, matmul, csr = adjacency.operand, None, None
+    degree`` reads — the CSR's and the degrees' addresses taken here, once."""
+    fixed, matmul, csr, degrees = adjacency.operand, None, None, adjacency.degrees.ravel()
     if bs.backend.run is codes_gemm:
         matrix = fixed.matrix(bs.dtype)
         matmul = matrix.__matmul__
-        if sp.issparse(matrix) and matrix.indptr.dtype == matrix.indices.dtype == np.int32:
-            csr = (matrix.indptr, matrix.indices)
-    return bs._replace(fixed=fixed, matmul=matmul, csr=csr,
-                       epilogue=(*bs.epilogue[:2], adjacency.degrees.ravel()))
+        if sp.issparse(matrix):
+            csr = native.bind_csr(matrix.indptr, matrix.indices, degrees)
+    return bs._replace(fixed=fixed, matmul=matmul, csr=csr, epilogue=(*bs.epilogue[:2], degrees))
 
 
 class _Program(NamedTuple):
@@ -586,10 +594,13 @@ def execute_forward_plan(
     """Replay a compiled :class:`~repro.plan.ir.ExecutionPlan` on one batch.
 
     ``registry`` resolves the plan's backend names (pass the one the plan
-    was compiled with).  ``recovery`` (a
-    ``repro.serving.supervision.StepRecovery``-shaped object) retries a
-    step whose backend raised a retryable error along its fallback chain;
-    engines are bit-identical, so a recovery changes cost, never logits
+    was compiled with).  A round runs under one guard: each step's
+    primary attempt is made inline, after the ``kernel`` fault probe of
+    ``recovery`` (a ``repro.serving.supervision.StepRecovery``), whose
+    health record takes the round's successes at once (and before any
+    failure); a step whose attempt raised is handed to ``recovery``, which
+    retries it along its fallback chain.  Engines are bit-identical, so a
+    recovery changes cost, never logits
     (:attr:`QuantizedForwardResult.recoveries`).  Missing
     ``packed_weights``/``packed_adjacency`` are resolved through
     ``artifacts`` under the plan nodes' keys, else built transiently.
@@ -601,9 +612,8 @@ def execute_forward_plan(
     GEMMs, one native call per step for the epilogue, ReLU and next Eq. 2
     (a ``blas`` aggregate step's product in the same call, gathered from
     its adjacency's CSR; NumPy where the kernel is unavailable or the
-    product is not in the step's exact dtype — the same bits), a
-    ``perf_counter`` stamp per phase boundary and each step's recovery
-    wrapper.  Once every
+    product is not in the step's exact dtype — the same bits) and a
+    ``perf_counter`` stamp per phase boundary.  Once every
     calibration site is frozen, what a program binds apart from its
     adjacency is bound once per template — its *template part*
     (:class:`_Program`), native entries included — and a binding round over
@@ -667,107 +677,107 @@ def execute_forward_plan(
             f"a batch with {h.shape[1]} features; compile a fresh plan"
         )
     bound, counters, recoveries, recovered = [], [], [], {}
+    health, faults = (None, None) if recovery is None else (recovery.health, recovery.fault_plan)
+    recorded = 0  # ``bound[:recorded]``'s successes are in ``health``: a round records them at once
     codes = sums = live = None  # a step's codes (row sums, live tiles), when the step before wrote them
-    for i, (bs, (quantize, tail)) in enumerate(zip(schedule, natives)):
-        if program is None:  # binding: lower the step unless its template part has, bind its adjacency
-            if template is None:
-                step, layer, relu = bs
-                site = step.quantize_a or step.quantize_b
-                frozen = None if calibration is None else calibration.frozen(site.site, site.bits)
-                params = frozen if frozen is not None else (
-                    calibrate(h, site.bits) if calibration is None
-                    else calibration.params_for(site.site, h, site.bits))
-                bs = _bind_step(step, layer, relu, backends, params, packed_weights[layer],
-                                model.biases[layer])
-                if frozen is not None:
-                    into = () if i + 1 == len(schedule) else _frozen_into(*schedule[i + 1][:2],
-                                                                           calibration, backends)
-                    quantize, tail = _bind_native(bs, into, codes is not None)
-            if bs.aggregate:
-                bs = _over(bs, packed_adjacency)
+    try:
+        for i, (bs, (quantize, tail)) in enumerate(zip(schedule, natives)):
+            if program is None:  # binding: lower the step unless its template part has, bind its adjacency
+                if template is None:
+                    step, layer, relu = bs
+                    site = step.quantize_a or step.quantize_b
+                    frozen = None if calibration is None else calibration.frozen(site.site, site.bits)
+                    params = frozen if frozen is not None else (
+                        calibrate(h, site.bits) if calibration is None
+                        else calibration.params_for(site.site, h, site.bits))
+                    bs = _bind_step(step, layer, relu, backends, params, packed_weights[layer],
+                                    model.biases[layer])
+                    if frozen is not None:
+                        into = () if i + 1 == len(schedule) else _frozen_into(*schedule[i + 1][:2],
+                                                                               calibration, backends)
+                        quantize, tail = _bind_native(bs, into, codes is not None)
+                if bs.aggregate:
+                    bs = _over(bs, packed_adjacency)
+                stamp(clock())
+            if codes is None:
+                codes, sums, live = (quantize.run(h) if quantize is not None
+                                     else (quantize_into(h, bs.params, bs.dtype), None, None))
+            # Binding checks the pair; a replay ballots in Python only codes no native pass censused.
+            account = bs.counters is None and (live is None or bs.census is None)
+            pair = bs.pair(codes) if account or bs.matmul is None else None
             stamp(clock())
-        if codes is None:
-            codes, sums, live = (quantize.run(h) if quantize is not None
-                                 else (quantize_into(h, bs.params, bs.dtype), None, None))
-        # Binding checks the pair; a replay ballots in Python only codes no native pass censused.
-        account = bs.counters is None and (live is None or bs.census is None)
-        operand = bs.operand(codes) if account or bs.matmul is None else None
-        stamp(clock())
-        if bs.matmul is None and bs.backend.caps.consumes_words:
-            operand.pack()
-            bs.fixed.pack()
-        stamp(clock())
-        step_counters = bs.counters
-        if account:
-            pair = (bs.fixed, operand) if bs.aggregate else (operand, bs.fixed)
-            step_counters = kernel.account(*pair, packed_adjacency.plan if bs.aggregate else None,
-                                           bs.step.derived, live)
-            if bs.census is None:  # binding: a 1-bit activation under jumping is censused per round
-                census = None if bs.aggregate or not kernel.jumps(operand) else kernel.key(*pair)
-                bs = bs._replace(counters=None if census else step_counters, census=census)
-        elif step_counters is None:  # censused by the pass that wrote the codes
-            step_counters = kernel.tally(bs.census, live, bs.step.derived)
-        bound.append(bs)
-        counters.append(step_counters)
-        stamp(clock())
-
-        def attempt(name, bs=bs, codes=codes, operand=operand, tail=tail):
-            primary = name == bs.step.backend
-            if primary and bs.matmul is not None:
-                if tail is not None and bs.csr is not None:  # the product and its tail in one pass
-                    return tail.run(codes, bs.epilogue[2], bs.csr)
-                return bs.matmul(codes)
-            if operand is None:
-                operand = bs.operand(codes)
-            pair = (bs.fixed, operand) if bs.aggregate else (operand, bs.fixed)
-            if primary:
-                return bs.backend.run(*pair)
-            began = clock()  # a recovery's fallback: resolved per use, timed alone
-            out = backends.get(resolve_engine_name(name, bs.step.spec, backends)).run(*pair)
-            won[name] = clock() - began
-            return out
-
-        won = {}
-        if recovery is None:
-            out, executed, failed = attempt(bs.step.backend), bs.step.backend, ()
-        else:
-            out, executed, failed = recovery.run(attempt, bs.step.backend, detail=bs.label)
-        stamp(clock())
-        if failed:
-            recovered[i] = (executed, won[executed])
-            recoveries.extend((bs.label, name, executed) for name in failed)
-        # A product not in the step's exact dtype (an int64 one from
-        # ``packed``, primary or a recovery's fallback) keeps NumPy; an
-        # attempt that gathered its product has run the tail already.
-        if tail is not None and type(out) is not tuple and out.dtype == bs.dtype:
-            out = tail.run(out, bs.epilogue[2] if bs.aggregate else sums)
-        fused = type(out) is tuple
-        if fused:  # the same operations below, the ReLU and the next Eq. 2 in one pass
-            codes, sums, live = out
-            h = codes  # the last step's are the logits
-        else:
-            # The product is widened exactly, then scaled in float64 (NumPy 2
-            # keeps a Python float times a float32 in float32).  The terms join
-            # in place, one at a time and left to right: float addition is not
-            # associative, and pre-combining any two would move a logit's last bit.
-            out = out.astype(np.float64)
-            if bs.aggregate:  # Â is exact binary: real = s_x (Â q_x) + c_x degree
-                scale, offset, degrees = bs.epilogue
-                out *= scale
-                out += offset * degrees[:, None]
+            if bs.matmul is None and bs.backend.caps.consumes_words:
+                for side in pair:
+                    side.pack()
+            stamp(clock())
+            step_counters = bs.counters
+            if account:
+                step_counters = kernel.account(*pair, packed_adjacency.plan if bs.aggregate else None,
+                                               bs.step.derived, live)
+                if bs.census is None:  # binding: a 1-bit activation under jumping is censused per round
+                    census = None if bs.aggregate or not kernel.jumps(pair[0]) else kernel.key(*pair)
+                    bs = bs._replace(counters=None if census else step_counters, census=census)
+            elif step_counters is None:  # censused by the pass that wrote the codes
+                step_counters = kernel.tally(bs.census, live, bs.step.derived)
+            counters.append(step_counters)
+            stamp(clock())
+            try:  # the primary attempt, inline: a raise hands the step to ``recovery``
+                if faults is not None:
+                    faults.maybe_raise("kernel", detail=f"{bs.label}:{bs.step.backend}")
+                if bs.matmul is None:
+                    out = bs.backend.run(*pair)
+                elif tail is not None and bs.csr is not None:  # the product and its tail in one pass
+                    out = tail.run(codes, None, bs.csr)
+                else:
+                    out = bs.matmul(codes)
+            except BaseException as exc:
+                if recovery is None:
+                    raise
+                if health is not None and recorded < len(bound):  # the successes before the failure
+                    health.record_success(*(b.step.backend for b in bound[recorded:]))
+                recorded = len(bound) + 1
+                fallback = partial(bs.fallback, backends, pair or bs.pair(codes))
+                (out, seconds), executed, failed = recovery.run(fallback, bs.step.backend, detail=bs.label,
+                                                                raised=exc)
+                recovered[i] = (executed, seconds)
+                recoveries.extend((bs.label, name, executed) for name in failed)
+            bound.append(bs)
+            stamp(clock())
+            # A product not in the step's exact dtype (an int64 one from
+            # ``packed``, primary or a recovery's fallback) keeps NumPy; an
+            # attempt that gathered its product has run the tail already.
+            if tail is not None and type(out) is not tuple and out.dtype == bs.dtype:
+                out = tail.run(out, bs.epilogue[2] if bs.aggregate else sums)
+            fused = type(out) is tuple
+            if fused:  # the same operations below, the ReLU and the next Eq. 2 in one pass
+                codes, sums, live = out
+                h = codes  # the last step's are the logits
             else:
-                scale, row_scale, ones, col_terms, constant, bias = bs.epilogue
-                out *= scale
-                out += row_scale * _row_sums(codes, ones)
-                out += col_terms
-                out += constant
-                out += bias
-            h, codes = out, None
-        stamp(clock())
-        if bs.relu:
-            if not fused:
-                np.maximum(out, 0.0, out=out)
+                # The product is widened exactly, then scaled in float64 (NumPy 2
+                # keeps a Python float times a float32 in float32).  The terms join
+                # in place, one at a time and left to right: float addition is not
+                # associative, and pre-combining any two would move a logit's last bit.
+                out = out.astype(np.float64)
+                if bs.aggregate:  # Â is exact binary: real = s_x (Â q_x) + c_x degree
+                    scale, offset, degrees = bs.epilogue
+                    out *= scale
+                    out += offset * degrees[:, None]
+                else:
+                    scale, row_scale, ones, col_terms, constant, bias = bs.epilogue
+                    out *= scale
+                    out += row_scale * _row_sums(codes, ones)
+                    out += col_terms
+                    out += constant
+                    out += bias
+                h, codes = out, None
             stamp(clock())
+            if bs.relu:
+                if not fused:
+                    np.maximum(out, 0.0, out=out)
+                stamp(clock())
+    finally:
+        if health is not None and recorded < len(bound):
+            health.record_success(*(b.step.backend for b in bound[recorded:]))
 
     logits = softmax(h) if apply_softmax else h
     if apply_softmax:

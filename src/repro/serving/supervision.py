@@ -15,11 +15,11 @@ is the recovery half of the fault-tolerance tentpole
   and vetoed in dispatch); after ``probe_after_s`` the circuit goes
   *half-open* and the next attempts probe it — a success closes it, a
   failure re-opens it for another cooldown.
-* :class:`StepRecovery` — wraps one GEMM-step attempt, walking the
-  fallback chain on retryable failures, recording outcomes into
-  :class:`BackendHealth`, and optionally probing a
-  :class:`~repro.faultinject.FaultPlan`'s ``kernel`` site before each
-  attempt.
+* :class:`StepRecovery` — runs a GEMM step, or takes over one whose
+  inline attempt raised, walking the fallback chain on retryable
+  failures, recording outcomes into :class:`BackendHealth`, and
+  optionally probing a :class:`~repro.faultinject.FaultPlan`'s
+  ``kernel`` site before each attempt.
 
 Deterministic validation errors (:class:`~repro.errors.ShapeError` and
 friends — see :func:`repro.errors.is_retryable`) are never retried: the
@@ -139,16 +139,18 @@ class BackendHealth:
                 self.quarantines += 1
                 emit_event(__name__, "backend_quarantined", backend=name)
 
-    def record_success(self, name: str) -> None:
-        """Record one successful attempt on ``name``; closes the circuit."""
+    def record_success(self, *names: str) -> None:
+        """Record one successful attempt on each of ``names``, in order
+        (a round's under one lock acquire); closes their circuits."""
         with self._lock:
-            self.successes += 1
-            state = self._state(name)
-            if state.half_open or state.open_until is not None:
-                emit_event(__name__, "backend_closed", backend=name)
-            state.consecutive_failures = 0
-            state.open_until = None
-            state.half_open = False
+            self.successes += len(names)
+            for name in names:
+                state = self._state(name)
+                if state.half_open or state.open_until is not None:
+                    emit_event(__name__, "backend_closed", backend=name)
+                state.consecutive_failures = 0
+                state.open_until = None
+                state.half_open = False
 
     def vetoed(self, name: str) -> bool:
         """Whether dispatch should currently avoid ``name``.
@@ -188,10 +190,11 @@ class StepRecovery:
     ``run`` executes ``attempt(backend_name)`` for each candidate in
     :func:`fallback_chain` order until one succeeds, recording outcomes
     into ``health`` (when given) and probing ``fault_plan``'s ``kernel``
-    site before each attempt (when given).  The fallback is the last
-    resort, so it is attempted even when quarantined.  Non-retryable
-    errors (see :func:`repro.errors.is_retryable`) propagate immediately.
-    """
+    site before each attempt (when given); a forward round makes each
+    step's primary attempt itself and hands ``run`` a step whose attempt
+    raised.  The fallback is the last resort, so it is attempted even when
+    quarantined.  Non-retryable errors (see
+    :func:`repro.errors.is_retryable`) propagate immediately."""
 
     def __init__(self, *, health: BackendHealth | None = None, fault_plan=None):
         """Record outcomes into ``health``; probe ``fault_plan`` per attempt."""
@@ -204,33 +207,34 @@ class StepRecovery:
         backend: str,
         *,
         detail: str = "",
+        raised: BaseException | None = None,
     ):
         """Execute one step with fallback; returns ``(result, executed,
         retried)`` where ``retried`` is the tuple of backend names that
         failed before ``executed`` succeeded.  Raises the last failure
-        when the whole chain is exhausted."""
-        chain = fallback_chain(backend)
+        when the whole chain is exhausted.  ``raised``: what the caller's
+        own attempt on ``backend`` raised — the walk starts at its failure."""
         failed: list[str] = []
-        last: BaseException | None = None
-        for name in chain:
-            try:
-                if self.fault_plan is not None:
-                    self.fault_plan.maybe_raise("kernel", detail=f"{detail}:{name}")
-                result = attempt(name)
-            except BaseException as exc:
-                if not is_retryable(exc):
-                    raise
-                if self.health is not None:
-                    self.health.record_failure(name)
-                failed.append(name)
-                last = exc
-                continue
+        for name in fallback_chain(backend):
+            if raised is None:
+                try:
+                    if self.fault_plan is not None:
+                        self.fault_plan.maybe_raise("kernel", detail=f"{detail}:{name}")
+                    result = attempt(name)
+                except BaseException as exc:
+                    raised = exc
+                else:
+                    if self.health is not None:
+                        self.health.record_success(name)
+                    if failed:
+                        emit_event(
+                            __name__, "step_recovered", backend=name, failed=failed, step=detail
+                        )
+                    return result, name, tuple(failed)
+            if not is_retryable(raised):
+                raise raised
             if self.health is not None:
-                self.health.record_success(name)
-            if failed:
-                emit_event(
-                    __name__, "step_recovered", backend=name, failed=failed, step=detail
-                )
-            return result, name, tuple(failed)
-        assert last is not None  # chain is never empty
+                self.health.record_failure(name)
+            failed.append(name)
+            last, raised = raised, None
         raise last

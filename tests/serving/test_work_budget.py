@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import operator
 import sys
 import tracemalloc
 import weakref
@@ -46,8 +47,9 @@ from repro.plan.ir import GemmSpec
 from repro.runtime import executor as runtime_executor
 from repro.runtime.executor import QGTCRunConfig, modeled_plan_report
 from repro.runtime.report import EpochReport
-from repro.serving import InferenceEngine, ServingConfig
+from repro.serving import BackendHealth, InferenceEngine, ServingConfig
 from repro.serving import engine as engine_module
+from repro.serving import supervision
 from repro.tc import kernel as tc_kernel
 
 
@@ -1409,6 +1411,73 @@ def test_a_kernel_fault_before_a_fused_aggregate_recovers_on_packed(structures):
     assert engine.stats.step_retries == 2
     for a, b in zip(want, got):
         np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("model, bits", [
+    (partial(make_batched_gin, 12, 3, hidden_dim=16, seed=4), 8),
+    (partial(make_cluster_gcn, 12, 3, seed=4), 1),
+])
+def test_a_warm_replay_runs_under_one_guard(monkeypatch, structures, model, bits):
+    """A warm replay through an engine with a health record and an armed
+    (silent) fault plan makes each step's attempt inline: no
+    ``StepRecovery.run``, no fallback chain, the ``kernel`` site probed once
+    a step, and the round's successes recorded under one lock acquire."""
+    health, faults = BackendHealth(), FaultPlan(seed=0, specs=[FaultSpec("kernel", at=(10**9,))])
+    engine = InferenceEngine(model(), ServingConfig(feature_bits=bits, batch_size=4),
+                             health=health, fault_plan=faults)
+    logits = [engine.infer(structures[0])[0].logits for _ in range(2)]  # bind, then replay
+    counts = dict.fromkeys(["run", "fallback_chain"], 0)
+    monkeypatch.setattr(supervision.StepRecovery, "run",
+                        _counting(counts, "run", supervision.StepRecovery.run))
+    monkeypatch.setattr(supervision, "fallback_chain",
+                        _counting(counts, "fallback_chain", supervision.fallback_chain))
+    lock = health._lock = _CountingLock(health._lock)
+    steps = 2 * engine.model.num_layers
+    for replay in range(1, 3):
+        probes, successes = faults.probes("kernel"), health.snapshot()["successes"]
+        lock.acquisitions = 0
+        logits.append(engine.infer(structures[0])[0].logits)
+        assert lock.acquisitions == 1 and counts == {"run": 0, "fallback_chain": 0}
+        assert faults.probes("kernel") == probes + steps
+        assert health.snapshot()["successes"] == successes + steps
+        np.testing.assert_array_equal(logits[-1].view(np.uint64), logits[-2].view(np.uint64))
+    assert engine.stats.plan_cache.hits == 3 and faults.fires("kernel") == 0
+
+
+@needs_kernel
+def test_a_warm_fused_aggregate_converts_only_its_per_call_arrays(monkeypatch, structures):
+    """A warm fused aggregate call makes one foreign call and converts only
+    the arrays that are new each call — its codes and its two outputs: the
+    adjacency's CSR and degrees reach C by the addresses its program took
+    when it bound them."""
+    engine = InferenceEngine(make_cluster_gcn(12, 3, seed=4), ServingConfig(feature_bits=1, batch_size=4))
+    want = [engine.infer(structures[0])[0].logits for _ in range(2)]  # bind, then replay
+    calls, run, buffer = [], native._Bound.run, native._buffer
+
+    def spying_run(self, values, sums=None, csr=None):
+        if csr is None:
+            return run(self, values, sums, csr)
+        converted, foreign, fn = [], [], self._fn
+        self._fn = lambda *args: foreign.append(args) or fn(*args)
+        monkeypatch.setattr(native, "_buffer", lambda a: converted.append(a) or buffer(a))
+        try:
+            out = run(self, values, sums, csr)
+        finally:
+            self._fn = fn
+            monkeypatch.setattr(native, "_buffer", buffer)
+        calls.append((values, sums, csr, out, converted, foreign))
+        return out
+
+    monkeypatch.setattr(native._Bound, "run", spying_run)
+    got = engine.infer(structures[0])[0].logits
+    np.testing.assert_array_equal(got.view(np.uint64), want[-1].view(np.uint64))
+    assert len(calls) == engine.model.num_layers
+    for values, sums, csr, (codes, row_sums, _), converted, foreign in calls:
+        assert sums is None and len(foreign) == 1
+        converted = [a for a in converted if a is not None]
+        assert len(converted) == 3 and all(map(operator.is_, converted, (values, codes, row_sums)))
+        assert all(c is not a for c in converted for a in csr[2])
+        assert (foreign[0][2], *foreign[0][5:]) == tuple(a.ctypes.data for a in csr[2])
 
 
 def _arrays(root) -> list[np.ndarray]:
