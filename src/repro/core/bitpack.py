@@ -44,6 +44,7 @@ __all__ = [
     "PackedBits",
     "as_operand",
     "bit_address",
+    "block_diagonal",
     "check_pair",
     "pack_bit_planes",
     "pack_edges",
@@ -362,8 +363,11 @@ class Operand:
     ``Operand(codes, bits, layout)`` for freshly quantized activations,
     ``Operand(packed=...)`` for a cached :class:`PackedBits`,
     ``Operand(csr=...)`` for a 1-bit column-compressed matrix known by its
-    coordinates (a canonical ``scipy`` CSR of ones, e.g. a batch adjacency)
-    — and derives the others on first use, memoised, so only a backend that
+    coordinates (a canonical ``scipy`` CSR of ones), ``Operand(blocks=...)``
+    for one known by the canonical int32 CSRs of its diagonal blocks (a
+    batch adjacency: its members' self-looped CSRs, trusted as their
+    producer proved them; :attr:`csr` concatenates them on first read) —
+    and derives the others on first use, memoised, so only a backend that
     reads words pays for packing (:func:`pack_edges` for coordinates) and
     only one that reads codes for unpacking.  (A first-use race recomputes
     an identical value; nothing needs a lock.)  Words may carry their
@@ -387,9 +391,10 @@ class Operand:
         packed: PackedBits | None = None,
         pad_vectors: int = TC_M,
         csr: sp.csr_matrix | None = None,
+        blocks: tuple | None = None,
         proven: bool = False,
     ) -> None:
-        if (codes is None) == (packed is None and csr is None):
+        if (codes is None) == (packed is None and csr is None and blocks is None):
             raise PackingError("build an operand from codes, packed words or a CSR of ones")
         self._views: dict = {}
         self._codes: np.ndarray | None = None
@@ -397,13 +402,17 @@ class Operand:
         #: GEMM's exact one (``quantize_into``'s contract) — else ``None``.
         self.gemm_dtype: np.dtype | None = None
         self._packed = packed
-        #: The producer's coordinates (never a decoded view), or ``None``.
-        self.csr = csr
+        self._csr = csr
+        #: The diagonal blocks' ``(indptr, indices, ...)``, or ``None``.
+        self.blocks = blocks
         if packed is not None:
             bits, layout, pad_vectors = packed.bits, packed.layout, packed.pad_vectors
             vectors, k = packed.logical_vectors, packed.logical_k
         elif csr is not None:
             bits, layout, (vectors, k) = 1, "col", csr.shape
+        elif blocks is not None:
+            vectors = k = sum(block[0].size - 1 for block in blocks)
+            bits, layout = 1, "col"
         else:
             arr = np.asarray(codes)
             if arr.ndim != 2:
@@ -424,6 +433,28 @@ class Operand:
                 f"coordinates {csr.shape} are not a canonical CSR describing a "
                 f"{bits}-bit {layout!r} {vectors} x {k} operand"
             )
+
+    @property
+    def csr(self) -> sp.csr_matrix | None:
+        """The producer's coordinates as a canonical CSR of ones (never a
+        decoded view) — its blocks concatenated on first read — or ``None``."""
+        if self._csr is None and self.blocks is not None:
+            csr = block_diagonal(self.blocks, copy=False)
+            csr.data.setflags(write=False)
+            csr.has_canonical_format = True
+            self._csr = csr
+        return self._csr
+
+    @property
+    def csr_nbytes(self) -> int:
+        """Bytes of :attr:`csr`'s arrays — by the blocks' geometry, built
+        yet or not (:func:`block_diagonal`'s dtypes); 0 without coordinates."""
+        if self._csr is not None:
+            return self._csr.data.nbytes + self._csr.indices.nbytes + self._csr.indptr.nbytes
+        if self.blocks is None:
+            return 0
+        nnz = sum(block[1].size for block in self.blocks)
+        return 4 * nnz + (4 if nnz < 2**31 else 8) * (nnz + self.logical_vectors + 1)
 
     @property
     def padded_vectors(self) -> int:
@@ -531,6 +562,27 @@ class Operand:
             (np.ones(indices.size, dtype=dtype), indices, indptr),
             shape=(vectors, self.logical_k),
         )
+
+
+def block_diagonal(blocks, *, copy: bool = True) -> sp.csr_matrix:
+    """The float32 CSR of ones whose diagonal blocks are ``blocks`` —
+    ``(indptr, indices, ...)`` at consecutive offsets — in ``O(E)``, in
+    int32 up to ``2**31`` entries; without ``copy`` a lone block already so
+    is taken as it is."""
+    nnz = np.cumsum([0] + [block[1].size for block in blocks]).tolist()
+    dtype = np.int32 if nnz[-1] < 2**31 else np.int64
+    if not copy and len(blocks) == 1 and blocks[0][0].dtype == blocks[0][1].dtype == dtype:
+        indptr, indices = blocks[0][:2]
+    else:
+        indptr = np.zeros(sum(block[0].size - 1 for block in blocks) + 1, dtype)
+        indices = np.empty(nnz[-1], dtype)
+        at = 0
+        for (ptr, idx, *_), base in zip(blocks, nnz):
+            np.add(ptr[1:], base, out=indptr[at + 1 : at + ptr.size], dtype=dtype)
+            np.add(idx, at, out=indices[base : base + idx.size], dtype=dtype)
+            at += ptr.size - 1
+    n = indptr.size - 1
+    return sp.csr_matrix((np.ones(nnz[-1], np.float32), indices, indptr), shape=(n, n))
 
 
 def as_operand(value: "Operand | PackedBits") -> Operand:

@@ -29,15 +29,22 @@ tile is live iff its code sum is not zero).  :meth:`_Bound.run` returns
 the count beside the codes; the shared entry keeps it nowhere.
 
 Given an aggregate step's adjacency (the int32 CSR of the binary ``A +
-I``), a tail entry takes the step's codes in place of its product
-(:meth:`_Bound.run`'s ``csr``) and gathers each tile's product on the
-stack, up to 16 columns in registers at a time: no aggregate product
-reaches memory.  Sums of integer codes within the exact-dtype bound are
-exact in any order, so the bits are scipy's ``csr @ codes`` and the tail's.
+I``, or the list of its diagonal blocks, :func:`bind_blocks`), a tail
+entry takes the step's codes in place of its product (:meth:`_Bound.run`'s
+``csr``) and gathers each tile's product on the stack, up to 16 columns in
+registers at a time: no aggregate product reaches memory.  Sums of integer
+codes within the exact-dtype bound are exact in any order, so the bits are
+scipy's ``csr @ codes`` and the tail's.  A batch is a view of its members:
+the gather walks each member's self-looped CSR at its node offset, and the
+quantize-only entry reads each member's float32 or float64 feature rows
+(:class:`Rows`) — no batch CSR and no feature matrix is written.  A
+member's arrays are addressed once, in its :func:`csr_record` /
+:func:`rows_record`; a table of records holds no array, so its holder
+keeps them referenced (an adjacency its blocks, a round its batch).
 
-The other kind of entry, :func:`adjacency`, packs: it concatenates a
-batch's member CSRs and writes each row's degree and the census of the
-tiles its entries fall in (the §4.3 ballot taken as subgraphs are packed).
+The other kind of entry, :func:`adjacency`, censuses: it checks a batch's
+member CSRs and writes each row's degree and the census of the tiles its
+entries fall in (the §4.3 ballot taken as subgraphs are packed).
 
 The source is compiled once per process by :func:`load` with the system C
 compiler and opened with :mod:`ctypes`; without a compiler :func:`load`
@@ -52,6 +59,7 @@ import os
 import subprocess
 import tempfile
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +67,8 @@ from ..errors import BitwidthError, ShapeError
 from ..telemetry import emit_event
 from .quantization import QuantParams
 
-__all__ = ["SOURCE", "adjacency", "bind_csr", "bind_quantize", "bind_tail", "load"]
+__all__ = ["SOURCE", "Rows", "adjacency", "bind_blocks", "bind_csr", "bind_quantize", "bind_tail",
+           "csr_record", "load", "member_rows", "rows_record"]
 
 #: The compiler :func:`load` runs, and its flags (see the module doc).
 COMPILER = "cc"
@@ -108,27 +117,51 @@ typedef struct {
 #define COMPARE q = x >= threshold ? 1.0 : 0.0;
 #define DIVIDE q = floor((x - lo) / step); q = q >= 0.0 ? q : 0.0; q = q > top ? top : q;
 
-/* Rows r0..r1, columns c0..c1 of A @ in (A a binary CSR) into TILE, 128 to
-   a row: a row's neighbours' codes summed W = 16, 8, 4, then 1 columns at a
-   time in registers, in the product's dtype — exact in any order, and from
-   +0.0 as scipy's sums (a -0.0 code adds as +0.0), so scipy's bits. */
+/* Row blocks: t[0] of them, four words each from t + 1, one after the
+   other — a member's CSR of ones (pointers, indices, rows, entries; its
+   columns are its own rows) or its feature rows (address, bytes per element,
+   rows, columns).  A walk holds its block and the block's first row. */
+typedef struct { const ptrdiff_t *g; ptrdiff_t base; } walk;
+#define SEEK(W, R) while ((R) >= (W).base + (W).g[2]) (W).base += (W).g[2], (W).g += 4
+
+/* Whether T's blocks are N rows in all, and — for feature rows, COLUMNS >=
+   0 — each block COLUMNS wide in float32 or float64. */
+static int covers(const ptrdiff_t *t, ptrdiff_t n, ptrdiff_t columns)
+{
+    ptrdiff_t rows = 0;
+    for (const ptrdiff_t *g = t + 1; g < t + 1 + 4 * t[0]; g += 4) {
+        if (g[2] < 0 || (columns >= 0 && (g[3] != columns || (g[1] != 4 && g[1] != 8))))
+            return 0;
+        rows += g[2];
+    }
+    return rows == n;
+}
+
+/* Rows r0..r1, columns c0..c1 of A @ in (A block diagonal, its blocks
+   binary CSRs walked from W) into TILE, 128 to a row: a row's neighbours'
+   codes, in its block's rows of IN, summed W = 16, 8, 4, then 1 columns at
+   a time in registers, in the product's dtype — exact in any order, and
+   from +0.0 as scipy's sums (a -0.0 code adds as +0.0), so scipy's bits. */
 #define BLOCK(P, W)                                                            \
     for (; c1 - b >= W; b += W) {                                              \
         typedef P block __attribute__((vector_size(W * sizeof(P))));           \
         block acc = {0}, x;                                                    \
         for (const int32_t *e = e0; e < e1; ++e) {                             \
-            __builtin_memcpy(&x, in + *e * m + b, sizeof x);                   \
+            __builtin_memcpy(&x, src + *e * m + b, sizeof x);                  \
             acc += x;                                                          \
         }                                                                      \
         __builtin_memcpy(row + b - c0, &acc, sizeof acc);                      \
     }
 #define GATHER(P)                                                              \
-static void gather_##P(const P *restrict in, ptrdiff_t m, const int32_t *indptr, \
-                       const int32_t *indices, ptrdiff_t r0, ptrdiff_t r1,      \
-                       ptrdiff_t c0, ptrdiff_t c1, P *restrict tile)           \
+static void gather_##P(const P *restrict in, ptrdiff_t m, walk w, ptrdiff_t r0, \
+                       ptrdiff_t r1, ptrdiff_t c0, ptrdiff_t c1, P *restrict tile) \
 {                                                                              \
     for (ptrdiff_t r = r0; r < r1; ++r) {                                      \
-        const int32_t *e0 = indices + indptr[r], *e1 = indices + indptr[r + 1]; \
+        SEEK(w, r);                                                            \
+        const int32_t *ptr = (const int32_t *)w.g[0] + (r - w.base);           \
+        const int32_t *e0 = (const int32_t *)w.g[1] + ptr[0];                  \
+        const int32_t *e1 = (const int32_t *)w.g[1] + ptr[1];                  \
+        const P *src = in + w.base * m;                                        \
         P *row = tile + (r - r0) * 128;                                        \
         ptrdiff_t b = c0;                                                      \
         BLOCK(P, 16)                                                           \
@@ -137,7 +170,7 @@ static void gather_##P(const P *restrict in, ptrdiff_t m, const int32_t *indptr,
         for (; b < c1; ++b) {                                                  \
             P acc = 0;                                                         \
             for (const int32_t *e = e0; e < e1; ++e)                           \
-                acc += in[*e * m + b];                                         \
+                acc += src[*e * m + b];                                        \
             row[b - c0] = acc;                                                 \
         }                                                                      \
     }                                                                          \
@@ -145,16 +178,49 @@ static void gather_##P(const P *restrict in, ptrdiff_t m, const int32_t *indptr,
 GATHER(float)
 GATHER(double)
 
+/* Rows r0..r1, columns c0..c1 of the feature rows walked from W, at *LD to
+   a row: read in place when they are whole rows of one float64 block, else
+   copied into TILE (float32 widened exactly, as NumPy widens it) — each
+   block's whole rows in one span. */
+static const double *feature_rows(walk w, ptrdiff_t m, ptrdiff_t r0, ptrdiff_t r1, ptrdiff_t c0,
+                                  ptrdiff_t c1, double *restrict tile, ptrdiff_t *ld)
+{
+    const int whole = c1 - c0 == m;   /* then m <= 128, and a tile row is a feature row */
+    *ld = whole ? m : 128;
+    for (ptrdiff_t r = r0; r < r1;) {
+        SEEK(w, r);
+        const ptrdiff_t end = r1 < w.base + w.g[2] ? r1 : w.base + w.g[2];
+        const ptrdiff_t rows = whole ? 1 : end - r, span = whole ? (end - r) * m : c1 - c0;
+        const char *at = (const char *)w.g[0] + ((r - w.base) * m + c0) * w.g[1];
+        if (whole && w.g[1] == 8 && r == r0 && end == r1)
+            return (const double *)at;
+        for (ptrdiff_t i = 0; i < rows; ++i, at += m * w.g[1]) {
+            double *to = tile + (r - r0 + i) * *ld;
+            if (w.g[1] == 4)
+                for (ptrdiff_t c = 0; c < span; ++c)
+                    to[c] = ((const float *)at)[c];
+            else
+                for (ptrdiff_t c = 0; c < span; ++c)
+                    to[c] = ((const double *)at)[c];
+        }
+        r = end;
+    }
+    return tile;
+}
+
 /* Epilogue, ReLU and Eq. 2 into the next step's codes and their row sums,
    or with QUANTIZE 0 the epilogue's float64 values (the logits).  The
    elements are visited tile by tile (8-row groups by 128-column blocks) so
    that a call writing row sums also counts the live tiles of its codes; it
-   returns that count (0 for a call without row sums), or -1 when an
-   activation is NaN.  Given a binary CSR (indptr), IN is an aggregate
+   returns that count (0 for a call without row sums), -1 when an
+   activation is NaN or -2 for blocks that are not the n x m operand.  IN
+   is a dense product unless INDPTR is given: then IN is an aggregate
    step's codes and each tile's product is gathered on the stack, never
-   written out.  The fields are read into locals first: as far as the
-   compiler can tell, the stores into the outputs could alias them, which
-   would keep it from vectorising. */
+   written out, through the binary CSR (INDPTR, INDICES) or, with INDICES
+   NULL, through the CSR blocks INDPTR lists; with IN NULL it is read from
+   the feature rows INDPTR lists.  The fields are read into
+   locals first: as far as the compiler can tell, the stores into the
+   outputs could alias them, which would keep it from vectorising. */
 #define TAIL(NAME, P, C, ACC, QUANTIZE)                                        \
 ptrdiff_t NAME(const tail_args *a, const P *restrict in, const double *sums,   \
                C *restrict out, double *restrict out_sums,                     \
@@ -167,20 +233,27 @@ ptrdiff_t NAME(const tail_args *a, const P *restrict in, const double *sums,   \
     const double step = a->step, top = a->top, threshold = a->threshold;       \
     const double *restrict rows = sums ? sums : a->rows;                       \
     const double *restrict cols = a->cols, *restrict bias = a->bias;           \
-    ptrdiff_t live = 0;                                                        \
+    ptrdiff_t live = 0, one[5] = {1, (ptrdiff_t)indptr, (ptrdiff_t)indices, n, 0}; \
+    walk w = {indices ? one + 1 : indptr ? (const ptrdiff_t *)indptr + 1 : 0, 0}; \
     int nan = 0;                                                               \
     P tile[8 * 128];                                                           \
+    if (indptr && !covers(w.g - 1, n, in ? -1 : m))                            \
+        return -2;                                                             \
     for (ptrdiff_t r0 = 0; r0 < n; r0 += 8) {                                  \
         const ptrdiff_t r1 = n - r0 < 8 ? n : r0 + 8;                          \
         ACC acc[8] = {0};                                                      \
+        if (indptr)                                                            \
+            SEEK(w, r0);                                                       \
         for (ptrdiff_t c0 = 0; c0 < m; c0 += 128) {                            \
             const ptrdiff_t c1 = m - c0 < 128 ? m : c0 + 128;                  \
-            const P *t = in + r0 * m + c0;                                     \
-            ptrdiff_t ld = m;                                                  \
-            if (indptr) {                                                      \
-                gather_##P(in, m, indptr, indices, r0, r1, c0, c1, tile);      \
-                t = tile, ld = 128;                                            \
-            }                                                                  \
+            const P *t = tile;                                                 \
+            ptrdiff_t ld = 128;                                                \
+            if (!indptr)                                                       \
+                t = in + r0 * m + c0, ld = m;                                  \
+            else if (in)                                                       \
+                gather_##P(in, m, w, r0, r1, c0, c1, tile);                    \
+            else if (sizeof(P) == sizeof(double)) /* the quantize-only entry */ \
+                t = (const P *)feature_rows(w, m, r0, r1, c0, c1, (double *)tile, &ld); \
             int any = 0;                                                       \
             for (ptrdiff_t r = r0; r < r1; ++r) {                              \
                 const double row = rows ? row_scale * rows[r] : -0.0;          \
@@ -213,16 +286,14 @@ TAIL(tail_float64_int64, double, int64_t, int64_t, 1)
 TAIL(tail_float32_logits, float, double, int64_t, 0)
 TAIL(tail_float64_logits, double, double, int64_t, 0)
 
-/* Member g's CSR (pointers, indices, rows, entries at members[4g..4g+3])
-   at its node offset, its rows' entry counts as degrees and a 1 per 8 x 128
-   tile (kt to a row group) an entry falls in.  Returns the entries, or -1 at
-   a pointer out of order or a row not strictly increasing in its block. */
-ptrdiff_t adjacency(ptrdiff_t count, const ptrdiff_t *members, ptrdiff_t kt, int32_t *restrict indptr,
-                    int32_t *restrict indices, double *restrict degrees, unsigned char *restrict mask)
+/* The degrees of the block-diagonal CSR of T's blocks (its rows' entry
+   counts) and a 1 per 8 x 128 tile (kt to a row group) an entry falls in.
+   Returns the entries, or -1 at a pointer out of order or a row not
+   strictly increasing in its block. */
+ptrdiff_t adjacency(const ptrdiff_t *t, ptrdiff_t kt, double *restrict degrees, unsigned char *restrict mask)
 {
     ptrdiff_t row = 0, nnz = 0;
-    indptr[0] = 0;
-    for (const ptrdiff_t *g = members; g < members + 4 * count; g += 4, nnz += g[-1]) {
+    for (const ptrdiff_t *g = t + 1; g < t + 1 + 4 * t[0]; g += 4, nnz += g[-1]) {
         const int32_t *ptr = (const int32_t *)g[0], *idx = (const int32_t *)g[1];
         const ptrdiff_t size = g[2], stored = g[3], base = row;
         if (ptr[0] != 0 || ptr[size] != stored)
@@ -234,10 +305,8 @@ ptrdiff_t adjacency(ptrdiff_t count, const ptrdiff_t *members, ptrdiff_t kt, int
             for (ptrdiff_t e = lo, last = -1; e < hi; last = idx[e++]) {
                 if (idx[e] <= last || idx[e] >= size)
                     return -1;
-                indices[nnz + e] = (int32_t)(base + idx[e]);
                 mask[row / 8 * kt + (base + idx[e]) / 128] = 1;
             }
-            indptr[row + 1] = (int32_t)(nnz + hi);
             degrees[row] = (double)(hi - lo);
         }
     }
@@ -296,7 +365,7 @@ def _compile() -> ctypes.CDLL | None:
             fn = getattr(lib, f"tail_{product}_{out}")
             fn.argtypes = (ctypes.POINTER(_TailArgs), *[ctypes.c_void_p] * 6)
             fn.restype = ctypes.c_ssize_t
-    lib.adjacency.argtypes = (ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_ssize_t, *[ctypes.c_void_p] * 4)
+    lib.adjacency.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p)
     lib.adjacency.restype = ctypes.c_ssize_t
     return lib
 
@@ -333,16 +402,17 @@ class _Bound:
         without the census."""
         return self.run(values, sums)[:2]
 
-    def run(self, values: np.ndarray, sums: np.ndarray | None = None, csr: tuple | None = None):
+    def run(self, values, sums: np.ndarray | None = None, csr: tuple | None = None):
         """``(outputs, their row sums, their live 8 x 128 tiles)`` of
         ``values`` — the product (with the step's own codes' row sums on an
-        update step) or, for the quantize-only entry, the activation; the
-        sums and the count are ``None`` for an entry bound without sums.
-        With ``csr``, the int32 ``(indptr, indices)`` of a square CSR of
-        ones (an aggregate step's adjacency, trusted as scipy's kernel
-        trusts it; ``sums`` its degrees) or :func:`bind_csr`'s binding of
-        both, ``values`` are the step's codes and the product of a tail's
-        entry is that CSR times them, taken in the same pass."""
+        update step) or, for the quantize-only entry, the activation or its
+        members' :class:`Rows`; the sums and the count are ``None`` for an
+        entry bound without sums.  With ``csr``, the int32 ``(indptr,
+        indices)`` of a square CSR of ones (an aggregate step's adjacency,
+        trusted as scipy's kernel trusts it; ``sums`` its degrees) or
+        :func:`bind_csr`'s / :func:`bind_blocks`'s binding of it, ``values``
+        are the step's codes and the product of a tail's entry is that CSR
+        times them, taken in the same pass."""
         dtype, shape = self._in
         if values.shape != shape or values.dtype != dtype:
             raise ShapeError(f"bound for a {dtype} {shape} operand, got a {values.dtype} {values.shape} one")
@@ -354,12 +424,60 @@ class _Bound:
             raise ShapeError(f"an update step's tail reads its codes' {self._rows} float64 row sums")
         else:
             fixed = (_buffer(sums if self._rows else None), None, None)
+        source = values.table.ctypes.data if type(values) is Rows else None
+        if source is not None:
+            fixed, values = (fixed[0], source, None), None
         out = np.empty(*self._out)
         out_sums = np.empty(shape[0]) if self._sums else None
         live = self._fn(self._args, _buffer(values), fixed[0], _buffer(out), _buffer(out_sums), *fixed[1:])
         if live < 0:
-            raise BitwidthError(_NAN)
+            raise BitwidthError(_NAN) if live == -1 else ShapeError(
+                f"the members' blocks are not the bound {shape} operand (each {shape[1]} float32 or "
+                f"float64 features wide, {shape[0]} rows in all)")
         return out, out_sums, live if self._sums else None
+
+
+class Rows(NamedTuple):
+    """A float64 ``(n, k)`` operand held as its members' feature rows:
+    ``table`` lists each member's :func:`rows_record`, in order.  The
+    quantize-only entry reads it in place of the activation."""
+
+    shape: tuple
+    table: np.ndarray
+    dtype = np.dtype(np.float64)
+
+
+def csr_record(indptr: np.ndarray, indices: np.ndarray) -> bytes | None:
+    """One member's CSR as a row-block record (its arrays' addresses, rows
+    and entries), or ``None`` unless both are C-ordered int32 — the record
+    addresses them, so its holder keeps them alive."""
+    if indptr.dtype == indices.dtype == np.int32 and indptr.flags.c_contiguous and indices.flags.c_contiguous:
+        return np.array([indptr.ctypes.data, indices.ctypes.data, indptr.size - 1, indices.size],
+                        np.intp).tobytes()
+    return None
+
+
+def rows_record(features: np.ndarray | None) -> bytes | None:
+    """One member's feature rows as a row-block record, or ``None`` unless
+    they are a C-ordered float32 or float64 matrix."""
+    if (features is None or features.ndim != 2 or features.dtype not in (np.float32, np.float64)
+            or not features.flags.c_contiguous):
+        return None
+    return np.array([features.ctypes.data, features.itemsize, *features.shape], np.intp).tobytes()
+
+
+def _table(records) -> np.ndarray | None:
+    """Row-block records as the table an entry walks: their count, then
+    each record; ``None`` if one is."""
+    if None in records:
+        return None
+    return np.frombuffer(b"".join([np.intp(len(records)).tobytes(), *records]), np.intp)
+
+
+def member_rows(records, shape: tuple[int, int]) -> Rows | None:
+    """The :class:`Rows` of members' :func:`rows_record`s (``None`` if one is)."""
+    table = _table(records)
+    return None if table is None else Rows(shape, table)
 
 
 def bind_csr(indptr: np.ndarray, indices: np.ndarray, degrees: np.ndarray) -> tuple | None:
@@ -373,23 +491,36 @@ def bind_csr(indptr: np.ndarray, indices: np.ndarray, degrees: np.ndarray) -> tu
     return None
 
 
+def bind_blocks(table: np.ndarray, degrees: np.ndarray) -> tuple:
+    """An aggregate step's adjacency as :func:`adjacency`'s table of its
+    diagonal blocks and its ``(n,)`` float64 degrees, addressed once for
+    :meth:`_Bound.run`'s ``csr`` (the entry checks that the blocks are
+    ``n`` rows).  The binding holds both arrays; the table's holder keeps
+    the blocks it addresses."""
+    degrees = np.ascontiguousarray(degrees, np.float64)
+    return degrees.size, (degrees.ctypes.data, table.ctypes.data, None), (degrees, table)
+
+
 def adjacency(loops) -> tuple[np.ndarray, ...] | None:
-    """The int32 ``indptr`` / ``indices`` of the block-diagonal CSR of
-    ``loops`` (members' ``(indptr, indices)``), its ``(n, 1)`` float64
-    degrees and tile census; ``None`` without the library, for a
-    member not C-ordered int32, past int32 or refused by the pass."""
+    """The ``(n, 1)`` float64 degrees and the tile census of the
+    block-diagonal CSR of ``loops`` — members' ``(indptr, indices)``, each
+    with its :func:`csr_record` as a third item if it has one — and the
+    table of their blocks a gather walks; ``None`` without the library,
+    for a member not C-ordered int32, past int32 or refused by the pass."""
     lib = load()
-    if lib is None or any(a.dtype != np.int32 or not a.flags.c_contiguous for pair in loops for a in pair):
+    records = [loop[2] if len(loop) == 3 else csr_record(*loop) for loop in loops]
+    table = None if lib is None else _table(records)
+    if table is None:
         return None
-    members = np.array([(ptr.ctypes.data, idx.ctypes.data, ptr.size - 1, idx.size)
-                        for ptr, idx in loops], np.intp).reshape(-1, 4)
-    n, nnz = members[:, 2:].sum(axis=0).tolist()
+    n, nnz = table[1:].reshape(-1, 4)[:, 2:].sum(axis=0).tolist()
     if not n or max(n, nnz) >= 1 << 31:
         return None
-    out = (np.empty(n + 1, np.int32), np.empty(nnz, np.int32), np.empty((n, 1)),
-           np.zeros((-(-n // 8), -(-n // 128)), bool))
-    done = lib.adjacency(len(loops), members.ctypes.data, out[3].shape[1], *(a.ctypes.data for a in out))
-    return out if done == nnz else None
+    degrees, mask = np.empty((n, 1)), np.zeros((-(-n // 8), -(-n // 128)), bool)
+    if lib.adjacency(table.ctypes.data, mask.shape[1], degrees.ctypes.data, mask.ctypes.data) != nnz:
+        return None
+    for array in (degrees, mask):
+        array.setflags(write=False)
+    return degrees, mask, table
 
 
 def _float64(term, shape: tuple[int, int]) -> np.ndarray:

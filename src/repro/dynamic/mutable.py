@@ -315,7 +315,8 @@ class MutableGraph:
         CSR of ones and census, shared, not copied — no CSR rebuild and no
         word packed.  Every array is read-only."""
         _, indptr, indices, _, mask = self._state  # sorted, distinct keys
-        return PackedAdjacency.canonical(indptr, indices, np.diff(indptr).astype(np.float64)[:, None], mask)
+        degrees = np.diff(indptr).astype(np.float64)[:, None]
+        return PackedAdjacency.canonical(((indptr, indices),), degrees, mask)
 
     def census_mask(self) -> np.ndarray:
         """The live zero-tile census (read-only; a mutation replaces it)."""

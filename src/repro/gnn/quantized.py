@@ -221,33 +221,46 @@ def pack_layer_weight(weight: np.ndarray, bits: int) -> PackedLayerWeight:
 class PackedAdjacency:
     """A batch's aggregation operand, built once and reused across layers
     and (via a serving cache) across replays of the same batch:
-    ``operand``, the 1-bit column-compressed adjacency with self loops as a
-    canonical CSR of ones (:func:`pack_batch_adjacency`, or a dynamic
-    graph's snapshot; the §4.2 words are packed on first read), memoising
-    what it derives;
+    ``operand``, the 1-bit column-compressed adjacency with self loops —
+    its members' self-looped CSRs as diagonal blocks
+    (:func:`pack_batch_adjacency`), a dynamic graph's snapshot, or any
+    canonical CSR of ones; the batch CSR and the §4.2 words are built on
+    first read — memoising what it derives;
     ``plan``, the §4.3 tile census the measured skip counters read;
     ``degrees``, the ``(n, 1)`` float64 row sums (the aggregation's
-    rank-1 epilogue)."""
+    rank-1 epilogue); ``table``, the native table of the operand's blocks
+    (:func:`repro.core.native.adjacency`), if the pass that censused them
+    built one."""
 
     operand: Operand
     plan: TileSkipPlan
     degrees: np.ndarray
+    table: np.ndarray | None = None
 
     @classmethod
-    def canonical(cls, indptr, indices, degrees, mask) -> PackedAdjacency:
-        """The adjacency over a CSR of ones its producer proved canonical
-        (scipy's scan is skipped); the ones and ``degrees`` are frozen."""
-        data = np.ones(indices.size, np.float32)
-        for arr in (data, degrees):
-            arr.setflags(write=False)
-        csr = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
-        csr.has_canonical_format = True
-        return cls(Operand(csr=csr), TileSkipPlan(masks=(mask,)), degrees)
+    def canonical(cls, blocks, degrees, mask, table=None) -> PackedAdjacency:
+        """The adjacency over diagonal blocks, int32 CSRs of ones its
+        producer proved canonical (a block may carry a third item); the
+        ``degrees`` are frozen."""
+        degrees.setflags(write=False)
+        return cls(Operand(blocks=tuple(blocks)), TileSkipPlan(masks=(mask,)), degrees, table)
 
     @cached_property
     def derived(self) -> dict:
         """What is bound to this adjacency (:func:`execute_forward_plan`)."""
         return {}
+
+    @cached_property
+    def gather(self) -> tuple | None:
+        """What a fused aggregate gathers through (the ``csr`` of
+        :meth:`repro.core.native._Bound.run`), addressed once: the table of
+        the operand's blocks, else its one int32 CSR; ``None`` for neither."""
+        degrees, blocks = self.degrees.ravel(), self.operand.blocks
+        if self.table is not None:
+            return native.bind_blocks(self.table, degrees)
+        if blocks is None and self.operand.csr is not None:
+            blocks = ((self.operand.csr.indptr, self.operand.csr.indices),)
+        return native.bind_csr(*blocks[0][:2], degrees) if blocks and len(blocks) == 1 else None
 
     @property
     def packed(self) -> PackedBits:
@@ -256,7 +269,8 @@ class PackedAdjacency:
 
     @property
     def csr(self) -> sp.csr_matrix | None:
-        """The producer's canonical CSR of ones, if it held one."""
+        """The canonical CSR of ones (concatenated on first read), if the
+        operand has coordinates."""
         return self.operand.csr
 
     @property
@@ -271,32 +285,32 @@ class PackedAdjacency:
     @property
     def nbytes(self) -> int:
         """Packed + CSR storage a serving cache budgets for this entry —
-        the words by their geometry, packed yet or not, so an entry weighs
-        the same when it is evicted as when it was inserted."""
-        csr = self.operand.csr
+        the words and the CSR by their geometry, built yet or not, so an
+        entry weighs the same when it is evicted as when it was inserted."""
         held = [self.degrees, *self.plan.masks]
-        if csr is not None:
-            held += [csr.data, csr.indices, csr.indptr]
-        return self.operand.packed_nbytes + sum(a.nbytes for a in held)
+        return self.operand.packed_nbytes + self.operand.csr_nbytes + sum(a.nbytes for a in held)
 
 
 def pack_batch_adjacency(batch: SubgraphBatch) -> PackedAdjacency:
     """Census one batch's adjacency (with self loops) — the per-batch
     analogue of :func:`pack_layer_weight`.
 
-    The members' self-looped CSRs concatenate into one canonical CSR of ones
-    (a stored self loop plus the added diagonal is one set bit) with its
-    census and degrees — each row's distinct set bits, as a dense row sum
-    counts them — in one native pass (:func:`repro.core.native.adjacency`),
-    else in the NumPy reference (:meth:`SubgraphBatch.adjacency_csr`).  The
-    words wait for their first reader: a round on codes never packs them.
+    The adjacency is a view of the members: their self-looped CSRs are its
+    diagonal blocks (a stored self loop plus the added diagonal is one set
+    bit), checked canonical, with the census and degrees — each row's
+    distinct set bits, as a dense row sum counts them — in one native pass
+    (:func:`repro.core.native.adjacency`), else concatenated into one CSR
+    by the NumPy reference (:meth:`SubgraphBatch.adjacency_csr`).  The batch
+    CSR and the words wait for their first reader: a round on codes reads
+    neither.
     """
-    built = native.adjacency([sub.self_looped_csr for sub in batch.members])
+    blocks = [sub.csr_block for sub in batch.members]
+    built = native.adjacency(blocks)
     if built is None:
         operand = Operand(csr=batch.adjacency_csr())
         degrees = np.diff(operand.csr.indptr).astype(np.float64)[:, None]
         return PackedAdjacency(operand, plan_tile_skip(operand), degrees)
-    return PackedAdjacency.canonical(*built)
+    return PackedAdjacency.canonical(blocks, *built)
 
 
 class ActivationCalibration:
@@ -397,14 +411,15 @@ def _bind(step: GemmStep, layer: int, registry) -> tuple:
 class _BoundStep(NamedTuple):
     """One GEMM step lowered against its artifacts: ``fixed`` is the cached
     side (adjacency left, weights right); ``matmul`` the ``blas`` product on
-    raw codes with its matrix bound, else ``None``; ``counters`` is ``None``
+    raw codes (an aggregate step's scipy matrix built on its first call),
+    else ``None``; ``counters`` is ``None``
     when a 1-bit activation under jumping is censused per round, ``census``
     then its counters' key (:meth:`~repro.tc.kernel.BitGemmKernel.key`);
     ``epilogue`` the affine terms, by the unbound form's float operations
     in its order: ``(s, c, degrees)`` or ``(s_l s_r, s_l c_r, ones, c_l s_r
-    colsums, k c_l c_r, bias)``; ``csr`` a ``blas`` aggregate step's int32
-    CSR and degrees as its native tail gathers from them
-    (:func:`~repro.core.native.bind_csr`: checked and addressed once).
+    colsums, k c_l c_r, bias)``; ``csr`` what a ``blas`` aggregate step's
+    native tail gathers through, its adjacency's member blocks and degrees
+    (:attr:`PackedAdjacency.gather`: checked and addressed once).
     An aggregate step of a template part (:class:`_Program`) has no
     adjacency: no ``fixed``, ``matmul``, ``counters``, ``degrees`` or ``csr``."""
 
@@ -457,16 +472,37 @@ def _bind_step(step, layer, relu, registry, params, weight, bias) -> _BoundStep:
 
 
 def _over(bs: _BoundStep, adjacency: PackedAdjacency) -> _BoundStep:
-    """Aggregate step ``bs`` bound to ``adjacency``: its left operand, its
-    ``blas`` matrix with its int32 CSR, and the degrees its row term ``c *
-    degree`` reads — the CSR's and the degrees' addresses taken here, once."""
+    """Aggregate step ``bs`` bound to ``adjacency``: its left operand, what
+    its ``blas`` product gathers through (:attr:`PackedAdjacency.gather`,
+    addressed once per adjacency) beside a scipy product built only if it
+    runs, and the degrees its row term ``c * degree`` reads."""
     fixed, matmul, csr, degrees = adjacency.operand, None, None, adjacency.degrees.ravel()
     if bs.backend.run is codes_gemm:
-        matrix = fixed.matrix(bs.dtype)
-        matmul = matrix.__matmul__
-        if sp.issparse(matrix):
-            csr = native.bind_csr(matrix.indptr, matrix.indices, degrees)
+        matmul, csr = partial(_sparse_product, fixed, bs.dtype), adjacency.gather
     return bs._replace(fixed=fixed, matmul=matmul, csr=csr, epilogue=(*bs.epilogue[:2], degrees))
+
+
+def _sparse_product(operand: Operand, dtype, codes: np.ndarray) -> np.ndarray:
+    return operand.matrix(dtype) @ codes
+
+
+def _features(batch: SubgraphBatch, k: int, rows: bool):
+    """Step 0's ``(n, k)`` activation: the members' feature rows as
+    :class:`~repro.core.native.Rows` for a native quantize (``rows``; it
+    checks their widths), or else concatenated into float64 — a member of
+    another width raises :class:`~repro.errors.ShapeError` either way."""
+    if rows:
+        view = native.member_rows([sub.feature_rows for sub in batch.members], (batch.num_nodes, k))
+        if view is not None:
+            return view
+    for sub in batch.members:
+        width = None if sub.graph.features is None else sub.graph.features.shape[1:]
+        if width not in (None, (k,)):
+            raise ShapeError(
+                f"plan compiled for feature_dim={k} cannot execute a batch "
+                f"with a {width} features member; compile a fresh plan"
+            )
+    return batch.features(np.float64)
 
 
 class _Program(NamedTuple):
@@ -610,19 +646,20 @@ def execute_forward_plan(
     *bound program* kept on the adjacency, running the operand pair,
     census, dtype and weight-bitwidth checks once; later runs are its
     GEMMs, one native call per step for the epilogue, ReLU and next Eq. 2
-    (a ``blas`` aggregate step's product in the same call, gathered from
-    its adjacency's CSR; NumPy where the kernel is unavailable or the
-    product is not in the step's exact dtype — the same bits) and a
-    ``perf_counter`` stamp per phase boundary.  Once every
+    (a ``blas`` aggregate step's product in the same call, gathered through
+    its adjacency's member blocks; NumPy where the kernel is unavailable or
+    the product is not in the step's exact dtype — the same bits) and a
+    ``perf_counter`` stamp per phase boundary; step 0 reads the members'
+    feature rows where they are (:func:`_features`).  Once every
     calibration site is frozen, what a program binds apart from its
     adjacency is bound once per template — its *template part*
     (:class:`_Program`), native entries included — and a binding round over
     another adjacency of the template binds its aggregate steps alone.  A
     round whose sites are not all frozen calibrates them, natively where
     they already are (:func:`_native_entries`).  Without a shared
-    ``calibration`` nothing keeps either.  The node count, feature width and
-    Eq. 2's NaN check run every time (another shape raises
-    :class:`~repro.errors.ShapeError`).
+    ``calibration`` nothing keeps either.  The node count, each member's
+    feature width and Eq. 2's NaN check run every time (another shape
+    raises :class:`~repro.errors.ShapeError`).
     """
     sig = plan.signature
     if batch.num_nodes != sig.num_nodes:
@@ -669,13 +706,8 @@ def execute_forward_plan(
     clock = time.perf_counter
     stamps = [clock()]
     stamp = stamps.append
-    h = batch.features(np.float64)
+    h = _features(batch, sig.feature_dim, natives[0][0] is not None)
     stamp(clock())
-    if h.shape[1] != sig.feature_dim:
-        raise ShapeError(
-            f"plan compiled for feature_dim={sig.feature_dim} cannot execute "
-            f"a batch with {h.shape[1]} features; compile a fresh plan"
-        )
     bound, counters, recoveries, recovered = [], [], [], {}
     health, faults = (None, None) if recovery is None else (recovery.health, recovery.fault_plan)
     recorded = 0  # ``bound[:recorded]``'s successes are in ``health``: a round records them at once

@@ -18,7 +18,8 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ..core.bitpack import Operand, PackedBits
+from ..core import native
+from ..core.bitpack import Operand, PackedBits, block_diagonal
 from ..errors import PartitionError, ShapeError
 from .csr import CSRGraph
 
@@ -95,6 +96,28 @@ class Subgraph:
         once per member (:meth:`memo`).  GCN aggregates ``N(v) ∪ {v}``."""
         return self.memo("_self_looped_csr", _self_looped)
 
+    @property
+    def csr_block(self) -> tuple:
+        """:attr:`self_looped_csr` with its native row-block record
+        (:func:`repro.core.native.csr_record`: its arrays' addresses, ``None``
+        if C cannot read them) as a third item, derived once per member."""
+        return self.memo("_native_block", lambda graph: (*self.self_looped_csr,
+                                                          native.csr_record(*self.self_looped_csr)))
+
+    @property
+    def feature_rows(self) -> bytes | None:
+        """The native row-block record of ``graph.features``
+        (:func:`repro.core.native.rows_record`), kept while they are the same
+        array: C reads their values per call, so a write in place is seen."""
+        features, held = self.graph.features, self.__dict__.get("_native_rows")
+        if held is None or held[0] is not features:
+            held = self.__dict__["_native_rows"] = (features, native.rows_record(features))
+        return held[1]
+
+    def __getstate__(self) -> dict:
+        # A native record addresses this process's memory: it derives again where it lands.
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_native")}
+
 
 def _self_looped(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
     # Built from the arrays themselves, not ``graph.to_scipy()``: that cache
@@ -143,9 +166,10 @@ def induced_subgraphs(graph: CSRGraph, assignment: np.ndarray) -> list[Subgraph]
 class SubgraphBatch:
     """A batch of subgraphs processed in one GPU round (paper §4.1).
 
-    The adjacency is block-diagonal over the members.  Helper methods
-    materialize the packed adjacency and stacked features the kernel
-    consumes.
+    The adjacency is block-diagonal over the members.  A serving round
+    reads the members where they are (their CSRs and feature rows); the
+    helper methods materialize the batch CSR, packed adjacency and stacked
+    features, the references it is held to.
     """
 
     members: tuple[Subgraph, ...]
@@ -191,20 +215,10 @@ class SubgraphBatch:
 
     def adjacency_csr(self) -> sp.csr_matrix:
         """The block-diagonal ``A + I`` as a canonical ``float32`` CSR of
-        ones: the members' self-looped CSRs
-        (:attr:`Subgraph.self_looped_csr`) concatenated at their node
-        offsets in ``O(E)`` — blocks of canonical rows stay canonical."""
-        loops = [sub.self_looped_csr for sub in self.members]
-        nnz = np.cumsum([0] + [idx.size for _, idx in loops]).tolist()
-        n = self.num_nodes
-        dtype = np.int32 if nnz[-1] < 2**31 else np.int64
-        indptr = np.zeros(n + 1, dtype)
-        indices = np.empty(nnz[-1], dtype)
-        for (ptr, idx), at, base in zip(loops, self.node_offsets.tolist(), nnz):
-            np.add(ptr[1:], base, out=indptr[at + 1 : at + ptr.size], dtype=dtype)
-            np.add(idx, at, out=indices[base : base + idx.size], dtype=dtype)
-        data = np.ones(nnz[-1], np.float32)
-        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        ones: a copy of the members' self-looped CSRs
+        (:attr:`Subgraph.self_looped_csr`) at their node offsets, in
+        ``O(E)`` — blocks of canonical rows stay canonical."""
+        return block_diagonal([sub.self_looped_csr for sub in self.members])
 
     def packed_adjacency(self, *, pad_vectors: int = 8) -> PackedBits:
         """1-bit column-compressed adjacency — the kernel's left operand."""

@@ -1389,6 +1389,65 @@ def test_a_blas_aggregate_step_is_one_native_pass(monkeypatch, structures):
 
 
 @needs_kernel
+def test_a_cold_miss_copies_nothing_its_members_hold(monkeypatch, structures):
+    """On the third cycle of a ``cold_structures``-shaped stream (every
+    round a miss over members served before) a round is a view of its
+    members: it concatenates no feature matrix — nor does a warm replay —
+    builds no scipy compressed matrix (no batch CSR), makes no
+    ``dataclasses.replace`` (a retarget swaps one record) and takes no
+    member array's address (:func:`native.csr_record` and
+    :func:`native.rows_record` are memoised on the members).  Logits and the device report
+    are those of an engine on the NumPy path."""
+    import dataclasses
+
+    from scipy.sparse import _compressed
+
+    counts = dict.fromkeys(["features", "_cs_matrix", "replace", "csr_record", "rows_record"], 0)
+    counting = partial(_counting, counts)
+    monkeypatch.setattr(SubgraphBatch, "features", counting("features", SubgraphBatch.features))
+    monkeypatch.setattr(_compressed._cs_matrix, "__init__",
+                        counting("_cs_matrix", _compressed._cs_matrix.__init__))
+    replace = counting("replace", dataclasses.replace)
+    for module in [dataclasses, *(m for m in list(sys.modules.values())
+                                  if getattr(m, "__name__", "").startswith("repro"))]:
+        if getattr(module, "replace", None) is dataclasses.replace:
+            monkeypatch.setattr(module, "replace", replace)
+    for name in ("csr_record", "rows_record"):
+        monkeypatch.setattr(native, name, counting(name, getattr(native, name)))
+    logits = []
+    run_round = InferenceEngine.run_round
+
+    def recording(self, *args, **kwargs):
+        forward = run_round(self, *args, **kwargs)
+        logits.append(forward.logits.view(np.uint64))
+        return forward
+
+    monkeypatch.setattr(InferenceEngine, "run_round", recording)
+
+    def stream():  # the second cycle is each template's first over bound entries
+        engine, (_, _, third) = _cold_cycles(counts, structures, 3)
+        engine.infer(structures[0])  # now held by the caches: the next round replays
+        for name in counts:
+            counts[name] = 0
+        engine.infer(structures[0])
+        assert engine.stats.plan_cache.hits == 1
+        return engine, third, dict(counts)
+
+    engine, cold, replay = stream()
+    assert cold == replay == dict.fromkeys(counts, 0)
+    native_logits = logits[:]
+    logits.clear()
+    monkeypatch.setattr(native, "load", lambda: None)
+    numpy_engine, numpy_cold, _ = stream()
+    assert numpy_cold["features"] == len(structures) and numpy_cold["_cs_matrix"] > 0
+    assert numpy_cold["csr_record"] == numpy_cold["rows_record"] == 0
+    assert len(logits) == len(native_logits)
+    for got, want in zip(native_logits, logits):
+        np.testing.assert_array_equal(got, want)
+    assert engine.device_report == numpy_engine.device_report
+
+
+@needs_kernel
 def test_a_kernel_fault_before_a_fused_aggregate_recovers_on_packed(structures):
     """A ``kernel`` fault probed before a warm round's fused aggregate
     attempts sends each to ``packed``, whose int64 product takes the NumPy
@@ -1448,8 +1507,8 @@ def test_a_warm_replay_runs_under_one_guard(monkeypatch, structures, model, bits
 def test_a_warm_fused_aggregate_converts_only_its_per_call_arrays(monkeypatch, structures):
     """A warm fused aggregate call makes one foreign call and converts only
     the arrays that are new each call — its codes and its two outputs: the
-    adjacency's CSR and degrees reach C by the addresses its program took
-    when it bound them."""
+    adjacency's block table and degrees reach C by the addresses its
+    program took when it bound them."""
     engine = InferenceEngine(make_cluster_gcn(12, 3, seed=4), ServingConfig(feature_bits=1, batch_size=4))
     want = [engine.infer(structures[0])[0].logits for _ in range(2)]  # bind, then replay
     calls, run, buffer = [], native._Bound.run, native._buffer
@@ -1477,7 +1536,8 @@ def test_a_warm_fused_aggregate_converts_only_its_per_call_arrays(monkeypatch, s
         converted = [a for a in converted if a is not None]
         assert len(converted) == 3 and all(map(operator.is_, converted, (values, codes, row_sums)))
         assert all(c is not a for c in converted for a in csr[2])
-        assert (foreign[0][2], *foreign[0][5:]) == tuple(a.ctypes.data for a in csr[2])
+        # The degrees, then the members' block table in place of a batch CSR.
+        assert (foreign[0][2], *foreign[0][5:]) == (*(a.ctypes.data for a in csr[2]), None)
 
 
 def _arrays(root) -> list[np.ndarray]:
