@@ -403,8 +403,9 @@ class Operand:
         self.gemm_dtype: np.dtype | None = None
         self._packed = packed
         self._csr = csr
-        #: The diagonal blocks' ``(indptr, indices, ...)``, or ``None``.
-        self.blocks = blocks
+        #: The diagonal blocks' ``(indptr, indices, ...)`` (a CSR is its own
+        #: one block), or ``None``.
+        self.blocks = ((csr.indptr, csr.indices),) if csr is not None else blocks
         if packed is not None:
             bits, layout, pad_vectors = packed.bits, packed.layout, packed.pad_vectors
             vectors, k = packed.logical_vectors, packed.logical_k
@@ -449,12 +450,11 @@ class Operand:
     def csr_nbytes(self) -> int:
         """Bytes of :attr:`csr`'s arrays — by the blocks' geometry, built
         yet or not (:func:`block_diagonal`'s dtypes); 0 without coordinates."""
-        if self._csr is not None:
-            return self._csr.data.nbytes + self._csr.indices.nbytes + self._csr.indptr.nbytes
-        if self.blocks is None:
-            return 0
-        nnz = sum(block[1].size for block in self.blocks)
-        return 4 * nnz + (4 if nnz < 2**31 else 8) * (nnz + self.logical_vectors + 1)
+        if self._csr is None and self.blocks is not None:
+            nnz = sum(block[1].size for block in self.blocks)
+            return 4 * nnz + np.dtype(_index_dtype(nnz)).itemsize * (nnz + self.logical_vectors + 1)
+        csr = self._csr
+        return 0 if csr is None else csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
 
     @property
     def padded_vectors(self) -> int:
@@ -570,7 +570,7 @@ def block_diagonal(blocks, *, copy: bool = True) -> sp.csr_matrix:
     int32 up to ``2**31`` entries; without ``copy`` a lone block already so
     is taken as it is."""
     nnz = np.cumsum([0] + [block[1].size for block in blocks]).tolist()
-    dtype = np.int32 if nnz[-1] < 2**31 else np.int64
+    dtype = _index_dtype(nnz[-1])
     if not copy and len(blocks) == 1 and blocks[0][0].dtype == blocks[0][1].dtype == dtype:
         indptr, indices = blocks[0][:2]
     else:
@@ -583,6 +583,11 @@ def block_diagonal(blocks, *, copy: bool = True) -> sp.csr_matrix:
             at += ptr.size - 1
     n = indptr.size - 1
     return sp.csr_matrix((np.ones(nnz[-1], np.float32), indices, indptr), shape=(n, n))
+
+
+def _index_dtype(entries: int) -> type:
+    """A CSR's index dtype for ``entries``: int32 while it holds them."""
+    return np.int32 if entries < 2**31 else np.int64
 
 
 def as_operand(value: "Operand | PackedBits") -> Operand:

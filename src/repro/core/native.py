@@ -39,8 +39,8 @@ the gather walks each member's self-looped CSR at its node offset, and the
 quantize-only entry reads each member's float32 or float64 feature rows
 (:class:`Rows`) — no batch CSR and no feature matrix is written.  A
 member's arrays are addressed once, in its :func:`csr_record` /
-:func:`rows_record`; a table of records holds no array, so its holder
-keeps them referenced (an adjacency its blocks, a round its batch).
+:func:`feature_rows`, and what holds an address holds its array: a block
+its record, a :class:`Rows` or a :func:`bind_blocks` binding its table.
 
 The other kind of entry, :func:`adjacency`, censuses: it checks a batch's
 member CSRs and writes each row's degree and the census of the tiles its
@@ -68,7 +68,7 @@ from ..telemetry import emit_event
 from .quantization import QuantParams
 
 __all__ = ["SOURCE", "Rows", "adjacency", "bind_blocks", "bind_csr", "bind_quantize", "bind_tail",
-           "csr_record", "load", "member_rows", "rows_record"]
+           "csr_record", "feature_rows", "load", "member_rows"]
 
 #: The compiler :func:`load` runs, and its flags (see the module doc).
 COMPILER = "cc"
@@ -424,12 +424,13 @@ class _Bound:
             raise ShapeError(f"an update step's tail reads its codes' {self._rows} float64 row sums")
         else:
             fixed = (_buffer(sums if self._rows else None), None, None)
-        source = values.table.ctypes.data if type(values) is Rows else None
-        if source is not None:
-            fixed, values = (fixed[0], source, None), None
+        if type(values) is Rows:  # read through their table, which ``values`` keeps alive
+            source, fixed = None, (fixed[0], values.table, None)
+        else:
+            source = _buffer(values)
         out = np.empty(*self._out)
         out_sums = np.empty(shape[0]) if self._sums else None
-        live = self._fn(self._args, _buffer(values), fixed[0], _buffer(out), _buffer(out_sums), *fixed[1:])
+        live = self._fn(self._args, source, fixed[0], _buffer(out), _buffer(out_sums), *fixed[1:])
         if live < 0:
             raise BitwidthError(_NAN) if live == -1 else ShapeError(
                 f"the members' blocks are not the bound {shape} operand (each {shape[1]} float32 or "
@@ -438,46 +439,58 @@ class _Bound:
 
 
 class Rows(NamedTuple):
-    """A float64 ``(n, k)`` operand held as its members' feature rows:
-    ``table`` lists each member's :func:`rows_record`, in order.  The
-    quantize-only entry reads it in place of the activation."""
+    """A float64 ``(n, k)`` operand held as members' feature rows, which
+    the quantize-only entry reads in place of the activation: ``table`` is
+    the address of their row-block table (the count, then each member's
+    address, bytes per element, rows and columns), ``held`` the table and
+    the rows it addresses — a ``Rows`` keeps alive what it addresses."""
 
     shape: tuple
-    table: np.ndarray
+    table: int
+    held: tuple
     dtype = np.dtype(np.float64)
+
+
+def feature_rows(features: np.ndarray | None) -> Rows | None:
+    """One member's features as :class:`Rows`, or ``None`` unless they are
+    a C-ordered float32 or float64 matrix."""
+    if (features is None or features.ndim != 2 or features.dtype not in (np.float32, np.float64)
+            or not features.flags.c_contiguous):
+        return None
+    table = np.array([1, features.ctypes.data, features.itemsize, *features.shape], np.intp)
+    return Rows(features.shape, table.ctypes.data, (table, features))
+
+
+def member_rows(members, shape: tuple[int, int]) -> Rows | None:
+    """Members' :class:`feature_rows` as one ``shape`` operand (the entry
+    checks that they are), ``None`` if one is ``None``."""
+    if None in members:
+        return None
+    if len(members) == 1:
+        return members[0]
+    table = np.concatenate([[len(members)], *(rows.held[0][1:] for rows in members)], dtype=np.intp)
+    return Rows(shape, table.ctypes.data, (table, *members))
 
 
 def csr_record(indptr: np.ndarray, indices: np.ndarray) -> bytes | None:
     """One member's CSR as a row-block record (its arrays' addresses, rows
     and entries), or ``None`` unless both are C-ordered int32 — the record
-    addresses them, so its holder keeps them alive."""
+    addresses them, so it travels with them (a ``(indptr, indices,
+    record)`` block)."""
     if indptr.dtype == indices.dtype == np.int32 and indptr.flags.c_contiguous and indices.flags.c_contiguous:
         return np.array([indptr.ctypes.data, indices.ctypes.data, indptr.size - 1, indices.size],
                         np.intp).tobytes()
     return None
 
 
-def rows_record(features: np.ndarray | None) -> bytes | None:
-    """One member's feature rows as a row-block record, or ``None`` unless
-    they are a C-ordered float32 or float64 matrix."""
-    if (features is None or features.ndim != 2 or features.dtype not in (np.float32, np.float64)
-            or not features.flags.c_contiguous):
-        return None
-    return np.array([features.ctypes.data, features.itemsize, *features.shape], np.intp).tobytes()
-
-
-def _table(records) -> np.ndarray | None:
-    """Row-block records as the table an entry walks: their count, then
-    each record; ``None`` if one is."""
+def _table(blocks) -> np.ndarray | None:
+    """CSR blocks — ``(indptr, indices)``, with its :func:`csr_record` as a
+    third item if it has one — as the table an entry walks: their count,
+    then each record; ``None`` if C cannot read one."""
+    records = [block[2] if len(block) == 3 else csr_record(*block) for block in blocks]
     if None in records:
         return None
     return np.frombuffer(b"".join([np.intp(len(records)).tobytes(), *records]), np.intp)
-
-
-def member_rows(records, shape: tuple[int, int]) -> Rows | None:
-    """The :class:`Rows` of members' :func:`rows_record`s (``None`` if one is)."""
-    table = _table(records)
-    return None if table is None else Rows(shape, table)
 
 
 def bind_csr(indptr: np.ndarray, indices: np.ndarray, degrees: np.ndarray) -> tuple | None:
@@ -491,25 +504,28 @@ def bind_csr(indptr: np.ndarray, indices: np.ndarray, degrees: np.ndarray) -> tu
     return None
 
 
-def bind_blocks(table: np.ndarray, degrees: np.ndarray) -> tuple:
-    """An aggregate step's adjacency as :func:`adjacency`'s table of its
-    diagonal blocks and its ``(n,)`` float64 degrees, addressed once for
-    :meth:`_Bound.run`'s ``csr`` (the entry checks that the blocks are
-    ``n`` rows).  The binding holds both arrays; the table's holder keeps
-    the blocks it addresses."""
+def bind_blocks(blocks, degrees: np.ndarray) -> tuple | None:
+    """An aggregate step's adjacency as its diagonal CSR blocks (as
+    :func:`adjacency` takes them) and its ``(n,)`` float64 degrees,
+    addressed once for :meth:`_Bound.run`'s ``csr`` (the entry checks that
+    the blocks are ``n`` rows): ``(n, addresses, what they address)``, so
+    the binding keeps its blocks alive; ``None`` without the library or
+    for a block C cannot read."""
+    table = None if load() is None else _table(blocks)
+    if table is None:
+        return None
     degrees = np.ascontiguousarray(degrees, np.float64)
-    return degrees.size, (degrees.ctypes.data, table.ctypes.data, None), (degrees, table)
+    return degrees.size, (degrees.ctypes.data, table.ctypes.data, None), (degrees, table, blocks)
 
 
-def adjacency(loops) -> tuple[np.ndarray, ...] | None:
+def adjacency(loops) -> tuple[np.ndarray, np.ndarray] | None:
     """The ``(n, 1)`` float64 degrees and the tile census of the
-    block-diagonal CSR of ``loops`` — members' ``(indptr, indices)``, each
-    with its :func:`csr_record` as a third item if it has one — and the
-    table of their blocks a gather walks; ``None`` without the library,
-    for a member not C-ordered int32, past int32 or refused by the pass."""
+    block-diagonal CSR of ``loops``, members' CSR blocks (``(indptr,
+    indices)``, with its :func:`csr_record` as a third item if it has one);
+    ``None`` without the library, for a member not C-ordered int32, past
+    int32 or refused by the pass."""
     lib = load()
-    records = [loop[2] if len(loop) == 3 else csr_record(*loop) for loop in loops]
-    table = None if lib is None else _table(records)
+    table = None if lib is None else _table(loops)
     if table is None:
         return None
     n, nnz = table[1:].reshape(-1, 4)[:, 2:].sum(axis=0).tolist()
@@ -520,7 +536,7 @@ def adjacency(loops) -> tuple[np.ndarray, ...] | None:
         return None
     for array in (degrees, mask):
         array.setflags(write=False)
-    return degrees, mask, table
+    return degrees, mask
 
 
 def _float64(term, shape: tuple[int, int]) -> np.ndarray:

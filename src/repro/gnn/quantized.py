@@ -228,22 +228,19 @@ class PackedAdjacency:
     first read — memoising what it derives;
     ``plan``, the §4.3 tile census the measured skip counters read;
     ``degrees``, the ``(n, 1)`` float64 row sums (the aggregation's
-    rank-1 epilogue); ``table``, the native table of the operand's blocks
-    (:func:`repro.core.native.adjacency`), if the pass that censused them
-    built one."""
+    rank-1 epilogue)."""
 
     operand: Operand
     plan: TileSkipPlan
     degrees: np.ndarray
-    table: np.ndarray | None = None
 
     @classmethod
-    def canonical(cls, blocks, degrees, mask, table=None) -> PackedAdjacency:
+    def canonical(cls, blocks, degrees, mask) -> PackedAdjacency:
         """The adjacency over diagonal blocks, int32 CSRs of ones its
         producer proved canonical (a block may carry a third item); the
         ``degrees`` are frozen."""
         degrees.setflags(write=False)
-        return cls(Operand(blocks=tuple(blocks)), TileSkipPlan(masks=(mask,)), degrees, table)
+        return cls(Operand(blocks=tuple(blocks)), TileSkipPlan(masks=(mask,)), degrees)
 
     @cached_property
     def derived(self) -> dict:
@@ -253,14 +250,11 @@ class PackedAdjacency:
     @cached_property
     def gather(self) -> tuple | None:
         """What a fused aggregate gathers through (the ``csr`` of
-        :meth:`repro.core.native._Bound.run`), addressed once: the table of
-        the operand's blocks, else its one int32 CSR; ``None`` for neither."""
-        degrees, blocks = self.degrees.ravel(), self.operand.blocks
-        if self.table is not None:
-            return native.bind_blocks(self.table, degrees)
-        if blocks is None and self.operand.csr is not None:
-            blocks = ((self.operand.csr.indptr, self.operand.csr.indices),)
-        return native.bind_csr(*blocks[0][:2], degrees) if blocks and len(blocks) == 1 else None
+        :meth:`repro.core.native._Bound.run`): the operand's diagonal blocks
+        and the degrees, addressed once (:func:`~repro.core.native.bind_blocks`);
+        ``None`` without blocks C can read."""
+        blocks = self.operand.blocks
+        return None if blocks is None else native.bind_blocks(blocks, self.degrees.ravel())
 
     @property
     def packed(self) -> PackedBits:
@@ -489,8 +483,9 @@ def _sparse_product(operand: Operand, dtype, codes: np.ndarray) -> np.ndarray:
 def _features(batch: SubgraphBatch, k: int, rows: bool):
     """Step 0's ``(n, k)`` activation: the members' feature rows as
     :class:`~repro.core.native.Rows` for a native quantize (``rows``; it
-    checks their widths), or else concatenated into float64 — a member of
-    another width raises :class:`~repro.errors.ShapeError` either way."""
+    checks their widths, and the ``Rows`` holds the arrays it reads), or
+    else concatenated into float64 — a member of another width raises
+    :class:`~repro.errors.ShapeError` either way."""
     if rows:
         view = native.member_rows([sub.feature_rows for sub in batch.members], (batch.num_nodes, k))
         if view is not None:

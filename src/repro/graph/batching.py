@@ -70,11 +70,13 @@ class Subgraph:
         """``derive(self.graph)``, memoised on this member under ``name`` —
         the one rule every per-member memo follows.
 
-        The structure arrays are frozen here (an in-place write raises), and
-        the memo holds while ``graph.indptr`` / ``graph.indices`` are the
-        same, still read-only objects: a rebound, thawed or unpickled array
-        derives again.  Arrays that borrow their memory (their owner can
-        write) are never trusted.  Racing threads derive an equal value.
+        The structure arrays are frozen here once derived from (an in-place
+        write raises), and the memo holds while ``graph.indptr`` /
+        ``graph.indices`` are the same, still read-only objects: a rebound,
+        thawed or unpickled array derives again — and so does a memo
+        ``derive`` reads, which still sees the arrays thawed.  Arrays that
+        borrow their memory (their owner can write) are never trusted.
+        Racing threads derive an equal value.
         """
         graph, held = self.graph, self.__dict__.get(name)
         indptr, indices = graph.indptr, graph.indices
@@ -84,9 +86,9 @@ class Subgraph:
             return held[2]
         if not (indptr.flags.owndata and indices.flags.owndata):
             return derive(graph)
+        held = self.__dict__[name] = (indptr, indices, derive(graph))
         indptr.setflags(write=False)
         indices.setflags(write=False)
-        held = self.__dict__[name] = (indptr, indices, derive(graph))
         return held[2]
 
     @property
@@ -99,19 +101,20 @@ class Subgraph:
     @property
     def csr_block(self) -> tuple:
         """:attr:`self_looped_csr` with its native row-block record
-        (:func:`repro.core.native.csr_record`: its arrays' addresses, ``None``
-        if C cannot read them) as a third item, derived once per member."""
-        return self.memo("_native_block", lambda graph: (*self.self_looped_csr,
-                                                          native.csr_record(*self.self_looped_csr)))
+        (:func:`repro.core.native.csr_record`: the addresses of the two
+        arrays it travels with, ``None`` if C cannot read them) as a third
+        item, derived once per member."""
+        return self.memo("_native_block", lambda graph: (*(loop := self.self_looped_csr),
+                                                          native.csr_record(*loop)))
 
     @property
-    def feature_rows(self) -> bytes | None:
-        """The native row-block record of ``graph.features``
-        (:func:`repro.core.native.rows_record`), kept while they are the same
-        array: C reads their values per call, so a write in place is seen."""
+    def feature_rows(self) -> native.Rows | None:
+        """``graph.features`` as :class:`repro.core.native.Rows`, kept while
+        they are the same array: C reads their values per call, so a write
+        in place is seen."""
         features, held = self.graph.features, self.__dict__.get("_native_rows")
         if held is None or held[0] is not features:
-            held = self.__dict__["_native_rows"] = (features, native.rows_record(features))
+            held = self.__dict__["_native_rows"] = (features, native.feature_rows(features))
         return held[1]
 
     def __getstate__(self) -> dict:

@@ -250,31 +250,25 @@ class ExecutionPlan:
     def retarget_adjacency(self, adjacency_key: PlanKey | None) -> "ExecutionPlan":
         """The plan reading its adjacency from another cache key: what
         binds a template to a structure (a structure changes no GEMM shape,
-        quantize site or backend).  The adjacency-dependent nodes are one
-        record, made here — a ``pack_a`` and a ``census`` node every
-        aggregate step shares — and swapped into copies of the steps, which
-        share their source's :attr:`GemmStep.derived` memo; nothing is
-        re-validated, and everything else, the sealed part of the digest
-        (:attr:`sealed`) included, is reused by reference — a fresh
-        :func:`compile_forward_plan` under the key is equal to it."""
+        quantize site or backend).  The adjacency-dependent nodes are made
+        once, here — a ``pack_a`` and a ``census`` node every aggregate step
+        shares — and built into new steps, which share their source's
+        :attr:`GemmStep.derived` memo; everything else, the sealed part of
+        the digest (:attr:`sealed`) included, is reused by reference — a
+        fresh :func:`compile_forward_plan` under the key is equal to it."""
         pack_a, census, layers = None, CensusStep(adjacency_key), []
         for layer in self.layers:
             step = layer.aggregate
             if pack_a is None or (pack_a.layout, pack_a.bits) != (step.pack_a.layout, step.pack_a.bits):
-                pack_a = _swapped(step.pack_a, cache_key=adjacency_key)
-            step = _swapped(step, pack_a=pack_a, census=step.census and census, derived=step.derived)
-            layers.append(_swapped(layer, aggregate=step))
-        plan = _swapped(self, layers=tuple(layers))
-        vars(plan).pop("digest", None)
+                pack_a = PackStep(step.pack_a.layout, step.pack_a.bits, adjacency_key)
+            patched = GemmStep(step.spec, step.backend, pack_a, step.pack_b, step.quantize_a,
+                               step.quantize_b, step.census and census)
+            vars(patched)["derived"] = step.derived
+            layers.append(LayerPlan(layer.index, patched, layer.update, layer.is_output))
+        plan = ExecutionPlan(self.signature, tuple(layers))
+        if "sealed" in vars(self):
+            vars(plan)["sealed"] = self.sealed
         return plan
-
-
-def _swapped(node, **fields):
-    """A copy of the frozen dataclass ``node`` with ``fields`` swapped in,
-    built without running its ``__init__``: memos come along, unless swapped."""
-    copy = object.__new__(type(node))
-    vars(copy).update(vars(node), **fields)
-    return copy
 
 
 # --------------------------------------------------------------------- #

@@ -102,7 +102,8 @@ def test_member_view_rounds_equal_batch_csr_rounds(members, model, seed):
 
     run(pack_batch_adjacency(batch))  # freezes every site and keeps the template part
     views, viewed, member_rows = pack_batch_adjacency(batch), [], native.member_rows
-    assert views.table is not None and views.operand.csr_nbytes and views.operand._csr is None
+    assert len(views.operand.blocks) == len(batch.members) and views.operand.csr_nbytes
+    assert views.operand._csr is None
     with mock.patch.object(native, "member_rows", lambda *args: viewed.append(member_rows(*args)) or viewed[-1]):
         got, replay = run(views), run(views)  # a binding round over the template, then a replay
     assert len(viewed) == 2 and None not in viewed  # step 0 read the members' rows
@@ -152,15 +153,55 @@ def test_a_members_native_records_follow_their_arrays_and_no_pickle():
     sub = member(9, "dense", False, 1)
     rows, block = sub.feature_rows, sub.csr_block
     assert sub.feature_rows is rows and sub.csr_block is block
-    assert np.frombuffer(rows, np.intp)[0] == sub.graph.features.ctypes.data
-    assert np.frombuffer(block[2], np.intp)[:2].tolist() == [a.ctypes.data for a in sub.self_looped_csr]
+    assert rows.held[1] is sub.graph.features and rows.held[0][1] == sub.graph.features.ctypes.data
+    assert block[:2] == sub.self_looped_csr and addresses_its_arrays(block)
     sub.graph.features = sub.graph.features.copy()  # rebound: derives again
-    assert np.frombuffer(sub.feature_rows, np.intp)[0] == sub.graph.features.ctypes.data
+    assert sub.feature_rows.held[0][1] == sub.graph.features.ctypes.data
     clone = pickle.loads(pickle.dumps(sub))
     assert not [name for name in vars(clone) if name.startswith("_native")]
-    assert np.frombuffer(clone.feature_rows, np.intp)[0] == clone.graph.features.ctypes.data
-    assert np.frombuffer(clone.csr_block[2], np.intp)[:2].tolist() == [
-        a.ctypes.data for a in clone.self_looped_csr]
+    assert clone.feature_rows.held[0][1] == clone.graph.features.ctypes.data
+    assert addresses_its_arrays(clone.csr_block)
+
+
+def addresses_its_arrays(block: tuple) -> bool:
+    """Whether a CSR block's native record addresses the block's own arrays."""
+    return np.frombuffer(block[2], np.intp)[:2].tolist() == [a.ctypes.data for a in block[:2]]
+
+
+@needs_kernel
+@pytest.mark.parametrize("source", ["unpickled", "borrowed"])
+def test_members_whose_arrays_are_not_memoised_serve_through_their_own_records(source):
+    """A member whose structure arrays borrow their memory (unpickled from
+    protocol 5, or a view of a larger array) derives its self-looped CSR afresh on every
+    read: each block of its adjacency must still address the arrays it
+    travels with, and a fused round over the views must equal the NumPy
+    round over the batch CSR and the concatenated features."""
+    members = [member(n, kind, wide, 30 + i) for i, (n, kind, wide) in
+               enumerate([(9, "dense", True), (129, "isolated", False), (8, "edgeless", False)])]
+    if source == "unpickled":
+        members = [pickle.loads(pickle.dumps(sub, protocol=5)) for sub in members]  # views of the pickle
+    else:
+        for sub in members:
+            store = np.concatenate([sub.graph.indices, sub.graph.indices])
+            sub.graph.indices = store[: sub.graph.indices.size]
+    batch = SubgraphBatch(members=tuple(members))
+    model = MODELS["gin8"][0]()
+    plan = compile_forward_plan(model, num_nodes=batch.num_nodes, feature_bits=8, engine="blas")
+    calibration = ActivationCalibration()
+    weights = [pack_layer_weight(w, layer.update.spec.bits_b) for w, layer in zip(model.weights, plan.layers)]
+
+    def run(adjacency):
+        return execute_forward_plan(plan, model, batch, packed_weights=weights, packed_adjacency=adjacency,
+                                    calibration=calibration).logits
+
+    run(pack_batch_adjacency(batch))  # freezes every site and keeps the template part
+    views = pack_batch_adjacency(batch)
+    assert "_native_block" not in vars(members[0]) and all(map(addresses_its_arrays, views.operand.blocks))
+    got = run(views)
+    with mock.patch.object(native, "member_rows", lambda *args: None):
+        want = run(batch_csr(batch))
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert views.operand._csr is None
 
 
 @needs_kernel
@@ -174,7 +215,7 @@ def test_the_quantize_entry_reads_member_rows_of_any_width(width):
     features = [rng.standard_normal((n, width)).astype(dtype)
                 for n, dtype in ((9, np.float32), (7, np.float64), (1, np.float32), (16, np.float64), (8, np.float64))]
     dense = np.concatenate(features, dtype=np.float64)
-    rows = native.member_rows([native.rows_record(f) for f in features], dense.shape)
+    rows = native.member_rows([native.feature_rows(f) for f in features], dense.shape)
     for bits in (1, 8):
         entry = native.bind_quantize(calibrate(dense, bits), np.float32, dense.shape, True)
         (want, want_sums, want_live), (got, got_sums, got_live) = entry.run(dense), entry.run(rows)
