@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import struct
 import subprocess
 import tempfile
 import threading
@@ -331,6 +332,7 @@ PRODUCT_DTYPES = ("float32", "float64")
 CODE_DTYPES = ("float32", "float64", "int64")
 _NAMES = {np.dtype(name): name for name in CODE_DTYPES}
 _NAN = "cannot quantize NaN: codes must be non-negative integers"
+_WORD = struct.calcsize("n")  # a row-block table's word: C's ptrdiff_t
 _loaded: list = []  # the library (or None) once :func:`load` has run
 _load_lock = threading.Lock()
 
@@ -441,14 +443,18 @@ class _Bound:
 class Rows(NamedTuple):
     """A float64 ``(n, k)`` operand held as members' feature rows, which
     the quantize-only entry reads in place of the activation: ``table`` is
-    the address of their row-block table (the count, then each member's
-    address, bytes per element, rows and columns), ``held`` the table and
+    their row-block table (the count, then each member's address, bytes per
+    element, rows and columns; C reads the bytes where they are), ``held``
     the rows it addresses — a ``Rows`` keeps alive what it addresses."""
 
     shape: tuple
-    table: int
+    table: bytes
     held: tuple
     dtype = np.dtype(np.float64)
+
+
+def _words(*values: int) -> bytes:
+    return struct.pack(f"{len(values)}n", *values)
 
 
 def feature_rows(features: np.ndarray | None) -> Rows | None:
@@ -457,8 +463,7 @@ def feature_rows(features: np.ndarray | None) -> Rows | None:
     if (features is None or features.ndim != 2 or features.dtype not in (np.float32, np.float64)
             or not features.flags.c_contiguous):
         return None
-    table = np.array([1, features.ctypes.data, features.itemsize, *features.shape], np.intp)
-    return Rows(features.shape, table.ctypes.data, (table, features))
+    return Rows(features.shape, _words(1, features.ctypes.data, features.itemsize, *features.shape), (features,))
 
 
 def member_rows(members, shape: tuple[int, int]) -> Rows | None:
@@ -468,8 +473,8 @@ def member_rows(members, shape: tuple[int, int]) -> Rows | None:
         return None
     if len(members) == 1:
         return members[0]
-    table = np.concatenate([[len(members)], *(rows.held[0][1:] for rows in members)], dtype=np.intp)
-    return Rows(shape, table.ctypes.data, (table, *members))
+    table = b"".join([_words(len(members)), *(rows.table[_WORD:] for rows in members)])
+    return Rows(shape, table, tuple(members))
 
 
 def csr_record(indptr: np.ndarray, indices: np.ndarray) -> bytes | None:
@@ -478,19 +483,16 @@ def csr_record(indptr: np.ndarray, indices: np.ndarray) -> bytes | None:
     addresses them, so it travels with them (a ``(indptr, indices,
     record)`` block)."""
     if indptr.dtype == indices.dtype == np.int32 and indptr.flags.c_contiguous and indices.flags.c_contiguous:
-        return np.array([indptr.ctypes.data, indices.ctypes.data, indptr.size - 1, indices.size],
-                        np.intp).tobytes()
+        return _words(indptr.ctypes.data, indices.ctypes.data, indptr.size - 1, indices.size)
     return None
 
 
-def _table(blocks) -> np.ndarray | None:
+def _table(blocks) -> bytes | None:
     """CSR blocks — ``(indptr, indices)``, with its :func:`csr_record` as a
     third item if it has one — as the table an entry walks: their count,
     then each record; ``None`` if C cannot read one."""
     records = [block[2] if len(block) == 3 else csr_record(*block) for block in blocks]
-    if None in records:
-        return None
-    return np.frombuffer(b"".join([np.intp(len(records)).tobytes(), *records]), np.intp)
+    return None if None in records else b"".join([_words(len(records)), *records])
 
 
 def bind_csr(indptr: np.ndarray, indices: np.ndarray, degrees: np.ndarray) -> tuple | None:
@@ -514,7 +516,7 @@ def bind_blocks(blocks, degrees: np.ndarray) -> tuple | None:
     table = None if load() is None else _table(blocks)
     if table is None:
         return None
-    degrees = np.ascontiguousarray(degrees, np.float64)
+    table, degrees = np.frombuffer(table, np.intp), np.ascontiguousarray(degrees, np.float64)
     return degrees.size, (degrees.ctypes.data, table.ctypes.data, None), (degrees, table, blocks)
 
 
@@ -528,11 +530,11 @@ def adjacency(loops) -> tuple[np.ndarray, np.ndarray] | None:
     table = None if lib is None else _table(loops)
     if table is None:
         return None
-    n, nnz = table[1:].reshape(-1, 4)[:, 2:].sum(axis=0).tolist()
+    n, nnz = np.frombuffer(table, np.intp)[1:].reshape(-1, 4)[:, 2:].sum(axis=0).tolist()
     if not n or max(n, nnz) >= 1 << 31:
         return None
     degrees, mask = np.empty((n, 1)), np.zeros((-(-n // 8), -(-n // 128)), bool)
-    if lib.adjacency(table.ctypes.data, mask.shape[1], degrees.ctypes.data, mask.ctypes.data) != nnz:
+    if lib.adjacency(table, mask.shape[1], degrees.ctypes.data, mask.ctypes.data) != nnz:
         return None
     for array in (degrees, mask):
         array.setflags(write=False)
