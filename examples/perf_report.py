@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Attribute serving wall-clock with a PAG, then close the adaptive loop.
+"""Attribute serving wall-clock with a PAG, then watch dispatch fall back.
 
 ``python -m repro.perf report`` prints the canned smoke report; this
 example walks the same machinery as a library, on a workload you can
@@ -14,12 +14,11 @@ edit.  Two stories in one run:
    :func:`~repro.perf.imbalance`, :func:`~repro.perf.cache_thrash`)
    read findings off that tree.
 
-2. **Invalidation.**  A compiled plan freezes its dispatch decisions;
-   the dispatch table keeps learning.  We push fresh timings that flip
-   the tuned pick, let ``stale_plans()`` report the divergence, and
-   ``invalidate_stale_plans()`` drop the stale plans — the next replay
-   recompiles under the new table and returns bit-identical logits,
-   because backend choice is a schedule decision, never arithmetic.
+2. **Static dispatch.**  Every GEMM runs on ``blas``.  Once the
+   session's :class:`~repro.serving.BackendHealth` quarantines ``blas``,
+   the next plans compile onto ``packed`` and return bit-identical
+   logits, because backend choice is a schedule decision, never
+   arithmetic.
 
 Run:  python examples/perf_report.py
 """
@@ -32,8 +31,9 @@ from repro.gnn import make_batched_gin
 from repro.graph import induced_subgraphs
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
-from repro.perf import build_pag, cache_thrash, hotspot, imbalance, stale_plan
+from repro.perf import build_pag, cache_thrash, hotspot, imbalance
 from repro.serving import (
+    BackendHealth,
     InferenceEngine,
     PoolConfig,
     ServingConfig,
@@ -76,48 +76,28 @@ def attribution_story(model, subgraphs) -> None:
     print(f"\nphase coverage of measured wall-clock: {pag.coverage():.3f}")
 
 
-def invalidation_story(model, subgraphs) -> None:
-    """Drift the dispatch table, detect stale plans, recompile losslessly."""
-    engine = InferenceEngine(model, ServingConfig(feature_bits=4, batch_size=4))
+def dispatch_story(model, subgraphs) -> None:
+    """Quarantine ``blas``, recompile onto ``packed``, serve the same bits."""
+    health = BackendHealth(quarantine_after=1, probe_after_s=3600.0)
+    engine = InferenceEngine(
+        model, ServingConfig(feature_bits=4, batch_size=4), health=health
+    )
     expected = engine.infer(subgraphs)
-    print(f"\ncompiled {len(engine.plan_cache)} plans; "
-          f"stale after first pass: {len(engine.stale_plans())}")
+    plans = [engine.plan_cache.peek(key) for key in engine.plan_cache.keys()]
+    print(f"\ncompiled {len(plans)} plans; backends: "
+          f"{sorted({b for plan in plans for b in plan.backends()})}")
+    assert all(plan.backends() == ("blas",) for plan in plans)
 
-    # Simulate online drift: feed timings that make a different backend
-    # the tuned pick for every frozen GEMM decision.
-    for key in list(engine.plan_cache.keys()):
-        plan = engine.plan_cache.peek(key)
-        adjacency = engine.adjacency_cache.peek(
-            plan.layers[0].aggregate.pack_a.cache_key
-        )
-        for layer in plan.layers:
-            for step in (layer.aggregate, layer.update):
-                fraction = (
-                    adjacency.nonzero_fraction
-                    if step.spec.role == "aggregate" else None
-                )
-                other = "packed" if step.backend != "packed" else "blas"
-                for _ in range(8):
-                    engine.dispatch_table.record_spec(
-                        step.spec, other, 1e-9, tile_fraction=fraction
-                    )
-                    engine.dispatch_table.record_spec(
-                        step.spec, step.backend, 1.0, tile_fraction=fraction
-                    )
-
-    report = stale_plan(engine)
-    print(report.render())
-    invalidated = engine.invalidate_stale_plans()
-    print(f"invalidated {len(invalidated)} plans "
-          f"(stats.plans_invalidated={engine.stats.plans_invalidated})")
-
+    health.record_failure("blas")  # the breaker opens: blas is quarantined
+    engine.plan_cache.clear()
     replayed = engine.infer(subgraphs)
+    plans = [engine.plan_cache.peek(key) for key in engine.plan_cache.keys()]
+    assert all(plan.backends() == ("packed",) for plan in plans)
     identical = all(
         np.array_equal(a.logits, b.logits)
         for a, b in zip(expected, replayed)
     )
-    print(f"replay recompiled under the new table; "
-          f"stale now: {len(engine.stale_plans())}; "
+    print(f"blas quarantined: {len(plans)} plans recompiled onto packed; "
           f"logits bit-identical: {identical}")
     assert identical
 
@@ -126,7 +106,7 @@ def main() -> None:
     rng = np.random.default_rng(0xA6)
     model, subgraphs = build_workload(rng)
     attribution_story(model, subgraphs)
-    invalidation_story(model, subgraphs)
+    dispatch_story(model, subgraphs)
 
 
 if __name__ == "__main__":

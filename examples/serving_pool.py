@@ -8,9 +8,8 @@ hold replays nothing — every round densifies, packs, ballots and
 compiles again.  A :class:`~repro.serving.ServingPool` shards the stream
 by structure digest across N workers: each shard's slice fits its
 shard-local cache (steady state is pure plan replay), packed weights
-live in one shared read-only segment, each shard binds its plans from
-its own templates, and every shard records into and prices from the one
-measured dispatch table the pool mounts.
+live in one shared read-only segment, and each shard binds its plans from
+its own templates.
 
 Logits are bit-identical to the single engine for every request — the
 pool is a throughput decision, never an accuracy decision.
@@ -103,10 +102,10 @@ def main() -> None:
     for engine in pool.workers:
         segments = engine.plan_artifacts
         print(f"  {engine.label} misses: "
-              f"{segments.segment('template').stats.misses} templates priced, "
+              f"{segments.segment('template').stats.misses} templates compiled, "
               f"{segments.segment('plan').stats.misses} plans bound")
-    print(f"  dispatch table: one object mounted by every shard, "
-          f"{pool.workers[0].dispatch_table.sample_count()} samples")
+    # Static dispatch: every GEMM on blas, so blas did all the GEMM work.
+    assert set(stats.backend_seconds) == {"blas"}, stats.backend_seconds
     print(f"  backend attribution: " + ", ".join(
         f"{name} {seconds * 1e3:.1f} ms"
         for name, seconds in sorted(stats.backend_seconds.items())

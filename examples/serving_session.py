@@ -4,16 +4,15 @@
 The production story the serving subsystem adds on top of the paper's
 experiment scripts: the first round over a distinct batch *compiles* an
 execution plan (weights quantized + bit-packed once, zero-tile census
-taken once, every bit-GEMM's backend frozen by the cost-model
-dispatcher); replayed rounds execute the cached plan out of the session's
+taken once, every bit-GEMM's backend frozen by the static dispatch
+rule); replayed rounds execute the cached plan out of the session's
 unified plan cache.  Compares steady-state session throughput against the
 cold one-shot path (which re-packs weights per request) and prints
 session telemetry: per-kind plan-cache hit rates, batch occupancy,
 measured wall-clock and modeled RTX 3090 device time.
 
-The epilogue prints what the session's in-memory dispatch table has
-measured: every executed GEMM's wall-clock, fed back as a sample.  The
-table lives and dies with the session.
+The epilogue checks the static dispatch decision: every GEMM of every
+cached plan runs on ``blas``.
 
 Run:  python examples/serving_session.py
 """
@@ -56,7 +55,7 @@ def main() -> None:
     warm_s = time.perf_counter() - start
     print(f"warm serving session: {len(results) / warm_s:7.1f} req/s "
           f"({cold_s / warm_s:.1f}x) — packed planes cached, "
-          f"requests coalesced, cost-model dispatch")
+          f"requests coalesced, static dispatch")
 
     # ---------------- session telemetry ----------------------------------- #
     stats = engine.stats
@@ -87,15 +86,13 @@ def main() -> None:
     mean_conf = np.mean([r.logits.max(axis=1).mean() for r in results])
     print(f"  {len(results)} results, mean top-logit {mean_conf:.3f}")
 
-    # ---------------- the in-session dispatch table ----------------------- #
-    # Every executed GEMM fed its wall-clock back into the session's table;
-    # a new session starts from an empty one.
-    table = engine.dispatch_table
-    assert table.sample_count() > 0, "executed GEMMs should feed the table"
-    print(f"\ndispatch table: {table.sample_count()} measured samples held "
-          f"in {len(table)} shape buckets ({stats.autotune_samples} recorded; "
-          f"each cell keeps its newest {table.max_samples}), in memory only")
-
+    # ---------------- static dispatch ------------------------------------- #
+    # Every GEMM runs on blas: the packed backend is the fallback, taken
+    # only past the working-set budget or while blas is quarantined.
+    backends = {step.backend for key in engine.plan_cache.keys()
+                for step in engine.plan_cache.peek(key).gemm_steps()}
+    assert backends == {"blas"}, backends
+    print(f"\nstatic dispatch: every cached plan's GEMMs run on {sorted(backends)}")
 
 if __name__ == "__main__":
     main()

@@ -7,8 +7,8 @@ Tensor Core* (Wang, Feng, Ding — PPoPP 2022) as a pure-Python library:
   compression, any-bitwidth bit-GEMM, and the bit-Tensor API.
 * :mod:`repro.plan` — the plan/execute split: an ExecutionPlan IR
   (per-GEMM quantize/pack/census/backend nodes), the pluggable backend
-  registry with capability metadata and cost pricers, and the unified
-  content-keyed plan cache.
+  registry with capability metadata and the static dispatch rule, and the
+  unified content-keyed plan cache.
 * :mod:`repro.tc` — a functional + analytical Tensor Core emulator (WMMA
   tiles, zero-tile jumping, non-zero tile reuse, cost model).
 * :mod:`repro.graph` — CSR graphs, synthetic dataset generators matching the
@@ -22,8 +22,8 @@ Tensor Core* (Wang, Feng, Ding — PPoPP 2022) as a pure-Python library:
 * :mod:`repro.baselines` — DGL-like fp32, cuBLAS-int8 and CUTLASS-int4
   execution models.
 * :mod:`repro.serving` — session-based inference serving: compiled-plan
-  replay over a unified plan cache, request coalescing, cost-model
-  backend dispatch.
+  replay over a unified plan cache, request coalescing, static backend
+  dispatch.
 * :mod:`repro.experiments` — one harness per paper table/figure.
 
 Quickstart::

@@ -36,14 +36,14 @@ built on the packed kernel.
 
 Engines are *registered objects*: each lives in the
 :class:`~repro.plan.registry.BackendRegistry` as a
-:class:`~repro.plan.registry.Backend` carrying capability metadata and a
-cost pricer (see :mod:`repro.plan.backends` for the two built-ins).  The
+:class:`~repro.plan.registry.Backend` carrying capability metadata (see
+:mod:`repro.plan.backends` for the two built-ins).  The
 ``engine=`` parameters here are a compatibility shim over that registry:
 they accept the literal names above, any custom backend name registered
 via :func:`repro.plan.register_backend`, *or* an :data:`EngineSelector` —
-a callable ``(m, k, n, bits_a, bits_b) -> name`` — so callers such as the
-serving dispatcher (:mod:`repro.serving.dispatch`) can pick the engine per
-product from a cost model instead of the built-in size threshold.  Pass
+a callable ``(m, k, n, bits_a, bits_b) -> name`` — such as the serving
+layer's static rule (:func:`repro.plan.registry.static_backend`) in place
+of the built-in size threshold.  Pass
 ``registry=`` to resolve names against a non-default registry.
 
 Scalar- and vector-level decomposed products (Eq. 5/6 verbatim) are included

@@ -9,7 +9,7 @@ structure *mutable* without giving up any of that machinery:
   re-balloted), identity tracked by a chained structure digest;
 * :class:`~repro.dynamic.session.DynamicSession` — serving integration:
   digest-keyed artifacts, every plan bound from the engine's template for
-  the graph's ``(num_nodes, census band)``, eager invalidation of
+  the graph's node count, eager invalidation of
   superseded cache entries (plans, adjacencies), a
   serve-time stale guard, and mutation counters surfaced to the perf PAG.
 

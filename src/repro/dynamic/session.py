@@ -12,9 +12,9 @@ engine's content-keyed artifact caches coherent across mutations:
   graph's incrementally-spliced CSR and census, no CSR rebuild from the
   edge set and no word packed) and the live plan is **bound** by
   :meth:`~repro.serving.engine.InferenceEngine.compile_plan`: the
-  engine's template for the graph's ``(num_nodes, census band)``
-  retargeted at the new key, priced afresh only when that pair (or the
-  registry, or the quarantined backends) is new;
+  engine's template for the graph's node count retargeted at the new
+  key, compiled afresh only when that count (or the registry, or the
+  quarantined backends) is new;
 * superseded entries are eagerly **discarded** (counted as cache
   invalidations), and :meth:`serve` re-checks the served operand's census
   against the live structure so a stale plan/operand pair is caught and
@@ -23,7 +23,7 @@ engine's content-keyed artifact caches coherent across mutations:
 
 Serving hands the live ``(batch, snapshot, plan)`` to the engine's single
 round path (:meth:`~repro.serving.engine.InferenceEngine.run_round`), so
-a dynamic serve carries the same step recovery, timing feedback, kernel
+a dynamic serve carries the same step recovery, backend timings, kernel
 counters and modeled device time as a static round, and its logits are
 bit-identical to a fresh pack-from-scratch forward of the mutated
 structure (the differential harness pins this at every mutation rate).
@@ -57,10 +57,10 @@ class DynamicStats(Counters):
     mutation_batches: int = 0
     #: Forward passes served from the incremental state.
     serves: int = 0
-    #: Plans bound from an already-priced template (no compilation).
+    #: Plans bound from an already-compiled template (no compilation).
     plans_patched: int = 0
-    #: Plans that priced a new template: a ``(num_nodes, census band)``,
-    #: registry generation or quarantined set the engine had not seen.
+    #: Plans that compiled a new template: a node count, registry
+    #: generation or quarantined set the engine had not seen.
     plans_recompiled: int = 0
     #: Superseded dynamic plan entries discarded from the plan segment.
     plans_invalidated: int = 0
@@ -145,21 +145,19 @@ class DynamicSession:
         adjacency = self.mutable.snapshot()
         self.engine.plan_artifacts.put(self.adjacency_key(), adjacency)
         self.stats.repacks_avoided += 1
-        self._bind(adjacency)
+        self._bind()
         self.invalidate_mutated()
         return delta
 
-    def _bind(self, adjacency: PackedAdjacency) -> ExecutionPlan:
+    def _bind(self) -> ExecutionPlan:
         """Cache the live plan: the engine's template for the current
-        ``(num_nodes, census band)`` bound to the live adjacency key,
-        priced first if the engine has no such template (a ``template``
+        node count bound to the live adjacency key, compiled first if
+        the engine has no such template (a ``template``
         segment miss, counted in ``plans_recompiled``)."""
         cache = self.engine.plan_artifacts
         templates = cache.segment("template").stats
         misses = templates.misses
-        plan = self.engine.compile_plan(
-            self.mutable.num_nodes, adjacency, self.adjacency_key()
-        )
+        plan = self.engine.compile_plan(self.mutable.num_nodes, self.adjacency_key())
         cache.put(self.plan_key(), plan)
         if templates.misses == misses:
             self.stats.plans_patched += 1
@@ -211,7 +209,7 @@ class DynamicSession:
         adjacency_at = time.perf_counter()
         plan = cache.segment("plan").get(self.plan_key())
         if plan is None:
-            plan = self._bind(adjacency)
+            plan = self._bind()
         adjacency, plan = self._check_live(adjacency, plan)
         resolve_seconds = (adjacency_at - start, time.perf_counter() - adjacency_at)
         forward = self.engine.run_round(
@@ -244,7 +242,7 @@ class DynamicSession:
         self.stats.stale_kernel_hits += 1
         adjacency = self.mutable.snapshot()
         self.engine.plan_artifacts.put(expected_key, adjacency)
-        return adjacency, self._bind(adjacency)
+        return adjacency, self._bind()
 
     # ------------------------------------------------------------------ #
     # Telemetry

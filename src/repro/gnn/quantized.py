@@ -116,9 +116,8 @@ class PhaseTiming(NamedTuple):
 
 class StepTiming(NamedTuple):
     """Measured wall-clock of one executed plan step's bit-GEMM — the
-    backend-dependent work only, so each executed step is an autotuning
-    sample the serving engine feeds its
-    :class:`~repro.plan.autotune.DispatchTable`."""
+    backend-dependent work only, which the serving engine sums per backend
+    (``SessionStats.backend_seconds``)."""
 
     spec: GemmSpec
     backend: str
@@ -149,7 +148,7 @@ class QuantizedForwardResult:
         """One :class:`StepTiming` per executed step, in execution order
         (parallel to ``counters``): its ``gemm`` phase window, or — for a
         recovered step, named by the backend that actually executed — the
-        winning attempt alone, so failures never bias the autotune cell."""
+        winning attempt alone, so failures never bias a backend's time."""
         stamps, steps = self.stamps, self.program.steps
         timings = [(b.step.spec, b.step.backend, stamps[at + 1] - stamps[at])
                    for b, at in zip(steps, self.program.gemm_at[self.binding])]

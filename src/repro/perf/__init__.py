@@ -9,9 +9,6 @@ graph (:func:`build_pag`) and runs analysis passes over it —
 * :func:`hotspot` — top attribution nodes by measured seconds;
 * :func:`imbalance` — cross-shard skew of attributed work / queue depth;
 * :func:`cache_thrash` — segment hit-rate vs capacity pressure;
-* :func:`stale_plan` — cached plans whose frozen dispatch diverged from
-  the tuned table (see
-  :meth:`~repro.serving.engine.InferenceEngine.invalidate_stale_plans`);
 * :func:`compare_benchmarks` — fresh ``BENCH_*.json`` vs tracked
   baselines, with a tolerance band (the CI regression gate).
 
@@ -23,7 +20,7 @@ Everything is runnable as a library or from the command line::
 """
 
 from .pag import Pag, PagNode, build_pag
-from .passes import PassResult, cache_thrash, hotspot, imbalance, stale_plan
+from .passes import PassResult, cache_thrash, hotspot, imbalance
 from .regression import (
     CURATED_METRICS,
     DEFAULT_TOLERANCE,
@@ -43,5 +40,4 @@ __all__ = [
     "hotspot",
     "imbalance",
     "refresh_baselines",
-    "stale_plan",
 ]

@@ -30,7 +30,7 @@ import json
 import sys
 
 from .pag import build_pag
-from .passes import cache_thrash, hotspot, imbalance, stale_plan
+from .passes import cache_thrash, hotspot, imbalance
 from .regression import DEFAULT_TOLERANCE, compare_benchmarks, refresh_baselines
 
 
@@ -59,7 +59,6 @@ def _demo_report(json_path: str | None) -> int:
             pool.serve(subgraphs)
         pag = build_pag(pool)
         results = [hotspot(pag), imbalance(pag), cache_thrash(pag)]
-        results.extend(stale_plan(engine) for engine in pool.workers)
     print(pag.render())
     print()
     for result in results:

@@ -1,10 +1,8 @@
 """Builtin analysis passes over a built PAG (PerFlow-style).
 
-Each pass is a pure function from a :class:`~repro.perf.pag.Pag` (or,
-for :func:`stale_plan`, a live engine) to a :class:`PassResult`: a
-verdict, a one-line summary, and structured findings.  Passes never
-mutate what they analyze — the PAG is a snapshot, and the stale-plan
-scan reads the plan cache through ``peek``.
+Each pass is a pure function from a :class:`~repro.perf.pag.Pag` to a
+:class:`PassResult`: a verdict, a one-line summary, and structured
+findings.  Passes never mutate what they analyze — the PAG is a snapshot.
 
 Example::
 
@@ -27,7 +25,6 @@ __all__ = [
     "hotspot",
     "imbalance",
     "cache_thrash",
-    "stale_plan",
 ]
 
 
@@ -181,33 +178,4 @@ def cache_thrash(pag: Pag, min_hit_rate: float = 0.5) -> PassResult:
     )
     return PassResult(
         name="cache-thrash", ok=ok, summary=summary, findings=tuple(findings)
-    )
-
-
-def stale_plan(engine) -> PassResult:
-    """Report cached plans whose frozen dispatch diverged from the table.
-
-    Wraps :meth:`~repro.serving.engine.InferenceEngine.stale_plans` (a
-    read-only scan) as a pass: ``ok`` when every cached plan would
-    freeze the same backends if recompiled today.  A failing result is
-    advisory — call
-    :meth:`~repro.serving.engine.InferenceEngine.invalidate_stale_plans`
-    to act on it.
-    """
-    stale = engine.stale_plans()
-    findings = tuple(
-        {
-            "plan": repr(entry.key[:1]),
-            "diverged_steps": len(entry.divergences),
-            "divergences": "; ".join(
-                f"{site}: {frozen}->{tuned}"
-                for site, frozen, tuned in entry.divergences
-            ),
-        }
-        for entry in stale
-    )
-    cached = len(engine.plan_cache)
-    summary = f"{len(stale)} stale plan(s) of {cached} cached"
-    return PassResult(
-        name="stale-plan", ok=not stale, summary=summary, findings=findings
     )

@@ -10,18 +10,13 @@ multi-backend dispatch and modeled-vs-measured accounting share one
 description of the work:
 
 * :mod:`repro.plan.registry` — :class:`Backend` objects carrying
-  capability metadata and a cost pricer, registered by name in a
-  :class:`BackendRegistry`.  The ``engine=`` string/callable API of
-  :mod:`repro.core` is a compatibility shim over this registry.
+  capability metadata, registered by name in a :class:`BackendRegistry`,
+  and the static dispatch rule :func:`static_backend` (``blas``, or
+  ``packed`` past a working-set budget or while ``blas`` is quarantined).
+  The ``engine=`` string/callable API of :mod:`repro.core` is a
+  compatibility shim over this registry.
 * :mod:`repro.plan.backends` — the two host backends (``packed``,
   ``blas``) expressed as registry entries: the default registry.
-* :mod:`repro.plan.rates` — :class:`HostRates`, the frozen calibration
-  record every pricer consumes (per-machine recalibration is a value,
-  not a subclass).
-* :mod:`repro.plan.autotune` — measured dispatch:
-  :class:`ShapeBucket` workload quantization and the in-memory
-  :class:`DispatchTable` of per-backend timing medians every pricer
-  consults *before* falling back to the :class:`HostRates` model.
 * :mod:`repro.plan.ir` — the IR: :class:`GemmSpec` (shape + bitwidths),
   per-GEMM :class:`QuantizeStep`/:class:`PackStep`/:class:`CensusStep`
   nodes, :class:`GemmStep` (one product with its resolved backend),
@@ -40,13 +35,6 @@ next to the affine algebra it carries; a single compiled step replays
 through :func:`repro.core.bitgemm.bitgemm` with ``engine=step.backend``.
 """
 
-from .autotune import (
-    DispatchTable,
-    ShapeBucket,
-    bucket_for,
-    fraction_band,
-    host_fingerprint,
-)
 from .backends import builtin_backends
 from .cache import (
     CacheStats,
@@ -67,50 +55,42 @@ from .ir import (
     compile_forward_plan,
     forward_gemm_specs,
 )
-from .rates import DEFAULT_HOST_RATES, HostRates
 from .registry import (
     AUTO_BLAS_THRESHOLD,
+    BLAS_BYTES_BUDGET,
     Backend,
     BackendCaps,
-    BackendPrice,
     BackendRegistry,
-    PriceContext,
     default_registry,
     register_backend,
     resolve_engine_name,
+    static_backend,
 )
 
 __all__ = [
     "AUTO_BLAS_THRESHOLD",
-    "DEFAULT_HOST_RATES",
+    "BLAS_BYTES_BUDGET",
     "Backend",
     "BackendCaps",
-    "BackendPrice",
     "BackendRegistry",
     "CacheStats",
     "CensusStep",
-    "DispatchTable",
     "ExecutionPlan",
     "GemmSpec",
     "GemmStep",
-    "HostRates",
     "LRUCache",
     "LayerPlan",
     "PackStep",
     "PlanCache",
     "PlanKey",
     "PlanSignature",
-    "PriceContext",
     "QuantizeStep",
-    "ShapeBucket",
     "artifact_nbytes",
-    "bucket_for",
     "builtin_backends",
     "compile_forward_plan",
     "default_registry",
     "forward_gemm_specs",
-    "fraction_band",
-    "host_fingerprint",
     "register_backend",
     "resolve_engine_name",
+    "static_backend",
 ]

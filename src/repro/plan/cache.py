@@ -8,9 +8,8 @@ Before this layer existed, serving juggled three separate LRUs — packed
 weights, packed adjacencies/tile masks, and (implicitly) per-operand
 ballot reuse inside the kernel.  A :class:`PlanCache` unifies them: every
 plan artifact (packed weight, packed adjacency + census, compiled
-:class:`~repro.plan.ir.ExecutionPlan`, the measured
-:class:`~repro.plan.autotune.DispatchTable`, one per session) is
-stored under a content-derived key whose first element names its *kind*.  Kinds occupy separate LRU
+:class:`~repro.plan.ir.ExecutionPlan` and its template) is stored under a
+content-derived key whose first element names its *kind*.  Kinds occupy separate LRU
 segments with independent capacities — so a burst of never-repeating
 batches cannot evict the small, hot packed weights — but share one lookup
 API, one byte accounting and one aggregated telemetry view.
@@ -53,7 +52,7 @@ V = TypeVar("V")
 
 #: A plan-cache key: a tuple whose first element names the artifact kind,
 #: e.g. ``("weight", layer, bits, engine)``, ``("adjacency", *digests)``,
-#: ``("plan", *digests)``, ``("table", host, registry)``.
+#: ``("plan", *digests)``, ``("template", num_nodes, generation, quarantined)``.
 PlanKey = tuple
 
 
@@ -99,7 +98,7 @@ class LRUCache(Generic[K, V]):
     One re-entrant lock serializes every counted read and every write
     (``peek`` and presence checks are single dict reads), so a segment
     can be mounted into several sessions at once (a pool's ``weight``
-    and ``table`` segments).
+    segment).
     ``get_or_build`` holds it across the build: concurrent misses on one
     key build the value exactly once — for packed weights, one pack
     pool-wide.
@@ -310,7 +309,7 @@ class PlanCache:
     #: validated against this set at construction: a typo'd kind used to
     #: silently create an empty LRU that nothing would ever read, hiding
     #: the misconfiguration until cache hit rates cratered.
-    KNOWN_KINDS = frozenset({"weight", "adjacency", "plan", "template", "table"})
+    KNOWN_KINDS = frozenset({"weight", "adjacency", "plan", "template"})
 
     #: Kinds holding *compiled* artifacts, whose segments verify a
     #: recorded :func:`artifact_digest` on every hit and discard poisoned

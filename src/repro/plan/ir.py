@@ -7,7 +7,7 @@ pack layouts, census requirements — :class:`QuantizeStep` /
 :class:`PackStep` / :class:`CensusStep`), which backend executes each
 product (resolved through the
 :class:`~repro.plan.registry.BackendRegistry` at compile time, so
-cost-model dispatch decisions are made once per distinct workload and
+dispatch decisions are made once per distinct workload and
 replayed), and the content keys under which request-invariant artifacts
 (packed weights, packed adjacencies) hang off the plan nodes in a
 :class:`~repro.plan.cache.PlanCache`.
@@ -374,8 +374,9 @@ def compile_forward_plan(
     """Compile a model + batch shape into a replayable :class:`ExecutionPlan`.
 
     Every GEMM's backend is resolved here — through the registry for
-    literal names, through the selector/dispatcher for callables — so a
-    cost-model decision is taken once per compiled plan and replayed.
+    literal names, through the selector for callables (such as
+    :func:`~repro.plan.registry.static_backend`) — so a decision is taken
+    once per compiled plan and replayed.
     ``weight_key``/``adjacency_key`` name the cache entries the packed
     operands hang off (a serving session supplies its content-derived
     keys; the defaults produce layer/bitwidth keys for the weights and a

@@ -3,61 +3,62 @@
 :mod:`repro.core.bitgemm` historically hard-coded its engines behind
 string literals.  Here an engine is a :class:`Backend` — a named object
 carrying capability metadata (:class:`BackendCaps`: bitwidth eligibility,
-the operand form it reads), the GEMM implementation, and an optional cost
-pricer — registered by name in a :class:`BackendRegistry`.
+the operand form it reads) and the GEMM implementation — registered by
+name in a :class:`BackendRegistry`.
 
-The existing ``engine=`` string/callable API everywhere in the repo is a
-compatibility shim over this registry: literal names are looked up,
-selector callables are invoked and their return looked up, and ``"auto"``
-keeps its historical output-size threshold (:data:`AUTO_BLAS_THRESHOLD`).
-New backends registered via :func:`register_backend` are immediately
-reachable through every ``engine=`` parameter and through the serving
-dispatcher's pricing loop.
+Dispatch is a static rule, as in the paper's §4 kernel choice from the
+bitwidths alone: :func:`static_backend` runs a product on ``blas`` unless
+its float working set exceeds :data:`BLAS_BYTES_BUDGET` or ``blas`` is
+quarantined, and then on ``packed``.  The ``engine=`` string/callable API
+everywhere in the repo is a compatibility shim over this registry: literal
+names are looked up, selector callables (the rule is one) are invoked and
+their return looked up, and ``"auto"`` keeps its historical output-size
+threshold (:data:`AUTO_BLAS_THRESHOLD`).  New backends registered via
+:func:`register_backend` are reachable through every ``engine=`` parameter.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
+from ..core.bitgemm import exact_gemm_dtype
 from ..errors import ConfigError, ShapeError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..core.bitpack import Operand
-    from .autotune import DispatchTable
     from .ir import GemmSpec
-    from .rates import HostRates
 
 __all__ = [
     "AUTO_BLAS_THRESHOLD",
+    "BLAS_BYTES_BUDGET",
     "Backend",
     "BackendCaps",
-    "BackendPrice",
     "BackendRegistry",
     "GemmRunner",
-    "PriceContext",
-    "Pricer",
     "default_registry",
     "register_backend",
     "resolve_engine_name",
+    "static_backend",
 ]
 
 #: Above this many output elements the ``"auto"`` rule switches to BLAS
 #: (the historical built-in size threshold, kept by the compatibility shim).
 AUTO_BLAS_THRESHOLD = 256 * 256
+#: Float working-set bytes (both operands and the product) beyond which
+#: :func:`static_backend` sends a product from ``blas`` to ``packed``, whose
+#: 1-bit operands are 32x denser.
+BLAS_BYTES_BUDGET = 512 * 1024 * 1024
 
 
 @dataclass(frozen=True)
 class BackendCaps:
     """Capability metadata of one backend.
 
-    The registry and the dispatcher consult this *before* pricing or
-    executing: a backend whose caps reject a :class:`~repro.plan.ir.GemmSpec`
-    is simply not a candidate for that product.
+    A backend whose caps reject a :class:`~repro.plan.ir.GemmSpec` is
+    not :meth:`BackendRegistry.eligible` for that product.
     """
 
     #: Inclusive left-operand bitwidth range the backend accepts.
@@ -81,67 +82,10 @@ class BackendCaps:
         )
 
 
-@dataclass(frozen=True)
-class BackendPrice:
-    """One backend's modeled host cost for one GEMM."""
-
-    #: Estimated host seconds (``inf`` when the backend cannot price the
-    #: product, e.g. a backend without a pricer or a measurement).
-    seconds: float
-    #: Working-set bytes the estimate charges (the blas engine's float
-    #: operands and product; 0 when not applicable).
-    bytes: int = 0
-    #: True when the backend is excluded by a resource budget rather than
-    #: by time (the blas memory veto).
-    vetoed: bool = False
-    #: Where the estimate came from: ``"model"`` (the analytic
-    #: :class:`~repro.plan.rates.HostRates` pricer) or ``"tuned"`` (a
-    #: measured median from a :class:`~repro.plan.autotune.DispatchTable`).
-    source: str = "model"
-
-    @property
-    def effective_s(self) -> float:
-        """Seconds used for engine choice: ``inf`` when vetoed."""
-        return math.inf if self.vetoed else self.seconds
-
-
-@dataclass(frozen=True)
-class PriceContext:
-    """Everything a pricer may consult for one product."""
-
-    spec: "GemmSpec"
-    #: Padded bit-FLOPs over all plane pairs (from the TC cost model's
-    #: bmma count, the same tiling §4 prescribes).
-    flops: float
-    rates: "HostRates"
-    #: Measured non-zero tile fraction of the left operand, when a census
-    #: has been observed for exactly this product's shape.
-    tile_fraction: float | None = None
-    #: Byte budget for the blas engine's float working set (its memory
-    #: veto); ``None`` disables the veto.
-    blas_bytes_budget: int | None = None
-    #: Measured timing table consulted *before* the analytic pricer
-    #: (see :mod:`repro.plan.autotune`); ``None`` keeps pricing analytic.
-    table: "DispatchTable | None" = None
-
-    @cached_property
-    def derived(self) -> dict:
-        """Memo of what pricers derive from this context alone (the table's
-        bucket): once per product, not once per backend priced."""
-        return {}
-
-    @property
-    def pairs(self) -> int:
-        """Plane pairs of the product (``bits_a * bits_b``)."""
-        return self.spec.bits_a * self.spec.bits_b
-
-
 #: GEMM implementation: ``(a, b) ->`` the exact product of the two
 #: operands' codes, shape ``(M, N)`` on the logical shapes — int64, or
 #: the float dtype ``exact_gemm_dtype`` proves exact for the product.
 GemmRunner = Callable[["Operand", "Operand"], np.ndarray]
-#: Cost pricer: modeled host seconds (and veto state) for one product.
-Pricer = Callable[[PriceContext], BackendPrice]
 
 
 @dataclass(frozen=True)
@@ -157,49 +101,20 @@ class Backend:
         The implementation: the reduced, exact ``(M, N)`` product of two
         :class:`~repro.core.bitpack.Operand`\\ s (see :data:`GemmRunner`).
     caps:
-        Capability metadata consulted before pricing/execution.
-    pricer:
-        Optional cost model; a backend without one executes fine but the
-        cost-model dispatcher will never route to it.
+        Capability metadata.
     """
 
     name: str
     run: GemmRunner
     caps: BackendCaps = field(default_factory=BackendCaps)
-    pricer: Pricer | None = None
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ConfigError(f"backend name must be a non-empty string, got {self.name!r}")
 
-    def price(self, ctx: PriceContext) -> BackendPrice:
-        """Host cost of this backend for one product.
-
-        With a measured :class:`~repro.plan.autotune.DispatchTable` on the
-        context, the tuned bucket median is consulted *first* and the
-        analytic pricer is the fallback (no confident measurement yet, or
-        no table at all).  Two guards keep measurement subordinate to
-        resources: a backend the analytic pricer *vetoes* (the blas memory
-        budget) stays vetoed no matter how fast it measured, and a backend
-        with neither pricer nor measurement prices ``inf``.
-        """
-        model = (
-            self.pricer(ctx) if self.pricer is not None
-            else BackendPrice(seconds=math.inf)
-        )
-        if ctx.table is None or model.vetoed:
-            return model
-        tuned = ctx.table.tuned_price(self.name, ctx)
-        if tuned is None:
-            return model
-        # Only the *seconds* are measured; the working-set estimate is
-        # still the model's (the allocation happens regardless of how the
-        # product was priced, and telemetry reads it off the decision).
-        return replace(tuned, bytes=model.bytes)
-
 
 class BackendRegistry:
-    """Named backends with capability-aware lookup and pricing."""
+    """Named backends with capability-aware lookup."""
 
     def __init__(self, backends: Sequence[Backend] = ()) -> None:
         self._backends: dict[str, Backend] = {}
@@ -258,24 +173,6 @@ class BackendRegistry:
         """Backends whose capability metadata accepts the spec."""
         return [b for b in self if b.caps.supports(spec)]
 
-    def price_all(self, ctx: PriceContext) -> dict[str, BackendPrice]:
-        """Price every eligible, priceable backend for one product.
-
-        A backend is priceable when it has an analytic pricer *or* the
-        context's tuned table holds a confident measurement for it — so a
-        registered backend without a cost model still becomes routable
-        once it has been timed.  Insertion (registration) order
-        is preserved, which makes engine choice deterministic under price
-        ties.
-        """
-        prices: dict[str, BackendPrice] = {}
-        for b in self.eligible(ctx.spec):
-            price = b.price(ctx)
-            if b.pricer is None and price.source != "tuned":
-                continue
-            prices[b.name] = price
-        return prices
-
 
 _default_registry: BackendRegistry | None = None
 
@@ -293,6 +190,22 @@ def default_registry() -> BackendRegistry:
 def register_backend(backend: Backend, *, replace: bool = False) -> Backend:
     """Register a backend into the process-wide default registry."""
     return default_registry().register(backend, replace=replace)
+
+
+def static_backend(
+    m: int, k: int, n: int, bits_a: int, bits_b: int, *, quarantined: Collection[str] = ()
+) -> str:
+    """The backend an ``m x k x n`` product runs on: ``blas``, unless its
+    float working set (both operands and the product in
+    :func:`~repro.core.bitgemm.exact_gemm_dtype`'s dtype) exceeds
+    :data:`BLAS_BYTES_BUDGET` or ``blas`` is ``quarantined`` — then
+    ``packed``.  With both quarantined the budget alone decides, so dispatch
+    always answers.  An :data:`~repro.core.bitgemm.EngineSelector`: bind
+    ``quarantined`` with :func:`functools.partial` and pass it as ``engine=``.
+    """
+    working_set = exact_gemm_dtype(k, bits_a, bits_b).itemsize * (m * k + k * n + m * n)
+    order = ("packed", "blas") if working_set > BLAS_BYTES_BUDGET else ("blas", "packed")
+    return next((name for name in order if name not in quarantined), order[0])
 
 
 def resolve_engine_name(

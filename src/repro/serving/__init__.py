@@ -5,24 +5,20 @@ The production-facing layer of the reproduction.  An
 of the plan layer (:mod:`repro.plan`): the first execution of a distinct
 coalesced batch compiles an :class:`~repro.plan.ir.ExecutionPlan`
 (per-GEMM shapes, quantize sites, pack/census nodes, and the backend the
-cost-model dispatcher picked for each product from the batch's *measured*
-tile census); replays execute the cached plan.  Packed layer weights,
+static rule :func:`~repro.plan.registry.static_backend` picked for each
+product); replays execute the cached plan.  Packed layer weights,
 per-batch packed adjacencies + tile masks, and compiled plans all live in
 one content-keyed :class:`~repro.plan.cache.PlanCache` with per-kind
 segments and shared telemetry.  Incoming subgraph requests are coalesced
 into block-diagonal batched executions bounded by member and node
-budgets.  Dispatch is *measured*, not just modeled: the dispatcher's
-shape-bucketed :class:`~repro.plan.autotune.DispatchTable` (the plan
-cache's ``table`` segment) overrides analytic prices with timing medians,
-and every executed round feeds its per-GEMM wall-clock back in.  The
-table is an in-memory measurement that lives and dies with its process.
+budgets.
 
 Scale-out lives here too: a :class:`~repro.serving.pool.ServingPool`
 shards the request stream across N workers — each owning a shard-local
 plan cache over a shared read-only packed-weight segment, draining a
 bounded queue with work-conserving continuous batching.  What shards
-share is mounted, locked objects: the weight segment, one dispatch
-table and one activation calibration.  Fronting the pool, a
+share is mounted, locked objects: the weight segment and one activation
+calibration.  Fronting the pool, a
 :class:`~repro.serving.gateway.ServingGateway` is the asyncio door
 open-loop traffic comes through: bounded-in-flight admission with
 fast-fail backpressure (:class:`~repro.errors.PoolSaturated`), priority
@@ -33,8 +29,8 @@ logits out``, and everything below it is described by plan nodes.
 Failure is a first-class input (:mod:`repro.serving.supervision`, with
 :mod:`repro.faultinject` as the matching injection half): a
 :class:`~repro.serving.supervision.BackendHealth` circuit breaker
-quarantines backends that keep failing (vetoed in dispatch, probed
-half-open after a cooldown),
+quarantines backends that keep failing (a quarantined ``blas`` sends
+new plans to ``packed``; probed half-open after a cooldown),
 :class:`~repro.serving.supervision.StepRecovery` retries a failed GEMM
 step on the fallback backend bit-identically, the pool supervises its
 workers (dead shard threads are respawned and their in-flight requests
@@ -44,7 +40,7 @@ and the gateway adds bounded seeded-backoff retries on top.  See
 """
 
 from ..plan.cache import CacheStats, LRUCache, PlanCache
-from .dispatch import CostModelDispatcher, DispatchDecision
+from ..plan.dispatch_shim import CostModelDispatcher
 from .gateway import (
     LANES,
     GatewayConfig,
@@ -60,7 +56,6 @@ from .engine import (
     InferenceResult,
     ServingConfig,
     SessionStats,
-    StalePlan,
 )
 from .pool import (
     PoolConfig,
@@ -74,7 +69,6 @@ __all__ = [
     "BackendHealth",
     "CacheStats",
     "CostModelDispatcher",
-    "DispatchDecision",
     "GatewayConfig",
     "GatewayResult",
     "GatewayStats",
@@ -92,7 +86,6 @@ __all__ = [
     "ServingGateway",
     "ServingPool",
     "SessionStats",
-    "StalePlan",
     "StepRecovery",
     "fallback_chain",
     "route_shard",

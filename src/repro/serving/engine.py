@@ -22,21 +22,10 @@ plan/execute split of :mod:`repro.plan`:
   into block-diagonal :class:`~repro.graph.batching.SubgraphBatch` rounds
   (Cluster-GCN / batched-GIN style, bounded by ``batch_size`` members and
   ``max_batch_nodes`` nodes) and executed in one forward pass.
-* **Cost-model dispatch** — at plan-compile time each bit-GEMM is routed
-  across the registered backends by a
-  :class:`~repro.serving.dispatch.CostModelDispatcher` priced from
-  :mod:`repro.tc.costmodel` work measures and
-  :class:`~repro.plan.rates.HostRates`.  Before compiling, the engine
-  reports the batch's *measured* non-zero-tile fraction to the
-  dispatcher, the sparsity coordinate its measured table buckets the
-  adjacency GEMMs under.
-* **Measured autotuned dispatch** — the dispatcher carries a
-  shape-bucketed :class:`~repro.plan.autotune.DispatchTable` (held in the
-  plan cache's ``table`` segment) and every executed plan step's measured
-  wall-clock is fed back into it, so dispatch sharpens from guessed
-  :class:`~repro.plan.rates.HostRates` prices toward measured medians as
-  the session serves.  The table is an in-memory measurement: it starts
-  empty with the session and is never written to disk.
+* **Static dispatch** — at plan-compile time each bit-GEMM is routed by
+  :func:`~repro.plan.registry.static_backend`: ``blas``, or ``packed``
+  when ``blas``'s float working set exceeds the budget or the session's
+  :class:`~repro.serving.supervision.BackendHealth` quarantines it.
 
 Activation quantization parameters are frozen per site on first use
 (:class:`~repro.gnn.quantized.ActivationCalibration`), which makes results
@@ -79,17 +68,16 @@ from ..gnn.quantized import (
     pack_layer_weight,
 )
 from ..graph.batching import Subgraph, SubgraphBatch, batch_subgraphs_by_nodes, round_full
-from ..plan.autotune import DispatchTable, bucket_in, fraction_band
-from ..plan.cache import CacheStats, LRUCache, PlanCache, PlanKey, artifact_digest
+from ..plan.cache import CacheStats, LRUCache, PlanCache, PlanKey
+from ..plan.dispatch_shim import CostModelDispatcher
 from ..plan.ir import ExecutionPlan, compile_forward_plan
-from ..plan.registry import default_registry
+from ..plan.registry import default_registry, static_backend
 from ..runtime.executor import QGTCRunConfig, modeled_plan_report
 from ..runtime.report import EpochReport
 from ..tc.costmodel import TCCostModel
 from ..tc.hardware import RTX3090, DeviceSpec
 from ..tc.kernel import KernelConfig
 from ..telemetry import Counters, emit_event
-from .dispatch import CostModelDispatcher
 from .supervision import StepRecovery
 
 __all__ = [
@@ -97,7 +85,6 @@ __all__ = [
     "InferenceRequest",
     "InferenceResult",
     "SessionStats",
-    "StalePlan",
     "InferenceEngine",
 ]
 
@@ -121,7 +108,6 @@ class ServingConfig:
         config = ServingConfig(
             feature_bits=8,
             batch_size=8,          # coalesce up to 8 requests
-            table_min_samples=3,   # trust a measured median after 3 samples
         )
         engine = InferenceEngine(model, config)
     """
@@ -146,16 +132,16 @@ class ServingConfig:
     #: usually matches ``adjacency_cache_capacity`` — one plan per
     #: distinct batch in the replay working set.
     plan_cache_capacity: int = 16
-    #: ``"cost"`` routes each GEMM through the cost-model dispatcher at
-    #: plan-compile time; ``"auto"`` applies the built-in size threshold;
-    #: any registered backend name forces that backend for the whole
-    #: session.
-    engine: str = "cost"
-    #: Per-bucket confidence floor of the dispatch table: a measured
-    #: median overrides the analytic model only after this many samples.
+    #: ``"static"`` routes each GEMM by
+    #: :func:`~repro.plan.registry.static_backend` at plan-compile time;
+    #: ``"auto"`` applies the built-in size threshold; any registered
+    #: backend name forces that backend for the whole session.
+    engine: str = "static"
+    #: Read by nothing; kept until ``benchmarks/e2e`` stops reading it
+    #: (ROADMAP 1(a)).
     table_min_samples: int = 2
-    #: Feed executed plan steps' measured timings back into the dispatch
-    #: table (only meaningful with ``engine="cost"``).
+    #: Read by nothing; kept until ``benchmarks/e2e`` stops reading it
+    #: (ROADMAP 1(a)).
     record_timings: bool = True
     kernel: KernelConfig = field(default_factory=KernelConfig)
     device: DeviceSpec = RTX3090
@@ -180,15 +166,14 @@ class ServingConfig:
             "weight_cache_capacity",
             "adjacency_cache_capacity",
             "plan_cache_capacity",
-            "table_min_samples",
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(
                     f"{name} must be >= 1, got {getattr(self, name)}"
                 )
-        if self.engine not in ("cost", "auto") and self.engine not in default_registry():
+        if self.engine not in ("static", "auto") and self.engine not in default_registry():
             raise ConfigError(
-                "engine must be 'cost', 'auto' or a registered backend "
+                "engine must be 'static', 'auto' or a registered backend "
                 f"{default_registry().names()}, got {self.engine!r}"
             )
 
@@ -213,23 +198,6 @@ class InferenceResult(NamedTuple):
     batch_id: int
     #: ``(num_nodes, num_classes)`` float logits for this request's nodes.
     logits: np.ndarray
-
-
-@dataclass(frozen=True)
-class StalePlan:
-    """One cached plan whose frozen backend diverged from the tuned pick.
-
-    Produced by :meth:`InferenceEngine.stale_plans`: the plan froze a
-    dispatch decision at compile time, and the dispatch table has since
-    learned from online timing feedback that a different backend is
-    cheaper for at least one of its GEMMs.
-    """
-
-    #: The plan's content key in the session's ``plan`` cache segment.
-    key: PlanKey
-    #: One ``(site, frozen_backend, tuned_backend)`` triple per diverged
-    #: GEMM step, e.g. ``("L0/agg", "packed", "blas")``.
-    divergences: tuple[tuple[str, str, str], ...]
 
 
 @dataclass
@@ -273,9 +241,6 @@ class SessionStats(Counters):
     recent_round_seconds: deque = field(
         default_factory=lambda: deque(maxlen=256)
     )
-    #: Executed-GEMM timing samples fed back into the dispatch table
-    #: (0 when dispatch is not cost-model or feedback is disabled).
-    autotune_samples: int = 0
     #: Measured wall-clock attributed per executed backend name, summed
     #: over every plan step this session ran.
     backend_seconds: dict[str, float] = field(default_factory=dict)
@@ -286,11 +251,6 @@ class SessionStats(Counters):
     #: what :func:`repro.perf.build_pag` reads; sums to (nearly all of)
     #: :attr:`wall_s`.
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    #: Cached plans dropped because their frozen backend choice diverged
-    #: from the dispatch table's current tuned pick
-    #: (:meth:`InferenceEngine.invalidate_stale_plans`); each recompiles
-    #: on its next replay with bit-identical logits.
-    plans_invalidated: int = 0
     #: GEMM-step attempts that failed and were recovered on a fallback
     #: backend (``repro.serving.supervision.StepRecovery``) — each one a
     #: served request that a single-backend engine would have dropped.
@@ -299,8 +259,8 @@ class SessionStats(Counters):
     weight_cache: CacheStats = field(default_factory=CacheStats)
     adjacency_cache: CacheStats = field(default_factory=CacheStats)
     plan_cache: CacheStats = field(default_factory=CacheStats)
-    #: Telemetry window onto the plan-template segment (one priced plan
-    #: per ``(node count, census band)``; see ``compile_plan``).
+    #: Telemetry window onto the plan-template segment (one plan per node
+    #: count; see ``compile_plan``).
     template_cache: CacheStats = field(default_factory=CacheStats)
 
     @property
@@ -353,12 +313,10 @@ class SessionStats(Counters):
 
 class _RoundBinding(NamedTuple):
     """What a round's accounting reads off its bound program's artifacts
-    alone (:meth:`InferenceEngine.run_round`): each step's dispatch bucket
-    and planned backend, each stamped interval's :data:`ROUND_PHASES` slot
-    (a replay's, a binding round's), the modeled device report and each
-    member's row slice."""
+    alone (:meth:`InferenceEngine.run_round`): each step's planned backend,
+    each stamped interval's :data:`ROUND_PHASES` slot (a replay's, a binding
+    round's), the modeled device report and each member's row slice."""
 
-    buckets: tuple
     backends: tuple
     slots: tuple
     report: EpochReport
@@ -417,14 +375,14 @@ class InferenceEngine:
         bit-identical).  The remaining keywords are the pool-worker hooks
         of :class:`~repro.serving.pool.ServingPool`: ``shared_segments``
         mounts pre-built cache segments (the pool's shared packed-weight
-        and dispatch-table segments) into this session's plan cache, and
+        segment) into this session's plan cache, and
         ``label`` names this session in pool telemetry and the modeled
         device report.
 
         ``health`` shares a
         :class:`~repro.serving.supervision.BackendHealth` circuit breaker
-        across sessions: it records per-backend step outcomes and vetoes
-        quarantined backends in cost-model dispatch.  ``fault_plan``
+        across sessions: it records per-backend step outcomes, and a plan
+        compiled while it quarantines ``blas`` runs on ``packed``.  ``fault_plan``
         threads a :class:`~repro.faultinject.FaultPlan` into this
         session's ``kernel``, ``compile`` and ``cache`` injection sites
         (``None``, the default, injects nothing).
@@ -453,13 +411,9 @@ class InferenceEngine:
                 "weight": self.config.weight_cache_capacity,
                 "adjacency": self.config.adjacency_cache_capacity,
                 "plan": self.config.plan_cache_capacity,
-                # Plan templates, one per (node count, census band): sized
-                # from the node budget, not a knob (see compile_plan).
+                # Plan templates, one per node count: sized from the node
+                # budget, not a knob (see compile_plan).
                 "template": max(self.config.max_batch_nodes // TC_M, 1),
-                # One dispatch table per session (a pool's shards mount
-                # one): the segment exists for the unified lookup and
-                # telemetry surface, not for eviction behavior.
-                "table": 1,
             },
             shared=shared_segments,
             fault_plan=fault_plan,
@@ -469,15 +423,6 @@ class InferenceEngine:
             (self._weight_key(i, bits), partial(pack_layer_weight, w, bits))
             for i, w in enumerate(self.model.weights)
         )
-        self._engine: Engine
-        if self.config.engine == "cost":
-            self._engine = CostModelDispatcher(
-                self.config.device,
-                table=self._resolve_dispatch_table(),
-                health=health,
-            )
-        else:
-            self._engine = self.config.engine
         self._pending: deque[InferenceRequest] = deque()
         self._next_request_id = 0
         self._next_batch_id = 0
@@ -535,39 +480,39 @@ class InferenceEngine:
         return self._cache.telemetry()
 
     # ------------------------------------------------------------------ #
-    # The measured dispatch table (a plan artifact like any other)
+    # Dispatch
     # ------------------------------------------------------------------ #
-    def _resolve_dispatch_table(self) -> DispatchTable:
-        """The session's dispatch table, via the plan cache's ``table``
-        segment: built empty on first use, or the one a pool's shared
-        segment already holds."""
-        return self._cache.get_or_build(
-            ("table",),
-            lambda: DispatchTable(min_samples=self.config.table_min_samples),
-        )
+    @property
+    def engine_selector(self) -> Engine:
+        """What :meth:`compile_plan` dispatches through now: the configured
+        engine, or :func:`~repro.plan.registry.static_backend` bound to the
+        backends the session's health quarantines.  Exposed so a caller
+        compiling a plan by hand (the dynamic-mutation benchmark's
+        full-recompile baseline) freezes the same decisions."""
+        return self._selector(self._quarantined())
+
+    def _quarantined(self) -> tuple[str, ...]:
+        return () if self.health is None else self.health.quarantined()
+
+    def _selector(self, quarantined: tuple[str, ...]) -> Engine:
+        if self.config.engine == "static":
+            return partial(static_backend, quarantined=quarantined)
+        return self.config.engine
 
     @property
-    def dispatch_table(self) -> DispatchTable | None:
-        """The measured dispatch table, when cost-model dispatch is on."""
-        if isinstance(self._engine, CostModelDispatcher):
-            return self._engine.table
-        return None
+    def dispatcher(self) -> CostModelDispatcher:
+        """A handle ``benchmarks/e2e`` reads (ROADMAP 1(a)); it answers with
+        the static rule, and the session never reads it."""
+        return CostModelDispatcher(self.config.device)
 
-    @property
-    def dispatcher(self) -> CostModelDispatcher | None:
-        """The cost-model dispatcher, when one drives backend selection."""
-        if isinstance(self._engine, CostModelDispatcher):
-            return self._engine
-        return None
+    def stale_plans(self) -> list:
+        """Empty: a static decision never goes stale (kept for
+        ``benchmarks/e2e`` until ROADMAP 1(a))."""
+        return []
 
-    @property
-    def engine_selector(self):
-        """What ``compile_forward_plan`` dispatches through: the
-        cost-model dispatcher when enabled, else the configured engine
-        name.  Exposed so a caller compiling a plan by hand (the
-        dynamic-mutation benchmark's full-recompile baseline) freezes
-        the same dispatch decisions as :meth:`compile_plan`."""
-        return self._engine
+    def invalidate_stale_plans(self) -> list:
+        """Drops nothing and returns ``[]`` (see :meth:`stale_plans`)."""
+        return []
 
     # ------------------------------------------------------------------ #
     # Packed weights (plan-node artifacts, shared across batches)
@@ -632,48 +577,38 @@ class InferenceEngine:
     ) -> ExecutionPlan:
         """The batch's compiled execution plan, via the plan cache.
 
-        A miss binds the template of the batch's node count and census band
-        (:meth:`compile_plan`: every GEMM's backend resolved through the
-        dispatcher/registry once per shape) to the content key its
+        A miss binds the template of the batch's node count
+        (:meth:`compile_plan`: every GEMM's backend resolved once per
+        shape) to the content key its
         adjacency artifact hangs off.  A batch whose member
         structure differs in any way — including shape — gets a different
         content key, so a mutated input compiles a fresh plan rather than
         silently replaying a stale one; the executor additionally refuses
         plans whose signature does not match the batch.
 
-        ``adjacency`` passes the batch's already-resolved packed adjacency
-        to avoid a second cache lookup.
+        A plan reads nothing of the packed adjacency, so ``adjacency`` is
+        accepted and unused.
         """
-        digest = self._members_digest(batch)
-        if adjacency is None:
-            adjacency = self._adjacency(batch, digest)
-        return self._plan(batch, digest, adjacency)
+        return self._plan(batch, self._members_digest(batch))
 
-    def _plan(
-        self, batch: SubgraphBatch, digest: tuple, adjacency: PackedAdjacency
-    ) -> ExecutionPlan:
+    def _plan(self, batch: SubgraphBatch, digest: tuple) -> ExecutionPlan:
         # ``digest`` is taken once per round; both cache keys derive from it.
         return self._cache.get_or_build(
             ("plan",) + digest,
-            lambda: self.compile_plan(
-                batch.num_nodes, adjacency, ("adjacency",) + digest
-            ),
+            lambda: self.compile_plan(batch.num_nodes, ("adjacency",) + digest),
         )
 
-    def compile_plan(
-        self, num_nodes: int, adjacency: PackedAdjacency, adjacency_key: PlanKey
-    ) -> ExecutionPlan:
-        """A forward plan over ``adjacency`` under ``adjacency_key`` (the
+    def compile_plan(self, num_nodes: int, adjacency_key: PlanKey) -> ExecutionPlan:
+        """A forward plan over the adjacency under ``adjacency_key`` (the
         plan is not cached here; its template is).
 
         The one compile path of a session: :meth:`plan_for` calls it
         under a batch's content key, a
         :class:`~repro.dynamic.session.DynamicSession` under its chained
         structure digest — same fault site, same frozen dispatch either
-        way.  A plan depends on its structure only through the node count,
-        the census band the dispatch table buckets by and the adjacency
-        key, so dispatch is priced once per ``(num_nodes, band)`` into a
-        *template* (a plan with no adjacency key, in the verified
+        way.  A plan depends on its structure only through the node count
+        and the adjacency key, so dispatch is decided once per node count
+        into a *template* (a plan with no adjacency key, in the verified
         ``template`` segment, also keyed by what its decisions depend on:
         the registry generation and the quarantined backends) and every
         plan is that template bound to its key.
@@ -683,112 +618,22 @@ class InferenceEngine:
             # retryable error before any plan state is cached, so the
             # gateway's bounded retry replays it cleanly.
             self.fault_plan.maybe_raise("compile", detail=self.label)
-        fraction = adjacency.nonzero_fraction
-        quarantined = () if self.health is None else self.health.quarantined()
-        key = ("template", num_nodes, fraction_band(fraction),
-               default_registry().generation, quarantined)
+        quarantined = self._quarantined()
+        key = ("template", num_nodes, default_registry().generation, quarantined)
 
         def compile_template() -> ExecutionPlan:
-            if isinstance(self._engine, CostModelDispatcher):
-                # Hand the dispatcher this batch's measured census so the
-                # frozen dispatch decisions are priced from observation.
-                self._engine.observe_tile_fraction(fraction, nodes=num_nodes)
             return compile_forward_plan(
                 self.model,
                 num_nodes=num_nodes,
                 feature_bits=self.config.feature_bits,
                 weight_bits=self.config.effective_weight_bits,
-                engine=self._engine,
+                engine=self._selector(quarantined),
                 weight_key=self._weight_key,
             )
 
         return self._cache.get_or_build(key, compile_template).retarget_adjacency(
             adjacency_key
         )
-
-    # ------------------------------------------------------------------ #
-    # Stale-plan detection and invalidation
-    # ------------------------------------------------------------------ #
-    def stale_plans(self) -> list[StalePlan]:
-        """Cached plans whose frozen dispatch diverged from the tuned pick.
-
-        A compiled plan freezes each GEMM's backend at compile time; the
-        dispatch table keeps learning afterwards (online timing feedback,
-        a sibling shard's samples).  This scan re-prices every
-        cached plan's GEMMs against the *current* table — reproducing the
-        compile-time census coordinates from the plan's cached adjacency
-        artifact — and reports the plans whose frozen choice no longer
-        matches.  Read-only: uses ``peek`` so neither cache telemetry nor
-        recency order is perturbed.
-
-        Plans whose adjacency artifact has been evicted are skipped — the
-        compile-time census cannot be reproduced, so divergence cannot be
-        judged (they will recompile naturally if replayed after their
-        adjacency is rebuilt).  Empty unless dispatch is cost-model.
-        """
-        if not isinstance(self._engine, CostModelDispatcher):
-            return []
-        dispatcher = self._engine
-        plan_segment = self._cache.segment("plan")
-        adjacency_segment = self._cache.segment("adjacency")
-        stale: list[StalePlan] = []
-        # The scan re-observes each plan's census; save the live serving
-        # observation so analysis leaves dispatch state untouched.
-        saved_fraction = dispatcher.tile_fraction
-        saved_nodes = dispatcher._observed_nodes
-        try:
-            for key in plan_segment.keys():
-                plan = plan_segment.peek(key)
-                if plan is None:
-                    continue
-                adjacency = adjacency_segment.peek(
-                    plan.layers[0].aggregate.pack_a.cache_key
-                )
-                if adjacency is None:
-                    continue
-                dispatcher.observe_tile_fraction(
-                    adjacency.nonzero_fraction, nodes=adjacency.num_nodes
-                )
-                divergences = []
-                for layer in plan.layers:
-                    for step, tag in ((layer.aggregate, "agg"), (layer.update, "upd")):
-                        spec = step.spec
-                        picked = dispatcher.decide(spec.m, spec.k, spec.n, spec.bits_a, spec.bits_b).engine
-                        if picked != step.backend:
-                            divergences.append((f"L{layer.index}/{tag}", step.backend, picked))
-                if divergences:
-                    stale.append(StalePlan(key=key, divergences=tuple(divergences)))
-        finally:
-            dispatcher.tile_fraction = saved_fraction
-            dispatcher._observed_nodes = saved_nodes
-        return stale
-
-    def invalidate_stale_plans(self) -> list[StalePlan]:
-        """Drop every stale plan so its next replay recompiles.
-
-        For each plan :meth:`stale_plans` reports, the cached entry is
-        discarded (counted in ``stats.plans_invalidated`` and the plan
-        segment's ``invalidations``, not its evictions).  The next
-        execution of the same batch misses, recompiles under the current
-        tuned table, and returns bit-identical logits (a plan's backend
-        choice affects schedule, never arithmetic).  Every plan template
-        is dropped too, stale or not, so the next miss re-prices against
-        the live table.  Returns what was invalidated.
-        """
-        stale = self.stale_plans()
-        templates = self._cache.segment("template")
-        for key in templates.keys():
-            templates.discard(key)
-        plan_segment = self._cache.segment("plan")
-        for entry in stale:
-            if plan_segment.discard(entry.key):
-                self.stats.plans_invalidated += 1
-        if stale:
-            emit_event(
-                __name__, "stale_plans_invalidated", shard=self.label,
-                plans={artifact_digest(e.key): e.divergences for e in stale},
-            )
-        return stale
 
     # ------------------------------------------------------------------ #
     # Request intake
@@ -887,7 +732,7 @@ class InferenceEngine:
         digest = self._members_digest(batch)
         adjacency = self._adjacency(batch, digest)
         adjacency_at = time.perf_counter()
-        plan = self._plan(batch, digest, adjacency)
+        plan = self._plan(batch, digest)
         resolve_seconds = (adjacency_at - start, time.perf_counter() - adjacency_at)
         forward = self.run_round(
             batch, adjacency, plan, resolve_seconds=resolve_seconds
@@ -913,8 +758,8 @@ class InferenceEngine:
         The session's single forward-round path: :meth:`_execute` resolves
         ``adjacency`` and ``plan`` under the batch's content keys, a
         :class:`~repro.dynamic.session.DynamicSession` under its chained
-        structure digest, and both land here — so step recovery, timing
-        feedback, kernel counters and modeled device time cannot differ
+        structure digest, and both land here — so step recovery, backend
+        timings, kernel counters and modeled device time cannot differ
         between them.  ``resolve_seconds`` is what the caller spent
         resolving the two artifacts (``pack_adjacency``, ``plan_compile``);
         it joins this round's measured window.
@@ -960,24 +805,15 @@ class InferenceEngine:
         phase_seconds = stats.phase_seconds
         for phase, seconds in zip(ROUND_PHASES, spent):
             phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
-        # Every executed step — compiled or replayed — is a free autotuning
-        # sample: its measured wall-clock goes back into the dispatch table
-        # under the (shape, bits, census) bucket the dispatcher prices with,
-        # the whole round under one lock.
-        samples = [  # a recovered step's sample is its winning attempt
-            (b, *t[1:]) for b, t in zip(bound.buckets, forward.timings)
+        samples = [  # a recovered step's time is its winning attempt's
+            t[1:] for t in forward.timings
         ] if forward.recovered else [
-            (bucket, backend, stamps[at + 1] - stamps[at])
-            for bucket, backend, at in zip(bound.buckets, bound.backends,
-                                           program.gemm_at[forward.binding])
+            (backend, stamps[at + 1] - stamps[at])
+            for backend, at in zip(bound.backends, program.gemm_at[forward.binding])
         ]
         backend_seconds = stats.backend_seconds
-        for _, backend, seconds in samples:
+        for backend, seconds in samples:
             backend_seconds[backend] = backend_seconds.get(backend, 0.0) + seconds
-        table = self.dispatch_table if self.config.record_timings else None
-        if table is not None:
-            table.record_all(samples)
-            stats.autotune_samples += len(samples)
 
         stats.step_retries += len(forward.recoveries)
         stats.requests += len(batch.members)
@@ -993,7 +829,7 @@ class InferenceEngine:
         return forward
 
     def _bind_round(self, batch: SubgraphBatch, adjacency: PackedAdjacency, program) -> _RoundBinding:
-        census, fraction = adjacency.plan, adjacency.nonzero_fraction
+        census = adjacency.plan
         # Pure in these (the cost model stands for the engine's model, config and
         # device); every plan bound from one template shares this memo (<= mt*kt+1).
         reports = next(b.step.derived for b in program.steps if b.aggregate)
@@ -1006,6 +842,4 @@ class InferenceEngine:
             fixed = program.shared["round"] = (
                 tuple(b.step.backend for b in program.steps),
                 tuple(tuple(_SLOTS[phase] for phase, _, _ in layout) for layout in program.layouts))
-        buckets = tuple(bucket_in(b.step.derived, b.step.spec, fraction if b.aggregate else None)
-                        for b in program.steps)
-        return _RoundBinding(buckets, *fixed, reports[key], tuple(batch.member_slices()))
+        return _RoundBinding(*fixed, reports[key], tuple(batch.member_slices()))

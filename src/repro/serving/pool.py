@@ -33,11 +33,7 @@ that is identical everywhere.  A :class:`ServingPool` is that system:
   are session-invariant, so all shard caches mount one
   :class:`~repro.plan.cache.LRUCache` ``weight`` segment, whose lock
   holds across a build: each layer is quantized and packed exactly
-  once, pool-wide.  The measured
-  :class:`~repro.plan.autotune.DispatchTable` is mounted the same way
-  (the ``table`` segment), so a backend timing recorded by one worker
-  prices dispatch on all of them from the next decision on, and every
-  shard shares the pool's one
+  once, pool-wide.  Every shard shares the pool's one
   :class:`~repro.gnn.quantized.ActivationCalibration`, which freezes
   each site once under its own lock.  Nothing else crosses shards: a
   shard whose ``plan`` segment misses binds the plan from its own
@@ -54,8 +50,7 @@ that is identical everywhere.  A :class:`ServingPool` is that system:
   for shard threads that died *outside* the per-request handler (a
   drain-loop bug, or an injected ``worker`` fault from a
   :class:`~repro.faultinject.FaultPlan`), respawns the shard with a
-  fresh engine remounting the shared weight and table segments and
-  calibration, and re-queues the dead worker's unsettled in-flight
+  fresh engine remounting the shared weight segment and calibration, and re-queues the dead worker's unsettled in-flight
   requests so no submitter is stranded; disabled, the crash is surfaced
   instead — every queued and in-flight future fails with
   :class:`~repro.errors.WorkerDied`, as do later submits routed to the
@@ -292,10 +287,7 @@ class _Worker:
             pool.model,
             pool.config,
             calibration=pool._calibration,
-            shared_segments={
-                "weight": pool._weight_segment,
-                "table": pool._table_segment,
-            },
+            shared_segments={"weight": pool._weight_segment},
             label=self.label,
             health=pool.health,
             fault_plan=pool.fault_plan,
@@ -447,10 +439,6 @@ class ServingPool:
         self._weight_segment = LRUCache(
             self.config.weight_cache_capacity, size_of=artifact_nbytes
         )
-        # One measured dispatch table, pool-wide: every shard resolves
-        # its table through this segment, so the first builds it under
-        # the segment's lock and the rest get the same object.
-        self._table_segment = LRUCache(1)
         self._lock = threading.Lock()
         # Intake is atomic with respect to shutdown: submit() holds this
         # across its closed-check *and* enqueue, and shutdown() sets
@@ -646,8 +634,8 @@ class ServingPool:
     def _respawn(self, index: int) -> None:
         """Replace a dead shard worker, re-queueing its in-flight requests.
 
-        The replacement remounts everything shared — weight and table
-        segments, calibration, backend health, fault plan —
+        The replacement remounts everything shared — the weight segment,
+        calibration, backend health, fault plan —
         and takes over the dead worker's queue, so requests that were queued
         (or submitted) across the crash are served in place.  Unsettled
         in-flight requests are re-queued; artifacts are content-keyed and

@@ -83,10 +83,11 @@ class BackendHealth:
     (cooldown expired: not vetoed, so the next dispatches probe it — a
     recorded success closes the circuit, a failure re-opens it).
 
-    ``vetoed(name)`` is the dispatch-side question; the cost-model
-    dispatcher drops vetoed backends from its candidate set (falling
-    back to the unfiltered set if *everything* is vetoed, so dispatch
-    always has a candidate).  ``clock`` is injectable for tests.
+    :meth:`quarantined` is the dispatch-side question: a plan compiled
+    while ``blas`` is quarantined runs on ``packed``
+    (:func:`~repro.plan.registry.static_backend`, which stays on ``blas``
+    if *both* are, so dispatch always answers).  ``clock`` is injectable
+    for tests.
     """
 
     def __init__(

@@ -163,8 +163,7 @@ class TestNodesCarryTheDeclaration:
         "respawns", "requeued", "poisoned_discards",
     }
     POOL_WORKER = {
-        "requests", "batches", "autotune_samples", "step_retries",
-        "fixed_seconds_per_round",
+        "requests", "batches", "step_retries", "fixed_seconds_per_round",
     }
     GATEWAY = {
         "submitted", "completed", "rejected", "rerouted", "hedges_launched",
@@ -199,8 +198,7 @@ class TestNodesCarryTheDeclaration:
         (worker,) = pag.nodes("worker")
         self.assert_reads(
             worker,
-            {"requests", "batches", "plans_invalidated", "step_retries",
-             "fixed_seconds_per_round"},
+            {"requests", "batches", "step_retries", "fixed_seconds_per_round"},
             stats,
         )
         assert set(_numeric_fields(stats)) <= set(worker.metrics)
@@ -230,7 +228,6 @@ class TestNodesCarryTheDeclaration:
                 # Every declared counter, including the one pool worker
                 # nodes used to lack.
                 assert set(_numeric_fields(shard)) <= set(node.metrics)
-                assert node.metrics["plans_invalidated"] == 0
                 for segment in node.children:
                     if segment.kind == "segment":
                         self.assert_reads(

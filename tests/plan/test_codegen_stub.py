@@ -53,7 +53,7 @@ def test_nothing_under_src_imports_codegen():
     assert importers == []
 
 
-@pytest.mark.parametrize("engine", ["cost", "auto", "packed", "blas"])
+@pytest.mark.parametrize("engine", ["static", "auto", "packed", "blas"])
 def test_prepare_is_free_for_every_plan(engine, batch):
     session = InferenceEngine(make_cluster_gcn(8, 3), ServingConfig(engine=engine))
     plan = session.plan_for(batch)

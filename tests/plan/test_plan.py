@@ -16,8 +16,8 @@ from repro.plan import (
     PlanCache,
     compile_forward_plan,
     forward_gemm_specs,
+    static_backend,
 )
-from repro.serving.dispatch import CostModelDispatcher
 
 
 @pytest.fixture
@@ -123,12 +123,9 @@ class TestCompileForwardPlan:
         assert next(gin_plan.gemm_steps()).spec.role == "update"
 
     def test_dispatcher_decisions_frozen_into_plan(self, gcn):
-        # A budget the adjacency's float working set exceeds, so the
-        # aggregation is priced among the word engines only.
-        dispatcher = CostModelDispatcher(blas_bytes_budget=1 << 20)
-        dispatcher.observe_tile_fraction(1 / 16, nodes=2048)
+        # 12 000 nodes: the adjacency's float working set exceeds the budget.
         plan = compile_forward_plan(
-            gcn, num_nodes=2048, feature_bits=8, engine=dispatcher
+            gcn, num_nodes=12_000, feature_bits=8, engine=static_backend
         )
         # Each GEMM froze its own pick: the big square 1-bit adjacency
         # product the word engine, the small update products blas.

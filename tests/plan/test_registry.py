@@ -1,9 +1,7 @@
 """Tests for the backend registry: registration, capability metadata,
-pricing, engine-name resolution, and end-to-end custom backends."""
+engine-name resolution, and end-to-end custom backends."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -14,18 +12,15 @@ from repro.errors import ConfigError, ShapeError
 from repro.plan import (
     Backend,
     BackendCaps,
-    BackendPrice,
     BackendRegistry,
     GemmSpec,
-    HostRates,
-    PriceContext,
     builtin_backends,
     default_registry,
     register_backend,
     resolve_engine_name,
+    static_backend,
 )
 from repro.plan.ir import compile_gemm_step
-from repro.serving.dispatch import CostModelDispatcher
 
 
 def _reference_backend(name: str = "reference") -> Backend:
@@ -94,29 +89,6 @@ class TestCaps:
         assert [b.name for b in registry.eligible(spec)] == ["wide"]
 
 
-class TestPricing:
-    def _ctx(self, spec, **kwargs):
-        return PriceContext(
-            spec=spec, flops=1e9, rates=HostRates(), **kwargs
-        )
-
-    def test_backend_without_pricer_prices_infinite(self):
-        backend = _reference_backend()
-        price = backend.price(self._ctx(GemmSpec(8, 8, 8, 1, 1)))
-        assert price.seconds == math.inf
-
-    def test_price_all_skips_unpriceable(self):
-        registry = BackendRegistry(builtin_backends())
-        registry.register(_reference_backend())
-        prices = registry.price_all(self._ctx(GemmSpec(64, 64, 64, 2, 2)))
-        assert set(prices) == {"packed", "blas"}
-
-    def test_vetoed_price_is_effectively_infinite(self):
-        price = BackendPrice(seconds=1.0, bytes=10, vetoed=True)
-        assert price.effective_s == math.inf
-        assert BackendPrice(seconds=1.0).effective_s == 1.0
-
-
 class TestResolveEngineName:
     def test_literal_names_validated_against_registry(self):
         spec = GemmSpec(8, 8, 8, 1, 1)
@@ -145,17 +117,17 @@ class TestBlasIsTotal:
     def test_any_k_compiles_and_only_memory_vetoes(self):
         spec = GemmSpec(m=8, k=1 << 24, n=8, bits_a=1, bits_b=1)
         assert compile_gemm_step(spec, engine="blas").backend == "blas"
-        decision = CostModelDispatcher().decide(1, 1 << 24, 1, 1, 1)
-        assert not decision.prices["blas"].vetoed
-        tight = CostModelDispatcher(blas_bytes_budget=1 << 20)
-        assert tight.decide(1, 1 << 24, 1, 1, 1).prices["blas"].vetoed
+        # float64 from 2**24 on: 8 * (2 * 2**24 + 1) bytes pass the budget,
+        # 8 * (2 * 2**26 + 1) do not.
+        assert static_backend(1, 1 << 24, 1, 1, 1) == "blas"
+        assert static_backend(1, 1 << 26, 1, 1, 1) == "packed"
 
     def test_price_is_one_call_independent_of_bitwidths(self):
-        dispatcher = CostModelDispatcher()
-        one = dispatcher.decide(256, 256, 64, 1, 1).prices["blas"]
-        eight = dispatcher.decide(256, 256, 64, 8, 8).prices["blas"]
-        assert one.seconds == eight.seconds
-        assert one.bytes == eight.bytes == 4 * (256 * 256 + 256 * 64 + 256 * 64)
+        # One float32 GEMM whatever the bitwidths (8192 * 7 * 7 < 2**24): the
+        # budget reads one size, 4 * (m*k + k*n + m*n) bytes.
+        for bits in (1, 2, 3):
+            assert static_backend(8192, 8192, 4096, bits, bits) == "blas"
+            assert static_backend(8192, 8192, 4097, bits, bits) == "packed"
 
 
 class TestCustomBackendEndToEnd:

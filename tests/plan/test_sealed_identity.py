@@ -4,7 +4,7 @@ A compiled plan seals its content digest on first read (a verified cache
 hit compares two strings), a batch member memoises its structure digest
 and its self-looped CSR on itself — but only while mutation cannot go
 unnoticed — and a plan step
-binds what every launch would re-derive (backend, dtype, label, bucket,
+binds what every launch would re-derive (backend, dtype, label,
 counters) into ``GemmStep.derived``.  Each memo must equal the fresh
 derivation, follow its object through ``replace`` / pickle the right way,
 and notice every change of what it was derived from.
@@ -34,7 +34,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
 from repro.plan import Backend, BackendRegistry, compile_forward_plan
-from repro.plan.autotune import bucket_for, bucket_in
 from repro.plan.cache import PlanCache, artifact_digest
 from repro.plan.ir import GemmSpec, compile_gemm_step
 from repro.plan.registry import default_registry, resolve_engine_name
@@ -206,9 +205,9 @@ def _content(value: tuple) -> tuple:
 
 
 def _fresh(read, sub: Subgraph) -> tuple:
-    """What ``read`` derives from scratch: an unpickled member's arrays
-    borrow the pickle's memory, so nothing memoised is trusted."""
-    return _content(read(pickle.loads(pickle.dumps(sub))))
+    """What ``read`` derives from scratch: a protocol-5 unpickled member's
+    arrays borrow the pickle's memory, so nothing memoised is trusted."""
+    return _content(read(pickle.loads(pickle.dumps(sub, protocol=5))))
 
 
 @pytest.fixture(params=sorted(MEMBER_MEMOS))
@@ -337,13 +336,10 @@ class TestStepBindings:
             zero_tile_jumping=st.booleans(),
             reuse=st.sampled_from(["cross-bit", "cross-tile"]),
         ),
-        fractions=st.lists(
-            st.one_of(st.none(), st.floats(0.0, 1.0)), min_size=1, max_size=3
-        ),
         layer=st.integers(0, 3),
     )
     def test_bound_values_equal_fresh_derivations(
-        self, spec, names, pick, config, fractions, layer
+        self, spec, names, pick, config, layer
     ):
         registry = _registry(names, "first")
         name = names[pick % len(names)]
@@ -370,9 +366,6 @@ class TestStepBindings:
         registry.unregister(name)
         with pytest.raises(type(lacking.value)):
             _bind(step, layer, registry)
-
-        for fraction in fractions + fractions[:1]:  # asked again: a lookup
-            assert bucket_in(step.derived, spec, fraction) == bucket_for(spec, fraction)
 
         # Counters of census-less launches, memoised on the step, equal a
         # fresh derivation — per kernel configuration.

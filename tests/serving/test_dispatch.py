@@ -1,28 +1,22 @@
-"""Tests for the cost-model engine dispatcher."""
+"""Tests for static dispatch: ``blas`` serves, ``packed`` past the working-set
+budget or while ``blas`` is quarantined, and a forced engine wins."""
 
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.core.bitgemm import bitgemm, matmul_int_reference
+from repro.core.bitgemm import bitgemm, exact_gemm_dtype, matmul_int_reference
 from repro.core.bitpack import pack_matrix
-from repro.errors import ConfigError, ShapeError
-from repro.plan import (
-    DEFAULT_HOST_RATES,
-    Backend,
-    BackendPrice,
-    BackendRegistry,
-    DispatchTable,
-    GemmSpec,
-    HostRates,
-    bucket_for,
-)
-from repro.serving.dispatch import CostModelDispatcher
+from repro.errors import ShapeError
+from repro.gnn import make_cluster_gcn
+from repro.plan import BLAS_BYTES_BUDGET, GemmSpec, compile_forward_plan, static_backend
+from repro.serving import BackendHealth, CostModelDispatcher, InferenceEngine, ServingConfig
 
-#: A shape/bit mix whose decisions exercise several price points.
+#: A shape/bit mix spanning the served shapes.
 SHAPES = [
     (256, 256, 32, 1, 1),
     (64, 64, 16, 4, 4),
@@ -37,254 +31,141 @@ def _decisions(dispatcher: CostModelDispatcher) -> list:
     return [dispatcher.decide(*shape) for shape in SHAPES]
 
 
+def _working_set(m, k, n, bits_a, bits_b):
+    return exact_gemm_dtype(k, bits_a, bits_b).itemsize * (m * k + k * n + m * n)
+
+
 class TestCostModelDispatcher:
     def test_returns_valid_engine(self):
-        # Without an observed census every product lands dense.
-        dispatch = CostModelDispatcher()
         for shape in [(8, 8, 8), (64, 128, 64), (1024, 1024, 64)]:
-            assert dispatch(*shape, 1, 8) in ("packed", "blas")
+            assert static_backend(*shape, 1, 8) in ("packed", "blas")
 
     def test_decision_is_consistent_with_call(self):
-        dispatch = CostModelDispatcher()
-        decision = dispatch.decide(256, 128, 64, 8, 8)
-        assert dispatch(256, 128, 64, 8, 8) == decision.engine
+        decision = CostModelDispatcher().decide(256, 128, 64, 8, 8)
+        assert static_backend(256, 128, 64, 8, 8) == decision.engine
 
     def test_blas_wins_on_served_shapes(self):
-        # On the shapes the serving workloads produce, the measured host
-        # cost of BLAS is lower (the packed popcount path is slower per
-        # FLOP and pays a larger per-pair overhead).
-        dispatch = CostModelDispatcher()
-        assert dispatch(256, 256, 64, 1, 8) == "blas"
-        assert dispatch(512, 64, 64, 8, 8) == "blas"
+        assert static_backend(256, 256, 64, 1, 8) == "blas"
+        assert static_backend(512, 64, 64, 8, 8) == "blas"
+        assert all(static_backend(*shape) == "blas" for shape in SHAPES)
 
     def test_memory_veto_forces_packed(self):
-        dispatch = CostModelDispatcher(blas_bytes_budget=1024)
-        decision = dispatch.decide(512, 512, 64, 8, 8)
+        # 1-bit x 8-bit at 12 000 nodes: a float32 working set of ~580 MB.
+        assert _working_set(12_000, 12_000, 64, 1, 8) > BLAS_BYTES_BUDGET
+        decision = CostModelDispatcher().decide(12_000, 12_000, 64, 1, 8)
         assert decision.prices["blas"].vetoed
         assert decision.engine == "packed"
-        # Same shape passes with the default budget.
-        default = CostModelDispatcher().decide(512, 512, 64, 8, 8)
-        assert not default.prices["blas"].vetoed
+        assert not CostModelDispatcher().decide(512, 512, 64, 8, 8).prices["blas"].vetoed
 
     def test_huge_unpack_footprint_vetoed_by_default(self):
-        # 8-bit x 8-bit at 8192^2: float32 plane temporaries > 2 GB.
+        # 8-bit x 8-bit at 8192^2: float32 operands and product > 800 MB.
         decision = CostModelDispatcher().decide(8192, 8192, 8192, 8, 8)
         assert decision.prices["blas"].vetoed
         assert decision.engine == "packed"
 
-    def test_estimates_are_positive_and_footprint_exact(self):
-        prices = CostModelDispatcher().decide(128, 256, 32, 2, 4).prices
-        assert prices["packed"].seconds > 0
-        assert prices["blas"].seconds > 0
-        # One float32 GEMM (bound 256*3*15 < 2**24): both operands and the
-        # product, whatever the bitwidths.
-        assert prices["blas"].bytes == 4 * (128 * 256 + 256 * 32 + 128 * 32)
+    def test_budget_boundary_is_the_exact_working_set(self):
+        # float32 (bound 8192 * 1 * 255 < 2**24): 4 * (m*k + k*n + m*n) bytes.
+        m, k = 8192, 8192
+        n = (BLAS_BYTES_BUDGET // 4 - m * k) // (k + m)
+        assert _working_set(m, k, n, 1, 8) <= BLAS_BYTES_BUDGET
+        assert _working_set(m, k, n + 1, 1, 8) > BLAS_BYTES_BUDGET
+        assert static_backend(m, k, n, 1, 8) == "blas"
+        assert static_backend(m, k, n + 1, 1, 8) == "packed"
 
-    def test_invalid_budget(self):
-        with pytest.raises(ConfigError):
-            CostModelDispatcher(blas_bytes_budget=0)
-
-
-def _census_probe() -> tuple[CostModelDispatcher, list]:
-    """A dispatcher whose one backend records the census each pricing
-    context carried."""
-    seen = []
-
-    def pricer(ctx):
-        seen.append(ctx.tile_fraction)
-        return BackendPrice(seconds=1.0)
-
-    probe = Backend(name="probe", run=lambda a, b, masks=None: None, pricer=pricer)
-    return CostModelDispatcher(registry=BackendRegistry([probe])), seen
+    def test_prices_expose_every_backend(self):
+        for decision in _decisions(CostModelDispatcher()):
+            assert set(decision.prices) == {"packed", "blas"}
+            assert decision.engine == min(
+                decision.prices, key=lambda name: decision.prices[name].seconds
+            )
 
 
 class TestCensusObservation:
-    """The observed census is the sparsity coordinate of the adjacency GEMM
-    alone: the dispatch table buckets that product by it."""
-
-    def test_census_applies_only_to_square_adjacency_shape(self):
-        # Regression: the observed census describes the adjacency, so a
-        # *dense* 1-bit product with a different shape (e.g. the update
-        # GEMM of a 1-bit-activation session) must not inherit it.
-        dispatch, seen = _census_probe()
-        dispatch.observe_tile_fraction(1 / 16, nodes=2048)
-        dispatch.decide(2048, 2048, 64, 1, 8)
-        # Non-square 1-bit product: census does not apply.
-        dispatch.decide(2048, 512, 64, 1, 8)
-        # Square but a different node count than observed: also excluded.
-        dispatch.decide(512, 512, 64, 1, 8)
-        assert seen == [1 / 16, None, None]
-
-    def test_multibit_left_operand_ineligible(self):
-        # Only the 1-bit adjacency operand has a tile census.
-        dispatch, seen = _census_probe()
-        dispatch.observe_tile_fraction(1 / 16)
-        dispatch.decide(2048, 2048, 64, 8, 8)
-        assert seen == [None]
-
-    def test_no_observation_means_no_census(self):
-        # Until a census is observed the dispatcher never guesses one.
-        dispatch, seen = _census_probe()
-        dispatch.decide(2048, 2048, 64, 1, 8)
-        assert seen == [None]
-
     def test_census_never_moves_the_analytic_pick(self):
-        # No analytic pricer reads the census: it is a table coordinate only.
-        for shape in [(64, 64, 16), (2048, 2048, 64)]:
-            cold = CostModelDispatcher(blas_bytes_budget=1 << 20)
-            want = cold.decide(*shape, 1, 8)
+        for shape in [(64, 64, 16), (2048, 2048, 64), (12_000, 12_000, 64)]:
+            want = CostModelDispatcher().decide(*shape, 1, 8)
             for fraction in (1 / 16, 1.0):
-                dispatch = CostModelDispatcher(blas_bytes_budget=1 << 20)
-                dispatch.observe_tile_fraction(fraction)
-                got = dispatch.decide(*shape, 1, 8)
-                assert got.engine == want.engine
-                assert got.prices == want.prices
-
-    def test_rejects_invalid_fraction(self):
-        dispatch = CostModelDispatcher()
-        with pytest.raises(ConfigError):
-            dispatch.observe_tile_fraction(-0.1)
-        with pytest.raises(ConfigError):
-            dispatch.observe_tile_fraction(1.5)
-
-
-class TestHostRates:
-    """Per-machine recalibration is a frozen value, not a subclass."""
-
-    def test_default_rates_are_the_shipped_defaults(self):
-        assert CostModelDispatcher().rates is DEFAULT_HOST_RATES
-
-    def test_rates_value_changes_routing(self):
-        # A shape the default calibration routes to blas...
-        shape = (512, 64, 64, 8, 8)
-        assert CostModelDispatcher().decide(*shape).engine == "blas"
-        # ...flips to packed when this "machine" has a very fast popcount.
-        fast_packed = HostRates(packed_flops=1e15, packed_pair_overhead_s=0.0)
-        assert CostModelDispatcher(rates=fast_packed).decide(*shape).engine == "packed"
-
-    def test_no_class_level_rates(self):
-        # The rates value is the one way in: no class attribute shadows it.
-        for legacy in (
-            "PACKED_FLOPS",
-            "BLAS_FLOPS",
-            "PACKED_PAIR_OVERHEAD_S",
-            "BLAS_CALL_OVERHEAD_S",
-        ):
-            assert not hasattr(CostModelDispatcher, legacy)
-
-    def test_packed_price_tracks_packed_rates(self):
-        # A recalibrated popcount moves packed's price and leaves blas's.
-        shape = (512, 512, 64, 1, 8)
-        default = CostModelDispatcher().decide(*shape).prices
-        fast = HostRates(packed_flops=1e15, packed_pair_overhead_s=0.0)
-        tuned = CostModelDispatcher(rates=fast).decide(*shape).prices
-        assert tuned["packed"].seconds < default["packed"].seconds
-        assert tuned["blas"] == default["blas"]
-
-    def test_rejects_invalid_rates(self):
-        with pytest.raises(ConfigError):
-            HostRates(packed_flops=0.0)
-        with pytest.raises(ConfigError):
-            HostRates(blas_call_overhead_s=-1.0)
-
-    def test_prices_expose_every_backend(self):
-        decision = CostModelDispatcher().decide(256, 128, 64, 2, 4)
-        assert tuple(decision.prices) == ("packed", "blas")
-        assert decision.engine == min(
-            decision.prices, key=lambda name: decision.prices[name].effective_s
-        )
+                dispatch = CostModelDispatcher()
+                dispatch.observe_tile_fraction(fraction, nodes=shape[0])
+                assert dispatch.decide(*shape, 1, 8) == want
 
 
 class TestMeasuredDispatch:
-    """A decision is a pure function of the prices: the table's confident
-    medians where it has them, the analytic model elsewhere — never a
+    """A decision is a pure function of the shape — never a timing or a
     random draw."""
 
     def test_fresh_dispatchers_decide_identically(self):
-        a, b = _decisions(CostModelDispatcher()), _decisions(CostModelDispatcher())
-        assert [d.engine for d in a] == [d.engine for d in b]
-        assert [d.prices for d in a] == [d.prices for d in b]
+        assert _decisions(CostModelDispatcher()) == _decisions(CostModelDispatcher())
 
     def test_global_random_state_never_moves_a_decision(self):
-        want = [d.engine for d in _decisions(CostModelDispatcher())]
-        dispatcher = CostModelDispatcher()
+        want = [static_backend(*shape) for shape in SHAPES]
         got = []
         for seed, shape in enumerate(SHAPES):
             random.seed(seed)  # global churn between decisions
             np.random.seed(seed)
-            got.append(dispatcher.decide(*shape).engine)
+            got.append(static_backend(*shape))
         assert got == want
 
-    def test_confident_measurement_is_always_taken(self):
-        # packed measured fastest in every bucket: every repeat of every
-        # decision answers packed, priced from the table.
-        dispatcher = CostModelDispatcher(table=DispatchTable(min_samples=1))
-        for m, k, n, bits_a, bits_b in SHAPES:
-            spec = GemmSpec(m=m, k=k, n=n, bits_a=bits_a, bits_b=bits_b)
-            dispatcher.record_timing(spec, "packed", 1e-9)
-            dispatcher.record_timing(spec, "blas", 1.0)
-        for _ in range(8):
-            for decision in _decisions(dispatcher):
-                assert decision.engine == "packed"
-                assert decision.tuned
-
     def test_measured_fastest_vetoed_backend_never_wins(self):
-        # blas measured blazing fast everywhere, but a one-byte budget
-        # vetoes it: no decision may route to it.
-        dispatcher = CostModelDispatcher(
-            blas_bytes_budget=1, table=DispatchTable(min_samples=1)
-        )
-        for m, k, n, bits_a, bits_b in SHAPES:
-            spec = GemmSpec(m=m, k=k, n=n, bits_a=bits_a, bits_b=bits_b)
-            dispatcher.record_timing(spec, "blas", 1e-12)
-        for decision in _decisions(dispatcher):
-            assert decision.engine != "blas"
-            assert decision.prices["blas"].vetoed
-            assert "blas" not in decision.tuned_backends
-
-    def test_empty_table_prices_like_no_table(self):
-        cold = _decisions(CostModelDispatcher(table=DispatchTable()))
-        analytic = _decisions(CostModelDispatcher())
-        assert [d.engine for d in cold] == [d.engine for d in analytic]
-        assert [d.prices for d in cold] == [d.prices for d in analytic]
-        assert not any(d.tuned_backends for d in cold)
-
-    def test_dispatchers_sharing_a_table_see_each_others_samples(self):
-        # What a thread pool's shards do: one records packed, the other
-        # blas, and both then price both backends from the table.
-        table = DispatchTable(min_samples=1)
-        first = CostModelDispatcher(table=table)
-        second = CostModelDispatcher(table=table)
-        spec = GemmSpec(m=256, k=128, n=64, bits_a=2, bits_b=2)
-        first.record_timing(spec, "packed", 1e-6)
-        second.record_timing(spec, "blas", 2e-6)
-        for dispatcher in (first, second):
-            decision = dispatcher.decide(256, 128, 64, 2, 2)
-            assert set(decision.tuned_backends) == {"packed", "blas"}
-            assert decision.engine == "packed"
+        dispatcher = CostModelDispatcher()
+        spec = GemmSpec(m=12_000, k=12_000, n=64, bits_a=1, bits_b=8)
+        dispatcher.record_timing(spec, "blas", 1e-12)
+        decision = dispatcher.decide(12_000, 12_000, 64, 1, 8)
+        assert decision.engine == "packed"
+        assert decision.prices["blas"].vetoed
 
     def test_record_timing_without_a_table_is_a_no_op(self):
         dispatcher = CostModelDispatcher()
         want = _decisions(dispatcher)
-        dispatcher.record_timing(GemmSpec(m=64, k=64, n=16, bits_a=4, bits_b=4),
-                                 "packed", 1e-12)
-        assert dispatcher.table is None
-        assert [d.prices for d in _decisions(dispatcher)] == [d.prices for d in want]
+        for m, k, n, bits_a, bits_b in SHAPES:
+            spec = GemmSpec(m=m, k=k, n=n, bits_a=bits_a, bits_b=bits_b)
+            dispatcher.record_timing(spec, "packed", 1e-12, tile_fraction=0.5)
+        assert _decisions(dispatcher) == want
 
-    def test_census_samples_price_only_their_band(self):
-        # An adjacency sample recorded under its census prices the square
-        # 1-bit product only while a census in the same band is observed.
-        dispatcher = CostModelDispatcher(table=DispatchTable(min_samples=1))
-        spec = GemmSpec(m=256, k=256, n=16, bits_a=1, bits_b=8)
-        dispatcher.record_timing(spec, "packed", 1e-9, tile_fraction=0.1)
-        assert bucket_for(spec, 0.1) in dispatcher.table
-        assert not dispatcher.decide(256, 256, 16, 1, 8).tuned_backends
-        dispatcher.observe_tile_fraction(0.1, nodes=256)
-        decision = dispatcher.decide(256, 256, 16, 1, 8)
-        assert decision.tuned_backends == ("packed",)
-        assert decision.engine == "packed"
-        dispatcher.observe_tile_fraction(0.9, nodes=256)
-        assert not dispatcher.decide(256, 256, 16, 1, 8).tuned_backends
+
+class TestStaticRule:
+    def test_a_12k_node_aggregate_compiles_onto_packed(self):
+        # The plan is metadata only: nothing of the 12 000^2 adjacency exists.
+        plan = compile_forward_plan(
+            make_cluster_gcn(16, 4, hidden_dim=32, num_layers=2, seed=0),
+            num_nodes=12_000,
+            feature_bits=1,
+            engine=static_backend,
+        )
+        for layer in plan.layers:
+            assert layer.aggregate.backend == "packed"
+            assert layer.update.backend == "blas"
+
+    def test_quarantined_blas_sends_every_product_to_packed(self):
+        for shape in SHAPES:
+            assert static_backend(*shape, quarantined=("blas",)) == "packed"
+
+    def test_quarantining_every_backend_stays_on_blas(self):
+        everything = ("blas", "packed")
+        assert all(static_backend(*shape, quarantined=everything) == "blas" for shape in SHAPES)
+        assert static_backend(12_000, 12_000, 64, 1, 8, quarantined=everything) == "packed"
+        assert static_backend(12_000, 12_000, 64, 1, 8, quarantined=("packed",)) == "blas"
+
+    @pytest.mark.parametrize("quarantine, served", [
+        ((), {"blas"}), (("blas",), {"packed"}), (("blas", "packed"), {"blas"}),
+    ], ids=["healthy", "blas-quarantined", "all-quarantined"])
+    def test_a_session_compiles_by_its_health(self, quarantine, served):
+        health = BackendHealth(quarantine_after=1, probe_after_s=3600.0)
+        for name in quarantine:
+            health.record_failure(name)
+        engine = InferenceEngine(make_cluster_gcn(8, 3, seed=1), health=health)
+        plan = engine.compile_plan(64, ("adjacency", "probe"))
+        assert set(plan.backends()) == served
+
+    def test_a_forced_engine_is_honoured(self):
+        model = make_cluster_gcn(8, 3, seed=1)
+        engine = InferenceEngine(model, ServingConfig(engine="packed"))
+        assert engine.compile_plan(64, ("adjacency", "probe")).backends() == ("packed",)
+        plan = compile_forward_plan(model, num_nodes=64, feature_bits=4, engine="packed")
+        assert plan.backends() == ("packed",)
+        picked = partial(static_backend, quarantined=("blas",))
+        plan = compile_forward_plan(model, num_nodes=64, feature_bits=4, engine=picked)
+        assert plan.backends() == ("packed",)
 
 
 class TestDispatcherAsEngineArgument:
@@ -293,7 +174,7 @@ class TestDispatcherAsEngineArgument:
         b = rng.integers(0, 4, size=(150, 24), dtype=np.int64)
         packed_a = pack_matrix(a, 3, layout="col")
         packed_b = pack_matrix(b, 2, layout="row")
-        out = bitgemm(packed_a, packed_b, engine=CostModelDispatcher())
+        out = bitgemm(packed_a, packed_b, engine=static_backend)
         np.testing.assert_array_equal(out, matmul_int_reference(a, b))
 
     def test_selector_must_return_known_engine(self, rng):

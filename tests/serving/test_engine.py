@@ -311,7 +311,7 @@ class TestPlanCache:
         assert engine.stats.plan_cache.hits >= 1
         assert plan.signature.num_nodes == batch.num_nodes
         registered = set(engine.plan_artifacts.kinds())
-        assert registered == {"weight", "adjacency", "plan", "template", "table"}
+        assert registered == {"weight", "adjacency", "plan", "template"}
         for step in plan.gemm_steps():
             assert step.backend in default_registry().names()
         # The plan's weight nodes carry the session's cache keys.
@@ -348,7 +348,7 @@ class TestPlanCache:
         )
         engine.infer(subgraphs)
         telemetry = engine.cache_telemetry()
-        assert set(telemetry) == {"weight", "adjacency", "plan", "template", "table"}
+        assert set(telemetry) == {"weight", "adjacency", "plan", "template"}
         total = engine.plan_artifacts.total_stats()
         assert total.lookups == sum(t.lookups for t in telemetry.values())
         assert engine.plan_artifacts.nbytes >= engine.adjacency_cache.nbytes

@@ -1,15 +1,13 @@
 """Plan templates: a structure miss binds, it does not recompile.
 
 A compiled plan depends on its batch's structure only through the node
-count, the census band the dispatch table buckets by and the adjacency
-key.  ``InferenceEngine.compile_plan`` therefore prices the dispatch once
-per ``(num_nodes, band)`` into a template held in the verified
-``template`` segment, and binds every plan from it
+count and the adjacency key.  ``InferenceEngine.compile_plan`` therefore
+decides the dispatch once per node count into a template held in the
+verified ``template`` segment, and binds every plan from it
 (``ExecutionPlan.retarget_adjacency``).  A bound plan must be exactly the
 plan a fresh compile with the same frozen backends produces, and a
 template must die with whatever its frozen decisions depend on: the
-dispatch table (``invalidate_stale_plans``), the quarantined backends and
-the backend registry.
+quarantined backends and the backend registry.
 """
 
 from __future__ import annotations
@@ -29,14 +27,8 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
 from repro.plan import ir
-from repro.plan.autotune import fraction_band
-from repro.plan.registry import BackendPrice, default_registry, register_backend
-from repro.serving import (
-    BackendHealth,
-    CostModelDispatcher,
-    InferenceEngine,
-    ServingConfig,
-)
+from repro.plan.registry import default_registry, register_backend, static_backend
+from repro.serving import BackendHealth, InferenceEngine, ServingConfig
 from repro.serving import engine as engine_module
 
 
@@ -51,22 +43,20 @@ def subgraphs():
 
 @pytest.fixture
 def same_shape(subgraphs):
-    """Two distinct structures with one ``(num_nodes, band)``: the same
-    members in reverse order have other tile boundaries, hence another
-    census fraction, in the same band."""
+    """Two distinct structures with one node count: the same members in
+    reverse order have other tile boundaries, hence another census."""
     pair = [SubgraphBatch(members=tuple(subgraphs[:4])),
             SubgraphBatch(members=tuple(subgraphs[:4][::-1]))]
     engine = InferenceEngine(make_cluster_gcn(12, 3), ServingConfig())
     fractions = [engine.packed_adjacency_for(b).nonzero_fraction for b in pair]
     assert fractions[0] != fractions[1]
-    assert len({fraction_band(f) for f in fractions}) == 1
     return pair
 
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of dispatcher pricing and plan compilation."""
-    counts = {"decide": 0, "compile_forward_plan": 0}
+    """Counts of dispatch decisions and plan compilation."""
+    counts = {"dispatch": 0, "compile_forward_plan": 0}
 
     def counting(name, real):
         def spy(*args, **kwargs):
@@ -76,8 +66,7 @@ def work(monkeypatch):
         return spy
 
     monkeypatch.setattr(
-        CostModelDispatcher, "decide",
-        counting("decide", CostModelDispatcher.decide),
+        engine_module, "static_backend", counting("dispatch", static_backend)
     )
     monkeypatch.setattr(
         engine_module, "compile_forward_plan",
@@ -93,23 +82,6 @@ def templates(engine):
 def only_template(engine):
     (key,) = templates(engine).keys()
     return templates(engine).peek(key)
-
-
-def prefer_other_backend(engine, batch):
-    """Time a backend the batch's plan did not freeze as the cheapest on
-    every one of its GEMMs (and the frozen ones as slow); returns it."""
-    plan = engine.plan_for(batch)
-    fraction = engine.packed_adjacency_for(batch).nonzero_fraction
-    frozen = set(plan.backends())
-    prefer = "packed" if "packed" not in frozen else "blas"
-    for step in plan.gemm_steps():
-        census = fraction if step.spec.role == "aggregate" else None
-        for _ in range(8):
-            engine.dispatch_table.record_spec(step.spec, prefer, 1e-9, tile_fraction=census)
-            engine.dispatch_table.record_spec(
-                step.spec, step.backend, 1.0, tile_fraction=census
-            )
-    return prefer
 
 
 # --------------------------------------------------------------------- #
@@ -172,44 +144,6 @@ def test_a_bound_plan_is_a_fresh_compile_of_its_frozen_backends(
 # --------------------------------------------------------------------- #
 # Lifecycle: a template dies with what its decisions depend on
 # --------------------------------------------------------------------- #
-def test_invalidation_drops_every_template_and_the_next_miss_reprices(
-    same_shape, work
-):
-    model = make_batched_gin(12, 3, hidden_dim=16)
-    engine = InferenceEngine(
-        model, ServingConfig(feature_bits=8, batch_size=4, record_timings=False)
-    ).warm_up()
-    first, second = same_shape
-    engine.plan_for(first)
-    prefer = prefer_other_backend(engine, first)
-
-    # Bound from the old template: as stale as the plan it was bound from.
-    assert prefer not in engine.plan_for(second).backends()
-    assert {entry.key for entry in engine.stale_plans()} == set(engine.plan_cache.keys())
-
-    engine.invalidate_stale_plans()
-    assert len(templates(engine)) == 0
-    assert templates(engine).stats.invalidations == 1
-    steps = 2 * model.num_layers
-    work.update(decide=0, compile_forward_plan=0)
-    plan = engine.plan_for(second)
-    assert work == {"decide": steps, "compile_forward_plan": 1}
-    assert plan.backends() == (prefer,)
-    assert engine.stale_plans() == []
-
-
-def test_invalidation_drops_templates_even_when_nothing_is_stale(same_shape, work):
-    engine = InferenceEngine(
-        make_cluster_gcn(12, 3), ServingConfig(record_timings=False)
-    )
-    engine.plan_for(same_shape[0])
-    assert engine.invalidate_stale_plans() == []
-    assert len(templates(engine)) == 0
-    work.update(decide=0, compile_forward_plan=0)
-    engine.plan_for(same_shape[1])
-    assert work["compile_forward_plan"] == 1 and work["decide"] > 0
-
-
 def test_a_backend_quarantined_after_the_template_is_not_bound(same_shape, work):
     now = [0.0]
     health = BackendHealth(quarantine_after=1, clock=lambda: now[0])
@@ -220,20 +154,21 @@ def test_a_backend_quarantined_after_the_template_is_not_bound(same_shape, work)
     )
     first, second = same_shape
     frozen = engine.plan_for(first).backends()
-    health.record_failure(frozen[0])
-    assert health.quarantined() == (frozen[0],)
+    assert frozen == ("blas",)
+    health.record_failure("blas")
+    assert health.quarantined() == ("blas",)
 
-    work.update(decide=0, compile_forward_plan=0)
+    work.update(dispatch=0, compile_forward_plan=0)
     plan = engine.plan_for(second)
     assert work["compile_forward_plan"] == 1
-    assert frozen[0] not in plan.backends()
+    assert plan.backends() == ("packed",)
     assert len(templates(engine)) == 2  # one per quarantined set
 
     now[0] = 100.0  # the circuit half-opens: the first template serves again
-    work.update(decide=0, compile_forward_plan=0)
+    work.update(dispatch=0, compile_forward_plan=0)
     engine.plan_cache.clear()
     assert engine.plan_for(first).backends() == frozen
-    assert work == {"decide": 0, "compile_forward_plan": 0}
+    assert work == {"dispatch": 0, "compile_forward_plan": 0}
 
 
 def test_registering_a_backend_compiles_fresh(same_shape, work):
@@ -241,23 +176,20 @@ def test_registering_a_backend_compiles_fresh(same_shape, work):
         make_cluster_gcn(12, 3), ServingConfig(feature_bits=4, record_timings=False)
     )
     first, second = same_shape
-    assert "packed-twin" not in engine.plan_for(first).backends()
-    twin = register_backend(
-        replace(
-            default_registry().get("packed"),
-            name="packed-twin",
-            pricer=lambda ctx: BackendPrice(seconds=0.0),
-        )
-    )
+    frozen = engine.plan_for(first).backends()
+    twin = register_backend(replace(default_registry().get("packed"), name="packed-twin"))
     try:
-        work.update(decide=0, compile_forward_plan=0)
+        work.update(dispatch=0, compile_forward_plan=0)
         plan = engine.plan_for(second)
         assert work["compile_forward_plan"] == 1
-        assert plan.backends() == ("packed-twin",)
+        assert plan.backends() == frozen  # the rule never picks the twin
     finally:
         default_registry().unregister(twin.name)
     engine.plan_cache.clear()
-    assert "packed-twin" not in engine.plan_for(second).backends()
+    work.update(dispatch=0, compile_forward_plan=0)
+    assert engine.plan_for(second).backends() == frozen
+    assert work["compile_forward_plan"] == 1
+    assert len(templates(engine)) == 3
 
 
 def test_a_cache_fault_on_a_template_counts_poisoned_and_recompiles(
@@ -301,20 +233,23 @@ def test_a_dynamic_recompile_binds_within_a_band(work):
     session.serve()
     assert work["compile_forward_plan"] == 1
     assert (session.stats.plans_recompiled, session.stats.plans_patched) == (1, 0)
-    # An edge inside a diagonal tile: the census, hence the band, is unchanged.
-    work.update(decide=0, compile_forward_plan=0)
+    # An edge inside a diagonal tile: the census is unchanged.
+    work.update(dispatch=0, compile_forward_plan=0)
     session.mutate([("insert", 0, 1)])
     assert (session.stats.plans_recompiled, session.stats.plans_patched) == (1, 1)
-    assert work == {"decide": 0, "compile_forward_plan": 0}
+    assert work == {"dispatch": 0, "compile_forward_plan": 0}
     assert templates(session.engine).stats.hits == 1
     session.serve()
-    # Deleting every edge leaves the diagonal tiles: another band compiles.
+    # Deleting every edge leaves the diagonal tiles: a census band sparser,
+    # and still the one template.
+    before = session.mutable.nonzero_fraction
     edges = [(u, int(v)) for u in range(graph.num_nodes)
              for v in graph.indices[graph.indptr[u]:graph.indptr[u + 1]]]
     session.mutate([("delete", u, v) for u, v in edges])
-    assert (session.stats.plans_recompiled, session.stats.plans_patched) == (2, 1)
-    assert work["compile_forward_plan"] == 1
-    assert len(templates(session.engine)) == 2
+    assert session.mutable.nonzero_fraction < before / 2
+    assert (session.stats.plans_recompiled, session.stats.plans_patched) == (1, 2)
+    assert work == {"dispatch": 0, "compile_forward_plan": 0}
+    assert len(templates(session.engine)) == 1
     session.serve()
     assert session.stats.stale_kernel_hits == 0
 
@@ -328,14 +263,13 @@ def test_a_dynamic_mutation_never_binds_a_quarantined_backend():
     session = DynamicSession(engine.model, sparse_feature_graph(), engine=engine)
     session.serve()
     frozen = engine.plan_artifacts.segment("plan").peek(session.plan_key()).backends()
-    health.record_failure(frozen[0])
-    assert health.quarantined() == (frozen[0],)
+    assert frozen == ("blas",)
+    health.record_failure("blas")
+    assert health.quarantined() == ("blas",)
 
-    band = fraction_band(session.mutable.nonzero_fraction)
     session.mutate([("insert", 0, 1)])
-    assert fraction_band(session.mutable.nonzero_fraction) == band
     live = engine.plan_artifacts.segment("plan").peek(session.plan_key())
-    assert frozen[0] not in live.backends()
+    assert live.backends() == ("packed",)
     session.serve()
     assert session.stats.stale_kernel_hits == 0
 

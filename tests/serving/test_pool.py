@@ -22,7 +22,6 @@ from repro.graph import CSRGraph, induced_subgraphs
 from repro.graph.batching import Subgraph
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
-from repro.plan import GemmSpec
 from repro.serving import (
     InferenceEngine,
     PoolConfig,
@@ -234,46 +233,6 @@ class TestShardingAndCoalescing:
             assert future.result(timeout=0).shape == (sub.num_nodes, 3)
 
 
-class TestSharedDispatchTable:
-    def test_shards_share_one_table(self, gin_model):
-        # Thread shards mount the pool's ``table`` segment: one object, so
-        # a sample recorded on shard 0 prices the next decision on shard 1.
-        config = ServingConfig(feature_bits=8, batch_size=4, table_min_samples=1)
-        with make_pool(gin_model, config) as pool:
-            w0, w1 = pool.workers
-            assert w0.dispatch_table is w1.dispatch_table
-            spec = GemmSpec(m=64, k=128, n=16, bits_a=8, bits_b=8)
-            w0.dispatcher.record_timing(spec, "packed", 1e-9)
-            decision = w1.dispatcher.decide(64, 128, 16, 8, 8)
-            assert decision.prices["packed"].source == "tuned"
-            assert decision.engine == "packed"
-
-    def test_the_one_table_holds_every_shards_samples(self, gin_model, subgraphs):
-        with make_pool(gin_model) as pool:
-            # Every structure is served on every shard, home or not.
-            futures = [
-                pool.submit(sub, shard=shard)
-                for shard in range(2)
-                for sub in subgraphs
-            ]
-            for future in futures:
-                future.result(timeout=30)
-            per_shard = [e.stats.autotune_samples for e in pool.workers]
-            table = pool.workers[0].dispatch_table
-            assert all(per_shard)
-            assert table.sample_count() == sum(per_shard)
-
-    def test_each_pool_starts_with_an_empty_table(self, gin_model, subgraphs):
-        with make_pool(gin_model) as first:
-            first.serve(subgraphs)
-            measured = first.workers[0].dispatch_table
-            assert measured.sample_count() > 0
-        with make_pool(gin_model) as second:
-            table = second.workers[0].dispatch_table
-            assert table is not measured
-            assert table.sample_count() == 0
-
-
 class TestShardsMountSharedState:
     """A pool shares state one way: every shard mounts the same locked
     object, never a private view of it."""
@@ -287,11 +246,10 @@ class TestShardsMountSharedState:
         # Each shard froze into the one object: one params per site.
         assert len(calibration) == 2 * gin_model.num_layers
 
-    def test_shards_mount_one_weight_and_one_table_segment(self, gin_model):
+    def test_shards_mount_one_weight_segment(self, gin_model):
         with make_pool(gin_model) as pool:
             w0, w1 = (e.plan_artifacts for e in pool.workers)
-            for kind in ("weight", "table"):
-                assert w0.segment(kind) is w1.segment(kind)
+            assert w0.segment("weight") is w1.segment("weight")
             # Plans, templates and adjacencies stay per shard: a miss
             # binds from the shard's own template, as in a single engine.
             for kind in ("plan", "template", "adjacency"):
@@ -346,7 +304,7 @@ class TestPoolStatsAreShardSnapshots:
                 assert getattr(worker, name) == getattr(engine.stats, name), name
             assert worker.plan_cache.misses == engine.stats.plan_cache.misses
             assert worker.plan_cache.hits == engine.stats.plan_cache.hits
-        for name in self.COUNTERS + ("step_retries", "plans_invalidated"):
+        for name in self.COUNTERS + ("step_retries",):
             assert getattr(stats, name) == sum(
                 getattr(w, name) for w in stats.per_worker
             ), name

@@ -134,14 +134,9 @@ class TestSupervisedRespawn:
             pool=PoolConfig(workers=1, supervise_interval_s=0.01),
             fault_plan=plan,
         ) as pool:
-            table = pool.workers[0].dispatch_table
             pool.serve(subgraphs)
             wait_until(lambda: pool.stats().respawns == 1)
             assert pool.workers[0].weight_cache is pool._weight_segment
-            # ... and the pool's table: the respawned shard prices from
-            # everything measured before the crash, from its first round.
-            assert pool.workers[0].dispatch_table is table
-            assert table.sample_count() > 0
 
     @pytest.mark.timeout(120)
     def test_respawn_drains_a_full_queue_behind_a_blocking_submit(

@@ -24,7 +24,6 @@ from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
 from repro.serving import (
     BackendHealth,
-    CostModelDispatcher,
     InferenceEngine,
     ServingConfig,
     StepRecovery,
@@ -220,28 +219,28 @@ class TestStepRecovery:
 
 
 class TestDispatcherVeto:
+    def _compiled(self, health):
+        engine = InferenceEngine(make_batched_gin(8, 3, hidden_dim=8, seed=3), health=health)
+        return lambda: engine.compile_plan(256, ("adjacency", "probe")).backends()
+
     def test_quarantined_backend_loses_dispatch(self):
         clock = FakeClock()
         health = BackendHealth(quarantine_after=1, clock=clock)
-        dispatch = CostModelDispatcher(health=health)
-        baseline = dispatch.decide(256, 256, 64, 1, 8)
-        assert baseline.engine == "blas"
+        compiled = self._compiled(health)
+        assert compiled() == ("blas",)
         health.record_failure("blas")
-        decision = dispatch.decide(256, 256, 64, 1, 8)
-        assert decision.engine != "blas"
-        assert dispatch.health_vetoed_decisions == 1
+        assert compiled() == ("packed",)
         # Recovery (half-open after cooldown) restores the pick.
         clock.now = 100.0
-        assert dispatch.decide(256, 256, 64, 1, 8).engine == "blas"
+        assert compiled() == ("blas",)
 
     def test_all_vetoed_falls_back_to_full_candidate_set(self):
         clock = FakeClock()
         health = BackendHealth(quarantine_after=1, clock=clock)
-        dispatch = CostModelDispatcher(health=health)
         for name in ("packed", "blas"):
             health.record_failure(name)
         # Dispatch must still produce an engine rather than failing.
-        assert dispatch.decide(256, 256, 64, 1, 8).engine
+        assert self._compiled(health)() == ("blas",)
 
 
 class TestEngineRecovery:
@@ -256,9 +255,8 @@ class TestEngineRecovery:
 
     def test_injected_kernel_faults_recover_bit_identically(self, workload):
         model, subgraphs = workload
-        # No timing feedback: dispatch is then a function of the seed, so
-        # which backend each probe index lands on cannot depend on
-        # wall-clock (the analytic model routes every step here to blas).
+        # Dispatch is static, so which backend each probe index lands on
+        # cannot depend on wall-clock (every step here runs on blas).
         config = ServingConfig(feature_bits=2, batch_size=2, record_timings=False)
         calibration = ActivationCalibration()
         reference = InferenceEngine(model, config, calibration=calibration)

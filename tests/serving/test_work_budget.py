@@ -346,16 +346,15 @@ def test_warm_round_derives_nothing_a_miss_derives_once(derivations, structures)
 
 
 def test_a_plan_miss_over_a_seen_shape_prices_nothing(monkeypatch, structures):
-    """Dispatch is priced once per ``(node count, census band)``: a plan
-    miss over a shape seen before binds that shape's template, with no
-    ``decide`` and no compile; a first sight prices each GEMM once."""
+    """Dispatch is decided once per node count: a plan miss over a shape
+    seen before binds that shape's template, with no dispatch call and no
+    compile; a first sight decides each GEMM once."""
     from repro.plan import ir
-    from repro.serving import CostModelDispatcher
 
-    counts = dict.fromkeys(["decide", "compile_forward_plan"], 0)
+    counts = dict.fromkeys(["static_backend", "compile_forward_plan"], 0)
     monkeypatch.setattr(
-        CostModelDispatcher, "decide",
-        _counting(counts, "decide", CostModelDispatcher.decide),
+        engine_module, "static_backend",
+        _counting(counts, "static_backend", engine_module.static_backend),
     )
     monkeypatch.setattr(
         engine_module, "compile_forward_plan",
@@ -376,7 +375,7 @@ def test_a_plan_miss_over_a_seen_shape_prices_nothing(monkeypatch, structures):
         assert engine.stats.plan_cache.misses == misses + 1
         return dict(counts)
 
-    first_sight = {"decide": 2 * model.num_layers, "compile_forward_plan": 1}
+    first_sight = {"static_backend": 2 * model.num_layers, "compile_forward_plan": 1}
     assert miss_counts(first) == miss_counts(second) == first_sight
     for members in (first, second, first):
         assert miss_counts(members) == dict.fromkeys(counts, 0)
@@ -384,13 +383,11 @@ def test_a_plan_miss_over_a_seen_shape_prices_nothing(monkeypatch, structures):
 
 def test_a_mutation_over_a_seen_shape_prices_and_sorts_nothing(monkeypatch):
     """A ``DynamicSession`` mutation binds the engine's template for the
-    graph's ``(node count, census band)``: when that pair was seen before
-    it makes no ``decide`` call, compiles nothing and sorts no census."""
+    graph's node count: it makes no dispatch decision, compiles nothing and
+    sorts no census."""
     from repro.dynamic import DynamicSession
     from repro.graph.csr import CSRGraph
     from repro.plan import ir
-    from repro.plan.autotune import fraction_band
-    from repro.serving import CostModelDispatcher
 
     rng = np.random.default_rng(0)
     n = 320
@@ -403,22 +400,19 @@ def test_a_mutation_over_a_seen_shape_prices_and_sorts_nothing(monkeypatch):
         make_cluster_gcn(8, 4, seed=1), graph, ServingConfig(record_timings=False)
     )
     session.serve()
-    band = fraction_band(session.mutable.nonzero_fraction)
 
-    counts = dict.fromkeys(["decide", "compile_forward_plan", "unique"], 0)
+    counts = dict.fromkeys(["static_backend", "compile_forward_plan", "unique"], 0)
     monkeypatch.setattr(
-        CostModelDispatcher, "decide",
-        _counting(counts, "decide", CostModelDispatcher.decide),
+        engine_module, "static_backend",
+        _counting(counts, "static_backend", engine_module.static_backend),
     )
     monkeypatch.setattr(
         engine_module, "compile_forward_plan",
         _counting(counts, "compile_forward_plan", ir.compile_forward_plan),
     )
     monkeypatch.setattr(np, "unique", _counting(counts, "unique", np.unique))
-    # Edges inside diagonal tiles: every mutation keeps the census band.
     for edit in (("insert", 0, 1), ("insert", 2, 3), ("delete", 0, 1), ("insert", 4, 5)):
         session.mutate([edit])
-        assert fraction_band(session.mutable.nonzero_fraction) == band
         assert counts == dict.fromkeys(counts, 0)
     assert session.stats.plans_patched == 4
 
@@ -548,16 +542,16 @@ class _CountingLock:
 @pytest.fixture
 def rederivations(monkeypatch):
     """Call counters on what a hit holds already: the plan's ``repr`` and
-    any digest hashed in the plan layer, the shape bucket, the exact GEMM
+    any digest hashed in the plan layer, the harness's shape bucket, the exact GEMM
     dtype and engine-name resolution (under every name they are imported
     by), and ``SubgraphBatch`` construction."""
     # By module name: ``repro.plan.autotune`` and ``repro.core.bitgemm`` are
     # also functions their packages export.
-    autotune, backends, cache, ir, registry, bitgemm, quantized = (
+    autotune, cache, ir, registry, bitgemm, quantized = (
         sys.modules[f"repro.{name}"]
         for name in (
-            "plan.autotune", "plan.backends", "plan.cache", "plan.ir",
-            "plan.registry", "core.bitgemm", "gnn.quantized",
+            "plan.autotune", "plan.cache", "plan.ir", "plan.registry",
+            "core.bitgemm", "gnn.quantized",
         )
     )
     counts = dict.fromkeys(
@@ -577,7 +571,7 @@ def rederivations(monkeypatch):
         autotune, "bucket_for", counting("bucket_for", autotune.bucket_for)
     )
     for name, home, importers in (
-        ("exact_gemm_dtype", bitgemm, (quantized, backends)),
+        ("exact_gemm_dtype", bitgemm, (quantized, registry)),
         ("resolve_engine_name", registry, (ir, quantized)),
     ):
         spy = counting(name, getattr(home, name))
@@ -592,25 +586,22 @@ def rederivations(monkeypatch):
 
 def test_warm_round_rederives_nothing_its_artifacts_fix(rederivations, structures):
     """A plan-cache hit compares two sealed strings; a step's backend,
-    dtype, label and bucket are bound to it on its first execution; the
-    round is one batch and its samples reach the table under one lock."""
+    dtype and label are bound to it on its first execution; the round is
+    one batch, buckets nothing and records into no dispatch table."""
     model = make_batched_gin(12, 3, hidden_dim=16, seed=4)
     engine = InferenceEngine(
         model, ServingConfig(feature_bits=8, batch_size=4)
     ).warm_up()
-    table_lock = engine.dispatch_table._lock = _CountingLock(
-        engine.dispatch_table._lock
-    )
+    assert "table" not in engine.plan_artifacts.kinds()
 
     def round_counts(members):
         for name in rederivations:
             rederivations[name] = 0
-        table_lock.acquisitions = 0
         engine.infer(members)
-        return dict(rederivations), table_lock.acquisitions
+        return dict(rederivations)
 
     steps = 2 * model.num_layers
-    miss, _ = round_counts(structures[0])
+    miss = round_counts(structures[0])
     # Compiled (one resolve per step) and bound on its first execution (one
     # more); a digest is sealed where the plan, and its template, enter
     # their verified segments: the template's ``repr`` is hashed once, into
@@ -619,10 +610,8 @@ def test_warm_round_rederives_nothing_its_artifacts_fix(rederivations, structure
     assert miss["repr"] == 1 and miss["blake2b"] == 3
     assert miss["SubgraphBatch"] == 1
     for _ in range(2):  # the first replay already finds everything bound
-        warm, locks = round_counts(structures[0])
+        warm = round_counts(structures[0])
         assert warm == {**dict.fromkeys(rederivations, 0), "SubgraphBatch": 1}
-        assert locks == 1
-    assert engine.stats.autotune_samples == 3 * steps
 
 
 def test_bindings_and_digests_die_with_what_they_hang_on(structures):
@@ -639,7 +628,7 @@ def test_bindings_and_digests_die_with_what_they_hang_on(structures):
     plan = engine.plan_for(SubgraphBatch(members=tuple(members)))
     assert "digest" in plan.__dict__
     assert all(
-        any(isinstance(key, tuple) for key in step.derived) and "bucket" in step.derived
+        any(isinstance(key, tuple) for key in step.derived)
         for step in plan.gemm_steps()
     )
     assert all("_member_key" in sub.__dict__ for sub in members)
@@ -982,14 +971,14 @@ def test_a_busy_dead_or_shut_down_shard_is_never_served_inline(structures):
 
 
 # --------------------------------------------------------------------- #
-# A dispatch table lives in memory: the pool writes none to disk
+# The pool writes nothing to disk
 # --------------------------------------------------------------------- #
 def test_thread_pool_rounds_never_serialise_the_dispatch_table(
     monkeypatch, structures, tmp_path
 ):
-    """Thread shards record into one mounted table, so 100 rounds
-    JSON-encode nothing and leave the ``spool_dir`` the repo benchmark
-    still passes untouched; shutdown writes no file either."""
+    """There is no dispatch table to share or save: 100 rounds JSON-encode
+    nothing and leave the ``spool_dir`` the repo benchmark still passes
+    untouched; shutdown writes no file either."""
     import json
 
     from repro.serving import PoolConfig, ServingPool
@@ -1007,7 +996,7 @@ def test_thread_pool_rounds_never_serialise_the_dispatch_table(
         pool.submit(requests[i % len(requests)]).result(timeout=30)
     stats = pool.stats()
     pool.shutdown()
-    assert stats.batches == 100 and stats.autotune_samples > 0
+    assert stats.batches == 100
     assert counts == {"dumps": 0}
     assert list(tmp_path.iterdir()) == []
 
@@ -1047,7 +1036,7 @@ def bindings(monkeypatch):
         ("check_pair", bitpack, (tc_kernel, bitgemm)),
         ("plan_tile_skip", tc_kernel, (quantized,)),
         ("bucket_for", autotune, ()),
-        ("exact_gemm_dtype", bitgemm, (quantized,)),
+        ("exact_gemm_dtype", bitgemm, (quantized, registry)),
         ("resolve_engine_name", registry, (quantized,)),
     ):
         spy = counting(name, getattr(home, name))
@@ -1058,36 +1047,34 @@ def bindings(monkeypatch):
 
 def test_a_bound_replay_is_numpy_calls_and_fixed_accounting(bindings, structures):
     """A second replay of a round constructs no kernel config, emulator or
-    counter record, merges nothing, runs no pair or census check, buckets
-    nothing and takes the dispatch table's lock once; a miss over a shape
-    seen before binds no step-level record again."""
+    counter record, merges nothing, runs no pair or census check and
+    buckets nothing; a miss over a shape seen before binds no step-level
+    record again."""
     model = make_batched_gin(12, 3, hidden_dim=16, seed=4)
     engine = InferenceEngine(
         model,
         ServingConfig(feature_bits=8, batch_size=4, plan_cache_capacity=1,
                       adjacency_cache_capacity=1),
     ).warm_up()
-    table_lock = engine.dispatch_table._lock = _CountingLock(engine.dispatch_table._lock)
 
     def round_counts(members):
         for name in bindings:
             bindings[name] = 0
-        table_lock.acquisitions = 0
         logits = [r.logits for r in engine.infer(members)]
-        return dict(bindings), table_lock.acquisitions, logits
+        return dict(bindings), logits
 
-    first, seen, _ = round_counts(structures[0])  # binds
+    first, _ = round_counts(structures[0])  # binds
     assert first["BitGemmKernel"] == 1 and first["exact_gemm_dtype"] > 0
-    _, _, bound_logits = round_counts(structures[0])  # the first replay
-    counts, locks, logits = round_counts(structures[0])  # the second
-    assert counts == dict.fromkeys(bindings, 0) and locks == 1
+    _, bound_logits = round_counts(structures[0])  # the first replay
+    counts, logits = round_counts(structures[0])  # the second
+    assert counts == dict.fromkeys(bindings, 0)
     for want, got in zip(bound_logits, logits):
         np.testing.assert_array_equal(want, got)
     assert engine.stats.plan_cache.hits >= 2
 
     round_counts(structures[1])  # evicts the first structure's artifacts
     misses = engine.stats.plan_cache.misses
-    counts, _, logits = round_counts(structures[0])  # a miss over a seen shape
+    counts, logits = round_counts(structures[0])  # a miss over a seen shape
     assert engine.stats.plan_cache.misses == misses + 1
     assert counts["exact_gemm_dtype"] == counts["resolve_engine_name"] == 0
     for want, got in zip(bound_logits, logits):
@@ -1293,7 +1280,7 @@ def test_the_report_memo_is_bounded_and_dies_with_its_template(structures):
         assert 1 <= len(reports) <= mt * kt + 1
         refs += [weakref.ref(step), *map(weakref.ref, reports)]
     del step, reports
-    engine.invalidate_stale_plans()  # drops every template
+    engine.plan_artifacts.segment("template").clear()
     for segment in ("plan", "adjacency"):
         engine.plan_artifacts.segment(segment).clear()
     gc.collect()
@@ -1587,7 +1574,7 @@ def test_the_template_part_is_one_per_template_and_pins_no_adjacency(structures)
     refs = [weakref.ref(part.kernel) for part in parts.values()]
     refs += [weakref.ref(templates.peek(key).layers[0].aggregate) for key in templates.keys()]
     del step, part, parts, program, plan
-    engine.invalidate_stale_plans()  # drops every template
+    engine.plan_artifacts.segment("template").clear()
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
 

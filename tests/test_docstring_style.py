@@ -12,7 +12,7 @@ surface:
   modules has a docstring (D101/D102/D103-ish) — "public" meaning the
   name does not start with an underscore, dunders excluded;
 * the key operator-facing surfaces (``InferenceEngine``,
-  ``ServingConfig``, ``ServingPool``, ``PlanCache``, ``DispatchTable``)
+  ``ServingConfig``, ``ServingPool``, ``PlanCache``)
   carry an *example-bearing* docstring: a doctest prompt
   (``>>>``) or an indented ``::`` code block.
 
@@ -46,7 +46,6 @@ EXAMPLE_REQUIRED = {
     "repro.serving.engine.ServingConfig",
     "repro.serving.pool.ServingPool",
     "repro.plan.cache.PlanCache",
-    "repro.plan.autotune.DispatchTable",
 }
 
 

@@ -118,38 +118,6 @@ class TestEachSiteEmitsOneLine:
         }
         assert unpinned["blas_pinned"] is False
 
-    def test_stale_plans_invalidated(self, events, model, subgraphs):
-        # No live timing feedback: only the tampering below outdates a plan.
-        engine = InferenceEngine(
-            model,
-            ServingConfig(feature_bits=8, batch_size=8, record_timings=False),
-        )
-        engine.infer(subgraphs)
-        assert engine.invalidate_stale_plans() == []  # nothing stale: no event
-        table = engine.dispatch_table
-        for key in engine.plan_cache.keys():
-            plan = engine.plan_cache.peek(key)
-            adjacency = engine.adjacency_cache.peek(
-                plan.layers[0].aggregate.pack_a.cache_key
-            )
-            for step in plan.gemm_steps():
-                fraction = (
-                    adjacency.nonzero_fraction
-                    if step.spec.role == "aggregate" else None
-                )
-                other = "packed" if step.backend != "packed" else "blas"
-                for _ in range(8):
-                    table.record_spec(step.spec, other, 1e-9, tile_fraction=fraction)
-                    table.record_spec(
-                        step.spec, step.backend, 1.0, tile_fraction=fraction
-                    )
-        stale = engine.invalidate_stale_plans()
-        assert stale and engine.invalidate_stale_plans() == []  # no second event
-        (event,) = events("stale_plans_invalidated")
-        assert set(event["plans"]) == {artifact_digest(e.key) for e in stale}
-        site, frozen, tuned = next(iter(event["plans"].values()))[0]
-        assert site.startswith("L") and frozen != tuned
-
     @pytest.mark.timeout(60)
     def test_worker_respawn_with_requeued_count(self, events, model, subgraphs):
         plan = FaultPlan(seed=0, specs=[FaultSpec("worker", at=(1,))])
