@@ -1,10 +1,11 @@
 """Recovery and sharing on bound steps.
 
-A warm round replays its bound program, yet each step still runs under its
-``StepRecovery`` wrapper with the ``kernel`` fault site probed on every
-attempt, and a pool shard binds its plans from its own ``template``
-segment and its programs on its own adjacency — nothing is bound onto a
-plan itself.
+A warm round replays its bound program under one guard: each step's
+primary attempt runs inline with the ``kernel`` fault site probed before
+it, and a step whose attempt raised is handed to ``StepRecovery``, which
+probes the site again before each fallback attempt.  A pool shard binds
+its plans from its own ``template`` segment and its programs on its own
+adjacency — nothing is bound onto a plan itself.
 """
 
 from __future__ import annotations
