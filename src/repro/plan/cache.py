@@ -66,8 +66,9 @@ class CacheStats(Counters):
     misses: int = 0
     evictions: int = 0
     insertions: int = 0
-    #: Entries dropped by policy (:meth:`LRUCache.discard` — e.g. the
-    #: stale-plan invalidation path), as opposed to capacity evictions.
+    #: Entries dropped by policy (:meth:`LRUCache.discard` — e.g. a
+    #: mutation retiring a superseded structure), as opposed to capacity
+    #: evictions.
     invalidations: int = 0
     #: Entries discarded because their recorded digest no longer matched
     #: the stored value on a hit (verified segments only).  Each poisoned
@@ -208,9 +209,8 @@ class LRUCache(Generic[K, V]):
 
     def peek(self, key: K) -> V | None:
         """Return the cached value *without* counting a lookup or
-        refreshing recency — the read an inspection pass (e.g. the
-        stale-plan scan) uses so analysis never perturbs the telemetry
-        or eviction order it is analyzing."""
+        refreshing recency — the read an inspection pass uses so analysis
+        never perturbs the telemetry or eviction order it is analyzing."""
         return self._entries.get(key)
 
     def discard(self, key: K) -> bool:

@@ -140,7 +140,7 @@ class GemmStep:
 
     spec: GemmSpec
     #: Registered backend name chosen at compile time (a frozen dispatch
-    #: decision when compiled through a cost-model selector).
+    #: decision when compiled through the static rule).
     backend: str
     pack_a: PackStep
     pack_b: PackStep
@@ -152,8 +152,8 @@ class GemmStep:
     def derived(self) -> dict:
         """Memo of what every launch of this step would re-derive from the
         step alone: its bindings per registry (resolved backend, exact GEMM
-        dtype, label), its dispatch-table bucket and the kernel counters of
-        its launches, by live-tile count.  Not a field, so outside the plan's
+        dtype, label) and the kernel counters of its launches, by live-tile
+        count.  Not a field, so outside the plan's
         ``repr``, hash and equality; it dies with the last step holding it
         (the steps :meth:`ExecutionPlan.retarget_adjacency` binds share it)."""
         return {}

@@ -1,7 +1,10 @@
 """Tests for the backend registry: registration, capability metadata,
-engine-name resolution, and end-to-end custom backends."""
+the static rule's reach, engine-name resolution, and end-to-end custom
+backends."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from repro.plan import (
     static_backend,
 )
 from repro.plan.ir import compile_gemm_step
+from repro.serving import CostModelDispatcher
 
 
 def _reference_backend(name: str = "reference") -> Backend:
@@ -34,8 +38,7 @@ def _reference_backend(name: str = "reference") -> Backend:
 
 class TestRegistry:
     def test_default_registry_is_packed_then_blas(self):
-        # Registration order breaks price ties in ``packed``'s favor; no
-        # other backend is registered by default.
+        # No other backend is registered by default.
         assert default_registry().names() == ("packed", "blas")
 
     def test_get_unknown_raises_with_known_names(self):
@@ -87,6 +90,42 @@ class TestCaps:
         )
         spec = GemmSpec(8, 8, 8, 4, 4)
         assert [b.name for b in registry.eligible(spec)] == ["wide"]
+
+
+class TestPricing:
+    """A backend has no pricer: the static rule serves the built-ins, and
+    a registered backend runs only where an ``engine=`` forces it."""
+
+    SHAPES = [(8, 8, 8, 1, 1), (64, 64, 64, 2, 2), (12_000, 12_000, 64, 1, 8)]
+
+    def test_backend_without_pricer_prices_infinite(self):
+        backend = _reference_backend()
+        assert not hasattr(backend, "pricer") and not hasattr(backend, "price")
+        register_backend(backend)
+        try:
+            for shape in self.SHAPES:
+                assert "reference" not in CostModelDispatcher().decide(*shape).prices
+                assert static_backend(*shape) in ("blas", "packed")
+            spec = GemmSpec(8, 8, 8, 1, 1)
+            assert compile_gemm_step(spec, engine="reference").backend == "reference"
+        finally:
+            default_registry().unregister("reference")
+
+    def test_price_all_skips_unpriceable(self):
+        # Eligible by its caps, never served by the rule, whatever is
+        # quarantined.
+        registry = BackendRegistry(builtin_backends())
+        registry.register(_reference_backend())
+        spec = GemmSpec(64, 64, 64, 2, 2)
+        assert [b.name for b in registry.eligible(spec)] == ["packed", "blas", "reference"]
+        for quarantined in ((), ("blas",), ("packed",), ("blas", "packed")):
+            for shape in self.SHAPES:
+                assert static_backend(*shape, quarantined=quarantined) in ("blas", "packed")
+
+    def test_vetoed_price_is_effectively_infinite(self):
+        prices = CostModelDispatcher().decide(12_000, 12_000, 64, 1, 8).prices
+        assert prices["blas"].vetoed and math.isinf(prices["blas"].seconds)
+        assert not prices["packed"].vetoed and math.isfinite(prices["packed"].seconds)
 
 
 class TestResolveEngineName:

@@ -1,5 +1,9 @@
 """Tests for static dispatch: ``blas`` serves, ``packed`` past the working-set
-budget or while ``blas`` is quarantined, and a forced engine wins."""
+budget or while ``blas`` is quarantined, and a forced engine wins.
+
+The census, rates and measured classes keep the names of the cost-model
+tests they replace: each checks that what it once priced by is carried
+and not read."""
 
 from __future__ import annotations
 
@@ -72,15 +76,25 @@ class TestCostModelDispatcher:
         assert static_backend(m, k, n, 1, 8) == "blas"
         assert static_backend(m, k, n + 1, 1, 8) == "packed"
 
-    def test_prices_expose_every_backend(self):
-        for decision in _decisions(CostModelDispatcher()):
-            assert set(decision.prices) == {"packed", "blas"}
-            assert decision.engine == min(
-                decision.prices, key=lambda name: decision.prices[name].seconds
-            )
+    def test_estimates_are_positive_and_footprint_exact(self):
+        # The served price is positive and finite; blas is vetoed exactly
+        # when its float working set passes the budget.
+        for shape in SHAPES + [(12_000, 12_000, 64, 1, 8), (8192, 8192, 8192, 8, 8)]:
+            decision = CostModelDispatcher().decide(*shape)
+            assert 0 < decision.prices[decision.engine].seconds < float("inf")
+            assert decision.prices["blas"].vetoed == (_working_set(*shape) > BLAS_BYTES_BUDGET)
+
+    def test_invalid_budget(self):
+        # The harness's budget is carried, not read: a zero budget vetoes
+        # nothing the module constant allows.
+        tight = CostModelDispatcher(blas_bytes_budget=0)
+        assert tight.blas_bytes_budget == 0
+        assert _decisions(tight) == _decisions(CostModelDispatcher())
 
 
 class TestCensusObservation:
+    """``observe_tile_fraction`` does nothing: no census reaches a decision."""
+
     def test_census_never_moves_the_analytic_pick(self):
         for shape in [(64, 64, 16), (2048, 2048, 64), (12_000, 12_000, 64)]:
             want = CostModelDispatcher().decide(*shape, 1, 8)
@@ -88,6 +102,79 @@ class TestCensusObservation:
                 dispatch = CostModelDispatcher()
                 dispatch.observe_tile_fraction(fraction, nodes=shape[0])
                 assert dispatch.decide(*shape, 1, 8) == want
+
+    def test_census_applies_only_to_square_adjacency_shape(self):
+        # Square at the observed node count, non-square, square at another
+        # count: a census observed at 2048 nodes moves none of them.
+        shapes = [(2048, 2048, 64, 1, 8), (2048, 512, 64, 1, 8), (512, 512, 64, 1, 8)]
+        dispatch = CostModelDispatcher()
+        dispatch.observe_tile_fraction(1 / 16, nodes=2048)
+        assert [dispatch.decide(*s) for s in shapes] == [
+            CostModelDispatcher().decide(*s) for s in shapes
+        ]
+
+    def test_multibit_left_operand_ineligible(self):
+        dispatch = CostModelDispatcher()
+        dispatch.observe_tile_fraction(1 / 16)
+        assert dispatch.decide(2048, 2048, 64, 8, 8) == CostModelDispatcher().decide(
+            2048, 2048, 64, 8, 8
+        )
+
+    def test_no_observation_means_no_census(self):
+        dispatch = CostModelDispatcher()
+        assert not hasattr(dispatch, "tile_fraction")
+        assert [d.engine for d in _decisions(dispatch)] == [static_backend(*s) for s in SHAPES]
+
+    def test_rejects_invalid_fraction(self):
+        # No census is read, so none is checked: an out-of-range one is
+        # dropped like any other.
+        dispatch = CostModelDispatcher()
+        for fraction in (-0.1, 1.5):
+            dispatch.observe_tile_fraction(fraction)
+        assert _decisions(dispatch) == _decisions(CostModelDispatcher())
+
+
+class TestHostRates:
+    """The analytic pricers' calibration is gone: ``rates`` is carried for
+    the harness and read by nothing."""
+
+    def test_default_rates_are_the_shipped_defaults(self):
+        assert CostModelDispatcher().rates is None
+        assert InferenceEngine(make_cluster_gcn(8, 3)).dispatcher.rates is None
+
+    def test_rates_value_changes_routing(self):
+        # Whatever "machine" a rates value describes, routing is the rule's.
+        for rates in ({"packed_flops": 1e15}, "fast popcount"):
+            dispatch = CostModelDispatcher(rates=rates)
+            assert dispatch.rates is rates
+            assert _decisions(dispatch) == _decisions(CostModelDispatcher())
+
+    def test_no_class_level_rates(self):
+        for legacy in (
+            "PACKED_FLOPS",
+            "BLAS_FLOPS",
+            "PACKED_PAIR_OVERHEAD_S",
+            "BLAS_CALL_OVERHEAD_S",
+        ):
+            assert not hasattr(CostModelDispatcher, legacy)
+
+    def test_packed_price_tracks_packed_rates(self):
+        # packed is priced by the rule alone: infinite while blas serves.
+        fast = CostModelDispatcher(rates={"packed_flops": 1e15})
+        for decision in _decisions(fast):
+            assert decision.engine == "blas"
+            assert decision.prices["packed"].seconds == float("inf")
+
+    def test_rejects_invalid_rates(self):
+        # No rates value is read, so none is invalid.
+        assert _decisions(CostModelDispatcher(rates=-1.0)) == _decisions(CostModelDispatcher())
+
+    def test_prices_expose_every_backend(self):
+        for decision in _decisions(CostModelDispatcher()):
+            assert set(decision.prices) == {"packed", "blas"}
+            assert decision.engine == min(
+                decision.prices, key=lambda name: decision.prices[name].seconds
+            )
 
 
 class TestMeasuredDispatch:
@@ -113,6 +200,48 @@ class TestMeasuredDispatch:
         decision = dispatcher.decide(12_000, 12_000, 64, 1, 8)
         assert decision.engine == "packed"
         assert decision.prices["blas"].vetoed
+
+    def test_confident_measurement_is_always_taken(self):
+        # packed timed fastest in every bucket, again and again: every
+        # repeat of every decision is still the rule's.
+        dispatcher = CostModelDispatcher()
+        for _ in range(8):
+            for m, k, n, bits_a, bits_b in SHAPES:
+                spec = GemmSpec(m=m, k=k, n=n, bits_a=bits_a, bits_b=bits_b)
+                dispatcher.record_timing(spec, "packed", 1e-9)
+                dispatcher.record_timing(spec, "blas", 1.0)
+            assert [d.engine for d in _decisions(dispatcher)] == ["blas"] * len(SHAPES)
+
+    def test_empty_table_prices_like_no_table(self):
+        # Built with every argument the harness passes, a dispatcher
+        # decides as a bare one.
+        bare = CostModelDispatcher()
+        full = CostModelDispatcher(
+            None, blas_bytes_budget=bare.blas_bytes_budget, rates=bare.rates,
+            registry=bare.registry,
+        )
+        assert _decisions(full) == _decisions(bare)
+
+    def test_dispatchers_sharing_a_table_see_each_others_samples(self):
+        # What a pool's shards do: one times packed, the other blas; both
+        # still answer with the rule.
+        first, second = CostModelDispatcher(), CostModelDispatcher()
+        spec = GemmSpec(m=256, k=128, n=64, bits_a=2, bits_b=2)
+        first.record_timing(spec, "packed", 1e-6)
+        second.record_timing(spec, "blas", 2e-6)
+        for dispatcher in (first, second):
+            assert dispatcher.decide(256, 128, 64, 2, 2).engine == static_backend(256, 128, 64, 2, 2)
+
+    def test_census_samples_price_only_their_band(self):
+        # A sample recorded under a census prices nothing, under that
+        # census or any other.
+        dispatcher = CostModelDispatcher()
+        want = dispatcher.decide(256, 256, 16, 1, 8)
+        spec = GemmSpec(m=256, k=256, n=16, bits_a=1, bits_b=8)
+        dispatcher.record_timing(spec, "packed", 1e-9, tile_fraction=0.1)
+        for fraction in (0.1, 0.9):
+            dispatcher.observe_tile_fraction(fraction, nodes=256)
+            assert dispatcher.decide(256, 256, 16, 1, 8) == want
 
     def test_record_timing_without_a_table_is_a_no_op(self):
         dispatcher = CostModelDispatcher()

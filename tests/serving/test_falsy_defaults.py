@@ -17,7 +17,7 @@ from repro.errors import ShapeError
 from repro.core.bitgemm import bitgemm_codes
 from repro.plan.cache import LRUCache, PlanCache, artifact_nbytes
 from repro.plan.ir import GemmSpec
-from repro.plan.registry import BackendRegistry, resolve_engine_name
+from repro.plan.registry import BackendRegistry, default_registry, resolve_engine_name
 from repro.serving import CostModelDispatcher
 from repro.tc.hardware import RTX3090
 
@@ -80,6 +80,21 @@ class TestEmptyRegistryHonored:
         with pytest.raises(ShapeError, match="registered: \\(\\)"):
             bitgemm_codes(a, b, 1, 1, engine="packed", registry=empty_registry)
 
-    def test_dispatcher_keeps_a_caller_empty_registry(self, empty_registry):
+    def test_dispatcher_with_empty_registry_cannot_swap_it_for_the_default(
+        self, empty_registry
+    ):
         dispatcher = CostModelDispatcher(RTX3090, registry=empty_registry)
         assert dispatcher.registry is empty_registry
+
+
+class TestEmptyDispatchTableHonored:
+    """The dispatch table is gone; the one container a dispatcher still
+    keeps for its caller is the registry."""
+
+    def test_dispatcher_keeps_and_fills_a_caller_empty_registry(self, empty_registry):
+        # Kept, not copied: what the caller registers afterwards, the
+        # dispatcher's registry holds.
+        dispatcher = CostModelDispatcher(RTX3090, registry=empty_registry)
+        empty_registry.register(default_registry().get("packed"))
+        assert dispatcher.registry is empty_registry
+        assert dispatcher.registry.names() == ("packed",)

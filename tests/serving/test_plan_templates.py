@@ -144,6 +144,41 @@ def test_a_bound_plan_is_a_fresh_compile_of_its_frozen_backends(
 # --------------------------------------------------------------------- #
 # Lifecycle: a template dies with what its decisions depend on
 # --------------------------------------------------------------------- #
+def test_invalidation_drops_every_template_and_the_next_miss_reprices(
+    same_shape, work
+):
+    # Stale-plan invalidation once dropped the templates; a static decision
+    # never goes stale, so timings favouring the other backend drop none,
+    # and the next miss binds with no dispatch call.
+    model = make_batched_gin(12, 3, hidden_dim=16)
+    engine = InferenceEngine(
+        model, ServingConfig(feature_bits=8, batch_size=4, record_timings=False)
+    ).warm_up()
+    first, second = same_shape
+    for step in engine.plan_for(first).gemm_steps():
+        engine.dispatcher.record_timing(step.spec, "packed", 1e-9)
+    assert engine.invalidate_stale_plans() == []
+    assert len(templates(engine)) == 1 and templates(engine).stats.invalidations == 0
+    work.update(dispatch=0, compile_forward_plan=0)
+    assert engine.plan_for(second).backends() == ("blas",)
+    assert work == {"dispatch": 0, "compile_forward_plan": 0}
+
+
+def test_invalidation_drops_templates_even_when_nothing_is_stale(same_shape, work):
+    # It drops nothing at all now: templates go only with the quarantined
+    # set or the registry they were decided under.
+    engine = InferenceEngine(
+        make_cluster_gcn(12, 3), ServingConfig(record_timings=False)
+    )
+    engine.plan_for(same_shape[0])
+    held = templates(engine).keys()
+    assert engine.invalidate_stale_plans() == []
+    assert templates(engine).keys() == held
+    work.update(dispatch=0, compile_forward_plan=0)
+    engine.plan_for(same_shape[1])
+    assert work == {"dispatch": 0, "compile_forward_plan": 0}
+
+
 def test_a_backend_quarantined_after_the_template_is_not_bound(same_shape, work):
     now = [0.0]
     health = BackendHealth(quarantine_after=1, clock=lambda: now[0])

@@ -22,6 +22,7 @@ from repro.graph import CSRGraph, induced_subgraphs
 from repro.graph.batching import Subgraph
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
+from repro.plan import GemmSpec
 from repro.serving import (
     InferenceEngine,
     PoolConfig,
@@ -231,6 +232,49 @@ class TestShardingAndCoalescing:
         pool.shutdown()  # drains instead of dropping
         for sub, future in zip(subgraphs, futures):
             assert future.result(timeout=0).shape == (sub.num_nodes, 3)
+
+
+class TestSharedDispatchTable:
+    """The pool's shared dispatch table is gone: shards need none, since
+    every shard decides by the same static rule."""
+
+    def test_shards_share_one_table(self, gin_model):
+        # A timing recorded on shard 0 moves nothing on shard 1: both
+        # compile the plan a standalone session does.
+        with make_pool(gin_model) as pool:
+            w0, w1 = pool.workers
+            spec = GemmSpec(m=64, k=128, n=16, bits_a=8, bits_b=8)
+            w0.dispatcher.record_timing(spec, "packed", 1e-9)
+            assert w1.dispatcher.decide(64, 128, 16, 8, 8).engine == "blas"
+            key = ("adjacency", "probe")
+            solo = InferenceEngine(gin_model, ServingConfig(feature_bits=8, batch_size=4))
+            assert w0.compile_plan(96, key) == w1.compile_plan(96, key) == solo.compile_plan(96, key)
+
+    def test_the_one_table_holds_every_shards_samples(self, gin_model, subgraphs):
+        # What each shard ran is in its own ``backend_seconds``: the rule's
+        # backend only, on every shard.
+        with make_pool(gin_model) as pool:
+            futures = [
+                pool.submit(sub, shard=shard)
+                for shard in range(2)
+                for sub in subgraphs
+            ]
+            for future in futures:
+                future.result(timeout=30)
+            for worker in pool.workers:
+                assert set(worker.stats.backend_seconds) == {"blas"}
+                assert worker.stats.backend_seconds["blas"] > 0
+
+    def test_each_pool_starts_with_an_empty_table(self, gin_model, subgraphs):
+        # A second pool mounting the first's calibration, and nothing else
+        # of it, serves the same bits.
+        with make_pool(gin_model) as first:
+            expected = first.serve(subgraphs)
+            calibration = first.calibration
+        with make_pool(gin_model, calibration=calibration) as second:
+            served = second.serve(subgraphs)
+        for want, got in zip(expected, served):
+            np.testing.assert_array_equal(want.logits, got.logits)
 
 
 class TestShardsMountSharedState:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import importlib
 import operator
 import sys
 import tracemalloc
@@ -548,7 +549,7 @@ def rederivations(monkeypatch):
     # By module name: ``repro.plan.autotune`` and ``repro.core.bitgemm`` are
     # also functions their packages export.
     autotune, cache, ir, registry, bitgemm, quantized = (
-        sys.modules[f"repro.{name}"]
+        importlib.import_module(f"repro.{name}")
         for name in (
             "plan.autotune", "plan.cache", "plan.ir", "plan.registry",
             "core.bitgemm", "gnn.quantized",
@@ -1015,7 +1016,7 @@ def bindings(monkeypatch):
 
     # By module name: some are also functions their packages export.
     autotune, registry, bitgemm, quantized = (
-        sys.modules[f"repro.{name}"]
+        importlib.import_module(f"repro.{name}")
         for name in ("plan.autotune", "plan.registry", "core.bitgemm", "gnn.quantized")
     )
     counts = dict.fromkeys(

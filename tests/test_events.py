@@ -118,6 +118,22 @@ class TestEachSiteEmitsOneLine:
         }
         assert unpinned["blas_pinned"] is False
 
+    def test_stale_plans_invalidated(self, events, model, subgraphs, caplog):
+        # The site is gone with stale plans: invalidating after timings that
+        # favour the other backend emits no line at all.
+        engine = InferenceEngine(
+            model,
+            ServingConfig(feature_bits=8, batch_size=8, record_timings=False),
+        )
+        engine.infer(subgraphs)
+        for key in engine.plan_cache.keys():
+            for step in engine.plan_cache.peek(key).gemm_steps():
+                engine.dispatcher.record_timing(step.spec, "packed", 1e-9)
+        caplog.clear()
+        assert engine.invalidate_stale_plans() == []
+        assert events("stale_plans_invalidated") == []
+        assert caplog.records == []
+
     @pytest.mark.timeout(60)
     def test_worker_respawn_with_requeued_count(self, events, model, subgraphs):
         plan = FaultPlan(seed=0, specs=[FaultSpec("worker", at=(1,))])
