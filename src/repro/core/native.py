@@ -15,12 +15,23 @@ quantize-only entry (step 0, from the features).
 Every operation is the NumPy path's, element by element and in its order,
 so the results are equal bit for bit: the product widened to float64,
 ``x * s``, each term added in its own rounding (``-ffp-contract=off``
-keeps GCC from fusing a multiply-add), ``np.maximum(x, 0.0)``, then
-``(x - alpha_min) / scale``, ``floor`` and the clip — or, at one bit,
+keeps GCC from fusing a multiply-add; ``-0.0`` terms, an aggregate
+step's and the quantize-only entry's, are skipped: ``x + -0.0`` is
+``x``), ``np.maximum(x, 0.0)``, then ``(x - alpha_min) / scale``,
+``floor`` and the clip — or, at one bit,
 :func:`~repro.core.quantization.quantize_into`'s one compare
 ``x >= QuantParams.threshold`` (the divide form's code, by the threshold's
 definition).  ``-ffast-math`` would reorder them and is never used;
 ``-fno-trapping-math`` lets GCC vectorise the selects.
+
+A 1-bit tail bound with a ``bound`` (:func:`bind_tail`; the executor's
+tails from 1-bit codes into 1-bit codes) runs no epilogue: its code is
+``p >= T[v, c]`` — ``p`` the exact integer product, ``v`` the row's code
+sum or degree, ``T`` bound once per step: for each ``v <= bound`` and
+column ``c`` (one without column terms) the least ``p`` whose code is 1.
+Bit for bit the float loop's code: ``x * s`` with ``s >= 0``, the rounded
+adds, the ReLU and ``>=`` are monotone non-decreasing in ``p``, and with
+``s * p`` and every term finite (or no table is bound) ``x`` is never NaN.
 
 An entry that writes row sums writes an update step's left operand, and
 takes its §4.3 census in the same pass: it counts the live ``8 x 128``
@@ -86,30 +97,37 @@ SOURCE = r"""
    c_x * degree (the degrees passed per call, where an update step passes its
    codes' row sums) and its column terms are -0.0, the quantize-only entry
    has scale 1.0 and -0.0 terms (no row term is -0.0) — x * 1.0 and
-   x + -0.0 are exact identities, signed zeros included. */
+   x + -0.0 are exact identities, signed zeros included (TERMS 0 skips). */
 typedef struct {
     ptrdiff_t n, m;            /* the product's rows and columns */
     int relu;
     int one_bit;               /* a code is x >= threshold, not Eq. 2's divide */
+    int terms;                 /* 0: the column, constant and bias terms are -0.0 */
     double scale, row_scale, constant;
     const double *rows;        /* the row term when a call passes no row sums */
     const double *cols, *bias; /* one per column */
     double alpha_min, step, top, threshold;   /* the next step's Eq. 2 */
+    const void *table;         /* the threshold form's (see THRESHOLDS), or NULL */
+    ptrdiff_t bound;           /* its largest row context */
 } tail_args;
 
-/* The element loop: the epilogue in one rounding per NumPy in-place
-   operation, np.maximum(x, 0.0) (NaN stays, a zero of either sign is +0.0),
-   then the code q by CODE — a compare, or Eq. 2's divide and a clip that
-   keeps a -0.0; both write a defined 0 for NaN, which the caller raises on.
-   One loop per CODE: a branch inside it kept GCC from vectorising. */
-#define ELEMENT(CODE, C, ACC)                                                  \
+/* The epilogue of product P in one rounding per NumPy in-place operation,
+   then np.maximum(x, 0.0) (NaN stays, a zero of either sign is +0.0). */
+#define EPILOGUE(X, P, TERMS)                                                  \
+    X = (double)(P) * scale;                                                   \
+    X = X + row;                                                               \
+    if (TERMS) /* three roundings, as NumPy's three in-place adds */           \
+        X = X + cols[c], X = X + constant, X = X + bias[c];                    \
+    X = relu && !(X > 0.0 || X != X) ? 0.0 : X;
+
+/* The element loop: the epilogue, then the code q by CODE — a compare, or
+   Eq. 2's divide and a clip that keeps a -0.0; both write a defined 0 for
+   NaN, which the caller raises on.  One loop per CODE: a branch inside it
+   kept GCC from vectorising (TERMS, loop-invariant, GCC unswitches). */
+#define ELEMENT(CODE, C, ACC, TERMS)                                           \
     for (ptrdiff_t c = c0; c < c1; ++c) {                                      \
-        double x = (double)src[c - c0] * scale, q;                             \
-        x = x + row;                                                           \
-        x = x + cols[c];                                                       \
-        x = x + constant;                                                      \
-        x = x + bias[c];                                                       \
-        x = relu && !(x > 0.0 || x != x) ? 0.0 : x;                            \
+        double x, q;                                                           \
+        EPILOGUE(x, src[c - c0], TERMS)                                        \
         nan |= x != x;                                                         \
         CODE                                                                   \
         out[r * m + c] = (C)(quantize ? q : x);                                \
@@ -117,6 +135,61 @@ typedef struct {
     }
 #define COMPARE q = x >= threshold ? 1.0 : 0.0;
 #define DIVIDE q = floor((x - lo) / step); q = q >= 0.0 ? q : 0.0; q = q > top ? top : q;
+
+/* The threshold form (the module doc): the product against its row's T. */
+#define THRESHOLD(P, C, ACC, T)                                                \
+    for (ptrdiff_t c = c0; c < c1; ++c) {                                      \
+        const P q = src[c - c0] >= (T) ? 1 : 0;                                \
+        out[r * m + c] = (C)q;                                                 \
+        block += (ACC)q;                                                       \
+    }
+
+/* T in P, by row context v <= bound and column: the least integer p in
+   [0, PMAX] whose code is 1, PMAX + 1 if none — the epilogue solved for p,
+   checked on both sides, else a bisection.  Returns 0, writing nothing,
+   unless s >= 0 and s * p, every term and the threshold are finite. */
+#define ESTIMATE(I, V, C) {                                                    \
+        const ptrdiff_t c = C;                                                 \
+        const double row = row_scale * (double)(V);                            \
+        double p = ceil((threshold - row - cols[c] - constant - bias[c]) / scale), x, y; \
+        p = p > 0.0 ? (p <= pmax ? p : pmax + 1.0) : 0.0;                      \
+        EPILOGUE(x, p, 1)                                                      \
+        EPILOGUE(y, p - 1.0, 1)                                                \
+        table[I] = (x >= threshold || p > pmax) && (y < threshold || p == 0.0) ? p : -1.0; \
+    }
+#define THRESHOLDS(NAME, P)                                                    \
+int NAME(const tail_args *a, double pmax, P *restrict table)                   \
+{                                                                              \
+    const ptrdiff_t m = a->m, width = a->terms ? m : 1, bound = a->bound;      \
+    const int relu = a->relu;                                                  \
+    const double scale = a->scale, row_scale = a->row_scale, constant = a->constant; \
+    const double threshold = a->threshold, *cols = a->cols, *bias = a->bias;  \
+    int finite = scale >= 0.0 && isfinite(scale * (pmax + 1.0)) && isfinite(row_scale * bound); \
+    for (ptrdiff_t c = 0; c < m; ++c)                                          \
+        finite &= isfinite(cols[c]) && isfinite(bias[c]);                      \
+    if (!finite || !isfinite(constant) || !isfinite(threshold))                \
+        return 0;                                                              \
+    for (ptrdiff_t v = 0; v <= bound && width == 1; ++v) /* each loop vectorises */ \
+        ESTIMATE(v, v, 0)                                                      \
+    for (ptrdiff_t v = 0; v <= bound && width > 1; ++v)                        \
+        for (ptrdiff_t j = 0; j < width; ++j)                                  \
+            ESTIMATE(v * width + j, v, j)                                      \
+    for (ptrdiff_t i = 0; i < (bound + 1) * width; ++i)                        \
+        if (table[i] < 0.0) {                                                  \
+            const ptrdiff_t c = i % width;                                     \
+            const double row = row_scale * (double)(i / width);                \
+            double lo = -1.0, hi = pmax + 1.0, p, x;                           \
+            while (hi - lo > 1.0) {                                            \
+                p = floor((lo + hi) / 2.0);                                    \
+                EPILOGUE(x, p, 1)                                              \
+                *(x >= threshold ? &hi : &lo) = p;                             \
+            }                                                                  \
+            table[i] = hi;                                                     \
+        }                                                                      \
+    return 1;                                                                  \
+}
+THRESHOLDS(thresholds_float32, float)
+THRESHOLDS(thresholds_float64, double)
 
 /* Row blocks: t[0] of them, four words each from t + 1, one after the
    other — a member's CSR of ones (pointers, indices, rows, entries; its
@@ -228,8 +301,9 @@ ptrdiff_t NAME(const tail_args *a, const P *restrict in, const double *sums,   \
                const int32_t *indptr, const int32_t *indices)                  \
 {                                                                              \
     const ptrdiff_t n = a->n, m = a->m;                                        \
-    const int relu = a->relu, quantize = QUANTIZE, one_bit = a->one_bit;       \
-    const double scale = a->scale, row_scale = a->row_scale;                   \
+    const int relu = a->relu, quantize = QUANTIZE, one_bit = a->one_bit, terms = a->terms; \
+    const P *restrict table = quantize ? a->table : 0;                         \
+    const double bound = a->bound, scale = a->scale, row_scale = a->row_scale; \
     const double constant = a->constant, lo = a->alpha_min;                    \
     const double step = a->step, top = a->top, threshold = a->threshold;       \
     const double *restrict rows = sums ? sums : a->rows;                       \
@@ -257,13 +331,20 @@ ptrdiff_t NAME(const tail_args *a, const P *restrict in, const double *sums,   \
                 t = (const P *)feature_rows(w, m, r0, r1, c0, c1, (double *)tile, &ld); \
             int any = 0;                                                       \
             for (ptrdiff_t r = r0; r < r1; ++r) {                              \
-                const double row = rows ? row_scale * rows[r] : -0.0;          \
+                const double v = rows ? rows[r] : -1.0, row = rows ? row_scale * v : -0.0; \
+                const P *restrict th = table && v >= 0.0 && v <= bound         \
+                    && v == (double)(ptrdiff_t)v ? table + (ptrdiff_t)v * (terms ? m : 1) : 0; \
                 const P *src = t + (r - r0) * ld;                              \
                 ACC block = 0;                                                 \
-                if (one_bit)                                                   \
-                    ELEMENT(COMPARE, C, ACC)                                   \
+                if (th && terms)                                               \
+                    THRESHOLD(P, C, ACC, th[c])                                \
+                else if (th) {                                                 \
+                    const P bar = *th;                                         \
+                    THRESHOLD(P, C, ACC, bar)                                  \
+                } else if (one_bit)                                            \
+                    ELEMENT(COMPARE, C, ACC, terms)                            \
                 else                                                           \
-                    ELEMENT(DIVIDE, C, ACC)                                    \
+                    ELEMENT(DIVIDE, C, ACC, terms)                             \
                 acc[r - r0] += block;                                          \
                 any |= block != 0;                                             \
             }                                                                  \
@@ -319,11 +400,11 @@ ptrdiff_t adjacency(const ptrdiff_t *t, ptrdiff_t kt, double *restrict degrees, 
 class _TailArgs(ctypes.Structure):
     _fields_ = [
         ("n", ctypes.c_ssize_t), ("m", ctypes.c_ssize_t),
-        ("relu", ctypes.c_int), ("one_bit", ctypes.c_int),
+        ("relu", ctypes.c_int), ("one_bit", ctypes.c_int), ("terms", ctypes.c_int),
         ("scale", ctypes.c_double), ("row_scale", ctypes.c_double), ("constant", ctypes.c_double),
         ("rows", ctypes.c_void_p), ("cols", ctypes.c_void_p), ("bias", ctypes.c_void_p),
         ("alpha_min", ctypes.c_double), ("step", ctypes.c_double), ("top", ctypes.c_double),
-        ("threshold", ctypes.c_double),
+        ("threshold", ctypes.c_double), ("table", ctypes.c_void_p), ("bound", ctypes.c_ssize_t),
     ]
 
 
@@ -367,6 +448,8 @@ def _compile() -> ctypes.CDLL | None:
             fn = getattr(lib, f"tail_{product}_{out}")
             fn.argtypes = (ctypes.POINTER(_TailArgs), *[ctypes.c_void_p] * 6)
             fn.restype = ctypes.c_ssize_t
+        getattr(lib, f"thresholds_{product}").argtypes = (ctypes.POINTER(_TailArgs), ctypes.c_double,
+                                                          ctypes.c_void_p)
     lib.adjacency.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p)
     lib.adjacency.restype = ctypes.c_ssize_t
     return lib
@@ -564,7 +647,7 @@ def bind_quantize(params: QuantParams, dtype, shape: tuple[int, int], sums: bool
 
 def bind_tail(
     product, shape: tuple[int, int], epilogue: tuple, relu: bool,
-    params: QuantParams | None = None, dtype=None, sums: bool = False,
+    params: QuantParams | None = None, dtype=None, sums: bool = False, bound: int | None = None,
 ) -> _Bound | None:
     """A step's tail: ``product (n, m)`` through ``epilogue`` — ``(s, c
     degree)`` of an aggregate step, or ``(s, row scale, ones, column terms,
@@ -572,8 +655,10 @@ def bind_tail(
     sums — and the ReLU, into the next step's codes under ``params`` in
     ``dtype`` (with their row sums if ``sums``) or, without ``params``, into
     the float64 logits.  ``None`` without the library, for a dtype it does
-    not take or for terms that are not one per row / per column."""
-    recipe = (bind_tail, (product, shape, epilogue, relu, params, dtype, sums))
+    not take or for terms that are not one per row / per column.  With a
+    1-bit ``params``, ``bound`` (each row's sum or degree is at most it, the
+    product exact) binds the threshold form (the module doc)."""
+    recipe = (bind_tail, (product, shape, epilogue, relu, params, dtype, sums, bound))
     update = len(epilogue) != 2  # an aggregate step has no codes' row sums, no column terms
     if update:
         scale, row_scale, _, cols, constant, bias = epilogue
@@ -581,10 +666,10 @@ def bind_tail(
     else:
         scale, rows = epilogue
         terms = (scale, 1.0, rows, -0.0, -0.0, -0.0)
-    return _bind(recipe, product, shape, terms, relu, params, dtype, sums, update)
+    return _bind(recipe, product, shape, terms, relu, params, dtype, sums, update, bound)
 
 
-def _bind(recipe, product, shape, terms, relu, params, dtype, sums, reads_sums) -> _Bound | None:
+def _bind(recipe, product, shape, terms, relu, params, dtype, sums, reads_sums, bound=None) -> _Bound | None:
     lib, product, out = load(), np.dtype(product), np.dtype(np.float64 if params is None else dtype)
     n, m = shape
     if lib is None or _NAMES.get(product) not in PRODUCT_DTYPES or out not in _NAMES or not n * m:
@@ -592,6 +677,7 @@ def _bind(recipe, product, shape, terms, relu, params, dtype, sums, reads_sums) 
     if out == np.float32 and m * (params.levels - 1) >= 1 << 24:  # a row sum float32 rounds
         return None
     scale, row_scale, rows, cols, constant, bias = terms
+    summed = not all(type(t) is float and str(t) == "-0.0" for t in (cols, constant, bias))  # x + -0.0 is x
     try:
         keep = [None if term is None else _float64(term, to)
                 for term, to in ((rows, (n, 1)), (cols, (1, m)), (bias, (1, m)))]
@@ -600,8 +686,14 @@ def _bind(recipe, product, shape, terms, relu, params, dtype, sums, reads_sums) 
     one_bit, alpha_min, step, top = (False, 0.0, 0.0, 0) if params is None else (
         params.bits == 1, params.alpha_min, params.scale, params.levels - 1)
     rows, cols, bias = (None if a is None else a.ctypes.data for a in keep)
-    args = _TailArgs(n, m, relu, one_bit, scale, row_scale, constant, rows, cols, bias,
+    args = _TailArgs(n, m, relu, one_bit, summed, scale, row_scale, constant, rows, cols, bias,
                      alpha_min, step, top, params.threshold if one_bit else 0.0)  # the fields' order
+    if one_bit and bound is not None:  # the threshold form: exact products are below 2**24 (2**53)
+        args.bound, table = bound, np.empty((bound + 1) * (m if summed else 1), product)
+        address, fill = table.ctypes.data, getattr(lib, f"thresholds_{product.name}")
+        if fill(ctypes.byref(args), 2.0 ** (24 if product == np.float32 else 53) - 1, address):
+            args.table = address
+            keep.append(table)
     name = _NAMES[out] if params is not None else "logits"
     return _Bound(recipe, getattr(lib, f"tail_{_NAMES[product]}_{name}"), args, keep,
                   (product, shape), (n,) if reads_sums else None, (shape, out),

@@ -67,7 +67,7 @@ from ..core.quantization import QuantParams, calibrate, quantize, quantize_into
 from ..errors import BitwidthError, ConfigError, ShapeError
 from ..graph.batching import SubgraphBatch
 from ..plan.ir import ExecutionPlan, GemmSpec, GemmStep, compile_forward_plan
-from ..plan.registry import default_registry, resolve_engine_name
+from ..plan.registry import default_registry, resolve_engine_name, static_backend
 from ..tc.counters import KernelCounters
 from ..tc.kernel import BitGemmKernel, KernelConfig, TileSkipPlan, plan_tile_skip
 from .activations import softmax
@@ -561,7 +561,8 @@ def _bind_native(bs: _BoundStep, into: tuple | None, fed: bool = False) -> tuple
     step its degrees, each call): ``into`` is the next step's frozen
     ``(params, dtype, row sums?)``, ``()`` the last step's logits.  ``None``
     keeps NumPy, as does ``into=None`` for the tail: a next site not frozen
-    yet calibrates on the float64 activation."""
+    yet calibrates on the float64 activation.  A 1-bit step's row sums or
+    degrees are at most ``k``: the ``bound`` of a 1-bit next step's table."""
     spec = bs.step.spec
     activation = (spec.k, spec.n) if bs.aggregate else (spec.m, spec.k)
     quantize = None if fed else native.bind_quantize(bs.params, bs.dtype, activation, not bs.aggregate)
@@ -569,7 +570,8 @@ def _bind_native(bs: _BoundStep, into: tuple | None, fed: bool = False) -> tuple
     if into is not None and (bs.aggregate or fed or quantize is not None):  # an update step reads row sums
         # An aggregate step's row term, c * degree, takes the update form's row sums slot.
         epilogue = (*bs.epilogue[:2], None, -0.0, -0.0, -0.0) if bs.aggregate else bs.epilogue
-        tail = native.bind_tail(bs.dtype, (spec.m, spec.n), epilogue, bs.relu, *into)
+        bound = spec.k if bs.params.bits == 1 else None
+        tail = native.bind_tail(bs.dtype, (spec.m, spec.n), epilogue, bs.relu, *into, bound=bound)
     return quantize, tail
 
 
@@ -859,7 +861,7 @@ def quantized_forward(
     packed_weights: list[PackedLayerWeight] | None = None,
     packed_adjacency: PackedAdjacency | None = None,
     calibration: ActivationCalibration | None = None,
-    engine: Engine = "auto",
+    engine: Engine = static_backend,
     plan: ExecutionPlan | None = None,
     artifacts: "PlanCache | None" = None,
     registry=None,
@@ -873,11 +875,11 @@ def quantized_forward(
     ``feature_bits``/``weight_bits`` are the activation and weight
     bitwidths (weights follow features by default, as in the paper's
     sweeps); ``kernel_config`` the emulated kernel's zero-tile jumping and
-    reuse switches; ``engine`` a backend name or per-product selector,
-    resolved once per GEMM at compile time.  ``packed_weights``
-    (:func:`pack_layer_weight`; ``weight_bits`` is ignored then) and
-    ``packed_adjacency`` (:func:`pack_batch_adjacency`, of exactly this
-    ``batch``) seed the plan's artifacts; ``artifacts`` is a
+    reuse switches; ``engine`` a backend name or per-product selector
+    (:func:`~repro.plan.registry.static_backend`), resolved once per GEMM;
+    ``packed_weights`` (:func:`pack_layer_weight`; ``weight_bits`` is
+    ignored then) and ``packed_adjacency`` (:func:`pack_batch_adjacency`,
+    of exactly this ``batch``) seed the plan's artifacts; ``artifacts`` a
     :class:`~repro.plan.cache.PlanCache` to resolve the others through;
     ``calibration`` a shared :class:`ActivationCalibration` (omit it for
     per-tensor calibration).

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 from ..core.bitpack import TC_K, TC_M, pad_to
 from ..errors import BitwidthError, ConfigError, ShapeError
 from .cache import PlanKey
-from .registry import BackendRegistry, resolve_engine_name
+from .registry import BackendRegistry, resolve_engine_name, static_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..gnn.models import GNNModel
@@ -366,7 +366,7 @@ def compile_forward_plan(
     feature_bits: int = 4,
     weight_bits: int | None = None,
     weight_bits_per_layer: Sequence[int] | None = None,
-    engine: object = "auto",
+    engine: object = static_backend,
     registry: BackendRegistry | None = None,
     weight_key: Callable[[int, int], PlanKey | None] | None = None,
     adjacency_key: PlanKey | None = None,
@@ -374,9 +374,9 @@ def compile_forward_plan(
     """Compile a model + batch shape into a replayable :class:`ExecutionPlan`.
 
     Every GEMM's backend is resolved here — through the registry for
-    literal names, through the selector for callables (such as
-    :func:`~repro.plan.registry.static_backend`) — so a decision is taken
-    once per compiled plan and replayed.
+    literal names, through the selector for callables (by default
+    :func:`~repro.plan.registry.static_backend`, a session's rule) — so a
+    decision is taken once per compiled plan and replayed.
     ``weight_key``/``adjacency_key`` name the cache entries the packed
     operands hang off (a serving session supplies its content-derived
     keys; the defaults produce layer/bitwidth keys for the weights and a

@@ -15,13 +15,16 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import native
+from repro.core.bitpack import Operand
 from repro.core.quantization import QuantParams, quantize_into
 from repro.errors import BitwidthError, ShapeError
 from repro.gnn.quantized import _row_sums
+from repro.tc.kernel import plan_tile_skip
 
 pytestmark = [
     pytest.mark.skipif(native.load() is None, reason="no C compiler on this host"),
@@ -202,3 +205,114 @@ def test_a_bound_entry_pickles_as_its_recipe():
     product, sums = np.arange(15, dtype=np.float32).reshape(3, 5), np.arange(3.0)
     for a, b in zip(tail(product, sums), again(product, sums)):
         np.testing.assert_array_equal(a, b)
+
+
+# --------------------------------------------------------------------- #
+# The 1-bit threshold form: one compare per element, the same codes
+# --------------------------------------------------------------------- #
+def _live_tiles(codes: np.ndarray) -> int:
+    """The Python ballot's count of the codes' live ``8 x 128`` tiles."""
+    return plan_tile_skip(Operand(codes, 1, "col", proven=True)).nonzero_tiles
+
+
+def _least_ones(product_dtype, shape, epilogue, relu, contexts, params) -> np.ndarray:
+    """Per element, the least integer product in ``[0, pmax]`` (below the
+    exact-dtype bound) whose NumPy code is 1, ``pmax + 1`` if none: a
+    bisection on the reference path itself."""
+    pmax = 2.0 ** (np.finfo(product_dtype).nmant + 1) - 1
+    lo, hi = np.full(shape, -1.0), np.full(shape, pmax + 1)
+    while (hi - lo > 1).any():
+        middle = np.floor((lo + hi) / 2)
+        one = _numpy_tail(middle, epilogue, relu, contexts, params, np.float64) == 1
+        lo, hi = np.where(one, lo, middle), np.where(one, middle, hi)
+    return hi
+
+
+@st.composite
+def threshold_cases(draw):
+    """A 1-bit tail bound with its row-context bound: ``(product dtype,
+    epilogue, relu, params, bound, contexts, product or None, csr or None)``.
+    A plain tail's products sit at each element's threshold or one off it
+    (the scale reaches magnitudes where ``p * s`` rounds); a gathering
+    tail's are its CSR times 1-bit codes, its contexts the degrees (rows
+    with only their self loop among them), its threshold at the median."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    product_dtype = draw(st.sampled_from(native.PRODUCT_DTYPES))
+    n, m = draw(st.integers(1, 19)), draw(st.sampled_from([1, 3, 16, 17, 70, 129]))
+    columns = draw(st.booleans())  # the update form's column terms, else -0.0 (skipped)
+    scale = rng.uniform(0.5, 2.0) * 2.0 ** -draw(st.integers(0, 56))
+    epilogue = (scale, rng.normal() * draw(st.sampled_from([0.0, scale, 1.0])), None,
+                *((rng.normal(size=(1, m)), rng.normal(), rng.normal(size=m).astype(np.float32))
+                  if columns else (-0.0, -0.0, -0.0)))
+    relu = draw(st.booleans())
+    params = QuantParams(bits=1, alpha_min=draw(st.sampled_from([-3.0, -0.5, 0.0, 0.75])),
+                         scale=draw(st.sampled_from([1.0, 0.1, 2.5, 3.0e-4])))
+    if draw(st.booleans()):  # gathering: the product is its CSR times the codes, taken in the pass
+        mask = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+        mask[rng.random(n) < 0.3] = False
+        np.fill_diagonal(mask, True)
+        csr = sp.csr_matrix(mask.astype(np.float32))
+        codes = (rng.random((n, m)) < 0.5).astype(product_dtype)
+        contexts = np.diff(csr.indptr).astype(np.float64)
+        activation = _numpy_tail((csr @ codes).astype(np.float64), epilogue, relu, contexts, None, None)
+        params = QuantParams(bits=1, alpha_min=float(np.median(activation)) - params.scale, scale=params.scale)
+        return product_dtype, epilogue, relu, params, n, contexts, codes, csr
+    bound = draw(st.integers(1, 40))
+    contexts = rng.integers(0, bound + 1, n).astype(np.float64)
+    contexts[: min(n, 2)] = (0, bound)[: min(n, 2)]  # the least row sum and the largest
+    least = _least_ones(product_dtype, (n, m), epilogue, relu, contexts, params)
+    pmax = 2.0 ** (np.finfo(product_dtype).nmant + 1) - 1
+    product = np.clip(least + rng.integers(-1, 2, (n, m)), 0, pmax).astype(product_dtype)
+    return product_dtype, epilogue, relu, params, bound, contexts, product, None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=threshold_cases(), code_dtype=st.sampled_from(native.CODE_DTYPES))
+def test_the_threshold_form_writes_the_numpy_codes_sums_and_census(case, code_dtype):
+    """A 1-bit tail bound with its row context's bound compares each exact
+    integer product against its row's threshold; codes, row sums and the
+    live count are NumPy's Eq. 2 path's, in float32 and float64 products,
+    plain and gathering, ReLU on and off, terms of either sign."""
+    product_dtype, epilogue, relu, params, bound, contexts, values, csr = case
+    n, m = values.shape
+    tail = native.bind_tail(product_dtype, (n, m), epilogue, relu, params, code_dtype, True, bound=bound)
+    assert tail._args.contents.table  # every term finite: the table is bound
+    if csr is None:
+        got, product = tail.run(values, contexts), values
+    else:
+        got, product = tail.run(values, contexts, (csr.indptr, csr.indices)), csr @ values
+    want = _numpy_tail(product, epilogue, relu, contexts, params, code_dtype)
+    assert got[0].dtype == want.dtype
+    np.testing.assert_array_equal(_bits_view(got[0]), _bits_view(want))
+    np.testing.assert_array_equal(got[1], _row_sums(want).ravel())
+    assert got[2] == _live_tiles(want)
+
+
+@pytest.mark.parametrize("scale, row_scale, constant, column", [
+    (0.5, 0.25, np.inf, 0.5), (0.5, 0.25, -np.inf, 0.5), (0.5, 0.25, 1.0, np.nan), (0.5, 0.25, np.inf, -np.inf),
+    (1e308, -1e308, 1.0, 0.5),  # s * p and the row term overflow, to inf - inf
+])
+def test_a_non_finite_term_keeps_the_float_loop(scale, row_scale, constant, column):
+    """Without finite terms — or where ``s * p`` or the row term could
+    overflow — no table is bound: the float loop runs, and a NaN
+    activation still raises :func:`quantize_into`'s error."""
+    params = QuantParams(bits=1, alpha_min=-0.5, scale=1.0)
+    n, m, k = 9, 5, 4
+    finite = (0.5, 0.25, None, np.full((1, m), 0.5), 1.0, np.zeros(m, np.float32))
+    assert native.bind_tail(np.float32, (n, m), finite, True, params, np.float32, True, bound=k)._args.contents.table
+    epilogue = (scale, row_scale, None, np.full((1, m), column), constant, finite[5])
+    tail = native.bind_tail(np.float32, (n, m), epilogue, True, params, np.float32, True, bound=k)
+    assert not tail._args.contents.table
+    rng = np.random.default_rng(0)
+    product, contexts = rng.integers(0, k + 1, (n, m)).astype(np.float32), rng.integers(0, k + 1, n) * 1.0
+    product[0, 0], contexts[0] = k, k
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+            want = _numpy_tail(product, epilogue, True, contexts, params, np.float32)
+    except BitwidthError as exc:
+        with pytest.raises(BitwidthError, match=str(exc)):
+            tail.run(product, contexts)
+        return
+    got = tail.run(product, contexts)
+    np.testing.assert_array_equal(_bits_view(got[0]), _bits_view(want))
+    np.testing.assert_array_equal(got[1], _row_sums(want).ravel())

@@ -1337,6 +1337,40 @@ def test_a_cold_miss_binds_only_its_adjacency(monkeypatch, structures):
     assert engine.device_report == numpy_engine.device_report
 
 
+def _template_entries(engine) -> list[tuple]:
+    """Each kept template part's native ``(quantize, tail)`` entries, in step order."""
+    templates = engine.plan_artifacts.segment("template")
+    return [templates.get(key).layers[0].aggregate.derived["program"].shared["native"]
+            for key in templates.keys()]
+
+
+def _with_table(entries) -> list[bool]:
+    """Which of ``entries`` bound the 1-bit threshold form's table."""
+    return [entry is not None and bool(entry._args.contents.table) for entry in entries]
+
+
+@needs_kernel
+def test_only_tails_from_one_bit_into_one_bit_codes_bind_a_threshold_table(structures):
+    """A ``cold_structures``-shaped template (1-bit cluster GCN, three
+    layers) binds a threshold table on each of its five quantizing tails —
+    from 1-bit codes into 1-bit codes — and none on the logits tail or on
+    any quantize-only entry (step 0's runs); a 4- or 8-bit template binds
+    none."""
+    engine, _ = _cold_cycles({}, structures, 1)
+    parts = _template_entries(engine)
+    assert parts
+    for entries in parts:
+        quantize, tails = zip(*entries)
+        assert _with_table(tails) == [True] * 5 + [False]
+        assert _with_table(quantize) == [False] * 6
+    for bits in (4, 8):
+        engine = InferenceEngine(make_cluster_gcn(12, 3, seed=4), ServingConfig(feature_bits=bits, batch_size=4))
+        for members in structures * 2:
+            engine.infer(members)
+        parts = _template_entries(engine)
+        assert parts and not any(any(_with_table(pair)) for entries in parts for pair in entries)
+
+
 @needs_kernel
 def test_a_blas_aggregate_step_is_one_native_pass(monkeypatch, structures):
     """Over a frozen calibration a ``blas`` aggregate step's product and
