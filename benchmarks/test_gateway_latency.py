@@ -72,7 +72,7 @@ QUEUE_TIMEOUT_S = 0.08
 
 def _quantiles(latencies: list[float]) -> dict:
     if not latencies:
-        # Mirrors LaneStats: no completions means no distribution — nan,
+        # Mirrors GatewayStats: no completions means no distribution — nan,
         # not 0.0 (which would read as a perfect tail and silently pass
         # every `< threshold` assertion below).
         return {
@@ -177,17 +177,14 @@ def run_gateway(pool, requests, offsets, expected) -> dict:
         "throughput_rps": len(served) / makespan,
         "bit_identical": identical,
         "rejection_rate": stats.rejection_rate,
-        # Idle lanes report nan quantiles by contract; JSON has no nan,
-        # so they emit as null rather than a fake perfect 0.0.
-        "lanes": {
-            name: {
-                "submitted": lane.submitted,
-                "completed": lane.completed,
-                "rejected": lane.rejected,
-                "p50_ms": lane.latency_p50_s * 1e3 if lane.has_latency else None,
-                "p99_ms": lane.latency_p99_s * 1e3 if lane.has_latency else None,
-            }
-            for name, lane in stats.per_lane.items()
+        # An idle gateway reports nan quantiles by contract; JSON has no
+        # nan, so they emit as null rather than a fake perfect 0.0.
+        "admission": {
+            "submitted": stats.submitted,
+            "completed": stats.completed,
+            "rejected": stats.rejected,
+            "p50_ms": stats.latency_p50_s * 1e3 if stats.has_latency else None,
+            "p99_ms": stats.latency_p99_s * 1e3 if stats.has_latency else None,
         },
         **_quantiles(latencies),
     }

@@ -9,13 +9,12 @@ and every request "succeeds" at a latency nobody can use.  The
 :class:`~repro.serving.ServingGateway` bounds that: at most
 ``max_in_flight`` requests are past the admission gate, a request that
 cannot be admitted within ``queue_timeout_s`` fast-fails with
-``PoolSaturated`` (the caller's cue to shed or retry elsewhere), batch
-traffic is capped below an interactive reserve, and slow requests are
-hedged onto the least-loaded sibling shard.
+``PoolSaturated`` (the caller's cue to shed or retry elsewhere), and
+every admitted request runs on its structure's home shard.
 
 Everything the gateway *does* serve is bit-identical to a single
-engine's answer — admission, lanes, routing and hedging decide where
-and when a request runs, never what it computes.
+engine's answer — admission decides when a request runs, never what it
+computes.
 
 Run:  python examples/serving_gateway.py
 """
@@ -82,7 +81,6 @@ def main() -> None:
             GatewayConfig(
                 max_in_flight=MAX_IN_FLIGHT,
                 queue_timeout_s=QUEUE_TIMEOUT_S,
-                hedge_after_s=0.05,
             ),
         )
         print(f"burst: {BURST} requests over {STRUCTURES} structures at a "
@@ -96,15 +94,14 @@ def main() -> None:
         ]
         shed = sum(isinstance(reply, PoolSaturated) for reply in replies)
         stats = gateway.stats()
-        lane = stats.per_lane["interactive"]
         print(f"\nserved {len(served)}/{BURST}, shed {shed} "
               f"(rejection rate {stats.rejection_rate:.0%}) — the excess "
               f"fast-failed instead of queueing")
-        print(f"served-request latency: p50 {lane.latency_p50_s * 1e3:6.1f} ms, "
-              f"p99 {lane.latency_p99_s * 1e3:6.1f} ms "
+        print(f"served-request latency: p50 {stats.latency_p50_s * 1e3:6.1f} ms, "
+              f"p99 {stats.latency_p99_s * 1e3:6.1f} ms "
               f"(bounded by the admission budget)")
-        print(f"routing: {stats.rerouted} re-routed off their home shard, "
-              f"{stats.hedges_launched} hedged, {stats.hedges_won} hedges won")
+        print(f"{stats.caller_served} served on the caller's thread, "
+              f"{stats.retries} retried")
         assert stats.in_flight == 0, "every admitted request settled"
 
         identical = all(
@@ -113,8 +110,7 @@ def main() -> None:
         )
         assert identical
         print("\nevery served reply: bit-identical to the single engine — "
-              "admission and hedging were latency decisions, not accuracy "
-              "decisions")
+              "admission was a latency decision, not an accuracy decision")
 
 
 if __name__ == "__main__":

@@ -25,8 +25,8 @@ threaded in (the default), every probe is a no-op:
     in place never probes it: a caller does not die.
 ``slow_shard``
     The start of each round, whoever runs it.  A fire does not raise; it sleeps
-    for the spec's ``delay_s``, emulating a straggling shard (the
-    gateway's hedging countermeasure).
+    for the spec's ``delay_s``, emulating a straggling shard (a backlog
+    builds behind it; the gateway sheds what it cannot admit).
 ``cache``
     One verified-cache read (``plan``/``template`` segments).  A fire
     corrupts the recorded digest so verification discards the entry and

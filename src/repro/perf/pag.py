@@ -8,7 +8,7 @@ source (one :class:`~repro.serving.engine.InferenceEngine`, a
 :class:`~repro.serving.pool.ServingPool`, or a gateway's stats pair)
 already attributes every measured second to a named owner — execution
 phases (quantize / pack / census / gemm / epilogue / ...), executed
-backends, cache segments, shard workers, gateway lanes.
+backends, cache segments, shard workers, the gateway.
 :func:`build_pag` assembles those attributions into one tree so the
 passes in :mod:`repro.perf.passes` can ask structural questions
 ("which node dominates", "are the shards balanced", "is a segment
@@ -56,7 +56,7 @@ class PagNode:
     """One attribution node: a named owner of measured seconds.
 
     ``kind`` is the abstraction level (``root`` / ``worker`` / ``phase``
-    / ``backend`` / ``segment`` / ``gateway`` / ``lane``), ``seconds``
+    / ``backend`` / ``segment`` / ``gateway``), ``seconds``
     the wall-clock attributed to it (0.0 for pure-counter nodes such as
     cache segments), and ``metrics`` whatever counters the source
     telemetry carried for it.
@@ -252,13 +252,11 @@ def _from_pool_stats(stats: PoolStats, pool: ServingPool | None = None) -> Pag:
 
 
 def _attach_gateway(pag: Pag, gateway: GatewayStats) -> Pag:
-    node = pag.root.add(
+    # An idle gateway carries nan quantiles by contract (not a perfect
+    # 0.0); the payload writer turns them into JSON null.
+    pag.root.add(
         PagNode(kind="gateway", name="gateway", metrics=gateway.as_metrics())
     )
-    for name, lane in gateway.per_lane.items():
-        # Idle lanes carry nan quantiles by contract (not a perfect 0.0);
-        # the payload writer turns them into JSON null.
-        node.add(PagNode(kind="lane", name=name, metrics=lane.as_metrics()))
     return pag
 
 
@@ -295,7 +293,7 @@ def build_pag(source, pool_stats: PoolStats | None = None) -> Pag:
     :class:`~repro.dynamic.session.DynamicSession` (its engine's worker
     node plus a ``dynamic`` mutation-counter node), or a
     :class:`~repro.serving.gateway.GatewayStats` paired with the backing
-    pool's stats via ``pool_stats`` — the gateway's lanes attach beside
+    pool's stats via ``pool_stats`` — the gateway node attaches beside
     the pool's workers.
 
     Example::

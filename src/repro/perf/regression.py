@@ -80,7 +80,7 @@ def compare_benchmarks(
     Iterates the *baseline* directory (tracked snapshots define the
     contract); a baseline whose fresh counterpart is absent is reported
     as skipped, never failed — benchmark jobs legitimately run subsets.
-    Non-finite values on either side (the NaN an idle-lane quantile
+    Non-finite values on either side (the NaN an idle gateway's quantile
     propagates) skip that metric with a finding rather than producing a
     NaN ratio that silently passes every comparison.
     """

@@ -57,8 +57,10 @@ BLAS_BYTES_BUDGET = 512 * 1024 * 1024
 class BackendCaps:
     """Capability metadata of one backend.
 
-    A backend whose caps reject a :class:`~repro.plan.ir.GemmSpec` is
-    not :meth:`BackendRegistry.eligible` for that product.
+    :meth:`supports` says whether the backend can execute a product of a
+    given :class:`~repro.plan.ir.GemmSpec`; :func:`static_backend` does
+    not consult it (both built-ins accept every bitwidth), so a backend
+    forced by name onto a spec its caps reject fails in its own ``run``.
     """
 
     #: Inclusive left-operand bitwidth range the backend accepts.
@@ -167,11 +169,6 @@ class BackendRegistry:
 
     def __len__(self) -> int:
         return len(self._backends)
-
-    # ------------------------------------------------------------------ #
-    def eligible(self, spec: "GemmSpec") -> list[Backend]:
-        """Backends whose capability metadata accepts the spec."""
-        return [b for b in self if b.caps.supports(spec)]
 
 
 _default_registry: BackendRegistry | None = None

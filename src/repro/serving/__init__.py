@@ -21,10 +21,10 @@ share is mounted, locked objects: the weight segment and one activation
 calibration.  Fronting the pool, a
 :class:`~repro.serving.gateway.ServingGateway` is the asyncio door
 open-loop traffic comes through: bounded-in-flight admission with
-fast-fail backpressure (:class:`~repro.errors.PoolSaturated`), priority
-lanes, queue-depth-aware shard routing, and optional request hedging
-for p99 control.  Everything above this layer speaks ``Subgraph in,
-logits out``, and everything below it is described by plan nodes.
+fast-fail backpressure (:class:`~repro.errors.PoolSaturated`), each
+request run on its structure's home shard.  Everything above this layer
+speaks ``Subgraph in, logits out``, and everything below it is described
+by plan nodes.
 
 Failure is a first-class input (:mod:`repro.serving.supervision`, with
 :mod:`repro.faultinject` as the matching injection half): a
@@ -42,13 +42,10 @@ and the gateway adds bounded seeded-backoff retries on top.  See
 from ..plan.cache import CacheStats, LRUCache, PlanCache
 from ..plan.dispatch_shim import CostModelDispatcher
 from .gateway import (
-    LANES,
     GatewayConfig,
     GatewayResult,
     GatewayStats,
-    LaneStats,
     ServingGateway,
-    route_shard,
 )
 from .engine import (
     InferenceEngine,
@@ -75,9 +72,7 @@ __all__ = [
     "InferenceEngine",
     "InferenceRequest",
     "InferenceResult",
-    "LANES",
     "LRUCache",
-    "LaneStats",
     "PlanCache",
     "PoolConfig",
     "PoolResult",
@@ -88,5 +83,4 @@ __all__ = [
     "SessionStats",
     "StepRecovery",
     "fallback_chain",
-    "route_shard",
 ]

@@ -235,9 +235,9 @@ class SessionStats(Counters):
     #: Measured host seconds spent inside batch execution.
     wall_s: float = 0.0
     #: Measured seconds of the most recently executed rounds (bounded
-    #: ring) — the per-round service-time distribution that SLO-aware
-    #: layers above (gateway admission, hedging) are tuned
-    #: against; see :attr:`round_seconds_p50` / :attr:`round_seconds_p99`.
+    #: ring) — the per-round service-time distribution the gateway's
+    #: admission knobs are tuned against; see :attr:`round_seconds_p50`
+    #: / :attr:`round_seconds_p99`.
     recent_round_seconds: deque = field(
         default_factory=lambda: deque(maxlen=256)
     )

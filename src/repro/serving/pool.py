@@ -38,14 +38,13 @@ that is identical everywhere.  A :class:`ServingPool` is that system:
   each site once under its own lock.  Nothing else crosses shards: a
   shard whose ``plan`` segment misses binds the plan from its own
   ``template`` segment, as a single engine does;
-* **async front door** — intake is gateway-ready: ``submit`` takes an
-  explicit ``shard=`` override (the router/hedging hook) and offers
+* **async front door** — intake is gateway-ready: ``submit`` offers
   ``block=False`` fast-fail intake
-  (:class:`~repro.errors.PoolSaturated`), ``queue_depths`` exposes
-  per-shard pressure, and :class:`PoolResult.add_done_callback` bridges
-  completions into an event loop — the contract
-  :class:`~repro.serving.gateway.ServingGateway` builds SLO-aware
-  admission, priority lanes and hedging on;
+  (:class:`~repro.errors.PoolSaturated`), :meth:`ServingPool.serve_if_idle`
+  runs a lone request on its caller, and
+  :class:`PoolResult.add_done_callback` bridges completions into an
+  event loop — the contract :class:`~repro.serving.gateway.ServingGateway`
+  builds bounded admission on;
 * **worker supervision** — a supervisor thread watches
   for shard threads that died *outside* the per-request handler (a
   drain-loop bug, or an injected ``worker`` fault from a
@@ -500,10 +499,9 @@ class ServingPool:
         """Queue one subgraph on its shard; returns a :class:`PoolResult`.
 
         ``shard`` overrides structure routing with an explicit worker
-        index — the hook the gateway's queue-depth router and hedger use;
-        entries are content-keyed, so executing on a non-home shard is
-        always safe, it merely re-builds that shard's artifacts.  With
-        ``block=True`` a full shard queue blocks the caller
+        index; entries are content-keyed, so executing on a non-home
+        shard is always safe, it merely re-builds that shard's
+        artifacts.  With ``block=True`` a full shard queue blocks the caller
         (bounded-queue backpressure); ``block=False`` fast-fails with
         :class:`~repro.errors.PoolSaturated` instead — the intake an
         event loop needs, since blocking would stall every other request.
@@ -564,9 +562,9 @@ class ServingPool:
     def queue_depths(self) -> tuple[int, ...]:
         """Requests currently queued per shard.
 
-        A point-in-time approximation (workers drain concurrently), which
-        is exactly what queue-depth-aware routing needs: relative
-        pressure, not an exact census.
+        A point-in-time approximation (workers drain concurrently): the
+        per-shard pressure a PAG's worker nodes report, not an exact
+        census.
         """
         return tuple(worker.queue.qsize() for worker in self._workers)
 

@@ -117,25 +117,21 @@ class TestGatewayPag:
         with pytest.raises(TypeError):
             build_pag(stats)
 
-    def test_gateway_lanes_attach_beside_pool_workers(self):
-        from repro.serving import GatewayStats, LaneStats
+    def test_gateway_attaches_beside_pool_workers(self):
+        from repro.serving import GatewayStats
         from repro.serving.pool import PoolStats
 
         pool_stats = PoolStats(workers=1)
-        gateway = GatewayStats(
-            submitted=3, completed=2, rejected=1, per_lane={"batch": LaneStats()}
-        )
+        gateway = GatewayStats(submitted=3, completed=0, rejected=3)
         pag = build_pag(gateway, pool_stats=pool_stats)
-        (lane,) = pag.nodes("lane")
-        assert lane.name == "batch"
-        # The idle lane's nan quantile survives to the node and becomes
+        (node,) = pag.nodes("gateway")
+        assert node.metrics["rejected"] == 3
+        # The idle gateway's nan quantile survives to the node and becomes
         # null in the JSON payload — never a perfect-looking 0.0.
-        assert math.isnan(lane.metrics["latency_p50_s"])
-        assert not lane.metrics["has_latency"]
+        assert math.isnan(node.metrics["latency_p50_s"])
+        assert not node.metrics["has_latency"]
         assert (
-            pag.root.to_payload()["children"][-1]["children"][0]["metrics"][
-                "latency_p50_s"
-            ]
+            pag.root.to_payload()["children"][-1]["metrics"]["latency_p50_s"]
             is None
         )
 
@@ -166,12 +162,9 @@ class TestNodesCarryTheDeclaration:
         "requests", "batches", "step_retries", "fixed_seconds_per_round",
     }
     GATEWAY = {
-        "submitted", "completed", "rejected", "rerouted", "hedges_launched",
-        "hedges_won", "in_flight", "retries", "failures", "rejection_rate",
-    }
-    LANE = {
-        "submitted", "completed", "rejected", "retries", "failures",
-        "latency_p50_s", "latency_p99_s", "has_latency",
+        "submitted", "completed", "rejected", "caller_served", "in_flight",
+        "retries", "failures", "rejection_rate", "latency_p50_s",
+        "latency_p99_s", "has_latency",
     }
     DYNAMIC = {
         "mutation_batches", "serves", "plans_patched", "plans_recompiled",
@@ -217,9 +210,9 @@ class TestNodesCarryTheDeclaration:
             pool.serve(subgraphs)
             gateway = ServingGateway(pool, GatewayConfig(max_in_flight=8))
             gateway.run(subgraphs)
-            stats, lanes = pool.stats(), gateway.stats()
+            stats, admission = pool.stats(), gateway.stats()
             live = build_pag(pool)
-        for pag in (live, build_pag(lanes, pool_stats=stats)):
+        for pag in (live, build_pag(admission, pool_stats=stats)):
             self.assert_reads(pag.root, self.POOL_ROOT, stats)
             workers = pag.nodes("worker")
             assert [n.name for n in workers] == ["w0", "w1"]
@@ -238,12 +231,8 @@ class TestNodesCarryTheDeclaration:
         assert all("queue_depth" in n.metrics for n in live.nodes("worker"))
         assert all("capacity" in n.metrics for n in live.nodes("segment"))
         (node,) = pag.nodes("gateway")
-        self.assert_reads(node, self.GATEWAY, lanes)
-        for lane in pag.nodes("lane"):
-            self.assert_reads(lane, self.LANE, lanes.per_lane[lane.name])
-            assert set(_numeric_fields(lanes.per_lane[lane.name])) <= set(
-                lane.metrics
-            )
+        self.assert_reads(node, self.GATEWAY, admission)
+        assert set(_numeric_fields(admission)) <= set(node.metrics)
 
     def test_dynamic_node(self, model, subgraphs):
         from repro.dynamic import DynamicSession

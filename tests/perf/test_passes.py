@@ -203,7 +203,7 @@ class TestCacheThrash:
 class TestRendering:
     def test_nan_metrics_become_json_null(self):
         node = PagNode(
-            kind="lane", name="batch", metrics={"latency_p50_s": float("nan")}
+            kind="gateway", name="gateway", metrics={"latency_p50_s": float("nan")}
         )
         payload = node.to_payload()
         assert payload["metrics"]["latency_p50_s"] is None

@@ -89,7 +89,7 @@ class TestCompare:
 
     def test_nan_metric_skipped_not_silently_passed(self, dirs):
         out, base = dirs
-        # An idle-lane NaN propagated into a headline metric must surface
+        # An idle gateway's NaN propagated into a headline metric must surface
         # as "non-finite", never as a ratio that dodges the comparison.
         write_bench(base, "latency", {"overload_p99_cut": float("nan"),
                                       "overload_throughput_ratio": 1.0})

@@ -1,12 +1,12 @@
 """Tests for the async serving gateway.
 
-Covers the PR 6 acceptance points: admission control with fast-fail
-backpressure (``PoolSaturated``), priority lanes with interactive-first
-wakeup, the pure queue-depth routing rule and its live re-routing path,
-request hedging (and its single-worker no-op), the thread → event-loop
-bridge (``PoolResult.add_done_callback``), and the invariant that every
-gateway decision is a latency decision: results stay bit-identical to a
-single engine under a shared calibration.
+Covers admission control with fast-fail backpressure
+(``PoolSaturated``) and first-come wakeup, home-shard routing (a skewed
+burst stays home), the thread → event-loop bridge
+(``PoolResult.add_done_callback``), lone requests served on the caller's
+thread, and the invariant that every gateway decision is a latency
+decision: results stay bit-identical to a single engine under a shared
+calibration.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.graph.batching import Subgraph
 from repro.graph.generators import planted_partition_graph
 from repro.partition import metis_like_partition
 from repro.serving import (
-    LANES,
     GatewayConfig,
     GatewayResult,
     InferenceEngine,
@@ -36,7 +35,6 @@ from repro.serving import (
     ServingConfig,
     ServingGateway,
     ServingPool,
-    route_shard,
 )
 
 #: Deadlock guard: a lost wakeup or stranded future fails fast instead of
@@ -68,13 +66,13 @@ def make_pool(model, config=None, *, calibration=None, **pool_kwargs):
     )
 
 
-def gate_only(workers: int = 2) -> SimpleNamespace:
+def gate_only() -> SimpleNamespace:
     """A stand-in pool for admission-gate unit tests.
 
-    The gate touches nothing but ``pool_config``, so its semantics can be
-    tested without standing up worker threads.
+    The gate touches nothing of the pool, so its semantics can be tested
+    without standing up worker threads.
     """
-    return SimpleNamespace(pool_config=SimpleNamespace(workers=workers))
+    return SimpleNamespace()
 
 
 class TestGatewayConfig:
@@ -82,13 +80,13 @@ class TestGatewayConfig:
         "kwargs",
         [
             {"max_in_flight": 0},
-            {"interactive_reserve": -1},
-            {"max_in_flight": 8, "interactive_reserve": 8},
+            {"max_retries": -1},
+            {"retry_backoff_s": -0.001},
             {"queue_timeout_s": -0.1},
             {"queue_timeout_s": float("nan")},
-            {"hedge_after_s": -0.5},
-            {"hedge_after_s": float("inf")},
-            {"imbalance_threshold": 0},
+            {"retry_backoff_s": float("inf")},
+            {"retry_jitter": float("nan")},
+            {"retry_jitter": -0.5},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -100,39 +98,6 @@ class TestGatewayConfig:
         with pytest.raises(ValueError):
             GatewayConfig(max_in_flight=0)
 
-    def test_default_reserve_scales_with_budget(self):
-        # An eighth of the budget, so every max_in_flight works out of
-        # the box — including budgets smaller than any fixed reserve.
-        assert GatewayConfig(max_in_flight=64).effective_interactive_reserve == 8
-        assert GatewayConfig(max_in_flight=4).effective_interactive_reserve == 0
-        assert (
-            GatewayConfig(max_in_flight=64, interactive_reserve=3)
-            .effective_interactive_reserve
-            == 3
-        )
-
-
-class TestRouteShard:
-    def test_balanced_stays_home(self):
-        assert route_shard(1, (3, 3, 3), threshold=2) == 1
-
-    def test_reroutes_past_threshold(self):
-        assert route_shard(0, (11, 2, 5), threshold=8) == 1
-
-    def test_boundary_gap_equal_to_threshold_stays_home(self):
-        # The rule is strictly "more than threshold deeper".
-        assert route_shard(0, (10, 2), threshold=8) == 0
-        assert route_shard(0, (11, 2), threshold=8) == 1
-
-    def test_ties_go_to_lowest_index(self):
-        assert route_shard(2, (4, 4, 40), threshold=8) == 0
-
-    def test_none_threshold_pins_home(self):
-        assert route_shard(0, (100, 0), threshold=None) == 0
-
-    def test_single_shard_pins_home(self):
-        assert route_shard(0, (100,), threshold=1) == 0
-
 
 class TestAdmissionGate:
     def test_fast_path_admits_up_to_budget(self):
@@ -140,69 +105,47 @@ class TestAdmissionGate:
             gw = ServingGateway(
                 gate_only(), GatewayConfig(max_in_flight=2, queue_timeout_s=0.01)
             )
-            await gw._acquire("interactive")
-            await gw._acquire("interactive")
+            await gw._acquire()
+            await gw._acquire()
             assert gw.in_flight == 2
             with pytest.raises(PoolSaturated):
-                await gw._acquire("interactive")
+                await gw._acquire()
             assert gw.in_flight == 2  # the shed request holds no slot
             gw._release()
             assert gw.in_flight == 1
 
         asyncio.run(scenario())
 
-    def test_batch_lane_capped_while_interactive_admits(self):
+    def test_freed_slots_wake_waiters_in_fifo_order(self):
         async def scenario():
             gw = ServingGateway(
                 gate_only(),
-                GatewayConfig(
-                    max_in_flight=2, interactive_reserve=1, queue_timeout_s=0.01
-                ),
+                GatewayConfig(max_in_flight=2, queue_timeout_s=5.0),
             )
-            await gw._acquire("interactive")
-            # batch cap = max_in_flight - reserve = 1; one slot is taken.
-            with pytest.raises(PoolSaturated):
-                await gw._acquire("batch")
-            # The reserved headroom still admits interactive traffic.
-            await gw._acquire("interactive")
-            assert gw.in_flight == 2
-
-        asyncio.run(scenario())
-
-    def test_freed_slots_wake_interactive_first(self):
-        async def scenario():
-            gw = ServingGateway(
-                gate_only(),
-                GatewayConfig(
-                    max_in_flight=2, interactive_reserve=1, queue_timeout_s=5.0
-                ),
-            )
-            await gw._acquire("interactive")
-            await gw._acquire("interactive")
+            await gw._acquire()
+            await gw._acquire()
             order: list[str] = []
 
-            async def wait(lane):
-                await gw._acquire(lane)
-                order.append(lane)
+            async def wait(name):
+                await gw._acquire()
+                order.append(name)
 
-            batch = asyncio.ensure_future(wait("batch"))
-            await asyncio.sleep(0)  # batch queues first
-            interactive = asyncio.ensure_future(wait("interactive"))
+            first = asyncio.ensure_future(wait("first"))
+            await asyncio.sleep(0)  # first queues first
+            second = asyncio.ensure_future(wait("second"))
             await asyncio.sleep(0)
             assert order == []
             gw._release()
             await asyncio.sleep(0.05)
-            # Interactive jumped the longer-waiting batch request.
-            assert order == ["interactive"]
-            # Batch needs in_flight < 1 (its cap), i.e. both other
-            # holders gone — the reserve at work.
+            assert order == ["first"]
+            assert gw.in_flight == 2
             gw._release()
             await asyncio.sleep(0.05)
-            assert order == ["interactive"]
+            assert order == ["first", "second"]
+            await asyncio.gather(first, second)
             gw._release()
-            await asyncio.sleep(0.05)
-            assert order == ["interactive", "batch"]
-            await asyncio.gather(batch, interactive)
+            gw._release()
+            assert gw.in_flight == 0
 
         asyncio.run(scenario())
 
@@ -273,7 +216,6 @@ class TestGatewayServing:
         for want, got in zip(expected, results):
             np.testing.assert_array_equal(got.logits, want.logits)
             assert got.latency_s > 0
-            assert got.lane == "interactive"
 
     def test_sheds_excess_under_overload(self, gin_model, subgraphs):
         with make_pool(gin_model) as pool:
@@ -292,86 +234,17 @@ class TestGatewayServing:
             assert 0.0 < stats.rejection_rate < 1.0
             assert stats.in_flight == 0
 
-    def test_batch_lane_serves_end_to_end(self, gin_model, subgraphs):
-        with make_pool(gin_model) as pool:
-            gateway = ServingGateway(pool, GatewayConfig(max_in_flight=16))
-            results = gateway.run(subgraphs[:4], lane="batch")
-            assert all(r.lane == "batch" for r in results)
-            lane = gateway.stats().per_lane["batch"]
-            assert lane.completed == 4
-            assert lane.latency_p50_s > 0
-            assert set(gateway.stats().per_lane) == set(LANES)
-
-    def test_rejects_bad_lane(self, gin_model, subgraphs):
-        with make_pool(gin_model) as pool:
-            gateway = ServingGateway(pool)
-
-            async def scenario():
-                with pytest.raises(ConfigError):
-                    await gateway.submit(subgraphs[0], lane="bulk")
-
-            asyncio.run(scenario())
-            assert pool.stats().requests == 0
-
-    def test_hedging_launches_and_stays_bit_identical(
-        self, gin_model, subgraphs
-    ):
-        calibration = ActivationCalibration()
-        engine = InferenceEngine(
-            gin_model,
-            ServingConfig(feature_bits=8, batch_size=4),
-            calibration=calibration,
-        )
-        expected = engine.infer(subgraphs)
-        with make_pool(gin_model, calibration=calibration) as pool:
-            gateway = ServingGateway(
-                pool,
-                GatewayConfig(max_in_flight=16, hedge_after_s=0.0),
-            )
-            results = gateway.run(subgraphs)
-            stats = gateway.stats()
-        # hedge_after_s=0 hedges every request that does not finish in
-        # one tick, so hedges must have launched — and whoever wins,
-        # the logits are the logits.
-        assert stats.hedges_launched > 0
-        assert 0 <= stats.hedges_won <= stats.hedges_launched
-        for want, got in zip(expected, results):
-            np.testing.assert_array_equal(got.logits, want.logits)
-            assert got.hedged or not got.hedge_won
-
-    def test_single_worker_pool_never_hedges(self, gin_model, subgraphs):
-        with make_pool(gin_model, workers=1) as pool:
-            gateway = ServingGateway(
-                pool, GatewayConfig(max_in_flight=8, hedge_after_s=0.0)
-            )
-            results = gateway.run(subgraphs[:4])
-            assert gateway.stats().hedges_launched == 0
-            assert all(not r.hedged for r in results)
-
-    def test_lone_requests_are_served_in_place_unless_they_may_hedge(
-        self, gin_model, subgraphs
-    ):
+    def test_lone_requests_are_served_in_place(self, gin_model, subgraphs):
         async def one_at_a_time(gateway):
             return [await gateway.submit(sub) for sub in subgraphs[:3]]
 
-        with make_pool(gin_model) as pool:
-            plain = ServingGateway(pool, GatewayConfig(max_in_flight=8))
-            hedging = ServingGateway(
-                pool, GatewayConfig(max_in_flight=8, hedge_after_s=5.0)
-            )
-            asyncio.run(one_at_a_time(plain))
-            asyncio.run(one_at_a_time(hedging))
-        assert plain.stats().as_metrics()["caller_served"] == 3
-        assert hedging.stats().caller_served == 0
-        # A single worker never hedges, so its lone requests run in place
-        # whatever hedge_after_s says.
-        with make_pool(gin_model, workers=1) as pool:
-            lone = ServingGateway(
-                pool, GatewayConfig(max_in_flight=8, hedge_after_s=0.0)
-            )
-            results = asyncio.run(one_at_a_time(lone))
-        assert lone.stats().caller_served == 3
-        assert not any(r.hedged for r in results)
+        for workers in (1, 2):
+            with make_pool(gin_model, workers=workers) as pool:
+                gateway = ServingGateway(pool, GatewayConfig(max_in_flight=8))
+                results = asyncio.run(one_at_a_time(gateway))
+            assert gateway.stats().as_metrics()["caller_served"] == 3
+            for sub, got in zip(subgraphs, results):
+                assert got.worker == f"w{pool.shard_of(sub)}"
 
     def test_a_failed_caller_served_round_is_retried_in_place(
         self, gin_model, subgraphs
@@ -417,30 +290,34 @@ class TestGatewayServing:
         assert stats.failures == 1 and stats.completed == 1
         assert stats.caller_served == 2
 
-    def test_depth_router_moves_requests_off_congested_home(
-        self, gin_model, subgraphs
-    ):
-        with make_pool(gin_model) as pool:
-            gateway = ServingGateway(
-                pool, GatewayConfig(max_in_flight=8, imbalance_threshold=2)
-            )
-            # Pin the policy inputs: home is always shard 0, whose queue
-            # reads far deeper than shard 1's — the router must move the
-            # request, and a foreign shard must still serve it.
-            pool.shard_of = lambda subgraph, seq=None: 0
-            pool.queue_depths = lambda: (100, 0)
-            result = gateway.run(subgraphs[:1])[0]
-            assert result.rerouted
-            assert result.worker == "w1"
-            assert gateway.stats().rerouted == 1
-            assert result.logits.shape == (subgraphs[0].num_nodes, 3)
-
-    def test_none_threshold_never_reroutes(self, gin_model, subgraphs):
-        with make_pool(gin_model) as pool:
-            gateway = ServingGateway(
-                pool, GatewayConfig(max_in_flight=8, imbalance_threshold=None)
-            )
-            pool.queue_depths = lambda: (100, 0)
-            results = gateway.run(subgraphs[:4])
-            assert gateway.stats().rerouted == 0
-            assert all(not r.rerouted for r in results)
+    def test_a_skewed_burst_stays_home(self, gin_model, subgraphs):
+        """Every request of a burst hashes to one shard, which is stalled
+        while the burst queues on it: all of them run there, the other
+        shard serves nothing, and the bits are a single engine's."""
+        config = ServingConfig(feature_bits=8, batch_size=4)
+        calibration = ActivationCalibration()
+        engine = InferenceEngine(gin_model, config, calibration=calibration)
+        engine.infer(subgraphs)  # freeze every calibration site
+        plan = FaultPlan(
+            seed=0, specs=[FaultSpec("slow_shard", at=(0,), delay_s=0.2)]
+        )
+        with ServingPool(
+            gin_model, config, pool=PoolConfig(workers=2),
+            calibration=calibration, fault_plan=plan,
+        ) as pool:
+            home = pool.shard_of(subgraphs[0])
+            skewed = [s for s in subgraphs if pool.shard_of(s) == home]
+            burst = (skewed * 24)[:24]
+            gateway = ServingGateway(pool, GatewayConfig(max_in_flight=32))
+            results = gateway.run(burst)
+            stats = pool.stats()
+        assert plan.fires("slow_shard") == 1
+        assert [r.worker for r in results] == [f"w{home}"] * len(burst)
+        assert stats.per_worker[home].requests == len(burst)
+        assert stats.per_worker[1 - home].requests == 0
+        assert gateway.stats().caller_served == 0
+        expected = InferenceEngine(
+            gin_model, config, calibration=calibration
+        ).infer(burst)
+        for want, got in zip(expected, results):
+            np.testing.assert_array_equal(got.logits, want.logits)

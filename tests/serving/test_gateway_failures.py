@@ -1,8 +1,7 @@
-"""Tests for gateway failure paths: double hedge failure, retry bounds.
+"""Tests for gateway failure paths: retry bounds and error propagation.
 
 Complements ``test_gateway.py`` (happy paths) with the failure-side
-contract: both hedge legs failing surfaces the *primary's* error, retry
-exhaustion surfaces the *last* attempt's error after exactly
+contract: retry exhaustion surfaces the *last* attempt's error after exactly
 ``max_retries`` re-dispatches, saturation is never retried, and
 ``serve(..., return_exceptions=True)`` propagates a worker-side
 ``PoolResult`` error as a list entry instead of aborting the gather.
@@ -11,7 +10,6 @@ exhaustion surfaces the *last* attempt's error after exactly
 from __future__ import annotations
 
 import asyncio
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,17 +34,13 @@ class ScriptedPool:
     With an empty script every handle is left unsettled.
     """
 
-    def __init__(self, script=(), *, workers=2):
-        self.pool_config = SimpleNamespace(workers=workers)
+    def __init__(self, script=()):
         self.script = list(script)
         self.handles: list[PoolResult] = []
         self.fail_submit_with: Exception | None = None
 
     def shard_of(self, subgraph, seq=None):
         return 0  # every request's home is shard 0
-
-    def queue_depths(self):
-        return [0] * self.pool_config.workers
 
     def serve_if_idle(self, subgraph, shard):
         return None  # never idle: every dispatch takes the scripted submit
@@ -65,34 +59,6 @@ class ScriptedPool:
 
 
 REQUEST = object()  # the gateway never inspects the subgraph itself
-
-
-class TestDoubleHedgeFailure:
-    def test_both_legs_failing_surfaces_the_primary_error(self):
-        pool = ScriptedPool(workers=2)
-        gateway = ServingGateway(
-            pool, GatewayConfig(max_in_flight=4, hedge_after_s=0.002)
-        )
-
-        async def scenario():
-            task = asyncio.ensure_future(gateway.submit(REQUEST))
-            while len(pool.handles) < 2:  # primary, then the hedge
-                await asyncio.sleep(0.001)
-            # The hedge leg dies first; the primary's error must still be
-            # the one the caller sees — the hedge is an implementation
-            # detail, not an error source.
-            pool.handles[1]._fail(RuntimeError("hedge down"))
-            pool.handles[0]._fail(RuntimeError("primary down"))
-            with pytest.raises(RuntimeError, match="primary down"):
-                await task
-
-        asyncio.run(scenario())
-        stats = gateway.stats()
-        assert stats.hedges_launched == 1
-        assert stats.hedges_won == 0
-        assert stats.failures == 1
-        assert stats.completed == 0
-        assert stats.in_flight == 0  # the slot was released on failure
 
 
 class TestBoundedRetry:

@@ -876,6 +876,24 @@ def test_a_lone_gateway_request_on_an_idle_shard_is_served_by_its_caller(
         assert got.worker == f"w{pool.shard_of(sub)}"
 
 
+def test_a_lone_gateway_request_reads_no_queue_depth(monkeypatch, structures):
+    """Routing is the home shard, so a lone request on an idle shard never
+    asks the pool how deep its queues are."""
+    from repro.serving import GatewayConfig, PoolConfig, ServingGateway, ServingPool
+
+    counts = {"queue_depths": 0}
+    monkeypatch.setattr(
+        ServingPool, "queue_depths",
+        _counting(counts, "queue_depths", ServingPool.queue_depths),
+    )
+    model, config = _pool_parts()
+    with ServingPool(model, config, pool=PoolConfig(workers=2)) as pool:
+        gateway = ServingGateway(pool, GatewayConfig(max_in_flight=16))
+        _one_at_a_time(gateway, structures[0])
+    assert gateway.stats().caller_served == len(structures[0])
+    assert counts == {"queue_depths": 0}
+
+
 def test_a_gateway_burst_still_coalesces_through_the_shard_queues(
     shard_puts, structures
 ):

@@ -5,7 +5,7 @@
 records' fields the same way — a counter added tomorrow is covered
 without editing this file.  Structural half: every numeric field of a
 record totals correctly wherever the system adds records up (pool over
-shards, plan cache over segments, gateway over lanes).  Property half
+shards, plan cache over segments).  Property half
 (derandomised Hypothesis, as the rest of Tier-1): snapshots are equal
 and independent, merges are additive and order-independent, rings stay
 bounded, snapshots pickle.
@@ -29,7 +29,6 @@ from repro.partition import metis_like_partition
 from repro.plan.cache import CacheStats, PlanCache
 from repro.serving import (
     GatewayConfig,
-    LaneStats,
     PoolConfig,
     ServingConfig,
     ServingGateway,
@@ -114,24 +113,11 @@ class TestTotalsAreSumsOfTheDeclaration:
             parts = [getattr(seg, name) for seg in segments.values()]
             assert getattr(total, name) == sum(parts), name
 
-    def test_gateway_total_is_the_sum_over_lanes(self, served_pool, subgraphs):
-        gateway = ServingGateway(served_pool, GatewayConfig(max_in_flight=8))
-        gateway.run(subgraphs, lane="interactive")
-        gateway.run(subgraphs[:3], lane="batch")
-        stats = gateway.stats()
-        assert stats.completed == len(subgraphs) + 3
-        for name in numeric_fields(LaneStats):
-            lanes = [getattr(lane, name) for lane in stats.per_lane.values()]
-            assert getattr(stats, name) == sum(lanes), name
-        assert len(stats.latencies) == stats.completed
-        assert stats.has_latency and not math.isnan(stats.latency_p99_s)
-
     def test_idle_gateway_reports_nan_not_a_perfect_zero(self, served_pool):
         stats = ServingGateway(served_pool).stats()
-        for record in (stats, *stats.per_lane.values()):
-            assert math.isnan(record.latency_p50_s)
-            assert math.isnan(record.as_metrics()["latency_p99_s"])
-            assert not record.has_latency
+        assert math.isnan(stats.latency_p50_s)
+        assert math.isnan(stats.as_metrics()["latency_p99_s"])
+        assert not stats.has_latency
 
     def test_fixed_seconds_per_round_is_derived_not_counted(self, served_pool):
         """One ``DERIVED`` property, no new counter: what a round costs
