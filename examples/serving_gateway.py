@@ -10,7 +10,10 @@ and every request "succeeds" at a latency nobody can use.  The
 ``max_in_flight`` requests are past the admission gate, a request that
 cannot be admitted within ``queue_timeout_s`` fast-fails with
 ``PoolSaturated`` (the caller's cue to shed or retry elsewhere), and
-every admitted request runs on its structure's home shard.
+every admitted request runs on its structure's home shard.  Here a
+seeded ``slow_shard`` fault stalls every round for twice the admission
+timeout, so the burst outlives ``queue_timeout_s`` on any host and the
+excess is shed.
 
 Everything the gateway *does* serve is bit-identical to a single
 engine's answer — admission decides when a request runs, never what it
@@ -26,6 +29,7 @@ import asyncio
 import numpy as np
 
 from repro.errors import PoolSaturated
+from repro.faultinject import FaultPlan, FaultSpec
 from repro.gnn import make_batched_gin
 from repro.gnn.quantized import ActivationCalibration
 from repro.graph import induced_subgraphs
@@ -45,6 +49,7 @@ STRUCTURES = 8
 BURST = 96             # open-loop burst, well past the admission budget
 MAX_IN_FLIGHT = 12
 QUEUE_TIMEOUT_S = 0.05
+STALL_S = 2 * QUEUE_TIMEOUT_S  # every round a straggler: the burst outlives the timeout
 
 
 async def fire_burst(gateway: ServingGateway, requests) -> list:
@@ -71,9 +76,10 @@ def main() -> None:
     engine = InferenceEngine(model, config, calibration=calibration)
     expected = [result.logits for result in engine.infer(structures)]
 
+    stall = FaultPlan(seed=23, specs=[FaultSpec("slow_shard", rate=1.0, delay_s=STALL_S)])
     with ServingPool(
         model, config, pool=PoolConfig(workers=WORKERS),
-        calibration=calibration,
+        calibration=calibration, fault_plan=stall,
     ) as pool:
         pool.serve(structures)  # warm the shard caches
         gateway = ServingGateway(
@@ -85,7 +91,8 @@ def main() -> None:
         )
         print(f"burst: {BURST} requests over {STRUCTURES} structures at a "
               f"{WORKERS}-worker pool, admission budget {MAX_IN_FLIGHT}, "
-              f"admission timeout {QUEUE_TIMEOUT_S * 1e3:.0f} ms")
+              f"admission timeout {QUEUE_TIMEOUT_S * 1e3:.0f} ms, every round "
+              f"stalled {STALL_S * 1e3:.0f} ms")
 
         replies = asyncio.run(fire_burst(gateway, requests))
         served = [
@@ -103,6 +110,7 @@ def main() -> None:
         print(f"{stats.caller_served} served on the caller's thread, "
               f"{stats.retries} retried")
         assert stats.in_flight == 0, "every admitted request settled"
+        assert shed > 0 and served, "the burst was shed in part and served in part"
 
         identical = all(
             np.array_equal(reply.logits, expected[structure])

@@ -53,20 +53,32 @@ member's arrays are addressed once, in its :func:`csr_record` /
 :func:`feature_rows`, and what holds an address holds its array: a block
 its record, a :class:`Rows` or a :func:`bind_blocks` binding its table.
 
+A bound program's warm round is one call (:func:`bind_program`): a table
+of its steps' entries — each update step's GEMM the ``sgemm``/``dgemm``
+NumPy's own OpenBLAS exports (:func:`blas_gemm`), by address: ``@``'s
+kernel, and exact in any order — run in turn over an arena the round
+allocates, writing a ``perf_counter``-clock stamp at each phase boundary.
+
 The other kind of entry, :func:`adjacency`, censuses: it checks a batch's
 member CSRs and writes each row's degree and the census of the tiles its
 entries fall in (the §4.3 ballot taken as subgraphs are packed).
 
-The source is compiled once per process by :func:`load` with the system C
-compiler and opened with :mod:`ctypes`; without a compiler :func:`load`
-returns ``None`` (one ``native_tail_unavailable`` event) and the callers
-keep the NumPy path, which stays the reference.
+The source is compiled by :func:`load` with the system C compiler, kept
+in a per-user cache under its digest (:func:`_cache_path`) and opened with
+:mod:`ctypes`; without a compiler :func:`load` returns ``None`` (one
+``native_tail_unavailable`` event) and the callers keep the NumPy path,
+which stays the reference.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
+import glob
+import hashlib
 import os
+import shutil
 import struct
 import subprocess
 import tempfile
@@ -91,6 +103,7 @@ SOURCE = r"""
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <time.h>
 
 /* What a step's tail reads besides its product, bound once per step.  One
    epilogue form serves every step: an aggregate step's row term is
@@ -368,6 +381,57 @@ TAIL(tail_float64_int64, double, int64_t, int64_t, 1)
 TAIL(tail_float32_logits, float, double, int64_t, 0)
 TAIL(tail_float64_logits, double, double, int64_t, 0)
 
+/* A bound program's warm round in one call.  T: the step count, step 0's
+   quantize-only entry (arguments, function, arena offsets of its codes and
+   row sums), then each STEP: an update step's product is BLAS's (sgemm, or
+   dgemm if WIDE) of its codes and k x m weights, an aggregate step's tail
+   gathers it; offset -1 is no row sums (OUT: the logits).  Writes a stamp at
+   each boundary of the replay layout after materialize and each step's
+   operand's live tiles; returns 0 or the failing entry's code. */
+typedef ptrdiff_t (*tail_fn)(const tail_args *, const void *, const double *, void *, double *,
+                             const int32_t *, const int32_t *);
+typedef struct {
+    ptrdiff_t args, tail, gemm, wide, weights, k, degrees, blocks, codes, sums, product, out, out_sums, relu;
+} step;
+#define GEMM(T) ((void (*)(int, int, int, int64_t, int64_t, int64_t, T, const T *, int64_t, const T *,  \
+                           int64_t, T, T *, int64_t))s->gemm)(101, 111, 111, a->n, a->m, s->k, 1,        \
+                                                              codes, s->k, weights, a->m, 0, p, a->m)
+#define AT(OFF) ((OFF) < 0 ? 0 : arena + (OFF))
+
+static double now(void)   /* perf_counter's: CLOCK_MONOTONIC nanoseconds / 1e9 */
+{
+    struct timespec t;
+    return clock_gettime(CLOCK_MONOTONIC, &t), (double)(t.tv_sec * 1000000000LL + t.tv_nsec) / 1e9;
+}
+
+ptrdiff_t run_program(const ptrdiff_t *t, const int32_t *rows, char *arena, double *logits,
+                      double *stamps, ptrdiff_t *lives)
+{
+    *stamps++ = now();
+    ptrdiff_t live = ((tail_fn)t[2])((const tail_args *)t[1], 0, 0, arena + t[3], (double *)AT(t[4]), rows, 0);
+    for (const step *s = (const step *)(t + 5), *end = s + t[0]; s < end && live >= 0; ++s) {
+        const tail_args *a = (const tail_args *)s->args;
+        const void *codes = arena + s->codes, *weights = (const void *)s->weights;
+        void *p = arena + s->product, *out = s->out < 0 ? (void *)logits : arena + s->out;
+        *lives++ = live;
+        for (int i = 0; i < 3; ++i)   /* quantize (step 0's ran above), pack, census */
+            *stamps++ = now();
+        if (s->gemm) {
+            s->wide ? GEMM(double) : GEMM(float);
+            *stamps++ = now();
+        }
+        live = ((tail_fn)s->tail)(a, s->gemm ? p : codes, s->gemm ? (const double *)AT(s->sums)
+                                  : (const double *)s->degrees, out, (double *)AT(s->out_sums),
+                                  (const int32_t *)s->blocks, 0);
+        if (!s->gemm)   /* the gathering tail is the aggregate step's gemm interval */
+            *stamps++ = now();
+        *stamps++ = now();
+        if (s->relu)
+            *stamps++ = now();
+    }
+    return live < 0 ? live : 0;
+}
+
 /* The degrees of the block-diagonal CSR of T's blocks (its rows' entry
    counts) and a 1 per 8 x 128 tile (kt to a row group) an entry falls in.
    Returns the entries, or -1 at a pointer out of order or a row not
@@ -419,8 +483,9 @@ _load_lock = threading.Lock()
 
 
 def load() -> ctypes.CDLL | None:
-    """The compiled kernel library: built on the first call in a process
-    into a private temporary directory, then reused; ``None`` (and one
+    """The compiled kernel library: opened from the per-user cache
+    (:func:`_cache_path`) or built on the first call in a process into a
+    private temporary directory and cached, then reused; ``None`` (and one
     ``native_tail_unavailable`` event) when it cannot be compiled."""
     if not _loaded:
         with _load_lock:
@@ -429,19 +494,36 @@ def load() -> ctypes.CDLL | None:
     return _loaded[0]
 
 
+def _cache_path() -> str | None:
+    """``$XDG_CACHE_HOME`` (else ``~/.cache``) ``/repro-native/<blake2b>.so``,
+    keyed by the source, the compiler, its flags and ``--version`` and the
+    CPU's ``flags`` (``-march=native``); ``None`` unless the directory is
+    this user's and no one else can write it."""
+    directory = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "repro-native")
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        status = os.stat(directory)
+        with subprocess.Popen([COMPILER, "--version"], stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL) as probe:
+            version = probe.communicate()[0]
+    except (OSError, subprocess.SubprocessError):
+        return None
+    key = hashlib.blake2b("\0".join([SOURCE, COMPILER, *FLAGS]).encode() + version, digest_size=16)
+    if os.path.exists("/proc/cpuinfo"):
+        with open("/proc/cpuinfo", "rb") as cpu:
+            key.update(next((line for line in cpu if line.startswith(b"flags")), b""))
+    mine = status.st_uid == os.getuid() and not status.st_mode & 0o022
+    return os.path.join(directory, key.hexdigest() + ".so") if mine else None
+
+
 def _compile() -> ctypes.CDLL | None:
-    try:  # the library's mapping outlives its file and directory
-        with tempfile.TemporaryDirectory(prefix="repro-native-", ignore_cleanup_errors=True) as directory:
-            source, library = (os.path.join(directory, name) for name in ("tail.c", "tail.so"))
-            with open(source, "w") as f:
-                f.write(SOURCE)
-            subprocess.run([COMPILER, *FLAGS, "-o", library, source],
-                           check=True, capture_output=True, text=True, timeout=120)
-            lib = ctypes.CDLL(library)
-    except (OSError, subprocess.SubprocessError) as exc:
-        detail = getattr(exc, "stderr", None) or exc
-        emit_event(__name__, "native_tail_unavailable", compiler=COMPILER,
-                   reason=str(detail).strip()[-500:])
+    cached = _cache_path()
+    try:  # a cached library that does not open is compiled again
+        lib = ctypes.CDLL(cached) if cached is not None and os.path.exists(cached) else None
+    except OSError:
+        lib = None
+    lib = lib or _build(cached)
+    if lib is None:
         return None
     for product in PRODUCT_DTYPES:
         for out in (*CODE_DTYPES, "logits"):
@@ -451,8 +533,47 @@ def _compile() -> ctypes.CDLL | None:
         getattr(lib, f"thresholds_{product}").argtypes = (ctypes.POINTER(_TailArgs), ctypes.c_double,
                                                           ctypes.c_void_p)
     lib.adjacency.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p)
-    lib.adjacency.restype = ctypes.c_ssize_t
+    lib.run_program.argtypes = [ctypes.c_void_p] * 6
+    lib.adjacency.restype = lib.run_program.restype = ctypes.c_ssize_t
     return lib
+
+
+def _build(cached: str | None) -> ctypes.CDLL | None:
+    """The source compiled in a private temporary directory and opened (and
+    kept at ``cached``, if given); ``None`` and one
+    ``native_tail_unavailable`` event when that fails."""
+    try:  # the library's mapping outlives its file and directory
+        with tempfile.TemporaryDirectory(prefix="repro-native-", ignore_cleanup_errors=True) as directory:
+            source, library = (os.path.join(directory, name) for name in ("tail.c", "tail.so"))
+            with open(source, "w") as f:
+                f.write(SOURCE)
+            subprocess.run([COMPILER, *FLAGS, "-o", library, source],
+                           check=True, capture_output=True, text=True, timeout=120)
+            if cached is not None:  # through a file beside it: a reader sees all of it or nothing
+                with contextlib.suppress(OSError):
+                    shutil.copyfile(library, f"{cached}.{os.getpid()}")
+                    os.replace(f"{cached}.{os.getpid()}", cached)
+            return ctypes.CDLL(library)
+    except (OSError, subprocess.SubprocessError) as exc:
+        detail = getattr(exc, "stderr", None) or exc
+        emit_event(__name__, "native_tail_unavailable", compiler=COMPILER,
+                   reason=str(detail).strip()[-500:])
+        return None
+
+
+@functools.cache
+def blas_gemm() -> tuple[int, int] | None:
+    """The addresses of ``scipy_cblas_sgemm64_`` and ``scipy_cblas_dgemm64_``
+    (ILP64) in the OpenBLAS NumPy loaded — the kernels ``@`` runs — or
+    ``None``; the library is opened only if it is loaded already
+    (``RTLD_NOLOAD``): never a second BLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "libscipy_openblas64_*")
+    for path in glob.glob(libs):
+        with contextlib.suppress(OSError, AttributeError):
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0) | os.RTLD_LAZY)
+            return tuple(ctypes.cast(getattr(lib, f"scipy_cblas_{p}gemm64_"), ctypes.c_void_p).value
+                         for p in "sd")
+    return None
 
 
 def _buffer(array: np.ndarray | None):
@@ -698,3 +819,70 @@ def _bind(recipe, product, shape, terms, relu, params, dtype, sums, reads_sums, 
     return _Bound(recipe, getattr(lib, f"tail_{_NAMES[product]}_{name}"), args, keep,
                   (product, shape), (n,) if reads_sums else None, (shape, out),
                   sums and params is not None)
+
+
+class Replay(NamedTuple):
+    """A bound program's warm round as one foreign call (:func:`bind_program`):
+    its step ``table``, the ``arena`` bytes a round allocates, the
+    ``stamps`` the entry writes and the logits' ``shape``; ``held`` is what
+    the table addresses."""
+
+    table: bytes
+    arena: int
+    stamps: int
+    shape: tuple
+    held: tuple
+
+    def run(self, features) -> tuple | None:
+        """``(logits, each step's operand's live tiles, the stamps)`` of one
+        round from step 0's members' :class:`Rows`; ``None`` for another
+        operand or when an entry refused it (NaN, rows that are not the
+        operand), which the step loop then raises on."""
+        if type(features) is not Rows:
+            return None
+        arena, logits = np.empty(self.arena, np.uint8), np.empty(self.shape)
+        stamps, lives = np.empty(self.stamps), np.empty(len(self.held) - 1, np.intp)
+        code = load().run_program(self.table, features.table, *map(_buffer, (arena, logits, stamps, lives)))
+        return None if code else (logits, lives.tolist(), stamps.tolist())
+
+
+def _entry(bound: _Bound) -> tuple[int, int]:
+    return ctypes.addressof(bound._args.contents), ctypes.cast(bound._fn, ctypes.c_void_p).value
+
+
+def bind_program(quantize: _Bound, steps) -> Replay | None:
+    """A warm round as one entry (``run_program``): step 0's ``quantize``
+    entry, then per step ``(tail, weights, gather, relu)`` — an update step's
+    ``(k, m)`` weights in its product's dtype, else an aggregate step's
+    :func:`bind_blocks` binding — the last tail into the logits; codes, row
+    sums and products take turns in two codes, two sums and one product
+    region of a round's arena.  ``None`` without the library or NumPy's GEMM
+    (:func:`blas_gemm`), or for steps that do not chain."""
+    gemm, writers = blas_gemm(), [quantize, *(tail for tail, *_ in steps[:-1])]
+    if load() is None or gemm is None or None in writers or steps[-1][0]._out[1] != np.float64:
+        return None
+
+    def region(arrays):  # bytes for the largest of ``(shape, dtype)`` arrays, in 64s
+        return max(-(-int(np.prod(shape)) * np.dtype(dtype).itemsize // 64) * 64 for shape, dtype in arrays)
+
+    codes, sums = region(w._out for w in writers), region((w._out[0][:1], np.float64) for w in writers)
+    at = (0, codes, 2 * codes, 2 * codes + sums, 2 * (codes + sums))  # codes, codes, sums, sums, product
+    words, held, stamps = [len(steps), *_entry(quantize), at[0], at[2] if quantize._sums else -1], [quantize], 1
+    for i, ((tail, weights, gather, relu), writer) in enumerate(zip(steps, writers)):
+        dtype, (n, m) = tail._in
+        if weights is None:  # an aggregate step's tail gathers its product from its codes
+            k, chained = m, gather is not None and gather[0] == n
+            entry = (0, 0, 0, 0, *gather[1][:2]) if chained else ()
+        else:
+            weights = np.ascontiguousarray(weights)
+            k, chained = weights.shape[0], weights.shape[1] == m and weights.dtype == dtype and writer._sums
+            entry = (gemm[dtype == np.float64], dtype == np.float64, weights.ctypes.data, k, 0, 0)
+        if not chained or writer._out != ((n, k), dtype):
+            return None
+        last, j = i + 1 == len(steps), i % 2
+        words += [*_entry(tail), *entry, at[j], at[2 + j] if writer._sums else -1, at[4],
+                  -1 if last else at[1 - j], -1 if last or not tail._sums else at[3 - j], relu]
+        held.append((tail, weights, gather))
+        stamps += 5 + relu
+    return Replay(_words(*words), at[4] + region(t._in[::-1] for t, *_ in steps), stamps, steps[-1][0]._out[0],
+                  tuple(held))

@@ -84,19 +84,3 @@ class KernelCounters:
         if not self.schedule:
             self.schedule = other.schedule
         return self
-
-    def copy(self) -> "KernelCounters":
-        return KernelCounters(
-            mma_ops=self.mma_ops,
-            frag_loads_a=self.frag_loads_a,
-            frag_loads_b=self.frag_loads_b,
-            frag_stores=self.frag_stores,
-            global_bytes_read=self.global_bytes_read,
-            global_bytes_written=self.global_bytes_written,
-            tiles_total=self.tiles_total,
-            tiles_skipped=self.tiles_skipped,
-            tiles_processed=self.tiles_processed,
-            launches=self.launches,
-            schedule=self.schedule,
-            tags=dict(self.tags),
-        )

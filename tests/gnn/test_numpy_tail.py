@@ -112,6 +112,7 @@ def test_a_failing_compile_is_tried_once_and_never_reaches_a_round(no_kernel, ca
 def test_a_temp_dir_it_cannot_write_is_a_missing_kernel(no_kernel, tmp_path, caplog):
     no_kernel.setattr(native, "load", LOAD)
     no_kernel.setattr(native, "_loaded", [])  # a fresh process
+    no_kernel.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))  # with no library cached
     no_kernel.setattr(native.tempfile, "tempdir", str(tmp_path / "missing"))
     caplog.set_level(logging.INFO, logger="repro")
     assert native.load() is None

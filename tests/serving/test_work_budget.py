@@ -25,6 +25,7 @@ import hashlib
 import importlib
 import operator
 import sys
+import time
 import tracemalloc
 import weakref
 from functools import cached_property, partial
@@ -1393,9 +1394,10 @@ def test_only_tails_from_one_bit_into_one_bit_codes_bind_a_threshold_table(struc
 def test_a_blas_aggregate_step_is_one_native_pass(monkeypatch, structures):
     """Over a frozen calibration a ``blas`` aggregate step's product and
     tail are one foreign call over its adjacency's CSR: a cold miss over a
-    seen template and a warm replay make no scipy sparse matmul and one
-    native call per step (and the features' quantize).  On the NumPy path
-    every aggregate step is a scipy matmul."""
+    seen template makes no scipy sparse matmul and one native call per step
+    (and the features' quantize); a warm replay is the program's one entry
+    (``test_a_warm_replay_is_one_foreign_call``) and calls no step entry.
+    On the NumPy path every aggregate step is a scipy matmul."""
     from scipy.sparse import _base, _sparsetools
 
     counts = dict.fromkeys(["_matmul_dispatch", "csr_matvecs", "native", "gathering"], 0)
@@ -1420,7 +1422,7 @@ def test_a_blas_aggregate_step_is_one_native_pass(monkeypatch, structures):
     for name in counts:
         counts[name] = 0
     engine.infer(structures[0])
-    assert engine.stats.plan_cache.hits == 1 and counts == one_pass
+    assert engine.stats.plan_cache.hits == 1 and counts == dict.fromkeys(one_pass, 0)
 
     monkeypatch.setattr(native, "load", lambda: None)
     _, (_, numpy_cold) = _cold_cycles(counts, structures, 2)
@@ -1548,8 +1550,11 @@ def test_a_warm_fused_aggregate_converts_only_its_per_call_arrays(monkeypatch, s
     """A warm fused aggregate call makes one foreign call and converts only
     the arrays that are new each call — its codes and its two outputs: the
     adjacency's block table and degrees reach C by the addresses its
-    program took when it bound them."""
-    engine = InferenceEngine(make_cluster_gcn(12, 3, seed=4), ServingConfig(feature_bits=1, batch_size=4))
+    program took when it bound them.  An armed (silent) fault plan keeps
+    the warm round on the step loop."""
+    faults = FaultPlan(seed=0, specs=[FaultSpec("kernel", at=(10**9,))])
+    engine = InferenceEngine(make_cluster_gcn(12, 3, seed=4), ServingConfig(feature_bits=1, batch_size=4),
+                             fault_plan=faults)
     want = [engine.infer(structures[0])[0].logits for _ in range(2)]  # bind, then replay
     calls, run, buffer = [], native._Bound.run, native._buffer
 
@@ -1578,6 +1583,86 @@ def test_a_warm_fused_aggregate_converts_only_its_per_call_arrays(monkeypatch, s
         assert all(c is not a for c in converted for a in csr[2])
         # The degrees, then the members' block table in place of a batch CSR.
         assert (foreign[0][2], *foreign[0][5:]) == (*(a.ctypes.data for a in csr[2][:2]), None)
+
+
+def _foreign_calls(monkeypatch, counts: dict, brackets: list) -> None:
+    """Count, under ``counts["foreign"]``, calls of every function of the
+    native library, and ``_Bound.run`` (whose entries were looked up when
+    bound) apart; ``brackets`` gets the Python clock around each program
+    entry call."""
+    lib = native.load()
+    entries = [f"tail_{p}_{o}" for p in native.PRODUCT_DTYPES for o in (*native.CODE_DTYPES, "logits")]
+    for name in ("adjacency", *entries, *(f"thresholds_{p}" for p in native.PRODUCT_DTYPES)):
+        monkeypatch.setattr(lib, name, _counting(counts, "foreign", getattr(lib, name)))
+    real = lib.run_program
+
+    def run_program(*args):
+        counts["foreign"] += 1
+        brackets.append(time.perf_counter())
+        try:
+            return real(*args)
+        finally:
+            brackets.append(time.perf_counter())
+
+    monkeypatch.setattr(lib, "run_program", run_program)
+    monkeypatch.setattr(native._Bound, "run", _counting(counts, "_Bound.run", native._Bound.run))
+
+
+@needs_kernel
+@pytest.mark.parametrize("model, bits", [
+    (partial(make_batched_gin, 12, 3, hidden_dim=16, seed=4), 8),
+    (partial(make_cluster_gcn, 12, 3, seed=4), 1),
+])
+def test_a_warm_replay_is_one_foreign_call(monkeypatch, structures, model, bits):
+    """A warm replay is one foreign call, into its program's entry: no step
+    entry (``_Bound.run``), no bound step's ``matmul``, no other native
+    function.  The entry's stamps are monotone and lie between the Python
+    clock reads around the call; with the round's first (taken before the
+    features are materialised) they are one more than the replay layout."""
+    engine = InferenceEngine(model(), ServingConfig(feature_bits=bits, batch_size=4))
+    want = [engine.infer(structures[0])[0].logits for _ in range(2)]  # bind, then the first replay
+    adjacencies = engine.plan_artifacts.segment("adjacency")
+    (adjacency,) = map(adjacencies.peek, adjacencies.keys())
+    counts, brackets, forwards = dict.fromkeys(["foreign", "_Bound.run", "matmul"], 0), [], []
+    program = adjacency.derived["program"]
+    adjacency.derived["program"] = program._replace(steps=tuple(
+        b._replace(matmul=_counting(counts, "matmul", b.matmul)) for b in program.steps))
+    _foreign_calls(monkeypatch, counts, brackets)
+    execute = engine_module.execute_forward_plan
+    monkeypatch.setattr(engine_module, "execute_forward_plan",
+                        lambda *a, **k: forwards.append(execute(*a, **k)) or forwards[-1])
+    got = engine.infer(structures[0])[0].logits
+    np.testing.assert_array_equal(got.view(np.uint64), want[-1].view(np.uint64))
+    assert counts == {"foreign": 1, "_Bound.run": 0, "matmul": 0}
+    (forward,) = forwards
+    stamps = forward.stamps
+    assert not forward.binding and len(stamps) == len(forward.program.layouts[0]) + 1
+    assert stamps == sorted(stamps) and stamps[0] <= brackets[0] <= stamps[1] and stamps[-1] <= brackets[1]
+
+
+@needs_kernel
+def test_a_fault_plan_or_a_refused_entry_keeps_the_step_loop(monkeypatch, structures):
+    """A warm round with a fault plan armed runs the step loop and never
+    calls the program entry; an entry that refuses its round (``-1``, as for
+    a NaN) hands it to the loop, which serves it to the same bits."""
+    model, config = make_cluster_gcn(12, 3, seed=4), ServingConfig(feature_bits=1, batch_size=4)
+    steps = 2 * model.num_layers
+    faults = FaultPlan(seed=0, specs=[FaultSpec("kernel", at=(10**9,))])
+    armed, engine = InferenceEngine(model, config, fault_plan=faults), InferenceEngine(model, config)
+    armed.infer(structures[0])
+    engine.infer(structures[0])
+    engine.infer(structures[0])  # the first replay binds the entry
+    counts, brackets = dict.fromkeys(["foreign", "_Bound.run"], 0), []
+    _foreign_calls(monkeypatch, counts, brackets)
+    want = [armed.infer(structures[0])[0].logits for _ in range(2)][-1]
+    assert counts == {"foreign": 0, "_Bound.run": 2 * (steps + 1)} and faults.probes("kernel") == 3 * steps
+
+    monkeypatch.setattr(native.load(), "run_program", lambda *args: brackets.append(args) or -1)
+    counts.update(dict.fromkeys(counts, 0))
+    got = engine.infer(structures[0])[0].logits
+    # The refused call, then the loop: the features' quantize and each step's tail.
+    assert len(brackets) == 1 and counts == {"foreign": 0, "_Bound.run": steps + 1}
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _arrays(root) -> list[np.ndarray]:
