@@ -822,11 +822,12 @@ def _bind(recipe, product, shape, terms, relu, params, dtype, sums, reads_sums, 
 
 
 class Replay(NamedTuple):
-    """A bound program's warm round as one foreign call (:func:`bind_program`):
-    its step ``table``, the ``arena`` bytes a round allocates, the
-    ``stamps`` the entry writes and the logits' ``shape``; ``held`` is what
-    the table addresses."""
+    """A bound program's warm round as one foreign call (:func:`bind_program`)
+    into ``lib``: its step ``table``, the ``arena`` bytes a round allocates,
+    the ``stamps`` the entry writes and the logits' ``shape``; ``held`` is
+    what the table addresses."""
 
+    lib: ctypes.CDLL
     table: bytes
     arena: int
     stamps: int
@@ -842,7 +843,7 @@ class Replay(NamedTuple):
             return None
         arena, logits = np.empty(self.arena, np.uint8), np.empty(self.shape)
         stamps, lives = np.empty(self.stamps), np.empty(len(self.held) - 1, np.intp)
-        code = load().run_program(self.table, features.table, *map(_buffer, (arena, logits, stamps, lives)))
+        code = self.lib.run_program(self.table, features.table, *map(_buffer, (arena, logits, stamps, lives)))
         return None if code else (logits, lives.tolist(), stamps.tolist())
 
 
@@ -858,8 +859,8 @@ def bind_program(quantize: _Bound, steps) -> Replay | None:
     sums and products take turns in two codes, two sums and one product
     region of a round's arena.  ``None`` without the library or NumPy's GEMM
     (:func:`blas_gemm`), or for steps that do not chain."""
-    gemm, writers = blas_gemm(), [quantize, *(tail for tail, *_ in steps[:-1])]
-    if load() is None or gemm is None or None in writers or steps[-1][0]._out[1] != np.float64:
+    lib, gemm, writers = load(), blas_gemm(), [quantize, *(tail for tail, *_ in steps[:-1])]
+    if lib is None or gemm is None or None in writers or steps[-1][0]._out[1] != np.float64:
         return None
 
     def region(arrays):  # bytes for the largest of ``(shape, dtype)`` arrays, in 64s
@@ -884,5 +885,5 @@ def bind_program(quantize: _Bound, steps) -> Replay | None:
                   -1 if last else at[1 - j], -1 if last or not tail._sums else at[3 - j], relu]
         held.append((tail, weights, gather))
         stamps += 5 + relu
-    return Replay(_words(*words), at[4] + region(t._in[::-1] for t, *_ in steps), stamps, steps[-1][0]._out[0],
-                  tuple(held))
+    return Replay(lib, _words(*words), at[4] + region(t._in[::-1] for t, *_ in steps), stamps,
+                  steps[-1][0]._out[0], tuple(held))
